@@ -3,7 +3,7 @@
 // accumulation, the moment-column packing, and the CK-means reduced-moment
 // nearest-two center sweep — plus a runtime cross-check that every compiled
 // vector path reproduces the scalar reference bit for bit on this machine's
-// actual hardware.
+// actual hardware (those three and the relocation-screen gains).
 //
 // Output:
 //   - a human-readable table (evals/s, GB/s, speedup vs forced scalar),
@@ -132,6 +132,30 @@ std::size_t SweepPass(const simd::KernelTable& t, const Inputs& in,
   return in.n * static_cast<std::size_t>(in.k);
 }
 
+// One relocation-screen pass: every object's gains against k clusters, the
+// centroid block standing in for the m x k column sums (cross-check only).
+void GainsPass(const simd::KernelTable& t, const Inputs& in,
+               std::vector<double>* out) {
+  const std::size_t m = in.m;
+  const std::size_t k = static_cast<std::size_t>(in.k);
+  std::vector<double> weight(k), norm(k), magnitude(k);
+  for (std::size_t c = 0; c < k; ++c) {
+    weight[c] = 1.0 / static_cast<double>(c + 2);
+    norm[c] = in.total_var[c % in.n];
+    magnitude[c] = norm[c] + 1.0;
+  }
+  const simd::GainColumns cols{in.centroids.data(), in.centroids.data(),
+                               weight.data(),       weight.data(),
+                               weight.data(),       magnitude.data(),
+                               norm.data()};
+  for (std::size_t i = 0; i < in.n; ++i) {
+    const simd::GainObject o{in.means.data() + i * m, in.total_var[i],
+                             in.mu2[i * m], in.var[i * m], in.total_var[i]};
+    double* row = out->data() + i * 3 * k;
+    t.relocation_gains(cols, in.k, m, o, row, row + k, row + 2 * k);
+  }
+}
+
 // Repeats fn until at least min_ms of wall time is covered; returns
 // (repetitions, elapsed seconds).
 template <typename Fn>
@@ -180,9 +204,11 @@ int main(int argc, char** argv) {
   std::vector<double> ref_mean(n * m), ref_mu2(n * m), ref_var(n * m),
       ref_tv(n);
   std::vector<int> ref_labels(n);
+  std::vector<double> ref_gains(n * 3 * k);
   Ed2Tile(*scalar, in, &ref_tile);
   PackPass(*scalar, in, &ref_mean, &ref_mu2, &ref_var, &ref_tv);
   SweepPass(*scalar, in, &ref_labels);
+  GainsPass(*scalar, in, &ref_gains);
 
   const simd::Isa kCandidates[] = {simd::Isa::kScalar, simd::Isa::kAvx2,
                                    simd::Isa::kNeon};
@@ -201,9 +227,11 @@ int main(int argc, char** argv) {
       std::vector<double> tile(tile_rows * n);
       std::vector<double> mean(n * m), mu2(n * m), var(n * m), tv(n);
       std::vector<int> labels(n);
+      std::vector<double> gains(n * 3 * k);
       Ed2Tile(*table, in, &tile);
       PackPass(*table, in, &mean, &mu2, &var, &tv);
       SweepPass(*table, in, &labels);
+      GainsPass(*table, in, &gains);
       r.cross_check_ok =
           std::memcmp(tile.data(), ref_tile.data(),
                       tile.size() * sizeof(double)) == 0 &&
@@ -216,7 +244,9 @@ int main(int argc, char** argv) {
           std::memcmp(tv.data(), ref_tv.data(),
                       tv.size() * sizeof(double)) == 0 &&
           std::memcmp(labels.data(), ref_labels.data(),
-                      labels.size() * sizeof(int)) == 0;
+                      labels.size() * sizeof(int)) == 0 &&
+          std::memcmp(gains.data(), ref_gains.data(),
+                      gains.size() * sizeof(double)) == 0;
       all_ok = all_ok && r.cross_check_ok;
     }
 

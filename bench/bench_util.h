@@ -45,8 +45,7 @@ inline unsigned HardwareThreads() { return std::thread::hardware_concurrency(); 
 /// Strict engine-knob parsing for bench/tool main()s: every canonical knob
 /// present in `args` is applied via common::ParseEngineFlags; a malformed
 /// value prints "<tool>: <message>" to stderr and exits 1 (uniform across
-/// binaries — unlike the legacy lenient engine::EngineConfigFromArgs, which
-/// warned and kept the default).
+/// binaries).
 inline engine::EngineConfig EngineConfigFromFlagsOrDie(
     const common::ArgParser& args, const char* tool) {
   engine::EngineConfig cfg;

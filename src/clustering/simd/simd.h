@@ -1,7 +1,7 @@
 // SIMD kernel layer: compile-time multi-versioned, runtime-dispatched
 // inner-loop primitives for the dense arithmetic sweeps of the clustering
 // stack (closed-form ED^ accumulation, moment-column packing, CK-means
-// center-distance scans, per-cluster sum accumulators).
+// center-distance scans, per-cluster sum accumulators, relocation gains).
 //
 // Bit-exactness contract. Every primitive produces BIT-IDENTICAL doubles on
 // every ISA path (scalar reference, AVX2, NEON). The mechanism is a
@@ -51,6 +51,27 @@ inline constexpr std::size_t kLanes = 16;
 /// and hardware-supported path), never an active state.
 enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2, kAuto = 3 };
 
+/// Pass-constant per-cluster columns of the relocation screen
+/// (clustering/local_search.cc), each of length k unless noted.
+struct GainColumns {
+  const double* t;          ///< m x k row-major: row j holds T_cj for all c.
+  const double* offset;     ///< object-free part of each cluster's gain.
+  const double* alpha;      ///< weight of the object's variance sum.
+  const double* beta;       ///< weight of the object's second-moment sum.
+  const double* omega;      ///< weight of ||T_c + mu||^2.
+  const double* magnitude;  ///< magnitude bound of offset's terms (>= 0).
+  const double* norm_t;     ///< ||T_c||.
+};
+
+/// Per-object scalars of the relocation screen.
+struct GainObject {
+  const double* mean;  ///< mu, length m.
+  double var_sum;      ///< v = sum_j sigma^2_j.
+  double mu2_sum;      ///< p = sum_j mu2_j.
+  double mean_sq;      ///< ||mu||^2.
+  double mean_norm;    ///< ||mu||.
+};
+
 /// One ISA path's implementations of the inner-loop primitives. All
 /// functions follow the lane-blocked accumulation order above, so any two
 /// tables produce bit-identical outputs for the same inputs.
@@ -79,6 +100,17 @@ struct KernelTable {
   void (*nearest_two)(const double* point, const double* centroids, int k,
                       std::size_t m, int reuse_c, double reuse_d2, int* best,
                       double* best_d2, double* second_d2);
+  /// Relocation gains of one object against k clusters. Lanes run across
+  /// clusters, so nothing is reduced across lanes and every path computes
+  /// each cluster's values with the same operations in the same order:
+  ///   dot[c]  = sum_j t[j*k + c] * mean[j], j ascending from 0.0
+  ///   gain[c] = ((offset[c] + alpha[c]*v) + beta[c]*p)
+  ///             - omega[c]*((dot[c] + dot[c]) + mean_sq)
+  ///   mag[c]  = ((magnitude[c] + alpha[c]*v) + beta[c]*p)
+  ///             + omega[c]*(r*r),  r = norm_t[c] + mean_norm
+  void (*relocation_gains)(const GainColumns& cols, int k, std::size_t m,
+                           const GainObject& obj, double* dot, double* gain,
+                           double* mag);
 };
 
 /// Table of a specific path, or nullptr when that path is not compiled in
@@ -139,6 +171,12 @@ inline void NearestTwo(const double* point, const double* centroids, int k,
                        double* best_d2, double* second_d2) {
   Active().nearest_two(point, centroids, k, m, reuse_c, reuse_d2, best,
                        best_d2, second_d2);
+}
+
+inline void RelocationGains(const GainColumns& cols, int k, std::size_t m,
+                            const GainObject& obj, double* dot, double* gain,
+                            double* mag) {
+  Active().relocation_gains(cols, k, m, obj, dot, gain, mag);
 }
 
 // Per-ISA table factories (defined in their own TUs so target-specific

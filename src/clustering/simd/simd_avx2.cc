@@ -26,6 +26,11 @@ struct Avx2Ops {
     for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_setzero_pd();
     return v;
   }
+  static V Splat(double x) {
+    V v;
+    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_set1_pd(x);
+    return v;
+  }
   static V Load(const double* p) {
     V v;
     for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_loadu_pd(p + 4 * q);

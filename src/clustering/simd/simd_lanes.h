@@ -1,10 +1,10 @@
 // Shared lane-blocked kernel bodies, templated over a per-ISA `Ops` type.
 //
 // Every ISA TU instantiates the SAME templates below with its own Ops
-// (vector type + Zero/Load/Sub/Mul/Add/Store), so the accumulation order —
-// and therefore the rounding — is identical by construction: the bit-
-// exactness contract is structural, not something each path re-implements
-// and can drift on. An Ops vector always models exactly kLanes = 16 doubles
+// (vector type + Zero/Splat/Load/Sub/Mul/Add/Store), so the accumulation
+// order — and therefore the rounding — is identical by construction: the
+// bit-exactness contract is structural, not something each path
+// re-implements and can drift on. An Ops vector always models exactly kLanes = 16 doubles
 // (AVX2 packs four 4-wide registers, NEON eight 2-wide registers, scalar a
 // double[16]).
 //
@@ -155,11 +155,63 @@ void NearestTwoT(const double* point, const double* centroids, int k,
   *second_d2 = sd;  // inf when k == 1, matching the historical scan
 }
 
+// The relocation screen's per-cluster gains (see KernelTable). Each lane
+// owns one cluster; the full groups of 16 clusters run in Ops vectors, the
+// tail clusters in scalar code spelling out the same operations, so every
+// path rounds identically.
+template <class Ops>
+void RelocationGainsT(const GainColumns& cols, int k, std::size_t m,
+                      const GainObject& obj, double* dot, double* gain,
+                      double* mag) {
+  using V = typename Ops::V;
+  const std::size_t kk = static_cast<std::size_t>(k);
+  const std::size_t full = kk - (kk % kLanes);
+  const V v = Ops::Splat(obj.var_sum);
+  const V p = Ops::Splat(obj.mu2_sum);
+  const V mean_sq = Ops::Splat(obj.mean_sq);
+  const V mean_norm = Ops::Splat(obj.mean_norm);
+  for (std::size_t c = 0; c < full; c += kLanes) {
+    V d = Ops::Zero();
+    for (std::size_t j = 0; j < m; ++j) {
+      d = Ops::Add(d, Ops::Mul(Ops::Load(cols.t + j * kk + c),
+                               Ops::Splat(obj.mean[j])));
+    }
+    const V alpha = Ops::Load(cols.alpha + c);
+    const V beta = Ops::Load(cols.beta + c);
+    const V omega = Ops::Load(cols.omega + c);
+    const V av = Ops::Mul(alpha, v);
+    const V bp = Ops::Mul(beta, p);
+    const V g = Ops::Add(Ops::Add(Ops::Load(cols.offset + c), av), bp);
+    const V sq = Ops::Add(Ops::Add(d, d), mean_sq);
+    const V r = Ops::Add(Ops::Load(cols.norm_t + c), mean_norm);
+    const V e = Ops::Add(Ops::Add(Ops::Load(cols.magnitude + c), av), bp);
+    Ops::Store(dot + c, d);
+    Ops::Store(gain + c, Ops::Sub(g, Ops::Mul(omega, sq)));
+    Ops::Store(mag + c, Ops::Add(e, Ops::Mul(omega, Ops::Mul(r, r))));
+  }
+  for (std::size_t c = full; c < kk; ++c) {
+    double d = 0.0;
+    for (std::size_t j = 0; j < m; ++j) {
+      d = d + cols.t[j * kk + c] * obj.mean[j];
+    }
+    const double av = cols.alpha[c] * obj.var_sum;
+    const double bp = cols.beta[c] * obj.mu2_sum;
+    const double g = (cols.offset[c] + av) + bp;
+    const double sq = (d + d) + obj.mean_sq;
+    const double r = cols.norm_t[c] + obj.mean_norm;
+    const double e = (cols.magnitude[c] + av) + bp;
+    dot[c] = d;
+    gain[c] = g - cols.omega[c] * sq;
+    mag[c] = e + cols.omega[c] * (r * r);
+  }
+}
+
 template <class Ops>
 constexpr KernelTable MakeTable() {
   return KernelTable{
-      &SquaredDistanceT<Ops>, &SumT<Ops>,     &Ed2T<Ops>,
-      &VectorAddT<Ops>,       &PackRowT<Ops>, &NearestTwoT<Ops>,
+      &SquaredDistanceT<Ops>, &SumT<Ops>,         &Ed2T<Ops>,
+      &VectorAddT<Ops>,       &PackRowT<Ops>,     &NearestTwoT<Ops>,
+      &RelocationGainsT<Ops>,
   };
 }
 

@@ -25,6 +25,11 @@ struct NeonOps {
     for (int q = 0; q < kRegs; ++q) v.r[q] = vdupq_n_f64(0.0);
     return v;
   }
+  static V Splat(double x) {
+    V v;
+    for (int q = 0; q < kRegs; ++q) v.r[q] = vdupq_n_f64(x);
+    return v;
+  }
   static V Load(const double* p) {
     V v;
     for (int q = 0; q < kRegs; ++q) v.r[q] = vld1q_f64(p + 2 * q);

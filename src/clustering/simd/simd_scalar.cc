@@ -1,5 +1,5 @@
 // Scalar reference path: the lane-blocked templates instantiated with a
-// plain double[4] "vector". This TU is the ground truth the vector paths
+// plain double[kLanes] "vector". This TU is the ground truth the vector paths
 // are checked against, and the forced-scalar bench baseline — so the build
 // disables auto-vectorization for it (see CMakeLists.txt), keeping the
 // baseline honestly scalar instead of silently SSE2.
@@ -16,6 +16,11 @@ struct ScalarOps {
   static V Zero() {
     V r;
     for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = 0.0;
+    return r;
+  }
+  static V Splat(double x) {
+    V r;
+    for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = x;
     return r;
   }
   static V Load(const double* p) {

@@ -41,9 +41,9 @@ class ArgParser {
 /// Parses every canonical engine knob present in `args` into `config`
 /// (see engine::ApplyEngineKnob in engine/engine.h for the key table).
 /// Flags the engine does not own are ignored — callers keep parsing their
-/// own flags from the same ArgParser. Unlike the legacy
-/// engine::EngineConfigFromArgs, a malformed value is a returned error,
-/// not a silent default: every binary fails loudly on the same message.
+/// own flags from the same ArgParser. A malformed value is a returned
+/// error, not a silent default: every binary fails loudly on the same
+/// message.
 /// `config` keeps its pre-call values for knobs that are absent, so
 /// callers may pre-seed defaults.
 Status ParseEngineFlags(const ArgParser& args, engine::EngineConfig* config);

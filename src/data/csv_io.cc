@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 
 #include "common/csv.h"
 
@@ -12,7 +14,9 @@ common::Status SaveDeterministic(const std::string& path,
   UCLUST_RETURN_NOT_OK(dataset.Validate());
   std::vector<std::string> header;
   for (std::size_t j = 0; j < dataset.dims(); ++j) {
-    header.push_back("x" + std::to_string(j));
+    std::string name = "x";
+    name += std::to_string(j);
+    header.push_back(std::move(name));
   }
   const bool labeled = !dataset.labels.empty();
   if (labeled) header.push_back("label");

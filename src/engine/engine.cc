@@ -6,7 +6,6 @@
 #include <thread>
 
 #include "clustering/simd/simd.h"
-#include "common/cli.h"
 
 namespace uclust::engine {
 
@@ -186,20 +185,6 @@ const std::vector<std::string>& EngineKnobNames() {
       "spatial_index",
   };
   return *names;
-}
-
-EngineConfig EngineConfigFromArgs(const common::ArgParser& args) {
-  EngineConfig config;
-  for (const std::string& key : EngineKnobNames()) {
-    if (!args.Has(key)) continue;
-    const common::Status st =
-        ApplyEngineKnob(key, args.GetString(key, ""), &config);
-    if (!st.ok()) {
-      std::fprintf(stderr, "engine: %s (keeping the default)\n",
-                   st.message().c_str());
-    }
-  }
-  return config;
 }
 
 }  // namespace uclust::engine

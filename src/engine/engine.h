@@ -23,10 +23,6 @@
 #include "common/status.h"
 #include "engine/thread_pool.h"
 
-namespace uclust::common {
-class ArgParser;
-}  // namespace uclust::common
-
 namespace uclust::engine {
 
 /// User-facing execution knobs.
@@ -212,12 +208,6 @@ common::Status ApplyEngineKnob(const std::string& key,
 /// (memory_budget_mb before memory_budget_bytes, so flag parsing preserves
 /// the historical "bytes win when both are given" rule).
 const std::vector<std::string>& EngineKnobNames();
-
-/// Reads every ApplyEngineKnob key present in `args` (see the key table
-/// above). Invalid values keep the default and warn on stderr — the
-/// legacy lenient behavior; new code should prefer
-/// common::ParseEngineFlags, which surfaces them as errors.
-EngineConfig EngineConfigFromArgs(const common::ArgParser& args);
 
 }  // namespace uclust::engine
 

@@ -166,7 +166,7 @@ common::Result<MappedRegion> MapFileRegion(int fd, const std::string& path,
                                            std::size_t length) {
   MappedRegion region;
   region.size_ = length;
-  if (length == 0) return std::move(region);
+  if (length == 0) return region;
 #if UCLUST_HAVE_MMAP
   if (fd >= 0) {
     const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
@@ -183,7 +183,7 @@ common::Result<MappedRegion> MapFileRegion(int fd, const std::string& path,
       region.map_bytes_ = map_bytes;
       region.lead_ = lead;
       region.mapped_ = true;
-      return std::move(region);
+      return region;
     }
     // Fall through to the heap path: an mmap failure (e.g. ENOMEM under an
     // address-space cap, or an unmappable file system) degrades gracefully.
@@ -203,7 +203,7 @@ common::Result<MappedRegion> MapFileRegion(int fd, const std::string& path,
   region.base_ = buf;
   region.lead_ = 0;
   region.mapped_ = false;
-  return std::move(region);
+  return region;
 }
 
 }  // namespace uclust::io

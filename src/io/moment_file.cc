@@ -305,7 +305,7 @@ common::Result<std::unique_ptr<MappedMomentStore>> MappedMomentStore::Open(
     return common::Status::IOError(path + ": cannot open for mapping");
   }
 #endif
-  return std::move(store);
+  return store;
 }
 
 std::size_t MappedMomentStore::RowsInChunk(std::size_t chunk) const {

@@ -265,7 +265,15 @@ common::Status HttpServer::Start() {
 }
 
 void HttpServer::Stop() {
-  if (!running_.exchange(false)) return;
+  {
+    // Flip the flag under mu_: a worker evaluates its wait predicate under
+    // mu_ and blocks atomically, so it either sees running_ == false or is
+    // already waiting when the notify_all below fires. Flipping it outside
+    // the lock let a worker check the predicate, miss the wake-up, and hang
+    // the join.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!running_.exchange(false)) return;
+  }
   // shutdown() wakes the blocking accept(); close() alone may not on all
   // platforms.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);

@@ -1,13 +1,19 @@
 // Tests for the service HTTP front end: the socket-free request parser's
 // hardening paths (truncation, oversize, malformed, unsupported framing),
-// response rendering, and a real loopback round trip through HttpServer +
-// HttpFetch.
+// response rendering, a real loopback round trip through HttpServer +
+// HttpFetch, and a start/request/stop stress loop under a watchdog.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <string>
+#include <thread>
 
 #include "service/http_client.h"
 #include "service/http_server.h"
+#include "service/log.h"
 
 namespace uclust::service {
 namespace {
@@ -194,6 +200,57 @@ TEST(HttpServer, LoopbackRoundTrip) {
   server.Stop();
   // Stop is idempotent.
   server.Stop();
+}
+
+// Stop right after a request must never hang. Stop used to flip running_
+// without holding the worker mutex, so a worker that had just evaluated its
+// wait predicate could miss the notify and block the join forever. Each
+// cycle runs under a watchdog: a cycle that makes no progress for 20 s is
+// reported and the process exits, instead of hanging the suite.
+TEST(HttpServer, StopRightAfterRequestNeverHangs) {
+  constexpr int kCycles = 400;
+  SetLogEnabled(false);  // one http_start line per cycle otherwise
+  std::atomic<int> completed{0};
+  std::atomic<int> failures{0};
+  std::thread runner([&] {
+    for (int c = 0; c < kCycles; ++c) {
+      HttpServerConfig cfg;
+      cfg.worker_threads = 2;
+      HttpServer server(cfg, [](const HttpRequest&) {
+        HttpResponse resp;
+        resp.body = "{}";
+        return resp;
+      });
+      if (!server.Start().ok()) {
+        failures.fetch_add(1);
+      } else {
+        auto resp = HttpFetch(server.port(), "GET", "/healthz");
+        if (!resp.ok() || resp.ValueOrDie().status != 200) {
+          failures.fetch_add(1);
+        }
+        server.Stop();
+      }
+      completed.fetch_add(1);
+    }
+  });
+  int last = -1;
+  auto deadline = std::chrono::steady_clock::now();
+  while (completed.load() < kCycles) {
+    const int now = completed.load();
+    if (now != last) {
+      last = now;
+      deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    } else if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "HttpServer::Stop hung in cycle %d of %d\n", now,
+                   kCycles);
+      std::fflush(stderr);
+      std::_Exit(1);  // the runner thread is stuck in a join
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  runner.join();
+  SetLogEnabled(true);
+  EXPECT_EQ(failures.load(), 0);
 }
 
 }  // namespace

@@ -1,18 +1,28 @@
 // Tests for the relocation local search (Algorithm 1) and its UCPC / MMVar
 // wrappers: convergence, objective monotonicity, cluster-count invariants,
-// determinism, and recovery of planted structure.
+// determinism, recovery of planted structure, and the screened proposals
+// (pinned fingerprints of the exhaustive search, a pass-by-pass oracle).
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <iterator>
+#include <random>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "clustering/cluster_stats.h"
 #include "clustering/init.h"
 #include "clustering/local_search.h"
 #include "clustering/mmvar.h"
+#include "clustering/result_json.h"
 #include "clustering/ucpc.h"
 #include "common/rng.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
+#include "engine/engine.h"
 #include "eval/external.h"
 
 namespace uclust::clustering {
@@ -36,6 +46,338 @@ data::UncertainDataset PlantedDataset(std::size_t n, std::size_t m,
   up.family = data::PdfFamily::kNormal;
   const data::UncertaintyModel model(d, up, seed + 1);
   return model.Uncertain();
+}
+
+// ---- Platform-stable instances for the pinned and oracle tests ----------
+//
+// Built from raw mt19937_64 words (the standard fixes that sequence) and
+// IEEE arithmetic only, never <random> distributions (their algorithms are
+// implementation-defined), so the pinned fingerprints below hold on every
+// standard library. They also assume the library is built without
+// multiply-add contraction, as x86-64 builds without -mfma are.
+class Words {
+ public:
+  explicit Words(uint64_t seed) : engine_(seed) {}
+  /// Uniform double in [0, 1) with 53 random bits.
+  double Unit() { return static_cast<double>(engine_() >> 11) * 0x1.0p-53; }
+  std::size_t Below(std::size_t n) {
+    return static_cast<std::size_t>(engine_() % n);
+  }
+
+ private:
+  std::mt19937_64 engine_;
+};
+
+// Appends one object with mean `mean` and per-dimension variance `var`.
+void AppendObject(const std::vector<double>& mean,
+                  const std::vector<double>& var, MomentMatrix* mm) {
+  std::vector<double> mu2(mean.size());
+  for (std::size_t j = 0; j < mean.size(); ++j) {
+    mu2[j] = var[j] + mean[j] * mean[j];
+  }
+  mm->AppendRow(mean, mu2, var);
+}
+
+// `classes` centers in [0, 10)^m, each object a center plus uniform noise
+// of width `spread`, shifted by `offset` in every dimension, with
+// variances `var_scale` * [0.5, 1.5). Object i belongs to class i % classes.
+MomentMatrix Mixture(std::size_t n, std::size_t m, int classes,
+                     uint64_t seed, double spread = 1.0, double offset = 0.0,
+                     double var_scale = 0.02) {
+  Words w(seed);
+  std::vector<std::vector<double>> centers(classes, std::vector<double>(m));
+  for (auto& c : centers) {
+    for (double& x : c) x = 10.0 * w.Unit();
+  }
+  MomentMatrix mm(n, m);
+  std::vector<double> mean(m), var(m);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::vector<double>& c = centers[i % classes];
+    for (std::size_t j = 0; j < m; ++j) {
+      mean[j] = offset + c[j] + spread * (w.Unit() - 0.5);
+      var[j] = var_scale * (0.5 + w.Unit());
+    }
+    AppendObject(mean, var, &mm);
+  }
+  return mm;
+}
+
+// Every object of a small mixture repeated `copies` times in a row.
+MomentMatrix Duplicated(std::size_t distinct, std::size_t m, int copies,
+                        uint64_t seed) {
+  const MomentMatrix base = Mixture(distinct, m, 3, seed, 3.0);
+  MomentMatrix mm(distinct * copies, m);
+  for (std::size_t i = 0; i < distinct; ++i) {
+    for (int r = 0; r < copies; ++r) {
+      const auto mean = base.mean(i);
+      const auto var = base.variance(i);
+      AppendObject({mean.begin(), mean.end()}, {var.begin(), var.end()}, &mm);
+    }
+  }
+  return mm;
+}
+
+// Points of the integer grid {0..side-1}^2, each `copies` times, all with
+// the same variance: symmetric partitions put objects exactly between two
+// clusters, so relocation gains tie exactly.
+MomentMatrix Lattice(int side, int copies) {
+  MomentMatrix mm(static_cast<std::size_t>(side * side * copies), 2);
+  for (int r = 0; r < copies; ++r) {
+    for (int a = 0; a < side; ++a) {
+      for (int b = 0; b < side; ++b) {
+        AppendObject({static_cast<double>(a), static_cast<double>(b)},
+                     {0.25, 0.25}, &mm);
+      }
+    }
+  }
+  return mm;
+}
+
+// Means offset by 1e6 with variances near 1e-6: the moment sums are ~1e12
+// times larger than the objective, so every gain is computed through
+// catastrophic cancellation.
+MomentMatrix Offset(std::size_t n, std::size_t m, uint64_t seed) {
+  return Mixture(n, m, 4, seed, 0.5, 1e6, 2e-6);
+}
+
+// Two mirror-image clusters at x = -3 and x = +3 and a third spread along
+// x = 0. Each object of the third gains exactly the same, bit for bit, from
+// joining either mirror cluster, so the screen cannot pick one and must
+// fall back. Returns the moments; *labels gets the starting partition.
+MomentMatrix Equidistant(std::vector<int>* labels) {
+  MomentMatrix mm(15, 2);
+  labels->clear();
+  for (int y = -2; y <= 2; ++y) {
+    AppendObject({-3.0, static_cast<double>(y)}, {0.1, 0.1}, &mm);
+    AppendObject({3.0, static_cast<double>(y)}, {0.1, 0.1}, &mm);
+    AppendObject({0.0, 4.0 * y}, {0.1, 0.1}, &mm);
+    labels->insert(labels->end(), {0, 1, 2});
+  }
+  return mm;
+}
+
+// Labels 0..k-1 for the first k objects (so no cluster starts empty), the
+// rest uniform over [0, k).
+std::vector<int> InitialLabels(std::size_t n, int k, uint64_t seed) {
+  Words w(seed);
+  std::vector<int> labels(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    labels[i] = i < static_cast<std::size_t>(k)
+                    ? static_cast<int>(i)
+                    : static_cast<int>(w.Below(k));
+  }
+  return labels;
+}
+
+// How many exact fallbacks an instance must produce.
+enum class Fallbacks { kNone, kSome, kAny };
+
+struct Instance {
+  const char* name;
+  MomentMatrix moments;
+  int k;
+  Fallbacks fallbacks;
+  std::vector<int> init;  // starting partition
+};
+
+std::vector<Instance> Instances() {
+  std::vector<Instance> out;
+  const auto add = [&](const char* name, MomentMatrix mm, int k,
+                       Fallbacks fallbacks) {
+    std::vector<int> init = InitialLabels(mm.size(), k, 7);
+    out.push_back({name, std::move(mm), k, fallbacks, std::move(init)});
+  };
+  add("planted", Mixture(400, 3, 4, 101), 4, Fallbacks::kNone);
+  add("planted_wide", Mixture(600, 19, 6, 102), 17, Fallbacks::kNone);
+  add("duplicated", Duplicated(60, 3, 4, 103), 5, Fallbacks::kAny);
+  add("lattice", Lattice(6, 3), 4, Fallbacks::kAny);
+  add("offset", Offset(300, 4, 104), 4, Fallbacks::kSome);
+  std::vector<int> init;
+  MomentMatrix mm = Equidistant(&init);
+  out.push_back({"equidistant", std::move(mm), 3, Fallbacks::kSome, init});
+  return out;
+}
+
+constexpr ObjectiveKind kKinds[] = {ObjectiveKind::kUcpc, ObjectiveKind::kMmvar,
+                                    ObjectiveKind::kUkmeans};
+
+LocalSearchOutcome RunInstance(const Instance& inst, ObjectiveKind kind,
+                               int max_passes = 100,
+                               const engine::Engine& eng =
+                                   engine::Engine::Serial()) {
+  LocalSearchParams params;
+  params.objective = kind;
+  params.max_passes = max_passes;
+  return RunLocalSearchFrom(inst.moments, inst.k, params, inst.init, eng);
+}
+
+// Fingerprints recorded from the exhaustive proposal loop before the
+// screened proposals replaced it: the screen must reproduce every label,
+// objective bit, pass and move. Order: Instances() x kKinds.
+struct Pin {
+  uint64_t fingerprint;
+  int passes;
+  int64_t moves;
+};
+constexpr Pin kPins[] = {
+    {0x40f5c879bedde0f0ull, 2, 427},   // planted UCPC
+    {0xccd1c7249fe2af2aull, 3, 374},   // planted MMVar
+    {0x1e2356564b73294dull, 2, 427},   // planted UK-means
+    {0x861aea0572d5a136ull, 13, 901},  // planted_wide UCPC
+    {0xcdafd91e32496f30ull, 7, 817},   // planted_wide MMVar
+    {0x7ced4fb14f22f2e3ull, 13, 879},  // planted_wide UK-means
+    {0x6d1a0a02e099b3f0ull, 4, 202},   // duplicated UCPC
+    {0x25975f86f3294f35ull, 4, 209},   // duplicated MMVar
+    {0x15b4dde1a67c3b39ull, 4, 202},   // duplicated UK-means
+    {0xa86b91cd53b0f7e2ull, 3, 85},    // lattice UCPC
+    {0xededa829d7dc92d9ull, 3, 84},    // lattice MMVar
+    {0x279fb7c9a443464bull, 3, 85},    // lattice UK-means
+    {0x68a6a5f739d13954ull, 2, 284},   // offset UCPC
+    {0xd6e4dcd2398b62cdull, 10, 279},  // offset MMVar
+    {0x68a6a5f739d13954ull, 2, 284},   // offset UK-means
+    {0xd94a25c14e46f507ull, 3, 5},     // equidistant UCPC
+    {0x7631947b298aeef7ull, 1, 8},     // equidistant MMVar
+    {0xb07a318c5a27499full, 3, 5},     // equidistant UK-means
+};
+
+TEST(LocalSearchScreen, MatchesPinnedExhaustiveFingerprints) {
+  std::vector<Pin> got;
+  std::string table;
+  for (const Instance& inst : Instances()) {
+    for (ObjectiveKind kind : kKinds) {
+      const LocalSearchOutcome out = RunInstance(inst, kind);
+      got.push_back({ResultFingerprint(out.labels, out.objective), out.passes,
+                     out.moves});
+      char row[96];
+      std::snprintf(row, sizeof(row),
+                    "    {0x%016llxull, %d, %lld},  // %s %s\n",
+                    static_cast<unsigned long long>(got.back().fingerprint),
+                    out.passes, static_cast<long long>(out.moves), inst.name,
+                    ObjectiveKindName(kind));
+      table += row;
+    }
+  }
+  ASSERT_EQ(got.size(), std::size(kPins));
+  for (std::size_t p = 0; p < got.size(); ++p) {
+    EXPECT_EQ(got[p].fingerprint, kPins[p].fingerprint) << "row " << p;
+    EXPECT_EQ(got[p].passes, kPins[p].passes) << "row " << p;
+    EXPECT_EQ(got[p].moves, kPins[p].moves) << "row " << p;
+  }
+  if (HasFailure()) std::printf("actual pins:\n%s", table.c_str());
+}
+
+// The exhaustive search of line 8 for one object, as the local search ran
+// it before the screen: every target through the per-dimension
+// ObjectiveAfterRemove / ObjectiveAfterAdd.
+int ExhaustiveProposal(ObjectiveKind kind,
+                       const std::vector<ClusterMoments>& stats,
+                       const std::vector<double>& obj,
+                       const uncertain::MomentView& mm, std::size_t i,
+                       int source, double tolerance) {
+  if (stats[source].size() <= 1) return source;
+  const double source_after = ObjectiveAfterRemove(kind, stats[source], mm, i);
+  int best = source;
+  double best_delta = -tolerance;
+  for (int c = 0; c < static_cast<int>(stats.size()); ++c) {
+    if (c == source) continue;
+    const double delta =
+        (source_after + ObjectiveAfterAdd(kind, stats[c], mm, i)) -
+        (obj[source] + obj[c]);
+    if (delta < best_delta) {
+      best_delta = delta;
+      best = c;
+    }
+  }
+  return best;
+}
+
+// Replays the local search pass by pass with the exhaustive oracle and
+// checks that the screen proposes exactly the same move for every object
+// in every pass. Returns the screen's fallback count.
+int64_t CheckScreenAgainstOracle(const Instance& inst, ObjectiveKind kind) {
+  const MomentMatrix& mm = inst.moments;
+  const std::size_t n = mm.size();
+  std::vector<int> labels = inst.init;
+  std::vector<ClusterMoments> stats(inst.k, ClusterMoments(mm.dims()));
+  for (std::size_t i = 0; i < n; ++i) stats[labels[i]].Add(mm, i);
+  std::vector<double> obj(inst.k);
+  double total = 0.0;
+  for (int c = 0; c < inst.k; ++c) {
+    obj[c] = Objective(kind, stats[c]);
+    total += obj[c];
+  }
+  RelocationScreen screen(mm, kind, engine::Engine::Serial());
+  std::vector<int> screened(n);
+  int64_t fallbacks = 0;
+  for (int pass = 0; pass < 100; ++pass) {
+    const double tolerance = 1e-12 * (1.0 + std::fabs(total));
+    screen.BeginPass(stats, obj);
+    fallbacks += screen.Propose(0, n, labels, tolerance, screened.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      const int want =
+          ExhaustiveProposal(kind, stats, obj, mm, i, labels[i], tolerance);
+      if (screened[i] != want) {
+        ADD_FAILURE() << inst.name << " " << ObjectiveKindName(kind)
+                      << " pass " << pass << " object " << i << ": screen "
+                      << screened[i] << ", exhaustive " << want;
+        return fallbacks;
+      }
+    }
+    bool moved = false;  // phase 2, as in RunLocalSearchFrom
+    for (std::size_t i = 0; i < n; ++i) {
+      const int to = screened[i];
+      const int from = labels[i];
+      if (to == from || stats[from].size() <= 1) continue;
+      const double delta = (ObjectiveAfterRemove(kind, stats[from], mm, i) +
+                            ObjectiveAfterAdd(kind, stats[to], mm, i)) -
+                           (obj[from] + obj[to]);
+      if (delta >= -tolerance) continue;
+      stats[from].Remove(mm, i);
+      stats[to].Add(mm, i);
+      labels[i] = to;
+      obj[from] = Objective(kind, stats[from]);
+      obj[to] = Objective(kind, stats[to]);
+      total += delta;
+      moved = true;
+    }
+    if (!moved) break;
+  }
+  return fallbacks;
+}
+
+// Planted data never needs the fallback; the tie and cancellation cases do,
+// so the fallback path is exercised too.
+TEST(LocalSearchScreen, ProposalsMatchExhaustiveOraclePassByPass) {
+  for (const Instance& inst : Instances()) {
+    for (ObjectiveKind kind : kKinds) {
+      const int64_t fallbacks = CheckScreenAgainstOracle(inst, kind);
+      // The library counts the same fallbacks.
+      EXPECT_EQ(RunInstance(inst, kind).exact_fallbacks, fallbacks)
+          << inst.name << " " << ObjectiveKindName(kind);
+      if (inst.fallbacks == Fallbacks::kNone) {
+        EXPECT_EQ(fallbacks, 0) << inst.name << " " << ObjectiveKindName(kind);
+      } else if (inst.fallbacks == Fallbacks::kSome) {
+        EXPECT_GT(fallbacks, 0) << inst.name << " " << ObjectiveKindName(kind);
+      }
+    }
+  }
+}
+
+// Algorithm 1's invariant: no relocation pass increases the objective.
+// Stopping after p = 1, 2, ... passes from the same start must give a
+// non-increasing sequence of objectives.
+TEST(LocalSearchScreen, ObjectiveNonIncreasingPassByPass) {
+  for (const Instance& inst : Instances()) {
+    for (ObjectiveKind kind : kKinds) {
+      double previous = RunInstance(inst, kind, 0).objective;
+      for (int p = 1; p <= 15; ++p) {
+        const LocalSearchOutcome out = RunInstance(inst, kind, p);
+        EXPECT_LE(out.objective, previous)
+            << inst.name << " " << ObjectiveKindName(kind) << " pass " << p;
+        previous = out.objective;
+      }
+    }
+  }
 }
 
 class LocalSearchObjective : public ::testing::TestWithParam<ObjectiveKind> {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
 #include "engine/engine.h"
+#include "io/moment_file.h"
 #include "io/sample_file.h"
 #include "uncertain/sample_store.h"
 
@@ -155,32 +157,74 @@ TEST(ParallelDeterminism, SimdIsaSweepBitIdenticalAcrossThreadCounts) {
   simd::ForceIsa(simd::Isa::kAuto);  // leave the process on auto dispatch
 }
 
-TEST(ParallelDeterminism, UcpcBitIdenticalAcrossThreadCounts) {
-  const auto ds = TestDataset(600, 3, 4, 33);
-  const auto baseline =
-      Ucpc::RunOnMoments(ds.moments(), 4, 9, Ucpc::Params(), EngineWith(1));
-  for (int threads : kThreadCounts) {
-    const auto out =
-        Ucpc::RunOnMoments(ds.moments(), 4, 9, Ucpc::Params(),
-                           EngineWith(threads));
-    EXPECT_EQ(out.labels, baseline.labels) << "threads=" << threads;
-    EXPECT_EQ(out.objective, baseline.objective) << "threads=" << threads;
-    EXPECT_EQ(out.passes, baseline.passes) << "threads=" << threads;
-    EXPECT_EQ(out.moves, baseline.moves) << "threads=" << threads;
+// The relocation local search (UCPC, MMVar) across thread count x forced
+// simd_isa, plus one run on a mapped .umom MomentStore: labels, objective,
+// passes, moves and the screen's exact-fallback count must all match the
+// serial forced-scalar resident run. k = 17 puts one full 16-cluster lane
+// group and a tail cluster through the relocation-gain kernel.
+template <typename Algo>
+void ExpectLocalSearchSweepBitIdentical(const data::UncertainDataset& ds,
+                                        int k, uint64_t seed,
+                                        const std::string& tag) {
+  namespace simd = clustering::simd;
+  const auto with = [](const std::string& isa, int threads) {
+    engine::EngineConfig config;
+    config.num_threads = threads;
+    config.block_size = 128;
+    config.simd_isa = isa;
+    return engine::Engine(config);
+  };
+  const auto expect_same = [&](const LocalSearchOutcome& out,
+                               const LocalSearchOutcome& want,
+                               const std::string& where) {
+    EXPECT_EQ(out.labels, want.labels) << where;
+    EXPECT_EQ(out.objective, want.objective) << where;
+    EXPECT_EQ(out.passes, want.passes) << where;
+    EXPECT_EQ(out.moves, want.moves) << where;
+    EXPECT_EQ(out.exact_fallbacks, want.exact_fallbacks) << where;
+  };
+  const auto baseline = Algo::RunOnMoments(ds.moments(), k, seed,
+                                           typename Algo::Params(),
+                                           with("scalar", 1));
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
+    if (simd::TableFor(isa) == nullptr) continue;
+    for (int threads : kThreadCounts) {
+      expect_same(Algo::RunOnMoments(ds.moments(), k, seed,
+                                     typename Algo::Params(),
+                                     with(simd::IsaName(isa), threads)),
+                  baseline,
+                  tag + " isa=" + simd::IsaName(isa) +
+                      " threads=" + std::to_string(threads));
+    }
   }
+  simd::ForceIsa(simd::Isa::kAuto);  // leave the process on auto dispatch
+
+  const std::string sidecar =
+      ::testing::TempDir() + "determinism_local_search_" + tag + ".umom";
+  ASSERT_TRUE(io::WriteMomentFile(ds.moments(), sidecar,
+                                  /*chunk_rows=*/64)
+                  .ok());
+  auto opened = io::MappedMomentStore::Open(sidecar);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  expect_same(Algo::RunOnMoments(opened.ValueOrDie()->view(), k, seed,
+                                 typename Algo::Params(), EngineWith(2)),
+              baseline, tag + " mapped");
+  std::remove(sidecar.c_str());
 }
 
-TEST(ParallelDeterminism, MmvarBitIdenticalAcrossThreadCounts) {
-  const auto ds = TestDataset(600, 3, 4, 35);
-  const auto baseline =
-      Mmvar::RunOnMoments(ds.moments(), 4, 11, Mmvar::Params(), EngineWith(1));
-  for (int threads : kThreadCounts) {
-    const auto out = Mmvar::RunOnMoments(ds.moments(), 4, 11, Mmvar::Params(),
-                                         EngineWith(threads));
-    EXPECT_EQ(out.labels, baseline.labels) << "threads=" << threads;
-    EXPECT_EQ(out.objective, baseline.objective) << "threads=" << threads;
-    EXPECT_EQ(out.passes, baseline.passes) << "threads=" << threads;
-  }
+TEST(ParallelDeterminism, UcpcBitIdenticalAcrossThreadsIsasAndBackends) {
+  ExpectLocalSearchSweepBitIdentical<Ucpc>(TestDataset(600, 3, 4, 33), 4, 9,
+                                           "ucpc");
+  ExpectLocalSearchSweepBitIdentical<Ucpc>(TestDataset(700, 5, 17, 34), 17,
+                                           10, "ucpc_k17");
+}
+
+TEST(ParallelDeterminism, MmvarBitIdenticalAcrossThreadsIsasAndBackends) {
+  ExpectLocalSearchSweepBitIdentical<Mmvar>(TestDataset(600, 3, 4, 35), 4, 11,
+                                            "mmvar");
+  ExpectLocalSearchSweepBitIdentical<Mmvar>(TestDataset(700, 5, 17, 36), 17,
+                                            12, "mmvar_k17");
 }
 
 TEST(ParallelDeterminism, ResidentSampleContentsBitIdentical) {

@@ -176,6 +176,56 @@ TEST(SimdKernels, NearestTwoBitIdenticalAcrossIsas) {
   }
 }
 
+// The relocation screen's gains: lanes run across clusters, so the cluster
+// counts matter here (all-tail k < 16, one full group, group + tail).
+TEST(SimdKernels, RelocationGainsBitIdenticalAcrossIsas) {
+  const KernelTable* ref = TableFor(Isa::kScalar);
+  ASSERT_NE(ref, nullptr);
+  common::Rng rng(0x51D3);
+  for (const std::size_t m : {std::size_t{1}, std::size_t{3}, std::size_t{16},
+                              std::size_t{19}}) {
+    for (const int k : {1, 7, 16, 17, 35}) {
+      const std::size_t kk = static_cast<std::size_t>(k);
+      const std::vector<double> t = RandomVector(m * kk, &rng);
+      const std::vector<double> offset = RandomVector(kk, &rng);
+      const std::vector<double> alpha = RandomVector(kk, &rng);
+      const std::vector<double> beta = RandomVector(kk, &rng);
+      const std::vector<double> omega = RandomVector(kk, &rng);
+      const std::vector<double> magnitude = RandomVector(kk, &rng);
+      const std::vector<double> norm_t = RandomVector(kk, &rng);
+      const std::vector<double> mean = RandomVector(m, &rng);
+      const GainColumns cols{t.data(),     offset.data(),    alpha.data(),
+                             beta.data(),  omega.data(),     magnitude.data(),
+                             norm_t.data()};
+      const GainObject obj{mean.data(), 1.5, 2.5, 0.75, 0.5};
+      std::vector<double> want(3 * kk);
+      ref->relocation_gains(cols, k, m, obj, want.data(), want.data() + kk,
+                            want.data() + 2 * kk);
+      for (std::size_t c = 0; c < kk; ++c) {  // the documented formula
+        double d = 0.0;
+        for (std::size_t j = 0; j < m; ++j) d += t[j * kk + c] * mean[j];
+        const double g = ((offset[c] + alpha[c] * 1.5) + beta[c] * 2.5) -
+                         omega[c] * ((d + d) + 0.75);
+        const double r = norm_t[c] + 0.5;
+        const double e = ((magnitude[c] + alpha[c] * 1.5) + beta[c] * 2.5) +
+                         omega[c] * (r * r);
+        EXPECT_NEAR(want[c], d, 1e-12 * (1.0 + std::abs(d)));
+        EXPECT_NEAR(want[kk + c], g, 1e-12 * (1.0 + std::abs(g)));
+        EXPECT_NEAR(want[2 * kk + c], e, 1e-12 * (1.0 + std::abs(e)));
+      }
+      for (Isa isa : AvailableIsas()) {
+        std::vector<double> got(3 * kk);
+        TableFor(isa)->relocation_gains(cols, k, m, obj, got.data(),
+                                        got.data() + kk, got.data() + 2 * kk);
+        EXPECT_EQ(0, std::memcmp(got.data(), want.data(),
+                                 got.size() * sizeof(double)))
+            << "relocation_gains m=" << m << " k=" << k
+            << " isa=" << IsaName(isa);
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, NearestTwoMatchesHistoricalScanSemantics) {
   // k == 1: no runner-up exists, second_d2 is +inf (the value the Hamerly
   // lower bound consumes as "prune nothing").
