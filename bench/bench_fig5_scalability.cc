@@ -20,7 +20,7 @@
 //
 // Flags:
 //   --dataset=PATH    file-backed mode: sweep prefixes of a binary dataset
-//                     (see src/io/) streamed through DatasetBuilder instead
+//                     (see src/io/) decoded straight into moments instead
 //                     of the synthetic KDD generator; k is taken from the
 //                     file's class count (default: generate synthetically)
 //   --base_n=N        100% dataset size          (default 100000)
@@ -135,8 +135,7 @@ int main(int argc, char** argv) {
   if (!dataset_path.empty()) {
     std::vector<int> file_labels;
     auto streamed = io::StreamMomentsFromFile(
-        dataset_path, eng, uncertain::DatasetBuilder::kDefaultBatchSize,
-        &file_labels);
+        dataset_path, io::kDefaultIngestBatch, &file_labels);
     if (!streamed.ok()) {
       std::fprintf(stderr, "fig5: %s\n", streamed.status().ToString().c_str());
       return 1;

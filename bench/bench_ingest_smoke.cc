@@ -4,9 +4,9 @@
 // runs this twice on the same dataset_gen-produced file under a hard
 // `ulimit -v`:
 //
-//   --mode=stream  -> BinaryDatasetReader -> DatasetBuilder batches; only
-//                     O(batch) pdf objects are ever resident. Expected to
-//                     finish: INGEST_SMOKE RESULT=OK.
+//   --mode=stream  -> BinaryDatasetReader::ReadMomentRows decodes records
+//                     straight into the moment columns; no pdf object is
+//                     ever built. Expected to finish: INGEST_SMOKE RESULT=OK.
 //   --mode=inram   -> ReadUncertainDataset materializes every pdf object
 //                     before the moments are packed. Expected to exhaust the
 //                     cap: INGEST_SMOKE RESULT=OOM.
@@ -15,13 +15,14 @@
 // of inspecting bare exit codes, so an unrelated crash cannot masquerade as
 // the expected out-of-memory outcome (same scheme as bench_pairwise_smoke).
 // Both modes print a moment-matrix fingerprint; on an uncapped run the two
-// must agree (streamed ingestion is bit-identical to in-memory).
+// must agree (decoded moments are bit-identical to the pdf-object path). The
+// CI bench job diffs them on an uncapped run.
 //
 // Flags:
 //   --dataset=PATH   binary dataset file                      (required)
 //   --mode=stream|inram                                       (default stream)
 //   --k=K            clusters for the UK-means run            (default 8)
-//   --batch=B        streaming batch size                     (default 4096)
+//   --batch=B        rows per decode call                     (default 4096)
 //   --seed=S         clustering seed                          (default 1)
 //   --threads=N --block_size=B --memory_budget_bytes=B        engine knobs
 #include <cstdint>
@@ -64,7 +65,7 @@ int Run(int argc, char** argv) {
   uncertain::MomentMatrix mm;
   std::vector<int> labels;
   if (mode == "stream") {
-    auto result = io::StreamMomentsFromFile(path, eng, batch, &labels);
+    auto result = io::StreamMomentsFromFile(path, batch, &labels);
     if (!result.ok()) {
       std::fprintf(stderr, "ingest smoke: %s\n",
                    result.status().ToString().c_str());

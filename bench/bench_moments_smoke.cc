@@ -4,9 +4,9 @@
 // the Resident backend dies. CI runs this twice on the same
 // dataset_gen-produced file under a hard `ulimit -v`:
 //
-//   --mode=mapped   -> DatasetBuilder spills batches into the .umom sidecar
-//                      (O(batch + chunk) heap), then UK-means runs over
-//                      chunk-granular mapped windows (bounded address
+//   --mode=mapped   -> .ubin records decode batch by batch into the .umom
+//                      sidecar (O(batch + chunk) heap), then UK-means runs
+//                      over chunk-granular mapped windows (bounded address
 //                      space). Expected to finish: MOMENTS_SMOKE RESULT=OK.
 //   --mode=resident -> the classic flat columns: (3 n m + n) doubles must
 //                      fit the cap. Expected to exhaust it:

@@ -5,11 +5,11 @@
 //
 // Walks through the dataset I/O layer added for large-n workloads:
 //   1. BinaryDatasetWriter — serialize objects one at a time (O(m) memory),
-//   2. StreamMomentsFromFile — BinaryDatasetReader batches feeding
-//      DatasetBuilder, so only one batch of pdf objects is ever resident,
+//   2. StreamMomentsFromFile — BinaryDatasetReader::ReadMomentRows decodes
+//      each record straight into a moment row; no pdf object is built,
 //   3. UK-means / UCPC on the streamed MomentMatrix via RunOnMoments,
 //   4. the bit-identity guarantee: streamed moments equal the classic
-//      in-memory path exactly, for any batch size and thread count.
+//      in-memory path exactly, for any batch size.
 #include <cstdio>
 #include <vector>
 
@@ -64,11 +64,10 @@ int main(int argc, char** argv) {
   }
   std::printf("wrote %zu objects to %s\n", writer.written(), path.c_str());
 
-  // 2. Stream the file back: batches of 32 objects feed the builder; the
-  // full pdf set is never resident at once.
+  // 2. Stream the file back, 32 records per decode call, straight into
+  // moment rows: no pdf object is built.
   std::vector<int> labels;
-  auto streamed = io::StreamMomentsFromFile(path, engine::Engine::Serial(),
-                                            /*batch_size=*/32, &labels);
+  auto streamed = io::StreamMomentsFromFile(path, /*batch_size=*/32, &labels);
   if (!streamed.ok()) {
     std::fprintf(stderr, "%s\n", streamed.status().ToString().c_str());
     return 1;

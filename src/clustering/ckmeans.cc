@@ -13,7 +13,6 @@
 #include "common/stopwatch.h"
 #include "engine/parallel_for.h"
 #include "io/ingest.h"
-#include "uncertain/dataset_builder.h"
 
 namespace uclust::clustering {
 
@@ -505,7 +504,7 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
     const std::string& path, int k, uint64_t seed, const Params& params,
     const engine::Engine& eng) {
   common::Stopwatch offline;
-  io::MomentBatchStream stream(eng);
+  io::MomentBatchStream stream;
   UCLUST_RETURN_NOT_OK(stream.Open(path));
   const std::size_t n = stream.size();
   const std::size_t m = stream.dims();
@@ -514,8 +513,7 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
         path + ": need 1 <= k <= n, got k=" + std::to_string(k) + ", n=" +
         std::to_string(n));
   }
-  const std::size_t default_batch =
-      uncertain::DatasetBuilder::kDefaultBatchSize;
+  const std::size_t default_batch = io::kDefaultIngestBatch;
 
   // Auto mode: the reduced representation is only (m + 1) doubles per
   // object — when that fits the budget, one streaming pass materializes it

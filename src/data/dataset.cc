@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/rng.h"
-#include "uncertain/dataset_builder.h"
 
 namespace uclust::data {
 
@@ -117,11 +116,7 @@ UncertainDataset UncertainDataset::Subsampled(std::size_t max_n,
 
 const uncertain::MomentMatrix& UncertainDataset::moments() const {
   if (!moments_ready_) {
-    // The resident objects are just one ObjectSource behind the shared
-    // streaming builder; file-backed datasets take the same path through
-    // io::FileObjectSource without ever materializing all objects.
-    uncertain::VectorObjectSource source(objects_);
-    moments_ = uncertain::DatasetBuilder::BuildMoments(&source);
+    moments_ = uncertain::MomentMatrix::FromObjects(objects_);
     moments_ready_ = true;
   }
   return moments_;

@@ -80,10 +80,9 @@ class UncertainDataset {
   /// Number of reference classes (0 when unlabeled).
   int num_classes() const { return num_classes_; }
 
-  /// Packs (and caches) the moment statistics of all objects. Internally the
-  /// resident objects are fed through uncertain::DatasetBuilder — the same
-  /// bounded-memory ingestion path file-backed datasets use (see
-  /// io/ingest.h) — so both paths produce bit-identical matrices.
+  /// Packs (and caches) the moment statistics of all objects through
+  /// MomentMatrix::FromObjects. File-backed ingestion (io/ingest.h) decodes
+  /// the same bits straight from a .ubin without building the objects.
   const uncertain::MomentMatrix& moments() const;
 
   /// Uniform subsample without replacement of at most `max_n` objects.

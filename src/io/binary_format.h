@@ -38,8 +38,9 @@
 // "Constructor-exact" is the format's core guarantee: the stored parameters
 // feed straight back into the pdf constructors (TruncatedNormalPdf::
 // FromHalfWidth, DiscretePdf::FromNormalized, ...), so a write -> read round
-// trip reproduces every moment bit-for-bit and streamed ingestion matches
-// the in-memory builder exactly (tests/test_io.cc).
+// trip reproduces every moment bit-for-bit, and decoding records straight
+// into moment rows (BinaryDatasetReader::ReadMomentRows) matches building
+// the pdfs exactly (tests/test_io.cc).
 //
 // All integers are little-endian; all reals are IEEE-754 binary64. Version
 // history: 1 = initial layout.
@@ -75,6 +76,15 @@ enum PdfTag : uint8_t {
   kPdfExponential = 3,
   kPdfDiscrete = 4,
 };
+
+/// Smallest normal half-width (in sigmas) a reader accepts: well below it,
+/// 2*Phi(c) - 1 underflows to exactly 0 and the truncated-variance formula
+/// would silently produce -inf from a corrupt file.
+inline constexpr double kMinNormalHalfWidth = 1e-12;
+
+/// Tolerance on a stored discrete weight sum: the writer persists
+/// normalized weights, so any legitimate file sums to 1 within a few ulps.
+inline constexpr double kWeightSumTolerance = 1e-6;
 
 }  // namespace uclust::io
 

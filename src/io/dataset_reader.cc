@@ -9,6 +9,7 @@
 #include "uncertain/dirac_pdf.h"
 #include "uncertain/discrete_pdf.h"
 #include "uncertain/exponential_pdf.h"
+#include "uncertain/moments.h"
 #include "uncertain/normal_pdf.h"
 #include "uncertain/uniform_pdf.h"
 
@@ -39,78 +40,107 @@ class RecordCursor {
   std::size_t pos_ = 0;
 };
 
-// Smallest half-width the normal reconstruction accepts: well below it,
-// 2*Phi(c) - 1 underflows to exactly 0 and the truncated-variance formula
-// would silently produce -inf from a corrupt file.
-constexpr double kMinNormalHalfWidth = 1e-12;
+// One pdf record's tag and constructor-exact parameters (binary_format.h):
+// dirac a = x; uniform a = lo, b = hi; normal a = mu, b = sigma,
+// c = half-width; exponential a = w, b = rate; discrete values + weights.
+struct PdfParams {
+  uint8_t tag = 0;
+  double a = 0.0;
+  double b = 0.0;
+  double c = 0.0;
+  std::vector<double> values;
+  std::vector<double> weights;
+};
 
-// Tolerance on a stored discrete weight sum: the writer persists normalized
-// weights, so any legitimate file sums to 1 within a few ulps.
-constexpr double kWeightSumTolerance = 1e-6;
-
-// Deserializes one pdf record; returns nullptr on malformed input (truncated
+// Decodes and validates one pdf record; false on malformed input (truncated
 // payload or parameters outside the constructors' domains — non-finite
 // values included, so corrupt files are rejected rather than mis-parsed).
-uncertain::PdfPtr GetPdf(RecordCursor* cur) {
-  uint8_t tag = 0;
-  if (!cur->Get(&tag)) return nullptr;
-  switch (tag) {
-    case kPdfDirac: {
-      double x = 0.0;
-      if (!cur->Get(&x) || !std::isfinite(x)) return nullptr;
-      return uncertain::DiracPdf::Make(x);
-    }
-    case kPdfUniform: {
-      double lo = 0.0, hi = 0.0;
-      if (!cur->Get(&lo) || !cur->Get(&hi) || !std::isfinite(lo) ||
-          !std::isfinite(hi) || !(lo < hi)) {
-        return nullptr;
-      }
-      return std::make_shared<uncertain::UniformPdf>(lo, hi);
-    }
-    case kPdfNormal: {
-      double mu = 0.0, sigma = 0.0, c = 0.0;
-      if (!cur->Get(&mu) || !cur->Get(&sigma) || !cur->Get(&c) ||
-          !std::isfinite(mu) || !std::isfinite(sigma) || !std::isfinite(c) ||
-          !(sigma > 0.0) || !(c >= kMinNormalHalfWidth)) {
-        return nullptr;
-      }
-      return uncertain::TruncatedNormalPdf::FromHalfWidth(mu, sigma, c);
-    }
-    case kPdfExponential: {
-      double w = 0.0, rate = 0.0;
-      if (!cur->Get(&w) || !cur->Get(&rate) || !std::isfinite(w) ||
-          !std::isfinite(rate) || !(rate > 0.0)) {
-        return nullptr;
-      }
-      return uncertain::TruncatedExponentialPdf::Make(w, rate);
-    }
+// The only place pdf records are checked.
+bool DecodePdfParams(RecordCursor* cur, PdfParams* p) {
+  if (!cur->Get(&p->tag)) return false;
+  switch (p->tag) {
+    case kPdfDirac:
+      return cur->Get(&p->a) && std::isfinite(p->a);
+    case kPdfUniform:
+      return cur->Get(&p->a) && cur->Get(&p->b) && std::isfinite(p->a) &&
+             std::isfinite(p->b) && p->a < p->b;
+    case kPdfNormal:
+      return cur->Get(&p->a) && cur->Get(&p->b) && cur->Get(&p->c) &&
+             std::isfinite(p->a) && std::isfinite(p->b) &&
+             std::isfinite(p->c) && p->b > 0.0 && p->c >= kMinNormalHalfWidth;
+    case kPdfExponential:
+      // A rate so small that rate^2 underflows gives an infinite variance
+      // and a support of [-inf, NaN].
+      return cur->Get(&p->a) && cur->Get(&p->b) && std::isfinite(p->a) &&
+             std::isfinite(p->b) && p->b > 0.0 &&
+             std::isfinite(
+                 uncertain::TruncatedExponentialPdf::TruncatedVariance(p->b));
     case kPdfDiscrete: {
       uint32_t count = 0;
-      if (!cur->Get(&count) || count == 0) return nullptr;
+      if (!cur->Get(&count) || count == 0) return false;
       // The record must physically hold count values + count weights;
       // checking before allocating keeps an untrusted count field from
       // triggering a huge allocation (which a CI ulimit run would
       // misreport as the expected OOM).
       if (static_cast<std::size_t>(count) * 2 * sizeof(double) >
           cur->remaining()) {
-        return nullptr;
+        return false;
       }
-      std::vector<double> values(count), weights(count);
-      for (double& v : values) {
-        if (!cur->Get(&v) || !std::isfinite(v)) return nullptr;
+      p->values.resize(count);
+      p->weights.resize(count);
+      for (double& v : p->values) {
+        if (!cur->Get(&v) || !std::isfinite(v)) return false;
       }
       double sum = 0.0;
-      for (double& w : weights) {
-        if (!cur->Get(&w) || !std::isfinite(w) || !(w > 0.0)) return nullptr;
+      for (double& w : p->weights) {
+        if (!cur->Get(&w) || !std::isfinite(w) || !(w > 0.0)) return false;
         sum += w;
       }
-      if (std::fabs(sum - 1.0) > kWeightSumTolerance) return nullptr;
-      return uncertain::DiscretePdf::FromNormalized(std::move(values),
-                                                    std::move(weights));
+      return std::fabs(sum - 1.0) <= kWeightSumTolerance;
     }
     default:
-      return nullptr;
+      return false;
+  }
+}
+
+// Builds the pdf a validated record describes (moves the discrete columns
+// out of `p`).
+uncertain::PdfPtr MakePdf(PdfParams* p) {
+  switch (p->tag) {
+    case kPdfDirac:
+      return uncertain::DiracPdf::Make(p->a);
+    case kPdfUniform:
+      return std::make_shared<uncertain::UniformPdf>(p->a, p->b);
+    case kPdfNormal:
+      return uncertain::TruncatedNormalPdf::FromHalfWidth(p->a, p->b, p->c);
+    case kPdfExponential:
+      return uncertain::TruncatedExponentialPdf::Make(p->a, p->b);
+    default:
+      return uncertain::DiscretePdf::FromNormalized(std::move(p->values),
+                                                    std::move(p->weights));
+  }
+}
+
+// The moments the pdf MakePdf builds would report, from the same static
+// formulas its class calls — bit-identical without building it.
+uncertain::PdfMoments MomentsOf(const PdfParams& p) {
+  using uncertain::Pdf;
+  switch (p.tag) {
+    case kPdfDirac:
+      return uncertain::DiracPdf::MomentsOf(p.a);
+    case kPdfUniform:
+      return uncertain::UniformPdf::MomentsOf(p.a, p.b);
+    case kPdfNormal:
+      return {p.a, Pdf::SecondMomentOf(
+                       p.a, uncertain::TruncatedNormalPdf::TruncatedVariance(
+                                p.b, p.c))};
+    case kPdfExponential:
+      return {p.a,
+              Pdf::SecondMomentOf(
+                  p.a, uncertain::TruncatedExponentialPdf::TruncatedVariance(
+                           p.b))};
+    default:
+      return uncertain::DiscretePdf::MomentsOf(p.values, p.weights);
   }
 }
 
@@ -197,16 +227,12 @@ common::Status BinaryDatasetReader::Open(const std::string& path) {
   return common::Status::Ok();
 }
 
-common::Status BinaryDatasetReader::ReadBatch(
-    std::size_t max, std::vector<uncertain::UncertainObject>* out) {
-  if (file_ == nullptr) {
-    return common::Status::InvalidArgument("reader is not open");
-  }
-  if (max == 0) return common::Status::InvalidArgument("max must be > 0");
-  out->clear();
-  const std::size_t count = std::min(max, remaining());
-  out->reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
+template <typename OnPdf, typename OnRecord>
+common::Status BinaryDatasetReader::DecodeRecords(std::size_t count,
+                                                  OnPdf&& on_pdf,
+                                                  OnRecord&& on_record) {
+  PdfParams params;
+  for (std::size_t row = 0; row < count; ++row) {
     uint32_t payload = 0;
     if (std::fread(&payload, sizeof(payload), 1, file_) != 1) {
       return Corrupt("truncated file: missing record length for object " +
@@ -225,24 +251,76 @@ common::Status BinaryDatasetReader::ReadBatch(
                      std::to_string(cursor_));
     }
     RecordCursor cur(record_buf_.data(), record_buf_.size());
-    std::vector<uncertain::PdfPtr> pdfs;
-    pdfs.reserve(dims_);
     for (std::size_t j = 0; j < dims_; ++j) {
-      uncertain::PdfPtr pdf = GetPdf(&cur);
-      if (pdf == nullptr) {
+      if (!DecodePdfParams(&cur, &params)) {
         return Corrupt("malformed pdf record in object " +
                        std::to_string(cursor_));
       }
-      pdfs.push_back(std::move(pdf));
+      on_pdf(j, params);
     }
     if (!cur.exhausted()) {
       return Corrupt("trailing bytes in object record " +
                      std::to_string(cursor_));
     }
-    out->emplace_back(std::move(pdfs));
+    on_record(row);
     ++cursor_;
   }
   return common::Status::Ok();
+}
+
+common::Status BinaryDatasetReader::ReadBatch(
+    std::size_t max, std::vector<uncertain::UncertainObject>* out) {
+  if (file_ == nullptr) {
+    return common::Status::InvalidArgument("reader is not open");
+  }
+  if (max == 0) return common::Status::InvalidArgument("max must be > 0");
+  out->clear();
+  const std::size_t count = std::min(max, remaining());
+  out->reserve(count);
+  std::vector<uncertain::PdfPtr> pdfs;
+  return DecodeRecords(
+      count,
+      [&](std::size_t j, PdfParams& p) {
+        if (j == 0) pdfs.reserve(dims_);
+        pdfs.push_back(MakePdf(&p));
+      },
+      [&](std::size_t) {
+        out->emplace_back(std::move(pdfs));
+        pdfs.clear();
+      });
+}
+
+common::Status BinaryDatasetReader::ReadMomentRows(std::size_t max,
+                                                   std::size_t* rows,
+                                                   double* mean, double* mu2,
+                                                   double* var,
+                                                   double* total_var) {
+  if (file_ == nullptr) {
+    return common::Status::InvalidArgument("reader is not open");
+  }
+  if (max == 0) return common::Status::InvalidArgument("max must be > 0");
+  *rows = 0;
+  const std::size_t m = dims_;
+  // One row of (mean, mu2, var) scratch, packed into place per record.
+  std::vector<double> row_moments(3 * m);
+  double* const row_mean = row_moments.data();
+  double* const row_mu2 = row_mean + m;
+  double* const row_var = row_mu2 + m;
+  return DecodeRecords(
+      std::min(max, remaining()),
+      [&](std::size_t j, const PdfParams& p) {
+        const uncertain::PdfMoments mom = MomentsOf(p);
+        row_mean[j] = mom.mean;
+        row_mu2[j] = mom.mu2;
+        row_var[j] = uncertain::Pdf::VarianceOf(mom.mean, mom.mu2);
+      },
+      [&](std::size_t row) {
+        const std::size_t at = row * m;
+        uncertain::MomentMatrix::PackRow(
+            {row_mean, m}, {row_mu2, m}, {row_var, m}, mean + at, mu2 + at,
+            var + at, total_var + row);
+        *rows = row + 1;
+      });
 }
 
 common::Status BinaryDatasetReader::ReadLabels(std::vector<int>* labels) {

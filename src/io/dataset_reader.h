@@ -1,10 +1,18 @@
 // Streaming reader for the binary dataset format (see binary_format.h).
 //
 // After Open() validates the header (magic, endianness canary, version), the
-// object records are consumed strictly forward in batches, so only one batch
-// of pdf objects is ever resident — the reader is the file-backed producer
-// behind uncertain::DatasetBuilder (see ingest.h). ReadAll() remains for
-// moderate sizes where the classic fully-resident UncertainDataset is wanted.
+// object records are consumed strictly forward in batches, in one of two
+// shapes:
+//
+//   * ReadMomentRows() decodes each record's pdf parameters straight into
+//     packed moment rows — no pdf, object or box is built. Every moment
+//     consumer of a .ubin file (ingest.h) reads through it.
+//   * ReadBatch() builds UncertainObjects, for consumers that need the pdfs
+//     themselves (sampling, ReadUncertainDataset).
+//
+// Both run every record through one validator, so they accept and reject
+// exactly the same files, with the same Status, and the moment rows are
+// bit-identical to MomentMatrix::FromObjects over ReadBatch's objects.
 #ifndef UCLUST_IO_DATASET_READER_H_
 #define UCLUST_IO_DATASET_READER_H_
 
@@ -42,7 +50,7 @@ class BinaryDatasetReader {
   int num_classes() const { return num_classes_; }
   /// True when the file carries a labels column.
   bool has_labels() const { return has_labels_; }
-  /// Objects not yet handed out by ReadBatch().
+  /// Objects not yet handed out by ReadBatch() / ReadMomentRows().
   std::size_t remaining() const { return n_ - cursor_; }
   /// Physical byte size of the open file — recorded into derived .umom
   /// moment sidecars as a cheap staleness guard for reuse.
@@ -53,12 +61,29 @@ class BinaryDatasetReader {
   common::Status ReadBatch(std::size_t max,
                            std::vector<uncertain::UncertainObject>* out);
 
+  /// Decodes the next min(max, remaining()) records into packed moment
+  /// rows: row r's mean / mu2 / var land at [r*dims(), (r+1)*dims()) of the
+  /// three arrays and its total variance at total_var[r], packed through
+  /// MomentMatrix::PackRow. `*rows` receives the row count (0 at end of
+  /// stream). The arrays must hold min(max, remaining()) rows: that many
+  /// times dims() doubles (total_var: one per row). `max` must be > 0.
+  common::Status ReadMomentRows(std::size_t max, std::size_t* rows,
+                                double* mean, double* mu2, double* var,
+                                double* total_var);
+
   /// Reads the labels column (empty when the file is unlabeled). Seeks to
   /// the column and back, so batch streaming is unaffected.
   common::Status ReadLabels(std::vector<int>* labels);
 
  private:
   common::Status Corrupt(const std::string& msg) const;
+  // The one record validator behind ReadBatch and ReadMomentRows: reads and
+  // checks `count` records, calling on_pdf(dim, PdfParams&) for every
+  // decoded pdf and on_record(row) after each complete record (row is
+  // batch-local).
+  template <typename OnPdf, typename OnRecord>
+  common::Status DecodeRecords(std::size_t count, OnPdf&& on_pdf,
+                               OnRecord&& on_record);
 
   std::FILE* file_ = nullptr;
   std::string path_;

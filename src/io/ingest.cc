@@ -6,36 +6,42 @@
 #include <memory>
 #include <utility>
 
-#include "engine/parallel_for.h"
 #include "io/mmap_file.h"
 #include "io/moment_file.h"
 #include "io/moment_format.h"
 
 namespace uclust::io {
 
-std::span<const uncertain::UncertainObject> FileObjectSource::NextBatch(
-    std::size_t max) {
-  if (!status_.ok() || reader_->remaining() == 0) return {};
-  status_ = reader_->ReadBatch(max, &batch_);
-  if (!status_.ok()) return {};
-  return batch_;
+namespace {
+
+// Decodes every remaining record of `reader` into flat columns, `batch_size`
+// rows per decode call.
+common::Result<uncertain::MomentMatrix> ReadAllMoments(
+    BinaryDatasetReader* reader, std::size_t batch_size) {
+  const std::size_t n = reader->size();
+  const std::size_t m = reader->dims();
+  std::vector<double> mean(n * m), mu2(n * m), var(n * m), total_var(n);
+  for (std::size_t done = 0; done < n;) {
+    std::size_t rows = 0;
+    UCLUST_RETURN_NOT_OK(reader->ReadMomentRows(
+        batch_size, &rows, mean.data() + done * m, mu2.data() + done * m,
+        var.data() + done * m, total_var.data() + done));
+    done += rows;
+  }
+  return uncertain::MomentMatrix::FromColumns(n, m, std::move(mean),
+                                              std::move(mu2), std::move(var),
+                                              std::move(total_var));
 }
 
+}  // namespace
+
 common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
-    const std::string& path, const engine::Engine& eng,
-    std::size_t batch_size, std::vector<int>* labels,
+    const std::string& path, std::size_t batch_size, std::vector<int>* labels,
     std::string* dataset_name) {
   BinaryDatasetReader reader;
   UCLUST_RETURN_NOT_OK(reader.Open(path));
-  FileObjectSource source(&reader);
-  uncertain::MomentMatrix mm =
-      uncertain::DatasetBuilder::BuildMoments(&source, eng, batch_size);
-  UCLUST_RETURN_NOT_OK(source.status());
-  if (mm.size() != reader.size()) {
-    return common::Status::Internal(
-        path + ": ingested " + std::to_string(mm.size()) + " of " +
-        std::to_string(reader.size()) + " objects");
-  }
+  auto mm = ReadAllMoments(&reader, batch_size);
+  UCLUST_RETURN_NOT_OK(mm.status());
   if (labels != nullptr) UCLUST_RETURN_NOT_OK(reader.ReadLabels(labels));
   if (dataset_name != nullptr) *dataset_name = reader.name();
   return mm;
@@ -43,7 +49,6 @@ common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
 
 common::Status BuildMomentSidecar(const std::string& dataset_path,
                                   const std::string& sidecar_path,
-                                  const engine::Engine& eng,
                                   std::size_t chunk_rows,
                                   std::size_t batch_size) {
   BinaryDatasetReader reader;
@@ -63,15 +68,18 @@ common::Status BuildMomentSidecar(const std::string& dataset_path,
                                      reader.file_bytes(),
                                      FileMTimeTicks(dataset_path),
                                      FileProbeHash(dataset_path)));
-    FileObjectSource source(&reader);
-    uncertain::DatasetBuilder builder(eng, &writer);
-    builder.Consume(&source, batch_size);
-    UCLUST_RETURN_NOT_OK(source.status());
-    UCLUST_RETURN_NOT_OK(builder.status());
-    if (builder.size() != reader.size()) {
-      return common::Status::Internal(
-          dataset_path + ": ingested " + std::to_string(builder.size()) +
-          " of " + std::to_string(reader.size()) + " objects");
+    // O(batch m) scratch, decoded into and handed to the writer per batch.
+    const std::size_t m = reader.dims();
+    const std::size_t scratch = std::min(batch_size, reader.size());
+    std::vector<double> mean(scratch * m), mu2(scratch * m), var(scratch * m),
+        total_var(scratch);
+    while (reader.remaining() > 0) {
+      std::size_t rows = 0;
+      UCLUST_RETURN_NOT_OK(reader.ReadMomentRows(batch_size, &rows,
+                                                 mean.data(), mu2.data(),
+                                                 var.data(), total_var.data()));
+      UCLUST_RETURN_NOT_OK(writer.AppendRows(rows, m, mean.data(), mu2.data(),
+                                             var.data(), total_var.data()));
     }
     return writer.Finish();
   };
@@ -98,9 +106,22 @@ common::Status MomentBatchStream::Open(const std::string& path) {
   n_ = reader_->size();
   m_ = reader_->dims();
   name_ = reader_->name();
+  source_ = {reader_->file_bytes(), FileMTimeTicks(path), FileProbeHash(path)};
   base_index_ = 0;
   next_index_ = 0;
   batch_rows_ = 0;
+  return common::Status::Ok();
+}
+
+common::Status MomentBatchStream::CheckSource(
+    const BinaryDatasetReader& reader) const {
+  if (reader.size() != n_ || reader.dims() != m_ ||
+      reader.file_bytes() != source_.bytes ||
+      FileMTimeTicks(path_) != source_.mtime ||
+      FileProbeHash(path_) != source_.probe) {
+    return common::Status::IOError(
+        path_ + ": dataset changed on disk since the stream was opened");
+  }
   return common::Status::Ok();
 }
 
@@ -109,10 +130,7 @@ common::Status MomentBatchStream::Rewind() {
   // the record cursor on a fresh reader (the header re-validates for free).
   reader_ = std::make_unique<BinaryDatasetReader>();
   UCLUST_RETURN_NOT_OK(reader_->Open(path_));
-  if (reader_->size() != n_ || reader_->dims() != m_) {
-    return common::Status::Internal(
-        path_ + ": dataset changed shape between streaming passes");
-  }
+  UCLUST_RETURN_NOT_OK(CheckSource(*reader_));
   base_index_ = 0;
   next_index_ = 0;
   batch_rows_ = 0;
@@ -125,24 +143,16 @@ common::Result<std::size_t> MomentBatchStream::NextBatch(
   base_index_ = next_index_;
   batch_rows_ = 0;
   if (reader_->remaining() == 0) return std::size_t{0};
-  UCLUST_RETURN_NOT_OK(reader_->ReadBatch(max_rows, &objects_));
-  batch_rows_ = objects_.size();
+  const std::size_t want = std::min(max_rows, reader_->remaining());
+  mean_.resize(want * m_);
+  mu2_.resize(want * m_);
+  var_.resize(want * m_);
+  total_var_.resize(want);
+  UCLUST_RETURN_NOT_OK(reader_->ReadMomentRows(max_rows, &batch_rows_,
+                                               mean_.data(), mu2_.data(),
+                                               var_.data(),
+                                               total_var_.data()));
   next_index_ = base_index_ + batch_rows_;
-  mean_.resize(batch_rows_ * m_);
-  mu2_.resize(batch_rows_ * m_);
-  var_.resize(batch_rows_ * m_);
-  total_var_.resize(batch_rows_);
-  engine::ParallelFor(engine_, batch_rows_,
-                      [&](const engine::BlockedRange& r) {
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      const uncertain::UncertainObject& o = objects_[i];
-      const std::size_t row = i * m_;
-      uncertain::MomentMatrix::PackRow(o.mean(), o.second_moment(),
-                                       o.variance(), mean_.data() + row,
-                                       mu2_.data() + row, var_.data() + row,
-                                       total_var_.data() + i);
-    }
-  });
   return batch_rows_;
 }
 
@@ -154,20 +164,20 @@ common::Status MomentBatchStream::ReadMeanAt(std::size_t index,
   }
   BinaryDatasetReader reader;
   UCLUST_RETURN_NOT_OK(reader.Open(path_));
-  std::vector<uncertain::UncertainObject> batch;
-  std::size_t skipped = 0;
-  // Forward-skip in whole batches; only the batch holding `index` matters.
-  constexpr std::size_t kSkipBatch = 1024;
-  while (skipped + kSkipBatch <= index) {
-    UCLUST_RETURN_NOT_OK(reader.ReadBatch(kSkipBatch, &batch));
-    skipped += batch.size();
+  UCLUST_RETURN_NOT_OK(CheckSource(reader));
+  // Forward scan in fixed-size batches; the last one ends at `index`.
+  constexpr std::size_t kScanRows = 256;
+  const std::size_t scratch = std::min(kScanRows, index + 1);
+  std::vector<double> mean(scratch * m_), mu2(scratch * m_), var(scratch * m_),
+      total_var(scratch);
+  std::size_t done = 0, rows = 0;
+  while (done <= index) {
+    UCLUST_RETURN_NOT_OK(reader.ReadMomentRows(
+        std::min(kScanRows, index + 1 - done), &rows, mean.data(), mu2.data(),
+        var.data(), total_var.data()));
+    done += rows;
   }
-  UCLUST_RETURN_NOT_OK(reader.ReadBatch(index - skipped + 1, &batch));
-  if (skipped + batch.size() != index + 1) {
-    return common::Status::Internal(path_ + ": short read in ReadMeanAt");
-  }
-  const auto mean = batch.back().mean();
-  std::copy(mean.begin(), mean.end(), out.begin());
+  std::copy_n(mean.data() + (rows - 1) * m_, m_, out.begin());
   return common::Status::Ok();
 }
 
@@ -199,19 +209,12 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
   }
 
   if (choice == MomentBackendChoice::kResident) {
-    FileObjectSource source(&reader);
-    uncertain::MomentMatrix mm = uncertain::DatasetBuilder::BuildMoments(
-        &source, eng, options.batch_size);
-    UCLUST_RETURN_NOT_OK(source.status());
-    if (mm.size() != n) {
-      return common::Status::Internal(
-          path + ": ingested " + std::to_string(mm.size()) + " of " +
-          std::to_string(n) + " objects");
-    }
+    auto mm = ReadAllMoments(&reader, options.batch_size);
+    UCLUST_RETURN_NOT_OK(mm.status());
     if (labels != nullptr) UCLUST_RETURN_NOT_OK(reader.ReadLabels(labels));
     if (dataset_name != nullptr) *dataset_name = reader.name();
     return uncertain::MomentStorePtr(
-        new uncertain::ResidentMomentStore(std::move(mm)));
+        new uncertain::ResidentMomentStore(std::move(mm).ValueOrDie()));
   }
 
   const std::string sidecar = options.sidecar_path.empty()
@@ -257,8 +260,8 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
                  NormalizeMomentChunkRows(chunk_rows));
   }
   if (!reuse) {
-    UCLUST_RETURN_NOT_OK(BuildMomentSidecar(path, sidecar, eng, chunk_rows,
-                                            options.batch_size));
+    UCLUST_RETURN_NOT_OK(
+        BuildMomentSidecar(path, sidecar, chunk_rows, options.batch_size));
   }
   auto store = MappedMomentStore::Open(sidecar);
   UCLUST_RETURN_NOT_OK(store.status());

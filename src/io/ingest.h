@@ -1,25 +1,27 @@
-// File-backed streaming ingestion: binary dataset file -> moment statistics
+// File-backed moment ingestion: binary dataset file -> moment statistics
 // in one bounded-memory pass.
 //
-// FileObjectSource adapts BinaryDatasetReader to the ObjectSource interface
-// consumed by uncertain::DatasetBuilder, so file-backed and in-memory
-// datasets share one ingestion path and produce bit-identical moments for
-// any batch size and engine thread count (tests/test_io.cc).
-//
-// Two entry points sit on top:
+// Every entry point decodes records straight into packed moment rows with
+// BinaryDatasetReader::ReadMomentRows: no pdf or UncertainObject is built,
+// and the rows are bit-identical to MomentMatrix::FromObjects over
+// ReadUncertainDataset(path) — the object path is the test oracle
+// (tests/test_io.cc) — for any batch size.
 //
 //   * StreamMomentsFromFile — the classic fully-resident MomentMatrix; peak
-//     memory is the O(n m) moment columns plus one batch of pdf objects.
+//     memory is the O(n m) moment columns.
 //   * StreamMomentStoreFromFile — returns a MomentStore whose backend is
 //     selected by EngineConfig::memory_budget_bytes: Resident when the
 //     columns fit the budget (or it is unlimited), Mapped otherwise. On the
-//     Mapped path the builder spills each batch straight into a .umom
-//     sidecar (see moment_file.h), so peak memory is O(batch + chunk)
-//     regardless of n, and a valid matching sidecar from an earlier run is
-//     reused instead of rebuilt.
+//     Mapped path BuildMomentSidecar decodes one batch of rows at a time
+//     into a .umom sidecar (see moment_file.h), so peak memory is
+//     O(batch + chunk) regardless of n, and a valid matching sidecar from
+//     an earlier run is reused instead of rebuilt.
+//   * MomentBatchStream — re-streamable batches of moment rows, the input
+//     side of the mini-batch CK-means driver.
 #ifndef UCLUST_IO_INGEST_H_
 #define UCLUST_IO_INGEST_H_
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
@@ -28,40 +30,19 @@
 #include "common/status.h"
 #include "engine/engine.h"
 #include "io/dataset_reader.h"
-#include "uncertain/dataset_builder.h"
 #include "uncertain/moment_store.h"
 #include "uncertain/moments.h"
 
 namespace uclust::io {
 
-/// ObjectSource over an open BinaryDatasetReader; holds exactly one batch of
-/// deserialized objects at a time.
-class FileObjectSource final : public uncertain::ObjectSource {
- public:
-  /// `reader` must outlive the source and have a validated header.
-  explicit FileObjectSource(BinaryDatasetReader* reader) : reader_(reader) {}
+/// Default rows per decode call on the streaming ingest paths.
+inline constexpr std::size_t kDefaultIngestBatch = 4096;
 
-  /// Error state of the underlying stream; check once draining is done
-  /// (NextBatch has no error channel, so read failures end the stream
-  /// early and are reported here).
-  const common::Status& status() const { return status_; }
-
-  std::span<const uncertain::UncertainObject> NextBatch(
-      std::size_t max) override;
-
- private:
-  BinaryDatasetReader* reader_;
-  std::vector<uncertain::UncertainObject> batch_;
-  common::Status status_;
-};
-
-/// Streams `path` into moment statistics with O(batch) resident pdf objects.
-/// `labels`/`dataset_name` (optional) receive the file's labels column and
-/// stored name.
+/// Decodes `path` into a fully-resident MomentMatrix, `batch_size` rows per
+/// decode call. `labels`/`dataset_name` (optional) receive the file's labels
+/// column and stored name.
 common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
-    const std::string& path,
-    const engine::Engine& eng = engine::Engine::Serial(),
-    std::size_t batch_size = uncertain::DatasetBuilder::kDefaultBatchSize,
+    const std::string& path, std::size_t batch_size = kDefaultIngestBatch,
     std::vector<int>* labels = nullptr, std::string* dataset_name = nullptr);
 
 /// How StreamMomentStoreFromFile picks the MomentStore backend.
@@ -89,8 +70,9 @@ struct MomentStoreOptions {
   /// bound; smaller ones only cost extra faults). A mismatched or invalid
   /// sidecar is silently rebuilt; set false to force a rebuild regardless.
   bool reuse_sidecar = true;
-  /// Streaming batch size for the ingestion pass.
-  std::size_t batch_size = uncertain::DatasetBuilder::kDefaultBatchSize;
+  /// Rows per decode call of the ingestion pass (the sidecar build's
+  /// scratch size).
+  std::size_t batch_size = kDefaultIngestBatch;
 };
 
 /// Streams `path` into a MomentStore whose backend is selected by the
@@ -104,31 +86,29 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
     std::vector<int>* labels = nullptr, std::string* dataset_name = nullptr);
 
 /// Builds (or rebuilds) the .umom moment sidecar for a binary dataset file
-/// in one bounded-memory pass: reader batches -> DatasetBuilder spill mode
+/// in one bounded-memory pass: ReadMomentRows batches of `batch_size` rows
 /// -> MomentFileWriter. Used by `dataset_gen --emit-moments` and by the
 /// Mapped path of StreamMomentStoreFromFile.
-common::Status BuildMomentSidecar(
-    const std::string& dataset_path, const std::string& sidecar_path,
-    const engine::Engine& eng = engine::Engine::Serial(),
-    std::size_t chunk_rows = 0,
-    std::size_t batch_size = uncertain::DatasetBuilder::kDefaultBatchSize);
+common::Status BuildMomentSidecar(const std::string& dataset_path,
+                                  const std::string& sidecar_path,
+                                  std::size_t chunk_rows = 0,
+                                  std::size_t batch_size = kDefaultIngestBatch);
 
 /// Re-streamable batch-at-a-time moment statistics over a binary dataset
 /// file — the input side of the mini-batch CK-means driver (and any other
 /// consumer that wants moment rows in bounded memory without materializing
-/// a MomentStore). Each NextBatch() deserializes one batch of pdf objects
-/// and packs their moments into a reused flat scratch block through the
-/// canonical MomentMatrix::PackRow, so the served values are bit-identical
-/// to a full ingestion via DatasetBuilder for any batch size and thread
-/// count. Rewind() restarts the record cursor for multi-pass consumers
-/// (the underlying reader is forward-only, so a rewind reopens the file).
+/// a MomentStore). Each NextBatch() decodes one batch of records into a
+/// reused flat scratch block through ReadMomentRows, so the served values
+/// are bit-identical to a full ingestion for any batch size. Rewind()
+/// restarts the record cursor for multi-pass consumers (the underlying
+/// reader is forward-only, so a rewind reopens the file).
+///
+/// Source guard: Open() records the file's byte size, last-write tick and
+/// content probe (FileMTimeTicks / FileProbeHash); Rewind() and ReadMeanAt()
+/// re-check them and fail with a Status when the file was rewritten since,
+/// so a multi-pass consumer never mixes two versions of a dataset.
 class MomentBatchStream {
  public:
-  /// `eng` dispatches the per-batch packing pass.
-  explicit MomentBatchStream(
-      const engine::Engine& eng = engine::Engine::Serial())
-      : engine_(eng) {}
-
   /// Opens `path` and validates the header.
   common::Status Open(const std::string& path);
 
@@ -139,7 +119,8 @@ class MomentBatchStream {
   /// Dataset name stored in the file.
   const std::string& name() const { return name_; }
 
-  /// Restarts the stream at object 0 (reopens the record cursor).
+  /// Restarts the stream at object 0 (reopens the record cursor). Fails
+  /// when the file changed since Open().
   common::Status Rewind();
 
   /// Packs the next min(max_rows, remaining) objects' moments into the
@@ -157,25 +138,34 @@ class MomentBatchStream {
   }
 
   /// Reads the mean vector of one object by absolute index through a fresh
-  /// forward scan (the format has no random access); `out` must have dims()
-  /// elements. O(index) — intended for rare lookups such as the CK-means
-  /// empty-cluster reseed, not for bulk access.
+  /// forward scan (the format has no random access) that decodes — and so
+  /// validates — every record before it into a fixed-size scratch; `out`
+  /// must have dims() elements. O(index) — intended for rare lookups such as
+  /// the CK-means empty-cluster reseed, not for bulk access. Fails when the
+  /// file changed since Open().
   common::Status ReadMeanAt(std::size_t index, std::span<double> out) const;
 
   /// Reads the labels column (empty when the file is unlabeled).
   common::Status ReadLabels(std::vector<int>* labels);
 
  private:
-  engine::Engine engine_;
+  // What Open() saw of the source file; Rewind/ReadMeanAt compare against it.
+  struct SourceIdentity {
+    uint64_t bytes = 0;
+    uint64_t mtime = 0;
+    uint64_t probe = 0;
+  };
+  common::Status CheckSource(const BinaryDatasetReader& reader) const;
+
   std::string path_;
   std::string name_;
   std::size_t n_ = 0;
   std::size_t m_ = 0;
+  SourceIdentity source_;
   std::size_t base_index_ = 0;
   std::size_t next_index_ = 0;
   std::size_t batch_rows_ = 0;
   std::unique_ptr<BinaryDatasetReader> reader_;
-  std::vector<uncertain::UncertainObject> objects_;
   std::vector<double> mean_, mu2_, var_, total_var_;
 };
 

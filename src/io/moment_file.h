@@ -1,11 +1,11 @@
 // Writer and mmap-backed reader of the .umom moment sidecar format (see
 // moment_format.h for the layout).
 //
-// MomentFileWriter is the io-layer implementation of uncertain::MomentSink:
-// uncertain::DatasetBuilder in spill mode forwards each packed batch here,
-// the writer regroups rows into fixed-size chunks in an O(chunk m) buffer
-// and streams them to disk — so stream-ingest -> Mapped store never holds
-// more than one chunk of moment data in memory.
+// MomentFileWriter takes canonically packed moment rows in batches — from
+// BuildMomentSidecar (ingest.h), which decodes a .ubin one batch at a time —
+// regroups them into fixed-size chunks in an O(chunk m) buffer and streams
+// them to disk, so stream-ingest -> Mapped store never holds more than one
+// batch plus one chunk of moment data in memory.
 //
 // MappedMomentStore is the Mapped MomentStore backend: it validates a .umom
 // header (magic, endianness canary, version, exact physical size) and then
@@ -36,12 +36,12 @@ namespace uclust::io {
 inline constexpr std::size_t kMomentWindowSlots = 16;
 
 /// Writes one .umom moment sidecar. Usage: Open() once, AppendRows() any
-/// number of times (directly or as a DatasetBuilder spill sink), Finish()
-/// (which seals the header; a file without Finish() is invalid).
-class MomentFileWriter final : public uncertain::MomentSink {
+/// number of times, Finish() (which seals the header; a file without
+/// Finish() is invalid).
+class MomentFileWriter {
  public:
   MomentFileWriter() = default;
-  ~MomentFileWriter() override;
+  ~MomentFileWriter();
 
   MomentFileWriter(const MomentFileWriter&) = delete;
   MomentFileWriter& operator=(const MomentFileWriter&) = delete;
@@ -55,11 +55,12 @@ class MomentFileWriter final : public uncertain::MomentSink {
                       std::size_t chunk_rows = 0, uint64_t source_size = 0,
                       uint64_t source_mtime = 0, uint64_t source_probe = 0);
 
-  /// Appends `count` canonically packed rows (see uncertain::MomentSink).
+  /// Appends `count` rows packed by MomentMatrix::PackRow: mean/mu2/var
+  /// are row-major count x m, total_var has length count. `m` must equal
+  /// the dims given to Open().
   common::Status AppendRows(std::size_t count, std::size_t m,
                             const double* mean, const double* mu2,
-                            const double* var,
-                            const double* total_var) override;
+                            const double* var, const double* total_var);
 
   /// Flushes the partial tail chunk, patches n into the header, and closes
   /// the file.

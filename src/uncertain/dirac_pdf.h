@@ -22,8 +22,11 @@ class DiracPdf final : public Pdf {
   /// Convenience factory.
   static PdfPtr Make(double x);
 
+  /// Moments of a point mass at x: (x, x^2).
+  static PdfMoments MomentsOf(double x) { return {x, x * x}; }
+
   double mean() const override { return x_; }
-  double second_moment() const override { return x_ * x_; }
+  double second_moment() const override { return MomentsOf(x_).mu2; }
   double lower() const override { return x_; }
   double upper() const override { return x_; }
   double Density(double x) const override {

@@ -27,7 +27,21 @@ DiscretePdf::DiscretePdf(NormalizedTag, std::vector<double> values,
   ComputeDerived();
 }
 
+PdfMoments DiscretePdf::MomentsOf(std::span<const double> values,
+                                  std::span<const double> weights) {
+  assert(values.size() == weights.size());
+  PdfMoments mom;
+  for (std::size_t i = 0; i < weights.size(); ++i) {
+    mom.mean += weights[i] * values[i];
+    mom.mu2 += weights[i] * values[i] * values[i];
+  }
+  return mom;
+}
+
 void DiscretePdf::ComputeDerived() {
+  const PdfMoments mom = MomentsOf(values_, weights_);
+  mean_ = mom.mean;
+  m2_ = mom.mu2;
   cum_.reserve(weights_.size());
   double acc = 0.0;
   lo_ = values_[0];
@@ -36,8 +50,6 @@ void DiscretePdf::ComputeDerived() {
     assert(weights_[i] > 0.0);
     acc += weights_[i];
     cum_.push_back(acc);
-    mean_ += weights_[i] * values_[i];
-    m2_ += weights_[i] * values_[i] * values_[i];
     lo_ = std::min(lo_, values_[i]);
     hi_ = std::max(hi_, values_[i]);
   }

@@ -7,6 +7,7 @@
 #ifndef UCLUST_UNCERTAIN_DISCRETE_PDF_H_
 #define UCLUST_UNCERTAIN_DISCRETE_PDF_H_
 
+#include <span>
 #include <vector>
 
 #include "uncertain/pdf.h"
@@ -30,6 +31,11 @@ class DiscretePdf final : public Pdf {
   /// bit-for-bit; used by the binary dataset format.
   static PdfPtr FromNormalized(std::vector<double> values,
                                std::vector<double> weights);
+
+  /// Moments of the point masses `values` with normalized `weights` (equal
+  /// lengths), accumulated in index order.
+  static PdfMoments MomentsOf(std::span<const double> values,
+                              std::span<const double> weights);
 
   /// The support points.
   const std::vector<double>& values() const { return values_; }

@@ -27,7 +27,11 @@ TruncatedExponentialPdf::TruncatedExponentialPdf(double w, double rate)
   assert(rate > 0.0 && "TruncatedExponentialPdf requires rate > 0");
   span_ = kQ95 / rate_;
   shift_ = w_ - kUnitM1 / rate_;
-  var_ = (kUnitM2 - kUnitM1 * kUnitM1) / (rate_ * rate_);
+  var_ = TruncatedVariance(rate_);
+}
+
+double TruncatedExponentialPdf::TruncatedVariance(double rate) {
+  return (kUnitM2 - kUnitM1 * kUnitM1) / (rate * rate);
 }
 
 PdfPtr TruncatedExponentialPdf::Make(double w, double rate) {
@@ -35,7 +39,7 @@ PdfPtr TruncatedExponentialPdf::Make(double w, double rate) {
 }
 
 double TruncatedExponentialPdf::second_moment() const {
-  return var_ + w_ * w_;
+  return SecondMomentOf(w_, var_);
 }
 
 double TruncatedExponentialPdf::Density(double x) const {

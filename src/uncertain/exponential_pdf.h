@@ -22,6 +22,9 @@ class TruncatedExponentialPdf final : public Pdf {
   /// Convenience factory.
   static PdfPtr Make(double w, double rate);
 
+  /// Truncated variance for rate `rate` (independent of the mean).
+  static double TruncatedVariance(double rate);
+
   /// The rate parameter lambda.
   double rate() const { return rate_; }
   /// The shift s (start of the support).

@@ -4,8 +4,6 @@ namespace uclust::uncertain {
 
 MomentStore::~MomentStore() = default;
 
-MomentSink::~MomentSink() = default;
-
 std::string MomentBackendName(MomentBackend backend) {
   switch (backend) {
     case MomentBackend::kResident:

@@ -28,7 +28,6 @@
 #include <memory>
 #include <string>
 
-#include "common/status.h"
 #include "uncertain/moments.h"
 
 namespace uclust::uncertain {
@@ -82,23 +81,6 @@ class ResidentMomentStore final : public MomentStore {
 
  private:
   MomentMatrix matrix_;
-};
-
-/// Row-stream consumer of canonically packed moment rows — the uncertain
-/// layer's handle on the .umom sidecar writer (io::MomentFileWriter), which
-/// lets DatasetBuilder spill moments straight to the Mapped backend without
-/// ever materializing the full columns.
-class MomentSink {
- public:
-  virtual ~MomentSink();
-
-  /// Appends `count` rows packed by MomentMatrix::PackRow: mean/mu2/var are
-  /// row-major count x m, total_var has length count. `m` must be identical
-  /// across calls.
-  virtual common::Status AppendRows(std::size_t count, std::size_t m,
-                                    const double* mean, const double* mu2,
-                                    const double* var,
-                                    const double* total_var) = 0;
 };
 
 }  // namespace uclust::uncertain

@@ -126,7 +126,7 @@ class MomentMatrix {
   static MomentMatrix FromObjects(std::span<const UncertainObject> objects);
 
   /// Adopts pre-packed flat columns (row-major n x m; total_var of length n).
-  /// Used by DatasetBuilder, which fills the columns batch-by-batch.
+  /// Used by file ingestion, which decodes the columns batch-by-batch.
   static MomentMatrix FromColumns(std::size_t n, std::size_t m,
                                   std::vector<double> mean,
                                   std::vector<double> mu2,
@@ -134,7 +134,7 @@ class MomentMatrix {
                                   std::vector<double> total_var);
 
   /// The canonical row packing every ingestion path runs through (AppendRow,
-  /// DatasetBuilder's resident and spill modes, the .umom sidecar writer):
+  /// the .ubin moment decoder io::BinaryDatasetReader::ReadMomentRows):
   /// copies the three length-m vectors to their destinations and writes the
   /// total-variance sum accumulated in dimension order. Centralizing it here
   /// means the packed layout and the floating-point summation order can

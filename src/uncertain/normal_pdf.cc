@@ -48,17 +48,32 @@ TruncatedNormalPdf::TruncatedNormalPdf(double mu, double sigma,
                          CoverageToHalfWidth(coverage)) {}
 
 // The single derivation of mass_/variance_: a pdf rebuilt from
-// half_width_sigmas() (the binary format's stored parameter) carries
-// bit-identical moments because it runs these exact expressions.
+// half_width_sigmas() (the binary format's stored parameter), and the .ubin
+// moment decoder, carry bit-identical moments because they run these exact
+// functions.
 TruncatedNormalPdf::TruncatedNormalPdf(HalfWidthTag, double mu, double sigma,
                                        double half_width)
     : mu_(mu), sigma_(sigma), c_(half_width) {
   assert(sigma > 0.0 && "TruncatedNormalPdf requires sigma > 0");
   assert(half_width > 0.0);
-  mass_ = 2.0 * common::NormalCdf(c_) - 1.0;
+  mass_ = RegionMass(c_);
+  variance_ = TruncatedVariance(sigma_, c_, mass_);
+}
+
+double TruncatedNormalPdf::RegionMass(double half_width) {
+  return 2.0 * common::NormalCdf(half_width) - 1.0;
+}
+
+double TruncatedNormalPdf::TruncatedVariance(double sigma, double half_width,
+                                             double mass) {
   // Symmetric truncation: Var = sigma^2 * (1 - 2 c phi(c) / mass).
-  variance_ =
-      sigma_ * sigma_ * (1.0 - 2.0 * c_ * common::NormalPdf(c_) / mass_);
+  return sigma * sigma *
+         (1.0 - 2.0 * half_width * common::NormalPdf(half_width) / mass);
+}
+
+double TruncatedNormalPdf::TruncatedVariance(double sigma,
+                                             double half_width) {
+  return TruncatedVariance(sigma, half_width, RegionMass(half_width));
 }
 
 PdfPtr TruncatedNormalPdf::Make(double mu, double sigma) {
@@ -72,7 +87,7 @@ PdfPtr TruncatedNormalPdf::FromHalfWidth(double mu, double sigma,
 }
 
 double TruncatedNormalPdf::second_moment() const {
-  return variance_ + mu_ * mu_;
+  return SecondMomentOf(mu_, variance_);
 }
 
 double TruncatedNormalPdf::Density(double x) const {

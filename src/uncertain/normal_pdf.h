@@ -29,6 +29,10 @@ class TruncatedNormalPdf final : public Pdf {
   /// trip reproduces the original moments bit-for-bit.
   static PdfPtr FromHalfWidth(double mu, double sigma, double half_width);
 
+  /// Variance of Normal(., sigma) truncated to +- half_width sigmas (the
+  /// closed form every instance stores).
+  static double TruncatedVariance(double sigma, double half_width);
+
   /// Untruncated location parameter (== mean(), by symmetry).
   double mu() const { return mu_; }
   /// Untruncated scale parameter.
@@ -48,6 +52,10 @@ class TruncatedNormalPdf final : public Pdf {
  private:
   struct HalfWidthTag {};
   TruncatedNormalPdf(HalfWidthTag, double mu, double sigma, double half_width);
+  // Untruncated mass of [-c, c]: 2 Phi(c) - 1.
+  static double RegionMass(double half_width);
+  static double TruncatedVariance(double sigma, double half_width,
+                                  double mass);
 
   double mu_;
   double sigma_;

@@ -15,6 +15,12 @@
 
 namespace uclust::uncertain {
 
+/// First and second raw moments of a univariate pdf.
+struct PdfMoments {
+  double mean = 0.0;  ///< E[X]
+  double mu2 = 0.0;   ///< E[X^2]
+};
+
 /// Abstract univariate pdf with bounded support and analytic moments.
 ///
 /// Implementations are immutable after construction and safe to share across
@@ -28,7 +34,19 @@ class Pdf {
   /// Second raw moment E[X^2].
   virtual double second_moment() const = 0;
   /// Variance E[X^2] - E[X]^2 (non-negative by construction).
-  double variance() const;
+  double variance() const { return VarianceOf(mean(), second_moment()); }
+
+  /// The moment formulas below, and the per-family static ones (e.g.
+  /// UniformPdf::MomentsOf), are shared by the pdf classes and by the .ubin
+  /// moment decoder (io::BinaryDatasetReader::ReadMomentRows), which never
+  /// builds a pdf: one function per formula keeps both bit-identical.
+  ///
+  /// max(mu2 - mean^2, 0): the variance from raw moments, clamping tiny
+  /// negative values left by floating-point cancellation.
+  static double VarianceOf(double mean, double mu2);
+  /// var + mean^2: the second raw moment of a pdf whose variance has a
+  /// closed form.
+  static double SecondMomentOf(double mean, double var);
 
   /// Lower end of the domain region (support of the truncated pdf).
   virtual double lower() const = 0;

@@ -12,12 +12,14 @@ PdfPtr UniformPdf::Centered(double center, double halfwidth) {
   return std::make_shared<UniformPdf>(center - halfwidth, center + halfwidth);
 }
 
-double UniformPdf::mean() const { return 0.5 * (lo_ + hi_); }
-
-double UniformPdf::second_moment() const {
+PdfMoments UniformPdf::MomentsOf(double lo, double hi) {
   // E[X^2] = (lo^2 + lo*hi + hi^2) / 3.
-  return (lo_ * lo_ + lo_ * hi_ + hi_ * hi_) / 3.0;
+  return {0.5 * (lo + hi), (lo * lo + lo * hi + hi * hi) / 3.0};
 }
+
+double UniformPdf::mean() const { return MomentsOf(lo_, hi_).mean; }
+
+double UniformPdf::second_moment() const { return MomentsOf(lo_, hi_).mu2; }
 
 double UniformPdf::Density(double x) const {
   if (x < lo_ || x > hi_) return 0.0;

@@ -16,6 +16,9 @@ class UniformPdf final : public Pdf {
   /// Convenience: uniform centered at `center` with half-width `halfwidth`.
   static PdfPtr Centered(double center, double halfwidth);
 
+  /// Moments of the uniform pdf on [lo, hi].
+  static PdfMoments MomentsOf(double lo, double hi);
+
   double mean() const override;
   double second_moment() const override;
   double lower() const override { return lo_; }

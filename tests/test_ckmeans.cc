@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <limits>
 #include <string>
 #include <vector>
@@ -359,6 +360,33 @@ TEST(CkmeansClusterFile, TinyMemoryBudgetStreamsToCompletion) {
   EXPECT_EQ(out.labels, f.direct.labels);
   EXPECT_EQ(out.objective, f.direct.objective);
   EXPECT_EQ(out.iterations, f.direct.iterations);
+  std::remove(f.path.c_str());
+}
+
+TEST(CkmeansClusterFile, EpochStreamingFailsWhenTheFileIsRewritten) {
+  // A .ubin rewritten in place between epochs — same n, m and byte size,
+  // new content — must end the run with a Status, not cluster a mix of the
+  // two files.
+  const FileFixture f = MakeFileFixture(400);
+  const auto size = std::filesystem::file_size(f.path);
+  data::SyntheticGenParams other;
+  other.n = 400;
+  other.m = 6;
+  other.classes = 4;
+  other.seed = 98;
+  CkMeans::Params p;
+  p.minibatch_size = 64;
+  bool rewritten = false;
+  p.bound_audit = [&](int, std::span<const double>, std::span<const int>,
+                      std::span<const double>, std::span<const double>) {
+    if (rewritten) return;
+    rewritten = true;
+    ASSERT_TRUE(data::WriteSyntheticDataset(other, f.path, "stream").ok());
+    ASSERT_EQ(size, std::filesystem::file_size(f.path));
+  };
+  const auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, p, EngineWith(2));
+  ASSERT_TRUE(rewritten);
+  EXPECT_FALSE(r.ok());
   std::remove(f.path.c_str());
 }
 

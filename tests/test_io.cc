@@ -1,13 +1,20 @@
-// Tests for the binary dataset format (src/io/) and the streaming moment
-// ingestion path (uncertain::DatasetBuilder + io::FileObjectSource):
-// write -> read round trips reproduce moments bit-for-bit, streamed
-// ingestion equals the in-memory builder at any batch size and thread
-// count, and malformed files (endianness, version, magic, truncation) are
-// rejected instead of mis-parsed.
+// Tests for the binary dataset format (src/io/) and the moment ingestion
+// path (io::BinaryDatasetReader::ReadMomentRows and its callers in
+// io/ingest.h): write -> read round trips reproduce moments bit-for-bit, the
+// record decoder equals the pdf-object path (ReadUncertainDataset +
+// MomentMatrix::FromObjects, the oracle) for every pdf family and edge case
+// at any batch size, malformed files (endianness, version, magic,
+// truncation) are rejected instead of mis-parsed, a seeded mutation fuzz
+// holds ReadBatch and ReadMomentRows to the same verdict on hostile input,
+// and MomentBatchStream refuses a file rewritten under it.
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -20,7 +27,6 @@
 #include "io/dataset_reader.h"
 #include "io/dataset_writer.h"
 #include "io/ingest.h"
-#include "uncertain/dataset_builder.h"
 #include "uncertain/dirac_pdf.h"
 #include "uncertain/discrete_pdf.h"
 #include "uncertain/exponential_pdf.h"
@@ -31,8 +37,8 @@
 namespace uclust {
 namespace {
 
-using uncertain::DatasetBuilder;
 using uncertain::MomentMatrix;
+using uncertain::MomentView;
 using uncertain::PdfPtr;
 using uncertain::UncertainObject;
 
@@ -97,7 +103,7 @@ std::string WriteTestFile(const std::string& file,
   return path;
 }
 
-void ExpectBitIdentical(const MomentMatrix& a, const MomentMatrix& b) {
+void ExpectBitIdentical(const MomentView& a, const MomentView& b) {
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.dims(), b.dims());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -111,7 +117,8 @@ void ExpectBitIdentical(const MomentMatrix& a, const MomentMatrix& b) {
     ASSERT_EQ(0, std::memcmp(a.variance(i).data(), b.variance(i).data(),
                              a.dims() * sizeof(double)))
         << "var row " << i;
-    ASSERT_EQ(a.total_variance(i), b.total_variance(i)) << "total var " << i;
+    const double ta = a.total_variance(i), tb = b.total_variance(i);
+    ASSERT_EQ(0, std::memcmp(&ta, &tb, sizeof(double))) << "total var " << i;
   }
 }
 
@@ -160,55 +167,232 @@ TEST(BinaryFormatTest, RoundTripReproducesEverythingBitIdentically) {
   std::remove(path.c_str());
 }
 
-TEST(BinaryFormatTest, StreamedIngestionMatchesInMemoryBuilder) {
+TEST(BinaryFormatTest, StreamedIngestionMatchesInMemoryObjects) {
   const auto objects = MakeTestObjects(101, 4, /*seed=*/23);
   const std::string path = WriteTestFile("streamed.ubin", objects);
   const MomentMatrix reference = MomentMatrix::FromObjects(objects);
 
-  engine::EngineConfig threaded;
-  threaded.num_threads = 4;
-  threaded.block_size = 8;
-  const engine::Engine engines[] = {engine::Engine::Serial(),
-                                    engine::Engine(threaded)};
   for (const std::size_t batch : {std::size_t{1}, std::size_t{3},
                                   std::size_t{32}, std::size_t{1000}}) {
-    for (const engine::Engine& eng : engines) {
-      std::vector<int> labels;
-      auto streamed = io::StreamMomentsFromFile(path, eng, batch, &labels);
-      ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
-      const MomentMatrix mm = std::move(streamed).ValueOrDie();
-      ExpectBitIdentical(reference, mm);
-      ASSERT_EQ(objects.size(), labels.size());
-    }
+    std::vector<int> labels;
+    auto streamed = io::StreamMomentsFromFile(path, batch, &labels);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    const MomentMatrix mm = std::move(streamed).ValueOrDie();
+    ExpectBitIdentical(reference, mm);
+    ASSERT_EQ(objects.size(), labels.size());
   }
+
+  // The resident dataset's own accessor packs the same bits.
+  std::vector<UncertainObject> copy = objects;
+  const data::UncertainDataset ds("objects", std::move(copy), {}, 0);
+  ExpectBitIdentical(reference, ds.moments());
   std::remove(path.c_str());
 }
 
-TEST(DatasetBuilderTest, BatchPartitionAndThreadCountInvariance) {
-  const auto objects = MakeTestObjects(53, 3, /*seed=*/31);
-  const MomentMatrix reference = MomentMatrix::FromObjects(objects);
+// ---------------------------------------------------- decoder parity ----
 
-  engine::EngineConfig threaded;
-  threaded.num_threads = 3;
-  threaded.block_size = 4;
-  const engine::Engine engines[] = {engine::Engine::Serial(),
-                                    engine::Engine(threaded)};
+// Drains `path` through BinaryDatasetReader::ReadMomentRows, `batch` rows
+// per call, into a MomentMatrix.
+common::Result<MomentMatrix> DecodeMoments(const std::string& path,
+                                           std::size_t batch) {
+  io::BinaryDatasetReader reader;
+  UCLUST_RETURN_NOT_OK(reader.Open(path));
+  const std::size_t n = reader.size(), m = reader.dims();
+  std::vector<double> mean(n * m), mu2(n * m), var(n * m), total_var(n);
+  std::size_t done = 0;
+  while (reader.remaining() > 0) {
+    std::size_t rows = 0;
+    UCLUST_RETURN_NOT_OK(reader.ReadMomentRows(
+        batch, &rows, mean.data() + done * m, mu2.data() + done * m,
+        var.data() + done * m, total_var.data() + done));
+    EXPECT_EQ(std::min(batch, n - done), rows);
+    done += rows;
+  }
+  return MomentMatrix::FromColumns(n, m, std::move(mean), std::move(mu2),
+                                   std::move(var), std::move(total_var));
+}
+
+// Every moment consumer of a .ubin must reproduce the object path — the
+// oracle — bit for bit.
+void ExpectEveryDecoderMatchesObjects(const std::string& path) {
+  auto ds = io::ReadUncertainDataset(path);
+  ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+  const MomentMatrix oracle =
+      MomentMatrix::FromObjects(ds.ValueOrDie().objects());
+  const std::size_t n = oracle.size(), m = oracle.dims();
+
   for (const std::size_t batch :
-       {std::size_t{1}, std::size_t{5}, std::size_t{53}, std::size_t{60}}) {
-    for (const engine::Engine& eng : engines) {
-      DatasetBuilder builder(eng);
-      for (std::size_t start = 0; start < objects.size(); start += batch) {
-        const std::size_t count = std::min(batch, objects.size() - start);
-        builder.AddBatch({objects.data() + start, count});
+       {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+    SCOPED_TRACE("batch=" + std::to_string(batch));
+    auto decoded = DecodeMoments(path, batch);
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    ExpectBitIdentical(oracle, decoded.ValueOrDie());
+    auto streamed = io::StreamMomentsFromFile(path, batch);
+    ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
+    ExpectBitIdentical(oracle, streamed.ValueOrDie());
+
+    io::MomentBatchStream stream;
+    ASSERT_TRUE(stream.Open(path).ok());
+    for (int pass = 0; pass < 2; ++pass) {
+      if (pass == 1) ASSERT_TRUE(stream.Rewind().ok());
+      std::size_t seen = 0;
+      for (;;) {
+        auto got = stream.NextBatch(batch);
+        ASSERT_TRUE(got.ok()) << got.status().ToString();
+        const std::size_t rows = got.ValueOrDie();
+        if (rows == 0) break;
+        ASSERT_EQ(seen, stream.base_index());
+        const MomentView view = stream.batch_view();
+        for (std::size_t i = 0; i < rows; ++i) {
+          ASSERT_EQ(0, std::memcmp(view.mean(i).data(),
+                                   oracle.mean(seen + i).data(),
+                                   m * sizeof(double)));
+          ASSERT_EQ(0, std::memcmp(view.second_moment(i).data(),
+                                   oracle.second_moment(seen + i).data(),
+                                   m * sizeof(double)));
+          ASSERT_EQ(0, std::memcmp(view.variance(i).data(),
+                                   oracle.variance(seen + i).data(),
+                                   m * sizeof(double)));
+          const double got_tv = view.total_variance(i);
+          const double want_tv = oracle.total_variance(seen + i);
+          ASSERT_EQ(0, std::memcmp(&got_tv, &want_tv, sizeof(double)));
+        }
+        seen += rows;
       }
-      ExpectBitIdentical(reference, builder.Build());
+      ASSERT_EQ(n, seen);
+    }
+    std::vector<double> mean(m);
+    for (const std::size_t index : {std::size_t{0}, n / 2, n - 1}) {
+      ASSERT_TRUE(stream.ReadMeanAt(index, mean).ok());
+      ASSERT_EQ(0, std::memcmp(mean.data(), oracle.mean(index).data(),
+                               m * sizeof(double)))
+          << "ReadMeanAt " << index;
     }
   }
 
-  // The dataset's own accessor now routes through the same builder.
-  std::vector<UncertainObject> copy = objects;
-  const data::UncertainDataset ds("builder-test", std::move(copy), {}, 0);
-  ExpectBitIdentical(reference, ds.moments());
+  const std::string sidecar = path + ".parity.umom";
+  for (const auto backend : {io::MomentBackendChoice::kResident,
+                             io::MomentBackendChoice::kMapped}) {
+    io::MomentStoreOptions options;
+    options.backend = backend;
+    options.sidecar_path = sidecar;
+    options.reuse_sidecar = false;
+    options.chunk_rows = 8;
+    options.batch_size = 7;
+    auto store = io::StreamMomentStoreFromFile(
+        path, engine::Engine::Serial(), options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ExpectBitIdentical(oracle, store.ValueOrDie()->view());
+  }
+  std::remove(sidecar.c_str());
+}
+
+// Writes `n` objects of `m` dimensions, every pdf from `make(i, j)`.
+template <typename MakePdf>
+std::string WriteFamilyFile(const std::string& file, std::size_t n,
+                            std::size_t m, MakePdf make) {
+  std::vector<UncertainObject> objects;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<PdfPtr> dims;
+    for (std::size_t j = 0; j < m; ++j) dims.push_back(make(i, j));
+    objects.emplace_back(std::move(dims));
+  }
+  return WriteTestFile(file, objects);
+}
+
+TEST(MomentDecoderTest, DiracMatchesObjectPath) {
+  const double values[] = {0.0, -0.0, 1.0, -3.25, 1e6 + 1e-6, 1e-300,
+                           1e150, -1e200, 4.9e-324};
+  const std::string path = WriteFamilyFile(
+      "dec_dirac.ubin", 23, 3, [&](std::size_t i, std::size_t j) {
+        return uncertain::DiracPdf::Make(values[(i * 3 + j) % 9]);
+      });
+  ExpectEveryDecoderMatchesObjects(path);
+  std::remove(path.c_str());
+}
+
+TEST(MomentDecoderTest, UniformMatchesObjectPath) {
+  common::Rng rng(3);
+  const std::string path = WriteFamilyFile(
+      "dec_uniform.ubin", 29, 3, [&](std::size_t i, std::size_t) {
+        switch (i % 4) {
+          case 0:  // the widest finite support
+            return PdfPtr(
+                std::make_shared<uncertain::UniformPdf>(-1e300, 1e300));
+          case 1:  // offset 1e6, variance ~1e-6
+            return uncertain::UniformPdf::Centered(1e6 + rng.Uniform(0, 1),
+                                                   1.7e-3);
+          case 2:
+            return PdfPtr(
+                std::make_shared<uncertain::UniformPdf>(1e300 / 3, 1e300));
+          default:
+            return uncertain::UniformPdf::Centered(rng.Uniform(-5, 5),
+                                                   rng.Uniform(0.01, 2));
+        }
+      });
+  ExpectEveryDecoderMatchesObjects(path);
+  std::remove(path.c_str());
+}
+
+TEST(MomentDecoderTest, NormalMatchesObjectPath) {
+  common::Rng rng(5);
+  const std::string path = WriteFamilyFile(
+      "dec_normal.ubin", 31, 3, [&](std::size_t i, std::size_t) {
+        const double mu = 1e6 + rng.Uniform(-1, 1);
+        switch (i % 3) {
+          case 0:  // the narrowest half-width the reader accepts
+            return uncertain::TruncatedNormalPdf::FromHalfWidth(
+                mu, rng.Uniform(0.1, 2), io::kMinNormalHalfWidth);
+          case 1:  // offset 1e6, variance ~1e-6
+            return uncertain::TruncatedNormalPdf::Make(mu, 1e-3);
+          default:
+            return uncertain::TruncatedNormalPdf::FromHalfWidth(
+                rng.Uniform(-5, 5), rng.Uniform(0.01, 3), rng.Uniform(0.5, 6));
+        }
+      });
+  ExpectEveryDecoderMatchesObjects(path);
+  std::remove(path.c_str());
+}
+
+TEST(MomentDecoderTest, ExponentialMatchesObjectPath) {
+  common::Rng rng(7);
+  const std::string path = WriteFamilyFile(
+      "dec_exponential.ubin", 27, 3, [&](std::size_t i, std::size_t) {
+        return i % 2 == 0
+                   // offset 1e6, variance ~1e-6
+                   ? uncertain::TruncatedExponentialPdf::Make(
+                         1e6 + rng.Uniform(-1, 1), 1e3)
+                   : uncertain::TruncatedExponentialPdf::Make(
+                         rng.Uniform(-5, 5), rng.Uniform(0.1, 50));
+      });
+  ExpectEveryDecoderMatchesObjects(path);
+  std::remove(path.c_str());
+}
+
+TEST(MomentDecoderTest, DiscreteMatchesObjectPath) {
+  common::Rng rng(11);
+  const std::string path = WriteFamilyFile(
+      "dec_discrete.ubin", 25, 2, [&](std::size_t i, std::size_t) {
+        // Counts 1 and 64 included; values offset by 1e6 with a ~1e-3
+        // spread (variance ~1e-6).
+        const std::size_t count = i % 3 == 0 ? 1 : (i % 3 == 1 ? 64 : 5);
+        std::vector<double> values, weights;
+        for (std::size_t s = 0; s < count; ++s) {
+          values.push_back(1e6 + rng.Uniform(-1e-3, 1e-3));
+          weights.push_back(rng.Uniform(0.05, 3.0));
+        }
+        return PdfPtr(std::make_shared<uncertain::DiscretePdf>(
+            std::move(values), std::move(weights)));
+      });
+  ExpectEveryDecoderMatchesObjects(path);
+  std::remove(path.c_str());
+}
+
+TEST(MomentDecoderTest, MixedFamiliesMatchObjectPath) {
+  const auto objects = MakeTestObjects(67, 5, /*seed=*/31);
+  const std::string path = WriteTestFile("dec_mixed.ubin", objects);
+  ExpectEveryDecoderMatchesObjects(path);
+  std::remove(path.c_str());
 }
 
 TEST(BinaryFormatTest, RejectsForeignEndianFiles) {
@@ -336,6 +520,24 @@ TEST(BinaryFormatTest, RejectsDegenerateNormalHalfWidth) {
   std::remove(path.c_str());
 }
 
+TEST(BinaryFormatTest, RejectsExponentialRateWithInfiniteVariance) {
+  const std::string path = WriteSingleObjectFile(
+      "tinyrate.ubin", uncertain::TruncatedExponentialPdf::Make(0.5, 2.0));
+  std::vector<char> bytes = ReadFileBytes(path);
+  // Rate field sits after payload(4) + tag(1) + w(8). At 1e-200, rate^2
+  // underflows: the variance is infinite and the support's upper end NaN.
+  const double tiny = 1e-200;
+  std::memcpy(bytes.data() + kRecordStart + 13, &tiny, sizeof(tiny));
+  WriteFileBytes(path, bytes);
+
+  io::BinaryDatasetReader reader;
+  ASSERT_TRUE(reader.Open(path).ok());
+  std::vector<UncertainObject> batch;
+  EXPECT_FALSE(reader.ReadBatch(1, &batch).ok());
+  EXPECT_FALSE(DecodeMoments(path, 1).ok());
+  std::remove(path.c_str());
+}
+
 TEST(BinaryFormatTest, RejectsObjectCountInconsistentWithFileSize) {
   const auto objects = MakeTestObjects(3, 2, /*seed=*/5);
   const std::string path = WriteTestFile("hugen.ubin", objects);
@@ -389,6 +591,230 @@ TEST(BinaryFormatTest, ReadLabelsDoesNotDisturbBatchStreaming) {
     }
   }
   EXPECT_EQ(objects.size(), streamed);
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------- mutation fuzz ----
+
+// Byte offsets of every object record's u32 length prefix in a clean file.
+std::vector<std::size_t> RecordOffsets(const std::vector<char>& bytes) {
+  uint64_t n = 0;
+  uint32_t name_len = 0;
+  std::memcpy(&n, bytes.data() + 16, sizeof(n));
+  std::memcpy(&name_len, bytes.data() + 48, sizeof(name_len));
+  std::vector<std::size_t> offsets;
+  std::size_t at = io::kHeaderBytes + name_len;
+  for (uint64_t i = 0; i < n; ++i) {
+    offsets.push_back(at);
+    uint32_t payload = 0;
+    std::memcpy(&payload, bytes.data() + at, sizeof(payload));
+    at += sizeof(payload) + payload;
+  }
+  return offsets;
+}
+
+// Reads every record through ReadBatch and packs the objects: the pdf
+// path's verdict on a file.
+common::Result<MomentMatrix> ReadThroughObjects(const std::string& path,
+                                                std::size_t batch) {
+  io::BinaryDatasetReader reader;
+  UCLUST_RETURN_NOT_OK(reader.Open(path));
+  std::vector<UncertainObject> all, part;
+  while (reader.remaining() > 0) {
+    UCLUST_RETURN_NOT_OK(reader.ReadBatch(batch, &part));
+    for (auto& o : part) all.push_back(std::move(o));
+  }
+  return MomentMatrix::FromObjects(all);
+}
+
+// One seeded mutation of a random corpus file: bit flips, a truncation, a
+// record length-prefix edit, a record spliced in from another corpus file,
+// or a parameter overwritten with a boundary value.
+std::vector<char> Mutate(const std::vector<std::vector<char>>& corpus,
+                         common::Rng* rng) {
+  const std::vector<char>& base = corpus[rng->Index(corpus.size())];
+  const std::vector<std::size_t> offsets = RecordOffsets(base);
+  const std::size_t begin = offsets.front();
+  std::vector<char> bytes = base;
+  switch (rng->Index(5)) {
+    case 0: {
+      const std::size_t flips = 1 + rng->Index(4);
+      for (std::size_t f = 0; f < flips; ++f) {
+        bytes[begin + rng->Index(bytes.size() - begin)] ^=
+            static_cast<char>(1u << rng->Index(8));
+      }
+      break;
+    }
+    case 1:
+      bytes.resize(begin + rng->Index(bytes.size() - begin));
+      break;
+    case 2: {
+      const std::size_t at = offsets[rng->Index(offsets.size())];
+      uint32_t payload = 0;
+      std::memcpy(&payload, bytes.data() + at, sizeof(payload));
+      const uint32_t grow = 1 + static_cast<uint32_t>(rng->Index(16));
+      const uint32_t shrink = 1 + static_cast<uint32_t>(rng->Index(8));
+      const uint32_t edits[] = {0u, payload + grow, payload - shrink,
+                                0xffffffffu,
+                                static_cast<uint32_t>(bytes.size())};
+      payload = edits[rng->Index(5)];
+      std::memcpy(bytes.data() + at, &payload, sizeof(payload));
+      break;
+    }
+    case 3: {
+      const std::vector<char>& donor = corpus[rng->Index(corpus.size())];
+      const std::vector<std::size_t> donor_offsets = RecordOffsets(donor);
+      const std::size_t d = rng->Index(donor_offsets.size());
+      uint32_t donor_payload = 0;
+      std::memcpy(&donor_payload, donor.data() + donor_offsets[d],
+                  sizeof(donor_payload));
+      const auto donor_begin = donor.begin() + donor_offsets[d];
+      const auto donor_end = donor_begin + sizeof(uint32_t) + donor_payload;
+      const std::size_t r = rng->Index(offsets.size());
+      uint32_t payload = 0;
+      std::memcpy(&payload, bytes.data() + offsets[r], sizeof(payload));
+      const auto cut = bytes.begin() + offsets[r];
+      // Replace record r, or insert before it.
+      const auto cut_end =
+          rng->Bernoulli(0.5) ? cut + sizeof(uint32_t) + payload : cut;
+      std::vector<char> spliced(bytes.begin(), cut);
+      spliced.insert(spliced.end(), donor_begin, donor_end);
+      spliced.insert(spliced.end(), cut_end, bytes.end());
+      bytes = std::move(spliced);
+      break;
+    }
+    default: {
+      const double specials[] = {
+          std::numeric_limits<double>::quiet_NaN(),
+          std::numeric_limits<double>::infinity(),
+          -std::numeric_limits<double>::infinity(),
+          0.0,
+          -0.0,
+          -1.0,
+          1e300,
+          io::kMinNormalHalfWidth,
+          std::nextafter(io::kMinNormalHalfWidth, 0.0),
+          std::numeric_limits<double>::denorm_min()};
+      const double v = specials[rng->Index(10)];
+      // Any byte position: tags and counts get hit as well as doubles.
+      const std::size_t at =
+          begin + rng->Index(bytes.size() - begin - sizeof(double));
+      std::memcpy(bytes.data() + at, &v, sizeof(v));
+      break;
+    }
+  }
+  return bytes;
+}
+
+TEST(RecordDecoderFuzz, ReadBatchAndReadMomentRowsAgreeOnEveryMutant) {
+  // Corpus: one small file per pdf family plus a mixed one.
+  common::Rng gen(19);
+  std::vector<std::vector<char>> corpus;
+  const std::string corpus_path = TempPath("fuzz_corpus.ubin");
+  auto add = [&](std::size_t n, std::size_t m, auto make) {
+    std::vector<UncertainObject> objects;
+    for (std::size_t i = 0; i < n; ++i) {
+      std::vector<PdfPtr> dims;
+      for (std::size_t j = 0; j < m; ++j) dims.push_back(make());
+      objects.emplace_back(std::move(dims));
+    }
+    const std::string written = WriteTestFile("fuzz_corpus.ubin", objects);
+    corpus.push_back(ReadFileBytes(written));
+  };
+  add(4, 2, [&] { return uncertain::DiracPdf::Make(gen.Uniform(-9, 9)); });
+  add(4, 2, [&] {
+    return uncertain::UniformPdf::Centered(gen.Uniform(-9, 9), 0.5);
+  });
+  add(3, 3, [&] {
+    return uncertain::TruncatedNormalPdf::Make(gen.Uniform(-9, 9), 0.3);
+  });
+  add(4, 2, [&] {
+    return uncertain::TruncatedExponentialPdf::Make(gen.Uniform(-9, 9), 4.0);
+  });
+  add(3, 2, [&] {
+    return uncertain::DiscretePdf::Uniformly(
+        {gen.Uniform(-9, 9), gen.Uniform(-9, 9), gen.Uniform(-9, 9)});
+  });
+  {
+    const auto objects = MakeTestObjects(5, 3, /*seed=*/2);
+    corpus.push_back(ReadFileBytes(WriteTestFile("fuzz_corpus.ubin", objects)));
+  }
+
+  common::Rng rng(20260417);
+  const std::string path = TempPath("fuzz_mutant.ubin");
+  const std::size_t batches[] = {1, 2, 4096};
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    WriteFileBytes(path, Mutate(corpus, &rng));
+    const std::size_t batch = batches[iter % 3];
+    auto objects = ReadThroughObjects(path, batch);
+    auto decoded = DecodeMoments(path, batch);
+    ASSERT_EQ(objects.status().ToString(), decoded.status().ToString())
+        << "mutant " << iter;
+    if (objects.ok()) {
+      ++accepted;
+      ExpectBitIdentical(objects.ValueOrDie(), decoded.ValueOrDie());
+      ASSERT_FALSE(::testing::Test::HasFatalFailure()) << "mutant " << iter;
+    } else {
+      ++rejected;
+    }
+  }
+  // The mutations must exercise both verdicts.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
+  std::remove(path.c_str());
+  std::remove(corpus_path.c_str());
+}
+
+// ------------------------------------------------------ source guard ----
+
+TEST(MomentBatchStreamTest, RewindAndReadMeanAtRejectARewrittenFile) {
+  // MakeTestObjects' record sizes depend only on (n, m), so another seed
+  // rewrites the file with the same shape and byte size but new content.
+  const std::string path =
+      WriteTestFile("rewrite.ubin", MakeTestObjects(12, 2, /*seed=*/41));
+  io::MomentBatchStream stream;
+  ASSERT_TRUE(stream.Open(path).ok());
+  ASSERT_TRUE(stream.NextBatch(5).ok());
+  ASSERT_TRUE(stream.Rewind().ok());  // unchanged file: fine
+
+  const auto size = std::filesystem::file_size(path);
+  const auto mtime = std::filesystem::last_write_time(path);
+  WriteTestFile("rewrite.ubin", MakeTestObjects(12, 2, /*seed=*/42));
+  // Same byte size and (restored) last-write time: only the content probe
+  // tells the files apart.
+  std::filesystem::last_write_time(path, mtime);
+  ASSERT_EQ(size, std::filesystem::file_size(path));
+
+  EXPECT_FALSE(stream.Rewind().ok());
+  std::vector<double> mean(2);
+  EXPECT_FALSE(stream.ReadMeanAt(3, mean).ok());
+
+  // A stream opened on the new content reads it.
+  io::MomentBatchStream fresh;
+  ASSERT_TRUE(fresh.Open(path).ok());
+  EXPECT_TRUE(fresh.ReadMeanAt(3, mean).ok());
+  std::remove(path.c_str());
+}
+
+TEST(MomentBatchStreamTest, ReadMeanAtValidatesSkippedRecords) {
+  // A malformed record before the target must fail the scan, not be skipped.
+  const auto objects = MakeTestObjects(10, 2, /*seed=*/9);
+  const std::string path = WriteTestFile("skipcheck.ubin", objects);
+  io::MomentBatchStream stream;
+  ASSERT_TRUE(stream.Open(path).ok());
+  std::vector<double> mean(2);
+  ASSERT_TRUE(stream.ReadMeanAt(8, mean).ok());
+  EXPECT_EQ(objects[8].mean()[0], mean[0]);
+
+  std::vector<char> bytes = ReadFileBytes(path);
+  const std::vector<std::size_t> offsets = RecordOffsets(bytes);
+  bytes[offsets[2] + sizeof(uint32_t)] = static_cast<char>(0x7f);  // bad tag
+  WriteFileBytes(path, bytes);
+  io::MomentBatchStream corrupt;
+  ASSERT_TRUE(corrupt.Open(path).ok());
+  EXPECT_FALSE(corrupt.ReadMeanAt(8, mean).ok());
+  EXPECT_TRUE(corrupt.ReadMeanAt(1, mean).ok());
   std::remove(path.c_str());
 }
 

@@ -3,8 +3,8 @@
 // runs at several thread counts), corrupt/truncated/foreign-endian .umom
 // sidecars are rejected instead of mis-parsed, chunk boundaries are exact
 // for any n (divisible by chunk_rows or not), sidecar reuse honors the
-// staleness guard, and DatasetBuilder's spill mode equals the resident
-// builder for any batch partition.
+// staleness guard, and a sidecar built batch by batch from a .ubin equals
+// the resident columns for any batch partition.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -25,7 +25,6 @@
 #include "io/mmap_file.h"
 #include "io/moment_file.h"
 #include "io/moment_format.h"
-#include "uncertain/dataset_builder.h"
 #include "uncertain/dirac_pdf.h"
 #include "uncertain/discrete_pdf.h"
 #include "uncertain/exponential_pdf.h"
@@ -37,7 +36,6 @@
 namespace uclust {
 namespace {
 
-using uncertain::DatasetBuilder;
 using uncertain::MomentBackend;
 using uncertain::MomentMatrix;
 using uncertain::MomentStorePtr;
@@ -234,41 +232,28 @@ TEST(MomentStoreTest, FastAlgorithmsBitIdenticalAcrossBackendsAndThreads) {
   std::remove(path.c_str());
 }
 
-TEST(MomentStoreTest, SpillModeMatchesResidentBuilderForAnyBatchPartition) {
+TEST(MomentStoreTest, SidecarBuildMatchesResidentForAnyBatchPartition) {
   const auto objects = MakeTestObjects(53, 3, /*seed=*/31);
+  const std::string path = WriteTestFile("spill.ubin", objects);
   const MomentMatrix reference = MomentMatrix::FromObjects(objects);
 
-  engine::EngineConfig threaded;
-  threaded.num_threads = 3;
-  threaded.block_size = 4;
-  const engine::Engine engines[] = {engine::Engine::Serial(),
-                                    engine::Engine(threaded)};
+  // Batches smaller than, equal to, and larger than n, none of them
+  // aligned to the 8-row chunks: the writer regroups rows across batches.
   for (const std::size_t batch :
        {std::size_t{1}, std::size_t{5}, std::size_t{53}, std::size_t{60}}) {
-    for (const engine::Engine& eng : engines) {
-      const std::string sidecar = TempPath("spill.umom");
-      io::MomentFileWriter writer;
-      ASSERT_TRUE(writer.Open(sidecar, 3, /*chunk_rows=*/8).ok());
-      DatasetBuilder builder(eng, &writer);
-      for (std::size_t start = 0; start < objects.size(); start += batch) {
-        const std::size_t count = std::min(batch, objects.size() - start);
-        builder.AddBatch({objects.data() + start, count});
-      }
-      ASSERT_TRUE(builder.status().ok());
-      ASSERT_EQ(objects.size(), builder.size());
-      ASSERT_TRUE(writer.Finish().ok());
-
-      auto store = io::MappedMomentStore::Open(sidecar);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      ExpectViewsBitIdentical(reference.view(),
-                              store.ValueOrDie()->view());
-      // Where this build supports mmap, the windows must actually have come
-      // from mmap — a silent 100% heap-read fallback would invalidate the
-      // out-of-core design while passing every value check.
-      EXPECT_EQ(io::MmapSupported(), store.ValueOrDie()->used_mmap());
-      std::remove(sidecar.c_str());
-    }
+    const std::string sidecar = TempPath("spill.umom");
+    ASSERT_TRUE(io::BuildMomentSidecar(path, sidecar, /*chunk_rows=*/8, batch)
+                    .ok());
+    auto store = io::MappedMomentStore::Open(sidecar);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ExpectViewsBitIdentical(reference.view(), store.ValueOrDie()->view());
+    // Where this build supports mmap, the windows must actually have come
+    // from mmap — a silent 100% heap-read fallback would invalidate the
+    // out-of-core design while passing every value check.
+    EXPECT_EQ(io::MmapSupported(), store.ValueOrDie()->used_mmap());
+    std::remove(sidecar.c_str());
   }
+  std::remove(path.c_str());
 }
 
 TEST(MomentStoreTest, WriteMomentFileRoundTripsAnyView) {

@@ -123,7 +123,6 @@ int main(int argc, char** argv) {
   const std::string moments_path = args.GetString("emit-moments", "");
   if (!moments_path.empty()) {
     st = io::BuildMomentSidecar(out_path, moments_path,
-                                engine::Engine(engine_cfg),
                                 engine_cfg.moment_chunk_rows);
     if (!st.ok()) {
       std::fprintf(stderr, "dataset_gen: %s\n", st.ToString().c_str());
