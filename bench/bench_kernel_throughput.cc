@@ -1,17 +1,21 @@
 // Microbench for the SIMD kernel layer (src/clustering/simd/): per-ISA
-// throughput of the three hot inner loops — the closed-form ED^ tile
-// accumulation, the moment-column packing, and the CK-means reduced-moment
-// nearest-two center sweep — plus a runtime cross-check that every compiled
-// vector path reproduces the scalar reference bit for bit on this machine's
-// actual hardware (those three and the relocation-screen gains).
+// throughput of the hot inner loops — the closed-form ED^ tile
+// accumulation, the moment-column packing, the CK-means reduced-moment
+// nearest-two center sweep, and the matched-realization pair kernel of the
+// sampled algorithms at (m=2, S=24) and (m=16, S=32) — plus a runtime
+// cross-check that every compiled vector path reproduces the scalar
+// reference bit for bit on this machine's actual hardware (all of those,
+// the realization count kernel, and the relocation-screen gains).
 //
 // Output:
-//   - a human-readable table (evals/s, GB/s, speedup vs forced scalar),
+//   - a human-readable table (evals/s, GB/s, realization pairs/s, speedup
+//     vs forced scalar),
 //   - `DISPATCH best=<isa>` — what auto dispatch resolves to here,
 //   - `KERNEL RESULT=OK|FAIL` — greppable smoke marker: OK iff every
-//     available vector path's tile outputs match the scalar reference
-//     bitwise (the bit-exactness contract, checked at runtime, on real
-//     inputs, with remainder lanes),
+//     available vector path's outputs (tiles, packed rows, labels, gains,
+//     realization sums and counts) match the scalar reference bitwise (the
+//     bit-exactness contract, checked at runtime, on real inputs, with
+//     remainder lanes),
 //   - BENCH_kernel_throughput.json with everything above per ISA.
 //
 // Flags:
@@ -169,12 +173,63 @@ std::pair<std::size_t, double> Measure(double min_ms, Fn&& fn) {
   return {reps, sw.ElapsedSeconds()};
 }
 
+// Matched-realization inputs of one (m, S) shape: kRealizationObjects
+// objects of S realizations each, paired with their kRealizationPartners
+// successors (cyclically) — the object-pair shape of the sampled kernels.
+constexpr std::size_t kRealizationObjects = 512;
+constexpr std::size_t kRealizationPartners = 8;
+
+struct RealizationInputs {
+  std::size_t m = 0;
+  std::size_t s_count = 0;
+  std::vector<double> samples;  // objects x S x m
+};
+
+RealizationInputs MakeRealizationInputs(std::size_t m, std::size_t s_count,
+                                        uint64_t seed) {
+  RealizationInputs in;
+  in.m = m;
+  in.s_count = s_count;
+  common::Rng rng(seed);
+  in.samples.resize(kRealizationObjects * s_count * m);
+  for (double& x : in.samples) x = rng.Uniform(-3.0, 3.0);
+  return in;
+}
+
+// One pass over every (object, partner) pair: the sampled ED^ sum into
+// `sums` and, when `hits` is given, the FDBSCAN count at a mid-range eps.
+// Returns the number of pairs.
+std::size_t RealizationPass(const simd::KernelTable& t,
+                            const RealizationInputs& in,
+                            std::vector<double>* sums,
+                            std::vector<std::size_t>* hits) {
+  const std::size_t row = in.s_count * in.m;
+  const double eps2 = 4.0 * static_cast<double>(in.m);
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < kRealizationObjects; ++i) {
+    const double* a = in.samples.data() + i * row;
+    for (std::size_t r = 1; r <= kRealizationPartners; ++r) {
+      const double* b =
+          in.samples.data() + ((i + r) % kRealizationObjects) * row;
+      (*sums)[pairs] =
+          t.realization_squared_sum(a, b, in.s_count, in.m, in.m);
+      if (hits != nullptr) {
+        (*hits)[pairs] = t.realizations_within(a, b, in.s_count, in.m, eps2);
+      }
+      ++pairs;
+    }
+  }
+  return pairs;
+}
+
 struct IsaResults {
   std::string name;
   double ed2_evals_per_s = 0.0;
   double ed2_gb_per_s = 0.0;
   double pack_gb_per_s = 0.0;
   double sweep_evals_per_s = 0.0;
+  double pairs_m2_s24_per_s = 0.0;
+  double pairs_m16_s32_per_s = 0.0;
   bool cross_check_ok = true;
 };
 
@@ -209,6 +264,16 @@ int main(int argc, char** argv) {
   PackPass(*scalar, in, &ref_mean, &ref_mu2, &ref_var, &ref_tv);
   SweepPass(*scalar, in, &ref_labels);
   GainsPass(*scalar, in, &ref_gains);
+  const RealizationInputs shapes[] = {MakeRealizationInputs(2, 24, seed + 1),
+                                      MakeRealizationInputs(16, 32, seed + 2)};
+  const std::size_t n_pairs = kRealizationObjects * kRealizationPartners;
+  std::vector<std::vector<double>> ref_sums;
+  std::vector<std::vector<std::size_t>> ref_hits;
+  for (const RealizationInputs& shape : shapes) {
+    ref_sums.emplace_back(n_pairs);
+    ref_hits.emplace_back(n_pairs);
+    RealizationPass(*scalar, shape, &ref_sums.back(), &ref_hits.back());
+  }
 
   const simd::Isa kCandidates[] = {simd::Isa::kScalar, simd::Isa::kAvx2,
                                    simd::Isa::kNeon};
@@ -247,6 +312,16 @@ int main(int argc, char** argv) {
                       labels.size() * sizeof(int)) == 0 &&
           std::memcmp(gains.data(), ref_gains.data(),
                       gains.size() * sizeof(double)) == 0;
+      for (std::size_t q = 0; q < std::size(shapes); ++q) {
+        std::vector<double> sums(n_pairs);
+        std::vector<std::size_t> hits(n_pairs);
+        RealizationPass(*table, shapes[q], &sums, &hits);
+        r.cross_check_ok =
+            r.cross_check_ok &&
+            std::memcmp(sums.data(), ref_sums[q].data(),
+                        sums.size() * sizeof(double)) == 0 &&
+            hits == ref_hits[q];
+      }
       all_ok = all_ok && r.cross_check_ok;
     }
 
@@ -289,6 +364,18 @@ int main(int argc, char** argv) {
       r.sweep_evals_per_s = static_cast<double>(evals) / secs;
       g_sink += labels[0];
     }
+    // Realization pairs: one realization_squared_sum call per object pair.
+    for (std::size_t q = 0; q < std::size(shapes); ++q) {
+      std::vector<double> sums(n_pairs);
+      std::size_t pairs = 0;
+      const auto [reps, secs] = Measure(min_ms, [&] {
+        pairs += RealizationPass(*table, shapes[q], &sums, nullptr);
+      });
+      (void)reps;
+      (q == 0 ? r.pairs_m2_s24_per_s : r.pairs_m16_s32_per_s) =
+          static_cast<double>(pairs) / secs;
+      g_sink += sums[0];
+    }
     results.push_back(std::move(r));
   }
 
@@ -296,12 +383,14 @@ int main(int argc, char** argv) {
   for (const IsaResults& r : results) {
     if (r.name == "scalar") scalar_ed2 = r.ed2_evals_per_s;
   }
-  std::printf("%-8s %14s %10s %10s %14s %9s %6s\n", "isa", "ed2 evals/s",
-              "ed2 GB/s", "pack GB/s", "sweep evals/s", "vs scalar", "bits");
+  std::printf("%-8s %14s %10s %10s %14s %16s %17s %9s %6s\n", "isa",
+              "ed2 evals/s", "ed2 GB/s", "pack GB/s", "sweep evals/s",
+              "pairs/s m2 S24", "pairs/s m16 S32", "vs scalar", "bits");
   for (const IsaResults& r : results) {
-    std::printf("%-8s %14.3g %10.2f %10.2f %14.3g %8.2fx %6s\n",
+    std::printf("%-8s %14.3g %10.2f %10.2f %14.3g %16.3g %17.3g %8.2fx %6s\n",
                 r.name.c_str(), r.ed2_evals_per_s, r.ed2_gb_per_s,
-                r.pack_gb_per_s, r.sweep_evals_per_s,
+                r.pack_gb_per_s, r.sweep_evals_per_s, r.pairs_m2_s24_per_s,
+                r.pairs_m16_s32_per_s,
                 scalar_ed2 > 0 ? r.ed2_evals_per_s / scalar_ed2 : 0.0,
                 r.name == "scalar" ? "ref"
                                    : (r.cross_check_ok ? "ok" : "DIFF"));
@@ -331,6 +420,8 @@ int main(int argc, char** argv) {
     json.KV("ed2_gb_per_s", r.ed2_gb_per_s);
     json.KV("pack_gb_per_s", r.pack_gb_per_s);
     json.KV("sweep_evals_per_s", r.sweep_evals_per_s);
+    json.KV("realization_pairs_per_s_m2_s24", r.pairs_m2_s24_per_s);
+    json.KV("realization_pairs_per_s_m16_s32", r.pairs_m16_s32_per_s);
     json.KV("ed2_speedup_vs_scalar",
             scalar_ed2 > 0 ? r.ed2_evals_per_s / scalar_ed2 : 0.0);
     json.KV("cross_check_ok", r.cross_check_ok);

@@ -4,6 +4,7 @@
 #include <limits>
 
 #include "clustering/simd/simd.h"
+#include "common/math_utils.h"
 
 namespace uclust::clustering::kernels {
 

@@ -30,7 +30,7 @@
 #include <span>
 #include <vector>
 
-#include "common/math_utils.h"
+#include "clustering/simd/simd.h"
 #include "engine/parallel_for.h"
 #include "uncertain/expected_distance.h"
 #include "uncertain/moments.h"
@@ -141,17 +141,12 @@ struct PairwiseKernel {
       case Kind::kSampleED2:
       case Kind::kSampleED: {
         // Fetch each object's row once (two chunk lookups per pair, not two
-        // per sample) and walk matched realizations within the spans.
-        const std::span<const double> a = samples.ObjectSamples(lo);
-        const std::span<const double> b = samples.ObjectSamples(hi);
+        // per sample); the matched-realization loop is one simd call.
         const int s_count = samples.samples_per_object();
-        const std::size_t m = samples.dims();
-        double acc = 0.0;
-        for (int s = 0; s < s_count; ++s) {
-          const std::size_t off = static_cast<std::size_t>(s) * m;
-          acc += common::SquaredDistance(a.subspan(off, m),
-                                         b.subspan(off, m));
-        }
+        const double acc = simd::RealizationSquaredSum(
+            samples.ObjectSamples(lo).data(), samples.ObjectSamples(hi).data(),
+            static_cast<std::size_t>(s_count), samples.dims(),
+            samples.dims());
         const double ed = acc / s_count;
         return kind == Kind::kSampleED ? std::sqrt(ed) : ed;
       }

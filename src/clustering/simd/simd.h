@@ -1,7 +1,8 @@
 // SIMD kernel layer: compile-time multi-versioned, runtime-dispatched
 // inner-loop primitives for the dense arithmetic sweeps of the clustering
 // stack (closed-form ED^ accumulation, moment-column packing, CK-means
-// center-distance scans, per-cluster sum accumulators, relocation gains).
+// center-distance scans, per-cluster sum accumulators, relocation gains,
+// and the matched-realization loops of the sampled pairwise kernels).
 //
 // Bit-exactness contract. Every primitive produces BIT-IDENTICAL doubles on
 // every ISA path (scalar reference, AVX2, NEON). The mechanism is a
@@ -111,6 +112,18 @@ struct KernelTable {
   void (*relocation_gains)(const GainColumns& cols, int k, std::size_t m,
                            const GainObject& obj, double* dot, double* gain,
                            double* mag);
+  /// Matched-realization sum of the sampled kernels:
+  ///   sum_s squared_distance(a + s*m, b + s*b_stride, m), s in [0, S),
+  /// accumulated in s order from 0.0. b_stride = m pairs realization s of
+  /// two objects; b_stride = 0 pairs every realization with one point.
+  double (*realization_squared_sum)(const double* a, const double* b,
+                                    std::size_t s_count, std::size_t m,
+                                    std::size_t b_stride);
+  /// Number of s in [0, S) with squared_distance(a + s*m, b + s*m, m) <=
+  /// eps2 — the FDBSCAN distance-probability count.
+  std::size_t (*realizations_within)(const double* a, const double* b,
+                                     std::size_t s_count, std::size_t m,
+                                     double eps2);
 };
 
 /// Table of a specific path, or nullptr when that path is not compiled in
@@ -177,6 +190,18 @@ inline void RelocationGains(const GainColumns& cols, int k, std::size_t m,
                             const GainObject& obj, double* dot, double* gain,
                             double* mag) {
   Active().relocation_gains(cols, k, m, obj, dot, gain, mag);
+}
+
+inline double RealizationSquaredSum(const double* a, const double* b,
+                                   std::size_t s_count, std::size_t m,
+                                   std::size_t b_stride) {
+  return Active().realization_squared_sum(a, b, s_count, m, b_stride);
+}
+
+inline std::size_t RealizationsWithin(const double* a, const double* b,
+                                      std::size_t s_count, std::size_t m,
+                                      double eps2) {
+  return Active().realizations_within(a, b, s_count, m, eps2);
 }
 
 // Per-ISA table factories (defined in their own TUs so target-specific

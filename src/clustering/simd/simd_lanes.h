@@ -16,7 +16,9 @@
 // Steps 2–4 are plain scalar code shared verbatim across ISAs; step 1 is
 // where the vector speedup lives and is rounding-equivalent to sixteen
 // independent scalar accumulators as long as Ops never fuses mul+add
-// (see the -ffp-contract=off note in simd.h).
+// (see the -ffp-contract=off note in simd.h). Squared distances of rows
+// shorter than one group skip steps 1–3 and the identity additions of
+// step 4 (ShortRow below), with the same result bits.
 #ifndef UCLUST_CLUSTERING_SIMD_SIMD_LANES_H_
 #define UCLUST_CLUSTERING_SIMD_SIMD_LANES_H_
 
@@ -53,29 +55,125 @@ inline double FoldLanes(const double lanes[kLanes]) {
   return (b0 + b2) + (b1 + b3);
 }
 
+// Short rows (0 < m < kLanes): lanes [m, kLanes) stay +0.0 and every
+// occupied lane holds one square d*d, so FoldLanes reduces to the additions
+// between occupied lanes. This is exact, not a reassociation: a square, and
+// any sum of squares, is never -0.0, and x + (+0.0) == x bit for bit for
+// every such x (NaN and +inf included). The same argument drops the
+// `0.0 + d*d` of the lane accumulation. M is a template parameter so the
+// occupancy tests below are compile-time constants and each instantiation
+// is straight-line code. (Ops only keeps each ISA TU's instantiation its
+// own, so the -mavx2 one can never be linked into another path.)
+template <class Ops, std::size_t M>
+struct ShortRow {
+  static_assert(M > 0 && M < kLanes);
+  double operator()(const double* a, const double* b) const {
+    const auto sq = [&](std::size_t t) {
+      const double d = a[t] - b[t];
+      return d * d;
+    };
+    // lane(t) is FoldLanes' a_t (lanes t and t + 8), quad(t) its b_t (a_t
+    // and a_{t+4}); an operand made only of empty lanes is left out.
+    const auto lane = [&](std::size_t t) {
+      return t + 8 < M ? sq(t) + sq(t + 8) : sq(t);
+    };
+    const auto quad = [&](std::size_t t) {
+      return t + 4 < M ? lane(t) + lane(t + 4) : lane(t);
+    };
+    const double c0 = 2 < M ? quad(0) + quad(2) : quad(0);
+    if constexpr (M == 1) return c0;
+    const double c1 = 3 < M ? quad(1) + quad(3) : quad(1);
+    return c0 + c1;
+  }
+};
+
+// Rows of at least one full lane group: the vector body plus the tail.
 template <class Ops>
-double SquaredDistanceT(const double* a, const double* b, std::size_t m) {
-  // Deliberately uninitialized: the full-group path overwrites every lane
-  // via Ops::Store; only the all-tail path (m < kLanes) zero-fills. A
-  // blanket `= {}` would put a kLanes-wide memset on every call, which for
-  // hot mid-size m costs as much as the reduction itself.
+double FullRowSquaredDistance(const double* a, const double* b,
+                              std::size_t m) {
+  // Deliberately uninitialized: Ops::Store overwrites every lane. A blanket
+  // `= {}` would put a kLanes-wide memset on every call, which for hot
+  // mid-size m costs as much as the reduction itself.
   double lanes[kLanes];
   const std::size_t full = m - (m % kLanes);
-  if (full > 0) {
-    typename Ops::V acc = Ops::Zero();
-    for (std::size_t j = 0; j < full; j += kLanes) {
-      const typename Ops::V d = Ops::Sub(Ops::Load(a + j), Ops::Load(b + j));
-      acc = Ops::Add(acc, Ops::Mul(d, d));
-    }
-    Ops::Store(lanes, acc);
-  } else {
-    for (std::size_t t = 0; t < kLanes; ++t) lanes[t] = 0.0;
+  typename Ops::V acc = Ops::Zero();
+  for (std::size_t j = 0; j < full; j += kLanes) {
+    const typename Ops::V d = Ops::Sub(Ops::Load(a + j), Ops::Load(b + j));
+    acc = Ops::Add(acc, Ops::Mul(d, d));
   }
+  Ops::Store(lanes, acc);
   for (std::size_t t = 0; full + t < m; ++t) {
     const double d = a[full + t] - b[full + t];
     lanes[t] += d * d;
   }
   return FoldLanes(lanes);
+}
+
+// Calls f(row), where row(a, b) is the squared-distance kernel specialised
+// for m: a ShortRow instantiation for m < kLanes, the full-group body
+// otherwise. Every row has its own type, so f is instantiated per m and the
+// row call inside it is direct; hoisting the choice out of a
+// per-realization loop leaves the loop one straight-line body.
+template <class Ops, class F>
+decltype(auto) WithRowKernel(std::size_t m, F&& f) {
+  static_assert(kLanes == 16, "one case per short row length");
+  switch (m) {
+    case 0: return f([](const double*, const double*) { return 0.0; });
+    case 1: return f(ShortRow<Ops, 1>{});
+    case 2: return f(ShortRow<Ops, 2>{});
+    case 3: return f(ShortRow<Ops, 3>{});
+    case 4: return f(ShortRow<Ops, 4>{});
+    case 5: return f(ShortRow<Ops, 5>{});
+    case 6: return f(ShortRow<Ops, 6>{});
+    case 7: return f(ShortRow<Ops, 7>{});
+    case 8: return f(ShortRow<Ops, 8>{});
+    case 9: return f(ShortRow<Ops, 9>{});
+    case 10: return f(ShortRow<Ops, 10>{});
+    case 11: return f(ShortRow<Ops, 11>{});
+    case 12: return f(ShortRow<Ops, 12>{});
+    case 13: return f(ShortRow<Ops, 13>{});
+    case 14: return f(ShortRow<Ops, 14>{});
+    case 15: return f(ShortRow<Ops, 15>{});
+    default:
+      return f([m](const double* a, const double* b) {
+        return FullRowSquaredDistance<Ops>(a, b, m);
+      });
+  }
+}
+
+template <class Ops>
+double SquaredDistanceT(const double* a, const double* b, std::size_t m) {
+  return WithRowKernel<Ops>(m, [&](auto row) { return row(a, b); });
+}
+
+// The matched-realization loops of the sampled kernels: realization s of
+// `a` is the row a + s*m, its partner in `b` the row b + s*b_stride
+// (b_stride = 0 pairs every realization with one point). One call per
+// object pair replaces S dispatched SquaredDistance calls.
+template <class Ops>
+double RealizationSquaredSumT(const double* a, const double* b,
+                              std::size_t s_count, std::size_t m,
+                              std::size_t b_stride) {
+  return WithRowKernel<Ops>(m, [&](auto row) {
+    double acc = 0.0;
+    for (std::size_t s = 0; s < s_count; ++s) {
+      acc += row(a + s * m, b + s * b_stride);
+    }
+    return acc;
+  });
+}
+
+template <class Ops>
+std::size_t RealizationsWithinT(const double* a, const double* b,
+                                std::size_t s_count, std::size_t m,
+                                double eps2) {
+  return WithRowKernel<Ops>(m, [&](auto row) {
+    std::size_t hits = 0;
+    for (std::size_t s = 0; s < s_count; ++s) {
+      if (row(a + s * m, b + s * m) <= eps2) ++hits;
+    }
+    return hits;
+  });
 }
 
 template <class Ops>
@@ -211,7 +309,8 @@ constexpr KernelTable MakeTable() {
   return KernelTable{
       &SquaredDistanceT<Ops>, &SumT<Ops>,         &Ed2T<Ops>,
       &VectorAddT<Ops>,       &PackRowT<Ops>,     &NearestTwoT<Ops>,
-      &RelocationGainsT<Ops>,
+      &RelocationGainsT<Ops>, &RealizationSquaredSumT<Ops>,
+      &RealizationsWithinT<Ops>,
   };
 }
 

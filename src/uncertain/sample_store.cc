@@ -2,7 +2,7 @@
 
 #include <cassert>
 
-#include "common/math_utils.h"
+#include "clustering/simd/simd.h"
 #include "engine/parallel_for.h"
 
 namespace uclust::uncertain {
@@ -26,30 +26,23 @@ void DrawObjectSamples(const UncertainObject& object, uint64_t seed,
 
 SampleChunkSource::~SampleChunkSource() = default;
 
+// Both matched-realization loops run inside the simd kernel layer: one
+// dispatched call per object (pair), and the loop is compiled under the
+// simd TUs' -ffp-contract=off like every other lane-blocked reduction.
 double SampleView::ExpectedSquaredDistanceToPoint(
     std::size_t i, std::span<const double> y) const {
-  const std::span<const double> row = ObjectSamples(i);
-  double acc = 0.0;
-  for (int s = 0; s < samples_; ++s) {
-    acc += common::SquaredDistance(
-        row.subspan(static_cast<std::size_t>(s) * m_, m_), y);
-  }
+  assert(y.size() == m_);
+  const double acc = clustering::simd::RealizationSquaredSum(
+      ObjectSamples(i).data(), y.data(), static_cast<std::size_t>(samples_),
+      m_, /*b_stride=*/0);
   return acc / samples_;
 }
 
 double SampleView::DistanceProbability(std::size_t i, std::size_t j,
                                        double eps) const {
-  const std::span<const double> ri = ObjectSamples(i);
-  const std::span<const double> rj = ObjectSamples(j);
-  const double eps2 = eps * eps;
-  int hits = 0;
-  for (int s = 0; s < samples_; ++s) {
-    const std::size_t off = static_cast<std::size_t>(s) * m_;
-    if (common::SquaredDistance(ri.subspan(off, m_), rj.subspan(off, m_)) <=
-        eps2) {
-      ++hits;
-    }
-  }
+  const std::size_t hits = clustering::simd::RealizationsWithin(
+      ObjectSamples(i).data(), ObjectSamples(j).data(),
+      static_cast<std::size_t>(samples_), m_, eps * eps);
   return static_cast<double>(hits) / samples_;
 }
 

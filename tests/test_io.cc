@@ -234,7 +234,9 @@ void ExpectEveryDecoderMatchesObjects(const std::string& path) {
     io::MomentBatchStream stream;
     ASSERT_TRUE(stream.Open(path).ok());
     for (int pass = 0; pass < 2; ++pass) {
-      if (pass == 1) ASSERT_TRUE(stream.Rewind().ok());
+      if (pass == 1) {
+        ASSERT_TRUE(stream.Rewind().ok());
+      }
       std::size_t seen = 0;
       for (;;) {
         auto got = stream.NextBatch(batch);

@@ -6,10 +6,13 @@
 // without changing results.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clustering/basic_ukmeans.h"
@@ -18,6 +21,7 @@
 #include "clustering/foptics.h"
 #include "clustering/mmvar.h"
 #include "clustering/registry.h"
+#include "clustering/result_json.h"
 #include "clustering/simd/simd.h"
 #include "clustering/ucpc.h"
 #include "clustering/ukmeans.h"
@@ -302,75 +306,195 @@ TEST(ParallelDeterminism, MappedSampleBytesIndependentOfFaultOrder) {
   std::remove(sidecar.c_str());
 }
 
+// The sampled algorithms of the sweep and the pins below: UK-medoids in its
+// sampled fuzzy-distance mode, FDBSCAN, FOPTICS and basic UK-means.
+constexpr const char* kSampledAlgorithms[] = {"UK-medoids", "FDBSCAN",
+                                              "FOPTICS", "basic UK-means"};
+
+std::unique_ptr<Clusterer> MakeSampled(const std::string& name,
+                                       const engine::Engine& eng) {
+  std::unique_ptr<Clusterer> algo;
+  if (name == "UK-medoids") {
+    UkMedoids::Params p;
+    p.use_closed_form = false;
+    algo = std::make_unique<UkMedoids>(p);
+  } else if (name == "FDBSCAN") {
+    algo = std::make_unique<Fdbscan>();
+  } else if (name == "FOPTICS") {
+    algo = std::make_unique<Foptics>();
+  } else {
+    algo = std::make_unique<BasicUkmeans>();
+  }
+  algo->set_engine(eng);
+  return algo;
+}
+
+// Realizations per object of each sampled algorithm (its default Params).
+int SamplesOf(const std::string& name) {
+  if (name == "UK-medoids") return UkMedoids::Params{}.samples;
+  if (name == "FDBSCAN") return Fdbscan::Params{}.samples;
+  if (name == "FOPTICS") return Foptics::Params{}.samples;
+  return BasicUkmeans::Params{}.samples;
+}
+
+// One fixed instance of the sampled sweep. The budgets pick the backends:
+// the pairwise table (n^2 doubles) goes tiled when it exceeds the budget,
+// the sample block (n * S * m doubles) goes to a mapped .usmp spill when
+// it does. With S * m < n (m = 2) the samples fit wherever the table fits,
+// with S * m > n (m = 3, 5) the table fits wherever the samples fit, so
+// together the instances reach every {dense, tiled} x {resident, mapped}
+// pair.
+struct SampledInstance {
+  std::size_t n;
+  std::size_t m;
+  uint64_t seed;
+  std::vector<std::size_t> budgets;
+};
+
+const std::vector<SampledInstance>& SampledInstances() {
+  static const auto* instances = new std::vector<SampledInstance>{
+      {100, 2, 53, {0, 60000, 30000}},  // table 80000 B, samples <= 51200 B
+      {60, 3, 51, {0, 30000}},          // table 28800 B, samples >= 34560 B
+      {60, 5, 55, {0, 40000, 20000}},   // table 28800 B, samples >= 57600 B
+  };
+  return *instances;
+}
+
 // Sampled-workload determinism sweep: for each sampled algorithm, the
-// clustering must be bit-identical across the sample backend (Resident vs
-// the mmap-backed .usmp spill), the sidecar chunk size, and the thread
-// count — labels, objective, iteration count, and both evaluation counters.
-// The mapped arm's budget sits between the pairwise table (60^2 doubles)
-// and the sample block (60 * S * 3 doubles), so ONLY the sample backend
-// flips; the pairwise store stays dense in every arm and the counters are
-// comparable across the whole sweep.
+// clustering must be bit-identical across the SIMD dispatch path, the
+// thread count, the pairwise backend (dense vs tiled), the sample backend
+// (Resident vs the mmap-backed .usmp spill) and its chunk size — labels,
+// objective, iteration count, and both evaluation counters. The baseline is
+// the serial forced-scalar run with no budget.
 TEST(ParallelDeterminism, SampledWorkloadsBitIdenticalAcrossSampleBackends) {
-  const auto ds = TestDataset(60, 3, 3, 51);
-  // Dense pairwise table: 60 * 60 * 8 = 28800 bytes. Smallest sample block
-  // in the sweep: 60 * 24 * 3 * 8 = 34560 bytes.
-  const std::size_t mapped_budget = 30000;
-  const auto make = [](const std::string& name,
+  namespace simd = clustering::simd;
+  std::vector<std::string> isas;
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
+    if (simd::TableFor(isa) != nullptr) isas.push_back(simd::IsaName(isa));
+  }
+  const auto make = [](const std::string& name, const std::string& isa,
                        int threads, std::size_t budget,
-                       std::size_t chunk_rows)
-      -> std::unique_ptr<Clusterer> {
+                       std::size_t chunk_rows) {
     engine::EngineConfig config;
     config.num_threads = threads;
     config.block_size = 32;
     config.memory_budget_bytes = budget;
     config.sample_chunk_rows = chunk_rows;
-    const engine::Engine eng(config);
-    if (name == "UK-medoids") {
-      UkMedoids::Params p;
-      p.use_closed_form = false;  // the sampled fuzzy-distance mode
-      auto algo = std::make_unique<UkMedoids>(p);
-      algo->set_engine(eng);
-      return algo;
-    }
-    if (name == "FDBSCAN") {
-      auto algo = std::make_unique<Fdbscan>();
-      algo->set_engine(eng);
-      return algo;
-    }
-    auto algo = std::make_unique<Foptics>();
-    algo->set_engine(eng);
-    return algo;
+    config.simd_isa = isa;
+    return MakeSampled(name, engine::Engine(config));
   };
-  for (const std::string& name :
-       {std::string("UK-medoids"), std::string("FDBSCAN"),
-        std::string("FOPTICS")}) {
-    const ClusteringResult baseline =
-        make(name, 1, 0, 16)->Cluster(ds, 3, 13);
-    EXPECT_EQ(baseline.pairwise_backend, "dense") << name;
-    for (const std::size_t budget : {std::size_t{0}, mapped_budget}) {
-      for (const std::size_t chunk_rows : {std::size_t{16}, std::size_t{64}}) {
-        for (int threads : kThreadCounts) {
-          const ClusteringResult out =
-              make(name, threads, budget, chunk_rows)->Cluster(ds, 3, 13);
-          const auto label = [&] {
-            return name + " budget=" + std::to_string(budget) +
-                   " chunk=" + std::to_string(chunk_rows) +
-                   " threads=" + std::to_string(threads);
-          };
-          EXPECT_EQ(out.pairwise_backend, baseline.pairwise_backend)
-              << label();
-          EXPECT_EQ(out.labels, baseline.labels) << label();
-          if (!std::isnan(baseline.objective)) {
-            EXPECT_EQ(out.objective, baseline.objective) << label();
+  // {pairwise backend, samples mapped} pairs the sweep ran.
+  std::set<std::pair<std::string, bool>> arms;
+  for (const SampledInstance& inst : SampledInstances()) {
+    const auto ds = TestDataset(inst.n, inst.m, 3, inst.seed);
+    for (const std::string name : kSampledAlgorithms) {
+      const ClusteringResult baseline =
+          make(name, "scalar", 1, 0, 16)->Cluster(ds, 3, 13);
+      const std::size_t sample_bytes = inst.n * inst.m * sizeof(double) *
+                                       static_cast<std::size_t>(
+                                           SamplesOf(name));
+      for (const std::size_t budget : inst.budgets) {
+        const bool mapped = budget != 0 && sample_bytes > budget;
+        const bool tiled = budget != 0 &&
+                           inst.n * inst.n * sizeof(double) > budget;
+        // The tiled store recomputes evicted pairs, so its evaluation
+        // counters are compared within the arm; a dense arm's equal the
+        // baseline's.
+        const ClusteringResult arm_base =
+            tiled ? make(name, "scalar", 1, budget, 16)->Cluster(ds, 3, 13)
+                  : baseline;
+        for (const std::size_t chunk_rows :
+             {std::size_t{16}, std::size_t{64}}) {
+          for (const std::string& isa : isas) {
+            for (int threads : kThreadCounts) {
+              const ClusteringResult out =
+                  make(name, isa, threads, budget, chunk_rows)
+                      ->Cluster(ds, 3, 13);
+              const auto label = [&] {
+                return name + " m=" + std::to_string(inst.m) +
+                       " budget=" + std::to_string(budget) +
+                       " chunk=" + std::to_string(chunk_rows) +
+                       " isa=" + isa + " threads=" + std::to_string(threads);
+              };
+              if (!baseline.pairwise_backend.empty()) {
+                EXPECT_EQ(out.pairwise_backend, tiled ? "tiled" : "dense")
+                    << label();
+                arms.insert({out.pairwise_backend, mapped});
+              }
+              EXPECT_EQ(out.labels, baseline.labels) << label();
+              if (!std::isnan(baseline.objective)) {
+                EXPECT_EQ(out.objective, baseline.objective) << label();
+              }
+              EXPECT_EQ(out.iterations, baseline.iterations) << label();
+              EXPECT_EQ(out.ed_evaluations, arm_base.ed_evaluations)
+                  << label();
+              EXPECT_EQ(out.pair_evaluations, arm_base.pair_evaluations)
+                  << label();
+            }
           }
-          EXPECT_EQ(out.iterations, baseline.iterations) << label();
-          EXPECT_EQ(out.ed_evaluations, baseline.ed_evaluations) << label();
-          EXPECT_EQ(out.pair_evaluations, baseline.pair_evaluations)
-              << label();
         }
       }
     }
   }
+  const std::set<std::pair<std::string, bool>> all = {
+      {"dense", false}, {"dense", true}, {"tiled", false}, {"tiled", true}};
+  EXPECT_EQ(arms, all);
+  simd::ForceIsa(simd::Isa::kAuto);  // leave the process on auto dispatch
+}
+
+// Fingerprints (labels + objective), ED evaluations and pair evaluations of
+// the sampled algorithms on the m = 2 and m = 5 instances of the sweep,
+// recorded before the matched-realization loops moved into the simd kernel
+// layer and the short-row fold replaced the 16-lane fold for m < 16. Order:
+// instances x kSampledAlgorithms.
+struct SampledPin {
+  uint64_t fingerprint;
+  int64_t ed_evaluations;
+  int64_t pair_evaluations;
+};
+constexpr SampledPin kSampledPins[] = {
+    {0xba9651ba6d812942ull, 4950, 4950},  // m=2 UK-medoids
+    {0x3216e726fb671fb2ull, 2167, 2167},  // m=2 FDBSCAN
+    {0xc420cd7bde17d014ull, 4950, 4950},  // m=2 FOPTICS
+    {0x6d46ff20bee269f2ull, 900, 0},      // m=2 basic UK-means
+    {0x531c209542ffa363ull, 1770, 1770},  // m=5 UK-medoids
+    {0xe7a05f72c3bf05c3ull, 549, 549},    // m=5 FDBSCAN
+    {0x98fcbdca48ab1d12ull, 1770, 1770},  // m=5 FOPTICS
+    {0x30d58aebfcc1b4acull, 360, 0},      // m=5 basic UK-means
+};
+
+TEST(ParallelDeterminism, SampledWorkloadsMatchPinnedFingerprints) {
+  std::vector<SampledPin> got;
+  std::string table;
+  for (const SampledInstance& inst : SampledInstances()) {
+    if (inst.m != 2 && inst.m != 5) continue;
+    const auto ds = TestDataset(inst.n, inst.m, 3, inst.seed);
+    for (const std::string name : kSampledAlgorithms) {
+      const ClusteringResult out =
+          MakeSampled(name, EngineWith(1))->Cluster(ds, 3, 13);
+      got.push_back({ResultFingerprint(out.labels, out.objective),
+                     out.ed_evaluations, out.pair_evaluations});
+      char row[128];
+      std::snprintf(row, sizeof(row),
+                    "    {0x%016llxull, %lld, %lld},  // m=%zu %s\n",
+                    static_cast<unsigned long long>(got.back().fingerprint),
+                    static_cast<long long>(out.ed_evaluations),
+                    static_cast<long long>(out.pair_evaluations), inst.m,
+                    name.c_str());
+      table += row;
+    }
+  }
+  EXPECT_EQ(got.size(), std::size(kSampledPins));
+  for (std::size_t p = 0; p < std::min(got.size(), std::size(kSampledPins));
+       ++p) {
+    EXPECT_EQ(got[p].fingerprint, kSampledPins[p].fingerprint) << "row " << p;
+    EXPECT_EQ(got[p].ed_evaluations, kSampledPins[p].ed_evaluations)
+        << "row " << p;
+    EXPECT_EQ(got[p].pair_evaluations, kSampledPins[p].pair_evaluations)
+        << "row " << p;
+  }
+  if (HasFailure()) std::printf("actual pins:\n%s", table.c_str());
 }
 
 // The Tiled PairwiseStore backend (engine memory budget smaller than the
@@ -490,7 +614,7 @@ TEST(ParallelDeterminism, SpatialIndexChoicesBitIdenticalAcrossThreadCounts) {
     for (const std::size_t budget : {std::size_t{0}, tiled_budget}) {
       const ClusteringResult off =
           make(name, 1, budget, "off")->Cluster(ds, 3, 13);
-      for (const std::string index :
+      for (const std::string& index :
            {std::string("auto"), std::string("rtree"), std::string("grid")}) {
         ClusteringResult serial;
         for (int threads : kThreadCounts) {

@@ -105,6 +105,144 @@ TEST(SimdKernels, ReductionPrimitivesBitIdenticalAcrossIsas) {
   }
 }
 
+// The historical lane-blocked squared distance, spelled out: element j
+// accumulates into lane j % kLanes in ascending j from +0.0, then the
+// FoldLanes tree (halve 16 -> 8 -> 4, then (t0 + t2) + (t1 + t3)). This
+// file is compiled with -ffp-contract=off like the simd TUs, so the
+// reference rounds add for add like the pre-short-row kernel.
+double LaneBlockedSquaredDistance(const double* a, const double* b,
+                                  std::size_t m) {
+  double lanes[kLanes] = {};
+  for (std::size_t j = 0; j < m; ++j) {
+    const double d = a[j] - b[j];
+    lanes[j % kLanes] += d * d;
+  }
+  for (std::size_t width = kLanes / 2; width >= 4; width /= 2) {
+    for (std::size_t l = 0; l < width; ++l) lanes[l] += lanes[l + width];
+  }
+  return (lanes[0] + lanes[2]) + (lanes[1] + lanes[3]);
+}
+
+// Bitwise equality, except that any NaN matches any NaN (payloads are not
+// part of the contract).
+::testing::AssertionResult SameDouble(double want, double got) {
+  if (std::isnan(want) && std::isnan(got)) {
+    return ::testing::AssertionSuccess();
+  }
+  return BitsEqual(want, got);
+}
+
+// The short-row path (0 < m < kLanes) drops the additions of empty lanes;
+// it must reproduce the full 16-lane fold bit for bit on every ISA, on
+// hostile values as well as ordinary ones. m = 1 and m = 2 enumerate every
+// combination of the special values; longer rows mix them at random.
+TEST(SimdKernels, ShortRowFoldMatchesLaneBlockedReference) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const double specials[] = {0.0,     -0.0,   denorm, -denorm, 1e-310,
+                             -1e-310, 1e300,  -1e300, inf,     -inf,
+                             std::numeric_limits<double>::quiet_NaN(),
+                             1.5,     -2.25};
+  const std::size_t n_special = std::size(specials);
+  std::size_t rows = 0;
+  const auto check = [&](const std::vector<double>& a,
+                         const std::vector<double>& b) {
+    const std::size_t m = a.size();
+    const double want = LaneBlockedSquaredDistance(a.data(), b.data(), m);
+    for (Isa isa : AvailableIsas()) {
+      const double got = TableFor(isa)->squared_distance(a.data(), b.data(), m);
+      EXPECT_TRUE(SameDouble(want, got))
+          << "m=" << m << " isa=" << IsaName(isa) << " a[0]=" << a[0]
+          << " b[0]=" << b[0];
+    }
+    ++rows;
+  };
+  // m = 1: every (a, b) pair; m = 2: every (a0, b0, a1, b1) quadruple.
+  for (std::size_t i = 0; i < n_special; ++i) {
+    for (std::size_t j = 0; j < n_special; ++j) {
+      check({specials[i]}, {specials[j]});
+      for (std::size_t k = 0; k < n_special; ++k) {
+        for (std::size_t l = 0; l < n_special; ++l) {
+          check({specials[i], specials[k]}, {specials[j], specials[l]});
+        }
+      }
+    }
+  }
+  // m = 1..kLanes + 1: random rows, each element special with probability
+  // 1/2 (the full-group body rides along as a control).
+  common::Rng rng(0x5A0F);
+  for (std::size_t m = 1; m <= kLanes + 1; ++m) {
+    for (int trial = 0; trial < 4000; ++trial) {
+      std::vector<double> a(m), b(m);
+      for (std::size_t j = 0; j < m; ++j) {
+        const auto draw = [&] {
+          return rng.Uniform(0.0, 1.0) < 0.5
+                     ? specials[static_cast<std::size_t>(
+                           rng.Uniform(0.0, 1.0) * n_special) %
+                                n_special]
+                     : rng.Uniform(-3.0, 3.0);
+        };
+        a[j] = draw();
+        b[j] = draw();
+      }
+      check(a, b);
+    }
+  }
+  EXPECT_GT(rows, std::size_t{28000});
+}
+
+// The matched-realization kernels against the per-realization loops they
+// replaced (one squared_distance call per realization, summed in s order
+// from 0.0, or counted against eps2), for every ISA, with paired objects
+// (b_stride = m) and a single point (b_stride = 0). eps2 sweeps values
+// that tie a realization's squared distance exactly, so `<=` is pinned.
+TEST(SimdKernels, RealizationKernelsMatchPerRealizationLoop) {
+  const KernelTable* ref = TableFor(Isa::kScalar);
+  ASSERT_NE(ref, nullptr);
+  common::Rng rng(0x5A10);
+  for (const std::size_t m : {1, 2, 3, 7, 15, 16, 17, 33}) {
+    for (const std::size_t s_count : {1, 24, 32}) {
+      const std::vector<double> a = RandomVector(s_count * m, &rng);
+      std::vector<double> b = RandomVector(s_count * m, &rng);
+      // One realization pair at distance 0, so eps2 = 0 ties too.
+      if (s_count > 1) std::copy(a.begin(), a.begin() + m, b.begin());
+      for (const std::size_t b_stride : {m, std::size_t{0}}) {
+        std::vector<double> d2(s_count);
+        double want_sum = 0.0;
+        for (std::size_t s = 0; s < s_count; ++s) {
+          d2[s] = ref->squared_distance(a.data() + s * m,
+                                        b.data() + s * b_stride, m);
+          want_sum += d2[s];
+        }
+        for (Isa isa : AvailableIsas()) {
+          const KernelTable* t = TableFor(isa);
+          EXPECT_TRUE(BitsEqual(want_sum,
+                                t->realization_squared_sum(
+                                    a.data(), b.data(), s_count, m, b_stride)))
+              << "m=" << m << " S=" << s_count << " b_stride=" << b_stride
+              << " isa=" << IsaName(isa);
+        }
+        if (b_stride == 0) continue;  // realizations_within pairs objects
+        std::vector<double> ties = {0.0, d2.front(), d2[s_count / 2],
+                                    d2.back(), -1.0};
+        ties.push_back(std::nextafter(d2[s_count / 2], 0.0));
+        ties.push_back(*std::max_element(d2.begin(), d2.end()));
+        for (const double eps2 : ties) {
+          const std::size_t want = static_cast<std::size_t>(
+              std::count_if(d2.begin(), d2.end(),
+                            [&](double v) { return v <= eps2; }));
+          for (Isa isa : AvailableIsas()) {
+            EXPECT_EQ(want, TableFor(isa)->realizations_within(
+                                a.data(), b.data(), s_count, m, eps2))
+                << "m=" << m << " S=" << s_count << " eps2=" << eps2
+                << " isa=" << IsaName(isa);
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, VectorAddAndPackRowBitIdenticalAcrossIsas) {
   const KernelTable* ref = TableFor(Isa::kScalar);
   ASSERT_NE(ref, nullptr);

@@ -4,8 +4,7 @@
 //
 //   serve --port=8080 --executors=2 --global_budget_mb=256
 //   curl -s -X POST localhost:8080/v1/datasets -d '{"path": "data.ubin"}'
-//   curl -s -X POST localhost:8080/v1/jobs \
-//        -d '{"dataset_id": "ds-1", "algorithm": "CK-means", "k": 8}'
+//   curl -s -X POST localhost:8080/v1/jobs -d '{"dataset_id": "ds-1", "k": 8}'
 //   curl -s localhost:8080/v1/jobs/j-1/result
 //
 // Flags:
