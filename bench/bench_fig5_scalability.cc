@@ -662,7 +662,7 @@ int main(int argc, char** argv) {
       json.Key("spatial_index");
       json.BeginArray();
       std::vector<int> off_labels;
-      for (const char* index : {"off", "rtree", "grid"}) {
+      for (const char* index : {"off", "rtree"}) {
         engine::EngineConfig pc = engine_config;
         pc.memory_budget_bytes = tiled_budget;
         pc.pairwise_pruned_sweeps = true;

@@ -116,8 +116,7 @@ ClusteringResult Fdbscan::Cluster(const data::UncertainDataset& data,
       if (tail[t] > 0.0) upper[i].emplace_back(i + 1 + t, tail[t]);
     }
   };
-  SpatialIndexChoice index_choice = SpatialIndexChoice::kOff;
-  SpatialIndexChoiceFromString(eng.spatial_index(), &index_choice);
+  const SpatialIndexChoice index_choice = eng.spatial_index();
   if (eng.pairwise_pruned_sweeps() &&
       index_choice != SpatialIndexChoice::kOff) {
     // Candidate-driven sweep: the spatial index narrows which pairs are

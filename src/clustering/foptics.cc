@@ -6,9 +6,6 @@
 #include <limits>
 
 #include "clustering/pairwise_store.h"
-#include "clustering/pruning.h"
-#include "clustering/spatial_index.h"
-#include "common/math_utils.h"
 #include "common/stopwatch.h"
 #include "engine/parallel_for.h"
 #include "io/sample_file.h"
@@ -60,117 +57,100 @@ ClusteringResult Foptics::Cluster(const data::UncertainDataset& data, int k,
   const double offline_ms = offline.ElapsedMs();
 
   common::Stopwatch online;
-  // Core distances: MinPts-th smallest distance to another object (one
-  // parallel row sweep through the store; per-worker scratch for the
-  // self-excluding copy).
+  // Core distances: the MinPts-th smallest fuzzy distance to another object,
+  // from one upper-triangle sweep (each unordered pair evaluated once on a
+  // recomputing backend, read back from a warmed dense table). Each pair is
+  // offered to both of its rows' bounded max-heaps of the `rank` smallest
+  // values seen. The visitor runs concurrently for different rows, so the
+  // heaps are per worker; row i's core distance is the rank-th smallest of
+  // the union of its workers' heaps, which holds row i's rank smallest
+  // values.
+  //
+  // PerWorker otherwise forbids reduction state. It is safe here because
+  // selecting the rank-th smallest of a multiset does no arithmetic and does
+  // not depend on the order values arrive in, and Eval canonicalises each
+  // pair to (lo, hi), so (i, j) and (j, i) are the same double. Core
+  // distances are therefore bit-identical on every backend and at every
+  // thread count.
   std::vector<double> core_dist(n, kUndefined);
-  SpatialIndexChoice index_choice = SpatialIndexChoice::kOff;
-  SpatialIndexChoiceFromString(eng.spatial_index(), &index_choice);
-  int64_t core_sweep_evals = 0;
-  if (index_choice != SpatialIndexChoice::kOff &&
-      store.backend() != PairwiseBackend::kDense && n > 1) {
-    // Indexed core distances (recompute backends only — on the dense
-    // backend the warmed table serves rows for free). For each object the
-    // rank-th smallest box-box MAX squared distance bounds the MinPts-th
-    // fuzzy distance from above, so the range query's candidate set
-    // provably contains the MinPts nearest objects, and every excluded
-    // object's distance is strictly beyond the rank-th (its box separation
-    // clears the slacked bound). nth_element over the candidate values
-    // therefore yields the bit-identical core distance while evaluating
-    // only the candidates instead of all n - 1 columns per row.
-    const SpatialIndex index(
-        data.objects(), ResolveSpatialIndexKind(index_choice, data.dims()));
-    const std::size_t rank = std::min<std::size_t>(
-        static_cast<std::size_t>(params_.min_pts), n - 1);
-    struct SweepCounts {
-      int64_t evals = 0;
-      int64_t pruned = 0;
+  const std::size_t rank =
+      n == 0 ? 0
+             : std::min<std::size_t>(static_cast<std::size_t>(params_.min_pts),
+                                     n - 1);
+  if (rank > 0) {
+    struct RankHeaps {
+      std::vector<double> values;      // n x rank; row i's heap at i * rank
+      std::vector<std::size_t> sizes;  // per-row heap size; empty = unused
     };
-    if (rank > 0) {
-      const std::vector<SweepCounts> per_block =
-          engine::MapBlocks<SweepCounts>(
-              eng, n, [&](const engine::BlockedRange& r) {
-                SweepCounts c;
-                std::vector<std::size_t> cand;
-                std::vector<double> vals;
-                for (std::size_t i = r.begin; i < r.end; ++i) {
-                  const uncertain::Box& region = data.object(i).region();
-                  const double u2 =
-                      index.KthMaxSquaredDistance(region, rank, i);
-                  index.QueryWithin(region, SlackedSquaredThreshold(u2), i,
-                                    &cand);
-                  vals.clear();
-                  vals.reserve(cand.size());
-                  for (const std::size_t j : cand) {
-                    vals.push_back(kernel.Eval(i, j));
-                  }
-                  c.evals += static_cast<int64_t>(vals.size());
-                  c.pruned += static_cast<int64_t>(n - 1 - vals.size());
-                  assert(vals.size() >= rank);
-                  std::nth_element(vals.begin(), vals.begin() + (rank - 1),
-                                   vals.end());
-                  core_dist[i] = vals[rank - 1];
-                }
-                return c;
-              });
-      for (const SweepCounts& c : per_block) {
-        core_sweep_evals += c.evals;
-        result.pairs_pruned_by_index += c.pruned;
+    engine::PerWorker<RankHeaps> heaps(eng);
+    store.VisitUpperTriangle([&](std::size_t i, std::span<const double> tail) {
+      RankHeaps& h = heaps.local();
+      if (h.sizes.empty()) {
+        h.values.resize(n * rank);
+        h.sizes.assign(n, 0);
       }
-    }
-    result.index_candidates = core_sweep_evals;
-    result.index_bound_tests = index.bound_tests();
-  } else {
-    engine::PerWorker<std::vector<double>> scratch(eng);
-    store.VisitAllRows([&](std::size_t i, std::span<const double> drow) {
-      std::vector<double>& row = scratch.local();
-      row.clear();
-      row.reserve(n > 0 ? n - 1 : 0);
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j != i) row.push_back(drow[j]);
+      const auto offer = [&](std::size_t row, double v) {
+        double* heap = h.values.data() + row * rank;
+        std::size_t& size = h.sizes[row];
+        if (size < rank) {
+          heap[size++] = v;
+          std::push_heap(heap, heap + size);
+        } else if (v < heap[0]) {
+          std::pop_heap(heap, heap + rank);
+          heap[rank - 1] = v;
+          std::push_heap(heap, heap + rank);
+        }
+      };
+      for (std::size_t t = 0; t < tail.size(); ++t) {
+        offer(i, tail[t]);
+        offer(i + 1 + t, tail[t]);
       }
-      const std::size_t rank = std::min<std::size_t>(
-          static_cast<std::size_t>(params_.min_pts), row.size());
-      if (rank == 0) return;
-      std::nth_element(row.begin(), row.begin() + (rank - 1), row.end());
-      core_dist[i] = row[rank - 1];
+    });
+    engine::ParallelFor(eng, n, [&](const engine::BlockedRange& r) {
+      std::vector<double> merged;
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        merged.clear();
+        for (const RankHeaps& h : heaps.slots()) {
+          if (h.sizes.empty()) continue;
+          const double* heap = h.values.data() + i * rank;
+          merged.insert(merged.end(), heap, heap + h.sizes[i]);
+        }
+        assert(merged.size() >= rank);
+        std::nth_element(merged.begin(), merged.begin() + (rank - 1),
+                         merged.end());
+        core_dist[i] = merged[rank - 1];
+      }
     });
   }
 
-  // OPTICS walk (eps = infinity: one complete ordering).
+  // OPTICS walk (eps = infinity: one complete ordering). Each step relaxes
+  // the reachability of every unprocessed object through `current` and
+  // picks the next pivot (smallest reachability, lowest index on ties) in
+  // the same pass. A materialized row (dense table or resident tile) is read
+  // zero-copy; otherwise only the unprocessed columns are evaluated, so the
+  // walk pays each unordered pair once — n*(n-1)/2 evaluations and no row
+  // gathers.
   std::vector<double> reach(n, kUndefined);
   std::vector<bool> processed(n, false);
   std::vector<std::size_t> order;
   order.reserve(n);
-  std::vector<double> walk_row;
+  int64_t walk_evals = 0;
   for (std::size_t start = 0; start < n; ++start) {
     if (processed[start]) continue;
-    // Expand from `start` by always picking the unprocessed object with the
-    // smallest reachability (linear scan over the current row).
     std::size_t current = start;
     for (;;) {
       processed[current] = true;
       order.push_back(current);
-      // Relax reachability of all unprocessed objects through `current`.
-      // Zero-copy when the row is already materialized (dense table or
-      // resident tile); otherwise a single-row fetch, cache untouched —
-      // the walk order has no tile locality, so faulting whole tiles
-      // would multiply kernel work by tile_rows.
-      std::span<const double> drow = store.ResidentRow(current);
-      if (drow.empty()) {
-        store.GatherRow(current, &walk_row);
-        drow = walk_row;
-      }
-      for (std::size_t j = 0; j < n; ++j) {
-        if (processed[j]) continue;
-        const double r = std::max(core_dist[current], drow[j]);
-        reach[j] = std::min(reach[j], r);
-      }
-      // Next: smallest reachability among unprocessed.
+      const std::span<const double> drow = store.ResidentRow(current);
+      const bool resident = !drow.empty();
+      if (!resident) walk_evals += static_cast<int64_t>(n - order.size());
       std::size_t next = n;
       double best = kUndefined;
       for (std::size_t j = 0; j < n; ++j) {
-        if (!processed[j] && reach[j] < best) {
+        if (processed[j]) continue;
+        const double d = resident ? drow[j] : kernel.Eval(current, j);
+        reach[j] = std::min(reach[j], std::max(core_dist[current], d));
+        if (reach[j] < best) {
           best = reach[j];
           next = j;
         }
@@ -247,13 +227,12 @@ ClusteringResult Foptics::Cluster(const data::UncertainDataset& data, int k,
   result.objective = std::numeric_limits<double>::quiet_NaN();
   result.online_ms = online.ElapsedMs();
   result.offline_ms = offline_ms;
-  // The indexed core sweep evaluates the kernel outside the store; its
-  // evaluations (sample-integrated, like every SampleED call) fold into the
-  // same totals the store-driven sweep would have produced them under.
-  result.ed_evaluations += store.ed_evaluations() + core_sweep_evals;
+  // The walk evaluates the kernel outside the store; its evaluations
+  // (sample-integrated, like every SampleED call) fold into the store's.
+  result.ed_evaluations += store.ed_evaluations() + walk_evals;
   result.pairwise_backend = PairwiseBackendName(store.backend());
   result.table_bytes_peak = store.table_bytes_peak();
-  result.pair_evaluations = store.evaluations() + core_sweep_evals;
+  result.pair_evaluations = store.evaluations() + walk_evals;
   result.tile_warm_hits = store.warm_hits();
   result.tile_warm_misses = store.warm_misses();
   return result;

@@ -16,10 +16,6 @@ namespace {
 constexpr std::size_t kLeafCap = 16;
 constexpr std::size_t kFanout = 8;
 
-// Hard cap on grid cells, so a forced --spatial_index=grid in high
-// dimensions degrades to coarser cells instead of an exponential allocation.
-constexpr std::size_t kMaxGridCells = std::size_t{1} << 20;
-
 // Relative slack applied to the smallest max-distance bound in
 // NearestCandidates. The exact argmin winner satisfies
 // min_bound <= value <= best_upper_bound in exact arithmetic; the computed
@@ -40,8 +36,6 @@ bool SpatialIndexChoiceFromString(const std::string& name,
     *out = SpatialIndexChoice::kAuto;
   } else if (name == "rtree") {
     *out = SpatialIndexChoice::kRTree;
-  } else if (name == "grid") {
-    *out = SpatialIndexChoice::kGrid;
   } else if (name == "off") {
     *out = SpatialIndexChoice::kOff;
   } else {
@@ -56,45 +50,30 @@ const char* SpatialIndexChoiceName(SpatialIndexChoice choice) {
       return "auto";
     case SpatialIndexChoice::kRTree:
       return "rtree";
-    case SpatialIndexChoice::kGrid:
-      return "grid";
     case SpatialIndexChoice::kOff:
       return "off";
   }
   return "off";
 }
 
-SpatialIndexKind ResolveSpatialIndexKind(SpatialIndexChoice choice,
-                                         std::size_t dims) {
-  assert(choice != SpatialIndexChoice::kOff);
-  switch (choice) {
-    case SpatialIndexChoice::kRTree:
-      return SpatialIndexKind::kRTree;
-    case SpatialIndexChoice::kGrid:
-      return SpatialIndexKind::kGrid;
-    default:
-      return dims <= 3 ? SpatialIndexKind::kGrid : SpatialIndexKind::kRTree;
-  }
+SpatialIndexKind ResolveSpatialIndexKind(SpatialIndexChoice /*choice*/,
+                                         std::size_t /*dims*/) {
+  return SpatialIndexKind::kRTree;
 }
 
 SpatialIndex::SpatialIndex(std::span<const uncertain::UncertainObject> objects,
-                           SpatialIndexKind kind)
-    : kind_(kind) {
+                           SpatialIndexKind /*kind*/) {
   boxes_.reserve(objects.size());
   for (const auto& obj : objects) boxes_.push_back(&obj.region());
   Build();
 }
 
 SpatialIndex::SpatialIndex(std::vector<uncertain::Box> boxes,
-                           SpatialIndexKind kind)
-    : kind_(kind), owned_(std::move(boxes)) {
+                           SpatialIndexKind /*kind*/)
+    : owned_(std::move(boxes)) {
   boxes_.reserve(owned_.size());
   for (const auto& b : owned_) boxes_.push_back(&b);
   Build();
-}
-
-const char* SpatialIndex::kind_name() const {
-  return kind_ == SpatialIndexKind::kRTree ? "rtree" : "grid";
 }
 
 void SpatialIndex::Build() {
@@ -106,11 +85,36 @@ void SpatialIndex::Build() {
     const auto c = boxes_[i]->Center();
     std::copy(c.begin(), c.end(), centers_.begin() + i * dims_);
   }
-  if (kind_ == SpatialIndexKind::kRTree) {
-    BuildRTree();
-  } else {
-    BuildGrid();
+  item_order_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) item_order_[i] = i;
+  if (n == 0) return;
+  StrPartition(0, n, 0);
+  // Pack leaves over consecutive runs of the STR order.
+  for (std::size_t lo = 0; lo < n; lo += kLeafCap) {
+    Node nd;
+    nd.leaf = true;
+    nd.begin = lo;
+    nd.end = std::min(n, lo + kLeafCap);
+    nd.mbr = MbrOfItems(nd.begin, nd.end);
+    nodes_.push_back(std::move(nd));
   }
+  // Build internal levels bottom-up; each groups a consecutive run of the
+  // level below, so child ranges are plain index intervals.
+  std::size_t level_begin = 0;
+  std::size_t level_end = nodes_.size();
+  while (level_end - level_begin > 1) {
+    for (std::size_t lo = level_begin; lo < level_end; lo += kFanout) {
+      Node nd;
+      nd.leaf = false;
+      nd.begin = lo;
+      nd.end = std::min(level_end, lo + kFanout);
+      nd.mbr = MbrOfNodes(nd.begin, nd.end);
+      nodes_.push_back(std::move(nd));
+    }
+    level_begin = level_end;
+    level_end = nodes_.size();
+  }
+  root_ = nodes_.size() - 1;
 }
 
 uncertain::Box SpatialIndex::MbrOfItems(std::size_t lo, std::size_t hi) const {
@@ -170,269 +174,34 @@ void SpatialIndex::StrPartition(std::size_t lo, std::size_t hi,
   }
 }
 
-void SpatialIndex::BuildRTree() {
-  const std::size_t n = boxes_.size();
-  item_order_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) item_order_[i] = i;
-  if (n == 0) return;
-  StrPartition(0, n, 0);
-  // Pack leaves over consecutive runs of the STR order.
-  for (std::size_t lo = 0; lo < n; lo += kLeafCap) {
-    Node nd;
-    nd.leaf = true;
-    nd.begin = lo;
-    nd.end = std::min(n, lo + kLeafCap);
-    nd.mbr = MbrOfItems(nd.begin, nd.end);
-    nodes_.push_back(std::move(nd));
-  }
-  // Build internal levels bottom-up; each groups a consecutive run of the
-  // level below, so child ranges are plain index intervals.
-  std::size_t level_begin = 0;
-  std::size_t level_end = nodes_.size();
-  while (level_end - level_begin > 1) {
-    for (std::size_t lo = level_begin; lo < level_end; lo += kFanout) {
-      Node nd;
-      nd.leaf = false;
-      nd.begin = lo;
-      nd.end = std::min(level_end, lo + kFanout);
-      nd.mbr = MbrOfNodes(nd.begin, nd.end);
-      nodes_.push_back(std::move(nd));
-    }
-    level_begin = level_end;
-    level_end = nodes_.size();
-  }
-  root_ = nodes_.size() - 1;
-}
-
-void SpatialIndex::BuildGrid() {
-  const std::size_t n = boxes_.size();
-  cell_offsets_.assign(1, 0);
-  if (n == 0 || dims_ == 0) return;
-  // Resolution: ~2 * n^(1/m) cells per dimension, clamped per dimension and
-  // capped in total. Oversampling the one-item-per-cell density by 2x keeps
-  // the mandatory +-1-cell window margin (the floating-point safety border
-  // in ForEachWindowCell) small relative to the query radius — at exactly
-  // n^(1/m) the margin cells dominate every narrow range query.
-  std::size_t res = static_cast<std::size_t>(std::llround(
-      2.0 *
-      std::pow(static_cast<double>(n), 1.0 / static_cast<double>(dims_))));
-  res = std::clamp<std::size_t>(res, 1, 64);
-  grid_res_.assign(dims_, res);
-  for (;;) {
-    std::size_t cells = 1;
-    bool all_one = true;
-    for (std::size_t r : grid_res_) {
-      cells *= r;
-      all_one = all_one && r == 1;
-    }
-    if (cells <= kMaxGridCells || all_one) break;
-    for (auto& r : grid_res_) r = std::max<std::size_t>(1, r / 2);
-  }
-  grid_origin_.assign(dims_, 0.0);
-  grid_width_.assign(dims_, 1.0);
-  grid_max_half_.assign(dims_, 0.0);
-  for (std::size_t j = 0; j < dims_; ++j) {
-    double lo = kInf;
-    double hi = -kInf;
-    double max_half = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double c = centers_[i * dims_ + j];
-      lo = std::min(lo, c);
-      hi = std::max(hi, c);
-      max_half = std::max(
-          max_half, 0.5 * (boxes_[i]->upper()[j] - boxes_[i]->lower()[j]));
-    }
-    grid_origin_[j] = lo;
-    grid_max_half_[j] = max_half;
-    const double width = (hi - lo) / static_cast<double>(grid_res_[j]);
-    grid_width_[j] = width > 0.0 && std::isfinite(width) ? width : 1.0;
-  }
-  std::size_t cells = 1;
-  for (std::size_t r : grid_res_) cells *= r;
-  // CSR bucketing by center cell (counts, prefix sum, fill in id order so
-  // each cell's items are ascending).
-  std::vector<std::size_t> counts(cells, 0);
-  std::vector<std::size_t> item_cell(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    item_cell[i] = CellOf(i);
-    ++counts[item_cell[i]];
-  }
-  cell_offsets_.assign(cells + 1, 0);
-  for (std::size_t c = 0; c < cells; ++c) {
-    cell_offsets_[c + 1] = cell_offsets_[c] + counts[c];
-  }
-  cell_items_.resize(n);
-  std::vector<std::size_t> cursor(cell_offsets_.begin(),
-                                  cell_offsets_.end() - 1);
-  for (std::size_t i = 0; i < n; ++i) {
-    cell_items_[cursor[item_cell[i]]++] = i;
-  }
-}
-
-std::size_t SpatialIndex::CellOf(std::size_t item) const {
-  std::size_t flat = 0;
-  std::size_t stride = 1;
-  for (std::size_t j = 0; j < dims_; ++j) {
-    const double v =
-        (centers_[item * dims_ + j] - grid_origin_[j]) / grid_width_[j];
-    auto idx = static_cast<std::ptrdiff_t>(std::floor(v));
-    idx = std::clamp<std::ptrdiff_t>(
-        idx, 0, static_cast<std::ptrdiff_t>(grid_res_[j]) - 1);
-    flat += static_cast<std::size_t>(idx) * stride;
-    stride *= grid_res_[j];
-  }
-  return flat;
-}
-
-void SpatialIndex::ForEachWindowCell(
-    const uncertain::Box& query, double radius,
-    const std::function<void(std::size_t)>& fn) const {
-  // Any item whose region is within `radius` of the query box has, per
-  // dimension, its center within radius + its own half-extent of the query
-  // interval. Expanding by the dataset-wide max half-extent plus one cell
-  // of margin (absorbing floor/rounding) therefore over-covers the exact
-  // match set; the caller still applies the exact per-item test.
-  std::vector<std::ptrdiff_t> lo_cell(dims_);
-  std::vector<std::ptrdiff_t> hi_cell(dims_);
-  for (std::size_t j = 0; j < dims_; ++j) {
-    const double expand = radius + grid_max_half_[j];
-    const double lo_v = query.lower()[j] - expand;
-    const double hi_v = query.upper()[j] + expand;
-    const auto last = static_cast<std::ptrdiff_t>(grid_res_[j]) - 1;
-    lo_cell[j] = std::clamp<std::ptrdiff_t>(
-        static_cast<std::ptrdiff_t>(
-            std::floor((lo_v - grid_origin_[j]) / grid_width_[j])) -
-            1,
-        0, last);
-    hi_cell[j] = std::clamp<std::ptrdiff_t>(
-        static_cast<std::ptrdiff_t>(
-            std::floor((hi_v - grid_origin_[j]) / grid_width_[j])) +
-            1,
-        0, last);
-  }
-  // Odometer walk over the cell window.
-  std::vector<std::ptrdiff_t> idx(lo_cell);
-  for (;;) {
-    std::size_t flat = 0;
-    std::size_t stride = 1;
-    for (std::size_t j = 0; j < dims_; ++j) {
-      flat += static_cast<std::size_t>(idx[j]) * stride;
-      stride *= grid_res_[j];
-    }
-    fn(flat);
-    std::size_t j = 0;
-    for (; j < dims_; ++j) {
-      if (++idx[j] <= hi_cell[j]) break;
-      idx[j] = lo_cell[j];
-    }
-    if (j == dims_) break;
-  }
-}
-
 void SpatialIndex::QueryWithin(const uncertain::Box& query, double threshold2,
                                std::size_t exclude_id,
                                std::vector<std::size_t>* out) const {
   out->clear();
   if (boxes_.empty()) return;
   int64_t tests = 0;
-  if (kind_ == SpatialIndexKind::kRTree) {
-    std::vector<std::size_t> stack;
-    stack.push_back(root_);
-    while (!stack.empty()) {
-      const Node& nd = nodes_[stack.back()];
-      stack.pop_back();
-      ++tests;
-      if (nd.mbr.MinSquaredDistanceTo(query) > threshold2) continue;
-      if (nd.leaf) {
-        for (std::size_t p = nd.begin; p < nd.end; ++p) {
-          const std::size_t id = item_order_[p];
-          if (id == exclude_id) continue;
-          ++tests;
-          if (box(id).MinSquaredDistanceTo(query) <= threshold2) {
-            out->push_back(id);
-          }
-        }
-      } else {
-        for (std::size_t c = nd.begin; c < nd.end; ++c) stack.push_back(c);
-      }
-    }
-  } else {
-    const double radius = threshold2 > 0.0 ? std::sqrt(threshold2) : 0.0;
-    ForEachWindowCell(query, radius, [&](std::size_t cell) {
-      for (std::size_t p = cell_offsets_[cell]; p < cell_offsets_[cell + 1];
-           ++p) {
-        const std::size_t id = cell_items_[p];
+  std::vector<std::size_t> stack;
+  stack.push_back(root_);
+  while (!stack.empty()) {
+    const Node& nd = nodes_[stack.back()];
+    stack.pop_back();
+    ++tests;
+    if (nd.mbr.MinSquaredDistanceTo(query) > threshold2) continue;
+    if (nd.leaf) {
+      for (std::size_t p = nd.begin; p < nd.end; ++p) {
+        const std::size_t id = item_order_[p];
         if (id == exclude_id) continue;
         ++tests;
         if (box(id).MinSquaredDistanceTo(query) <= threshold2) {
           out->push_back(id);
         }
       }
-    });
+    } else {
+      for (std::size_t c = nd.begin; c < nd.end; ++c) stack.push_back(c);
+    }
   }
   std::sort(out->begin(), out->end());
   bound_tests_.fetch_add(tests, std::memory_order_relaxed);
-}
-
-double SpatialIndex::KthMaxSquaredDistance(const uncertain::Box& query,
-                                           std::size_t rank,
-                                           std::size_t exclude_id) const {
-  if (rank == 0) return 0.0;
-  int64_t tests = 0;
-  // Max-heap of the `rank` smallest max-distance bounds seen so far; its
-  // top converges to the answer.
-  std::priority_queue<double> worst;
-  if (kind_ == SpatialIndexKind::kRTree && !nodes_.empty()) {
-    // Best-first by node MBR min distance: a node farther than the current
-    // rank-th bound cannot contain an improving item (every item's max
-    // distance dominates its node's min distance).
-    using Entry = std::pair<double, std::size_t>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> pq;
-    ++tests;
-    pq.push({nodes_[root_].mbr.MinSquaredDistanceTo(query), root_});
-    while (!pq.empty()) {
-      const auto [d2, ni] = pq.top();
-      pq.pop();
-      if (worst.size() == rank && d2 > worst.top()) break;
-      const Node& nd = nodes_[ni];
-      if (nd.leaf) {
-        for (std::size_t p = nd.begin; p < nd.end; ++p) {
-          const std::size_t id = item_order_[p];
-          if (id == exclude_id) continue;
-          ++tests;
-          const double mx = box(id).MaxSquaredDistanceTo(query);
-          if (worst.size() < rank) {
-            worst.push(mx);
-          } else if (mx < worst.top()) {
-            worst.pop();
-            worst.push(mx);
-          }
-        }
-      } else {
-        for (std::size_t c = nd.begin; c < nd.end; ++c) {
-          ++tests;
-          const double cd = nodes_[c].mbr.MinSquaredDistanceTo(query);
-          if (worst.size() < rank || cd <= worst.top()) pq.push({cd, c});
-        }
-      }
-    }
-  } else {
-    // Grid cells give no useful max-distance bound, so rank queries scan
-    // flat (still one O(m) bound per item, no kernel work).
-    for (std::size_t id = 0; id < boxes_.size(); ++id) {
-      if (id == exclude_id) continue;
-      ++tests;
-      const double mx = box(id).MaxSquaredDistanceTo(query);
-      if (worst.size() < rank) {
-        worst.push(mx);
-      } else if (mx < worst.top()) {
-        worst.pop();
-        worst.push(mx);
-      }
-    }
-  }
-  bound_tests_.fetch_add(tests, std::memory_order_relaxed);
-  return worst.size() == rank ? worst.top() : kInf;
 }
 
 void SpatialIndex::NearestCandidates(const uncertain::Box& query,
@@ -441,97 +210,35 @@ void SpatialIndex::NearestCandidates(const uncertain::Box& query,
   if (boxes_.empty()) return;
   int64_t tests = 0;
   double best_ub = kInf;  // smallest max squared distance over all boxes
-  if (kind_ == SpatialIndexKind::kRTree) {
-    using Entry = std::pair<double, std::size_t>;
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> pq;
-    ++tests;
-    pq.push({nodes_[root_].mbr.MinSquaredDistanceTo(query), root_});
-    while (!pq.empty()) {
-      const auto [d2, ni] = pq.top();
-      pq.pop();
-      if (d2 > best_ub) break;
-      const Node& nd = nodes_[ni];
-      if (nd.leaf) {
-        for (std::size_t p = nd.begin; p < nd.end; ++p) {
-          ++tests;
-          best_ub =
-              std::min(best_ub, box(item_order_[p]).MaxSquaredDistanceTo(query));
-        }
-      } else {
-        for (std::size_t c = nd.begin; c < nd.end; ++c) {
-          ++tests;
-          const double cd = nodes_[c].mbr.MinSquaredDistanceTo(query);
-          if (cd <= best_ub) pq.push({cd, c});
-        }
+  // Best-first by node MBR min distance: a node farther than the current
+  // best max distance cannot hold a box with a smaller one (every box's
+  // max distance dominates its node's min distance).
+  using Entry = std::pair<double, std::size_t>;
+  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> pq;
+  ++tests;
+  pq.push({nodes_[root_].mbr.MinSquaredDistanceTo(query), root_});
+  while (!pq.empty()) {
+    const auto [d2, ni] = pq.top();
+    pq.pop();
+    if (d2 > best_ub) break;
+    const Node& nd = nodes_[ni];
+    if (nd.leaf) {
+      for (std::size_t p = nd.begin; p < nd.end; ++p) {
+        ++tests;
+        best_ub =
+            std::min(best_ub, box(item_order_[p]).MaxSquaredDistanceTo(query));
       }
-    }
-  } else {
-    for (std::size_t id = 0; id < boxes_.size(); ++id) {
-      ++tests;
-      best_ub = std::min(best_ub, box(id).MaxSquaredDistanceTo(query));
+    } else {
+      for (std::size_t c = nd.begin; c < nd.end; ++c) {
+        ++tests;
+        const double cd = nodes_[c].mbr.MinSquaredDistanceTo(query);
+        if (cd <= best_ub) pq.push({cd, c});
+      }
     }
   }
   bound_tests_.fetch_add(tests, std::memory_order_relaxed);
   const double threshold2 = best_ub * (1.0 + kArgminSlack) + 1e-300;
   QueryWithin(query, threshold2, boxes_.size(), out);
-}
-
-void SpatialIndex::QueryNearest(std::span<const double> point, std::size_t k,
-                                std::vector<std::size_t>* out) const {
-  out->clear();
-  if (k == 0 || boxes_.empty()) return;
-  int64_t tests = 0;
-  using Entry = std::pair<double, std::size_t>;
-  // Max-heap of the k best (distance, id) pairs; lexicographic order makes
-  // ties deterministic toward the lower id.
-  std::priority_queue<Entry> best;
-  if (kind_ == SpatialIndexKind::kRTree) {
-    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> pq;
-    ++tests;
-    pq.push({nodes_[root_].mbr.MinSquaredDistanceTo(point), root_});
-    while (!pq.empty()) {
-      const auto [d2, ni] = pq.top();
-      pq.pop();
-      if (best.size() == k && d2 > best.top().first) break;
-      const Node& nd = nodes_[ni];
-      if (nd.leaf) {
-        for (std::size_t p = nd.begin; p < nd.end; ++p) {
-          const std::size_t id = item_order_[p];
-          ++tests;
-          const Entry e{box(id).MinSquaredDistanceTo(point), id};
-          if (best.size() < k) {
-            best.push(e);
-          } else if (e < best.top()) {
-            best.pop();
-            best.push(e);
-          }
-        }
-      } else {
-        for (std::size_t c = nd.begin; c < nd.end; ++c) {
-          ++tests;
-          const double cd = nodes_[c].mbr.MinSquaredDistanceTo(point);
-          if (best.size() < k || cd <= best.top().first) pq.push({cd, c});
-        }
-      }
-    }
-  } else {
-    for (std::size_t id = 0; id < boxes_.size(); ++id) {
-      ++tests;
-      const Entry e{box(id).MinSquaredDistanceTo(point), id};
-      if (best.size() < k) {
-        best.push(e);
-      } else if (e < best.top()) {
-        best.pop();
-        best.push(e);
-      }
-    }
-  }
-  bound_tests_.fetch_add(tests, std::memory_order_relaxed);
-  out->resize(best.size());
-  for (std::size_t p = best.size(); p-- > 0;) {
-    (*out)[p] = best.top().second;
-    best.pop();
-  }
 }
 
 }  // namespace uclust::clustering

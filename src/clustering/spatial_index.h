@@ -2,35 +2,26 @@
 // pairwise sweeps.
 //
 // PairwiseBoundIndex (pruning.h) skips a pair only after testing its bound,
-// so a pruned FDBSCAN sweep still costs O(n^2) bound tests. The structures
-// here answer the same question — "which objects' regions could possibly be
+// so a pruned FDBSCAN sweep still costs O(n^2) bound tests. The index here
+// answers the same question — "which objects' regions could possibly be
 // within eps of this one?" — as a range query over the per-object domain
-// boxes, touching O(log n + output) boxes instead of all n:
-//
-//   kRTree — a bulk-loaded STR-packed R-tree: items are sorted by region
-//            center with the Sort-Tile-Recursive sweep (cycling split
-//            dimensions), packed into fixed-capacity leaves, and the
-//            internal levels are built bottom-up over consecutive node
-//            runs. Queries descend only into nodes whose MBR could contain
-//            a match.
-//   kGrid  — a uniform grid over region centers (low dimensions): items are
-//            bucketed by center cell, and a query scans the cell window
-//            covering the query box expanded by the search radius plus the
-//            largest region half-extent, then applies the exact per-item
-//            test. The window over-covers by construction (plus one cell of
-//            margin for floating-point safety), so no match is ever missed.
+// boxes, touching O(log n + output) boxes instead of all n. It is a
+// bulk-loaded STR-packed R-tree: items are sorted by region center with the
+// Sort-Tile-Recursive sweep (cycling split dimensions), packed into
+// fixed-capacity leaves, and the internal levels are built bottom-up over
+// consecutive node runs. Queries descend only into nodes whose MBR could
+// contain a match.
 //
 // Exactness contract: every query applies the exact Box bound
 // (Box::MinSquaredDistanceTo / MaxSquaredDistanceTo) to each surviving
-// item, and tree/grid traversal only ever discards items whose bound
-// provably exceeds the query threshold — node MBRs contain their leaves'
-// boxes, so the computed node lower bound never exceeds a computed leaf
-// bound (min/max coordinate folding is exact and the per-dimension
-// gap/square/sum chain is monotone under rounding). The result of
-// QueryWithin is therefore EXACTLY the brute-force set
-// { j : boxes[j].MinSquaredDistanceTo(query) <= threshold2 }, independent
-// of the structure, which is what lets the indexed sweeps stay bit-identical
-// to the all-pairs ones (see docs/spatial-index.md).
+// item, and traversal only ever discards items whose bound provably exceeds
+// the query threshold — node MBRs contain their leaves' boxes, so the
+// computed node lower bound never exceeds a computed leaf bound (min/max
+// coordinate folding is exact and the per-dimension gap/square/sum chain is
+// monotone under rounding). The result of QueryWithin is therefore EXACTLY
+// the brute-force set { j : boxes[j].MinSquaredDistanceTo(query) <=
+// threshold2 }, which is what lets the indexed sweeps stay bit-identical to
+// the all-pairs ones (see docs/spatial-index.md).
 //
 // Thread-safety: building is serial; all queries are const and safe to call
 // concurrently (the bound-test counter is atomic).
@@ -39,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -50,28 +40,28 @@
 namespace uclust::clustering {
 
 /// Concrete index structure (what a built SpatialIndex runs on).
-enum class SpatialIndexKind { kRTree, kGrid };
+enum class SpatialIndexKind { kRTree };
 
-/// The EngineConfig::spatial_index knob values: a structure request plus
-/// "auto" (pick by dimensionality) and "off" (all-pairs bound sweeps).
-enum class SpatialIndexChoice { kAuto, kRTree, kGrid, kOff };
+/// The EngineConfig::spatial_index knob values: "auto" (the default
+/// structure), an explicit "rtree", or "off" (all-pairs bound sweeps).
+enum class SpatialIndexChoice { kAuto, kRTree, kOff };
 
-/// Parses "auto" / "rtree" / "grid" / "off". Returns false (out untouched)
-/// for anything else — the grammar ApplyEngineKnob validates.
+/// Parses "auto" / "rtree" / "off". Returns false (out untouched) for
+/// anything else — the grammar ApplyEngineKnob validates.
 bool SpatialIndexChoiceFromString(const std::string& name,
                                   SpatialIndexChoice* out);
 
 /// Canonical knob spelling of a choice.
 const char* SpatialIndexChoiceName(SpatialIndexChoice choice);
 
-/// Resolves a buildable structure from a non-"off" choice: "auto" picks the
-/// grid for low dimensions (m <= 3, where cell windows stay compact) and
-/// the R-tree otherwise (cell counts explode exponentially with m; the
-/// measured crossover is in docs/spatial-index.md).
+/// Resolves a buildable structure from a non-"off" choice. Every choice is
+/// the R-tree at every dimensionality; `dims` stays in the signature so
+/// callers name the data the structure is built for.
 SpatialIndexKind ResolveSpatialIndexKind(SpatialIndexChoice choice,
                                          std::size_t dims);
 
-/// A bulk-loaded spatial index over a fixed set of axis-aligned boxes.
+/// A bulk-loaded spatial index over a fixed set of axis-aligned boxes. The
+/// `kind` constructor argument names the structure; kRTree is the only one.
 class SpatialIndex {
  public:
   /// Index over the objects' domain regions (ids = object indices). The
@@ -87,10 +77,6 @@ class SpatialIndex {
 
   /// Number of indexed boxes.
   std::size_t size() const { return boxes_.size(); }
-  /// The structure in effect.
-  SpatialIndexKind kind() const { return kind_; }
-  /// Lower-case display name ("rtree", "grid").
-  const char* kind_name() const;
 
   /// Ascending ids j != exclude_id with
   /// boxes[j].MinSquaredDistanceTo(query) <= threshold2 — exactly the
@@ -101,15 +87,6 @@ class SpatialIndex {
                    std::size_t exclude_id,
                    std::vector<std::size_t>* out) const;
 
-  /// The `rank`-th smallest (1-based) value of
-  /// boxes[j].MaxSquaredDistanceTo(query) over j != exclude_id: the squared
-  /// radius that provably captures at least `rank` indexed boxes entirely.
-  /// Returns +infinity when fewer than `rank` boxes qualify. The FOPTICS
-  /// core-distance sweeps pair this with QueryWithin to bound the MinPts-th
-  /// neighbor search.
-  double KthMaxSquaredDistance(const uncertain::Box& query, std::size_t rank,
-                               std::size_t exclude_id) const;
-
   /// Candidate set for "which indexed box minimizes a distance bounded by
   /// [min, max] box distance" (the UK-medoids assignment argmin): ascending
   /// ids whose min squared distance to `query` is within a slacked margin
@@ -118,13 +95,6 @@ class SpatialIndex {
   /// strictly farther. Never empty for a non-empty index.
   void NearestCandidates(const uncertain::Box& query,
                          std::vector<std::size_t>* out) const;
-
-  /// The k indexed boxes nearest to `point` by Box::MinSquaredDistanceTo
-  /// (ties toward the lower id), ordered by (distance, id) — the candidate
-  /// query of a future uncertain k-center pass. Returns all ids when
-  /// k >= size().
-  void QueryNearest(std::span<const double> point, std::size_t k,
-                    std::vector<std::size_t>* out) const;
 
   /// Box-distance bound computations performed by queries so far (node MBR
   /// tests plus per-item tests) — the cost an indexed sweep pays where the
@@ -143,38 +113,24 @@ class SpatialIndex {
   };
 
   void Build();
-  void BuildRTree();
-  void BuildGrid();
   void StrPartition(std::size_t lo, std::size_t hi, std::size_t dim);
   uncertain::Box MbrOfItems(std::size_t lo, std::size_t hi) const;
   uncertain::Box MbrOfNodes(std::size_t lo, std::size_t hi) const;
-  std::size_t CellOf(std::size_t item) const;
-  void ForEachWindowCell(const uncertain::Box& query, double radius,
-                         const std::function<void(std::size_t)>& fn) const;
 
   const uncertain::Box& box(std::size_t id) const { return *boxes_[id]; }
 
-  SpatialIndexKind kind_ = SpatialIndexKind::kRTree;
   std::vector<uncertain::Box> owned_;      // set by the box-list constructor
   std::vector<const uncertain::Box*> boxes_;
   std::size_t dims_ = 0;
-  std::vector<double> centers_;  // n x m region centers (build + bucketing)
+  std::vector<double> centers_;  // n x m region centers (STR build order)
   mutable std::atomic<int64_t> bound_tests_{0};
 
-  // kRTree state: items permuted into leaf order; nodes stored level by
-  // level (leaves first, root last), children of an internal node are a
-  // consecutive run of the level below.
+  // Items permuted into leaf order; nodes stored level by level (leaves
+  // first, root last), children of an internal node are a consecutive run
+  // of the level below.
   std::vector<std::size_t> item_order_;
   std::vector<Node> nodes_;
   std::size_t root_ = 0;
-
-  // kGrid state: per-dimension geometry plus CSR cell buckets.
-  std::vector<std::size_t> grid_res_;     // cells per dimension
-  std::vector<double> grid_origin_;       // lowest center per dimension
-  std::vector<double> grid_width_;        // cell width per dimension (> 0)
-  std::vector<double> grid_max_half_;     // largest region half-extent
-  std::vector<std::size_t> cell_offsets_; // CSR offsets, cells + 1
-  std::vector<std::size_t> cell_items_;   // item ids bucketed by cell
 };
 
 }  // namespace uclust::clustering

@@ -63,8 +63,7 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   // strictly farther. The ascending-slot strict-< scan over candidates
   // therefore picks the bit-identical label the k-row scan picks, without
   // gathering k full medoid rows per iteration.
-  SpatialIndexChoice index_choice = SpatialIndexChoice::kOff;
-  SpatialIndexChoiceFromString(eng.spatial_index(), &index_choice);
+  const SpatialIndexChoice index_choice = eng.spatial_index();
   const bool index_assign = index_choice != SpatialIndexChoice::kOff &&
                             store.backend() != PairwiseBackend::kDense;
   int64_t assign_evals = 0;

@@ -37,6 +37,18 @@ void ApplySimdIsa(const std::string& name) {
   }
 }
 
+// Resolves EngineConfig::spatial_index. An unknown name falls back to auto
+// with a stderr warning, as simd_isa does: every choice serves the same
+// values, so the fallback changes only which pairs are tested.
+clustering::SpatialIndexChoice ResolveSpatialIndex(const std::string& name) {
+  auto choice = clustering::SpatialIndexChoice::kAuto;
+  if (!clustering::SpatialIndexChoiceFromString(name, &choice)) {
+    std::fprintf(stderr, "engine: unknown spatial_index '%s', using auto\n",
+                 name.c_str());
+  }
+  return choice;
+}
+
 }  // namespace
 
 Engine::Engine(const EngineConfig& config) {
@@ -50,7 +62,7 @@ Engine::Engine(const EngineConfig& config) {
   ukmeans_ckmeans_reduction_ = config.ukmeans_ckmeans_reduction;
   ukmeans_bound_pruning_ = config.ukmeans_bound_pruning;
   ukmeans_minibatch_size_ = config.ukmeans_minibatch_size;
-  spatial_index_ = config.spatial_index;
+  spatial_index_ = ResolveSpatialIndex(config.spatial_index);
   ApplySimdIsa(config.simd_isa);
   int threads = config.num_threads;
   if (threads == 0) {
@@ -153,11 +165,11 @@ common::Status ApplyEngineKnob(const std::string& key,
     }
     cfg->simd_isa = value;
   } else if (key == "spatial_index") {
-    if (value != "auto" && value != "rtree" && value != "grid" &&
-        value != "off") {
+    auto choice = clustering::SpatialIndexChoice::kAuto;
+    if (!clustering::SpatialIndexChoiceFromString(value, &choice)) {
       return common::Status::InvalidArgument(
-          "engine knob 'spatial_index': expected auto, rtree, grid, or off, "
-          "got '" + value + "'");
+          "engine knob 'spatial_index': expected auto, rtree, or off, got '" +
+          value + "'");
     }
     cfg->spatial_index = value;
   } else {

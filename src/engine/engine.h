@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "clustering/spatial_index.h"
 #include "common/status.h"
 #include "engine/thread_pool.h"
 
@@ -101,13 +102,13 @@ struct EngineConfig {
   /// order, so results are bit-identical whichever path runs. Forcing an
   /// unavailable path falls back to auto with a warning on stderr.
   std::string simd_isa = "auto";
-  /// Spatial index over the per-object region boxes for the pairwise
-  /// candidate sweeps (clustering::SpatialIndex): "auto" (grid for low
-  /// dimensions, STR R-tree otherwise), "rtree"/"grid" to force a
-  /// structure, "off" for the all-pairs bound sweeps. Pure recompute knob
-  /// under the determinism contract: the index only narrows which pairs
-  /// are *tested*, never which values are served, so clusterings are
-  /// bit-identical for every setting.
+  /// Spatial index over the per-object region boxes for the FDBSCAN and
+  /// UK-medoids candidate sweeps (clustering::SpatialIndex): "auto" or
+  /// "rtree" (the STR R-tree), "off" for the all-pairs bound sweeps. Pure
+  /// recompute knob under the determinism contract: the index only narrows
+  /// which pairs are *tested*, never which values are served, so
+  /// clusterings are bit-identical for every setting. An unknown name falls
+  /// back to auto with a warning on stderr, like simd_isa.
   std::string spatial_index = "auto";
 };
 
@@ -154,9 +155,11 @@ class Engine {
   /// "neon" — never "auto"; the default-constructed serial engine reports
   /// whatever the process-global dispatcher currently runs).
   std::string simd_isa() const;
-  /// Spatial-index structure request for candidate sweeps
-  /// ("auto"/"rtree"/"grid"/"off").
-  const std::string& spatial_index() const { return spatial_index_; }
+  /// The spatial-index choice for candidate sweeps, resolved from
+  /// EngineConfig::spatial_index at construction (never an unknown name).
+  clustering::SpatialIndexChoice spatial_index() const {
+    return spatial_index_;
+  }
   /// The pool, or nullptr when serial.
   ThreadPool* pool() const { return pool_.get(); }
 
@@ -171,7 +174,8 @@ class Engine {
   bool ukmeans_ckmeans_reduction_ = true;
   bool ukmeans_bound_pruning_ = true;
   std::size_t ukmeans_minibatch_size_ = 0;
-  std::string spatial_index_ = "auto";
+  clustering::SpatialIndexChoice spatial_index_ =
+      clustering::SpatialIndexChoice::kAuto;
   std::shared_ptr<ThreadPool> pool_;
 };
 
@@ -195,8 +199,8 @@ class Engine {
 ///   ukmeans_minibatch_size    int >= 0 (0 = auto)
 ///   simd_isa                  auto|scalar|avx2|neon (name validated here;
 ///                             availability resolves at Engine construction)
-///   spatial_index             auto|rtree|grid|off (candidate-sweep index
-///                             over region boxes; auto picks by dimension)
+///   spatial_index             auto|rtree|off (candidate-sweep R-tree over
+///                             region boxes; auto = rtree)
 ///
 /// Returns InvalidArgument for an unknown key or an unparsable value;
 /// `cfg` is unchanged on error. Later applications override earlier ones

@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "engine/engine.h"
@@ -168,6 +169,46 @@ TEST(Engine, CopiesShareOnePool) {
   Engine b = a;
   EXPECT_EQ(a.pool(), b.pool());
   EXPECT_NE(a.pool(), nullptr);
+}
+
+// The spatial_index knob grammar is auto|rtree|off; the removed grid
+// structure is an error, not a silent fallback.
+TEST(EngineKnobs, SpatialIndexGrammarRejectsGrid) {
+  EngineConfig cfg;
+  for (const char* ok : {"auto", "rtree", "off"}) {
+    EXPECT_TRUE(ApplyEngineKnob("spatial_index", ok, &cfg).ok()) << ok;
+    EXPECT_EQ(cfg.spatial_index, ok);
+  }
+  cfg.spatial_index = "rtree";
+  for (const char* bad : {"grid", "RTree", ""}) {
+    const common::Status st = ApplyEngineKnob("spatial_index", bad, &cfg);
+    EXPECT_EQ(st.code(), common::StatusCode::kInvalidArgument) << bad;
+    EXPECT_NE(st.message().find("expected auto, rtree, or off"),
+              std::string::npos)
+        << st.message();
+    EXPECT_EQ(cfg.spatial_index, "rtree") << bad;  // unchanged on error
+  }
+}
+
+// A programmatic EngineConfig bypasses the knob grammar; the Engine resolves
+// the name once, warning and falling back to auto like simd_isa.
+TEST(Engine, UnknownSpatialIndexWarnsAndResolvesToAuto) {
+  for (const char* bad : {"grid", "RTree"}) {
+    EngineConfig config;
+    config.spatial_index = bad;
+    testing::internal::CaptureStderr();
+    const Engine eng(config);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_EQ(eng.spatial_index(), clustering::SpatialIndexChoice::kAuto)
+        << bad;
+    EXPECT_NE(err.find(std::string("unknown spatial_index '") + bad + "'"),
+              std::string::npos)
+        << err;
+  }
+  EngineConfig off;
+  off.spatial_index = "off";
+  EXPECT_EQ(Engine(off).spatial_index(), clustering::SpatialIndexChoice::kOff);
+  EXPECT_EQ(Engine().spatial_index(), clustering::SpatialIndexChoice::kAuto);
 }
 
 TEST(PerWorker, SlotsMatchConcurrencyAndStayInRange) {

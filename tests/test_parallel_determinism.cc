@@ -615,7 +615,7 @@ TEST(ParallelDeterminism, SpatialIndexChoicesBitIdenticalAcrossThreadCounts) {
       const ClusteringResult off =
           make(name, 1, budget, "off")->Cluster(ds, 3, 13);
       for (const std::string& index :
-           {std::string("auto"), std::string("rtree"), std::string("grid")}) {
+           {std::string("auto"), std::string("rtree")}) {
         ClusteringResult serial;
         for (int threads : kThreadCounts) {
           const ClusteringResult out =
@@ -644,6 +644,66 @@ TEST(ParallelDeterminism, SpatialIndexChoicesBitIdenticalAcrossThreadCounts) {
                 << name << " index=" << index << " threads=" << threads;
           }
         }
+      }
+    }
+  }
+}
+
+// FOPTICS pays each unordered pair once per phase on a recomputing backend:
+// once in the core-distance upper-triangle sweep and once in the OPTICS
+// walk, which evaluates only unprocessed columns. The total is exactly
+// n * (n - 1) whatever the thread count.
+TEST(ParallelDeterminism, FopticsTiledEvaluatesEachPairOncePerPhase) {
+  const auto ds = TestDataset(120, 2, 3, 47);
+  const std::size_t n = ds.size();
+  for (int threads : {1, 4}) {
+    engine::EngineConfig config;
+    config.num_threads = threads;
+    config.block_size = 16;
+    config.memory_budget_bytes = 10 * n * sizeof(double);
+    Foptics algo;
+    algo.set_engine(engine::Engine(config));
+    const ClusteringResult out = algo.Cluster(ds, 3, 13);
+    EXPECT_EQ(out.pairwise_backend, "tiled") << "threads=" << threads;
+    EXPECT_EQ(out.pair_evaluations, static_cast<int64_t>(n * (n - 1)))
+        << "threads=" << threads;
+    EXPECT_EQ(out.ed_evaluations, out.pair_evaluations)
+        << "threads=" << threads;
+  }
+}
+
+// The per-worker rank heaps of the FOPTICS core-distance sweep must select
+// the same core distances the dense table's rows give, at the heap-merge
+// and rank-clamp edges: MinPts 0 (no core distances), 1, an interior rank,
+// n - 1 (every other object) and beyond n (clamped to n - 1).
+TEST(ParallelDeterminism, FopticsMinPtsEdgesMatchDenseAcrossThreads) {
+  const auto ds = TestDataset(60, 3, 3, 53);
+  const int n = static_cast<int>(ds.size());
+  const auto run = [&](int min_pts, int threads, std::size_t budget) {
+    engine::EngineConfig config;
+    config.num_threads = threads;
+    config.block_size = 8;
+    config.memory_budget_bytes = budget;
+    Foptics::Params params;
+    params.min_pts = min_pts;
+    Foptics algo(params);
+    algo.set_engine(engine::Engine(config));
+    return algo.Cluster(ds, 3, 13);
+  };
+  const std::size_t row_bytes = ds.size() * sizeof(double);
+  for (const int min_pts : {0, 1, 5, n - 1, n + 3}) {
+    const ClusteringResult dense = run(min_pts, 1, 0);
+    EXPECT_EQ(dense.pairwise_backend, "dense");
+    for (const std::size_t budget : {std::size_t{0}, 10 * row_bytes,
+                                     row_bytes}) {
+      for (int threads : kThreadCounts) {
+        const ClusteringResult out = run(min_pts, threads, budget);
+        EXPECT_EQ(out.labels, dense.labels)
+            << "min_pts=" << min_pts << " backend=" << out.pairwise_backend
+            << " threads=" << threads;
+        EXPECT_EQ(out.clusters_found, dense.clusters_found)
+            << "min_pts=" << min_pts << " backend=" << out.pairwise_backend
+            << " threads=" << threads;
       }
     }
   }

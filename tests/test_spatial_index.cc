@@ -1,10 +1,8 @@
-// SpatialIndex exactness contract: for every structure (R-tree, grid) and a
-// mix of pdf families / dimensionalities, QueryWithin must return EXACTLY
-// the brute-force set { j : boxes[j].MinSquaredDistanceTo(query) <=
-// threshold2 }, KthMaxSquaredDistance the exact rank statistic of the max
-// bound, NearestCandidates a superset of the min-bound argmin bracket, and
-// QueryNearest the exact (distance, id)-ordered prefix. These are the
-// invariants the indexed FDBSCAN / FOPTICS / UK-medoids sweeps rely on for
+// SpatialIndex exactness contract: over a mix of pdf families and
+// dimensionalities, QueryWithin must return EXACTLY the brute-force set
+// { j : boxes[j].MinSquaredDistanceTo(query) <= threshold2 } and
+// NearestCandidates a superset of the min-bound argmin bracket. These are
+// the invariants the indexed FDBSCAN / UK-medoids sweeps rely on for
 // bit-identical clusterings (docs/spatial-index.md).
 #include <gtest/gtest.h>
 
@@ -28,12 +26,7 @@ namespace {
 using uncertain::Box;
 using uncertain::UncertainObject;
 
-constexpr SpatialIndexKind kKinds[] = {SpatialIndexKind::kRTree,
-                                       SpatialIndexKind::kGrid};
-
-const char* KindName(SpatialIndexKind kind) {
-  return kind == SpatialIndexKind::kRTree ? "rtree" : "grid";
-}
+constexpr SpatialIndexKind kRTree = SpatialIndexKind::kRTree;
 
 // Objects with per-dimension pdfs cycling through every supported family —
 // including zero-extent Dirac regions — so degenerate and fat boxes mix.
@@ -88,59 +81,26 @@ std::vector<std::size_t> BruteWithin(
 }
 
 // QueryWithin over random queries and thresholds must equal the brute-force
-// set element-for-element on both structures, across dimensionalities.
+// set element-for-element, across dimensionalities.
 TEST(SpatialIndex, QueryWithinMatchesBruteForceAcrossFamilies) {
   for (const std::size_t m : {std::size_t{2}, std::size_t{3}, std::size_t{5}}) {
     const auto objects = MixedFamilyObjects(120, m, 0xB0C5 + m);
     common::Rng rng(0xF00D + m);
-    for (const SpatialIndexKind kind : kKinds) {
-      const SpatialIndex index(
-          std::span<const UncertainObject>(objects.data(), objects.size()),
-          kind);
-      ASSERT_EQ(index.size(), objects.size());
-      for (int probe = 0; probe < 64; ++probe) {
-        const std::size_t i = rng.Index(objects.size());
-        // Thresholds from tiny (often-empty result) to huge (everything).
-        const double t2 = std::pow(10.0, rng.Uniform(-4.0, 1.0));
-        const std::size_t exclude =
-            probe % 2 == 0 ? i : objects.size();  // with and without self
-        std::vector<std::size_t> got;
-        index.QueryWithin(objects[i].region(), t2, exclude, &got);
-        EXPECT_EQ(got,
-                  BruteWithin(objects, objects[i].region(), t2, exclude))
-            << KindName(kind) << " m=" << m << " probe=" << probe;
-      }
-    }
-  }
-}
-
-// The k-th smallest max-distance bound, the FOPTICS range radius.
-TEST(SpatialIndex, KthMaxSquaredDistanceMatchesBruteForce) {
-  const auto objects = MixedFamilyObjects(80, 3, 0xCAFE);
-  common::Rng rng(0xBEEF);
-  for (const SpatialIndexKind kind : kKinds) {
     const SpatialIndex index(
         std::span<const UncertainObject>(objects.data(), objects.size()),
-        kind);
-    for (int probe = 0; probe < 48; ++probe) {
+        kRTree);
+    ASSERT_EQ(index.size(), objects.size());
+    for (int probe = 0; probe < 64; ++probe) {
       const std::size_t i = rng.Index(objects.size());
-      const std::size_t rank = 1 + rng.Index(objects.size() - 1);
-      std::vector<double> maxes;
-      for (std::size_t j = 0; j < objects.size(); ++j) {
-        if (j == i) continue;
-        maxes.push_back(
-            objects[j].region().MaxSquaredDistanceTo(objects[i].region()));
-      }
-      std::nth_element(maxes.begin(), maxes.begin() + (rank - 1),
-                       maxes.end());
-      EXPECT_EQ(index.KthMaxSquaredDistance(objects[i].region(), rank, i),
-                maxes[rank - 1])
-          << KindName(kind) << " probe=" << probe << " rank=" << rank;
+      // Thresholds from tiny (often-empty result) to huge (everything).
+      const double t2 = std::pow(10.0, rng.Uniform(-4.0, 1.0));
+      const std::size_t exclude =
+          probe % 2 == 0 ? i : objects.size();  // with and without self
+      std::vector<std::size_t> got;
+      index.QueryWithin(objects[i].region(), t2, exclude, &got);
+      EXPECT_EQ(got, BruteWithin(objects, objects[i].region(), t2, exclude))
+          << "m=" << m << " probe=" << probe;
     }
-    // More ranks than boxes: no radius captures that many.
-    EXPECT_EQ(index.KthMaxSquaredDistance(objects[0].region(),
-                                          objects.size() + 5, 0),
-              std::numeric_limits<double>::infinity());
   }
 }
 
@@ -153,121 +113,75 @@ TEST(SpatialIndex, NearestCandidatesBracketTheArgmin) {
   for (std::size_t j = 0; j < objects.size(); j += 7) {
     boxes.push_back(objects[j].region());
   }
-  for (const SpatialIndexKind kind : kKinds) {
-    const SpatialIndex index(std::vector<Box>(boxes), kind);
-    std::vector<std::size_t> cand;
-    for (const auto& o : objects) {
-      index.NearestCandidates(o.region(), &cand);
-      ASSERT_FALSE(cand.empty());
-      ASSERT_TRUE(std::is_sorted(cand.begin(), cand.end()));
-      double best_ub = std::numeric_limits<double>::infinity();
-      for (const Box& b : boxes) {
-        best_ub = std::min(best_ub, b.MaxSquaredDistanceTo(o.region()));
-      }
-      for (std::size_t s = 0; s < boxes.size(); ++s) {
-        const bool possible =
-            boxes[s].MinSquaredDistanceTo(o.region()) <= best_ub;
-        const bool listed =
-            std::binary_search(cand.begin(), cand.end(), s);
-        // The candidate set may over-include (slack), never under-include.
-        EXPECT_TRUE(!possible || listed) << KindName(kind) << " slot=" << s;
-      }
+  const SpatialIndex index(std::vector<Box>(boxes), kRTree);
+  std::vector<std::size_t> cand;
+  for (const auto& o : objects) {
+    index.NearestCandidates(o.region(), &cand);
+    ASSERT_FALSE(cand.empty());
+    ASSERT_TRUE(std::is_sorted(cand.begin(), cand.end()));
+    double best_ub = std::numeric_limits<double>::infinity();
+    for (const Box& b : boxes) {
+      best_ub = std::min(best_ub, b.MaxSquaredDistanceTo(o.region()));
     }
-  }
-}
-
-// QueryNearest: exact (distance, id) order against a brute-force sort.
-TEST(SpatialIndex, QueryNearestMatchesBruteForceOrder) {
-  const auto objects = MixedFamilyObjects(70, 3, 0xACE5);
-  common::Rng rng(0x5EED);
-  for (const SpatialIndexKind kind : kKinds) {
-    const SpatialIndex index(
-        std::span<const UncertainObject>(objects.data(), objects.size()),
-        kind);
-    for (int probe = 0; probe < 24; ++probe) {
-      std::vector<double> point = {rng.Uniform(-2.5, 2.5),
-                                   rng.Uniform(-2.5, 2.5),
-                                   rng.Uniform(-2.5, 2.5)};
-      const std::size_t k = 1 + rng.Index(objects.size() + 4);
-      std::vector<std::pair<double, std::size_t>> ranked;
-      for (std::size_t j = 0; j < objects.size(); ++j) {
-        ranked.emplace_back(objects[j].region().MinSquaredDistanceTo(
-                                std::span<const double>(point)),
-                            j);
-      }
-      std::sort(ranked.begin(), ranked.end());
-      std::vector<std::size_t> want;
-      for (std::size_t r = 0; r < std::min(k, ranked.size()); ++r) {
-        want.push_back(ranked[r].second);
-      }
-      std::vector<std::size_t> got;
-      index.QueryNearest(std::span<const double>(point), k, &got);
-      EXPECT_EQ(got, want) << KindName(kind) << " probe=" << probe
-                           << " k=" << k;
+    for (std::size_t s = 0; s < boxes.size(); ++s) {
+      const bool possible =
+          boxes[s].MinSquaredDistanceTo(o.region()) <= best_ub;
+      const bool listed = std::binary_search(cand.begin(), cand.end(), s);
+      // The candidate set may over-include (slack), never under-include.
+      EXPECT_TRUE(!possible || listed) << "slot=" << s;
     }
   }
 }
 
 // Degenerate shapes: a single object, and all boxes stacked on one spot
-// (every pair at distance 0 — the grid collapses to one cell, the R-tree to
-// one leaf; queries must still return complete sets).
+// (every pair at distance 0 — the R-tree collapses to one leaf; queries
+// must still return complete sets).
 TEST(SpatialIndex, SingleObjectAndAllOverlappingBoxes) {
   const std::vector<double> spot = {0.5, -1.0};
-  for (const SpatialIndexKind kind : kKinds) {
-    // Single object.
-    std::vector<UncertainObject> one;
-    one.push_back(UncertainObject::Deterministic(spot));
-    const SpatialIndex single(
-        std::span<const UncertainObject>(one.data(), one.size()), kind);
-    std::vector<std::size_t> out;
-    single.QueryWithin(one[0].region(), 1.0, 0, &out);
-    EXPECT_TRUE(out.empty()) << KindName(kind);  // only the excluded self
-    single.QueryWithin(one[0].region(), 0.0, one.size(), &out);
-    EXPECT_EQ(out, std::vector<std::size_t>{0}) << KindName(kind);
-    EXPECT_EQ(single.KthMaxSquaredDistance(one[0].region(), 1, 0),
-              std::numeric_limits<double>::infinity());
+  // Single object.
+  std::vector<UncertainObject> one;
+  one.push_back(UncertainObject::Deterministic(spot));
+  const SpatialIndex single(
+      std::span<const UncertainObject>(one.data(), one.size()), kRTree);
+  std::vector<std::size_t> out;
+  single.QueryWithin(one[0].region(), 1.0, 0, &out);
+  EXPECT_TRUE(out.empty());  // only the excluded self
+  single.QueryWithin(one[0].region(), 0.0, one.size(), &out);
+  EXPECT_EQ(out, std::vector<std::size_t>{0});
 
-    // Identical boxes: zero-width and fat variants sharing one center.
-    std::vector<UncertainObject> stack;
-    for (int i = 0; i < 17; ++i) {
-      if (i % 2 == 0) {
-        stack.push_back(UncertainObject::Deterministic(spot));
-      } else {
-        std::vector<uncertain::PdfPtr> dims;
-        dims.push_back(uncertain::UniformPdf::Centered(spot[0], 0.25));
-        dims.push_back(uncertain::UniformPdf::Centered(spot[1], 0.25));
-        stack.emplace_back(std::move(dims));
-      }
+  // Identical boxes: zero-width and fat variants sharing one center.
+  std::vector<UncertainObject> stack;
+  for (int i = 0; i < 17; ++i) {
+    if (i % 2 == 0) {
+      stack.push_back(UncertainObject::Deterministic(spot));
+    } else {
+      std::vector<uncertain::PdfPtr> dims;
+      dims.push_back(uncertain::UniformPdf::Centered(spot[0], 0.25));
+      dims.push_back(uncertain::UniformPdf::Centered(spot[1], 0.25));
+      stack.emplace_back(std::move(dims));
     }
-    const SpatialIndex overlap(
-        std::span<const UncertainObject>(stack.data(), stack.size()), kind);
-    overlap.QueryWithin(stack[0].region(), 0.0, 3, &out);
-    EXPECT_EQ(out.size(), stack.size() - 1) << KindName(kind);
-    ASSERT_TRUE(std::is_sorted(out.begin(), out.end()));
-    EXPECT_EQ(overlap.KthMaxSquaredDistance(stack[0].region(),
-                                            stack.size() - 1, 0),
-              stack[1].region().MaxSquaredDistanceTo(stack[0].region()));
-    overlap.NearestCandidates(stack[0].region(), &out);
-    EXPECT_EQ(out.size(), stack.size()) << KindName(kind);
   }
+  const SpatialIndex overlap(
+      std::span<const UncertainObject>(stack.data(), stack.size()), kRTree);
+  overlap.QueryWithin(stack[0].region(), 0.0, 3, &out);
+  EXPECT_EQ(out.size(), stack.size() - 1);
+  ASSERT_TRUE(std::is_sorted(out.begin(), out.end()));
+  overlap.NearestCandidates(stack[0].region(), &out);
+  EXPECT_EQ(out.size(), stack.size());
 }
 
 // An empty box list builds and answers every query with the empty set.
 TEST(SpatialIndex, EmptyIndexAnswersEmptily) {
-  for (const SpatialIndexKind kind : kKinds) {
-    const SpatialIndex empty(std::vector<Box>{}, kind);
-    EXPECT_EQ(empty.size(), std::size_t{0});
-    const Box q({0.0}, {1.0});
-    std::vector<std::size_t> out = {99};
-    empty.QueryWithin(q, 1e9, 0, &out);
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(empty.KthMaxSquaredDistance(q, 1, 0),
-              std::numeric_limits<double>::infinity());
-    const std::vector<double> p = {0.5};
-    empty.QueryNearest(std::span<const double>(p), 3, &out);
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(empty.bound_tests(), 0);
-  }
+  const SpatialIndex empty(std::vector<Box>{}, kRTree);
+  EXPECT_EQ(empty.size(), std::size_t{0});
+  const Box q({0.0}, {1.0});
+  std::vector<std::size_t> out = {99};
+  empty.QueryWithin(q, 1e9, 0, &out);
+  EXPECT_TRUE(out.empty());
+  out = {99};
+  empty.NearestCandidates(q, &out);
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(empty.bound_tests(), 0);
 }
 
 TEST(SpatialIndex, ChoiceParsingAndResolution) {
@@ -276,46 +190,42 @@ TEST(SpatialIndex, ChoiceParsingAndResolution) {
   EXPECT_EQ(c, SpatialIndexChoice::kAuto);
   EXPECT_TRUE(SpatialIndexChoiceFromString("rtree", &c));
   EXPECT_EQ(c, SpatialIndexChoice::kRTree);
-  EXPECT_TRUE(SpatialIndexChoiceFromString("grid", &c));
-  EXPECT_EQ(c, SpatialIndexChoice::kGrid);
   EXPECT_TRUE(SpatialIndexChoiceFromString("off", &c));
   EXPECT_EQ(c, SpatialIndexChoice::kOff);
-  c = SpatialIndexChoice::kGrid;
-  EXPECT_FALSE(SpatialIndexChoiceFromString("octree", &c));
-  EXPECT_EQ(c, SpatialIndexChoice::kGrid);  // untouched on failure
+  for (const char* bad : {"grid", "octree", "RTree", ""}) {
+    c = SpatialIndexChoice::kRTree;
+    EXPECT_FALSE(SpatialIndexChoiceFromString(bad, &c)) << bad;
+    EXPECT_EQ(c, SpatialIndexChoice::kRTree) << bad;  // untouched on failure
+  }
 
   EXPECT_STREQ(SpatialIndexChoiceName(SpatialIndexChoice::kAuto), "auto");
+  EXPECT_STREQ(SpatialIndexChoiceName(SpatialIndexChoice::kRTree), "rtree");
   EXPECT_STREQ(SpatialIndexChoiceName(SpatialIndexChoice::kOff), "off");
 
-  // Auto: grid while cell windows stay compact, R-tree beyond.
-  EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kAuto, 2),
-            SpatialIndexKind::kGrid);
-  EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kAuto, 3),
-            SpatialIndexKind::kGrid);
-  EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kAuto, 4),
-            SpatialIndexKind::kRTree);
-  EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kRTree, 2),
-            SpatialIndexKind::kRTree);
-  EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kGrid, 9),
-            SpatialIndexKind::kGrid);
+  // Auto and rtree both build the R-tree, at every dimensionality.
+  for (const std::size_t dims : {std::size_t{1}, std::size_t{2},
+                                 std::size_t{3}, std::size_t{9}}) {
+    EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kAuto, dims),
+              SpatialIndexKind::kRTree);
+    EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kRTree, dims),
+              SpatialIndexKind::kRTree);
+  }
 }
 
 // The bound-test counter grows with queries and is what the CI smoke gate
 // compares against the all-pairs floor.
 TEST(SpatialIndex, BoundTestCounterIsMonotone) {
   const auto objects = MixedFamilyObjects(40, 2, 0x1234);
-  for (const SpatialIndexKind kind : kKinds) {
-    const SpatialIndex index(
-        std::span<const UncertainObject>(objects.data(), objects.size()),
-        kind);
-    EXPECT_EQ(index.bound_tests(), 0);
-    std::vector<std::size_t> out;
-    index.QueryWithin(objects[0].region(), 0.5, 0, &out);
-    const int64_t after_one = index.bound_tests();
-    EXPECT_GT(after_one, 0) << KindName(kind);
-    index.QueryWithin(objects[1].region(), 0.5, 1, &out);
-    EXPECT_GT(index.bound_tests(), after_one) << KindName(kind);
-  }
+  const SpatialIndex index(
+      std::span<const UncertainObject>(objects.data(), objects.size()),
+      kRTree);
+  EXPECT_EQ(index.bound_tests(), 0);
+  std::vector<std::size_t> out;
+  index.QueryWithin(objects[0].region(), 0.5, 0, &out);
+  const int64_t after_one = index.bound_tests();
+  EXPECT_GT(after_one, 0);
+  index.QueryWithin(objects[1].region(), 0.5, 1, &out);
+  EXPECT_GT(index.bound_tests(), after_one);
 }
 
 }  // namespace

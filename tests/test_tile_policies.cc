@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstddef>
+#include <string>
 #include <vector>
 
 #include "clustering/fdbscan.h"
@@ -375,7 +376,7 @@ TEST(TilePolicies, FdbscanIndexedSweepCounterIdentical) {
     const ClusteringResult off = run(budget, "off");
     EXPECT_EQ(off.index_candidates, 0);
     EXPECT_EQ(off.index_bound_tests, 0);
-    for (const char* index : {"rtree", "grid", "auto"}) {
+    for (const char* index : {"rtree", "auto"}) {
       const ClusteringResult indexed = run(budget, index);
       EXPECT_EQ(indexed.labels, off.labels)
           << index << " budget=" << budget;
@@ -398,6 +399,38 @@ TEST(TilePolicies, FdbscanIndexedSweepCounterIdentical) {
       EXPECT_GT(indexed.index_candidates, 0) << index;
       EXPECT_GT(indexed.index_bound_tests, 0) << index;
     }
+  }
+}
+
+// An EngineConfig::spatial_index the knob grammar would reject ("RTree",
+// the removed "grid") must warn and run exactly like "auto": the index
+// stays on, with the same labels and counters — never a silent "off".
+TEST(TilePolicies, UnknownSpatialIndexBehavesLikeAuto) {
+  const auto ds = TestDataset(150, 2, 3, 113, /*min_separation=*/0.45);
+  const std::size_t budget = 10 * ds.size() * sizeof(double);
+  Fdbscan::Params fp;
+  fp.eps = 0.08;
+  const auto run = [&](const std::string& index) {
+    engine::EngineConfig config;
+    config.block_size = 32;
+    config.memory_budget_bytes = budget;
+    config.spatial_index = index;
+    Fdbscan algo(fp);
+    algo.set_engine(engine::Engine(config));
+    return algo.Cluster(ds, 3, 17);
+  };
+  const ClusteringResult want = run("auto");
+  ASSERT_GT(want.index_bound_tests, 0);
+  for (const char* bad : {"RTree", "grid"}) {
+    testing::internal::CaptureStderr();
+    const ClusteringResult got = run(bad);
+    const std::string err = testing::internal::GetCapturedStderr();
+    EXPECT_NE(err.find("unknown spatial_index"), std::string::npos) << err;
+    EXPECT_EQ(got.labels, want.labels) << bad;
+    EXPECT_EQ(got.pair_evaluations, want.pair_evaluations) << bad;
+    EXPECT_EQ(got.index_candidates, want.index_candidates) << bad;
+    EXPECT_EQ(got.index_bound_tests, want.index_bound_tests) << bad;
+    EXPECT_EQ(got.pairs_pruned_by_index, want.pairs_pruned_by_index) << bad;
   }
 }
 
