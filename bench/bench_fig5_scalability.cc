@@ -8,11 +8,10 @@
 // speedup of the execution engine at the 100% size, sweeps the
 // PairwiseStore backend axis (dense / tiled / on-the-fly ED^ tables) on an
 // object-backed UK-medoids workload with peak-RSS and peak-table-memory
-// accounting, sweeps the tile-policy axis (full sweep vs gather tiles vs
-// gather + warm rows, with kernel-eval and warm-hit counters) plus an
-// FDBSCAN pruned-vs-unpruned sweep on a mix-family dataset, sweeps the
-// CK-means axis (direct vs reduced vs reduced+bounds UK-means assignment
-// work, with distance-eval and bounds-skip accounting), sweeps the
+// accounting, sweeps the FDBSCAN spatial-index axis (index off vs R-tree,
+// with pruned-pair and bound-test counters) on a mix-family dataset, sweeps
+// the CK-means axis (direct UK-means sweeps vs CK-means assignment work,
+// with distance-eval and bounds-skip accounting), sweeps the
 // MomentStore backend axis (resident columns vs the mmap-backed .umom
 // sidecar) on the fast group with moments-bytes-resident accounting, and
 // persists everything to a machine-readable BENCH_fig5_scalability.json
@@ -33,12 +32,9 @@
 //   --with_pruning    also time bUKM/MinMax-BB/VDBiP (object-backed; the
 //                     base size is then capped at --pruning_cap)
 //   --pruning_cap=N   cap for the pruning sweep  (default 8000)
-//   --pairwise_n=N    size of the backend/tile-policy axis sweeps
+//   --pairwise_n=N    size of the backend/spatial-index axis sweeps
 //                     (default 1500; 0 skips them)
 //   --pairwise_budget_mb=M  tiled-backend budget   (default 4)
-//   --pairwise_gather_tiles/--pairwise_warm_rows/--pairwise_pruned_sweeps
-//                     engine tile-policy knobs for the main sweeps (the
-//                     tile-policy axis sweeps them itself)
 //   --seed=S          master seed                (default 1)
 #include <algorithm>
 #include <cstdio>
@@ -313,10 +309,10 @@ int main(int argc, char** argv) {
   }
   json.EndArray();
 
-  // CK-means axis: the UK-means assignment work at the 100% size under the
-  // three pruning levels — direct sweeps, moment reduction only, and
-  // reduction plus Hamerly/Elkan bounds. Labels must agree bit-for-bit
-  // (the levels are exact optimizations); what changes is online time and
+  // CK-means axis: the UK-means assignment work at the 100% size on the
+  // direct sweeps (Ukmeans::RunOnMoments) and on the CK-means path (moment
+  // reduction plus Hamerly/Elkan bounds). Labels must agree bit-for-bit
+  // (CK-means is an exact optimization); what changes is online time and
   // the (center_distance_evals, bounds_skipped) accounting. This axis
   // records the trajectory; the hard pruning-win gate lives in
   // bench_ckmeans_smoke, which CI greps for CKMEANS RESULT=OK.
@@ -328,21 +324,14 @@ int main(int argc, char** argv) {
                 "iters", "distance_evals", "bounds_skipped", "labels");
     json.Key("ckmeans_speedup");
     json.BeginArray();
-    struct Level {
-      const char* name;
-      bool reduction;
-      bool bounds;
-    };
-    const Level levels[] = {{"direct", false, false},
-                            {"reduced", true, false},
-                            {"reduced+bounds", true, true}};
     std::vector<int> direct_labels;
-    for (const Level& level : levels) {
+    for (const char* level : {"direct", "ckmeans"}) {
+      const bool direct = std::string(level) == "direct";
       double ms = 0.0;
       clustering::CkMeans::Outcome out;
       for (int r = 0; r < runs; ++r) {
         common::Stopwatch sw;
-        if (!level.reduction && !level.bounds) {
+        if (direct) {
           const auto d = clustering::Ukmeans::RunOnMoments(
               largest_mm.view(), k, seed, clustering::Ukmeans::Params(), eng);
           ms += sw.ElapsedMs();
@@ -352,24 +341,21 @@ int main(int argc, char** argv) {
           out.center_distance_evals = d.center_distance_evals;
           out.bounds_skipped = 0;
         } else {
-          clustering::CkMeans::Params cp;
-          cp.reduction = level.reduction;
-          cp.bound_pruning = level.bounds;
-          out = clustering::CkMeans::RunOnMoments(largest_mm.view(), k, seed,
-                                                  cp, eng);
+          out = clustering::CkMeans::RunOnMoments(
+              largest_mm.view(), k, seed, clustering::CkMeans::Params(), eng);
           ms += sw.ElapsedMs();
         }
       }
       ms /= runs;
       if (direct_labels.empty()) direct_labels = out.labels;
       const bool labels_match = out.labels == direct_labels;
-      std::printf("%16s | %8.1fms %6d %16lld %16lld %8s\n", level.name, ms,
+      std::printf("%16s | %8.1fms %6d %16lld %16lld %8s\n", level, ms,
                   out.iterations,
                   static_cast<long long>(out.center_distance_evals),
                   static_cast<long long>(out.bounds_skipped),
                   labels_match ? "match" : "MISMATCH!");
       json.BeginObject();
-      json.KV("level", level.name);
+      json.KV("level", level);
       json.KV("n", largest_mm.size());
       json.KV("k", k);
       json.KV("online_ms", ms);
@@ -456,7 +442,8 @@ int main(int argc, char** argv) {
   // PairwiseStore backend axis: the same object-backed UK-medoids workload
   // under an unlimited budget (dense table), a tiled budget, and a 1-byte
   // budget (on-the-fly rows). Labels must agree bit-for-bit; what changes
-  // is peak table memory (recorded from the store) and process RSS.
+  // is peak table memory (recorded from the store), process RSS, and the
+  // recompute work (pair evaluations, warm-row hits).
   const std::size_t pairwise_n =
       static_cast<std::size_t>(args.GetInt("pairwise_n", 1500));
   if (pairwise_n > 0) {
@@ -477,8 +464,9 @@ int main(int argc, char** argv) {
                 static_cast<double>(ds.size()) * ds.size() *
                     sizeof(double) / (1 << 20),
                 tiled_budget >> 20);
-    std::printf("%10s %14s | %10s %10s %14s %12s\n", "backend", "budget",
-                "offline", "online", "table_peak", "peak_rss");
+    std::printf("%10s %14s | %10s %10s %14s %10s %14s %12s\n", "backend",
+                "budget", "offline", "online", "pair_evals", "warm_hits",
+                "table_peak", "peak_rss");
     json.Key("pairwise_backends");
     json.BeginArray();
     // Ascending-memory order with dense LAST: ru_maxrss is a monotone
@@ -505,9 +493,12 @@ int main(int argc, char** argv) {
     const std::vector<int>& dense_labels = runs_out.back().r.labels;
     for (const BackendRun& run : runs_out) {
       const bool labels_match = run.r.labels == dense_labels;
-      std::printf("%10s %14zu | %8.1fms %8.1fms %11.2f MiB %9ld KB%s\n",
+      std::printf("%10s %14zu | %8.1fms %8.1fms %14lld %10lld %11.2f MiB "
+                  "%9ld KB%s\n",
                   run.r.pairwise_backend.c_str(), run.budget,
                   run.r.offline_ms, run.r.online_ms,
+                  static_cast<long long>(run.r.pair_evaluations),
+                  static_cast<long long>(run.r.tile_warm_hits),
                   static_cast<double>(run.r.table_bytes_peak) / (1 << 20),
                   run.rss_kb, labels_match ? "" : "  LABEL MISMATCH!");
       json.BeginObject();
@@ -517,6 +508,9 @@ int main(int argc, char** argv) {
       json.KV("offline_ms", run.r.offline_ms);
       json.KV("online_ms", run.r.online_ms);
       json.KV("iterations", run.r.iterations);
+      json.KV("pair_evaluations", run.r.pair_evaluations);
+      json.KV("tile_warm_hits", run.r.tile_warm_hits);
+      json.KV("tile_warm_misses", run.r.tile_warm_misses);
       json.KV("table_bytes_peak", run.r.table_bytes_peak);
       json.KV("peak_rss_kb", static_cast<int64_t>(run.rss_kb));
       json.KV("labels_match_dense", labels_match);
@@ -524,66 +518,9 @@ int main(int argc, char** argv) {
     }
     json.EndArray();
 
-    // Tile-policy axis: the same tiled UK-medoids workload under the three
-    // policy levels — the classic full-table swap sweep, asymmetric gather
-    // tiles, and gather tiles plus warm-row reuse. Labels must agree
-    // bit-for-bit; what changes is kernel evaluations (the swap sweep reads
-    // member x member slabs instead of full tiles) and warm hit rates.
-    // The budget is capped at a quarter of the dense table so the axis
-    // always exercises the tiled backend, even at CI sizes where the
-    // configured budget would let the dense table fit.
-    const std::size_t policy_budget = std::min(
-        tiled_budget, ds.size() * ds.size() * sizeof(double) / 4);
-    std::printf("\n[tile policy axis: UK-medoids tiled at n=%zu, budget = "
-                "%zu KiB]\n",
-                ds.size(), policy_budget >> 10);
-    std::printf("%14s | %10s %14s %10s %10s %8s\n", "policy", "online",
-                "kernel_evals", "warm_hits", "warm_miss", "labels");
-    json.Key("tile_policies");
-    json.BeginArray();
-    struct Policy {
-      const char* name;
-      bool gather;
-      bool warm;
-    };
-    const Policy policies[] = {{"full", false, false},
-                               {"gather", true, false},
-                               {"gather+warm", true, true}};
-    std::vector<int> full_labels;
-    for (const Policy& policy : policies) {
-      engine::EngineConfig pc = engine_config;
-      pc.memory_budget_bytes = policy_budget;
-      pc.pairwise_gather_tiles = policy.gather;
-      pc.pairwise_warm_rows = policy.warm;
-      clustering::UkMedoids algo(mp);
-      algo.set_engine(engine::Engine(pc));
-      const clustering::ClusteringResult r = algo.Cluster(ds, k, seed);
-      if (full_labels.empty()) full_labels = r.labels;
-      const bool labels_match = r.labels == full_labels;
-      std::printf("%14s | %8.1fms %14lld %10lld %10lld %8s\n", policy.name,
-                  r.online_ms, static_cast<long long>(r.pair_evaluations),
-                  static_cast<long long>(r.tile_warm_hits),
-                  static_cast<long long>(r.tile_warm_misses),
-                  labels_match ? "match" : "MISMATCH!");
-      json.BeginObject();
-      json.KV("policy", policy.name);
-      json.KV("backend", r.pairwise_backend);
-      json.KV("n", ds.size());
-      json.KV("online_ms", r.online_ms);
-      json.KV("iterations", r.iterations);
-      json.KV("pair_evaluations", r.pair_evaluations);
-      json.KV("tile_warm_hits", r.tile_warm_hits);
-      json.KV("tile_warm_misses", r.tile_warm_misses);
-      json.KV("table_bytes_peak", r.table_bytes_peak);
-      json.KV("labels_match_full", labels_match);
-      json.EndObject();
-    }
-    json.EndArray();
-
-    // FDBSCAN pruned-sweep axis on a mix-family dataset: per-dimension pdfs
-    // cycle uniform / normal / exponential, exercising every bounded-support
-    // shape the spatial bounds must cover. The pruned sweep must reproduce
-    // the unpruned labels while evaluating strictly fewer pairs.
+    // FDBSCAN on a mix-family dataset: per-dimension pdfs cycle uniform /
+    // normal / exponential, exercising every bounded-support shape the
+    // spatial bounds must cover.
     {
       const data::DeterministicDataset det = data::MakeGaussianMixture(
           [&] {
@@ -615,65 +552,30 @@ int main(int argc, char** argv) {
                                           det.labels, det.num_classes);
       clustering::Fdbscan::Params fp;
       fp.eps = 0.1;  // below the class separation: cross-class pairs prune
-      std::printf("\n[fdbscan pruned-sweep axis: mix-family dataset, "
-                  "n=%zu]\n",
-                  mix_ds.size());
-      std::printf("%10s | %10s %14s %14s %8s\n", "sweep", "online",
-                  "kernel_evals", "pairs_pruned", "labels");
-      json.Key("fdbscan_pruning");
-      json.BeginArray();
-      std::vector<int> unpruned_labels;
-      for (const bool pruned : {false, true}) {
-        engine::EngineConfig pc = engine_config;
-        pc.memory_budget_bytes = tiled_budget;
-        pc.pairwise_pruned_sweeps = pruned;
-        clustering::Fdbscan algo(fp);
-        algo.set_engine(engine::Engine(pc));
-        const clustering::ClusteringResult r = algo.Cluster(mix_ds, k, seed);
-        if (unpruned_labels.empty()) unpruned_labels = r.labels;
-        const bool labels_match = r.labels == unpruned_labels;
-        std::printf("%10s | %8.1fms %14lld %14lld %8s\n",
-                    pruned ? "pruned" : "unpruned", r.online_ms,
-                    static_cast<long long>(r.pair_evaluations),
-                    static_cast<long long>(r.pairs_pruned),
-                    labels_match ? "match" : "MISMATCH!");
-        json.BeginObject();
-        json.KV("sweep", pruned ? "pruned" : "unpruned");
-        json.KV("backend", r.pairwise_backend);
-        json.KV("n", mix_ds.size());
-        json.KV("online_ms", r.online_ms);
-        json.KV("pair_evaluations", r.pair_evaluations);
-        json.KV("pairs_pruned", r.pairs_pruned);
-        json.KV("clusters_found", r.clusters_found);
-        json.KV("labels_match_unpruned", labels_match);
-        json.EndObject();
-      }
-      json.EndArray();
-
-      // Spatial-index axis on the same mix-family dataset: the index must
-      // reproduce the index-off pruned sweep bit-for-bit (same labels, same
-      // evaluated pairs) while replacing the n*(n-1)/2 per-pair bound tests
-      // with candidate-set queries.
+      // Spatial-index axis: the index must reproduce the index-off pruned
+      // sweep bit-for-bit (same labels, same evaluated pairs) while
+      // replacing the n*(n-1)/2 per-pair bound tests with candidate-set
+      // queries. Both rows report the pairs the bound pruned.
       std::printf("\n[fdbscan spatial-index axis: mix-family dataset, "
                   "n=%zu]\n",
                   mix_ds.size());
-      std::printf("%8s | %10s %14s %14s %14s %8s\n", "index", "online",
-                  "bound_tests", "candidates", "pruned_by_idx", "labels");
+      std::printf("%8s | %10s %14s %14s %14s %14s %8s\n", "index",
+                  "online", "pairs_pruned", "bound_tests", "candidates",
+                  "pruned_by_idx", "labels");
       json.Key("spatial_index");
       json.BeginArray();
       std::vector<int> off_labels;
       for (const char* index : {"off", "rtree"}) {
         engine::EngineConfig pc = engine_config;
         pc.memory_budget_bytes = tiled_budget;
-        pc.pairwise_pruned_sweeps = true;
         pc.spatial_index = index;
         clustering::Fdbscan algo(fp);
         algo.set_engine(engine::Engine(pc));
         const clustering::ClusteringResult r = algo.Cluster(mix_ds, k, seed);
         if (off_labels.empty()) off_labels = r.labels;
         const bool labels_match = r.labels == off_labels;
-        std::printf("%8s | %8.1fms %14lld %14lld %14lld %8s\n", index,
-                    r.online_ms,
+        std::printf("%8s | %8.1fms %14lld %14lld %14lld %14lld %8s\n", index,
+                    r.online_ms, static_cast<long long>(r.pairs_pruned),
                     static_cast<long long>(r.index_bound_tests),
                     static_cast<long long>(r.index_candidates),
                     static_cast<long long>(r.pairs_pruned_by_index),

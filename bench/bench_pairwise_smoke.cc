@@ -18,14 +18,14 @@
 //   [pairwise smoke] RESULT=OK    clustered within its own budget
 //   [pairwise smoke] RESULT=FAIL  clustered but violated budget/shape checks
 //
-// Budgeted runs with the gather-tile policy enabled additionally emit a
-// tile-policy marker with the run's kernel-eval and warm-row counters:
+// Budgeted runs additionally emit a tile-policy marker with the run's
+// kernel-eval and warm-row counters:
 //
-//   [pairwise smoke] TILE_POLICY RESULT=OK|FAIL gather=.. warm=.. evals=..
+//   [pairwise smoke] TILE_POLICY RESULT=OK|FAIL evals=.. full_sweep_floor=..
 //
-// TILE_POLICY RESULT=OK asserts the gather-tile swap sweep actually beat
+// TILE_POLICY RESULT=OK asserts the member-block swap sweep actually beat
 // the full-table sweep's evaluation count (< iterations * n * (n - 1), the
-// floor of the legacy policy on a recomputing backend).
+// floor of a full-row sweep on a recomputing backend).
 //
 // Budgeted runs with the spatial index enabled (the default) additionally
 // gate the indexed FDBSCAN eps-sweep on a smaller separable dataset:
@@ -121,19 +121,17 @@ int Run(int argc, char** argv) {
     std::printf("[pairwise smoke] RESULT=FAIL\n");
     return 1;
   }
-  if (config.memory_budget_bytes > 0 && config.pairwise_gather_tiles) {
-    // The legacy full-table swap sweep costs n * (n - 1) evaluations per
-    // iteration on a recomputing backend; the gather-tile policy must land
-    // strictly below that floor.
+  if (config.memory_budget_bytes > 0) {
+    // A full-table swap sweep costs n * (n - 1) evaluations per iteration
+    // on a recomputing backend; the member-block sweep must land strictly
+    // below that floor.
     const int64_t full_sweep_floor = static_cast<int64_t>(r.iterations) *
                                      static_cast<int64_t>(n) *
                                      static_cast<int64_t>(n - 1);
     const bool tile_ok = r.pair_evaluations < full_sweep_floor;
-    std::printf("[pairwise smoke] TILE_POLICY RESULT=%s gather=%d warm=%d "
-                "evals=%lld full_sweep_floor=%lld warm_hits=%lld "
-                "warm_misses=%lld\n",
-                tile_ok ? "OK" : "FAIL", config.pairwise_gather_tiles ? 1 : 0,
-                config.pairwise_warm_rows ? 1 : 0,
+    std::printf("[pairwise smoke] TILE_POLICY RESULT=%s evals=%lld "
+                "full_sweep_floor=%lld warm_hits=%lld warm_misses=%lld\n",
+                tile_ok ? "OK" : "FAIL",
                 static_cast<long long>(r.pair_evaluations),
                 static_cast<long long>(full_sweep_floor),
                 static_cast<long long>(r.tile_warm_hits),
@@ -143,8 +141,7 @@ int Run(int argc, char** argv) {
       return 1;
     }
   }
-  if (config.memory_budget_bytes > 0 && config.pairwise_pruned_sweeps &&
-      config.spatial_index != "off") {
+  if (config.memory_budget_bytes > 0 && config.spatial_index != "off") {
     // Spatial-index gate: an indexed FDBSCAN eps-sweep must answer its
     // candidate queries well below the n * (n - 1) / 2 pair-bound floor the
     // all-pairs predicate sweep pays — the whole point of candidate-SET

@@ -152,9 +152,6 @@ bool PhaseLoopback(const std::string& dataset, int k, int max_iters,
   // The same spec, run directly — the bit-identity reference.
   clustering::CkMeans::Params params;
   params.max_iters = max_iters;
-  params.reduction = engine_cfg.ukmeans_ckmeans_reduction;
-  params.bound_pruning = engine_cfg.ukmeans_bound_pruning;
-  params.minibatch_size = engine_cfg.ukmeans_minibatch_size;
   engine::Engine eng(engine_cfg);
   auto direct =
       clustering::CkMeans::ClusterFile(dataset, k, seed, params, eng);

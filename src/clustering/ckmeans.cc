@@ -71,14 +71,15 @@ inline ScanResult ScanCenters(std::span<const double> mean,
 // One object's assignment decision — a pure function of the object's own
 // (label, ub, lb) state and the shared centroids/half_sep inputs, so any
 // partition of objects over threads yields the same labels and the same
-// counter totals. Hamerly's test first (skip the whole scan), then the
+// counter totals. An unlabeled object (the first sweep) full-scans;
+// otherwise Hamerly's test first (skip the whole scan), then the
 // tightened-upper-bound retest (skip all but the assigned center), then
 // the full scan that restores exact bounds.
 inline void AssignOne(std::span<const double> mean,
                       std::span<const double> centroids, int k, std::size_t m,
-                      bool use_bounds, std::span<const double> half_sep,
-                      int* label, double* ub, double* lb, SweepCounts* sc) {
-  if (use_bounds && *label >= 0) {
+                      std::span<const double> half_sep, int* label,
+                      double* ub, double* lb, SweepCounts* sc) {
+  if (*label >= 0) {
     const double bound = std::max(*lb, half_sep[*label]);
     if (*ub < bound) {
       sc->skipped += k;
@@ -104,14 +105,10 @@ inline void AssignOne(std::span<const double> mean,
   }
   const ScanResult r = ScanCenters(mean, centroids, k, m, -1, 0.0);
   sc->evals += k;
-  if (r.best != *label) {
-    *label = r.best;
-    ++sc->changed;
-  }
-  if (use_bounds) {
-    *ub = std::sqrt(r.best_d2) * (1.0 + kBoundSlack);
-    *lb = std::sqrt(r.second_d2) * (1.0 - kBoundSlack);
-  }
+  *label = r.best;
+  ++sc->changed;
+  *ub = std::sqrt(r.best_d2) * (1.0 + kBoundSlack);
+  *lb = std::sqrt(r.second_d2) * (1.0 - kBoundSlack);
 }
 
 // half_sep[c] = deflated half distance to c's nearest other center — the
@@ -160,13 +157,16 @@ void MaintainBounds(const engine::Engine& eng, std::size_t m, int k,
   });
 }
 
-// In-memory assignment sweep over a full view. Label/bound writes are
-// per-object disjoint; the shared inputs are read-only, so the blocked
-// parallel pass is race-free and partition-independent.
+// Assignment sweep over `view`, whose row i is object base + i (the whole
+// dataset in memory, or one streamed batch with absolute label/bound
+// indices). Label/bound writes are per-object disjoint and the shared inputs
+// are read-only, so the blocked parallel pass is race-free, and per-object
+// decisions are pure, so neither the mini-batch size nor the thread
+// partition affects the produced labels.
 SweepCounts AssignSweep(const engine::Engine& eng,
-                        const uncertain::MomentView& view,
+                        const uncertain::MomentView& view, std::size_t base,
                         std::span<const double> centroids, int k,
-                        bool use_bounds, std::span<const double> half_sep,
+                        std::span<const double> half_sep,
                         std::span<int> labels, std::span<double> ub,
                         std::span<double> lb) {
   const std::size_t m = view.dims();
@@ -174,9 +174,9 @@ SweepCounts AssignSweep(const engine::Engine& eng,
       eng, view.size(), [&](const engine::BlockedRange& r) {
         SweepCounts sc;
         for (std::size_t i = r.begin; i < r.end; ++i) {
-          AssignOne(view.mean(i), centroids, k, m, use_bounds, half_sep,
-                    &labels[i], use_bounds ? &ub[i] : nullptr,
-                    use_bounds ? &lb[i] : nullptr, &sc);
+          const std::size_t g = base + i;
+          AssignOne(view.mean(i), centroids, k, m, half_sep, &labels[g],
+                    &ub[g], &lb[g], &sc);
         }
         return sc;
       });
@@ -190,36 +190,6 @@ SweepCounts AssignSweep(const engine::Engine& eng,
 }
 
 // ---- epoch-streaming support (ClusterFile's mini-batch driver) ----------
-
-// Assignment sweep over one streamed batch (batch-local view rows, absolute
-// label/bound indices). Per-object decisions are pure, so neither the
-// mini-batch size nor the thread partition affects the produced labels.
-SweepCounts AssignBatch(const engine::Engine& eng,
-                        const uncertain::MomentView& view, std::size_t base,
-                        std::span<const double> centroids, int k,
-                        bool use_bounds, std::span<const double> half_sep,
-                        std::span<int> labels, std::span<double> ub,
-                        std::span<double> lb) {
-  const std::size_t m = view.dims();
-  const std::vector<SweepCounts> per_block = engine::MapBlocks<SweepCounts>(
-      eng, view.size(), [&](const engine::BlockedRange& r) {
-        SweepCounts sc;
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          const std::size_t g = base + i;
-          AssignOne(view.mean(i), centroids, k, m, use_bounds, half_sep,
-                    &labels[g], use_bounds ? &ub[g] : nullptr,
-                    use_bounds ? &lb[g] : nullptr, &sc);
-        }
-        return sc;
-      });
-  SweepCounts total;
-  for (const SweepCounts& sc : per_block) {
-    total.changed += sc.changed;
-    total.evals += sc.evals;
-    total.skipped += sc.skipped;
-  }
-  return total;
-}
 
 // Streaming replication of kernels::SumMeansByLabel's partial structure:
 // fold points are the engine block grid over ABSOLUTE object indices, never
@@ -389,43 +359,30 @@ ReducedMoments CkmeansReduce(const engine::Engine& eng,
   return r;
 }
 
-CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& mm,
-                                       int k, uint64_t seed,
-                                       const Params& params,
-                                       const engine::Engine& eng) {
-  const std::size_t n = mm.size();
-  const std::size_t m = mm.dims();
+namespace {
+
+// The Lloyd loop on a reduced representation (RunOnMoments after its
+// reduction pass; ClusterFile after its streamed one).
+CkMeans::Outcome RunReduced(const ReducedMoments& red, int k, uint64_t seed,
+                            const CkMeans::Params& params,
+                            const engine::Engine& eng) {
+  const std::size_t n = red.n;
+  const std::size_t m = red.m;
   assert(k >= 1 && n >= static_cast<std::size_t>(k));
+  const uncertain::MomentView view = red.view();
 
-  ReducedMoments reduced;
-  uncertain::MomentView active = mm;
-  if (params.reduction) {
-    reduced = CkmeansReduce(eng, mm);
-    active = reduced.view();
-  }
-
-  // Seeding consumes the rng exactly like the direct path; with the
-  // reduction active, k-means++ runs its D^2 rounds over the flat copied
-  // means (one pass over the moments total) instead of re-touching a
-  // possibly chunked view per candidate round.
+  // Seeding consumes the rng exactly like the direct path; k-means++ runs
+  // its D^2 rounds over the flat copied means.
   common::Rng rng(seed);
   const std::vector<std::size_t> picks =
       params.init == InitStrategy::kPlusPlus
-          ? (params.reduction
-                 ? PlusPlusObjects(std::span<const double>(reduced.means), n,
-                                   m, k, &rng)
-                 : PlusPlusObjects(active, k, &rng))
+          ? PlusPlusObjects(std::span<const double>(red.means), n, m, k, &rng)
           : RandomDistinctObjects(n, k, &rng);
-  std::vector<double> centroids = CentroidsFromObjects(active, picks);
+  std::vector<double> centroids = CentroidsFromObjects(view, picks);
 
-  const bool use_bounds = params.bound_pruning;
-  Outcome out;
+  CkMeans::Outcome out;
   out.labels.assign(n, -1);
-  std::vector<double> ub, lb, half_sep, old_centroids;
-  if (use_bounds) {
-    ub.assign(n, 0.0);
-    lb.assign(n, 0.0);
-  }
+  std::vector<double> ub(n, 0.0), lb(n, 0.0), half_sep, old_centroids;
   std::vector<double> sums;
   std::vector<std::size_t> counts;
 
@@ -433,22 +390,20 @@ CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& mm,
        ++out.iterations) {
     // The first sweep has no labels to defend, so it always full-scans;
     // half separations only matter from the second sweep on.
-    if (use_bounds && out.iterations > 0) {
-      HalfSeparations(centroids, k, m, &half_sep);
-    }
-    const SweepCounts sc = AssignSweep(eng, active, centroids, k, use_bounds,
-                                       half_sep, out.labels, ub, lb);
+    if (out.iterations > 0) HalfSeparations(centroids, k, m, &half_sep);
+    const SweepCounts sc = AssignSweep(eng, view, 0, centroids, k, half_sep,
+                                       out.labels, ub, lb);
     out.center_distance_evals += sc.evals;
     out.bounds_skipped += sc.skipped;
     if (sc.changed == 0) break;
 
     // Update: centroid = average of member expected values (Eq. 7), with
     // the direct path's empty-cluster reseed in the same rng order.
-    kernels::SumMeansByLabel(eng, active, out.labels, k, &sums, &counts);
-    if (use_bounds) old_centroids = centroids;
+    kernels::SumMeansByLabel(eng, view, out.labels, k, &sums, &counts);
+    old_centroids = centroids;
     for (int c = 0; c < k; ++c) {
       if (counts[c] == 0) {
-        const auto mean = active.mean(rng.Index(n));
+        const auto mean = view.mean(rng.Index(n));
         std::copy(mean.begin(), mean.end(),
                   centroids.begin() + static_cast<std::size_t>(c) * m);
         continue;
@@ -459,17 +414,36 @@ CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& mm,
             sums[static_cast<std::size_t>(c) * m + j] * inv;
       }
     }
-    if (use_bounds) {
-      MaintainBounds(eng, m, k, old_centroids, centroids, out.labels, ub, lb);
-    }
+    MaintainBounds(eng, m, k, old_centroids, centroids, out.labels, ub, lb);
     if (params.bound_audit) {
       params.bound_audit(out.iterations, centroids, out.labels, ub, lb);
     }
   }
 
-  out.objective = kernels::AssignmentObjective(eng, active, out.labels,
+  out.objective = kernels::AssignmentObjective(eng, view, out.labels,
                                                centroids);
   return out;
+}
+
+ClusteringResult ToResult(CkMeans::Outcome outcome, int k) {
+  ClusteringResult result;
+  result.labels = std::move(outcome.labels);
+  result.k_requested = k;
+  result.clusters_found = CountClusters(result.labels);
+  result.iterations = outcome.iterations;
+  result.objective = outcome.objective;
+  result.center_distance_evals = outcome.center_distance_evals;
+  result.bounds_skipped = outcome.bounds_skipped;
+  return result;
+}
+
+}  // namespace
+
+CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& mm,
+                                       int k, uint64_t seed,
+                                       const Params& params,
+                                       const engine::Engine& eng) {
+  return RunReduced(CkmeansReduce(eng, mm), k, seed, params, eng);
 }
 
 ClusteringResult CkMeans::Cluster(const data::UncertainDataset& data, int k,
@@ -478,25 +452,11 @@ ClusteringResult CkMeans::Cluster(const data::UncertainDataset& data, int k,
   const uncertain::MomentView mm = data.moments().view();
   const double offline_ms = offline.ElapsedMs();
 
-  // The engine knobs gate the instance's own parameters (never re-enable
-  // what the caller turned off), so a registry-wide policy sweep controls
-  // this algorithm the same way it controls the UK-means routing.
-  Params p = params_;
-  p.reduction = p.reduction && engine().ukmeans_ckmeans_reduction();
-  p.bound_pruning = p.bound_pruning && engine().ukmeans_bound_pruning();
-
   common::Stopwatch online;
-  Outcome outcome = RunOnMoments(mm, k, seed, p, engine());
-  ClusteringResult result;
+  ClusteringResult result =
+      ToResult(RunOnMoments(mm, k, seed, params_, engine()), k);
   result.online_ms = online.ElapsedMs();
   result.offline_ms = offline_ms;
-  result.labels = std::move(outcome.labels);
-  result.k_requested = k;
-  result.clusters_found = CountClusters(result.labels);
-  result.iterations = outcome.iterations;
-  result.objective = outcome.objective;
-  result.center_distance_evals = outcome.center_distance_evals;
-  result.bounds_skipped = outcome.bounds_skipped;
   return result;
 }
 
@@ -546,19 +506,10 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
     }
     const double offline_ms = offline.ElapsedMs();
     common::Stopwatch online;
-    Params p = params;
-    p.reduction = false;  // the streamed copy above IS the reduction
-    Outcome outcome = RunOnMoments(red.view(), k, seed, p, eng);
-    ClusteringResult result;
+    ClusteringResult result =
+        ToResult(RunReduced(red, k, seed, params, eng), k);
     result.online_ms = online.ElapsedMs();
     result.offline_ms = offline_ms;
-    result.labels = std::move(outcome.labels);
-    result.k_requested = k;
-    result.clusters_found = CountClusters(result.labels);
-    result.iterations = outcome.iterations;
-    result.objective = outcome.objective;
-    result.center_distance_evals = outcome.center_distance_evals;
-    result.bounds_skipped = outcome.bounds_skipped;
     return result;
   }
 
@@ -606,21 +557,15 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
   const double offline_ms = offline.ElapsedMs();
 
   common::Stopwatch online;
-  const bool use_bounds = params.bound_pruning;
   const std::size_t km = static_cast<std::size_t>(k) * m;
   std::vector<int> labels(n, -1);
-  std::vector<double> ub, lb, half_sep, old_centroids, reseed_mean(m);
-  if (use_bounds) {
-    ub.assign(n, 0.0);
-    lb.assign(n, 0.0);
-  }
+  std::vector<double> ub(n, 0.0), lb(n, 0.0), half_sep, old_centroids,
+      reseed_mean(m);
   ClusteringResult result;
   GridSumAccumulator acc;
   for (result.iterations = 0; result.iterations < params.max_iters;
        ++result.iterations) {
-    if (use_bounds && result.iterations > 0) {
-      HalfSeparations(centroids, k, m, &half_sep);
-    }
+    if (result.iterations > 0) HalfSeparations(centroids, k, m, &half_sep);
     UCLUST_RETURN_NOT_OK(stream.Rewind());
     SweepCounts sweep;
     acc.sums.assign(km, 0.0);
@@ -637,9 +582,8 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
       // assignment only reads this iteration's fixed centroids, so the
       // interleaving produces the same labels and sums as the in-memory
       // two-full-pass schedule.
-      const SweepCounts sc =
-          AssignBatch(eng, view, base, centroids, k, use_bounds, half_sep,
-                      labels, ub, lb);
+      const SweepCounts sc = AssignSweep(eng, view, base, centroids, k,
+                                         half_sep, labels, ub, lb);
       sweep.changed += sc.changed;
       sweep.evals += sc.evals;
       sweep.skipped += sc.skipped;
@@ -649,7 +593,7 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
     result.bounds_skipped += sweep.skipped;
     if (sweep.changed == 0) break;
 
-    if (use_bounds) old_centroids = centroids;
+    old_centroids = centroids;
     for (int c = 0; c < k; ++c) {
       if (acc.counts[c] == 0) {
         // Empty-cluster reseed: same rng order as the in-memory loop; the
@@ -665,9 +609,7 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
             acc.sums[static_cast<std::size_t>(c) * m + j] * inv;
       }
     }
-    if (use_bounds) {
-      MaintainBounds(eng, m, k, old_centroids, centroids, labels, ub, lb);
-    }
+    MaintainBounds(eng, m, k, old_centroids, centroids, labels, ub, lb);
     if (params.bound_audit) {
       params.bound_audit(result.iterations, centroids, labels, ub, lb);
     }

@@ -2,8 +2,9 @@
 //
 // Two stacked optimizations over the direct UK-means sweeps (ukmeans.h),
 // both exact under the library determinism contract — labels, objective,
-// and iteration count are bit-identical to the direct path for any knob
-// combination and any engine thread count:
+// and iteration count are bit-identical to the direct path
+// (Ukmeans::RunOnMoments, kept as the test reference) at any engine thread
+// count:
 //
 //   1. Moment reduction (Lee, Kao & Cheng, ICDM-W 2007). König-Huygens
 //      splits the expected distance as ED(o, c) = sigma^2(o) +
@@ -84,14 +85,13 @@ ReducedMoments CkmeansReduce(const engine::Engine& eng,
                              const uncertain::MomentView& mm);
 
 /// The CK-means fast path as a standalone registry algorithm. As a library
-/// entry point, prefer Ukmeans — it routes through this path automatically
-/// when the engine's ukmeans_* knobs are on (the default).
+/// entry point, prefer Ukmeans — its Cluster() runs this path.
 class CkMeans final : public Clusterer {
  public:
   /// Audit observer for the bound-invariant tests: fired after every drift
   /// maintenance step with the new centroids and the loosened bounds, so a
   /// test can verify upper >= d(o, assigned) and lower <= min distance to
-  /// the other centers. Empty upper/lower spans when pruning is off.
+  /// the other centers.
   using BoundAudit = std::function<void(
       int iteration, std::span<const double> centroids,
       std::span<const int> labels, std::span<const double> upper,
@@ -103,11 +103,6 @@ class CkMeans final : public Clusterer {
     /// Seeding: Forgy (the paper's choice) or D^2-weighted. The epoch-
     /// streaming driver of ClusterFile supports kRandom only.
     InitStrategy init = InitStrategy::kRandom;
-    /// Run on the reduced representation (off = sweep the MomentView
-    /// directly, still with bounds if enabled).
-    bool reduction = true;
-    /// Maintain Hamerly/Elkan bounds and skip proven assignments.
-    bool bound_pruning = true;
     /// ClusterFile only — rows per streamed mini-batch. 0 = auto: keep the
     /// reduced representation resident when it fits the engine memory
     /// budget, otherwise epoch-stream at the ingestion default batch size.
@@ -133,10 +128,10 @@ class CkMeans final : public Clusterer {
   ClusteringResult Cluster(const data::UncertainDataset& data, int k,
                            uint64_t seed) const override;
 
-  /// Kernel entry point for pre-packed moment statistics. Bit-identical to
+  /// Kernel entry point for pre-packed moment statistics: one reduction
+  /// pass, then the bound-pruned Lloyd loop. Bit-identical to
   /// Ukmeans::RunOnMoments (same seeding, tie-breaking, update, and
-  /// empty-cluster reseed order) for every Params combination, at any
-  /// engine thread count.
+  /// empty-cluster reseed order) at any engine thread count.
   static Outcome RunOnMoments(const uncertain::MomentView& mm, int k,
                               uint64_t seed, const Params& params,
                               const engine::Engine& eng =

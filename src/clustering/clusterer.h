@@ -49,11 +49,11 @@ struct ClusteringResult {
   std::size_t table_bytes_peak = 0;
   /// Total pairwise kernel evaluations the run performed (closed-form and
   /// sampled alike — unlike ed_evaluations, which counts only sample
-  /// integrations). The recompute cost the tile policies minimize. 0
+  /// integrations). The recompute cost the budgeted sweeps minimize. 0
   /// without a pairwise phase.
   int64_t pair_evaluations = 0;
   /// Gathered rows the PairwiseStore served without kernel work (warm
-  /// cache, dense table, or resident tile).
+  /// cache or dense table).
   int64_t tile_warm_hits = 0;
   /// Gathered rows the PairwiseStore had to compute.
   int64_t tile_warm_misses = 0;

@@ -102,11 +102,11 @@ ClusteringResult Fdbscan::Cluster(const data::UncertainDataset& data,
   // Pairwise distance probabilities: one streaming upper-triangle sweep
   // through the pairwise store (each pair evaluated once, in parallel row
   // blocks, only bounded scratch materialized), then mirrored serially into
-  // the sparse adjacency. Under the pruned-sweep policy, pairs whose
-  // regions are provably farther apart than eps are skipped before any
-  // kernel evaluation: every realization pair is then beyond eps, so the
-  // distance probability is exactly the 0 the kernel would have produced —
-  // labels stay bit-identical, only the evaluation count drops.
+  // the sparse adjacency. Pairs whose regions are provably farther apart
+  // than eps are skipped before any kernel evaluation: every realization
+  // pair is then beyond eps, so the distance probability is exactly the 0
+  // the kernel would have produced — labels stay bit-identical, only the
+  // evaluation count drops.
   PairwiseStore store(
       eng,
       kernels::PairwiseKernel::DistanceProbability(samples->view(), eps));
@@ -116,9 +116,9 @@ ClusteringResult Fdbscan::Cluster(const data::UncertainDataset& data,
       if (tail[t] > 0.0) upper[i].emplace_back(i + 1 + t, tail[t]);
     }
   };
+  const PairwiseBoundIndex bounds(data.objects());
   const SpatialIndexChoice index_choice = eng.spatial_index();
-  if (eng.pairwise_pruned_sweeps() &&
-      index_choice != SpatialIndexChoice::kOff) {
+  if (index_choice != SpatialIndexChoice::kOff) {
     // Candidate-driven sweep: the spatial index narrows which pairs are
     // *tested* to the eps-range hits of each region box, and the
     // PairwiseBoundIndex predicate still decides which of those are
@@ -128,7 +128,6 @@ ClusteringResult Fdbscan::Cluster(const data::UncertainDataset& data,
     // pairs_pruned counters — is bit-identical to the all-pairs predicate
     // sweep; only the bound-test count drops from n*(n-1)/2 to the index
     // query cost.
-    const PairwiseBoundIndex bounds(data.objects());
     const SpatialIndex index(data.objects(),
                              ResolveSpatialIndexKind(index_choice,
                                                      data.dims()));
@@ -156,13 +155,10 @@ ClusteringResult Fdbscan::Cluster(const data::UncertainDataset& data,
         static_cast<int64_t>(n) * (static_cast<int64_t>(n) - 1) / 2 -
         result.index_candidates;
     result.index_bound_tests = index.bound_tests();
-  } else if (eng.pairwise_pruned_sweeps()) {
-    const PairwiseBoundIndex bounds(data.objects());
+  } else {
     store.VisitUpperTriangle(sweep, [&](std::size_t i, std::size_t j) {
       return bounds.ProvablyBeyond(i, j, eps);
     });
-  } else {
-    store.VisitUpperTriangle(sweep);
   }
   result.ed_evaluations += store.ed_evaluations();
   result.pairwise_backend = PairwiseBackendName(store.backend());

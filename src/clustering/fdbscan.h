@@ -11,13 +11,14 @@
 // threshold.
 //
 // The pairwise sweep streams through clustering::PairwiseStore (bounded
-// scratch on every backend; the table is never retained). Under the
-// pruned-sweep policy (EngineConfig::pairwise_pruned_sweeps, default on)
-// pairs whose domain regions are provably farther apart than eps — per
+// scratch on every backend; the table is never retained). Pairs whose
+// domain regions are provably farther apart than eps — per
 // clustering::PairwiseBoundIndex — are skipped before any kernel
 // evaluation: their distance probability is exactly 0, so labels are
-// bit-identical and only ClusteringResult::pair_evaluations/pairs_pruned
-// change.
+// bit-identical to an unpruned sweep and only
+// ClusteringResult::pair_evaluations/pairs_pruned change. The spatial index
+// (EngineConfig::spatial_index) narrows which pairs the bound is even
+// tested on.
 #ifndef UCLUST_CLUSTERING_FDBSCAN_H_
 #define UCLUST_CLUSTERING_FDBSCAN_H_
 

@@ -126,7 +126,7 @@ ClusteringResult Foptics::Cluster(const data::UncertainDataset& data, int k,
   // OPTICS walk (eps = infinity: one complete ordering). Each step relaxes
   // the reachability of every unprocessed object through `current` and
   // picks the next pivot (smallest reachability, lowest index on ties) in
-  // the same pass. A materialized row (dense table or resident tile) is read
+  // the same pass. A materialized row (the dense table) is read
   // zero-copy; otherwise only the unprocessed columns are evaluated, so the
   // walk pays each unordered pair once — n*(n-1)/2 evaluations and no row
   // gathers.

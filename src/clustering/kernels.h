@@ -17,7 +17,7 @@
 // The pairwise kernels are tile producers: they fill row tiles (or the
 // ragged upper-triangle rows) of a symmetric pairwise table for a
 // PairwiseKernel, so the PairwiseStore backends can materialize the table
-// fully, in LRU-cached tiles, or not at all. Every producer evaluates a
+// fully or stream it in bounded blocks. Every producer evaluates a
 // pair as (min(i, j), max(i, j)), which makes a given entry bit-identical
 // no matter which producer (or backend) computed it.
 #ifndef UCLUST_CLUSTERING_KERNELS_H_

@@ -40,52 +40,30 @@ std::string PairwiseBackendName(PairwiseBackend backend) {
 
 namespace {
 
-// The one place tile geometry is derived from a budget: ~4 tiles should fit
-// it, and the LRU capacity never exceeds it. Used by the kTiled derivation
-// below after the warm-cache carve-out.
-void DeriveTileGeometry(std::size_t budget_bytes, std::size_t n,
-                        std::size_t* tile_rows,
-                        std::size_t* max_cached_tiles) {
-  const std::size_t row_bytes = std::max<std::size_t>(n, 1) * sizeof(double);
-  if (*tile_rows == 0) {
-    *tile_rows = budget_bytes > 0 ? budget_bytes / (4 * row_bytes)
-                                  : (std::size_t{1} << 20) / row_bytes;
-  }
-  *tile_rows = std::clamp<std::size_t>(*tile_rows, 1,
-                                       std::max<std::size_t>(n, 1));
-  if (*max_cached_tiles == 0) {
-    *max_cached_tiles =
-        budget_bytes > 0
-            ? std::max<std::size_t>(1,
-                                    budget_bytes / (*tile_rows * row_bytes))
-            : 4;
-  }
-}
-
-// Derives the kTiled warm-cache capacity and tile geometry so that the tile
-// LRU plus the warm cache fit the budget: warm rows get a quarter of the
-// budget when at least one row fits without pushing the tile side below two
-// rows; otherwise the warm policy is disabled and tiles get everything.
+// Derives the kTiled warm-cache capacity and streaming block height from
+// the budget: warm rows get a quarter of it when at least one row fits
+// without pushing the rest below two rows (a capacity under one row turns
+// the cache off), and tile_rows is a quarter of what remains, in rows.
 void DeriveTiledPolicies(PairwiseStoreOptions* o, std::size_t n) {
   const std::size_t row_bytes = std::max<std::size_t>(n, 1) * sizeof(double);
   const std::size_t budget = o->memory_budget_bytes;
-  // A disabled warm cache must not keep a carve-out the tile LRU could use.
-  if (!o->warm_rows) o->warm_capacity_bytes = 0;
-  if (o->warm_rows && o->warm_capacity_bytes == 0) {
+  if (o->warm_capacity_bytes == 0) {
     std::size_t warm = budget > 0 ? budget / 4 : kDefaultWarmBytes;
     if (budget > 0 && budget - warm < 2 * row_bytes) {
       warm = budget > 2 * row_bytes ? budget - 2 * row_bytes : 0;
     }
     o->warm_capacity_bytes = warm;
   }
-  if (o->warm_capacity_bytes < row_bytes) {
-    o->warm_rows = false;
-    o->warm_capacity_bytes = 0;
-  }
+  if (o->warm_capacity_bytes < row_bytes) o->warm_capacity_bytes = 0;
   const std::size_t tile_budget =
       budget > o->warm_capacity_bytes ? budget - o->warm_capacity_bytes
                                       : budget;
-  DeriveTileGeometry(tile_budget, n, &o->tile_rows, &o->max_cached_tiles);
+  if (o->tile_rows == 0) {
+    o->tile_rows = tile_budget > 0 ? tile_budget / (4 * row_bytes)
+                                   : (std::size_t{1} << 20) / row_bytes;
+  }
+  o->tile_rows = std::clamp<std::size_t>(o->tile_rows, 1,
+                                         std::max<std::size_t>(n, 1));
 }
 
 }  // namespace
@@ -102,7 +80,6 @@ PairwiseStoreOptions PairwiseStoreOptions::FromBudget(std::size_t budget_bytes,
       (budget_bytes / n) / sizeof(double) >= n;
   if (dense_fits) {
     o.backend = PairwiseBackend::kDense;
-    o.warm_rows = false;
     return o;
   }
   if (budget_bytes >= 2 * row_bytes) {
@@ -112,8 +89,6 @@ PairwiseStoreOptions PairwiseStoreOptions::FromBudget(std::size_t budget_bytes,
   }
   o.backend = PairwiseBackend::kOnTheFly;
   o.tile_rows = 1;
-  o.max_cached_tiles = 1;
-  o.warm_rows = false;
   return o;
 }
 
@@ -123,13 +98,10 @@ PairwiseStore::PairwiseStore(const engine::Engine& eng,
     : eng_(eng), kernel_(kernel), options_(options), n_(kernel.size()) {
   switch (options_.backend) {
     case PairwiseBackend::kDense:
-      options_.warm_rows = false;
       options_.warm_capacity_bytes = 0;
       break;
     case PairwiseBackend::kOnTheFly:
       options_.tile_rows = 1;
-      options_.max_cached_tiles = 1;
-      options_.warm_rows = false;
       options_.warm_capacity_bytes = 0;
       break;
     case PairwiseBackend::kTiled:
@@ -138,35 +110,15 @@ PairwiseStore::PairwiseStore(const engine::Engine& eng,
   }
 }
 
-namespace {
-
-PairwiseStoreOptions OptionsFromEngine(const engine::Engine& eng,
-                                       std::size_t n) {
-  PairwiseStoreOptions o =
-      PairwiseStoreOptions::FromBudget(eng.memory_budget_bytes(), n);
-  if (!eng.pairwise_warm_rows()) {
-    o.warm_rows = false;
-    o.warm_capacity_bytes = 0;
-    // Re-derive so the tile LRU reclaims the warm carve-out.
-    if (o.backend == PairwiseBackend::kTiled) {
-      o.tile_rows = 0;
-      o.max_cached_tiles = 0;
-      DeriveTileGeometry(o.memory_budget_bytes, n, &o.tile_rows,
-                         &o.max_cached_tiles);
-    }
-  }
-  return o;
-}
-
-}  // namespace
-
 PairwiseStore::PairwiseStore(const engine::Engine& eng,
                              const kernels::PairwiseKernel& kernel)
-    : PairwiseStore(eng, kernel, OptionsFromEngine(eng, kernel.size())) {}
+    : PairwiseStore(eng, kernel,
+                    PairwiseStoreOptions::FromBudget(eng.memory_budget_bytes(),
+                                                     kernel.size())) {}
 
 void PairwiseStore::NoteTableBytes(std::size_t extra_scratch_bytes) {
-  const std::size_t live = dense_.size() * sizeof(double) + cache_bytes_ +
-                           warm_bytes_ + extra_scratch_bytes;
+  const std::size_t live =
+      dense_.size() * sizeof(double) + warm_bytes_ + extra_scratch_bytes;
   table_bytes_peak_ = std::max(table_bytes_peak_, live);
 }
 
@@ -175,41 +127,6 @@ void PairwiseStore::EnsureDense() {
   evaluations_ += kernels::FillDenseTriangular(eng_, kernel_, &dense_);
   dense_ready_ = true;
   NoteTableBytes(0);
-}
-
-std::size_t PairwiseStore::TileBegin(std::size_t tile_index) const {
-  return tile_index * options_.tile_rows;
-}
-
-std::size_t PairwiseStore::TileEnd(std::size_t tile_index) const {
-  return std::min(n_, TileBegin(tile_index) + options_.tile_rows);
-}
-
-const PairwiseStore::Tile& PairwiseStore::EnsureTile(std::size_t row) {
-  const std::size_t t = row / options_.tile_rows;
-  const auto it = tile_index_.find(t);
-  if (it != tile_index_.end()) {
-    tiles_.splice(tiles_.begin(), tiles_, it->second);
-    return tiles_.front();
-  }
-  // Evict before filling so resident bytes never exceed the capacity.
-  while (tiles_.size() >= options_.max_cached_tiles) {
-    cache_bytes_ -= tiles_.back().data.size() * sizeof(double);
-    tile_index_.erase(tiles_.back().index);
-    tiles_.pop_back();
-  }
-  Tile tile;
-  tile.index = t;
-  const std::size_t r0 = TileBegin(t);
-  const std::size_t r1 = TileEnd(t);
-  tile.data.resize((r1 - r0) * n_);
-  evaluations_ += kernels::FillRowTile(eng_, kernel_, r0, r1,
-                                       tile.data.data());
-  cache_bytes_ += tile.data.size() * sizeof(double);
-  tiles_.push_front(std::move(tile));
-  tile_index_[t] = tiles_.begin();
-  NoteTableBytes(0);
-  return tiles_.front();
 }
 
 std::size_t PairwiseStore::StreamScratchTarget() const {
@@ -233,33 +150,12 @@ void PairwiseStore::Warm() {
   if (options_.backend == PairwiseBackend::kDense) EnsureDense();
 }
 
-std::span<const double> PairwiseStore::Row(std::size_t i) {
-  if (options_.backend == PairwiseBackend::kDense) {
-    EnsureDense();
-    return {dense_.data() + i * n_, n_};
-  }
-  const Tile& tile = EnsureTile(i);
-  return {tile.data.data() + (i - TileBegin(tile.index)) * n_, n_};
-}
-
-double PairwiseStore::Value(std::size_t i, std::size_t j) {
-  return Row(i)[j];
-}
-
 std::span<const double> PairwiseStore::ResidentRow(std::size_t i) const {
   if (dense_ready_) return {dense_.data() + i * n_, n_};
-  if (options_.backend != PairwiseBackend::kDense) {
-    const auto it = tile_index_.find(i / options_.tile_rows);
-    if (it != tile_index_.end()) {
-      const Tile& tile = *it->second;
-      return {tile.data.data() + (i - TileBegin(tile.index)) * n_, n_};
-    }
-  }
   return {};
 }
 
 const double* PairwiseStore::WarmRowData(std::size_t i) {
-  if (!options_.warm_rows) return nullptr;
   const auto it = warm_index_.find(i);
   if (it == warm_index_.end()) return nullptr;
   warm_rows_.splice(warm_rows_.begin(), warm_rows_, it->second);
@@ -268,7 +164,6 @@ const double* PairwiseStore::WarmRowData(std::size_t i) {
 }
 
 void PairwiseStore::MaybeRetainWarmRow(std::size_t i, const double* src) {
-  if (!options_.warm_rows) return;
   if (warm_index_.contains(i)) return;
   const std::size_t row_bytes = n_ * sizeof(double);
   if (row_bytes == 0 || row_bytes > options_.warm_capacity_bytes) return;
@@ -289,7 +184,6 @@ void PairwiseStore::MaybeRetainWarmRow(std::size_t i, const double* src) {
 
 void PairwiseStore::BeginGeneration() {
   ++generation_;
-  if (!options_.warm_rows) return;
   // Invalidate rows last touched more than warm_retain_generations ago —
   // the explicit staleness bound of the warm-row protocol.
   const uint64_t keep_from =
@@ -373,18 +267,17 @@ void PairwiseStore::VisitSymmetricBlock(
   const std::size_t row_bytes = s * sizeof(double);
   // Scratch bound for the block: up to a quarter of a finite budget (the
   // symmetric-halving fast path is worth more scratch than a plain stream
-  // sweep), but never past what the tile LRU and warm cache leave of the
-  // budget right now — live bytes plus scratch stay within it, down to the
+  // sweep), but never past what the warm cache leaves of the budget right
+  // now — live bytes plus scratch stay within it, down to the
   // one-block-row floor. On the dense backend the table is the
   // budget-approved artifact, so only the stream target applies.
   std::size_t scratch_budget = StreamScratchTarget();
   if (options_.memory_budget_bytes > 0 &&
       options_.backend != PairwiseBackend::kDense) {
-    const std::size_t live = cache_bytes_ + warm_bytes_;
     scratch_budget =
         std::min(std::max(scratch_budget, options_.memory_budget_bytes / 4),
-                 options_.memory_budget_bytes > live
-                     ? options_.memory_budget_bytes - live
+                 options_.memory_budget_bytes > warm_bytes_
+                     ? options_.memory_budget_bytes - warm_bytes_
                      : 0);
   }
   const std::size_t stripe_rows = std::clamp<std::size_t>(
@@ -475,27 +368,7 @@ void PairwiseStore::VisitAllRows(const RowVisitor& fn) {
         });
     return;
   }
-  if (options_.backend == PairwiseBackend::kTiled) {
-    // Stream through the LRU cache: resident tiles are served for free, the
-    // rest fault in (and age out) in tile order.
-    const std::size_t tiles = (n_ + options_.tile_rows - 1) /
-                              options_.tile_rows;
-    for (std::size_t t = 0; t < tiles; ++t) {
-      const Tile& tile = EnsureTile(TileBegin(t));
-      const std::size_t r0 = TileBegin(t);
-      const std::size_t rows = TileEnd(t) - r0;
-      const double* d = tile.data.data();
-      engine::ParallelForBlocked(
-          eng_, rows, VisitRowBlock(eng_, rows),
-          [&](const engine::BlockedRange& r) {
-            for (std::size_t tr = r.begin; tr < r.end; ++tr) {
-              fn(r0 + tr, {d + tr * n_, n_});
-            }
-          });
-    }
-    return;
-  }
-  // kOnTheFly: bounded scratch blocks, nothing retained.
+  // Recomputing backends: bounded scratch blocks, nothing retained.
   const std::size_t chunk = StreamRows();
   std::vector<double> scratch(chunk * n_);
   for (std::size_t r0 = 0; r0 < n_; r0 += chunk) {
@@ -527,8 +400,7 @@ void PairwiseStore::VisitUpperTriangle(const UpperVisitor& fn,
     return;
   }
   // Stream ragged row blocks; each pair is evaluated (or skipped under the
-  // predicate) exactly once and nothing enters the tile cache (a one-shot
-  // sweep must not evict tiles a caller is still iterating against).
+  // predicate) exactly once and nothing is retained.
   const std::size_t chunk = StreamRows();
   std::vector<double> scratch(chunk * n_);
   for (std::size_t r0 = 0; r0 < n_; r0 += chunk) {

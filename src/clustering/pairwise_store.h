@@ -9,26 +9,24 @@
 //   kDense    — the classic full table, built once by the triangular kernel
 //               (bit-identical values, parallel schedule, and evaluation
 //               count of the original offline phase);
-//   kTiled    — row-block tiles computed on demand through the engine's
-//               blocked kernels and held in a capacity-bounded LRU cache,
-//               plus (policy-gated) a warm-row cache for gathered rows;
-//   kOnTheFly — a single-row cache: every query recomputes its row, no
-//               table is retained.
+//   kTiled    — nothing precomputed: sweeps recompute budget-sized row
+//               blocks (tile_rows rows each) through the engine's blocked
+//               kernels, and gathered rows are kept in a warm-row cache;
+//   kOnTheFly — the same with one-row blocks and no warm cache: nothing is
+//               retained.
 //
-// On top of the backends sit three workload-aware tile policies (see
-// EngineConfig::pairwise_gather_tiles / pairwise_warm_rows /
-// pairwise_pruned_sweeps, all default-on):
+// Every access is shaped by the workload rather than by a tile grid:
 //
-//   gather tiles  — GatherRows/VisitSymmetricBlock compute asymmetric
+//   gathers       — GatherRows/VisitSymmetricBlock compute asymmetric
 //                   candidate x n (or candidate x candidate) slabs: exactly
 //                   the entries a medoid gather or swap sweep reads, in one
-//                   parallel kernel pass, instead of faulting full square
-//                   row tiles;
+//                   parallel kernel pass;
 //   warm rows     — gathered rows are retained across consumer iterations
 //                   (PAM rounds, Lance-Williams merges) in a budget-bounded
 //                   warm cache with an explicit generation/invalidation
 //                   protocol (BeginGeneration/InvalidateWarmRows) and
-//                   hit/miss counters;
+//                   hit/miss counters — on whenever the budget's warm
+//                   carve-out holds a row;
 //   pruned sweeps — VisitUpperTriangle accepts a cheap pair predicate that
 //                   skips pairs whose exact value is provably 0 (e.g. the
 //                   FDBSCAN distance probability of two objects whose
@@ -39,12 +37,12 @@
 // (0 = unlimited = dense); tests and benches can force one explicitly.
 // Invariant: because every producer evaluates a pair as (min(i, j),
 // max(i, j)), each entry is a pure function of that pair, and a pruned pair
-// is skipped only when its exact value is proven, all backends and all
-// policy combinations serve bit-identical values — so every clustering
-// built on the store is identical across backends, tile policies, and
-// thread counts; only memory and recompute cost change.
+// is skipped only when its exact value is proven, all backends serve
+// bit-identical values — so every clustering built on the store is
+// identical across backends and thread counts; only memory and recompute
+// cost change.
 //
-// Thread-safety: the random-access API (Value/Row/GatherRows) is for the
+// Thread-safety: the random-access API (GatherRow/GatherRows) is for the
 // algorithm's serial control thread; the Visit* sweeps parallelize
 // internally and invoke the visitor concurrently (one call per row — the
 // visitor owns row-indexed output slots).
@@ -75,16 +73,14 @@ struct PairwiseStoreOptions {
   PairwiseBackend backend = PairwiseBackend::kDense;
   /// The budget the backend was derived from (informational; 0 = unlimited).
   std::size_t memory_budget_bytes = 0;
-  /// Rows per tile (kTiled; kOnTheFly pins this to 1). 0 = derive.
+  /// Rows per streaming block of the recomputing sweeps (kTiled; kOnTheFly
+  /// pins this to 1). 0 = derive: a quarter of what the budget leaves after
+  /// the warm carve-out, in rows.
   std::size_t tile_rows = 0;
-  /// LRU capacity in tiles (kTiled; kOnTheFly pins this to 1). 0 = derive.
-  std::size_t max_cached_tiles = 0;
-  /// Retain gathered rows across iterations in the warm cache (kTiled only;
-  /// kDense reads are already free and kOnTheFly retains nothing).
-  bool warm_rows = true;
-  /// Warm-cache capacity in bytes, carved out of memory_budget_bytes so the
-  /// tile LRU plus the warm cache never exceed the budget. 0 = derive
-  /// (a quarter of the budget, at least one row or the policy is disabled).
+  /// Warm-row cache capacity in bytes (kTiled only: kDense reads are
+  /// already free and kOnTheFly retains nothing), carved out of
+  /// memory_budget_bytes. 0 = derive (a quarter of the budget). A capacity
+  /// below one row turns the cache off and is stored as 0.
   std::size_t warm_capacity_bytes = 0;
   /// Warm rows last touched more than this many generations ago are
   /// invalidated at the next BeginGeneration().
@@ -92,9 +88,8 @@ struct PairwiseStoreOptions {
 
   /// Backend selection rule for an n-object table under `budget_bytes`:
   /// unlimited or a budget the dense table fits in -> kDense; room for at
-  /// least two rows -> kTiled sized so the tile LRU plus the warm-row cache
-  /// fit the budget (cache bytes never exceed it); anything smaller ->
-  /// kOnTheFly.
+  /// least two rows -> kTiled, with the warm-row cache carved out of the
+  /// budget; anything smaller -> kOnTheFly.
   static PairwiseStoreOptions FromBudget(std::size_t budget_bytes,
                                          std::size_t n);
 };
@@ -106,8 +101,7 @@ class PairwiseStore {
   /// objects / sample cache must outlive the store.
   PairwiseStore(const engine::Engine& eng, const kernels::PairwiseKernel& kernel,
                 const PairwiseStoreOptions& options);
-  /// Store with options derived from eng.memory_budget_bytes() and the
-  /// engine's tile-policy knobs.
+  /// Store with options derived from eng.memory_budget_bytes().
   PairwiseStore(const engine::Engine& eng,
                 const kernels::PairwiseKernel& kernel);
 
@@ -124,8 +118,8 @@ class PairwiseStore {
   int64_t ed_evaluations() const {
     return kernel_.counts_ed_evaluations() ? evaluations_ : 0;
   }
-  /// Peak bytes of materialized table storage (dense table, cached tiles,
-  /// warm rows, and streaming scratch) held at any one time.
+  /// Peak bytes of materialized table storage (dense table, warm rows, and
+  /// streaming scratch) held at any one time.
   std::size_t table_bytes_peak() const { return table_bytes_peak_; }
 
   /// Builds whatever the backend precomputes (kDense: the full table;
@@ -133,35 +127,25 @@ class PairwiseStore {
   /// keep the paper's offline/online accounting for the dense path.
   void Warm();
 
-  /// Entry (i, j). Serial API; may fault in a tile.
-  double Value(std::size_t i, std::size_t j);
-  /// Row i as a length-n span. Serial API; the span is invalidated by the
-  /// next non-const call on the store.
-  std::span<const double> Row(std::size_t i);
-  /// Row i as a zero-copy span when it is already materialized (dense table
-  /// or resident tile); an empty span otherwise. Never computes, never
-  /// touches the LRU order; the span is invalidated by the next tile fault
-  /// or eviction.
+  /// Row i as a zero-copy span when the dense table is materialized; an
+  /// empty span otherwise. Never computes.
   std::span<const double> ResidentRow(std::size_t i) const;
-  /// Copies row i into `out` (resized to n) WITHOUT faulting a tile:
-  /// a dense table, resident tile, or warm row is read back; anything else
-  /// computes only row i (and retains it in the warm cache under the warm
-  /// policy). The right primitive for random-access row walks (the OPTICS
-  /// ordering, NN-chain tips, medoid gathers) whose locality would
-  /// otherwise multiply kernel work by tile_rows on the tiled backend.
+  /// Copies row i into `out` (resized to n): a dense-table or warm row is
+  /// read back; anything else computes only row i (and retains it in the
+  /// warm cache when one is on). The primitive for random-access row walks
+  /// (the OPTICS ordering, NN-chain tips, medoid gathers).
   void GatherRow(std::size_t i, std::vector<double>* out);
-  /// Materializes the given rows into `out`, row-major rows.size() x n,
-  /// without tile faults: rows already materialized (dense / resident tile /
-  /// warm) are copied, the rest are computed as one asymmetric gather tile
-  /// in a single parallel kernel pass (and retained under the warm policy).
+  /// Materializes the given rows into `out`, row-major rows.size() x n:
+  /// rows already materialized (dense / warm) are copied, the rest are
+  /// computed as one asymmetric gather tile in a single parallel kernel
+  /// pass (and retained in the warm cache when one is on).
   void GatherRows(std::span<const std::size_t> rows, std::vector<double>* out);
   /// Visits each row of the symmetric |ids| x |ids| sub-block (diagonal 0)
   /// — the candidate x member slab of the UK-medoids swap sweep. The
   /// visitor receives (slot a, length-|ids| span) with span[b] =
   /// value(ids[a], ids[b]), invoked concurrently for different rows. The
   /// block is never materialized whole beyond the streaming scratch bound:
-  /// when it fits, rows already materialized (dense / resident tile / warm)
-  /// are read back and mirrored into missing rows' columns and the rest is
+  /// when it fits, rows already materialized (dense / warm) are read back and mirrored into missing rows' columns and the rest is
   /// computed pairwise-symmetrically (|missing| * (|missing| - 1) / 2
   /// evaluations); larger blocks stream budget-bounded row stripes
   /// (|ids| - 1 evaluations per non-served row). `ids` must be distinct.
@@ -179,8 +163,7 @@ class PairwiseStore {
   void InvalidateWarmRows();
   /// Generation counter (starts at 0, incremented by BeginGeneration).
   uint64_t generation() const { return generation_; }
-  /// Gathered rows served without kernel work (warm cache, dense table, or
-  /// resident tile).
+  /// Gathered rows served without kernel work (warm cache or dense table).
   int64_t warm_hits() const { return warm_hits_; }
   /// Gathered rows that required kernel computation.
   int64_t warm_misses() const { return warm_misses_; }
@@ -192,9 +175,9 @@ class PairwiseStore {
   /// Visitor for one full row: (row index, length-n span).
   using RowVisitor = std::function<void(std::size_t, std::span<const double>)>;
   /// Visits every row 0..n-1 exactly once. Parallel: the visitor is invoked
-  /// concurrently for different rows. kDense reads the table; kTiled streams
-  /// through the LRU cache (reusing resident tiles); kOnTheFly streams
-  /// bounded scratch blocks.
+  /// concurrently for different rows. kDense reads the table; the
+  /// recomputing backends stream bounded scratch blocks (n*(n-1)
+  /// evaluations — both halves of every pair).
   void VisitAllRows(const RowVisitor& fn);
 
   /// Visitor for the strict upper-triangle tail of row i: the span covers
@@ -227,10 +210,6 @@ class PairwiseStore {
                                     const kernels::PairSkipTest& skip = {});
 
  private:
-  struct Tile {
-    std::size_t index = 0;
-    std::vector<double> data;
-  };
   struct WarmRow {
     std::size_t row = 0;
     uint64_t generation = 0;
@@ -238,22 +217,18 @@ class PairwiseStore {
   };
 
   void EnsureDense();
-  /// Returns the cached tile holding `row`, faulting + evicting as needed.
-  const Tile& EnsureTile(std::size_t row);
   /// GatherRow into a raw length-n destination.
   void CopyRowInto(std::size_t i, double* dst);
   /// Warm-cache lookup; touches recency + generation on hit.
   const double* WarmRowData(std::size_t i);
-  /// The one serving chain of the gather APIs: resident storage (dense
-  /// table or tile) first, then the warm cache. Returns the length-n row
+  /// The one serving chain of the gather APIs: the dense table first, then
+  /// the warm cache. Returns the length-n row
   /// and counts a warm hit, or nullptr (the caller computes and counts the
   /// miss). The pointer is invalidated by the next non-const store call.
   const double* ServeRow(std::size_t i);
-  /// Inserts a copy of row i (length n) into the warm cache when the warm
-  /// policy is on and the row fits after LRU eviction.
+  /// Inserts a copy of row i (length n) into the warm cache when the cache
+  /// is on and the row fits after LRU eviction.
   void MaybeRetainWarmRow(std::size_t i, const double* src);
-  std::size_t TileBegin(std::size_t tile_index) const;
-  std::size_t TileEnd(std::size_t tile_index) const;
   /// Rows per streaming scratch block (bounded, >= 1).
   std::size_t StreamRows() const;
   /// Bytes the streaming scratch of a sweep may occupy (budget-capped).
@@ -271,12 +246,7 @@ class PairwiseStore {
   std::vector<double> dense_;
   bool dense_ready_ = false;
 
-  // kTiled / kOnTheFly state: most-recently-used tile first.
-  std::list<Tile> tiles_;
-  std::unordered_map<std::size_t, std::list<Tile>::iterator> tile_index_;
-  std::size_t cache_bytes_ = 0;
-
-  // Warm-row cache (kTiled + warm policy): most-recently-used first.
+  // Warm-row cache (kTiled): most-recently-used first.
   std::list<WarmRow> warm_rows_;
   std::unordered_map<std::size_t, std::list<WarmRow>::iterator> warm_index_;
   std::size_t warm_bytes_ = 0;

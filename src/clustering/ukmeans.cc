@@ -5,7 +5,6 @@
 #include "clustering/ckmeans.h"
 #include "clustering/init.h"
 #include "clustering/kernels.h"
-#include "common/stopwatch.h"
 
 namespace uclust::clustering {
 
@@ -63,48 +62,16 @@ Ukmeans::Outcome Ukmeans::RunOnMoments(const uncertain::MomentView& mm,
 
 ClusteringResult Ukmeans::Cluster(const data::UncertainDataset& data, int k,
                                   uint64_t seed) const {
-  common::Stopwatch offline;
-  const uncertain::MomentView mm = data.moments().view();
-  const double offline_ms = offline.ElapsedMs();
-
-  // Route through the CK-means fast path when either engine knob is on
-  // (the default): same seeding, tie-breaking, and update order, so the
-  // labels, objective, and iteration count are bit-identical to the direct
-  // sweeps — only the evaluation counters differ.
-  const engine::Engine& eng = engine();
-  if (eng.ukmeans_ckmeans_reduction() || eng.ukmeans_bound_pruning()) {
-    CkMeans::Params p;
-    p.max_iters = params_.max_iters;
-    p.init = params_.init;
-    p.reduction = eng.ukmeans_ckmeans_reduction();
-    p.bound_pruning = eng.ukmeans_bound_pruning();
-    common::Stopwatch online;
-    CkMeans::Outcome outcome = CkMeans::RunOnMoments(mm, k, seed, p, eng);
-    ClusteringResult result;
-    result.online_ms = online.ElapsedMs();
-    result.offline_ms = offline_ms;
-    result.labels = std::move(outcome.labels);
-    result.k_requested = k;
-    result.clusters_found = CountClusters(result.labels);
-    result.iterations = outcome.iterations;
-    result.objective = outcome.objective;
-    result.center_distance_evals = outcome.center_distance_evals;
-    result.bounds_skipped = outcome.bounds_skipped;
-    return result;
-  }
-
-  common::Stopwatch online;
-  Outcome outcome = RunOnMoments(mm, k, seed, params_, eng);
-  ClusteringResult result;
-  result.online_ms = online.ElapsedMs();
-  result.offline_ms = offline_ms;
-  result.labels = std::move(outcome.labels);
-  result.k_requested = k;
-  result.clusters_found = CountClusters(result.labels);
-  result.iterations = outcome.iterations;
-  result.objective = outcome.objective;
-  result.center_distance_evals = outcome.center_distance_evals;
-  return result;
+  // The CK-means fast path: same seeding, tie-breaking, and update order as
+  // RunOnMoments above, so the labels, objective, and iteration count are
+  // bit-identical to the direct sweeps — only the evaluation counters
+  // differ.
+  CkMeans::Params p;
+  p.max_iters = params_.max_iters;
+  p.init = params_.init;
+  CkMeans fast(p);
+  fast.set_engine(engine());
+  return fast.Cluster(data, k, seed);
 }
 
 }  // namespace uclust::clustering

@@ -4,14 +4,13 @@
 // the objects' expected-value vectors.
 //
 // Cost model: the direct sweeps here are O(I k n m) — every (object,
-// center) pair is evaluated every iteration. By default Cluster() routes
-// through the CK-means fast path (clustering/ckmeans.h), which copies the
-// reduced representation out of the moments once and prunes most of those
-// evaluations with Hamerly/Elkan bounds, making late iterations O(n m);
-// the engine knobs ukmeans_ckmeans_reduction / ukmeans_bound_pruning fall
-// back to the direct sweeps below, bit for bit the same labels either way.
-// RunOnMoments always runs the direct sweeps — it is the reference the
-// CK-means bit-identity tests compare against.
+// center) pair is evaluated every iteration. Cluster() runs the CK-means
+// fast path (clustering/ckmeans.h) instead, which copies the reduced
+// representation out of the moments once and prunes most of those
+// evaluations with Hamerly/Elkan bounds, making late iterations O(n m) —
+// bit for bit the same labels, objective, and iteration count.
+// RunOnMoments runs the direct sweeps — it is the reference the CK-means
+// bit-identity tests compare against.
 #ifndef UCLUST_CLUSTERING_UKMEANS_H_
 #define UCLUST_CLUSTERING_UKMEANS_H_
 

@@ -49,11 +49,10 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   std::vector<std::size_t> best_medoid(k);
   std::vector<double> med_rows;  // k x n: row c = d(medoids[c], .)
   std::vector<double> cand_cost(n, 0.0);
-  // The gather sweep only pays off when rows would otherwise be recomputed;
-  // on the dense backend the legacy sweep reads the resident table
+  // The member-block sweep only pays off when rows would otherwise be
+  // recomputed; on the dense backend the row sweep reads the resident table
   // zero-copy, so the block gather would be pure copy overhead.
-  const bool gather_tiles = eng.pairwise_gather_tiles() &&
-                            store.backend() != PairwiseBackend::kDense;
+  const bool dense = store.backend() == PairwiseBackend::kDense;
   // Indexed assignment (recompute backends only — dense rows are free after
   // Warm()): a per-iteration spatial index over the k medoid region boxes
   // answers, per object, which medoids could be nearest. The true nearest
@@ -64,8 +63,7 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   // therefore picks the bit-identical label the k-row scan picks, without
   // gathering k full medoid rows per iteration.
   const SpatialIndexChoice index_choice = eng.spatial_index();
-  const bool index_assign = index_choice != SpatialIndexChoice::kOff &&
-                            store.backend() != PairwiseBackend::kDense;
+  const bool index_assign = index_choice != SpatialIndexChoice::kOff && !dense;
   int64_t assign_evals = 0;
 
   for (result.iterations = 0; result.iterations < params_.max_iters;
@@ -169,12 +167,22 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
     // An object's candidate cost reads only its own cluster's member
     // columns, so the sweep needs the per-cluster member x member blocks —
     // never the full table.
-    if (gather_tiles) {
-      // Gather-tile policy: one asymmetric member x member slab per cluster
-      // (resident/warm rows read back, the rest evaluated symmetrically;
+    if (dense) {
+      // Resident table: every row read in place, each object summed over
+      // its own cluster's member columns.
+      store.VisitAllRows([&](std::size_t i, std::span<const double> row) {
+        double cost = 0.0;
+        for (std::size_t other : members[result.labels[i]]) {
+          cost += row[other];
+        }
+        cand_cost[i] = cost;
+      });
+    } else {
+      // Recompute backends: one member x member slab per cluster
+      // (warm rows read back, the rest evaluated symmetrically;
       // budget-bounded stripes when the slab is too large to materialize),
       // with row sums in the visitor. Summation order over a block row is
-      // ascending members — exactly the full-row sweep's order restricted
+      // ascending members — exactly the dense row sweep's order restricted
       // to the member columns, so cand_cost is bit-identical.
       for (int c = 0; c < k; ++c) {
         const std::vector<std::size_t>& mem = members[c];
@@ -186,16 +194,6 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
               cand_cost[mem[a]] = cost;
             });
       }
-    } else {
-      // Legacy full sweep: every row visited (tile faults included), each
-      // object summed over its own cluster's member columns.
-      store.VisitAllRows([&](std::size_t i, std::span<const double> row) {
-        double cost = 0.0;
-        for (std::size_t other : members[result.labels[i]]) {
-          cost += row[other];
-        }
-        cand_cost[i] = cost;
-      });
     }
     for (int c = 0; c < k; ++c) {
       best_medoid[c] = medoids[c];

@@ -7,15 +7,16 @@
 // Pairwise access goes through clustering::PairwiseStore. Under the default
 // unlimited memory budget the full ED table is precomputed in the offline
 // phase exactly as in the original (the paper excludes it from the timed
-// online phase); under a finite EngineConfig::memory_budget_bytes the
-// sweeps run workload-aware instead: the assignment step gathers the k
-// medoid rows as one asymmetric gather tile (retained across PAM
-// iterations by the warm-row cache — see PairwiseStore::BeginGeneration),
-// and the swap sweep reads per-cluster member x member slabs rather than
-// faulting full row tiles. Table memory stays bounded at any n and
-// clusterings are bit-identical across backends, tile policies
-// (EngineConfig::pairwise_gather_tiles / pairwise_warm_rows), and thread
-// counts; see docs/memory-backends.md.
+// online phase), and the swap sweep reads each object's member columns
+// straight out of it. Under a finite EngineConfig::memory_budget_bytes the
+// store recomputes instead, and the sweeps read only what they need: the
+// assignment step asks the spatial index which medoids could be nearest
+// (or, with the index off, gathers the k medoid rows as one asymmetric
+// gather tile, retained across PAM iterations by the warm-row cache — see
+// PairwiseStore::BeginGeneration), and the swap sweep reads per-cluster
+// member x member slabs. Table memory stays bounded at any n, and
+// clusterings are bit-identical to the dense backend's at any thread
+// count; see docs/memory-backends.md.
 #ifndef UCLUST_CLUSTERING_UKMEDOIDS_H_
 #define UCLUST_CLUSTERING_UKMEDOIDS_H_
 

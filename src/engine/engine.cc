@@ -1,8 +1,11 @@
 #include "engine/engine.h"
 
 #include <algorithm>
+#include <cerrno>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <thread>
 
 #include "clustering/simd/simd.h"
@@ -56,12 +59,6 @@ Engine::Engine(const EngineConfig& config) {
   memory_budget_bytes_ = config.memory_budget_bytes;
   moment_chunk_rows_ = config.moment_chunk_rows;
   sample_chunk_rows_ = config.sample_chunk_rows;
-  pairwise_gather_tiles_ = config.pairwise_gather_tiles;
-  pairwise_warm_rows_ = config.pairwise_warm_rows;
-  pairwise_pruned_sweeps_ = config.pairwise_pruned_sweeps;
-  ukmeans_ckmeans_reduction_ = config.ukmeans_ckmeans_reduction;
-  ukmeans_bound_pruning_ = config.ukmeans_bound_pruning;
-  ukmeans_minibatch_size_ = config.ukmeans_minibatch_size;
   spatial_index_ = ResolveSpatialIndex(config.spatial_index);
   ApplySimdIsa(config.simd_isa);
   int threads = config.num_threads;
@@ -83,79 +80,62 @@ std::string Engine::simd_isa() const {
 
 namespace {
 
-// Strict value grammars shared by every knob. Unlike ArgParser's lenient
-// getters, a malformed value is an error, not a silent default.
+// The strict integer grammar shared by every numeric knob. Unlike
+// ArgParser's lenient getters, a malformed value is an error, not a silent
+// default — and so is a value outside [min, max], the range the knob's
+// field can hold: strtoll saturates on overflow (ERANGE), and a later
+// narrowing or scaling would otherwise wrap it into a different setting.
 common::Status ParseKnobInt(const std::string& key, const std::string& value,
-                            int64_t min, int64_t* out) {
+                            int64_t min, int64_t max, int64_t* out) {
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() || v < min) {
+  if (value.empty() || end != value.c_str() + value.size() ||
+      errno == ERANGE || v < min || v > max) {
     return common::Status::InvalidArgument(
-        "engine knob '" + key + "': expected an integer >= " +
-        std::to_string(min) + ", got '" + value + "'");
+        "engine knob '" + key + "': expected an integer in [" +
+        std::to_string(min) + ", " + std::to_string(max) + "], got '" +
+        value + "'");
   }
   *out = static_cast<int64_t>(v);
   return common::Status::Ok();
 }
 
-common::Status ParseKnobBool(const std::string& key, const std::string& value,
-                             bool* out) {
-  if (value == "true" || value == "1" || value == "yes") {
-    *out = true;
-    return common::Status::Ok();
-  }
-  if (value == "false" || value == "0" || value == "no") {
-    *out = false;
-    return common::Status::Ok();
-  }
-  return common::Status::InvalidArgument(
-      "engine knob '" + key + "': expected true/1/yes or false/0/no, got '" +
-      value + "'");
-}
+// Largest value a size_t knob accepts: the int64 grammar's ceiling, or
+// SIZE_MAX where size_t is narrower.
+constexpr int64_t kMaxSize = static_cast<int64_t>(
+    std::min<uint64_t>(std::numeric_limits<std::size_t>::max(),
+                       std::numeric_limits<int64_t>::max()));
 
 }  // namespace
 
 common::Status ApplyEngineKnob(const std::string& key,
                                const std::string& value, EngineConfig* cfg) {
   int64_t n = 0;
-  bool b = false;
   if (key == "threads") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
+    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0,
+                                      std::numeric_limits<int>::max(), &n));
     cfg->num_threads = static_cast<int>(n);
   } else if (key == "block_size") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 1, &n));
+    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 1, kMaxSize, &n));
     cfg->block_size = static_cast<std::size_t>(n);
   } else if (key == "memory_budget_bytes") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
+    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, kMaxSize, &n));
     cfg->memory_budget_bytes = static_cast<std::size_t>(n);
   } else if (key == "memory_budget_mb") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
+    // The byte count n << 20 must fit size_t, or the budget would wrap.
+    UCLUST_RETURN_NOT_OK(ParseKnobInt(
+        key, value, 0,
+        static_cast<int64_t>(std::numeric_limits<std::size_t>::max() >> 20),
+        &n));
     cfg->memory_budget_bytes =
         static_cast<std::size_t>(n) * (std::size_t{1} << 20);
   } else if (key == "moment_chunk_rows") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
+    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, kMaxSize, &n));
     cfg->moment_chunk_rows = static_cast<std::size_t>(n);
   } else if (key == "sample_chunk_rows") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
+    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, kMaxSize, &n));
     cfg->sample_chunk_rows = static_cast<std::size_t>(n);
-  } else if (key == "pairwise_gather_tiles") {
-    UCLUST_RETURN_NOT_OK(ParseKnobBool(key, value, &b));
-    cfg->pairwise_gather_tiles = b;
-  } else if (key == "pairwise_warm_rows") {
-    UCLUST_RETURN_NOT_OK(ParseKnobBool(key, value, &b));
-    cfg->pairwise_warm_rows = b;
-  } else if (key == "pairwise_pruned_sweeps") {
-    UCLUST_RETURN_NOT_OK(ParseKnobBool(key, value, &b));
-    cfg->pairwise_pruned_sweeps = b;
-  } else if (key == "ukmeans_ckmeans_reduction") {
-    UCLUST_RETURN_NOT_OK(ParseKnobBool(key, value, &b));
-    cfg->ukmeans_ckmeans_reduction = b;
-  } else if (key == "ukmeans_bound_pruning") {
-    UCLUST_RETURN_NOT_OK(ParseKnobBool(key, value, &b));
-    cfg->ukmeans_bound_pruning = b;
-  } else if (key == "ukmeans_minibatch_size") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, &n));
-    cfg->ukmeans_minibatch_size = static_cast<std::size_t>(n);
   } else if (key == "simd_isa") {
     clustering::simd::Isa isa;
     if (!clustering::simd::IsaFromString(value, &isa)) {
@@ -187,12 +167,6 @@ const std::vector<std::string>& EngineKnobNames() {
       "memory_budget_bytes",
       "moment_chunk_rows",
       "sample_chunk_rows",
-      "pairwise_gather_tiles",
-      "pairwise_warm_rows",
-      "pairwise_pruned_sweeps",
-      "ukmeans_ckmeans_reduction",
-      "ukmeans_bound_pruning",
-      "ukmeans_minibatch_size",
       "simd_isa",
       "spatial_index",
   };

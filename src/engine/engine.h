@@ -54,45 +54,6 @@ struct EngineConfig {
   /// chunk/prefetch granularity and the span-validity window, never the
   /// served sample bytes.
   std::size_t sample_chunk_rows = 0;
-  /// Workload-aware PairwiseStore tile policies. All three are pure
-  /// recompute/memory optimizations: clusterings are bit-identical with any
-  /// combination of them, on every backend, at any thread count.
-  ///
-  /// Gather tiles: candidate x member slabs for the UK-medoids swap sweep
-  /// (and batched candidate-row gathers) are computed asymmetrically —
-  /// only the entries the sweep reads — instead of faulting full row tiles.
-  bool pairwise_gather_tiles = true;
-  /// Warm rows: gathered rows are retained across consumer iterations (PAM
-  /// rounds, Lance-Williams merges) in a budget-bounded warm cache with a
-  /// generation/invalidation protocol (see PairwiseStore::BeginGeneration).
-  bool pairwise_warm_rows = true;
-  /// Pruned sweeps: streaming pair sweeps (the FDBSCAN distance-probability
-  /// sweep) skip pairs whose value is provably 0 under cheap spatial bounds
-  /// (clustering::PairwiseBoundIndex) before any kernel evaluation.
-  bool pairwise_pruned_sweeps = true;
-  /// UK-means fast-path knobs (the CK-means moment reduction; see
-  /// clustering/ckmeans.h). Both toggles are pure recompute/memory
-  /// optimizations under the library determinism contract: labels,
-  /// objective, and iteration count are bit-identical to the direct
-  /// UK-means sweeps with any combination, at any thread count.
-  ///
-  /// Reduction: run the Lloyd loop on per-object expected centroids plus an
-  /// additive constant (König-Huygens) copied out of the MomentView once —
-  /// on a Mapped (out-of-core) store this replaces per-sweep chunk faults
-  /// with one sequential pass and ~(m+1)/(3m+1) of the resident bytes.
-  bool ukmeans_ckmeans_reduction = true;
-  /// Bound pruning: maintain Hamerly-style per-object upper/lower bounds
-  /// from per-center drift norms and skip provably unchanged assignments,
-  /// making late sweeps O(n) instead of O(n k) distance evaluations
-  /// (counted by ClusteringResult::center_distance_evals/bounds_skipped).
-  bool ukmeans_bound_pruning = true;
-  /// Mini-batch rows per streamed batch for the file-backed CK-means driver
-  /// (clustering::CkMeans::ClusterFile). 0 = auto: keep the reduced
-  /// representation resident when it fits memory_budget_bytes, otherwise
-  /// re-stream the file per iteration at the default batch size. A nonzero
-  /// value forces the epoch-streaming driver with that batch size. Pure
-  /// memory knob: results are bit-identical for every value.
-  std::size_t ukmeans_minibatch_size = 0;
   /// SIMD instruction-set path for the inner-loop kernels
   /// (clustering/simd/): "auto" (best compiled-and-supported path — AVX2 on
   /// capable x86, NEON on aarch64, else scalar), or "scalar"/"avx2"/"neon"
@@ -137,20 +98,6 @@ class Engine {
   std::size_t moment_chunk_rows() const { return moment_chunk_rows_; }
   /// Mapped sample-store chunk-rows hint (0 = budget-derived/default).
   std::size_t sample_chunk_rows() const { return sample_chunk_rows_; }
-  /// Asymmetric gather-tile policy for PairwiseStore consumers.
-  bool pairwise_gather_tiles() const { return pairwise_gather_tiles_; }
-  /// Iteration-scoped warm-row reuse policy for PairwiseStore.
-  bool pairwise_warm_rows() const { return pairwise_warm_rows_; }
-  /// Bound-based pair pruning policy for streaming pairwise sweeps.
-  bool pairwise_pruned_sweeps() const { return pairwise_pruned_sweeps_; }
-  /// CK-means moment-reduction fast path for UK-means.
-  bool ukmeans_ckmeans_reduction() const { return ukmeans_ckmeans_reduction_; }
-  /// Hamerly/Elkan bound pruning for the CK-means assignment sweeps.
-  bool ukmeans_bound_pruning() const { return ukmeans_bound_pruning_; }
-  /// Mini-batch size for the file-backed CK-means driver (0 = auto).
-  std::size_t ukmeans_minibatch_size() const {
-    return ukmeans_minibatch_size_;
-  }
   /// The SIMD path this engine resolved at construction ("scalar"/"avx2"/
   /// "neon" — never "auto"; the default-constructed serial engine reports
   /// whatever the process-global dispatcher currently runs).
@@ -168,12 +115,6 @@ class Engine {
   std::size_t memory_budget_bytes_ = 0;
   std::size_t moment_chunk_rows_ = 0;
   std::size_t sample_chunk_rows_ = 0;
-  bool pairwise_gather_tiles_ = true;
-  bool pairwise_warm_rows_ = true;
-  bool pairwise_pruned_sweeps_ = true;
-  bool ukmeans_ckmeans_reduction_ = true;
-  bool ukmeans_bound_pruning_ = true;
-  std::size_t ukmeans_minibatch_size_ = 0;
   clustering::SpatialIndexChoice spatial_index_ =
       clustering::SpatialIndexChoice::kAuto;
   std::shared_ptr<ThreadPool> pool_;
@@ -185,25 +126,20 @@ class Engine {
 /// the accepted keys, value grammar, and defaults cannot drift per binary.
 ///
 /// Keys (the `--key=value` flag spellings without dashes):
-///   threads                   int >= 0 (0 = hardware concurrency)
-///   block_size                int >= 1
-///   memory_budget_bytes       int >= 0 (0 = unlimited)
-///   memory_budget_mb          convenience form; sets the bytes field
-///   moment_chunk_rows         int >= 0 (0 = format default)
-///   sample_chunk_rows         int >= 0 (0 = budget-derived/default)
-///   pairwise_gather_tiles     bool (true/1/yes | false/0/no)
-///   pairwise_warm_rows        bool
-///   pairwise_pruned_sweeps    bool
-///   ukmeans_ckmeans_reduction bool
-///   ukmeans_bound_pruning     bool
-///   ukmeans_minibatch_size    int >= 0 (0 = auto)
-///   simd_isa                  auto|scalar|avx2|neon (name validated here;
-///                             availability resolves at Engine construction)
-///   spatial_index             auto|rtree|off (candidate-sweep R-tree over
-///                             region boxes; auto = rtree)
+///   threads              int in [0, INT_MAX] (0 = hardware concurrency)
+///   block_size           int >= 1
+///   memory_budget_bytes  int >= 0 (0 = unlimited)
+///   memory_budget_mb     convenience form; sets the bytes field (the
+///                        byte count must fit size_t)
+///   moment_chunk_rows    int >= 0 (0 = format default)
+///   sample_chunk_rows    int >= 0 (0 = budget-derived/default)
+///   simd_isa             auto|scalar|avx2|neon (name validated here;
+///                        availability resolves at Engine construction)
+///   spatial_index        auto|rtree|off (candidate-sweep R-tree over
+///                        region boxes; auto = rtree)
 ///
-/// Returns InvalidArgument for an unknown key or an unparsable value;
-/// `cfg` is unchanged on error. Later applications override earlier ones
+/// Returns InvalidArgument for an unknown key, an unparsable value, or a
+/// value its field cannot hold; `cfg` is unchanged on error. Later applications override earlier ones
 /// (so memory_budget_bytes after memory_budget_mb wins, and vice versa).
 common::Status ApplyEngineKnob(const std::string& key,
                                const std::string& value, EngineConfig* cfg);

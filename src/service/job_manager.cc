@@ -32,9 +32,6 @@ common::Result<clustering::ClusteringResult> RunClusteringJob(
     clustering::CkMeans::Params params;
     params.max_iters = spec.max_iters;
     params.init = clustering::InitStrategy::kRandom;
-    params.reduction = engine_cfg.ukmeans_ckmeans_reduction;
-    params.bound_pruning = engine_cfg.ukmeans_bound_pruning;
-    params.minibatch_size = engine_cfg.ukmeans_minibatch_size;
     return clustering::CkMeans::ClusterFile(dataset.path, spec.k, spec.seed,
                                             params, eng);
   }

@@ -8,6 +8,10 @@ namespace uclust::service {
 
 namespace {
 
+// Whether a finite integral double converts to int64 without undefined
+// behaviour: the int64 range is [-2^63, 2^63).
+bool FitsInt64(double d) { return d >= -0x1p63 && d < 0x1p63; }
+
 // Normalizes one JSON knob value to the string form ApplyEngineKnob
 // parses. Integral numbers, booleans, and strings only — a fractional
 // number is an error (every numeric knob is an integer).
@@ -24,6 +28,10 @@ common::Result<std::string> KnobValueToString(const std::string& key,
         return common::Status::InvalidArgument(
             "job spec: engine." + key + " must be an integer");
       }
+      if (!FitsInt64(d)) {
+        return common::Status::InvalidArgument(
+            "job spec: engine." + key + " is out of the integer range");
+      }
       return std::to_string(static_cast<int64_t>(d));
     }
     default:
@@ -37,6 +45,11 @@ common::Status ExpectInt(const std::string& key, const common::JsonValue& v,
   if (!v.is_number() || v.AsDouble() != std::floor(v.AsDouble())) {
     return common::Status::InvalidArgument("job spec: " + key +
                                            " must be an integer");
+  }
+  if (!FitsInt64(v.AsDouble())) {  // AsInt() would be undefined
+    return common::Status::OutOfRange(
+        "job spec: " + key + " out of range [" + std::to_string(min) + ", " +
+        std::to_string(max) + "]");
   }
   const int64_t i = v.AsInt();
   if (i < min || i > max) {

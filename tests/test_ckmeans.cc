@@ -1,6 +1,6 @@
-// Tests for the CK-means fast path (clustering/ckmeans.h): reduction and
-// bound pruning must reproduce the direct UK-means sweeps bit-for-bit on
-// every moment backend, the maintained bounds must actually bound, the
+// Tests for the CK-means fast path (clustering/ckmeans.h): the reduced,
+// bound-pruned Lloyd loop must reproduce the direct UK-means sweeps
+// (Ukmeans::RunOnMoments) bit-for-bit on every moment backend, the maintained bounds must actually bound, the
 // evaluation counters must satisfy their accounting contract, and the
 // file-backed mini-batch driver must match the fully ingested run for any
 // batch size.
@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clustering/ckmeans.h"
@@ -89,7 +90,7 @@ TEST(CkmeansReduction, MatchesDirectOnChunkedMappedBackend) {
   const auto direct = Ukmeans::RunOnMoments(flat, 4, 5, Ukmeans::Params(),
                                             EngineWith(1));
   for (int threads : kThreadCounts) {
-    CkMeans::Params p;  // reduction + bounds on
+    CkMeans::Params p;
     const auto out =
         CkMeans::RunOnMoments(mapped, 4, 5, p, EngineWith(threads));
     EXPECT_EQ(out.labels, direct.labels) << "threads=" << threads;
@@ -100,31 +101,30 @@ TEST(CkmeansReduction, MatchesDirectOnChunkedMappedBackend) {
 }
 
 // ---------------------------------------------------------------------------
-// Bit-identity of the knob matrix against the direct reference.
+// Bit-identity against the direct reference.
 
-TEST(Ckmeans, EveryKnobComboMatchesDirectPath) {
+// The one CK-means path must reproduce the direct UK-means sweeps at every
+// thread count; its pruning counters, a pure function of the deterministic
+// bound decisions, must not depend on the thread count either.
+TEST(Ckmeans, MatchesDirectPathAcrossThreadCounts) {
   const auto ds = TestDataset(500, 3, 4, 25);
   const auto mm = ds.moments().view();
   const auto direct =
       Ukmeans::RunOnMoments(mm, 4, 9, Ukmeans::Params(), EngineWith(1));
-  for (const bool reduction : {false, true}) {
-    for (const bool bounds : {false, true}) {
-      for (int threads : kThreadCounts) {
-        CkMeans::Params p;
-        p.reduction = reduction;
-        p.bound_pruning = bounds;
-        const auto out =
-            CkMeans::RunOnMoments(mm, 4, 9, p, EngineWith(threads));
-        EXPECT_EQ(out.labels, direct.labels)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-        EXPECT_EQ(out.objective, direct.objective)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-        EXPECT_EQ(out.iterations, direct.iterations)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-      }
+  CkMeans::Outcome serial;
+  for (int threads : kThreadCounts) {
+    const auto out =
+        CkMeans::RunOnMoments(mm, 4, 9, CkMeans::Params(), EngineWith(threads));
+    EXPECT_EQ(out.labels, direct.labels) << "threads=" << threads;
+    EXPECT_EQ(out.objective, direct.objective) << "threads=" << threads;
+    EXPECT_EQ(out.iterations, direct.iterations) << "threads=" << threads;
+    if (threads == 1) {
+      serial = out;
+    } else {
+      EXPECT_EQ(out.center_distance_evals, serial.center_distance_evals)
+          << "threads=" << threads;
+      EXPECT_EQ(out.bounds_skipped, serial.bounds_skipped)
+          << "threads=" << threads;
     }
   }
 }
@@ -135,15 +135,12 @@ TEST(Ckmeans, PlusPlusSeedingMatchesDirectPath) {
   Ukmeans::Params dp;
   dp.init = InitStrategy::kPlusPlus;
   const auto direct = Ukmeans::RunOnMoments(mm, 4, 11, dp, EngineWith(1));
-  for (const bool reduction : {false, true}) {
-    CkMeans::Params p;
-    p.init = InitStrategy::kPlusPlus;
-    p.reduction = reduction;
-    const auto out = CkMeans::RunOnMoments(mm, 4, 11, p, EngineWith(2));
-    EXPECT_EQ(out.labels, direct.labels) << "reduction=" << reduction;
-    EXPECT_EQ(out.objective, direct.objective) << "reduction=" << reduction;
-    EXPECT_EQ(out.iterations, direct.iterations) << "reduction=" << reduction;
-  }
+  CkMeans::Params p;
+  p.init = InitStrategy::kPlusPlus;
+  const auto out = CkMeans::RunOnMoments(mm, 4, 11, p, EngineWith(2));
+  EXPECT_EQ(out.labels, direct.labels);
+  EXPECT_EQ(out.objective, direct.objective);
+  EXPECT_EQ(out.iterations, direct.iterations);
 }
 
 // ---------------------------------------------------------------------------
@@ -201,18 +198,10 @@ TEST(Ckmeans, CountersSatisfyAccountingContract) {
     return static_cast<int64_t>(sweeps) * n * k;
   };
 
-  CkMeans::Params off;
-  off.bound_pruning = false;
-  const auto unbounded = CkMeans::RunOnMoments(mm, k, 15, off, EngineWith(2));
-  EXPECT_EQ(unbounded.center_distance_evals,
-            expected_slots(unbounded.iterations, off.max_iters));
-  EXPECT_EQ(unbounded.bounds_skipped, 0);
-
   CkMeans::Params on;
   const auto bounded = CkMeans::RunOnMoments(mm, k, 15, on, EngineWith(2));
   EXPECT_EQ(bounded.center_distance_evals + bounded.bounds_skipped,
             expected_slots(bounded.iterations, on.max_iters));
-  EXPECT_LT(bounded.center_distance_evals, unbounded.center_distance_evals);
   EXPECT_GT(bounded.bounds_skipped, 0);
 
   // Direct reference: counts every pair every sweep.
@@ -220,6 +209,7 @@ TEST(Ckmeans, CountersSatisfyAccountingContract) {
       Ukmeans::RunOnMoments(mm, k, 15, Ukmeans::Params(), EngineWith(2));
   EXPECT_EQ(direct.center_distance_evals,
             expected_slots(direct.iterations, Ukmeans::Params().max_iters));
+  EXPECT_LT(bounded.center_distance_evals, direct.center_distance_evals);
   // The bounded run's total accounts for exactly the direct run's slots.
   EXPECT_EQ(bounded.center_distance_evals + bounded.bounds_skipped,
             direct.center_distance_evals);
@@ -242,26 +232,64 @@ TEST(Ckmeans, CountersMonotoneInIterationCap) {
   }
 }
 
+// The paper's Lloyd invariant on both UK-means paths: the objective
+// reported at max_iters = 1, 2, 4, 8, ... never increases. At cap t the
+// result is J(L_t, c_t) with the centres c_t fitted to the labels L_t, so
+// J(L_{t+1}, c_{t+1}) <= J(L_{t+1}, c_t) <= J(L_t, c_t); an empty-cluster
+// reseed touches no member. The relative slack covers rounding.
+template <typename Run>
+void ExpectObjectiveNonIncreasingInCap(const char* path, const Run& run) {
+  const auto ds = TestDataset(600, 2, 6, 41);
+  const auto mm = ds.moments().view();
+  int longest_run = 0;
+  for (uint64_t seed = 1; seed <= 4; ++seed) {
+    double prev = std::numeric_limits<double>::infinity();
+    for (int cap = 1; cap <= 128; cap *= 2) {
+      const auto [objective, iterations] = run(mm, seed, cap);
+      EXPECT_LE(objective, prev * (1.0 + 1e-12))
+          << path << " seed=" << seed << " cap=" << cap;
+      prev = objective;
+      longest_run = std::max(longest_run, iterations);
+    }
+  }
+  EXPECT_GE(longest_run, 4) << path << ": every run converged too early";
+}
+
+TEST(LloydInvariant, CkmeansObjectiveNeverIncreasesWithIterationCap) {
+  ExpectObjectiveNonIncreasingInCap(
+      "CK-means",
+      [](const uncertain::MomentView& mm, uint64_t seed, int cap) {
+        CkMeans::Params p;
+        p.max_iters = cap;
+        const auto out = CkMeans::RunOnMoments(mm, 6, seed, p, EngineWith(2));
+        return std::pair<double, int>(out.objective, out.iterations);
+      });
+}
+
+TEST(LloydInvariant, UkmeansDirectObjectiveNeverIncreasesWithIterationCap) {
+  ExpectObjectiveNonIncreasingInCap(
+      "UK-means",
+      [](const uncertain::MomentView& mm, uint64_t seed, int cap) {
+        Ukmeans::Params p;
+        p.max_iters = cap;
+        const auto out = Ukmeans::RunOnMoments(mm, 6, seed, p, EngineWith(2));
+        return std::pair<double, int>(out.objective, out.iterations);
+      });
+}
+
 // ---------------------------------------------------------------------------
-// Engine knob routing and the registry entry.
+// UK-means routing and the registry entry.
 
-TEST(Ckmeans, EngineKnobsRouteUkmeansWithoutChangingResults) {
+// Ukmeans::Cluster runs the CK-means path: the direct reference's labels,
+// objective, and iterations, with fewer center-distance evaluations.
+TEST(Ckmeans, UkmeansClusterMatchesDirectWithFewerEvaluations) {
   const auto ds = TestDataset(500, 3, 4, 35);
-  const Ukmeans algo;
+  const auto direct = Ukmeans::RunOnMoments(
+      ds.moments().view(), 4, 19, Ukmeans::Params(), EngineWith(2));
+  EXPECT_GT(direct.center_distance_evals, 0);
 
-  engine::EngineConfig direct_cfg;
-  direct_cfg.num_threads = 2;
-  direct_cfg.ukmeans_ckmeans_reduction = false;
-  direct_cfg.ukmeans_bound_pruning = false;
-  Ukmeans direct_algo;
-  direct_algo.set_engine(engine::Engine(direct_cfg));
-  const ClusteringResult direct = direct_algo.Cluster(ds, 4, 19);
-  EXPECT_EQ(direct.bounds_skipped, 0);
-
-  engine::EngineConfig fast_cfg;
-  fast_cfg.num_threads = 2;
   Ukmeans fast_algo;
-  fast_algo.set_engine(engine::Engine(fast_cfg));
+  fast_algo.set_engine(EngineWith(2));
   const ClusteringResult fast = fast_algo.Cluster(ds, 4, 19);
 
   EXPECT_EQ(fast.labels, direct.labels);

@@ -190,6 +190,81 @@ TEST(EngineKnobs, SpatialIndexGrammarRejectsGrid) {
   }
 }
 
+// The knob table is exactly the seven EngineConfig fields (memory budget
+// in two spellings); the deleted policy knobs are unknown keys.
+TEST(EngineKnobs, NamesListTheSurvivingKnobsOnly) {
+  EXPECT_EQ(EngineKnobNames(),
+            (std::vector<std::string>{"threads", "block_size",
+                                      "memory_budget_mb",
+                                      "memory_budget_bytes",
+                                      "moment_chunk_rows",
+                                      "sample_chunk_rows", "simd_isa",
+                                      "spatial_index"}));
+  for (const std::string& key : EngineKnobNames()) {
+    EngineConfig cfg;
+    const std::string value =
+        key == "simd_isa" || key == "spatial_index" ? "auto" : "1";
+    EXPECT_TRUE(ApplyEngineKnob(key, value, &cfg).ok()) << key;
+  }
+  for (const char* removed :
+       {"pairwise_gather_tiles", "pairwise_warm_rows",
+        "pairwise_pruned_sweeps", "ukmeans_ckmeans_reduction",
+        "ukmeans_bound_pruning", "ukmeans_minibatch_size"}) {
+    EngineConfig cfg;
+    const common::Status st = ApplyEngineKnob(removed, "1", &cfg);
+    EXPECT_EQ(st.code(), common::StatusCode::kInvalidArgument) << removed;
+    EXPECT_NE(st.message().find("unknown engine knob"), std::string::npos)
+        << st.message();
+  }
+}
+
+// Integer knobs reject what their field cannot hold instead of narrowing,
+// wrapping, or saturating it into a different setting.
+TEST(EngineKnobs, IntegerKnobsRejectOutOfRangeValues) {
+  const struct {
+    const char* key;
+    const char* value;
+  } bad[] = {
+      {"threads", "4294967298"},                // would narrow to 2
+      {"threads", "2147483648"},                // INT_MAX + 1
+      {"threads", "-1"},
+      {"memory_budget_mb", "17592186044417"},   // would wrap to 1 MiB
+      {"memory_budget_mb", "17592186044416"},   // 2^44 MiB = 2^64 bytes
+      {"block_size", "99999999999999999999999"},  // strtoll ERANGE
+      {"block_size", "0"},
+      {"memory_budget_bytes", "-99999999999999999999999"},
+      {"moment_chunk_rows", "18446744073709551616"},
+      {"sample_chunk_rows", "12abc"},
+      {"threads", ""},
+  };
+  for (const auto& c : bad) {
+    EngineConfig cfg;
+    cfg.num_threads = 3;
+    cfg.block_size = 77;
+    cfg.memory_budget_bytes = 5;
+    const common::Status st = ApplyEngineKnob(c.key, c.value, &cfg);
+    EXPECT_EQ(st.code(), common::StatusCode::kInvalidArgument)
+        << c.key << "=" << c.value;
+    EXPECT_NE(st.message().find(std::string("engine knob '") + c.key +
+                                "': expected an integer in ["),
+              std::string::npos)
+        << st.message();
+    // Unchanged on error.
+    EXPECT_EQ(cfg.num_threads, 3);
+    EXPECT_EQ(cfg.block_size, 77u);
+    EXPECT_EQ(cfg.memory_budget_bytes, 5u);
+  }
+  // The range edges themselves are accepted.
+  EngineConfig cfg;
+  ASSERT_TRUE(ApplyEngineKnob("threads", "2147483647", &cfg).ok());
+  EXPECT_EQ(cfg.num_threads, 2147483647);
+  ASSERT_TRUE(
+      ApplyEngineKnob("memory_budget_mb", "17592186044415", &cfg).ok());
+  EXPECT_EQ(cfg.memory_budget_bytes, std::size_t{17592186044415} << 20);
+  ASSERT_TRUE(ApplyEngineKnob("block_size", "9223372036854775807", &cfg).ok());
+  EXPECT_EQ(cfg.block_size, std::size_t{9223372036854775807});
+}
+
 // A programmatic EngineConfig bypasses the knob grammar; the Engine resolves
 // the name once, warning and falling back to auto like simd_isa.
 TEST(Engine, UnknownSpatialIndexWarnsAndResolvesToAuto) {

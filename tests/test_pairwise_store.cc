@@ -1,7 +1,6 @@
 // PairwiseStore backend contract: Dense, Tiled, and OnTheFly must serve
 // bit-identical ED^ values, every pairwise consumer must produce identical
-// clusterings under any memory budget, the Tiled LRU must actually evict
-// (and recompute) under a tiny budget, and peak table memory must respect
+// clusterings under any memory budget, and peak table memory must respect
 // the configured budget.
 #include <gtest/gtest.h>
 
@@ -35,13 +34,21 @@ data::UncertainDataset TestDataset(std::size_t n, std::size_t m, int classes,
   return data::UncertaintyModel(d, up, seed + 1).Uncertain();
 }
 
-PairwiseStoreOptions Explicit(PairwiseBackend backend, std::size_t tile_rows,
-                              std::size_t max_tiles) {
+PairwiseStoreOptions Explicit(PairwiseBackend backend,
+                              std::size_t tile_rows) {
   PairwiseStoreOptions o;
   o.backend = backend;
   o.tile_rows = tile_rows;
-  o.max_cached_tiles = max_tiles;
   return o;
+}
+
+// The full n x n table as served by GatherRows over every row.
+std::vector<double> AllRows(PairwiseStore* store) {
+  std::vector<std::size_t> rows(store->size());
+  std::iota(rows.begin(), rows.end(), std::size_t{0});
+  std::vector<double> table;
+  store->GatherRows(rows, &table);
+  return table;
 }
 
 TEST(PairwiseStore, BackendsServeBitIdenticalValues) {
@@ -57,20 +64,30 @@ TEST(PairwiseStore, BackendsServeBitIdenticalValues) {
       kernels::PairwiseKernel::DistanceProbability(cache, 0.3),
   };
   for (const auto& kernel : kernels_under_test) {
-    PairwiseStore dense(eng, kernel,
-                        Explicit(PairwiseBackend::kDense, 0, 0));
-    PairwiseStore tiled(eng, kernel,
-                        Explicit(PairwiseBackend::kTiled, 7, 2));
-    PairwiseStore fly(eng, kernel,
-                      Explicit(PairwiseBackend::kOnTheFly, 0, 0));
+    PairwiseStore dense(eng, kernel, Explicit(PairwiseBackend::kDense, 0));
+    PairwiseStore tiled(eng, kernel, Explicit(PairwiseBackend::kTiled, 7));
+    PairwiseStore fly(eng, kernel, Explicit(PairwiseBackend::kOnTheFly, 0));
+    // Row by row (GatherRow) on every backend, and batched (GatherRows)
+    // on the recomputing ones.
+    std::vector<double> d_row, t_row, f_row;
     for (std::size_t i = 0; i < n; ++i) {
+      dense.GatherRow(i, &d_row);
+      tiled.GatherRow(i, &t_row);
+      fly.GatherRow(i, &f_row);
       for (std::size_t j = 0; j < n; ++j) {
         const double want = i == j ? 0.0 : kernel.Eval(i, j);
-        ASSERT_EQ(dense.Value(i, j), want) << i << "," << j;
-        ASSERT_EQ(tiled.Value(i, j), want) << i << "," << j;
-        ASSERT_EQ(fly.Value(i, j), want) << i << "," << j;
+        ASSERT_EQ(d_row[j], want) << i << "," << j;
+        ASSERT_EQ(t_row[j], want) << i << "," << j;
+        ASSERT_EQ(f_row[j], want) << i << "," << j;
       }
     }
+    PairwiseStore tiled_batch(eng, kernel,
+                              Explicit(PairwiseBackend::kTiled, 7));
+    PairwiseStore fly_batch(eng, kernel,
+                            Explicit(PairwiseBackend::kOnTheFly, 0));
+    const std::vector<double> want = AllRows(&dense);
+    ASSERT_EQ(AllRows(&tiled_batch), want);
+    ASSERT_EQ(AllRows(&fly_batch), want);
   }
 }
 
@@ -80,12 +97,12 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
   const engine::Engine eng;
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
-  PairwiseStore reference(eng, kernel,
-                          Explicit(PairwiseBackend::kDense, 0, 0));
+  PairwiseStore reference(eng, kernel, Explicit(PairwiseBackend::kDense, 0));
+  const std::vector<double> want = AllRows(&reference);
   for (PairwiseBackend backend :
        {PairwiseBackend::kDense, PairwiseBackend::kTiled,
         PairwiseBackend::kOnTheFly}) {
-    PairwiseStore store(eng, kernel, Explicit(backend, 5, 2));
+    PairwiseStore store(eng, kernel, Explicit(backend, 5));
     std::vector<double> from_rows(n * n, -1.0);
     store.VisitAllRows([&](std::size_t i, std::span<const double> row) {
       for (std::size_t j = 0; j < n; ++j) from_rows[i * n + j] = row[j];
@@ -103,53 +120,18 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
     store.GatherRows(some_rows, &gathered);
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
-        ASSERT_EQ(from_rows[i * n + j], reference.Value(i, j))
+        ASSERT_EQ(from_rows[i * n + j], want[i * n + j])
             << PairwiseBackendName(backend) << " " << i << "," << j;
-        ASSERT_EQ(from_upper[i * n + j], reference.Value(i, j))
+        ASSERT_EQ(from_upper[i * n + j], want[i * n + j])
             << PairwiseBackendName(backend) << " " << i << "," << j;
       }
     }
     for (std::size_t r = 0; r < some_rows.size(); ++r) {
       for (std::size_t j = 0; j < n; ++j) {
-        ASSERT_EQ(gathered[r * n + j], reference.Value(some_rows[r], j));
+        ASSERT_EQ(gathered[r * n + j], want[some_rows[r] * n + j]);
       }
     }
   }
-}
-
-TEST(PairwiseStore, LruEvictsAndRecomputesUnderTinyCapacity) {
-  const auto ds = TestDataset(32, 2, 2, 17);
-  const std::size_t n = ds.size();
-  const engine::Engine eng;
-  const kernels::PairwiseKernel kernel =
-      kernels::PairwiseKernel::ClosedFormED2(ds.objects());
-  // 4 tiles of 8 rows; only 2 may stay resident.
-  PairwiseStore store(eng, kernel, Explicit(PairwiseBackend::kTiled, 8, 2));
-  const std::size_t tile_bytes = 8 * n * sizeof(double);
-
-  const double v0 = store.Value(0, 5);
-  const int64_t evals_tile0 = store.evaluations();
-  EXPECT_EQ(evals_tile0, 8 * static_cast<int64_t>(n - 1));
-  store.Value(0, 6);  // tile 0 resident: no recompute
-  EXPECT_EQ(store.evaluations(), evals_tile0);
-
-  store.Value(8, 0);   // tile 1 faults in
-  store.Value(16, 0);  // tile 2 faults in, evicting tile 0 (LRU)
-  const int64_t evals_three_tiles = store.evaluations();
-  EXPECT_EQ(evals_three_tiles, 3 * evals_tile0);
-
-  // Tile 0 was evicted: touching it again must recompute the same value.
-  EXPECT_EQ(store.Value(0, 5), v0);
-  EXPECT_EQ(store.evaluations(), 4 * evals_tile0);
-
-  // Tile 2 stayed resident through the re-fault of tile 0 (it was the MRU
-  // survivor), so touching it is free.
-  store.Value(16, 3);
-  EXPECT_EQ(store.evaluations(), 4 * evals_tile0);
-
-  // Never more than two resident tiles' worth of bytes.
-  EXPECT_LE(store.table_bytes_peak(), 2 * tile_bytes);
-  EXPECT_GE(store.table_bytes_peak(), tile_bytes);
 }
 
 TEST(PairwiseStore, BudgetSelectsBackendAndBoundsPeak) {
@@ -163,7 +145,8 @@ TEST(PairwiseStore, BudgetSelectsBackendAndBoundsPeak) {
   const PairwiseStoreOptions tiled =
       PairwiseStoreOptions::FromBudget(16 * row_bytes, n);
   EXPECT_EQ(tiled.backend, PairwiseBackend::kTiled);
-  EXPECT_LE(tiled.max_cached_tiles * tiled.tile_rows * row_bytes,
+  // The warm carve-out plus four streaming blocks fit the budget.
+  EXPECT_LE(tiled.warm_capacity_bytes + 4 * tiled.tile_rows * row_bytes,
             16 * row_bytes);
   EXPECT_EQ(PairwiseStoreOptions::FromBudget(1, n).backend,
             PairwiseBackend::kOnTheFly);
@@ -174,7 +157,8 @@ TEST(PairwiseStore, BudgetSelectsBackendAndBoundsPeak) {
   PairwiseStore store(eng, kernels::PairwiseKernel::ClosedFormED2(
                                ds.objects()),
                       PairwiseStoreOptions::FromBudget(16 * row_bytes, n));
-  for (std::size_t i = 0; i < n; i += 3) store.Row(i);
+  std::vector<double> row;
+  for (std::size_t i = 0; i < n; i += 3) store.GatherRow(i, &row);
   store.VisitAllRows([](std::size_t, std::span<const double>) {});
   EXPECT_LE(store.table_bytes_peak(), 16 * row_bytes);
 }

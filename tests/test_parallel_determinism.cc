@@ -73,44 +73,29 @@ TEST(ParallelDeterminism, UkmeansBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// CK-means knob sweep: every (reduction, bound_pruning) combination must
-// reproduce the direct UK-means sweeps bit-for-bit at any thread count.
-// The evaluation/skip counters are a pure function of the (deterministic)
-// pruning decisions, so they too must be thread-count independent — they
-// legitimately differ ACROSS knob combinations, never across threads.
-TEST(ParallelDeterminism, CkmeansKnobSweepBitIdenticalAcrossThreadCounts) {
+// CK-means thread sweep: the one CK-means path must reproduce the direct
+// UK-means sweeps bit-for-bit at any thread count. The evaluation/skip
+// counters are a pure function of the (deterministic) pruning decisions,
+// so they too must be thread-count independent.
+TEST(ParallelDeterminism, CkmeansMatchesDirectAcrossThreadCounts) {
   const auto ds = TestDataset(700, 4, 5, 31);
   const auto direct = Ukmeans::RunOnMoments(ds.moments(), 5, 7,
                                             Ukmeans::Params(), EngineWith(1));
-  for (const bool reduction : {false, true}) {
-    for (const bool bounds : {false, true}) {
-      CkMeans::Params p;
-      p.reduction = reduction;
-      p.bound_pruning = bounds;
-      CkMeans::Outcome serial;
-      for (int threads : kThreadCounts) {
-        const auto out =
-            CkMeans::RunOnMoments(ds.moments(), 5, 7, p, EngineWith(threads));
-        EXPECT_EQ(out.labels, direct.labels)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-        EXPECT_EQ(out.objective, direct.objective)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-        EXPECT_EQ(out.iterations, direct.iterations)
-            << "reduction=" << reduction << " bounds=" << bounds
-            << " threads=" << threads;
-        if (threads == 1) {
-          serial = out;
-        } else {
-          EXPECT_EQ(out.center_distance_evals, serial.center_distance_evals)
-              << "reduction=" << reduction << " bounds=" << bounds
-              << " threads=" << threads;
-          EXPECT_EQ(out.bounds_skipped, serial.bounds_skipped)
-              << "reduction=" << reduction << " bounds=" << bounds
-              << " threads=" << threads;
-        }
-      }
+  CkMeans::Outcome serial;
+  for (int threads : kThreadCounts) {
+    const auto out = CkMeans::RunOnMoments(ds.moments(), 5, 7,
+                                           CkMeans::Params(),
+                                           EngineWith(threads));
+    EXPECT_EQ(out.labels, direct.labels) << "threads=" << threads;
+    EXPECT_EQ(out.objective, direct.objective) << "threads=" << threads;
+    EXPECT_EQ(out.iterations, direct.iterations) << "threads=" << threads;
+    if (threads == 1) {
+      serial = out;
+    } else {
+      EXPECT_EQ(out.center_distance_evals, serial.center_distance_evals)
+          << "threads=" << threads;
+      EXPECT_EQ(out.bounds_skipped, serial.bounds_skipped)
+          << "threads=" << threads;
     }
   }
 }
@@ -137,9 +122,7 @@ TEST(ParallelDeterminism, SimdIsaSweepBitIdenticalAcrossThreadCounts) {
     config.simd_isa = isa;
     return engine::Engine(config);
   };
-  CkMeans::Params p;
-  p.reduction = true;
-  p.bound_pruning = true;
+  const CkMeans::Params p;
   const auto baseline =
       CkMeans::RunOnMoments(ds.moments(), 5, 7, p, with("scalar", 1));
   for (const std::string& isa : isas) {
@@ -501,8 +484,8 @@ TEST(ParallelDeterminism, SampledWorkloadsMatchPinnedFingerprints) {
 // dense table) must preserve the whole-registry determinism contract:
 // labels, objective, iterations, and ED evaluation counts independent of
 // the thread count. The pairwise consumers (UK-medoids, UAHC, FOPTICS,
-// FDBSCAN) exercise tile faulting and LRU reuse; the moment-kernel
-// algorithms simply ignore the budget.
+// FDBSCAN) exercise the streamed sweeps, gathers, and warm rows; the
+// moment-kernel algorithms simply ignore the budget.
 TEST(ParallelDeterminism, TiledBackendBitIdenticalAcrossThreadCounts) {
   const auto ds = TestDataset(140, 3, 3, 41);
   // ~10 rows of budget: far below the 140 x 140 dense table, so every
@@ -537,54 +520,48 @@ TEST(ParallelDeterminism, TiledBackendBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// The tile policies (gather tiles, warm rows, pruned sweeps) are pure
-// recompute optimizations: every policy combination must reproduce the
-// policy-free serial clustering bit-for-bit, on the tiled backend, at any
-// thread count. (Evaluation counts legitimately differ ACROSS policies —
-// that is the point — but not across thread counts at a fixed policy.)
+// The recomputing backends' sweeps (member-block gathers, warm rows,
+// pruned pair sweeps) are pure recompute optimizations: the tiled and
+// on-the-fly backends must reproduce the serial dense clustering
+// bit-for-bit at any thread count, and their recompute effort (pair
+// evaluations, warm hits, pruned pairs) must not depend on the thread
+// count.
 TEST(ParallelDeterminism, TilePoliciesBitIdenticalAcrossThreadCounts) {
   const auto ds = TestDataset(140, 3, 3, 43);
-  const std::size_t budget = 10 * ds.size() * sizeof(double);
-  const auto make = [&](const std::string& name, int threads, bool gather,
-                        bool warm, bool pruned) {
+  const auto make = [&](const std::string& name, int threads,
+                        std::size_t budget) {
     engine::EngineConfig config;
     config.num_threads = threads;
     config.block_size = 32;
     config.memory_budget_bytes = budget;
-    config.pairwise_gather_tiles = gather;
-    config.pairwise_warm_rows = warm;
-    config.pairwise_pruned_sweeps = pruned;
     return MakeClustererOrDie(name, engine::Engine(config));
   };
+  // ~10 rows (tiled, warm rows on) and 1 byte (on-the-fly).
+  const std::size_t budgets[] = {10 * ds.size() * sizeof(double), 1};
   for (const std::string& name :
        {std::string("UK-medoids"), std::string("UAHC"),
         std::string("FDBSCAN")}) {
-    const ClusteringResult baseline =
-        make(name, 1, false, false, false)->Cluster(ds, 3, 13);
-    for (const bool gather : {false, true}) {
-      for (const bool warm : {false, true}) {
-        for (const bool pruned : {false, true}) {
-          ClusteringResult serial;
-          for (int threads : {1, 2, 8}) {
-            const ClusteringResult out =
-                make(name, threads, gather, warm, pruned)->Cluster(ds, 3, 13);
-            EXPECT_EQ(out.labels, baseline.labels)
-                << name << " threads=" << threads << " gather=" << gather
-                << " warm=" << warm << " pruned=" << pruned;
-            EXPECT_EQ(out.iterations, baseline.iterations) << name;
-            if (!std::isnan(baseline.objective)) {
-              EXPECT_EQ(out.objective, baseline.objective) << name;
-            }
-            if (threads == 1) {
-              serial = out;
-            } else {
-              // Recompute effort itself is thread-count independent.
-              EXPECT_EQ(out.pair_evaluations, serial.pair_evaluations)
-                  << name << " threads=" << threads;
-              EXPECT_EQ(out.tile_warm_hits, serial.tile_warm_hits) << name;
-              EXPECT_EQ(out.pairs_pruned, serial.pairs_pruned) << name;
-            }
-          }
+    const ClusteringResult baseline = make(name, 1, 0)->Cluster(ds, 3, 13);
+    EXPECT_EQ(baseline.pairwise_backend, "dense") << name;
+    for (const std::size_t budget : budgets) {
+      ClusteringResult serial;
+      for (int threads : {1, 2, 8}) {
+        const ClusteringResult out =
+            make(name, threads, budget)->Cluster(ds, 3, 13);
+        EXPECT_EQ(out.labels, baseline.labels)
+            << name << " threads=" << threads << " budget=" << budget;
+        EXPECT_EQ(out.iterations, baseline.iterations) << name;
+        if (!std::isnan(baseline.objective)) {
+          EXPECT_EQ(out.objective, baseline.objective) << name;
+        }
+        if (threads == 1) {
+          serial = out;
+        } else {
+          // Recompute effort itself is thread-count independent.
+          EXPECT_EQ(out.pair_evaluations, serial.pair_evaluations)
+              << name << " threads=" << threads << " budget=" << budget;
+          EXPECT_EQ(out.tile_warm_hits, serial.tile_warm_hits) << name;
+          EXPECT_EQ(out.pairs_pruned, serial.pairs_pruned) << name;
         }
       }
     }

@@ -66,7 +66,7 @@ TEST(JobSpec, FullBodyWithEngineKnobs) {
       "{\"dataset_id\": \"ds-2\", \"algorithm\": \"UK-means\", \"k\": 8,"
       " \"seed\": 42, \"max_iters\": 25, \"include_labels\": false,"
       " \"engine\": {\"threads\": 4, \"memory_budget_mb\": 64,"
-      "              \"ukmeans_bound_pruning\": false}}");
+      "              \"spatial_index\": \"off\"}}");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   const JobSpec& s = spec.ValueOrDie();
   EXPECT_EQ(s.algorithm, "UK-means");
@@ -75,8 +75,52 @@ TEST(JobSpec, FullBodyWithEngineKnobs) {
   EXPECT_FALSE(s.include_labels);
   EXPECT_EQ(s.engine.num_threads, 4);
   EXPECT_EQ(s.engine.memory_budget_bytes, 64u * 1024 * 1024);
-  EXPECT_FALSE(s.engine.ukmeans_bound_pruning);
+  EXPECT_EQ(s.engine.spatial_index, "off");
   EXPECT_EQ(s.engine_knobs.size(), 3u);
+}
+
+// The policy knobs deleted from EngineConfig are unknown keys now: a job
+// that still sends one gets InvalidArgument (HTTP 400), not a silent
+// default.
+TEST(JobSpec, RemovedEngineKnobsAreRejected) {
+  for (const char* key :
+       {"pairwise_gather_tiles", "pairwise_warm_rows",
+        "pairwise_pruned_sweeps", "ukmeans_ckmeans_reduction",
+        "ukmeans_bound_pruning", "ukmeans_minibatch_size"}) {
+    auto spec = JobSpec::FromJson(
+        std::string("{\"dataset_id\": \"ds-1\", \"k\": 2, \"engine\": {\"") +
+        key + "\": 0}}");
+    ASSERT_FALSE(spec.ok()) << key;
+    EXPECT_EQ(spec.status().code(), common::StatusCode::kInvalidArgument)
+        << key;
+    EXPECT_NE(spec.status().message().find("unknown engine knob"),
+              std::string::npos)
+        << spec.status().ToString();
+  }
+}
+
+// Numeric engine knobs outside what their field (or the int64 cast of the
+// JSON number) can hold are rejected instead of wrapping.
+TEST(JobSpec, RejectsOutOfRangeEngineNumbers) {
+  for (const char* knob :
+       {"\"threads\": 1e30", "\"threads\": -1e30",
+        "\"threads\": 9223372036854775808",
+        "\"threads\": 4294967298",
+        "\"memory_budget_mb\": 17592186044417",
+        "\"block_size\": 1e300"}) {
+    auto spec = JobSpec::FromJson(
+        std::string("{\"dataset_id\": \"ds-1\", \"k\": 2, \"engine\": {") +
+        knob + "}}");
+    ASSERT_FALSE(spec.ok()) << knob;
+    EXPECT_EQ(spec.status().code(), common::StatusCode::kInvalidArgument)
+        << knob << ": " << spec.status().ToString();
+  }
+  // The top-level integer fields share the guard.
+  for (const char* field : {"\"k\": 1e30", "\"seed\": 1e300"}) {
+    auto spec = JobSpec::FromJson(
+        std::string("{\"dataset_id\": \"ds-1\", \"k\": 2, ") + field + "}");
+    EXPECT_FALSE(spec.ok()) << field;
+  }
 }
 
 TEST(JobSpec, RejectsInvalidBodies) {

@@ -528,10 +528,10 @@ TEST(SimdKernels, ChunkedMomentViewBitIdenticalUnderForcedIsas) {
   }
 }
 
-// The CK-means reduced-moment sweep (and its bound-pruned variant) routes
-// its center scans through the dispatched nearest_two: forcing any ISA must
-// reproduce the forced-scalar clustering bit-for-bit, including the pruning
-// counters (the pruning decisions are a pure function of the distances).
+// The CK-means reduced-moment, bound-pruned sweep routes its center scans
+// through the dispatched nearest_two: forcing any ISA must reproduce the
+// forced-scalar clustering bit-for-bit, including the pruning counters (the
+// pruning decisions are a pure function of the distances).
 TEST(SimdKernels, CkmeansReducedSweepBitIdenticalUnderForcedIsas) {
   IsaGuard guard;
   const auto ds = SmallDataset(300, 9, 4, 57);
@@ -540,25 +540,20 @@ TEST(SimdKernels, CkmeansReducedSweepBitIdenticalUnderForcedIsas) {
   config.block_size = 64;
   const engine::Engine eng(config);
 
-  for (const bool bounds : {false, true}) {
-    CkMeans::Params p;
-    p.reduction = true;
-    p.bound_pruning = bounds;
-    ASSERT_TRUE(ForceIsa(Isa::kScalar));
-    const auto want = CkMeans::RunOnMoments(ds.moments(), 4, 7, p, eng);
-    for (Isa isa : AvailableIsas()) {
-      ASSERT_TRUE(ForceIsa(isa));
-      const auto out = CkMeans::RunOnMoments(ds.moments(), 4, 7, p, eng);
-      EXPECT_EQ(out.labels, want.labels)
-          << "bounds=" << bounds << " isa=" << IsaName(isa);
-      EXPECT_TRUE(BitsEqual(want.objective, out.objective))
-          << "bounds=" << bounds << " isa=" << IsaName(isa);
-      EXPECT_EQ(out.iterations, want.iterations) << IsaName(isa);
-      EXPECT_EQ(out.center_distance_evals, want.center_distance_evals)
-          << "bounds=" << bounds << " isa=" << IsaName(isa);
-      EXPECT_EQ(out.bounds_skipped, want.bounds_skipped)
-          << "bounds=" << bounds << " isa=" << IsaName(isa);
-    }
+  const CkMeans::Params p;
+  ASSERT_TRUE(ForceIsa(Isa::kScalar));
+  const auto want = CkMeans::RunOnMoments(ds.moments(), 4, 7, p, eng);
+  for (Isa isa : AvailableIsas()) {
+    ASSERT_TRUE(ForceIsa(isa));
+    const auto out = CkMeans::RunOnMoments(ds.moments(), 4, 7, p, eng);
+    EXPECT_EQ(out.labels, want.labels) << "isa=" << IsaName(isa);
+    EXPECT_TRUE(BitsEqual(want.objective, out.objective))
+        << "isa=" << IsaName(isa);
+    EXPECT_EQ(out.iterations, want.iterations) << IsaName(isa);
+    EXPECT_EQ(out.center_distance_evals, want.center_distance_evals)
+        << "isa=" << IsaName(isa);
+    EXPECT_EQ(out.bounds_skipped, want.bounds_skipped)
+        << "isa=" << IsaName(isa);
   }
 }
 

@@ -1,10 +1,10 @@
-// Workload-aware PairwiseStore tile-policy contract: asymmetric gather
-// blocks serve the same bits the dense table holds, the gather-tile
-// UK-medoids swap sweep is clustering-identical to the full sweep at a
-// strictly lower kernel-evaluation count, the warm-row cache obeys its
-// hit/miss counters and generation/invalidation protocol under the memory
-// budget, and the column-pruned FDBSCAN sweep skips only pairs whose
-// distance probability is provably 0.
+// Workload-aware PairwiseStore access contract: asymmetric gather blocks
+// serve the same bits the dense table holds, UK-medoids on the recomputing
+// backends is clustering-identical to the dense backend under the legacy
+// full-sweep evaluation floor, the warm-row cache obeys its hit/miss
+// counters and generation/invalidation protocol under the memory budget,
+// and the bound-pruned pair sweep skips only pairs whose distance
+// probability is provably 0.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -41,27 +41,22 @@ data::UncertainDataset TestDataset(std::size_t n, std::size_t m, int classes,
 }
 
 PairwiseStoreOptions Explicit(PairwiseBackend backend, std::size_t tile_rows,
-                              std::size_t max_tiles, bool warm_rows,
                               std::size_t warm_capacity) {
   PairwiseStoreOptions o;
   o.backend = backend;
   o.tile_rows = tile_rows;
-  o.max_cached_tiles = max_tiles;
-  o.warm_rows = warm_rows;
   o.warm_capacity_bytes = warm_capacity;
   return o;
 }
 
-engine::Engine PolicyEngine(std::size_t budget, bool gather, bool warm,
-                            bool pruned, int threads = 1) {
-  engine::EngineConfig config;
-  config.num_threads = threads;
-  config.block_size = 32;
-  config.memory_budget_bytes = budget;
-  config.pairwise_gather_tiles = gather;
-  config.pairwise_warm_rows = warm;
-  config.pairwise_pruned_sweeps = pruned;
-  return engine::Engine(config);
+// The full n x n table, read back row by row from a dense store.
+std::vector<double> DenseTable(PairwiseStore* dense) {
+  const std::size_t n = dense->size();
+  std::vector<std::size_t> rows(n);
+  for (std::size_t i = 0; i < n; ++i) rows[i] = i;
+  std::vector<double> table;
+  dense->GatherRows(rows, &table);
+  return table;
 }
 
 std::vector<double> CollectSymmetricBlock(PairwiseStore* store,
@@ -82,31 +77,28 @@ TEST(TilePolicies, VisitSymmetricBlockMatchesDenseReference) {
   const engine::Engine eng;
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
-  PairwiseStore reference(eng, kernel,
-                          Explicit(PairwiseBackend::kDense, 0, 0, false, 0));
+  PairwiseStore reference(eng, kernel, Explicit(PairwiseBackend::kDense, 0, 0));
+  const std::vector<double> table = DenseTable(&reference);
 
-  // Every other object — an id set crossing several tiles.
+  // Every other object — an id set crossing several row blocks.
   std::vector<std::size_t> ids;
   for (std::size_t i = 0; i < n; i += 2) ids.push_back(i);
 
   for (PairwiseBackend backend :
        {PairwiseBackend::kDense, PairwiseBackend::kTiled,
         PairwiseBackend::kOnTheFly}) {
-    const bool warm = backend == PairwiseBackend::kTiled;
-    PairwiseStore store(
-        eng, kernel,
-        Explicit(backend, 5, 2, warm, warm ? 8 * n * sizeof(double) : 0));
-    // Seed the warm cache / resident tiles so the block mixes served rows
-    // (copied and mirrored) with computed rows.
+    PairwiseStore store(eng, kernel,
+                        Explicit(backend, 5, 8 * n * sizeof(double)));
+    // Seed the warm cache (kTiled) / dense table so the block mixes served
+    // rows (copied and mirrored) with computed rows.
     std::vector<double> seeded;
-    store.GatherRows(std::vector<std::size_t>{ids[1], ids[3]}, &seeded);
-    if (backend == PairwiseBackend::kTiled) store.Row(ids[0]);
+    store.GatherRows(std::vector<std::size_t>{ids[0], ids[1], ids[3]},
+                     &seeded);
 
     const std::vector<double> block = CollectSymmetricBlock(&store, ids);
     for (std::size_t a = 0; a < ids.size(); ++a) {
       for (std::size_t b = 0; b < ids.size(); ++b) {
-        ASSERT_EQ(block[a * ids.size() + b],
-                  reference.Value(ids[a], ids[b]))
+        ASSERT_EQ(block[a * ids.size() + b], table[ids[a] * n + ids[b]])
             << PairwiseBackendName(backend) << " " << a << "," << b;
       }
     }
@@ -122,58 +114,66 @@ TEST(TilePolicies, VisitSymmetricBlockStripesOversizedBlocks) {
   const engine::Engine eng;
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
-  PairwiseStore reference(eng, kernel,
-                          Explicit(PairwiseBackend::kDense, 0, 0, false, 0));
+  PairwiseStore reference(eng, kernel, Explicit(PairwiseBackend::kDense, 0, 0));
+  const std::vector<double> table = DenseTable(&reference);
 
   std::vector<std::size_t> ids(n);  // the worst case: one giant cluster
   for (std::size_t i = 0; i < n; ++i) ids[i] = i;
 
   // Budget of ~3 block rows: far below the n x n slab, so the visit must
-  // stripe. Warm cache off to pin the expected evaluation count.
-  PairwiseStoreOptions o = Explicit(PairwiseBackend::kTiled, 4, 1, false, 0);
+  // stripe. Its quarter-budget warm carve-out is under one row, so the
+  // warm cache is off.
+  PairwiseStoreOptions o = Explicit(PairwiseBackend::kTiled, 4, 0);
   o.memory_budget_bytes = 3 * n * sizeof(double);
   PairwiseStore store(eng, kernel, o);
+  EXPECT_EQ(store.options().warm_capacity_bytes, std::size_t{0});
   const std::vector<double> block = CollectSymmetricBlock(&store, ids);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
-      ASSERT_EQ(block[a * n + b], reference.Value(a, b)) << a << "," << b;
+      ASSERT_EQ(block[a * n + b], table[a * n + b]) << a << "," << b;
     }
   }
   // Scratch stayed within the budget (stripes, not the whole slab).
-  EXPECT_LE(store.table_bytes_peak(),
-            o.memory_budget_bytes + 4 * n * sizeof(double));  // + tile LRU
+  EXPECT_LE(store.table_bytes_peak(), o.memory_budget_bytes);
 }
 
-// The gather-tile swap sweep must reproduce the full-sweep clustering
-// bit-for-bit on every backend while evaluating strictly fewer pairs on the
-// recomputing backends.
-TEST(TilePolicies, UkMedoidsGatherPolicyBitIdenticalWithFewerEvaluations) {
+// UK-medoids on the recomputing backends (member-block swap sweep, indexed
+// or gathered assignment, warm rows on the tiled backend) must reproduce
+// the dense-backend clustering bit-for-bit, while evaluating fewer pairs
+// than the full-row sweep it replaced would have: iterations * n * (n-1),
+// one recomputed row per object per swap sweep.
+TEST(TilePolicies, UkMedoidsRecomputeBackendsMatchDense) {
   const auto ds = TestDataset(120, 3, 3, 103);
-  const std::size_t row_bytes = ds.size() * sizeof(double);
+  const std::size_t n = ds.size();
+  const std::size_t row_bytes = n * sizeof(double);
 
   UkMedoids::Params mp;
   mp.use_closed_form = true;
-  const auto run = [&](std::size_t budget, bool gather, bool warm) {
+  const auto run = [&](std::size_t budget, const std::string& index) {
+    engine::EngineConfig config;
+    config.block_size = 32;
+    config.memory_budget_bytes = budget;
+    config.spatial_index = index;
     UkMedoids algo(mp);
-    algo.set_engine(PolicyEngine(budget, gather, warm, true));
+    algo.set_engine(engine::Engine(config));
     return algo.Cluster(ds, 3, 7);
   };
 
-  for (const std::size_t budget : {std::size_t{0}, 12 * row_bytes,
-                                   std::size_t{1}}) {
-    const ClusteringResult full = run(budget, false, false);
-    for (const bool warm : {false, true}) {
-      const ClusteringResult gathered = run(budget, true, warm);
-      EXPECT_EQ(gathered.labels, full.labels)
-          << "budget=" << budget << " warm=" << warm;
-      EXPECT_EQ(gathered.iterations, full.iterations) << "budget=" << budget;
-      EXPECT_EQ(gathered.objective, full.objective) << "budget=" << budget;
-      if (budget != 0) {
-        // Tiled / on-the-fly recompute per sweep: the member x member
-        // blocks must beat the full-table sweeps.
-        EXPECT_LT(gathered.pair_evaluations, full.pair_evaluations)
-            << "budget=" << budget << " warm=" << warm;
-      }
+  const ClusteringResult dense = run(0, "auto");
+  ASSERT_EQ(dense.pairwise_backend, "dense");
+  for (const std::size_t budget : {12 * row_bytes, std::size_t{1}}) {
+    for (const char* index : {"auto", "off"}) {
+      const ClusteringResult out = run(budget, index);
+      EXPECT_EQ(out.pairwise_backend, budget == 1 ? "onthefly" : "tiled");
+      EXPECT_EQ(out.labels, dense.labels)
+          << "budget=" << budget << " index=" << index;
+      EXPECT_EQ(out.iterations, dense.iterations) << "budget=" << budget;
+      EXPECT_EQ(out.objective, dense.objective) << "budget=" << budget;
+      const int64_t full_sweep_floor =
+          static_cast<int64_t>(out.iterations) * static_cast<int64_t>(n) *
+          static_cast<int64_t>(n - 1);
+      EXPECT_LT(out.pair_evaluations, full_sweep_floor)
+          << "budget=" << budget << " index=" << index;
     }
   }
 }
@@ -185,12 +185,12 @@ TEST(TilePolicies, WarmRowCountersAndGenerationInvalidation) {
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
   PairwiseStoreOptions options =
-      Explicit(PairwiseBackend::kTiled, 8, 1, true, 4 * n * sizeof(double));
+      Explicit(PairwiseBackend::kTiled, 8, 4 * n * sizeof(double));
   options.warm_retain_generations = 2;
   PairwiseStore store(eng, kernel, options);
 
   std::vector<double> row;
-  store.GatherRow(40, &row);  // outside any resident tile: computed
+  store.GatherRow(40, &row);  // cold: computed
   EXPECT_EQ(store.warm_misses(), 1);
   EXPECT_EQ(store.warm_hits(), 0);
 
@@ -234,12 +234,13 @@ TEST(TilePolicies, WarmCacheEvictsWithinItsCapacityAndBudget) {
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
 
-  // Budget-derived tiled store: tile LRU + warm cache must fit the budget.
+  // Budget-derived tiled store: warm cache + sweep scratch must fit the
+  // budget.
   const std::size_t budget = 12 * row_bytes;
   PairwiseStore store(eng, kernel,
                       PairwiseStoreOptions::FromBudget(budget, n));
   ASSERT_EQ(store.backend(), PairwiseBackend::kTiled);
-  ASSERT_TRUE(store.options().warm_rows);
+  ASSERT_GT(store.options().warm_capacity_bytes, std::size_t{0});
   std::vector<double> row;
   for (std::size_t i = 0; i < n; ++i) {
     store.GatherRow(i, &row);
@@ -250,40 +251,60 @@ TEST(TilePolicies, WarmCacheEvictsWithinItsCapacityAndBudget) {
 
   // A warm capacity below one row disables the policy instead of thrashing.
   PairwiseStore tiny(eng, kernel,
-                     Explicit(PairwiseBackend::kTiled, 4, 2, true,
-                              row_bytes - 1));
-  EXPECT_FALSE(tiny.options().warm_rows);
+                     Explicit(PairwiseBackend::kTiled, 4, row_bytes - 1));
+  EXPECT_EQ(tiny.options().warm_capacity_bytes, std::size_t{0});
 }
 
-// Pruned sweep contract on a separable dataset: identical labels, strictly
-// fewer kernel evaluations, and every pair accounted as either evaluated or
-// pruned.
-TEST(TilePolicies, FdbscanPrunedSweepBitIdenticalWithFewerEvaluations) {
+// Pruned sweep contract on a separable dataset, on every backend: the
+// PairwiseBoundIndex skip serves the same per-pair values as the unpruned
+// sweep, with strictly fewer kernel evaluations, and every pair accounted
+// as either evaluated or pruned.
+TEST(TilePolicies, BoundSkipServesIdenticalPairsWithFewerEvaluations) {
   const auto ds = TestDataset(150, 2, 3, 113, /*min_separation=*/0.45);
   const std::size_t n = ds.size();
-
-  Fdbscan::Params fp;
-  fp.eps = 0.08;  // well below the class separation: cross-class pairs prune
-  const auto run = [&](std::size_t budget, bool pruned) {
-    Fdbscan algo(fp);
-    algo.set_engine(PolicyEngine(budget, true, true, pruned));
-    return algo.Cluster(ds, 3, 17);
+  const engine::Engine eng;
+  const uncertain::ResidentSampleStore samples(ds.objects(), 24, 0x5eed, eng);
+  const double eps = 0.08;  // well below the class separation
+  const kernels::PairwiseKernel kernel =
+      kernels::PairwiseKernel::DistanceProbability(samples.view(), eps);
+  const PairwiseBoundIndex bounds(ds.objects());
+  const auto sweep = [&](PairwiseStore* store, bool skip) {
+    std::vector<double> upper(n * n, -1.0);
+    const auto fn = [&](std::size_t i, std::span<const double> tail) {
+      for (std::size_t t = 0; t < tail.size(); ++t) {
+        upper[i * n + i + 1 + t] = tail[t];
+      }
+    };
+    if (skip) {
+      store->VisitUpperTriangle(fn, [&](std::size_t i, std::size_t j) {
+        return bounds.ProvablyBeyond(i, j, eps);
+      });
+    } else {
+      store->VisitUpperTriangle(fn);
+    }
+    return upper;
   };
 
-  const std::size_t row_bytes = n * sizeof(double);
-  for (const std::size_t budget : {std::size_t{0}, 10 * row_bytes}) {
-    const ClusteringResult plain = run(budget, false);
-    const ClusteringResult pruned = run(budget, true);
-    EXPECT_EQ(pruned.labels, plain.labels) << "budget=" << budget;
-    EXPECT_EQ(pruned.clusters_found, plain.clusters_found);
-    EXPECT_EQ(pruned.noise_objects, plain.noise_objects);
-    EXPECT_GT(pruned.pairs_pruned, 0) << "budget=" << budget;
-    EXPECT_LT(pruned.ed_evaluations, plain.ed_evaluations)
-        << "budget=" << budget;
-    const int64_t all_pairs =
-        static_cast<int64_t>(n) * static_cast<int64_t>(n - 1) / 2;
-    EXPECT_EQ(plain.pair_evaluations, all_pairs);
-    EXPECT_EQ(pruned.pair_evaluations + pruned.pairs_pruned, all_pairs);
+  const int64_t all_pairs =
+      static_cast<int64_t>(n) * static_cast<int64_t>(n - 1) / 2;
+  for (PairwiseBackend backend :
+       {PairwiseBackend::kDense, PairwiseBackend::kTiled,
+        PairwiseBackend::kOnTheFly}) {
+    PairwiseStoreOptions o = Explicit(backend, 16, 0);
+    o.memory_budget_bytes = backend == PairwiseBackend::kDense
+                                ? 0
+                                : 40 * n * sizeof(double);
+    PairwiseStore plain(eng, kernel, o);
+    PairwiseStore pruned(eng, kernel, o);
+    EXPECT_EQ(sweep(&pruned, true), sweep(&plain, false))
+        << PairwiseBackendName(backend);
+    EXPECT_EQ(plain.evaluations(), all_pairs) << PairwiseBackendName(backend);
+    EXPECT_EQ(plain.pruned_pairs(), 0);
+    EXPECT_GT(pruned.pruned_pairs(), 0) << PairwiseBackendName(backend);
+    EXPECT_LT(pruned.evaluations(), plain.evaluations())
+        << PairwiseBackendName(backend);
+    EXPECT_EQ(pruned.evaluations() + pruned.pruned_pairs(), all_pairs)
+        << PairwiseBackendName(backend);
   }
 }
 
@@ -360,9 +381,6 @@ TEST(TilePolicies, FdbscanIndexedSweepCounterIdentical) {
     config.num_threads = 1;
     config.block_size = 32;
     config.memory_budget_bytes = budget;
-    config.pairwise_gather_tiles = true;
-    config.pairwise_warm_rows = true;
-    config.pairwise_pruned_sweeps = true;
     config.spatial_index = index;
     Fdbscan algo(fp);
     algo.set_engine(engine::Engine(config));

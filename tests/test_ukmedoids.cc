@@ -1,11 +1,13 @@
 // Tests for UK-medoids (PAM over pairwise expected distances).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <set>
 
 #include "clustering/ukmedoids.h"
 #include "data/benchmark_gen.h"
+#include "engine/engine.h"
 #include "data/uncertainty_model.h"
 #include "eval/external.h"
 #include "uncertain/expected_distance.h"
@@ -106,6 +108,55 @@ TEST(UkMedoids, OfflinePhaseDominatesRuntimeAccounting) {
   // The pairwise sampled table must be attributed offline, not online.
   EXPECT_GT(r.offline_ms, 0.0);
   EXPECT_GE(r.online_ms, 0.0);
+}
+
+// The paper's PAM invariant: the objective reported at max_iters = 1, 2,
+// 4, 8, ... never increases. At cap t the result is J(L_t, M_t) with the
+// medoids M_t chosen for the labels L_t; reassignment to M_t cannot raise
+// any member's distance, each cluster's old medoid stays a candidate for
+// its new medoid, and an empty cluster's reseed touches no member — so
+// J(L_{t+1}, M_{t+1}) <= J(L_{t+1}, M_t) <= J(L_t, M_t). The relative
+// slack covers the different summation orders of the two sums.
+TEST(UkMedoids, ObjectiveNeverIncreasesWithIterationCap) {
+  data::MixtureParams params;
+  params.n = 120;
+  params.dims = 2;
+  params.classes = 4;
+  params.sigma_min = 0.10;
+  params.sigma_max = 0.20;
+  params.min_separation = 0.05;
+  const auto d = data::MakeGaussianMixture(params, 71, "overlapping");
+  data::UncertaintyParams up;
+  up.family = data::PdfFamily::kNormal;
+  const auto ds = data::UncertaintyModel(d, up, 72).Uncertain();
+  const std::size_t tiled_budget = 12 * ds.size() * sizeof(double);
+
+  int longest_run = 0;
+  for (const bool closed_form : {true, false}) {
+    for (const std::size_t budget : {std::size_t{0}, tiled_budget}) {
+      engine::EngineConfig config;
+      config.memory_budget_bytes = budget;
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        double prev = std::numeric_limits<double>::infinity();
+        for (int cap = 1; cap <= 64; cap *= 2) {
+          UkMedoids::Params p;
+          p.use_closed_form = closed_form;
+          p.max_iters = cap;
+          UkMedoids algo(p);
+          algo.set_engine(engine::Engine(config));
+          const ClusteringResult r = algo.Cluster(ds, 5, seed);
+          EXPECT_EQ(r.pairwise_backend, budget == 0 ? "dense" : "tiled");
+          EXPECT_LE(r.objective, prev * (1.0 + 1e-12))
+              << "closed_form=" << closed_form << " budget=" << budget
+              << " seed=" << seed << " cap=" << cap;
+          prev = r.objective;
+          longest_run = std::max(longest_run, r.iterations);
+        }
+      }
+    }
+  }
+  // Not vacuous: some run kept improving past the first caps.
+  EXPECT_GE(longest_run, 3);
 }
 
 }  // namespace
