@@ -1,12 +1,10 @@
 #include "io/ingest.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <filesystem>
 #include <memory>
 #include <utility>
 
-#include "io/mmap_file.h"
+#include "io/chunked_sidecar.h"
 #include "io/moment_file.h"
 #include "io/moment_format.h"
 
@@ -53,21 +51,12 @@ common::Status BuildMomentSidecar(const std::string& dataset_path,
                                   std::size_t batch_size) {
   BinaryDatasetReader reader;
   UCLUST_RETURN_NOT_OK(reader.Open(dataset_path));
-  // Build into a unique temp sibling and rename into place only on success:
-  // a rebuild that fails midway (disk full, malformed source record, kill)
-  // must never destroy a previously valid — and possibly expensive —
-  // sidecar, and a concurrent reader serving windows from the old file
-  // keeps its consistent view (the rename unlinks the name, not the open
-  // inode). The per-call scratch name keeps concurrent rebuilds of one
-  // sidecar (e.g. two service jobs with different chunk shapes) from
-  // interleaving writes into a shared tmp inode.
-  const std::string tmp_path = UniqueScratchSiblingPath(sidecar_path);
-  auto build = [&]() -> common::Status {
+  auto source = DescribeSource(dataset_path);
+  UCLUST_RETURN_NOT_OK(source.status());
+  return CommitSidecarBuild(sidecar_path, [&](const std::string& tmp_path) {
     MomentFileWriter writer;
     UCLUST_RETURN_NOT_OK(writer.Open(tmp_path, reader.dims(), chunk_rows,
-                                     reader.file_bytes(),
-                                     FileMTimeTicks(dataset_path),
-                                     FileProbeHash(dataset_path)));
+                                     source.ValueOrDie()));
     // O(batch m) scratch, decoded into and handed to the writer per batch.
     const std::size_t m = reader.dims();
     const std::size_t scratch = std::min(batch_size, reader.size());
@@ -82,21 +71,7 @@ common::Status BuildMomentSidecar(const std::string& dataset_path,
                                              var.data(), total_var.data()));
     }
     return writer.Finish();
-  };
-  const common::Status built = build();
-  if (!built.ok()) {
-    std::remove(tmp_path.c_str());
-    return built;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, sidecar_path, ec);
-  if (ec) {
-    std::remove(tmp_path.c_str());
-    return common::Status::IOError(sidecar_path +
-                                   ": cannot move rebuilt sidecar into "
-                                   "place: " + ec.message());
-  }
-  return common::Status::Ok();
+  });
 }
 
 common::Status MomentBatchStream::Open(const std::string& path) {
@@ -106,7 +81,9 @@ common::Status MomentBatchStream::Open(const std::string& path) {
   n_ = reader_->size();
   m_ = reader_->dims();
   name_ = reader_->name();
-  source_ = {reader_->file_bytes(), FileMTimeTicks(path), FileProbeHash(path)};
+  auto source = DescribeSource(path);
+  UCLUST_RETURN_NOT_OK(source.status());
+  source_ = source.ValueOrDie();
   base_index_ = 0;
   next_index_ = 0;
   batch_rows_ = 0;
@@ -115,10 +92,9 @@ common::Status MomentBatchStream::Open(const std::string& path) {
 
 common::Status MomentBatchStream::CheckSource(
     const BinaryDatasetReader& reader) const {
-  if (reader.size() != n_ || reader.dims() != m_ ||
-      reader.file_bytes() != source_.bytes ||
-      FileMTimeTicks(path_) != source_.mtime ||
-      FileProbeHash(path_) != source_.probe) {
+  const auto source = DescribeSource(path_);
+  if (reader.size() != n_ || reader.dims() != m_ || !source.ok() ||
+      source.ValueOrDie() != source_) {
     return common::Status::IOError(
         path_ + ": dataset changed on disk since the stream was opened");
   }
@@ -220,45 +196,19 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
   const std::string sidecar = options.sidecar_path.empty()
                                   ? path + ".umom"
                                   : options.sidecar_path;
-  // Effective chunk requirement: an explicit hint wins; otherwise, when a
-  // budget is set, size chunks so the mapped window caches themselves
-  // respect the budget that forced the Mapped backend — every thread keeps
-  // up to kMomentWindowSlots windows alive, so threads x slots x chunk
-  // bytes must fit. Floor to a power of two, clamped to [64, default]
-  // rows. 0 = no requirement (format default).
-  std::size_t chunk_rows = options.chunk_rows != 0 ? options.chunk_rows
-                                                   : eng.moment_chunk_rows();
-  if (chunk_rows == 0 && eng.memory_budget_bytes() > 0) {
-    const std::size_t window_budget =
-        eng.memory_budget_bytes() /
-        (static_cast<std::size_t>(eng.num_threads()) * kMomentWindowSlots);
-    const std::size_t row_bytes = (3 * m + 1) * sizeof(double);
-    const std::size_t want = window_budget / row_bytes;
-    std::size_t pow2 = 1;
-    while (pow2 * 2 <= want && pow2 < kDefaultMomentChunkRows) pow2 *= 2;
-    chunk_rows = std::max<std::size_t>(pow2, 64);
-  }
-  bool reuse = false;
-  if (options.reuse_sidecar) {
-    // Staleness guard: shape, byte size, last-write tick, AND a content
-    // probe (first/last 4 KiB hash) of the source dataset must match what
-    // the sidecar recorded. A dataset regenerated in place often reproduces
-    // the exact byte count (fixed-size records) and can land in the same
-    // mtime tick on coarse filesystems — the probe still differs, so the
-    // stale sidecar is rebuilt, not served. On top of staleness, the
-    // sidecar's chunks must not exceed the effective requirement: larger
-    // chunks would blow the window-memory bound the caller (or the budget
-    // derivation) sized for; smaller chunks only cost extra faults.
-    auto info = ReadMomentFileInfo(sidecar);
-    reuse = info.ok() && info.ValueOrDie().n == n &&
-            info.ValueOrDie().m == m &&
-            info.ValueOrDie().source_size == reader.file_bytes() &&
-            info.ValueOrDie().source_mtime == FileMTimeTicks(path) &&
-            info.ValueOrDie().source_probe == FileProbeHash(path) &&
-            (chunk_rows == 0 ||
-             info.ValueOrDie().chunk_rows <=
-                 NormalizeMomentChunkRows(chunk_rows));
-  }
+  auto source = DescribeSource(path);
+  UCLUST_RETURN_NOT_OK(source.status());
+  SidecarInfo want;
+  want.n = n;
+  want.m = m;
+  want.source = source.ValueOrDie();
+  const std::size_t chunk_rows = SidecarChunkRequirement(
+      kMomentLayout,
+      options.chunk_rows != 0 ? options.chunk_rows : eng.moment_chunk_rows(),
+      eng.memory_budget_bytes(), eng.num_threads(),
+      SidecarRowBytes(kMomentLayout, want));
+  const bool reuse = options.reuse_sidecar &&
+                     SidecarReusable(kMomentLayout, sidecar, want, chunk_rows);
   if (!reuse) {
     UCLUST_RETURN_NOT_OK(
         BuildMomentSidecar(path, sidecar, chunk_rows, options.batch_size));

@@ -29,6 +29,7 @@
 
 #include "common/status.h"
 #include "engine/engine.h"
+#include "io/chunked_sidecar.h"
 #include "io/dataset_reader.h"
 #include "uncertain/moment_store.h"
 #include "uncertain/moments.h"
@@ -61,14 +62,10 @@ struct MomentStoreOptions {
   std::size_t chunk_rows = 0;
   /// Sidecar location; "" = dataset path + ".umom".
   std::string sidecar_path;
-  /// Reuse an existing sidecar when its header matches the dataset (same n,
-  /// m, source byte size, last-write time, AND content probe — the
-  /// staleness guard written at build time, so in-place regenerations that
-  /// reproduce the byte count are still caught) and its chunks are no
-  /// larger than the effective chunk requirement (explicit hint or
-  /// budget-derived size — larger chunks would exceed the window-memory
-  /// bound; smaller ones only cost extra faults). A mismatched or invalid
-  /// sidecar is silently rebuilt; set false to force a rebuild regardless.
+  /// Reuse an existing sidecar that matches the dataset (n, m and source
+  /// triple) under the effective chunk requirement — SidecarReusable in
+  /// chunked_sidecar.h. Anything else is silently rebuilt; set false to
+  /// force a rebuild regardless.
   bool reuse_sidecar = true;
   /// Rows per decode call of the ingestion pass (the sidecar build's
   /// scratch size).
@@ -149,19 +146,13 @@ class MomentBatchStream {
   common::Status ReadLabels(std::vector<int>* labels);
 
  private:
-  // What Open() saw of the source file; Rewind/ReadMeanAt compare against it.
-  struct SourceIdentity {
-    uint64_t bytes = 0;
-    uint64_t mtime = 0;
-    uint64_t probe = 0;
-  };
   common::Status CheckSource(const BinaryDatasetReader& reader) const;
 
   std::string path_;
   std::string name_;
   std::size_t n_ = 0;
   std::size_t m_ = 0;
-  SourceIdentity source_;
+  SidecarSource source_;  // what Open() saw; Rewind/ReadMeanAt compare
   std::size_t base_index_ = 0;
   std::size_t next_index_ = 0;
   std::size_t batch_rows_ = 0;

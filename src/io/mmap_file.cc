@@ -17,10 +17,6 @@
 
 namespace uclust::io {
 
-namespace {
-
-// Fills `dst` with `length` bytes at `offset`, preferring pread (thread-safe
-// on a shared descriptor) and falling back to a private stream.
 common::Status ReadExact(int fd, const std::string& path,
                          std::uint64_t offset, std::size_t length,
                          unsigned char* dst) {
@@ -58,8 +54,6 @@ common::Status ReadExact(int fd, const std::string& path,
   }
   return common::Status::Ok();
 }
-
-}  // namespace
 
 MappedRegion::~MappedRegion() { Release(); }
 

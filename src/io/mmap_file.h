@@ -63,6 +63,13 @@ common::Result<MappedRegion> MapFileRegion(int fd, const std::string& path,
                                            std::uint64_t offset,
                                            std::size_t length);
 
+/// Fills `dst` with the `length` bytes at `offset`, preferring pread on `fd`
+/// (thread-safe on a shared descriptor) and falling back to a private stream
+/// on `path` when `fd` < 0 or the build has no POSIX I/O.
+common::Status ReadExact(int fd, const std::string& path,
+                         std::uint64_t offset, std::size_t length,
+                         unsigned char* dst);
+
 /// True when this build can attempt real mmap mappings.
 bool MmapSupported();
 

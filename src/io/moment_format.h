@@ -49,11 +49,9 @@
 #include <cstddef>
 #include <cstdint>
 
-namespace uclust::io {
+#include "io/chunked_sidecar.h"
 
-/// File magic, first 8 bytes of every moment sidecar.
-inline constexpr char kMomentMagic[8] = {'u', 'c', 'l', 'u', 's', 't',
-                                         'm', 'm'};
+namespace uclust::io {
 
 /// Current (and only) moment-sidecar format version.
 inline constexpr uint32_t kMomentFormatVersion = 1;
@@ -66,20 +64,24 @@ inline constexpr std::size_t kMomentHeaderBytes = 64;
 /// chunk-lookup overhead vanishes against the per-row compute.
 inline constexpr std::size_t kDefaultMomentChunkRows = 4096;
 
-/// Normalizes a user/engine chunk-rows hint to the format's constraint:
-/// 0 becomes the default, everything else is rounded up to the next power
-/// of two (clamped to [1, 2^20]).
-inline std::size_t NormalizeMomentChunkRows(std::size_t hint) {
-  if (hint == 0) return kDefaultMomentChunkRows;
-  std::size_t rows = 1;
-  while (rows < hint && rows < (std::size_t{1} << 20)) rows <<= 1;
-  return rows;
-}
-
-/// Payload bytes of a chunk holding `rows` rows of dimensionality `m`.
-inline std::size_t MomentChunkBytes(std::size_t rows, std::size_t m) {
-  return (3 * rows * m + rows) * sizeof(double);
-}
+/// The table above as a chunked-sidecar layout: no format fields, rows of
+/// 3m + 1 doubles, budget-derived chunks of at least 64 rows.
+inline constexpr SidecarLayout kMomentLayout = {
+    .magic = {'u', 'c', 'l', 'u', 's', 't', 'm', 'm'},
+    .kind = "moment",
+    .version = kMomentFormatVersion,
+    .header_bytes = kMomentHeaderBytes,
+    .chunk_rows_offset = 32,
+    .source_offset = 40,
+    .fields = {},
+    .num_fields = 0,
+    .row_width = 3,
+    .row_width_field = -1,
+    .row_pad = 1,
+    .default_chunk_rows = kDefaultMomentChunkRows,
+    .budget_floor_rows = 64,
+    .window_pool = 0,
+};
 
 }  // namespace uclust::io
 

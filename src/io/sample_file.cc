@@ -1,372 +1,59 @@
 #include "io/sample_file.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
-#include <limits>
 
 #include "engine/parallel_for.h"
-#include "io/binary_format.h"  // kEndianTag / kEndianTagSwapped
 #include "io/dataset_reader.h"
-#include "io/mmap_file.h"
 #include "io/sample_format.h"
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace uclust::io {
 
 // ------------------------------------------------------------------ writer --
 
-SampleFileWriter::~SampleFileWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-common::Status SampleFileWriter::Fail(const std::string& msg) {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  return common::Status::IOError(path_ + ": " + msg);
-}
-
 common::Status SampleFileWriter::Open(const std::string& path,
                                       std::size_t dims, int samples_per_object,
                                       uint64_t seed, std::size_t chunk_rows,
-                                      uint64_t source_size,
-                                      uint64_t source_mtime,
-                                      uint64_t source_probe) {
-  if (file_ != nullptr) {
-    return common::Status::InvalidArgument("sample writer is already open");
-  }
-  if (dims == 0) return common::Status::InvalidArgument("dims must be > 0");
+                                      const SidecarSource& source) {
   if (samples_per_object <= 0) {
     return common::Status::InvalidArgument("samples_per_object must be > 0");
   }
-  path_ = path;
-  m_ = dims;
-  samples_ = samples_per_object;
-  row_doubles_ = static_cast<std::size_t>(samples_) * m_;
-  chunk_rows_ = NormalizeSampleChunkRows(chunk_rows);
-  written_ = 0;
-  buf_rows_ = 0;
-  buf_.resize(chunk_rows_ * row_doubles_);
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) return common::Status::IOError("cannot create " + path);
-
-  unsigned char header[kSampleHeaderBytes] = {};
-  std::memcpy(header, kSampleMagic, sizeof(kSampleMagic));
-  const uint32_t endian = kEndianTag;
-  const uint32_t version = kSampleFormatVersion;
-  const uint64_t n = 0;  // patched by Finish()
-  const uint64_t m = m_;
-  const uint64_t samples = static_cast<uint64_t>(samples_);
-  const uint64_t rows = chunk_rows_;
-  std::memcpy(header + 8, &endian, sizeof(endian));
-  std::memcpy(header + 12, &version, sizeof(version));
-  std::memcpy(header + 16, &n, sizeof(n));
-  std::memcpy(header + 24, &m, sizeof(m));
-  std::memcpy(header + 32, &samples, sizeof(samples));
-  std::memcpy(header + 40, &rows, sizeof(rows));
-  std::memcpy(header + 48, &seed, sizeof(seed));
-  std::memcpy(header + 56, &source_size, sizeof(source_size));
-  std::memcpy(header + 64, &source_mtime, sizeof(source_mtime));
-  std::memcpy(header + 72, &source_probe, sizeof(source_probe));
-  if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header)) {
-    return Fail("short write on header");
-  }
-  return common::Status::Ok();
-}
-
-common::Status SampleFileWriter::FlushChunk() {
-  const std::size_t rows = buf_rows_;
-  if (rows == 0) return common::Status::Ok();
-  if (std::fwrite(buf_.data(), sizeof(double), rows * row_doubles_, file_) !=
-      rows * row_doubles_) {
-    return Fail("short write on sample chunk");
-  }
-  buf_rows_ = 0;
-  return common::Status::Ok();
-}
-
-common::Status SampleFileWriter::AppendRows(std::size_t count,
-                                            const double* rows) {
-  if (file_ == nullptr) {
-    return common::Status::InvalidArgument("sample writer is not open");
-  }
-  std::size_t done = 0;
-  while (done < count) {
-    const std::size_t take = std::min(count - done, chunk_rows_ - buf_rows_);
-    std::memcpy(buf_.data() + buf_rows_ * row_doubles_,
-                rows + done * row_doubles_,
-                take * row_doubles_ * sizeof(double));
-    buf_rows_ += take;
-    done += take;
-    written_ += take;
-    if (buf_rows_ == chunk_rows_) UCLUST_RETURN_NOT_OK(FlushChunk());
-  }
-  return common::Status::Ok();
-}
-
-common::Status SampleFileWriter::Finish() {
-  if (file_ == nullptr) {
-    return common::Status::InvalidArgument("sample writer is not open");
-  }
-  UCLUST_RETURN_NOT_OK(FlushChunk());
-  const uint64_t n = written_;
-  if (std::fseek(file_, 16, SEEK_SET) != 0 ||
-      std::fwrite(&n, sizeof(n), 1, file_) != 1) {
-    return Fail("failed to patch header");
-  }
-  const int rc = std::fclose(file_);
-  file_ = nullptr;
-  if (rc != 0) return common::Status::IOError(path_ + ": close failed");
-  return common::Status::Ok();
+  SidecarInfo header;
+  header.m = dims;
+  header.chunk_rows = chunk_rows;
+  header.fields = {static_cast<uint64_t>(samples_per_object), seed};
+  header.source = source;
+  // One column: a chunk's object rows of S * m doubles back to back.
+  return core_.Open(kSampleLayout, path, header,
+                    {static_cast<std::size_t>(samples_per_object) * dims});
 }
 
 // ------------------------------------------------------------------ header --
 
 common::Result<SampleFileInfo> ReadSampleFileInfo(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return common::Status::NotFound("cannot open " + path);
-  }
-  auto corrupt = [&](const std::string& msg) {
-    std::fclose(f);
-    return common::Status::IOError(path + ": " + msg);
-  };
-  // std::filesystem reports 64-bit sizes everywhere; a long-based ftell
-  // would cap validatable sidecars at 2 GB on LLP64 platforms.
-  std::error_code size_ec;
-  const uint64_t file_size =
-      static_cast<uint64_t>(std::filesystem::file_size(path, size_ec));
-  if (size_ec) return corrupt("cannot determine file size");
-  unsigned char header[kSampleHeaderBytes];
-  if (std::fread(header, 1, sizeof(header), f) != sizeof(header)) {
-    return corrupt("file too short for a sample-sidecar header");
-  }
-  std::fclose(f);
-  f = nullptr;
-  if (std::memcmp(header, kSampleMagic, sizeof(kSampleMagic)) != 0) {
-    return common::Status::IOError(
-        path + ": bad magic (not a uclust sample sidecar)");
-  }
-  uint32_t endian = 0, version = 0;
-  uint64_t n = 0, m = 0, samples = 0, chunk_rows = 0, seed = 0,
-           source_size = 0, source_mtime = 0, source_probe = 0;
-  std::memcpy(&endian, header + 8, sizeof(endian));
-  std::memcpy(&version, header + 12, sizeof(version));
-  std::memcpy(&n, header + 16, sizeof(n));
-  std::memcpy(&m, header + 24, sizeof(m));
-  std::memcpy(&samples, header + 32, sizeof(samples));
-  std::memcpy(&chunk_rows, header + 40, sizeof(chunk_rows));
-  std::memcpy(&seed, header + 48, sizeof(seed));
-  std::memcpy(&source_size, header + 56, sizeof(source_size));
-  std::memcpy(&source_mtime, header + 64, sizeof(source_mtime));
-  std::memcpy(&source_probe, header + 72, sizeof(source_probe));
-  if (endian == kEndianTagSwapped) {
-    return common::Status::IOError(
-        path + ": sidecar was written on an opposite-endian machine");
-  }
-  if (endian != kEndianTag) {
-    return common::Status::IOError(
-        path + ": bad endianness canary (corrupt header)");
-  }
-  if (version == 0 || version > kSampleFormatVersion) {
-    return common::Status::IOError(
-        path + ": unsupported sample-format version " +
-        std::to_string(version) + " (reader supports up to " +
-        std::to_string(kSampleFormatVersion) + ")");
-  }
-  if (m == 0) {
-    return common::Status::IOError(path + ": header declares zero dimensions");
-  }
-  if (samples == 0 ||
-      samples > static_cast<uint64_t>(std::numeric_limits<int>::max())) {
-    return common::Status::IOError(
-        path + ": header samples_per_object out of range");
-  }
-  if (chunk_rows == 0 || (chunk_rows & (chunk_rows - 1)) != 0) {
-    return common::Status::IOError(
-        path + ": chunk_rows must be a power of two");
-  }
-  // The payload size is fully determined by n, S, and m (n rows of S*m
-  // doubles); an exact check rejects truncated and padded files alike.
-  // Overflow-safe in plain uint64: headers whose n/S/m would wrap the
-  // multiplication are rejected before it happens.
-  constexpr uint64_t kMax = std::numeric_limits<uint64_t>::max();
-  if (m > kMax / sizeof(double) / samples) {
-    return common::Status::IOError(
-        path + ": header row shape overflows the size check");
-  }
-  const uint64_t row_bytes = samples * m * sizeof(double);
-  if (n != 0 && row_bytes > (kMax - kSampleHeaderBytes) / n) {
-    return common::Status::IOError(
-        path + ": header object count overflows the size check");
-  }
-  if (kSampleHeaderBytes + n * row_bytes != file_size) {
-    return common::Status::IOError(
-        path + ": physical size does not match header (truncated or padded "
-               "sidecar)");
-  }
-  SampleFileInfo info;
-  info.n = static_cast<std::size_t>(n);
-  info.m = static_cast<std::size_t>(m);
-  info.samples_per_object = static_cast<int>(samples);
-  info.chunk_rows = static_cast<std::size_t>(chunk_rows);
-  info.seed = seed;
-  info.source_size = source_size;
-  info.source_mtime = source_mtime;
-  info.source_probe = source_probe;
-  return info;
+  return ReadSidecarInfo(kSampleLayout, path);
 }
 
 // ------------------------------------------------------------ mapped store --
 
-namespace {
-
-// Per-thread LRU of mapped chunk windows, shared across every live sample
-// store (keyed by store serial + chunk index) — the same discipline as the
-// moment-store windows, but a separate pool: sample chunks and moment chunks
-// have very different sizes, and one workload faulting both must not let the
-// wider rows evict the other store's whole working set.
-struct WindowSlot {
-  uint64_t serial = 0;  // 0 = empty
-  std::size_t chunk = 0;
-  uint64_t tick = 0;
-  MappedRegion region;
-  std::shared_ptr<void> counters;  // type-erased; see Drop()
-  std::atomic<std::size_t>* bytes = nullptr;
-};
-
-struct WindowCache {
-  std::array<WindowSlot, kSampleWindowSlots> slots;
-  uint64_t tick = 0;
-
-  static void Drop(WindowSlot* s) {
-    if (s->bytes != nullptr && s->region.valid()) {
-      s->bytes->fetch_sub(s->region.size(), std::memory_order_relaxed);
-    }
-    s->region = MappedRegion();
-    s->counters.reset();
-    s->bytes = nullptr;
-    s->serial = 0;
-    s->tick = 0;
-  }
-
-  ~WindowCache() {
-    for (auto& s : slots) Drop(&s);
-  }
-};
-
-WindowCache& LocalWindows() {
-  thread_local WindowCache cache;
-  return cache;
-}
-
-uint64_t NextStoreSerial() {
-  static std::atomic<uint64_t> next{1};
-  return next.fetch_add(1, std::memory_order_relaxed);
-}
-
-}  // namespace
-
 MappedSampleStore::~MappedSampleStore() {
-#if defined(__unix__) || defined(__APPLE__)
-  if (fd_ >= 0) ::close(fd_);
-#endif
-  if (delete_on_close_) std::remove(path_.c_str());
+  if (delete_on_close_) std::remove(sidecar_.path().c_str());
 }
 
 common::Result<std::unique_ptr<MappedSampleStore>> MappedSampleStore::Open(
     const std::string& path) {
-  auto info = ReadSampleFileInfo(path);
-  if (!info.ok()) return info.status();
   std::unique_ptr<MappedSampleStore> store(new MappedSampleStore());
-  store->path_ = path;
-  store->n_ = info.ValueOrDie().n;
-  store->m_ = info.ValueOrDie().m;
-  store->samples_ = info.ValueOrDie().samples_per_object;
-  store->chunk_rows_ = info.ValueOrDie().chunk_rows;
-  store->seed_ = info.ValueOrDie().seed;
-  store->source_size_ = info.ValueOrDie().source_size;
-  store->num_chunks_ =
-      (store->n_ + store->chunk_rows_ - 1) / store->chunk_rows_;
-  store->serial_ = NextStoreSerial();
-#if defined(__unix__) || defined(__APPLE__)
-  store->fd_ = ::open(path.c_str(), O_RDONLY);
-  if (store->fd_ < 0) {
-    return common::Status::IOError(path + ": cannot open for mapping");
-  }
-#endif
+  UCLUST_RETURN_NOT_OK(store->sidecar_.Open(kSampleLayout, path));
   return store;
-}
-
-std::size_t MappedSampleStore::RowsInChunk(std::size_t chunk) const {
-  const std::size_t begin = chunk * chunk_rows_;
-  return std::min(chunk_rows_, n_ - begin);
-}
-
-const double* MappedSampleStore::ChunkData(std::size_t chunk) const {
-  WindowCache& wc = LocalWindows();
-  ++wc.tick;
-  WindowSlot* victim = &wc.slots[0];
-  for (auto& s : wc.slots) {
-    if (s.serial == serial_ && s.chunk == chunk && s.region.valid()) {
-      s.tick = wc.tick;
-      return reinterpret_cast<const double*>(s.region.data());
-    }
-    if (s.tick < victim->tick) victim = &s;
-  }
-
-  // Fault: evict the thread's least-recently-used window and map the chunk.
-  WindowCache::Drop(victim);
-  const std::size_t rows = RowsInChunk(chunk);
-  const std::size_t s_count = static_cast<std::size_t>(samples_);
-  const uint64_t offset =
-      kSampleHeaderBytes +
-      static_cast<uint64_t>(chunk) * SampleChunkBytes(chunk_rows_, s_count, m_);
-  auto region =
-      MapFileRegion(fd_, path_, offset, SampleChunkBytes(rows, s_count, m_));
-  if (!region.ok()) {
-    // The view API is exception- and status-free by design (it sits inside
-    // allocation-free hot loops, possibly on pool threads). A chunk that can
-    // neither be mapped nor read back is unrecoverable mid-kernel.
-    std::fprintf(stderr, "MappedSampleStore: %s\n",
-                 region.status().ToString().c_str());
-    std::abort();
-  }
-  victim->serial = serial_;
-  victim->chunk = chunk;
-  victim->tick = wc.tick;
-  victim->region = std::move(region).ValueOrDie();
-  victim->counters = counters_;
-  victim->bytes = &counters_->bytes;
-  if (victim->region.mapped()) {
-    counters_->mmap_windows.fetch_add(1, std::memory_order_relaxed);
-  }
-  const std::size_t live =
-      counters_->bytes.fetch_add(victim->region.size(),
-                                 std::memory_order_relaxed) +
-      victim->region.size();
-  std::size_t peak = counters_->peak.load(std::memory_order_relaxed);
-  while (live > peak && !counters_->peak.compare_exchange_weak(
-                            peak, live, std::memory_order_relaxed)) {
-  }
-  return reinterpret_cast<const double*>(victim->region.data());
 }
 
 // ----------------------------------------------------------------- builders --
 
 common::Status WriteSampleFile(const uncertain::SampleView& view,
                                const std::string& path, uint64_t seed,
-                               std::size_t chunk_rows, uint64_t source_size) {
+                               std::size_t chunk_rows) {
   if (view.size() > 0 && view.dims() == 0) {
     return common::Status::InvalidArgument(
         "cannot persist a zero-dimensional sample view");
@@ -374,39 +61,12 @@ common::Status WriteSampleFile(const uncertain::SampleView& view,
   SampleFileWriter writer;
   UCLUST_RETURN_NOT_OK(writer.Open(
       path, std::max<std::size_t>(view.dims(), 1),
-      std::max(view.samples_per_object(), 1), seed, chunk_rows, source_size));
+      std::max(view.samples_per_object(), 1), seed, chunk_rows));
   for (std::size_t i = 0; i < view.size(); ++i) {
     UCLUST_RETURN_NOT_OK(writer.AppendRows(1, view.ObjectSamples(i).data()));
   }
   return writer.Finish();
 }
-
-namespace {
-
-// Shared tail of the two sidecar builders: unique temp sibling
-// (UniqueScratchSiblingPath — concurrent rebuilds must never interleave
-// into one tmp inode) + rename into place only on success, so a failed
-// rebuild never destroys a previously valid sidecar (and a concurrent
-// reader keeps its consistent view of the old inode).
-common::Status CommitSidecar(const std::string& tmp_path,
-                             const std::string& sidecar_path,
-                             const common::Status& built) {
-  if (!built.ok()) {
-    std::remove(tmp_path.c_str());
-    return built;
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp_path, sidecar_path, ec);
-  if (ec) {
-    std::remove(tmp_path.c_str());
-    return common::Status::IOError(sidecar_path +
-                                   ": cannot move rebuilt sidecar into "
-                                   "place: " + ec.message());
-  }
-  return common::Status::Ok();
-}
-
-}  // namespace
 
 common::Status BuildSampleSidecar(const std::string& dataset_path,
                                   const std::string& sidecar_path,
@@ -419,14 +79,13 @@ common::Status BuildSampleSidecar(const std::string& dataset_path,
   }
   BinaryDatasetReader reader;
   UCLUST_RETURN_NOT_OK(reader.Open(dataset_path));
-  const std::string tmp_path = UniqueScratchSiblingPath(sidecar_path);
-  auto build = [&]() -> common::Status {
+  auto source = DescribeSource(dataset_path);
+  UCLUST_RETURN_NOT_OK(source.status());
+  return CommitSidecarBuild(sidecar_path, [&](const std::string& tmp_path) {
     SampleFileWriter writer;
     UCLUST_RETURN_NOT_OK(writer.Open(tmp_path, reader.dims(),
                                      samples_per_object, seed, chunk_rows,
-                                     reader.file_bytes(),
-                                     FileMTimeTicks(dataset_path),
-                                     FileProbeHash(dataset_path)));
+                                     source.ValueOrDie()));
     const std::size_t row =
         static_cast<std::size_t>(samples_per_object) * reader.dims();
     std::vector<uncertain::UncertainObject> batch;
@@ -456,22 +115,18 @@ common::Status BuildSampleSidecar(const std::string& dataset_path,
           " of " + std::to_string(reader.size()) + " objects");
     }
     return writer.Finish();
-  };
-  return CommitSidecar(tmp_path, sidecar_path, build());
+  });
 }
 
 common::Status BuildSampleSidecarFromObjects(
     std::span<const uncertain::UncertainObject> objects,
     const std::string& sidecar_path, int samples_per_object, uint64_t seed,
-    std::size_t chunk_rows, uint64_t source_size, uint64_t source_mtime,
-    uint64_t source_probe) {
+    std::size_t chunk_rows) {
   const std::size_t m = objects.empty() ? 1 : objects[0].dims();
-  const std::string tmp_path = UniqueScratchSiblingPath(sidecar_path);
-  auto build = [&]() -> common::Status {
+  return CommitSidecarBuild(sidecar_path, [&](const std::string& tmp_path) {
     SampleFileWriter writer;
-    UCLUST_RETURN_NOT_OK(writer.Open(tmp_path, m, samples_per_object, seed,
-                                     chunk_rows, source_size, source_mtime,
-                                     source_probe));
+    UCLUST_RETURN_NOT_OK(
+        writer.Open(tmp_path, m, samples_per_object, seed, chunk_rows));
     const std::size_t row = static_cast<std::size_t>(samples_per_object) * m;
     std::vector<double> scratch(row);
     for (std::size_t i = 0; i < objects.size(); ++i) {
@@ -480,8 +135,7 @@ common::Status BuildSampleSidecarFromObjects(
       UCLUST_RETURN_NOT_OK(writer.AppendRows(1, scratch.data()));
     }
     return writer.Finish();
-  };
-  return CommitSidecar(tmp_path, sidecar_path, build());
+  });
 }
 
 // ------------------------------------------------------------------ factory --
@@ -558,9 +212,8 @@ common::Result<uncertain::SampleStorePtr> MakeSampleStore(
     const std::string& annotated = data.samples_sidecar_path();
     if (!annotated.empty()) {
       auto pinned = ReadSampleFileInfo(annotated);
-      if (pinned.ok() &&
-          pinned.ValueOrDie().samples_per_object == samples_per_object &&
-          pinned.ValueOrDie().seed == seed) {
+      if (pinned.ok() && pinned.ValueOrDie().fields[0] == s_count &&
+          pinned.ValueOrDie().fields[1] == seed) {
         sidecar = annotated;
       }
     }
@@ -571,59 +224,26 @@ common::Result<uncertain::SampleStorePtr> MakeSampleStore(
   const bool temp_spill = sidecar.empty();
   if (temp_spill) sidecar = TempSpillPath();
 
-  // Effective chunk requirement: an explicit hint wins; otherwise, when a
-  // budget is set, size chunks so the mapped window caches themselves
-  // respect the budget that forced the Mapped backend — every thread keeps
-  // up to kSampleWindowSlots windows alive, so threads x slots x chunk
-  // bytes must fit. Floor to a power of two, clamped to [16, default] rows
-  // (the floor is 4x smaller than the moment store's 64 because a sample
-  // row is S times wider than a moment row). 0 = no requirement.
-  std::size_t chunk_rows = options.chunk_rows != 0 ? options.chunk_rows
-                                                   : eng.sample_chunk_rows();
-  if (chunk_rows == 0 && eng.memory_budget_bytes() > 0) {
-    const std::size_t window_budget =
-        eng.memory_budget_bytes() /
-        (static_cast<std::size_t>(eng.num_threads()) * kSampleWindowSlots);
-    const std::size_t row_bytes = SampleRowBytes(s_count, m);
-    const std::size_t want = window_budget / row_bytes;
-    std::size_t pow2 = 1;
-    while (pow2 * 2 <= want && pow2 < kDefaultSampleChunkRows) pow2 *= 2;
-    chunk_rows = std::max<std::size_t>(pow2, 16);
-  }
-
-  // Source staleness guard fields (0 = standalone, in-memory dataset).
-  uint64_t source_size = 0, source_mtime = 0, source_probe = 0;
+  // The reuse guard extends the moment store's with the draw parameters: a
+  // sidecar over the right dataset but drawn with a different seed or S is
+  // not the artifact the caller asked for. In-memory datasets keep the
+  // source triple at 0 (standalone).
+  SidecarInfo want;
+  want.n = n;
+  want.m = m;
+  want.fields = {s_count, seed};
   if (!source.empty()) {
-    std::error_code ec;
-    source_size =
-        static_cast<uint64_t>(std::filesystem::file_size(source, ec));
-    if (ec) {
-      return common::Status::IOError(source +
-                                     ": cannot stat sample-store source");
-    }
-    source_mtime = FileMTimeTicks(source);
-    source_probe = FileProbeHash(source);
+    auto described = DescribeSource(source);
+    UCLUST_RETURN_NOT_OK(described.status());
+    want.source = described.ValueOrDie();
   }
-
-  bool reuse = false;
-  if (options.reuse_sidecar && !temp_spill) {
-    // The guard extends the moment-store staleness check with the draw
-    // parameters: a sidecar over the right dataset but drawn with a
-    // different seed or S is not the artifact the caller asked for. The
-    // chunk requirement mirrors the moment factory: larger chunks would
-    // blow the window-memory bound; smaller ones only cost extra faults.
-    auto info = ReadSampleFileInfo(sidecar);
-    reuse = info.ok() && info.ValueOrDie().n == n &&
-            info.ValueOrDie().m == m &&
-            info.ValueOrDie().samples_per_object == samples_per_object &&
-            info.ValueOrDie().seed == seed &&
-            info.ValueOrDie().source_size == source_size &&
-            info.ValueOrDie().source_mtime == source_mtime &&
-            info.ValueOrDie().source_probe == source_probe &&
-            (chunk_rows == 0 ||
-             info.ValueOrDie().chunk_rows <=
-                 NormalizeSampleChunkRows(chunk_rows));
-  }
+  const std::size_t chunk_rows = SidecarChunkRequirement(
+      kSampleLayout,
+      options.chunk_rows != 0 ? options.chunk_rows : eng.sample_chunk_rows(),
+      eng.memory_budget_bytes(), eng.num_threads(),
+      SidecarRowBytes(kSampleLayout, want));
+  const bool reuse = options.reuse_sidecar && !temp_spill &&
+                     SidecarReusable(kSampleLayout, sidecar, want, chunk_rows);
   if (!reuse) {
     if (!source.empty()) {
       UCLUST_RETURN_NOT_OK(BuildSampleSidecar(source, sidecar,

@@ -9,12 +9,12 @@
 // absolute object indices — so a spilled sidecar is byte-for-byte what the
 // Resident backend would draw.
 //
-// MappedSampleStore is the Mapped SampleStore backend: it validates a .usmp
-// header (magic, endianness canary, version, exact physical size) and then
-// serves chunk windows through io::MapFileRegion, keeping a small per-thread
-// LRU of mapped windows (kSampleWindowSlots chunks per thread) — the same
-// window discipline as MappedMomentStore, so address space stays bounded by
-// threads x windows x chunk bytes instead of O(n S m).
+// MappedSampleStore is the Mapped SampleStore backend: it serves a validated
+// .usmp file through the per-thread window LRU of the chunked-sidecar core
+// (chunked_sidecar.h, which also owns the header, the chunk buffer and the
+// temp-and-rename commit) — the window discipline MappedMomentStore uses,
+// but a separate pool — so address space stays bounded by threads x windows
+// x chunk bytes instead of O(n S m).
 //
 // MakeSampleStore is the factory every sampled clusterer calls: it selects
 // Resident vs Mapped from EngineConfig::memory_budget_bytes, reuses a valid
@@ -24,86 +24,55 @@
 #ifndef UCLUST_IO_SAMPLE_FILE_H_
 #define UCLUST_IO_SAMPLE_FILE_H_
 
-#include <atomic>
-#include <cstdio>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "data/dataset.h"
 #include "engine/engine.h"
+#include "io/chunked_sidecar.h"
 #include "uncertain/sample_store.h"
 
 namespace uclust::io {
-
-/// Mapped chunk windows each thread keeps alive at once. Spans served by a
-/// chunked SampleView stay valid until the calling thread faults this many
-/// OTHER chunks; every sampled kernel holds at most two distinct object rows
-/// at a time (see the contract in uncertain/sample_store.h).
-inline constexpr std::size_t kSampleWindowSlots = 16;
 
 /// Writes one .usmp sample sidecar. Usage: Open() once, AppendRows() any
 /// number of times, Finish() (which seals the header; a file without
 /// Finish() is invalid).
 class SampleFileWriter {
  public:
-  SampleFileWriter() = default;
-  ~SampleFileWriter();
-
-  SampleFileWriter(const SampleFileWriter&) = delete;
-  SampleFileWriter& operator=(const SampleFileWriter&) = delete;
-
   /// Creates/truncates `path` and writes the provisional header.
-  /// `chunk_rows` is normalized via NormalizeSampleChunkRows; `seed` is the
-  /// master seed the rows were drawn with (part of the reuse guard);
-  /// `source_size`/`source_mtime`/`source_probe` describe the dataset file
-  /// the samples derive from (byte size, FileMTimeTicks, FileProbeHash;
-  /// 0 = standalone/unknown).
+  /// `chunk_rows` is normalized via NormalizeChunkRows; `seed` is the master
+  /// seed the rows were drawn with (part of the reuse guard); `source`
+  /// describes the dataset file the samples derive from (0 =
+  /// standalone/unknown).
   common::Status Open(const std::string& path, std::size_t dims,
                       int samples_per_object, uint64_t seed,
-                      std::size_t chunk_rows = 0, uint64_t source_size = 0,
-                      uint64_t source_mtime = 0, uint64_t source_probe = 0);
+                      std::size_t chunk_rows = 0,
+                      const SidecarSource& source = {});
 
   /// Appends `count` object rows of samples_per_object * dims doubles each
   /// (the uncertain::DrawObjectSamples packing), back to back in `rows`.
-  common::Status AppendRows(std::size_t count, const double* rows);
+  common::Status AppendRows(std::size_t count, const double* rows) {
+    return core_.AppendRows(count, {rows});
+  }
 
   /// Flushes the partial tail chunk, patches n into the header, and closes
   /// the file.
-  common::Status Finish();
+  common::Status Finish() { return core_.Finish(); }
 
   /// Object rows appended so far.
-  std::size_t written() const { return written_; }
+  std::size_t written() const { return core_.written(); }
 
  private:
-  common::Status Fail(const std::string& msg);
-  common::Status FlushChunk();
-
-  std::FILE* file_ = nullptr;
-  std::string path_;
-  std::size_t m_ = 0;
-  int samples_ = 0;
-  std::size_t row_doubles_ = 0;  // samples_ * m_
-  std::size_t chunk_rows_ = 0;
-  std::size_t written_ = 0;
-  std::size_t buf_rows_ = 0;  // rows accumulated in the pending chunk
-  std::vector<double> buf_;
+  SidecarWriter core_;
 };
 
-/// Header metadata of a .usmp file (see sample_format.h).
-struct SampleFileInfo {
-  std::size_t n = 0;
-  std::size_t m = 0;
-  int samples_per_object = 0;
-  std::size_t chunk_rows = 0;
-  uint64_t seed = 0;
-  uint64_t source_size = 0;
-  uint64_t source_mtime = 0;
-  uint64_t source_probe = 0;
-};
+/// Header metadata of a .usmp file (see sample_format.h); `fields` holds
+/// {samples_per_object, seed}.
+using SampleFileInfo = SidecarInfo;
 
-/// Reads and validates a .usmp header, including the exact-file-size check.
+/// Reads and validates a .usmp header, including the exact-file-size check
+/// (ReadSidecarInfo with kSampleLayout).
 common::Result<SampleFileInfo> ReadSampleFileInfo(const std::string& path);
 
 /// The Mapped SampleStore backend: serves a validated .usmp file through
@@ -125,66 +94,45 @@ class MappedSampleStore final : public uncertain::SampleStore,
     return uncertain::SampleBackend::kMapped;
   }
   uncertain::SampleView view() const override {
-    return uncertain::SampleView(n_, samples_, m_, chunk_rows_, this);
+    const SidecarInfo& info = sidecar_.info();
+    return uncertain::SampleView(info.n, static_cast<int>(info.fields[0]),
+                                 info.m, info.chunk_rows, this);
   }
   /// Peak bytes of chunk windows mapped simultaneously across all threads.
   std::size_t sample_bytes_resident() const override {
-    return counters_->peak.load(std::memory_order_relaxed);
+    return sidecar_.peak_bytes();
   }
-  const std::string& sidecar_path() const override { return path_; }
+  const std::string& sidecar_path() const override { return sidecar_.path(); }
 
   /// Objects per chunk (the file's, which may differ from any caller hint).
-  std::size_t chunk_rows() const { return chunk_rows_; }
+  std::size_t chunk_rows() const { return sidecar_.info().chunk_rows; }
   /// Master seed the sidecar's rows were drawn with.
-  uint64_t seed() const { return seed_; }
-  /// Source-dataset byte size recorded at write time (0 = standalone).
-  uint64_t source_size() const { return source_size_; }
+  uint64_t seed() const { return sidecar_.info().fields[1]; }
   /// True when at least one window came from a real mmap (false means every
   /// window so far used the heap-read fallback).
-  bool used_mmap() const {
-    return counters_->mmap_windows.load(std::memory_order_relaxed) > 0;
-  }
+  bool used_mmap() const { return sidecar_.used_mmap(); }
 
   /// Unlinks the sidecar file when the store is destroyed. Set by the
   /// factory on temp spills drawn from in-memory datasets, which have no
   /// durable source to re-derive a path from.
   void set_delete_on_close(bool value) { delete_on_close_ = value; }
 
-  const double* ChunkData(std::size_t chunk) const override;
+  const double* ChunkData(std::size_t chunk) const override {
+    return sidecar_.Chunk(chunk);
+  }
 
  private:
-  // Cross-thread accounting, shared with per-thread window slots so evictions
-  // that outlive the store still decrement safely.
-  struct Counters {
-    std::atomic<std::size_t> bytes{0};
-    std::atomic<std::size_t> peak{0};
-    std::atomic<std::size_t> mmap_windows{0};
-  };
-
   MappedSampleStore() = default;
 
-  std::size_t RowsInChunk(std::size_t chunk) const;
-
-  std::string path_;
-  int fd_ = -1;  // POSIX descriptor for mapping; -1 on portable fallback
-  std::size_t n_ = 0;
-  std::size_t m_ = 0;
-  int samples_ = 0;
-  std::size_t chunk_rows_ = 0;
-  std::size_t num_chunks_ = 0;
-  uint64_t seed_ = 0;
-  uint64_t source_size_ = 0;
+  MappedSidecar sidecar_;
   bool delete_on_close_ = false;
-  uint64_t serial_ = 0;  // unique per store; keys the thread-local windows
-  std::shared_ptr<Counters> counters_ = std::make_shared<Counters>();
 };
 
-/// Writes every object row of `view` into a .usmp sidecar at `path`
-/// (convenience for tests that already hold resident samples).
+/// Writes every object row of `view` into a standalone .usmp sidecar at
+/// `path` (convenience for tests that already hold resident samples).
 common::Status WriteSampleFile(const uncertain::SampleView& view,
                                const std::string& path, uint64_t seed,
-                               std::size_t chunk_rows = 0,
-                               uint64_t source_size = 0);
+                               std::size_t chunk_rows = 0);
 
 /// Builds (or rebuilds) the .usmp sample sidecar for a binary dataset file
 /// in one bounded-memory pass: reader batches -> DrawObjectSamples (absolute
@@ -196,14 +144,12 @@ common::Status BuildSampleSidecar(
     const engine::Engine& eng = engine::Engine::Serial(),
     std::size_t chunk_rows = 0, std::size_t batch_size = 1024);
 
-/// Builds a .usmp sidecar from already-resident objects (the temp-spill path
-/// for in-memory datasets). `source_size`/`source_mtime`/`source_probe`
-/// default to 0 = standalone.
+/// Builds a standalone .usmp sidecar (source triple 0) from already-resident
+/// objects: the temp-spill path for in-memory datasets.
 common::Status BuildSampleSidecarFromObjects(
     std::span<const uncertain::UncertainObject> objects,
     const std::string& sidecar_path, int samples_per_object, uint64_t seed,
-    std::size_t chunk_rows = 0, uint64_t source_size = 0,
-    uint64_t source_mtime = 0, uint64_t source_probe = 0);
+    std::size_t chunk_rows = 0);
 
 /// Canonical sidecar path for (dataset, S, seed): sibling of `dataset_path`
 /// with the draw parameters encoded in the name, so different algorithms'
@@ -230,11 +176,11 @@ struct SampleStoreOptions {
   /// DefaultSampleSidecarPath next to its source file, then a self-deleting
   /// temp spill.
   std::string sidecar_path;
-  /// Reuse an existing sidecar when its header matches the request (same n,
-  /// m, samples_per_object, seed, and — when the dataset is file-backed —
-  /// source byte size, last-write time, and content probe) and its chunks
-  /// are no larger than the effective chunk requirement. A mismatched or
-  /// invalid sidecar is silently rebuilt; set false to force a rebuild.
+  /// Reuse an existing sidecar that matches the request (n, m,
+  /// samples_per_object, seed and, for file-backed datasets, the source
+  /// triple) under the effective chunk requirement — SidecarReusable in
+  /// chunked_sidecar.h. Anything else is silently rebuilt; set false to
+  /// force a rebuild.
   bool reuse_sidecar = true;
   /// Streaming batch size for file-backed sidecar builds.
   std::size_t batch_size = 1024;

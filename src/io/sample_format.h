@@ -45,14 +45,13 @@
 #ifndef UCLUST_IO_SAMPLE_FORMAT_H_
 #define UCLUST_IO_SAMPLE_FORMAT_H_
 
+#include <climits>
 #include <cstddef>
 #include <cstdint>
 
-namespace uclust::io {
+#include "io/chunked_sidecar.h"
 
-/// File magic, first 8 bytes of every sample sidecar.
-inline constexpr char kSampleMagic[8] = {'u', 'c', 'l', 'u', 's', 't',
-                                         's', 'm'};
+namespace uclust::io {
 
 /// Current (and only) sample-sidecar format version.
 inline constexpr uint32_t kSampleFormatVersion = 1;
@@ -66,28 +65,26 @@ inline constexpr std::size_t kSampleHeaderBytes = 96;
 /// m = 64 a chunk is ~8 MiB.
 inline constexpr std::size_t kDefaultSampleChunkRows = 512;
 
-/// Normalizes a user/engine chunk-rows hint to the format's constraint:
-/// 0 becomes the default, everything else is rounded up to the next power
-/// of two (clamped to [1, 2^20]).
-inline std::size_t NormalizeSampleChunkRows(std::size_t hint) {
-  if (hint == 0) return kDefaultSampleChunkRows;
-  std::size_t rows = 1;
-  while (rows < hint && rows < (std::size_t{1} << 20)) rows <<= 1;
-  return rows;
-}
-
-/// Payload bytes of one object row: S samples of dimensionality m.
-inline std::size_t SampleRowBytes(std::size_t samples_per_object,
-                                  std::size_t m) {
-  return samples_per_object * m * sizeof(double);
-}
-
-/// Payload bytes of a chunk holding `rows` object rows.
-inline std::size_t SampleChunkBytes(std::size_t rows,
-                                    std::size_t samples_per_object,
-                                    std::size_t m) {
-  return rows * SampleRowBytes(samples_per_object, m);
-}
+/// The table above as a chunked-sidecar layout: fields S (in [1, INT_MAX])
+/// and seed, rows of S * m doubles, budget-derived chunks of at least 16
+/// rows (4x below the moment floor, since a sample row is S times wider).
+inline constexpr SidecarLayout kSampleLayout = {
+    .magic = {'u', 'c', 'l', 'u', 's', 't', 's', 'm'},
+    .kind = "sample",
+    .version = kSampleFormatVersion,
+    .header_bytes = kSampleHeaderBytes,
+    .chunk_rows_offset = 40,
+    .source_offset = 56,
+    .fields = {{{32, "samples_per_object", 1, INT_MAX},
+                {48, "seed", 0, UINT64_MAX}}},
+    .num_fields = 2,
+    .row_width = 0,
+    .row_width_field = 0,
+    .row_pad = 0,
+    .default_chunk_rows = kDefaultSampleChunkRows,
+    .budget_floor_rows = 16,
+    .window_pool = 1,
+};
 
 }  // namespace uclust::io
 

@@ -1,10 +1,9 @@
 // Tests for the MomentStore abstraction: the Resident and Mapped backends
 // serve bit-identical statistics (element-wise and through whole clustering
-// runs at several thread counts), corrupt/truncated/foreign-endian .umom
-// sidecars are rejected instead of mis-parsed, chunk boundaries are exact
-// for any n (divisible by chunk_rows or not), sidecar reuse honors the
+// runs at several thread counts), chunk boundaries are exact for any n (divisible by chunk_rows or not), sidecar reuse honors the
 // staleness guard, and a sidecar built batch by batch from a .ubin equals
-// the resident columns for any batch partition.
+// the resident columns for any batch partition. Header validation lives in
+// tests/test_chunked_sidecar.cc, run once per sidecar layout.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -19,7 +18,6 @@
 #include "clustering/ukmeans.h"
 #include "common/rng.h"
 #include "engine/engine.h"
-#include "io/binary_format.h"
 #include "io/dataset_writer.h"
 #include "io/ingest.h"
 #include "io/mmap_file.h"
@@ -145,7 +143,7 @@ MomentStorePtr OpenStore(const std::string& path,
 TEST(MomentStoreTest, ChunkBoundarySweepIsBitIdentical) {
   // n deliberately not divisible by any chunk size; sweep chunk shapes from
   // "more chunks than the per-thread window LRU holds" (chunk_rows=1 ->
-  // 97 chunks > kMomentWindowSlots, forcing eviction + refault) to "one
+  // 97 chunks > kSidecarWindowSlots, forcing eviction + refault) to "one
   // chunk covering everything".
   const auto objects = MakeTestObjects(97, 3, /*seed=*/7);
   const std::string path = WriteTestFile("chunksweep.ubin", objects);
@@ -465,91 +463,6 @@ TEST(MomentStoreTest, FailedRebuildPreservesExistingSidecar) {
   ExpectViewsBitIdentical(reference.view(), survived.ValueOrDie()->view());
   std::remove(sidecar.c_str());
   std::remove(path.c_str());
-}
-
-TEST(MomentFormatTest, RejectsForeignEndianSidecars) {
-  const auto objects = MakeTestObjects(10, 2, /*seed=*/5);
-  const MomentMatrix mm = MomentMatrix::FromObjects(objects);
-  const std::string sidecar = TempPath("endian.umom");
-  ASSERT_TRUE(io::WriteMomentFile(mm.view(), sidecar).ok());
-  std::vector<char> bytes = ReadFileBytes(sidecar);
-  const uint32_t swapped = io::kEndianTagSwapped;
-  std::memcpy(bytes.data() + 8, &swapped, sizeof(swapped));
-  WriteFileBytes(sidecar, bytes);
-
-  const auto result = io::MappedMomentStore::Open(sidecar);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(std::string::npos, result.status().message().find("endian"))
-      << result.status().ToString();
-  std::remove(sidecar.c_str());
-}
-
-TEST(MomentFormatTest, RejectsNewerVersionsAndBadMagic) {
-  const auto objects = MakeTestObjects(10, 2, /*seed=*/5);
-  const MomentMatrix mm = MomentMatrix::FromObjects(objects);
-  const std::string sidecar = TempPath("version.umom");
-  ASSERT_TRUE(io::WriteMomentFile(mm.view(), sidecar).ok());
-  std::vector<char> bytes = ReadFileBytes(sidecar);
-
-  std::vector<char> future = bytes;
-  const uint32_t version = io::kMomentFormatVersion + 7;
-  std::memcpy(future.data() + 12, &version, sizeof(version));
-  WriteFileBytes(sidecar, future);
-  EXPECT_FALSE(io::MappedMomentStore::Open(sidecar).ok());
-
-  std::vector<char> magic = bytes;
-  magic[0] = 'x';
-  WriteFileBytes(sidecar, magic);
-  EXPECT_FALSE(io::MappedMomentStore::Open(sidecar).ok());
-
-  WriteFileBytes(sidecar, std::vector<char>(10, 'x'));  // shorter than header
-  EXPECT_FALSE(io::MappedMomentStore::Open(sidecar).ok());
-  std::remove(sidecar.c_str());
-}
-
-TEST(MomentFormatTest, RejectsTruncatedAndPaddedSidecars) {
-  const auto objects = MakeTestObjects(20, 3, /*seed=*/9);
-  const MomentMatrix mm = MomentMatrix::FromObjects(objects);
-  const std::string sidecar = TempPath("size.umom");
-  ASSERT_TRUE(io::WriteMomentFile(mm.view(), sidecar).ok());
-  const std::vector<char> bytes = ReadFileBytes(sidecar);
-
-  std::vector<char> truncated = bytes;
-  truncated.resize(bytes.size() - 8);
-  WriteFileBytes(sidecar, truncated);
-  EXPECT_FALSE(io::MappedMomentStore::Open(sidecar).ok());
-
-  std::vector<char> padded = bytes;
-  padded.push_back('x');
-  WriteFileBytes(sidecar, padded);
-  EXPECT_FALSE(io::MappedMomentStore::Open(sidecar).ok());
-  std::remove(sidecar.c_str());
-}
-
-TEST(MomentFormatTest, RejectsNonPowerOfTwoChunkRows) {
-  const auto objects = MakeTestObjects(10, 2, /*seed=*/5);
-  const MomentMatrix mm = MomentMatrix::FromObjects(objects);
-  const std::string sidecar = TempPath("chunkpow.umom");
-  ASSERT_TRUE(io::WriteMomentFile(mm.view(), sidecar).ok());
-  std::vector<char> bytes = ReadFileBytes(sidecar);
-  const uint64_t odd_rows = 3;
-  std::memcpy(bytes.data() + 32, &odd_rows, sizeof(odd_rows));
-  WriteFileBytes(sidecar, bytes);
-  const auto result = io::MappedMomentStore::Open(sidecar);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(std::string::npos,
-            result.status().message().find("power of two"))
-      << result.status().ToString();
-  std::remove(sidecar.c_str());
-}
-
-TEST(MomentFormatTest, NormalizeChunkRowsRoundsUpToPowersOfTwo) {
-  EXPECT_EQ(io::kDefaultMomentChunkRows, io::NormalizeMomentChunkRows(0));
-  EXPECT_EQ(1u, io::NormalizeMomentChunkRows(1));
-  EXPECT_EQ(8u, io::NormalizeMomentChunkRows(5));
-  EXPECT_EQ(4096u, io::NormalizeMomentChunkRows(4096));
-  EXPECT_EQ(std::size_t{1} << 20,
-            io::NormalizeMomentChunkRows((std::size_t{1} << 20) + 1));
 }
 
 }  // namespace

@@ -1,11 +1,11 @@
 // Tests for the SampleStore abstraction: the Resident and Mapped backends
 // serve bit-identical sample bytes (element-wise, across chunk shapes, and
-// for any builder batch partition), corrupt/truncated/foreign-endian .usmp
-// sidecars are rejected instead of mis-parsed, sidecar reuse honors the
+// for any builder batch partition), sidecar reuse honors the
 // extended staleness guard (source size/mtime/probe PLUS samples-per-object
 // and draw seed), a registry-annotated sidecar pin is honored only when its
 // header matches the requested (S, seed), temp spills self-delete, and the
-// factory's failure policy falls back to the Resident backend.
+// factory's failure policy falls back to the Resident backend. Header
+// validation lives in tests/test_chunked_sidecar.cc, run once per layout.
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "data/dataset.h"
 #include "engine/engine.h"
-#include "io/binary_format.h"
 #include "io/dataset_reader.h"
 #include "io/dataset_writer.h"
 #include "io/mmap_file.h"
@@ -146,7 +145,7 @@ SampleStorePtr OpenStore(const data::UncertainDataset& ds,
 TEST(SampleStoreTest, ChunkBoundarySweepIsBitIdentical) {
   // n deliberately not divisible by any chunk size; sweep chunk shapes from
   // "more chunks than the per-thread window LRU holds" (chunk_rows=1 ->
-  // 97 chunks > kSampleWindowSlots, forcing eviction + refault) to "one
+  // 97 chunks > kSidecarWindowSlots, forcing eviction + refault) to "one
   // chunk covering everything".
   const auto objects = MakeTestObjects(97, 3, /*seed=*/7);
   const std::string path = WriteTestFile("smp_chunksweep.ubin", objects);
@@ -547,87 +546,6 @@ TEST(SampleStoreTest, FactoryFailureFallsBackToResident) {
   EXPECT_EQ(SampleBackend::kResident, store->backend());
   ExpectSamplesBitIdentical(ResidentSampleStore(objects, 4, 0x5eed).view(),
                             store->view());
-}
-
-TEST(SampleFormatTest, RejectsForeignEndianSidecars) {
-  const ResidentSampleStore ref(MakeTestObjects(10, 2, /*seed=*/5), 4, 0x5eed);
-  const std::string sidecar = TempPath("smp_endian.usmp");
-  ASSERT_TRUE(io::WriteSampleFile(ref.view(), sidecar, 0x5eed).ok());
-  std::vector<char> bytes = ReadFileBytes(sidecar);
-  const uint32_t swapped = io::kEndianTagSwapped;
-  std::memcpy(bytes.data() + 8, &swapped, sizeof(swapped));
-  WriteFileBytes(sidecar, bytes);
-
-  const auto result = io::MappedSampleStore::Open(sidecar);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(std::string::npos, result.status().message().find("endian"))
-      << result.status().ToString();
-  std::remove(sidecar.c_str());
-}
-
-TEST(SampleFormatTest, RejectsNewerVersionsAndBadMagic) {
-  const ResidentSampleStore ref(MakeTestObjects(10, 2, /*seed=*/5), 4, 0x5eed);
-  const std::string sidecar = TempPath("smp_version.usmp");
-  ASSERT_TRUE(io::WriteSampleFile(ref.view(), sidecar, 0x5eed).ok());
-  const std::vector<char> bytes = ReadFileBytes(sidecar);
-
-  std::vector<char> future = bytes;
-  const uint32_t version = io::kSampleFormatVersion + 7;
-  std::memcpy(future.data() + 12, &version, sizeof(version));
-  WriteFileBytes(sidecar, future);
-  EXPECT_FALSE(io::MappedSampleStore::Open(sidecar).ok());
-
-  std::vector<char> magic = bytes;
-  magic[0] = 'x';
-  WriteFileBytes(sidecar, magic);
-  EXPECT_FALSE(io::MappedSampleStore::Open(sidecar).ok());
-
-  WriteFileBytes(sidecar, std::vector<char>(10, 'x'));  // shorter than header
-  EXPECT_FALSE(io::MappedSampleStore::Open(sidecar).ok());
-  std::remove(sidecar.c_str());
-}
-
-TEST(SampleFormatTest, RejectsTruncatedAndPaddedSidecars) {
-  const ResidentSampleStore ref(MakeTestObjects(20, 3, /*seed=*/9), 4, 0x5eed);
-  const std::string sidecar = TempPath("smp_size.usmp");
-  ASSERT_TRUE(io::WriteSampleFile(ref.view(), sidecar, 0x5eed).ok());
-  const std::vector<char> bytes = ReadFileBytes(sidecar);
-
-  std::vector<char> truncated = bytes;
-  truncated.resize(bytes.size() - 8);
-  WriteFileBytes(sidecar, truncated);
-  EXPECT_FALSE(io::MappedSampleStore::Open(sidecar).ok());
-
-  std::vector<char> padded = bytes;
-  padded.push_back('x');
-  WriteFileBytes(sidecar, padded);
-  EXPECT_FALSE(io::MappedSampleStore::Open(sidecar).ok());
-  std::remove(sidecar.c_str());
-}
-
-TEST(SampleFormatTest, RejectsNonPowerOfTwoChunkRows) {
-  const ResidentSampleStore ref(MakeTestObjects(10, 2, /*seed=*/5), 4, 0x5eed);
-  const std::string sidecar = TempPath("smp_chunkpow.usmp");
-  ASSERT_TRUE(io::WriteSampleFile(ref.view(), sidecar, 0x5eed).ok());
-  std::vector<char> bytes = ReadFileBytes(sidecar);
-  const uint64_t odd_rows = 3;
-  std::memcpy(bytes.data() + 40, &odd_rows, sizeof(odd_rows));
-  WriteFileBytes(sidecar, bytes);
-  const auto result = io::MappedSampleStore::Open(sidecar);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(std::string::npos,
-            result.status().message().find("power of two"))
-      << result.status().ToString();
-  std::remove(sidecar.c_str());
-}
-
-TEST(SampleFormatTest, NormalizeChunkRowsRoundsUpToPowersOfTwo) {
-  EXPECT_EQ(io::kDefaultSampleChunkRows, io::NormalizeSampleChunkRows(0));
-  EXPECT_EQ(1u, io::NormalizeSampleChunkRows(1));
-  EXPECT_EQ(8u, io::NormalizeSampleChunkRows(5));
-  EXPECT_EQ(512u, io::NormalizeSampleChunkRows(512));
-  EXPECT_EQ(std::size_t{1} << 20,
-            io::NormalizeSampleChunkRows((std::size_t{1} << 20) + 1));
 }
 
 }  // namespace
