@@ -1,6 +1,6 @@
 // CK-means smoke: proves the bound-pruned fast path is exact AND cheaper,
-// and that the mini-batch epoch-streaming driver clusters a dataset whose
-// resident moment columns exceed the process's address-space cap. CI greps
+// and that the file-backed driver clusters a dataset whose resident moment
+// columns exceed the process's address-space cap. CI greps
 // the machine-readable CKMEANS RESULT= marker (same scheme as
 // bench_pairwise_smoke / bench_moments_smoke), so an unrelated crash cannot
 // masquerade as an expected outcome. Modes:
@@ -16,21 +16,21 @@
 //                       doubles) followed by the in-memory run. Under CI's
 //                       `ulimit -v` cap this is expected to exhaust the
 //                       address space: CKMEANS RESULT=OOM (exit 3).
-//   --mode=minibatch -> CkMeans::ClusterFile with a forced mini-batch size:
-//                       epoch streaming re-reads the file once per
-//                       iteration holding only O(n) labels/bounds plus one
-//                       batch of moments — expected to finish under the
-//                       same cap: CKMEANS RESULT=OK.
+//   --mode=file      -> CkMeans::ClusterFile under the engine flags. With a
+//                       budget below the (m + 1) n-double reduction it runs
+//                       on the mapped .umom moment store (built next to the
+//                       dataset, or reused) — expected to finish under the
+//                       same cap. The marker names the branch taken:
+//                       CKMEANS RESULT=OK mode=file branch=reduced|mapped.
 //
 // Flags:
 //   --dataset=PATH       binary dataset file                   (required)
-//   --mode=compare|resident|minibatch                  (default compare)
+//   --mode=compare|resident|file                       (default compare)
 //   --k=K                clusters                              (default 8)
 //   --max_iters=I        Lloyd iteration cap                   (default 30)
-//   --minibatch=B        rows per epoch batch (minibatch mode) (default 8192)
 //   --max_eval_ratio=X   compare-mode pruning gate             (default 0.5)
 //   --seed=S             clustering seed                       (default 1)
-//   --threads=N --block_size=B                                 engine knobs
+//   --threads=N --block_size=B --memory_budget_mb=M            engine knobs
 #include <cstdint>
 #include <cstdio>
 #include <new>
@@ -43,6 +43,7 @@
 #include "common/cli.h"
 #include "common/stopwatch.h"
 #include "engine/engine.h"
+#include "io/dataset_reader.h"
 #include "io/ingest.h"
 #include "uncertain/moment_store.h"
 
@@ -69,11 +70,19 @@ int Run(int argc, char** argv) {
   std::printf("[ckmeans smoke] mode=%s dataset=%s k=%d max_iters=%d\n",
               mode.c_str(), path.c_str(), k, max_iters);
 
-  if (mode == "minibatch") {
+  if (mode == "file") {
+    io::BinaryDatasetReader header;
+    if (!header.Open(path).ok()) {
+      std::fprintf(stderr, "ckmeans smoke: cannot open %s\n", path.c_str());
+      std::printf(kFail);
+      return 1;
+    }
+    const char* branch =
+        clustering::CkMeans::ReducedFits(header.size(), header.dims(), eng)
+            ? "reduced"
+            : "mapped";
     clustering::CkMeans::Params p;
     p.max_iters = max_iters;
-    p.minibatch_size =
-        static_cast<std::size_t>(args.GetInt("minibatch", 8192));
     common::Stopwatch sw;
     auto r = clustering::CkMeans::ClusterFile(path, k, seed, p, eng);
     if (!r.ok()) {
@@ -83,19 +92,19 @@ int Run(int argc, char** argv) {
       return 1;
     }
     const clustering::ClusteringResult& out = r.ValueOrDie();
-    std::printf("[ckmeans smoke] epoch-streamed n=%zu: objective=%.4f "
-                "iterations=%d evals=%lld skipped=%lld in %.1fms, "
-                "rss=%ld KB\n",
-                out.labels.size(), out.objective, out.iterations,
+    std::printf("[ckmeans smoke] %s n=%zu: objective=%.4f iterations=%d "
+                "evals=%lld skipped=%lld offline=%.1fms online=%.1fms "
+                "total=%.1fms, rss=%ld KB\n",
+                branch, out.labels.size(), out.objective, out.iterations,
                 static_cast<long long>(out.center_distance_evals),
-                static_cast<long long>(out.bounds_skipped), sw.ElapsedMs(),
-                bench::PeakRssKb());
+                static_cast<long long>(out.bounds_skipped), out.offline_ms,
+                out.online_ms, sw.ElapsedMs(), bench::PeakRssKb());
     if (out.labels.empty()) {
       std::printf(kFail);
       return 1;
     }
-    std::printf("CKMEANS RESULT=OK mode=minibatch n=%zu batch=%zu\n",
-                out.labels.size(), p.minibatch_size);
+    std::printf("CKMEANS RESULT=OK mode=file branch=%s n=%zu\n", branch,
+                out.labels.size());
     return 0;
   }
 
@@ -136,7 +145,7 @@ int Run(int argc, char** argv) {
   if (mode != "compare") {
     std::fprintf(stderr,
                  "ckmeans smoke: --mode must be compare, resident, or "
-                 "minibatch\n");
+                 "file\n");
     return 1;
   }
 

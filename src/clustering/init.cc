@@ -42,16 +42,10 @@ std::vector<double> CentroidsFromObjects(
   return centroids;
 }
 
-namespace {
-
-// Shared D^2-seeding core: `mean_of(i)` serves row i's expected value. Both
-// public overloads funnel through here, so the rng consumption and the
-// floating-point evaluation order cannot diverge between the MomentView and
-// the reduced flat representations — the CK-means bit-identity contract.
-template <typename MeanFn>
-std::vector<std::size_t> PlusPlusCore(std::size_t n, std::size_t m, int k,
-                                      common::Rng* rng,
-                                      const MeanFn& mean_of) {
+std::vector<std::size_t> PlusPlusObjects(const uncertain::MomentView& mm,
+                                         int k, common::Rng* rng) {
+  const std::size_t n = mm.size();
+  const std::size_t m = mm.dims();
   assert(k > 0 && n >= static_cast<std::size_t>(k));
   std::vector<std::size_t> seeds;
   seeds.reserve(k);
@@ -61,14 +55,14 @@ std::vector<std::size_t> PlusPlusCore(std::size_t n, std::size_t m, int k,
   // per-thread chunk windows between the sweep row and the seed row.
   std::vector<double> seed_mean(m);
   auto gather_seed = [&](std::size_t idx) {
-    const auto mean = mean_of(idx);
+    const auto mean = mm.mean(idx);
     std::copy(mean.begin(), mean.end(), seed_mean.begin());
   };
   gather_seed(seeds[0]);
   // dist2[i] = squared distance of mean(i) to the nearest chosen seed.
   std::vector<double> dist2(n);
   for (std::size_t i = 0; i < n; ++i) {
-    dist2[i] = common::SquaredDistance(mean_of(i), seed_mean);
+    dist2[i] = common::SquaredDistance(mm.mean(i), seed_mean);
   }
   while (seeds.size() < static_cast<std::size_t>(k)) {
     double total = 0.0;
@@ -92,27 +86,10 @@ std::vector<std::size_t> PlusPlusCore(std::size_t n, std::size_t m, int k,
     gather_seed(next);
     for (std::size_t i = 0; i < n; ++i) {
       dist2[i] =
-          std::min(dist2[i], common::SquaredDistance(mean_of(i), seed_mean));
+          std::min(dist2[i], common::SquaredDistance(mm.mean(i), seed_mean));
     }
   }
   return seeds;
-}
-
-}  // namespace
-
-std::vector<std::size_t> PlusPlusObjects(const uncertain::MomentView& mm,
-                                         int k, common::Rng* rng) {
-  return PlusPlusCore(mm.size(), mm.dims(), k, rng,
-                      [&](std::size_t i) { return mm.mean(i); });
-}
-
-std::vector<std::size_t> PlusPlusObjects(std::span<const double> means,
-                                         std::size_t n, std::size_t m, int k,
-                                         common::Rng* rng) {
-  assert(means.size() == n * m);
-  return PlusPlusCore(n, m, k, rng, [&](std::size_t i) {
-    return std::span<const double>(means.data() + i * m, m);
-  });
 }
 
 std::vector<int> PartitionFromSeeds(const uncertain::MomentView& mm,

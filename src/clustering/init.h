@@ -2,7 +2,6 @@
 #ifndef UCLUST_CLUSTERING_INIT_H_
 #define UCLUST_CLUSTERING_INIT_H_
 
-#include <span>
 #include <vector>
 
 #include "common/rng.h"
@@ -31,16 +30,6 @@ std::vector<double> CentroidsFromObjects(
 /// Returns k distinct object indices.
 std::vector<std::size_t> PlusPlusObjects(const uncertain::MomentView& mm,
                                          int k, common::Rng* rng);
-
-/// PlusPlusObjects over a flat row-major n x m block of expected-value
-/// vectors — the reduced representation the CK-means fast path already
-/// copied out of the moments in one pass (clustering/ckmeans.h), so seeding
-/// never re-touches a chunked (mapped) view per candidate round. Consumes
-/// the rng identically and performs the same arithmetic in the same order
-/// as the MomentView overload, so the picked seeds are bit-identical.
-std::vector<std::size_t> PlusPlusObjects(std::span<const double> means,
-                                         std::size_t n, std::size_t m, int k,
-                                         common::Rng* rng);
 
 /// Partition induced by assigning every object to its nearest seed's mean —
 /// turns seed objects into an initial partition for the relocation local

@@ -7,12 +7,12 @@
 // for any Engine thread count (fixed block partition + ordered reduction;
 // see engine/parallel_for.h).
 //
-// The CK-means fast path (clustering/ckmeans.h) does not call AssignNearest
-// or SumMeansByLabel directly, but its bound-pruned sweeps and mini-batch
-// accumulators replicate their comparison order and partial-sum fold
-// structure exactly — that replication, not these entry points, is what
-// makes its labels bit-identical to the direct sweeps. Change the blocked
-// reduction structure here and the mirrored code there must follow.
+// The CK-means fast path (clustering/ckmeans.h) sums and scores through
+// SumMeansByLabel and AssignmentObjective, so their blocked fold order lives
+// here only. Its bound-pruned assignment does not call AssignNearest; its
+// full scans (simd::NearestTwo) keep NearestCentroid's ascending-c strict-<
+// comparison order, which is what makes its labels bit-identical to the
+// direct sweeps.
 //
 // The pairwise kernels are tile producers: they fill row tiles (or the
 // ragged upper-triangle rows) of a symmetric pairwise table for a

@@ -20,8 +20,8 @@
 // deliberately never used (its single rounding would diverge from the
 // mul-then-add paths), and the simd TUs are compiled with -ffp-contract=off
 // so a compiler cannot introduce it behind our back. This is the same
-// block-grid-aligned carry discipline the engine uses for thread-count and
-// mini-batch independence, reapplied to lane width.
+// fixed-fold discipline the engine's block grid uses for thread-count
+// independence, reapplied to lane width.
 //
 // Dispatch. A process-global table pointer selects the active path: the
 // best compiled-and-supported ISA by default (cpuid on x86, __aarch64__ for

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "io/chunked_sidecar.h"
+#include "io/dataset_reader.h"
 #include "io/moment_file.h"
 #include "io/moment_format.h"
 
@@ -72,94 +73,6 @@ common::Status BuildMomentSidecar(const std::string& dataset_path,
     }
     return writer.Finish();
   });
-}
-
-common::Status MomentBatchStream::Open(const std::string& path) {
-  path_ = path;
-  reader_ = std::make_unique<BinaryDatasetReader>();
-  UCLUST_RETURN_NOT_OK(reader_->Open(path));
-  n_ = reader_->size();
-  m_ = reader_->dims();
-  name_ = reader_->name();
-  auto source = DescribeSource(path);
-  UCLUST_RETURN_NOT_OK(source.status());
-  source_ = source.ValueOrDie();
-  base_index_ = 0;
-  next_index_ = 0;
-  batch_rows_ = 0;
-  return common::Status::Ok();
-}
-
-common::Status MomentBatchStream::CheckSource(
-    const BinaryDatasetReader& reader) const {
-  const auto source = DescribeSource(path_);
-  if (reader.size() != n_ || reader.dims() != m_ || !source.ok() ||
-      source.ValueOrDie() != source_) {
-    return common::Status::IOError(
-        path_ + ": dataset changed on disk since the stream was opened");
-  }
-  return common::Status::Ok();
-}
-
-common::Status MomentBatchStream::Rewind() {
-  // The binary format is strictly forward-only; restarting means reopening
-  // the record cursor on a fresh reader (the header re-validates for free).
-  reader_ = std::make_unique<BinaryDatasetReader>();
-  UCLUST_RETURN_NOT_OK(reader_->Open(path_));
-  UCLUST_RETURN_NOT_OK(CheckSource(*reader_));
-  base_index_ = 0;
-  next_index_ = 0;
-  batch_rows_ = 0;
-  return common::Status::Ok();
-}
-
-common::Result<std::size_t> MomentBatchStream::NextBatch(
-    std::size_t max_rows) {
-  if (reader_ == nullptr) return common::Status::Internal("stream not open");
-  base_index_ = next_index_;
-  batch_rows_ = 0;
-  if (reader_->remaining() == 0) return std::size_t{0};
-  const std::size_t want = std::min(max_rows, reader_->remaining());
-  mean_.resize(want * m_);
-  mu2_.resize(want * m_);
-  var_.resize(want * m_);
-  total_var_.resize(want);
-  UCLUST_RETURN_NOT_OK(reader_->ReadMomentRows(max_rows, &batch_rows_,
-                                               mean_.data(), mu2_.data(),
-                                               var_.data(),
-                                               total_var_.data()));
-  next_index_ = base_index_ + batch_rows_;
-  return batch_rows_;
-}
-
-common::Status MomentBatchStream::ReadMeanAt(std::size_t index,
-                                             std::span<double> out) const {
-  if (index >= n_ || out.size() != m_) {
-    return common::Status::InvalidArgument(
-        path_ + ": ReadMeanAt index/shape out of range");
-  }
-  BinaryDatasetReader reader;
-  UCLUST_RETURN_NOT_OK(reader.Open(path_));
-  UCLUST_RETURN_NOT_OK(CheckSource(reader));
-  // Forward scan in fixed-size batches; the last one ends at `index`.
-  constexpr std::size_t kScanRows = 256;
-  const std::size_t scratch = std::min(kScanRows, index + 1);
-  std::vector<double> mean(scratch * m_), mu2(scratch * m_), var(scratch * m_),
-      total_var(scratch);
-  std::size_t done = 0, rows = 0;
-  while (done <= index) {
-    UCLUST_RETURN_NOT_OK(reader.ReadMomentRows(
-        std::min(kScanRows, index + 1 - done), &rows, mean.data(), mu2.data(),
-        var.data(), total_var.data()));
-    done += rows;
-  }
-  std::copy_n(mean.data() + (rows - 1) * m_, m_, out.begin());
-  return common::Status::Ok();
-}
-
-common::Status MomentBatchStream::ReadLabels(std::vector<int>* labels) {
-  if (reader_ == nullptr) return common::Status::Internal("stream not open");
-  return reader_->ReadLabels(labels);
 }
 
 common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(

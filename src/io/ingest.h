@@ -16,21 +16,16 @@
 //     into a .umom sidecar (see moment_file.h), so peak memory is
 //     O(batch + chunk) regardless of n, and a valid matching sidecar from
 //     an earlier run is reused instead of rebuilt.
-//   * MomentBatchStream — re-streamable batches of moment rows, the input
-//     side of the mini-batch CK-means driver.
 #ifndef UCLUST_IO_INGEST_H_
 #define UCLUST_IO_INGEST_H_
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
 #include "engine/engine.h"
-#include "io/chunked_sidecar.h"
-#include "io/dataset_reader.h"
 #include "uncertain/moment_store.h"
 #include "uncertain/moments.h"
 
@@ -90,75 +85,6 @@ common::Status BuildMomentSidecar(const std::string& dataset_path,
                                   const std::string& sidecar_path,
                                   std::size_t chunk_rows = 0,
                                   std::size_t batch_size = kDefaultIngestBatch);
-
-/// Re-streamable batch-at-a-time moment statistics over a binary dataset
-/// file — the input side of the mini-batch CK-means driver (and any other
-/// consumer that wants moment rows in bounded memory without materializing
-/// a MomentStore). Each NextBatch() decodes one batch of records into a
-/// reused flat scratch block through ReadMomentRows, so the served values
-/// are bit-identical to a full ingestion for any batch size. Rewind()
-/// restarts the record cursor for multi-pass consumers (the underlying
-/// reader is forward-only, so a rewind reopens the file).
-///
-/// Source guard: Open() records the file's byte size, last-write tick and
-/// content probe (FileMTimeTicks / FileProbeHash); Rewind() and ReadMeanAt()
-/// re-check them and fail with a Status when the file was rewritten since,
-/// so a multi-pass consumer never mixes two versions of a dataset.
-class MomentBatchStream {
- public:
-  /// Opens `path` and validates the header.
-  common::Status Open(const std::string& path);
-
-  /// Number of objects in the file.
-  std::size_t size() const { return n_; }
-  /// Dimensionality of every object.
-  std::size_t dims() const { return m_; }
-  /// Dataset name stored in the file.
-  const std::string& name() const { return name_; }
-
-  /// Restarts the stream at object 0 (reopens the record cursor). Fails
-  /// when the file changed since Open().
-  common::Status Rewind();
-
-  /// Packs the next min(max_rows, remaining) objects' moments into the
-  /// internal scratch block and returns the row count (0 at end of stream).
-  /// `max_rows` must be > 0.
-  common::Result<std::size_t> NextBatch(std::size_t max_rows);
-
-  /// Absolute object index of row 0 of the current batch.
-  std::size_t base_index() const { return base_index_; }
-  /// Flat view over the current batch's moment rows (batch-local indices;
-  /// valid until the next NextBatch/Rewind call).
-  uncertain::MomentView batch_view() const {
-    return uncertain::MomentView(batch_rows_, m_, mean_.data(), mu2_.data(),
-                                 var_.data(), total_var_.data());
-  }
-
-  /// Reads the mean vector of one object by absolute index through a fresh
-  /// forward scan (the format has no random access) that decodes — and so
-  /// validates — every record before it into a fixed-size scratch; `out`
-  /// must have dims() elements. O(index) — intended for rare lookups such as
-  /// the CK-means empty-cluster reseed, not for bulk access. Fails when the
-  /// file changed since Open().
-  common::Status ReadMeanAt(std::size_t index, std::span<double> out) const;
-
-  /// Reads the labels column (empty when the file is unlabeled).
-  common::Status ReadLabels(std::vector<int>* labels);
-
- private:
-  common::Status CheckSource(const BinaryDatasetReader& reader) const;
-
-  std::string path_;
-  std::string name_;
-  std::size_t n_ = 0;
-  std::size_t m_ = 0;
-  SidecarSource source_;  // what Open() saw; Rewind/ReadMeanAt compare
-  std::size_t base_index_ = 0;
-  std::size_t next_index_ = 0;
-  std::size_t batch_rows_ = 0;
-  std::unique_ptr<BinaryDatasetReader> reader_;
-  std::vector<double> mean_, mu2_, var_, total_var_;
-};
 
 }  // namespace uclust::io
 

@@ -22,8 +22,10 @@ double UptimeMs() {
 /// The real clustering runner. UK-means / CK-means go through the
 /// bounded-memory file-backed CK-means driver (bit-identical to the direct
 /// sweeps by the library contract, and the only path that honors a budget
-/// smaller than the resident moments); every other algorithm loads the
-/// dataset fully resident and dispatches through the registry.
+/// smaller than the resident moments); over budget it maps the registered
+/// .umom sidecar, or <dataset>.umom when none is registered. Every other
+/// algorithm loads the dataset fully resident and dispatches through the
+/// registry.
 common::Result<clustering::ClusteringResult> RunClusteringJob(
     const JobSpec& spec, const DatasetInfo& dataset,
     const engine::EngineConfig& engine_cfg) {
@@ -33,7 +35,7 @@ common::Result<clustering::ClusteringResult> RunClusteringJob(
     params.max_iters = spec.max_iters;
     params.init = clustering::InitStrategy::kRandom;
     return clustering::CkMeans::ClusterFile(dataset.path, spec.k, spec.seed,
-                                            params, eng);
+                                            params, eng, dataset.moments_path);
   }
   common::Result<data::UncertainDataset> read =
       io::ReadUncertainDataset(dataset.path);

@@ -19,8 +19,8 @@
 //     observable via the max_running_concurrent metric.
 //   * The admitted b is written into the job's EngineConfig before the run,
 //     so the engine-level budget machinery (tiled pairwise stores, mapped
-//     moment columns, epoch streaming) enforces per-job what admission
-//     granted globally.
+//     moment columns, the mapped CK-means branch) enforces per-job what
+//     admission granted globally.
 #ifndef UCLUST_SERVICE_JOB_MANAGER_H_
 #define UCLUST_SERVICE_JOB_MANAGER_H_
 

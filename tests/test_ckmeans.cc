@@ -1,9 +1,10 @@
 // Tests for the CK-means fast path (clustering/ckmeans.h): the reduced,
 // bound-pruned Lloyd loop must reproduce the direct UK-means sweeps
-// (Ukmeans::RunOnMoments) bit-for-bit on every moment backend, the maintained bounds must actually bound, the
+// (Ukmeans::RunOnMoments) bit-for-bit on every moment backend, the
+// maintained bounds must actually bound, the
 // evaluation counters must satisfy their accounting contract, and the
-// file-backed mini-batch driver must match the fully ingested run for any
-// batch size.
+// file-backed driver must match the fully ingested run in both its
+// reduced-resident and its mapped .umom branch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -19,6 +20,7 @@
 #include "clustering/registry.h"
 #include "clustering/ukmeans.h"
 #include "common/math_utils.h"
+#include "common/rng.h"
 #include "data/benchmark_gen.h"
 #include "data/synthetic_gen.h"
 #include "data/uncertainty_model.h"
@@ -311,126 +313,265 @@ TEST(Ckmeans, RegistryEntryMatchesUkmeans) {
 }
 
 // ---------------------------------------------------------------------------
-// File-backed driver: auto-resident and epoch-streaming mini-batch modes.
+// File-backed driver: the reduced-resident and the mapped .umom branches.
 
+constexpr InitStrategy kInits[] = {InitStrategy::kRandom,
+                                   InitStrategy::kPlusPlus};
+
+const char* InitName(InitStrategy init) {
+  return init == InitStrategy::kPlusPlus ? "++" : "random";
+}
+
+// Writes a synthetic .ubin and runs both references over its fully
+// ingested moments: the direct UK-means sweeps (labels, objective,
+// iterations) and CK-means RunOnMoments (the pruning counters).
 struct FileFixture {
   std::string path;
-  Ukmeans::Outcome direct;  // reference over the fully ingested file
+  std::size_t n = 0;
+  std::size_t m = 6;
   int k = 4;
   uint64_t seed = 23;
+  Ukmeans::Outcome direct[2];  // indexed by InitStrategy
+  CkMeans::Outcome fast[2];
+
+  std::size_t reduced_bytes() const { return (m + 1) * n * sizeof(double); }
 };
+
+void RunReferences(FileFixture* f) {
+  auto store = io::StreamMomentStoreFromFile(f->path);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const auto mm = store.ValueOrDie()->view();
+  for (const InitStrategy init : kInits) {
+    // Same block size as EngineWith: the objective's blocked summation
+    // order is part of the determinism contract (fixed partition, any
+    // threads).
+    Ukmeans::Params dp;
+    dp.init = init;
+    f->direct[static_cast<int>(init)] =
+        Ukmeans::RunOnMoments(mm, f->k, f->seed, dp, EngineWith(1));
+    CkMeans::Params cp;
+    cp.init = init;
+    f->fast[static_cast<int>(init)] =
+        CkMeans::RunOnMoments(mm, f->k, f->seed, cp, EngineWith(1));
+  }
+}
 
 FileFixture MakeFileFixture(std::size_t n) {
   FileFixture f;
-  f.path = TempPath("ckmeans_stream_" + std::to_string(n) + ".ubin");
+  f.n = n;
+  f.path = TempPath("ckmeans_file_" + std::to_string(n) + ".ubin");
   data::SyntheticGenParams gp;
   gp.n = n;
-  gp.m = 6;
+  gp.m = f.m;
   gp.classes = 4;
   gp.seed = 97;
-  EXPECT_TRUE(data::WriteSyntheticDataset(gp, f.path, "stream").ok());
-  auto store = io::StreamMomentStoreFromFile(f.path);
-  EXPECT_TRUE(store.ok());
-  // Same block size as EngineWith: the objective's blocked summation order
-  // is part of the determinism contract (fixed partition, any threads).
-  f.direct = Ukmeans::RunOnMoments(store.ValueOrDie()->view(), f.k, f.seed,
-                                   Ukmeans::Params(), EngineWith(1));
+  EXPECT_TRUE(data::WriteSyntheticDataset(gp, f.path, "file").ok());
+  RunReferences(&f);
   return f;
 }
 
-TEST(CkmeansClusterFile, AutoResidentMatchesIngestedRun) {
-  const FileFixture f = MakeFileFixture(600);
-  for (int threads : kThreadCounts) {
-    CkMeans::Params p;
-    auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, p, EngineWith(threads));
-    ASSERT_TRUE(r.ok()) << "threads=" << threads;
-    const ClusteringResult& out = r.ValueOrDie();
-    EXPECT_EQ(out.labels, f.direct.labels) << "threads=" << threads;
-    EXPECT_EQ(out.objective, f.direct.objective) << "threads=" << threads;
-    EXPECT_EQ(out.iterations, f.direct.iterations) << "threads=" << threads;
-  }
-  std::remove(f.path.c_str());
+void ExpectMatchesReferences(const ClusteringResult& out,
+                             const FileFixture& f, InitStrategy init,
+                             const std::string& trace) {
+  const Ukmeans::Outcome& direct = f.direct[static_cast<int>(init)];
+  const CkMeans::Outcome& fast = f.fast[static_cast<int>(init)];
+  EXPECT_EQ(out.labels, direct.labels) << trace;
+  EXPECT_EQ(out.objective, direct.objective) << trace;
+  EXPECT_EQ(out.iterations, direct.iterations) << trace;
+  EXPECT_EQ(out.center_distance_evals, fast.center_distance_evals) << trace;
+  EXPECT_EQ(out.bounds_skipped, fast.bounds_skipped) << trace;
 }
 
-TEST(CkmeansClusterFile, EveryMinibatchSizeMatchesIngestedRun) {
+void RemoveFixture(const FileFixture& f, const std::string& sidecar) {
+  std::remove(f.path.c_str());
+  std::remove(sidecar.c_str());
+}
+
+// Unlimited, exactly-fitting and one-byte-short budgets: the first two keep
+// the reduction resident, the last runs on the mapped store.
+TEST(CkmeansClusterFile, EveryBudgetMatchesIngestedRun) {
   const FileFixture f = MakeFileFixture(600);
-  for (const std::size_t batch : {std::size_t{37}, std::size_t{64},
-                                  std::size_t{256}, std::size_t{1000}}) {
-    for (int threads : {1, 8}) {
-      CkMeans::Params p;
-      p.minibatch_size = batch;
-      auto r =
-          CkMeans::ClusterFile(f.path, f.k, f.seed, p, EngineWith(threads));
-      ASSERT_TRUE(r.ok()) << "batch=" << batch << " threads=" << threads;
-      const ClusteringResult& out = r.ValueOrDie();
-      EXPECT_EQ(out.labels, f.direct.labels)
-          << "batch=" << batch << " threads=" << threads;
-      EXPECT_EQ(out.objective, f.direct.objective)
-          << "batch=" << batch << " threads=" << threads;
-      EXPECT_EQ(out.iterations, f.direct.iterations)
-          << "batch=" << batch << " threads=" << threads;
+  const std::string sidecar = TempPath("ckmeans_budget.umom");
+  std::remove(sidecar.c_str());
+  for (const std::size_t budget :
+       {std::size_t{0}, f.reduced_bytes(), f.reduced_bytes() - 1}) {
+    const bool reduced = budget != f.reduced_bytes() - 1;
+    EXPECT_EQ(CkMeans::ReducedFits(f.n, f.m, EngineWith(1, budget)), reduced);
+    for (int threads : kThreadCounts) {
+      for (const InitStrategy init : kInits) {
+        const std::string trace = "budget=" + std::to_string(budget) +
+                                  " threads=" + std::to_string(threads) +
+                                  " init=" + InitName(init);
+        CkMeans::Params p;
+        p.init = init;
+        auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, p,
+                                      EngineWith(threads, budget), sidecar);
+        ASSERT_TRUE(r.ok()) << trace << ": " << r.status().ToString();
+        ExpectMatchesReferences(r.ValueOrDie(), f, init, trace);
+      }
     }
+    // Only the mapped branch writes a sidecar.
+    EXPECT_EQ(std::filesystem::exists(sidecar), !reduced)
+        << "budget=" << budget;
   }
-  std::remove(f.path.c_str());
+  RemoveFixture(f, sidecar);
 }
 
-TEST(CkmeansClusterFile, TinyMemoryBudgetStreamsToCompletion) {
-  // Budget far below the (m+1)*n*8-byte reduced representation: the auto
-  // mode must fall back to epoch streaming and still match the ingested
-  // run exactly — the bounded-memory acceptance path.
+// The mapped branch at every chunk granularity: chunk windows decide which
+// rows share a mapping, never the served values or the fold order.
+TEST(CkmeansClusterFile, MappedSweepMatchesIngestedRun) {
+  const FileFixture f = MakeFileFixture(600);
+  const std::string sidecar = TempPath("ckmeans_mapped_sweep.umom");
+  for (const std::size_t chunk_rows :
+       {std::size_t{4}, std::size_t{16}, std::size_t{64}}) {
+    // A smaller-chunk sidecar would be reused for a larger requirement.
+    std::remove(sidecar.c_str());
+    for (int threads : kThreadCounts) {
+      for (const InitStrategy init : kInits) {
+        const std::string trace = "chunk_rows=" + std::to_string(chunk_rows) +
+                                  " threads=" + std::to_string(threads) +
+                                  " init=" + InitName(init);
+        engine::EngineConfig config;
+        config.num_threads = threads;
+        config.block_size = 128;
+        config.memory_budget_bytes = 2048;  // far below the reduction
+        config.moment_chunk_rows = chunk_rows;
+        CkMeans::Params p;
+        p.init = init;
+        auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, p,
+                                      engine::Engine(config), sidecar);
+        ASSERT_TRUE(r.ok()) << trace << ": " << r.status().ToString();
+        ExpectMatchesReferences(r.ValueOrDie(), f, init, trace);
+      }
+    }
+    auto store = io::MappedMomentStore::Open(sidecar);
+    ASSERT_TRUE(store.ok());
+    EXPECT_EQ(store.ValueOrDie()->chunk_rows(), chunk_rows);
+  }
+  RemoveFixture(f, sidecar);
+}
+
+// Without a moments path the mapped branch writes <dataset>.umom, and the
+// next run reuses it instead of rebuilding.
+TEST(CkmeansClusterFile, MappedBranchWritesAndReusesTheDefaultSidecar) {
   const FileFixture f = MakeFileFixture(800);
-  const std::size_t budget = 2048;  // < (6+1)*800*8 = 44800 bytes
+  const std::string sidecar = f.path + ".umom";
+  std::remove(sidecar.c_str());
   CkMeans::Params p;
-  auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, p,
-                                EngineWith(2, budget));
-  ASSERT_TRUE(r.ok());
-  const ClusteringResult& out = r.ValueOrDie();
-  EXPECT_EQ(out.labels, f.direct.labels);
-  EXPECT_EQ(out.objective, f.direct.objective);
-  EXPECT_EQ(out.iterations, f.direct.iterations);
-  std::remove(f.path.c_str());
+  auto first = CkMeans::ClusterFile(f.path, f.k, f.seed, p,
+                                    EngineWith(2, 2048));
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  ExpectMatchesReferences(first.ValueOrDie(), f, InitStrategy::kRandom,
+                          "cold");
+  ASSERT_TRUE(std::filesystem::exists(sidecar));
+  const auto built = std::filesystem::last_write_time(sidecar);
+  auto second = CkMeans::ClusterFile(f.path, f.k, f.seed, p,
+                                     EngineWith(2, 2048));
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  ExpectMatchesReferences(second.ValueOrDie(), f, InitStrategy::kRandom,
+                          "reused");
+  EXPECT_EQ(std::filesystem::last_write_time(sidecar), built);
+  RemoveFixture(f, sidecar);
 }
 
-TEST(CkmeansClusterFile, EpochStreamingFailsWhenTheFileIsRewritten) {
-  // A .ubin rewritten in place between epochs — same n, m and byte size,
-  // new content — must end the run with a Status, not cluster a mix of the
-  // two files.
+TEST(CkmeansClusterFile, RewrittenFileFinishesOnTheOpenedSnapshot) {
+  // A .ubin rewritten mid-run (same n, m and byte size, new content): the
+  // run keeps reading the sidecar it opened and matches the original
+  // file's direct run; the next run sees the new source triple, rebuilds
+  // the sidecar and matches the new file's direct run.
   const FileFixture f = MakeFileFixture(400);
+  const std::string sidecar = TempPath("ckmeans_rewrite.umom");
   const auto size = std::filesystem::file_size(f.path);
   data::SyntheticGenParams other;
-  other.n = 400;
-  other.m = 6;
+  other.n = f.n;
+  other.m = f.m;
   other.classes = 4;
   other.seed = 98;
   CkMeans::Params p;
-  p.minibatch_size = 64;
   bool rewritten = false;
   p.bound_audit = [&](int, std::span<const double>, std::span<const int>,
                       std::span<const double>, std::span<const double>) {
     if (rewritten) return;
     rewritten = true;
-    ASSERT_TRUE(data::WriteSyntheticDataset(other, f.path, "stream").ok());
+    ASSERT_TRUE(data::WriteSyntheticDataset(other, f.path, "file").ok());
     ASSERT_EQ(size, std::filesystem::file_size(f.path));
   };
-  const auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, p, EngineWith(2));
+  auto during = CkMeans::ClusterFile(f.path, f.k, f.seed, p,
+                                     EngineWith(2, 2048), sidecar);
   ASSERT_TRUE(rewritten);
-  EXPECT_FALSE(r.ok());
-  std::remove(f.path.c_str());
+  ASSERT_TRUE(during.ok()) << during.status().ToString();
+  ExpectMatchesReferences(during.ValueOrDie(), f, InitStrategy::kRandom,
+                          "during rewrite");
+
+  FileFixture after = f;
+  RunReferences(&after);
+  ASSERT_NE(after.direct[0].labels, f.direct[0].labels)
+      << "the rewrite must change the clustering for this test to bite";
+  auto next = CkMeans::ClusterFile(f.path, f.k, f.seed, CkMeans::Params(),
+                                   EngineWith(2, 2048), sidecar);
+  ASSERT_TRUE(next.ok()) << next.status().ToString();
+  ExpectMatchesReferences(next.ValueOrDie(), after, InitStrategy::kRandom,
+                          "after rewrite");
+  RemoveFixture(f, sidecar);
 }
 
-TEST(CkmeansClusterFile, RejectsPlusPlusInEpochMode) {
-  const std::string path = TempPath("ckmeans_pp_reject.ubin");
-  data::SyntheticGenParams gp;
-  gp.n = 100;
-  gp.m = 3;
-  gp.classes = 2;
-  ASSERT_TRUE(data::WriteSyntheticDataset(gp, path, "pp").ok());
-  CkMeans::Params p;
-  p.init = InitStrategy::kPlusPlus;
-  p.minibatch_size = 32;  // force epoch streaming
-  const auto r = CkMeans::ClusterFile(path, 2, 1, p);
-  EXPECT_FALSE(r.ok());
+// ---------------------------------------------------------------------------
+// Property: the accounting identity evals + skipped == sweeps * n * k on
+// seeded random instances, converged and capped alike, through RunOnMoments
+// and through ClusterFile's mapped branch.
+
+TEST(CkmeansProperty, AccountingIdentityOnRandomInstances) {
+  common::Rng draw(20261017);
+  const std::string path = TempPath("ckmeans_property.ubin");
+  const std::string sidecar = TempPath("ckmeans_property.umom");
+  int converged = 0, capped = 0;
+  for (int trial = 0; trial < 50; ++trial) {
+    data::SyntheticGenParams gp;
+    gp.classes = 1 + static_cast<int>(draw.Index(6));
+    gp.n = gp.classes + 20 + draw.Index(280);
+    gp.m = 1 + draw.Index(8);
+    gp.seed = 1 + draw.Index(1000000);
+    const int k = 1 + static_cast<int>(draw.Index(8));
+    const uint64_t seed = draw.Index(1000000);
+    CkMeans::Params p;
+    p.max_iters = 1 + static_cast<int>(draw.Index(12));
+    p.init = draw.Index(2) == 0 ? InitStrategy::kRandom
+                                : InitStrategy::kPlusPlus;
+    const std::string trace =
+        "trial=" + std::to_string(trial) + " n=" + std::to_string(gp.n) +
+        " m=" + std::to_string(gp.m) + " k=" + std::to_string(k) +
+        " max_iters=" + std::to_string(p.max_iters);
+    ASSERT_TRUE(data::WriteSyntheticDataset(gp, path, "property").ok())
+        << trace;
+
+    auto store = io::StreamMomentStoreFromFile(path);
+    ASSERT_TRUE(store.ok()) << trace;
+    const auto out = CkMeans::RunOnMoments(store.ValueOrDie()->view(), k,
+                                           seed, p, EngineWith(2));
+    const bool hit_cap = out.iterations == p.max_iters;
+    const int sweeps = hit_cap ? out.iterations : out.iterations + 1;
+    EXPECT_EQ(out.center_distance_evals + out.bounds_skipped,
+              static_cast<int64_t>(sweeps) * static_cast<int64_t>(gp.n) * k)
+        << trace;
+    ++(hit_cap ? capped : converged);
+
+    ASSERT_FALSE(CkMeans::ReducedFits(gp.n, gp.m, EngineWith(2, 1)));
+    std::remove(sidecar.c_str());
+    auto file = CkMeans::ClusterFile(path, k, seed, p, EngineWith(2, 1),
+                                     sidecar);
+    ASSERT_TRUE(file.ok()) << trace << ": " << file.status().ToString();
+    const ClusteringResult& r = file.ValueOrDie();
+    EXPECT_EQ(r.iterations, out.iterations) << trace;
+    EXPECT_EQ(r.center_distance_evals + r.bounds_skipped,
+              static_cast<int64_t>(sweeps) * static_cast<int64_t>(gp.n) * k)
+        << trace;
+    EXPECT_EQ(r.center_distance_evals, out.center_distance_evals) << trace;
+  }
+  // The draws must exercise both stop rules.
+  EXPECT_GT(converged, 0);
+  EXPECT_GT(capped, 0);
   std::remove(path.c_str());
+  std::remove(sidecar.c_str());
 }
 
 }  // namespace

@@ -5,14 +5,12 @@
 // MomentMatrix::FromObjects, the oracle) for every pdf family and edge case
 // at any batch size, malformed files (endianness, version, magic,
 // truncation) are rejected instead of mis-parsed, a seeded mutation fuzz
-// holds ReadBatch and ReadMomentRows to the same verdict on hostile input,
-// and MomentBatchStream refuses a file rewritten under it.
+// holds ReadBatch and ReadMomentRows to the same verdict on hostile input.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <string>
@@ -219,7 +217,6 @@ void ExpectEveryDecoderMatchesObjects(const std::string& path) {
   ASSERT_TRUE(ds.ok()) << ds.status().ToString();
   const MomentMatrix oracle =
       MomentMatrix::FromObjects(ds.ValueOrDie().objects());
-  const std::size_t n = oracle.size(), m = oracle.dims();
 
   for (const std::size_t batch :
        {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
@@ -230,46 +227,6 @@ void ExpectEveryDecoderMatchesObjects(const std::string& path) {
     auto streamed = io::StreamMomentsFromFile(path, batch);
     ASSERT_TRUE(streamed.ok()) << streamed.status().ToString();
     ExpectBitIdentical(oracle, streamed.ValueOrDie());
-
-    io::MomentBatchStream stream;
-    ASSERT_TRUE(stream.Open(path).ok());
-    for (int pass = 0; pass < 2; ++pass) {
-      if (pass == 1) {
-        ASSERT_TRUE(stream.Rewind().ok());
-      }
-      std::size_t seen = 0;
-      for (;;) {
-        auto got = stream.NextBatch(batch);
-        ASSERT_TRUE(got.ok()) << got.status().ToString();
-        const std::size_t rows = got.ValueOrDie();
-        if (rows == 0) break;
-        ASSERT_EQ(seen, stream.base_index());
-        const MomentView view = stream.batch_view();
-        for (std::size_t i = 0; i < rows; ++i) {
-          ASSERT_EQ(0, std::memcmp(view.mean(i).data(),
-                                   oracle.mean(seen + i).data(),
-                                   m * sizeof(double)));
-          ASSERT_EQ(0, std::memcmp(view.second_moment(i).data(),
-                                   oracle.second_moment(seen + i).data(),
-                                   m * sizeof(double)));
-          ASSERT_EQ(0, std::memcmp(view.variance(i).data(),
-                                   oracle.variance(seen + i).data(),
-                                   m * sizeof(double)));
-          const double got_tv = view.total_variance(i);
-          const double want_tv = oracle.total_variance(seen + i);
-          ASSERT_EQ(0, std::memcmp(&got_tv, &want_tv, sizeof(double)));
-        }
-        seen += rows;
-      }
-      ASSERT_EQ(n, seen);
-    }
-    std::vector<double> mean(m);
-    for (const std::size_t index : {std::size_t{0}, n / 2, n - 1}) {
-      ASSERT_TRUE(stream.ReadMeanAt(index, mean).ok());
-      ASSERT_EQ(0, std::memcmp(mean.data(), oracle.mean(index).data(),
-                               m * sizeof(double)))
-          << "ReadMeanAt " << index;
-    }
   }
 
   const std::string sidecar = path + ".parity.umom";
@@ -766,58 +723,6 @@ TEST(RecordDecoderFuzz, ReadBatchAndReadMomentRowsAgreeOnEveryMutant) {
   EXPECT_GT(rejected, 0);
   std::remove(path.c_str());
   std::remove(corpus_path.c_str());
-}
-
-// ------------------------------------------------------ source guard ----
-
-TEST(MomentBatchStreamTest, RewindAndReadMeanAtRejectARewrittenFile) {
-  // MakeTestObjects' record sizes depend only on (n, m), so another seed
-  // rewrites the file with the same shape and byte size but new content.
-  const std::string path =
-      WriteTestFile("rewrite.ubin", MakeTestObjects(12, 2, /*seed=*/41));
-  io::MomentBatchStream stream;
-  ASSERT_TRUE(stream.Open(path).ok());
-  ASSERT_TRUE(stream.NextBatch(5).ok());
-  ASSERT_TRUE(stream.Rewind().ok());  // unchanged file: fine
-
-  const auto size = std::filesystem::file_size(path);
-  const auto mtime = std::filesystem::last_write_time(path);
-  WriteTestFile("rewrite.ubin", MakeTestObjects(12, 2, /*seed=*/42));
-  // Same byte size and (restored) last-write time: only the content probe
-  // tells the files apart.
-  std::filesystem::last_write_time(path, mtime);
-  ASSERT_EQ(size, std::filesystem::file_size(path));
-
-  EXPECT_FALSE(stream.Rewind().ok());
-  std::vector<double> mean(2);
-  EXPECT_FALSE(stream.ReadMeanAt(3, mean).ok());
-
-  // A stream opened on the new content reads it.
-  io::MomentBatchStream fresh;
-  ASSERT_TRUE(fresh.Open(path).ok());
-  EXPECT_TRUE(fresh.ReadMeanAt(3, mean).ok());
-  std::remove(path.c_str());
-}
-
-TEST(MomentBatchStreamTest, ReadMeanAtValidatesSkippedRecords) {
-  // A malformed record before the target must fail the scan, not be skipped.
-  const auto objects = MakeTestObjects(10, 2, /*seed=*/9);
-  const std::string path = WriteTestFile("skipcheck.ubin", objects);
-  io::MomentBatchStream stream;
-  ASSERT_TRUE(stream.Open(path).ok());
-  std::vector<double> mean(2);
-  ASSERT_TRUE(stream.ReadMeanAt(8, mean).ok());
-  EXPECT_EQ(objects[8].mean()[0], mean[0]);
-
-  std::vector<char> bytes = ReadFileBytes(path);
-  const std::vector<std::size_t> offsets = RecordOffsets(bytes);
-  bytes[offsets[2] + sizeof(uint32_t)] = static_cast<char>(0x7f);  // bad tag
-  WriteFileBytes(path, bytes);
-  io::MomentBatchStream corrupt;
-  ASSERT_TRUE(corrupt.Open(path).ok());
-  EXPECT_FALSE(corrupt.ReadMeanAt(8, mean).ok());
-  EXPECT_TRUE(corrupt.ReadMeanAt(1, mean).ok());
-  std::remove(path.c_str());
 }
 
 TEST(BinaryDatasetWriterTest, ValidatesArguments) {

@@ -6,20 +6,25 @@
 // fingerprint match between a service job and a direct in-process run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
 
 #include "clustering/ckmeans.h"
+#include "clustering/registry.h"
 #include "clustering/result_json.h"
 #include "common/json.h"
+#include "common/rng.h"
 #include "data/synthetic_gen.h"
+#include "engine/engine.h"
 #include "service/dataset_registry.h"
 #include "service/job_manager.h"
 #include "service/job_spec.h"
@@ -160,6 +165,146 @@ TEST(JobSpec, ToJsonRoundTrips) {
   EXPECT_EQ(reparsed.ValueOrDie().k, 5);
   EXPECT_EQ(reparsed.ValueOrDie().seed, 9u);
   EXPECT_EQ(reparsed.ValueOrDie().engine.num_threads, 2);
+}
+
+// ------------------------------------------------------- JobSpec fuzz --
+
+// One seeded mutation of a random corpus spec: byte flips, a truncation, a
+// splice of two specs at random cut points, a numeric token replaced by a
+// boundary number, or a structural token inserted.
+std::string MutateSpec(const std::vector<std::string>& corpus,
+                       common::Rng* rng) {
+  std::string text = corpus[rng->Index(corpus.size())];
+  switch (rng->Index(5)) {
+    case 0: {
+      const std::size_t flips = 1 + rng->Index(4);
+      for (std::size_t f = 0; f < flips; ++f) {
+        char& c = text[rng->Index(text.size())];
+        c = rng->Bernoulli(0.5) ? static_cast<char>(c ^ (1u << rng->Index(8)))
+                                : static_cast<char>(rng->Index(256));
+      }
+      break;
+    }
+    case 1:
+      text.resize(rng->Index(text.size()));
+      break;
+    case 2: {
+      const std::string& donor = corpus[rng->Index(corpus.size())];
+      text = text.substr(0, rng->Index(text.size() + 1)) +
+             donor.substr(rng->Index(donor.size() + 1));
+      break;
+    }
+    case 3: {
+      static const char* const kBoundaries[] = {
+          "0", "-0", "1", "-1", "268435456", "268435457", "16777217",
+          "2147483647", "2147483648", "4294967296", "9223372036854775807",
+          "9223372036854775808", "-9223372036854775808",
+          "18446744073709551616", "1e308", "1e309", "-1e309", "1e-400",
+          "4.9e-324", "0.5", "1.0", "1e2", "00", "01", "+1", ".5", "1.",
+          "0x10", "NaN", "Infinity", "-"};
+      std::vector<std::size_t> starts;
+      for (std::size_t i = 0; i < text.size(); ++i) {
+        const bool digit = text[i] >= '0' && text[i] <= '9';
+        if (digit && (i == 0 || !(text[i - 1] >= '0' && text[i - 1] <= '9'))) {
+          starts.push_back(i);
+        }
+      }
+      if (starts.empty()) break;
+      const std::size_t at = starts[rng->Index(starts.size())];
+      std::size_t end = at;
+      while (end < text.size() && text[end] >= '0' && text[end] <= '9') ++end;
+      text.replace(at, end - at,
+                   kBoundaries[rng->Index(std::size(kBoundaries))]);
+      break;
+    }
+    default: {
+      static const char* const kTokens[] = {
+          "{", "}", "[", "]", ",", ":", "\"", "\\", "\\u", "\\ud800",
+          "\\u0000", "null", "true", "false", "-", "1e999", "\xff", " ",
+          "\"k\": 2,", "\"engine\": {},", "{\"a\": [[[[[[]]]]]]}"};
+      text.insert(rng->Index(text.size() + 1),
+                  kTokens[rng->Index(std::size(kTokens))]);
+      break;
+    }
+  }
+  return text;
+}
+
+// What every accepted spec must satisfy: the documented field ranges, a
+// registered algorithm, knobs that replay to the same engine config, and
+// a canonical echo that parses back to the same spec.
+void ExpectValidSpec(const JobSpec& spec, const std::string& trace) {
+  EXPECT_FALSE(spec.dataset_id.empty()) << trace;
+  EXPECT_GE(spec.k, 1) << trace;
+  EXPECT_LE(spec.k, 1 << 28) << trace;
+  EXPECT_GE(spec.max_iters, 1) << trace;
+  EXPECT_LE(spec.max_iters, 1 << 24) << trace;
+  const std::vector<std::string> algorithms =
+      clustering::RegisteredClusterers();
+  EXPECT_NE(std::find(algorithms.begin(), algorithms.end(), spec.algorithm),
+            algorithms.end())
+      << trace;
+  engine::EngineConfig replay;
+  for (const auto& [key, value] : spec.engine_knobs) {
+    ASSERT_TRUE(engine::ApplyEngineKnob(key, value, &replay).ok()) << trace;
+  }
+  EXPECT_EQ(replay.num_threads, spec.engine.num_threads) << trace;
+  EXPECT_EQ(replay.block_size, spec.engine.block_size) << trace;
+  EXPECT_EQ(replay.memory_budget_bytes, spec.engine.memory_budget_bytes)
+      << trace;
+  EXPECT_EQ(replay.moment_chunk_rows, spec.engine.moment_chunk_rows) << trace;
+  EXPECT_EQ(replay.sample_chunk_rows, spec.engine.sample_chunk_rows) << trace;
+  EXPECT_EQ(replay.simd_isa, spec.engine.simd_isa) << trace;
+  EXPECT_EQ(replay.spatial_index, spec.engine.spatial_index) << trace;
+  const std::string echo = spec.ToJson();
+  auto reparsed = JobSpec::FromJson(echo);
+  ASSERT_TRUE(reparsed.ok()) << trace << " echo=" << echo << ": "
+                             << reparsed.status().ToString();
+  EXPECT_EQ(reparsed.ValueOrDie().ToJson(), echo) << trace;
+}
+
+// Seeded mutation fuzz over the request path JobSpec::FromJson (and the
+// common::ParseJson it drives): every mutant either parses to a valid spec
+// or returns a non-OK Status, and never crashes or trips a sanitizer.
+TEST(JobSpecFuzz, EveryMutantParsesToAValidSpecOrFails) {
+  const std::vector<std::string> corpus = {
+      "{\"dataset_id\": \"ds-1\", \"k\": 3}",
+      "{\"dataset_id\": \"ds-2\", \"algorithm\": \"UK-means\", \"k\": 8,"
+      " \"seed\": 42, \"max_iters\": 25, \"include_labels\": false,"
+      " \"engine\": {\"threads\": 4, \"memory_budget_mb\": 64,"
+      " \"block_size\": 256, \"moment_chunk_rows\": 1024,"
+      " \"sample_chunk_rows\": 64, \"simd_isa\": \"scalar\","
+      " \"spatial_index\": \"rtree\"}}",
+      "{\"k\": 12, \"dataset_id\": \"ds-\\u0033\\n\", \"algorithm\":"
+      " \"UK-medoids\", \"engine\": {\"memory_budget_bytes\": \"1048576\","
+      " \"threads\": 0}}",
+      " {\n\t\"dataset_id\" : \"d\" ,\"k\":1,\"seed\":9007199254740992,"
+      "\"max_iters\":16777216,\"include_labels\":true,\"engine\":{}}\n",
+  };
+  for (const std::string& text : corpus) {
+    auto spec = JobSpec::FromJson(text);
+    ASSERT_TRUE(spec.ok()) << text << ": " << spec.status().ToString();
+    ExpectValidSpec(spec.ValueOrDie(), text);
+  }
+
+  common::Rng rng(20261017);
+  int accepted = 0, rejected = 0;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::string text = MutateSpec(corpus, &rng);
+    const std::string trace = "mutant " + std::to_string(iter);
+    auto spec = JobSpec::FromJson(text);
+    if (spec.ok()) {
+      ++accepted;
+      ExpectValidSpec(spec.ValueOrDie(), trace);
+      ASSERT_FALSE(::testing::Test::HasFailure()) << trace << ": " << text;
+    } else {
+      ++rejected;
+      EXPECT_FALSE(spec.status().message().empty()) << trace;
+    }
+  }
+  // The mutations must exercise both verdicts.
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // ----------------------------------------------------- DatasetRegistry --
@@ -582,6 +727,70 @@ TEST(ClusteringService, EndToEndMatchesDirectRun) {
   EXPECT_GE(metrics_json.ValueOrDie().Find("completed")->AsInt(), 1);
 
   svc.Stop();
+  SetLogEnabled(true);
+}
+
+// A budget below the (m+1)*n-double reduction sends a CK-means job to the
+// mapped .umom branch: the registered moments_path is where the sidecar
+// goes, not the default <dataset>.umom.
+TEST(ClusteringService, OverBudgetJobUsesTheRegisteredMomentsPath) {
+  SetLogEnabled(false);
+  const std::string path = testing::TempDir() + "/uclust_service_mapped.ubin";
+  const std::string moments = testing::TempDir() + "/uclust_registered.umom";
+  data::SyntheticGenParams params;
+  params.n = 200;
+  params.m = 5;
+  params.classes = 3;
+  params.seed = 8;
+  ASSERT_TRUE(data::WriteSyntheticDataset(params, path, "mapped").ok());
+  std::remove(moments.c_str());
+  std::remove((path + ".umom").c_str());
+
+  ServiceConfig cfg;
+  cfg.jobs.executors = 1;
+  ClusteringService svc(cfg);
+  svc.jobs().Start();
+  HttpResponse reg = svc.Handle(
+      Req("POST", "/v1/datasets",
+          "{\"path\": \"" + path + "\", \"moments_path\": \"" + moments +
+              "\"}"));
+  ASSERT_EQ(reg.status, 201) << reg.body;
+  const std::string ds_id =
+      common::ParseJson(reg.body).ValueOrDie().Find("id")->AsString();
+
+  // (5 + 1) * 200 * 8 = 9600 bytes of reduction against a 1024-byte budget.
+  HttpResponse submit = svc.Handle(Req(
+      "POST", "/v1/jobs",
+      "{\"dataset_id\": \"" + ds_id +
+          "\", \"algorithm\": \"CK-means\", \"k\": 3, \"seed\": 5,"
+          " \"max_iters\": 30, \"engine\": {\"memory_budget_bytes\": 1024}}"));
+  ASSERT_EQ(submit.status, 202) << submit.body;
+  const std::string job_id =
+      common::ParseJson(submit.body).ValueOrDie().Find("job_id")->AsString();
+  ASSERT_TRUE(svc.jobs().Wait(job_id, 30000));
+  HttpResponse result =
+      svc.Handle(Req("GET", "/v1/jobs/" + job_id + "/result"));
+  ASSERT_EQ(result.status, 200) << result.body;
+  auto result_json = common::ParseJson(result.body);
+  ASSERT_TRUE(result_json.ok());
+  const std::string service_fp = result_json.ValueOrDie()
+                                     .Find("result")
+                                     ->Find("fingerprint")
+                                     ->AsString();
+  svc.Stop();
+
+  EXPECT_TRUE(std::ifstream(moments).good());
+  EXPECT_FALSE(std::ifstream(path + ".umom").good());
+
+  clustering::CkMeans::Params direct_params;
+  direct_params.max_iters = 30;
+  auto direct = clustering::CkMeans::ClusterFile(path, 3, 5, direct_params);
+  ASSERT_TRUE(direct.ok());
+  EXPECT_EQ(service_fp,
+            clustering::FingerprintHex(clustering::ResultFingerprint(
+                direct.ValueOrDie().labels, direct.ValueOrDie().objective)));
+  std::remove(moments.c_str());
+  std::remove(path.c_str());
   SetLogEnabled(true);
 }
 
