@@ -31,6 +31,7 @@
 #include "clustering/fdbscan.h"
 #include "clustering/foptics.h"
 #include "clustering/mmvar.h"
+#include "clustering/simd/simd.h"
 #include "clustering/uahc.h"
 #include "clustering/ucpc.h"
 #include "clustering/ukmeans.h"
@@ -175,7 +176,8 @@ int main(int argc, char** argv) {
   json.KV("threads", eng.num_threads());
   json.KV("block_size", eng.block_size());
   json.KV("hardware_threads", static_cast<int64_t>(bench::HardwareThreads()));
-  json.KV("simd_isa", eng.simd_isa());
+  json.KV("simd_isa",
+          clustering::simd::IsaName(clustering::simd::ActiveIsa()));
   json.EndObject();
   // The kernel_throughput axis: per-ISA ED^ tile throughput on this
   // machine, so the algorithm runtimes below are interpretable against the

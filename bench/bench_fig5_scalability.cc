@@ -8,8 +8,9 @@
 // speedup of the execution engine at the 100% size, sweeps the
 // PairwiseStore backend axis (dense / tiled / on-the-fly ED^ tables) on an
 // object-backed UK-medoids workload with peak-RSS and peak-table-memory
-// accounting, sweeps the FDBSCAN spatial-index axis (index off vs R-tree,
-// with pruned-pair and bound-test counters) on a mix-family dataset, sweeps
+// accounting, sweeps the FDBSCAN spatial-index axis (the sweep the
+// selectivity probe picks, then the forced R-tree and all-pairs sweeps, with
+// pruned-pair and bound-test counters) on a mix-family dataset, sweeps
 // the CK-means axis (direct UK-means sweeps vs CK-means assignment work,
 // with distance-eval and bounds-skip accounting), sweeps the
 // MomentStore backend axis (resident columns vs the mmap-backed .umom
@@ -35,6 +36,9 @@
 //   --pairwise_n=N    size of the backend/spatial-index axis sweeps
 //                     (default 1500; 0 skips them)
 //   --pairwise_budget_mb=M  tiled-backend budget   (default 4)
+//   --simd_isa=I      force the process-wide SIMD path: auto, scalar, avx2
+//                     or neon (default auto); results never change, so the
+//                     fingerprint below must match across paths
 //   --seed=S          master seed                (default 1)
 #include <algorithm>
 #include <cstdio>
@@ -47,6 +51,7 @@
 #include "clustering/ckmeans.h"
 #include "clustering/fdbscan.h"
 #include "clustering/mmvar.h"
+#include "clustering/simd/simd.h"
 #include "clustering/ucpc.h"
 #include "clustering/ukmeans.h"
 #include "clustering/ukmedoids.h"
@@ -114,6 +119,18 @@ int main(int argc, char** argv) {
   const std::string dataset_path = args.GetString("dataset", "");
   int k = 23;
 
+  // The SIMD path is process-wide: force it before any Engine runs a kernel.
+  const std::string isa_name = args.GetString("simd_isa", "auto");
+  clustering::simd::Isa isa = clustering::simd::Isa::kAuto;
+  if (!clustering::simd::IsaFromString(isa_name, &isa) ||
+      !clustering::simd::ForceIsa(isa)) {
+    std::fprintf(stderr,
+                 "fig5 scalability: --simd_isa: expected auto, scalar, avx2, "
+                 "or neon available on this cpu, got '%s'\n",
+                 isa_name.c_str());
+    return 1;
+  }
+
   const engine::EngineConfig engine_config =
       bench::EngineConfigFromFlagsOrDie(args, "fig5 scalability");
   const engine::Engine eng(engine_config);
@@ -172,7 +189,8 @@ int main(int argc, char** argv) {
   json.KV("threads", eng.num_threads());
   json.KV("block_size", eng.block_size());
   json.KV("hardware_threads", static_cast<int64_t>(bench::HardwareThreads()));
-  json.KV("simd_isa", eng.simd_isa());
+  json.KV("simd_isa",
+          clustering::simd::IsaName(clustering::simd::ActiveIsa()));
   json.EndObject();
 
   std::printf("=== Figure 5: scalability on the %s dataset "
@@ -251,7 +269,9 @@ int main(int argc, char** argv) {
         largest_mm.view(), k, seed, clustering::Ukmeans::Params(), eng);
     const uint64_t fp = bench::ResultFingerprint(fp_run.labels,
                                                  fp_run.objective);
-    std::printf("\nFIG5 FINGERPRINT=%016llx\n",
+    std::printf("\nFIG5 ISA=%s\nFIG5 FINGERPRINT=%016llx\n",
+                clustering::simd::IsaName(clustering::simd::ActiveIsa())
+                    .c_str(),
                 static_cast<unsigned long long>(fp));
     json.KV("result_fingerprint", clustering::FingerprintHex(fp));
     // The same run in the one canonical ClusteringResult serialization the
@@ -552,36 +572,42 @@ int main(int argc, char** argv) {
                                           det.labels, det.num_classes);
       clustering::Fdbscan::Params fp;
       fp.eps = 0.1;  // below the class separation: cross-class pairs prune
-      // Spatial-index axis: the index must reproduce the index-off pruned
-      // sweep bit-for-bit (same labels, same evaluated pairs) while
-      // replacing the n*(n-1)/2 per-pair bound tests with candidate-set
-      // queries. Both rows report the pairs the bound pruned.
+      // Spatial-index axis: the sweep the selectivity probe picks, then both
+      // forced sweeps. Every row must reproduce the all-pairs labels and
+      // pair counters bit-for-bit; the indexed sweep replaces the
+      // n*(n-1)/2 per-pair bound tests with candidate-set queries.
       std::printf("\n[fdbscan spatial-index axis: mix-family dataset, "
                   "n=%zu]\n",
                   mix_ds.size());
-      std::printf("%8s | %10s %14s %14s %14s %14s %8s\n", "index",
+      std::printf("%9s | %10s %14s %14s %14s %14s %8s\n", "sweep",
                   "online", "pairs_pruned", "bound_tests", "candidates",
                   "pruned_by_idx", "labels");
+      engine::EngineConfig pc = engine_config;
+      pc.memory_budget_bytes = tiled_budget;
+      clustering::Fdbscan algo(fp);
+      algo.set_engine(engine::Engine(pc));
+      using Sweep = clustering::Fdbscan::Sweep;
+      const clustering::ClusteringResult all_pairs =
+          algo.Cluster(mix_ds, k, seed, Sweep::kAllPairs);
+      const clustering::ClusteringResult rows[] = {
+          algo.Cluster(mix_ds, k, seed),
+          algo.Cluster(mix_ds, k, seed, Sweep::kIndexed), all_pairs};
+      const char* const names[] = {"probe", "indexed", "all_pairs"};
       json.Key("spatial_index");
       json.BeginArray();
-      std::vector<int> off_labels;
-      for (const char* index : {"off", "rtree"}) {
-        engine::EngineConfig pc = engine_config;
-        pc.memory_budget_bytes = tiled_budget;
-        pc.spatial_index = index;
-        clustering::Fdbscan algo(fp);
-        algo.set_engine(engine::Engine(pc));
-        const clustering::ClusteringResult r = algo.Cluster(mix_ds, k, seed);
-        if (off_labels.empty()) off_labels = r.labels;
-        const bool labels_match = r.labels == off_labels;
-        std::printf("%8s | %8.1fms %14lld %14lld %14lld %14lld %8s\n", index,
-                    r.online_ms, static_cast<long long>(r.pairs_pruned),
+      for (std::size_t row = 0; row < std::size(rows); ++row) {
+        const clustering::ClusteringResult& r = rows[row];
+        const bool labels_match = r.labels == all_pairs.labels;
+        std::printf("%9s | %8.1fms %14lld %14lld %14lld %14lld %8s\n",
+                    names[row], r.online_ms,
+                    static_cast<long long>(r.pairs_pruned),
                     static_cast<long long>(r.index_bound_tests),
                     static_cast<long long>(r.index_candidates),
                     static_cast<long long>(r.pairs_pruned_by_index),
                     labels_match ? "match" : "MISMATCH!");
         json.BeginObject();
-        json.KV("spatial_index", index);
+        json.KV("sweep", names[row]);
+        json.KV("picked", r.index_bound_tests > 0 ? "indexed" : "all_pairs");
         json.KV("backend", r.pairwise_backend);
         json.KV("n", mix_ds.size());
         json.KV("online_ms", r.online_ms);
@@ -590,7 +616,7 @@ int main(int argc, char** argv) {
         json.KV("index_bound_tests", r.index_bound_tests);
         json.KV("index_candidates", r.index_candidates);
         json.KV("pairs_pruned_by_index", r.pairs_pruned_by_index);
-        json.KV("labels_match_off", labels_match);
+        json.KV("labels_match_all_pairs", labels_match);
         json.EndObject();
       }
       json.EndArray();

@@ -27,14 +27,18 @@
 // the full-table sweep's evaluation count (< iterations * n * (n - 1), the
 // floor of a full-row sweep on a recomputing backend).
 //
-// Budgeted runs with the spatial index enabled (the default) additionally
-// gate the indexed FDBSCAN eps-sweep on a smaller separable dataset:
+// Budgeted runs additionally gate FDBSCAN's two eps-sweeps, each on a
+// smaller dataset:
 //
-//   [pairwise smoke] INDEX RESULT=OK|FAIL spatial_index=.. bound_tests=..
+//   [pairwise smoke] INDEX RESULT=OK|FAIL sweep=.. bound_tests=..
+//   [pairwise smoke] BROAD RESULT=OK|FAIL sweep=.. kept=..
 //
-// INDEX RESULT=OK asserts the index answered its candidate queries at
-// <= 0.2x the n * (n - 1) / 2 pair-bound floor AND that the indexed labels
-// match the index-off sweep bit-for-bit.
+// INDEX RESULT=OK asserts that on a selective eps the probe picked the
+// indexed sweep, that the index answered its candidate queries at <= 0.2x
+// the n * (n - 1) / 2 pair-bound floor, and that its labels match the
+// forced all-pairs sweep bit-for-bit. BROAD RESULT=OK asserts that on a
+// broad eps the probe picked the all-pairs sweep (no index bound tests)
+// and that its labels match the forced indexed sweep.
 //
 // Exit code: 0 for OK, 1 for FAIL, 3 for OOM.
 //
@@ -141,11 +145,12 @@ int Run(int argc, char** argv) {
       return 1;
     }
   }
-  if (config.memory_budget_bytes > 0 && config.spatial_index != "off") {
-    // Spatial-index gate: an indexed FDBSCAN eps-sweep must answer its
-    // candidate queries well below the n * (n - 1) / 2 pair-bound floor the
-    // all-pairs predicate sweep pays — the whole point of candidate-SET
-    // pruning — while reproducing the index-off labels bit-for-bit.
+  if (config.memory_budget_bytes > 0) {
+    // Spatial-index gate: on a selective eps the probe must pick the indexed
+    // FDBSCAN eps-sweep, and its candidate queries must cost well below the
+    // n * (n - 1) / 2 pair-bound floor the all-pairs sweep pays — the whole
+    // point of candidate-SET pruning — while reproducing the all-pairs
+    // labels bit-for-bit.
     const std::size_t index_n =
         static_cast<std::size_t>(args.GetInt("index_n", 6000));
     // The regime a range index targets: 3-D, broad clusters (moderate local
@@ -166,36 +171,72 @@ int Run(int argc, char** argv) {
     iup.max_scale_frac = 0.01;
     const data::UncertainDataset ids =
         data::UncertaintyModel(id, iup, seed + 3).Uncertain();
+    using Sweep = clustering::Fdbscan::Sweep;
     clustering::Fdbscan::Params fp;
     fp.eps = 0.02;  // well below the class separation: most pairs prune
-    const auto sweep = [&](const char* index) {
-      engine::EngineConfig icfg = config;
-      icfg.spatial_index = index;
-      clustering::Fdbscan fdbscan(fp);
-      fdbscan.set_engine(engine::Engine(icfg));
-      return fdbscan.Cluster(ids, k, seed);
-    };
-    const clustering::ClusteringResult off = sweep("off");
-    const clustering::ClusteringResult indexed =
-        sweep(config.spatial_index.c_str());
+    clustering::Fdbscan fdbscan(fp);
+    fdbscan.set_engine(eng);
+    const clustering::ClusteringResult all_pairs =
+        fdbscan.Cluster(ids, k, seed, Sweep::kAllPairs);
+    const clustering::ClusteringResult probed = fdbscan.Cluster(ids, k, seed);
     const int64_t pair_floor = static_cast<int64_t>(index_n) *
                                static_cast<int64_t>(index_n - 1) / 2;
     const int64_t index_cost =
-        indexed.index_bound_tests + indexed.index_candidates;
-    const bool index_ok = indexed.labels == off.labels &&
+        probed.index_bound_tests + probed.index_candidates;
+    const bool picked_index = probed.index_bound_tests > 0;
+    const bool index_ok = picked_index &&
+                          probed.labels == all_pairs.labels &&
                           index_cost * 5 <= pair_floor;  // <= 0.2x the floor
-    std::printf("[pairwise smoke] INDEX RESULT=%s spatial_index=%s n=%zu "
+    std::printf("[pairwise smoke] INDEX RESULT=%s sweep=%s n=%zu "
                 "bound_tests=%lld candidates=%lld cost=%lld "
-                "pair_floor=%lld labels_match_off=%d online=%.1fms "
-                "(off=%.1fms)\n",
-                index_ok ? "OK" : "FAIL", config.spatial_index.c_str(),
-                index_n, static_cast<long long>(indexed.index_bound_tests),
-                static_cast<long long>(indexed.index_candidates),
+                "pair_floor=%lld labels_match_all_pairs=%d online=%.1fms "
+                "(all_pairs=%.1fms)\n",
+                index_ok ? "OK" : "FAIL",
+                picked_index ? "indexed" : "all_pairs", index_n,
+                static_cast<long long>(probed.index_bound_tests),
+                static_cast<long long>(probed.index_candidates),
                 static_cast<long long>(index_cost),
                 static_cast<long long>(pair_floor),
-                indexed.labels == off.labels ? 1 : 0, indexed.online_ms,
-                off.online_ms);
+                probed.labels == all_pairs.labels ? 1 : 0, probed.online_ms,
+                all_pairs.online_ms);
     if (!index_ok) {
+      std::printf("[pairwise smoke] RESULT=FAIL\n");
+      return 1;
+    }
+
+    // Broad gate: with the automatic eps on a 2-D mixture a large share of
+    // pairs survives the bound, the index cannot pay for itself, and the
+    // probe must pick the all-pairs sweep — with the indexed sweep's labels.
+    constexpr std::size_t broad_n = 2000;
+    data::MixtureParams bmp;
+    bmp.n = broad_n;
+    bmp.dims = 2;
+    bmp.classes = k;
+    const data::UncertainDataset bds =
+        data::UncertaintyModel(
+            data::MakeGaussianMixture(bmp, seed + 4, "pairwise-smoke-broad"),
+            up, seed + 5)
+            .Uncertain();
+    clustering::Fdbscan broad;
+    broad.set_engine(eng);
+    const clustering::ClusteringResult indexed =
+        broad.Cluster(bds, k, seed, Sweep::kIndexed);
+    const clustering::ClusteringResult broad_probed =
+        broad.Cluster(bds, k, seed);
+    const bool picked_all_pairs = broad_probed.index_bound_tests == 0;
+    const bool broad_ok =
+        picked_all_pairs && broad_probed.labels == indexed.labels;
+    std::printf("[pairwise smoke] BROAD RESULT=%s sweep=%s n=%zu "
+                "kept=%lld of %lld pairs labels_match_indexed=%d "
+                "online=%.1fms (indexed=%.1fms)\n",
+                broad_ok ? "OK" : "FAIL",
+                picked_all_pairs ? "all_pairs" : "indexed", broad_n,
+                static_cast<long long>(broad_probed.pair_evaluations),
+                static_cast<long long>(broad_probed.pair_evaluations +
+                                       broad_probed.pairs_pruned),
+                broad_probed.labels == indexed.labels ? 1 : 0,
+                broad_probed.online_ms, indexed.online_ms);
+    if (!broad_ok) {
       std::printf("[pairwise smoke] RESULT=FAIL\n");
       return 1;
     }

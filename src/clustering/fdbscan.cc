@@ -18,6 +18,10 @@ namespace uclust::clustering {
 
 namespace {
 
+// Side of ChooseSweep's strided probe grid: 64 x 64 pairs estimate the kept
+// fraction to about 0.01 for well under a millisecond.
+constexpr std::size_t kProbeGrid = 64;
+
 // Median MinPts-nearest-neighbor distance over (a subsample of) the objects,
 // using sqrt of the closed-form expected distance as the proximity proxy.
 // The probes are drawn serially; each probe's scan is independent, so the
@@ -78,8 +82,42 @@ double Fdbscan::AtLeastProbability(const std::vector<double>& probs,
   return state[cap];
 }
 
+Fdbscan::Sweep Fdbscan::ChooseSweep(const PairwiseBoundIndex& bounds,
+                                    double eps) {
+  const std::size_t n = bounds.size();
+  const std::size_t grid = std::min(n, kProbeGrid);
+  std::size_t tested = 0;
+  std::size_t kept = 0;
+  for (std::size_t a = 0; a < grid; ++a) {
+    const std::size_t i = a * n / grid;
+    for (std::size_t b = 0; b < grid; ++b) {
+      const std::size_t j = b * n / grid;
+      if (i == j) continue;
+      ++tested;
+      if (!bounds.ProvablyBeyond(i, j, eps)) ++kept;
+    }
+  }
+  if (tested == 0) return Sweep::kAllPairs;  // fewer than 2 objects
+  return static_cast<double>(kept) <
+                 kIndexedMaxKeptFraction * static_cast<double>(tested)
+             ? Sweep::kIndexed
+             : Sweep::kAllPairs;
+}
+
 ClusteringResult Fdbscan::Cluster(const data::UncertainDataset& data,
                                   int /*k*/, uint64_t seed) const {
+  return Run(data, seed, std::nullopt);
+}
+
+ClusteringResult Fdbscan::Cluster(const data::UncertainDataset& data,
+                                  int /*k*/, uint64_t seed,
+                                  Sweep sweep) const {
+  return Run(data, seed, sweep);
+}
+
+ClusteringResult Fdbscan::Run(const data::UncertainDataset& data,
+                              uint64_t seed,
+                              std::optional<Sweep> forced) const {
   const std::size_t n = data.size();
   common::Rng rng(seed);
   const engine::Engine& eng = engine();
@@ -117,20 +155,16 @@ ClusteringResult Fdbscan::Cluster(const data::UncertainDataset& data,
     }
   };
   const PairwiseBoundIndex bounds(data.objects());
-  const SpatialIndexChoice index_choice = eng.spatial_index();
-  if (index_choice != SpatialIndexChoice::kOff) {
-    // Candidate-driven sweep: the spatial index narrows which pairs are
-    // *tested* to the eps-range hits of each region box, and the
-    // PairwiseBoundIndex predicate still decides which of those are
-    // evaluated. Every non-candidate has its computed box separation above
-    // the same slacked threshold the predicate consults, so the evaluated
+  const Sweep chosen = forced ? *forced : ChooseSweep(bounds, eps);
+  if (chosen == Sweep::kIndexed) {
+    // Candidate-driven sweep: per row, the spatial index returns exactly the
+    // columns whose region boxes lie within the slacked eps^2 threshold —
+    // the box bound ProvablyBeyond falls back on, so a pair it would skip is
+    // never a candidate and a candidate is never one it skips. The evaluated
     // set — and with it every value, label, and the pair_evaluations /
-    // pairs_pruned counters — is bit-identical to the all-pairs predicate
-    // sweep; only the bound-test count drops from n*(n-1)/2 to the index
-    // query cost.
-    const SpatialIndex index(data.objects(),
-                             ResolveSpatialIndexKind(index_choice,
-                                                     data.dims()));
+    // pairs_pruned counters — is the all-pairs sweep's; only the bound-test
+    // count drops from n*(n-1)/2 to the index query cost.
+    const SpatialIndex index(data.objects(), SpatialIndexKind::kRTree);
     const double threshold2 = SlackedSquaredThreshold(eps * eps);
     std::vector<std::vector<std::size_t>> cands(n);
     engine::ParallelFor(eng, n, [&](const engine::BlockedRange& r) {
@@ -142,12 +176,9 @@ ClusteringResult Fdbscan::Cluster(const data::UncertainDataset& data,
                         hits.end());
       }
     });
-    store.VisitUpperTriangleCandidates(
-        sweep,
-        [&](std::size_t i) { return std::span<const std::size_t>(cands[i]); },
-        [&](std::size_t i, std::size_t j) {
-          return bounds.ProvablyBeyond(i, j, eps);
-        });
+    store.VisitUpperTriangleCandidates(sweep, [&](std::size_t i) {
+      return std::span<const std::size_t>(cands[i]);
+    });
     for (const auto& c : cands) {
       result.index_candidates += static_cast<int64_t>(c.size());
     }

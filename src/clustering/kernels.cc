@@ -214,7 +214,6 @@ int64_t FillUpperRowTileFromCandidates(const engine::Engine& eng,
                                        std::size_t row_begin,
                                        std::size_t row_end, double* out,
                                        const CandidateColumns& candidates,
-                                       const PairSkipTest& skip,
                                        int64_t* pruned) {
   const std::size_t n = kernel.size();
   const std::size_t rows = row_end - row_begin;
@@ -233,7 +232,6 @@ int64_t FillUpperRowTileFromCandidates(const engine::Engine& eng,
           int64_t row_evals = 0;
           for (const std::size_t j : candidates(i)) {
             assert(j > i && j < n);
-            if (skip && skip(i, j)) continue;  // stays the exact 0
             row[j] = kernel.Eval(i, j);
             ++row_evals;
           }

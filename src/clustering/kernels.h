@@ -211,20 +211,18 @@ using CandidateColumns =
     std::function<std::span<const std::size_t>(std::size_t)>;
 
 /// FillUpperRowTilePruned driven by candidate sets instead of all-pairs
-/// predicate tests: row i's upper entries are zero-initialized, and only
-/// the columns in candidates(i) are considered — evaluated unless `skip`
-/// (optional) still rules them out. The caller's contract is that every
-/// non-candidate pair's exact kernel value is provably 0, so the filled
-/// tile is bit-identical to the predicate-driven sweep whenever the
+/// predicate tests: row i's upper entries are zero-initialized, and exactly
+/// the columns in candidates(i) are evaluated. The caller's contract is
+/// that every non-candidate pair's exact kernel value is provably 0, so the
+/// filled tile is bit-identical to the predicate-driven sweep whenever the
 /// candidate set is a superset of the non-skipped pairs. Returns the
-/// evaluation count; non-candidates and skipped candidates both add to
-/// *pruned (preserving evals + pruned = pairs swept).
+/// evaluation count; non-candidates add to *pruned (preserving evals +
+/// pruned = pairs swept).
 int64_t FillUpperRowTileFromCandidates(const engine::Engine& eng,
                                        const PairwiseKernel& kernel,
                                        std::size_t row_begin,
                                        std::size_t row_end, double* out,
                                        const CandidateColumns& candidates,
-                                       const PairSkipTest& skip,
                                        int64_t* pruned);
 
 /// Fills an asymmetric "gather tile": full length-n rows for exactly the

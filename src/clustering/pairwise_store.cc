@@ -425,8 +425,7 @@ void PairwiseStore::VisitUpperTriangle(const UpperVisitor& fn,
 }
 
 void PairwiseStore::VisitUpperTriangleCandidates(
-    const UpperVisitor& fn, const kernels::CandidateColumns& candidates,
-    const kernels::PairSkipTest& skip) {
+    const UpperVisitor& fn, const kernels::CandidateColumns& candidates) {
   if (n_ == 0) return;
   if (dense_ready_) {
     const double* d = dense_.data();
@@ -445,8 +444,7 @@ void PairwiseStore::VisitUpperTriangleCandidates(
   for (std::size_t r0 = 0; r0 < n_; r0 += chunk) {
     const std::size_t r1 = std::min(n_, r0 + chunk);
     evaluations_ += kernels::FillUpperRowTileFromCandidates(
-        eng_, kernel_, r0, r1, scratch.data(), candidates, skip,
-        &pruned_pairs_);
+        eng_, kernel_, r0, r1, scratch.data(), candidates, &pruned_pairs_);
     NoteTableBytes(scratch.size() * sizeof(double));
     engine::ParallelForBlocked(
         eng_, r1 - r0, VisitRowBlock(eng_, r1 - r0),

@@ -195,19 +195,16 @@ class PairwiseStore {
                           const kernels::PairSkipTest& skip = {});
 
   /// VisitUpperTriangle driven by per-row candidate columns (spatial-index
-  /// range-query hits): only candidates(i) — ascending j > i — are
-  /// considered for evaluation; the rest of each tail is served as exactly
-  /// 0.0 and counted in pruned_pairs(), as are candidates the optional
-  /// `skip` predicate rules out. The caller asserts that every
-  /// non-candidate pair's exact value is 0 (the index contract), so the
-  /// visited tails are bit-identical to VisitUpperTriangle(fn, skip)
-  /// whenever candidates(i) covers every pair `skip` would not have
-  /// skipped. An already-materialized dense table is read back directly
-  /// (same as VisitUpperTriangle — the values exist; no pruning counters
-  /// move).
-  void VisitUpperTriangleCandidates(const UpperVisitor& fn,
-                                    const kernels::CandidateColumns& candidates,
-                                    const kernels::PairSkipTest& skip = {});
+  /// range-query hits): exactly candidates(i) — ascending j > i — are
+  /// evaluated; the rest of each tail is served as exactly 0.0 and counted
+  /// in pruned_pairs(). The caller asserts that every non-candidate pair's
+  /// exact value is 0 (the index contract), so the visited tails are
+  /// bit-identical to VisitUpperTriangle(fn, skip) whenever candidates(i)
+  /// covers every pair `skip` would not have skipped. An
+  /// already-materialized dense table is read back directly (same as
+  /// VisitUpperTriangle — the values exist; no pruning counters move).
+  void VisitUpperTriangleCandidates(
+      const UpperVisitor& fn, const kernels::CandidateColumns& candidates);
 
  private:
   struct WarmRow {

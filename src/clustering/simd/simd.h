@@ -24,11 +24,12 @@
 // independence, reapplied to lane width.
 //
 // Dispatch. A process-global table pointer selects the active path: the
-// best compiled-and-supported ISA by default (cpuid on x86, __aarch64__ for
-// NEON), overridable via ForceIsa / EngineConfig::simd_isa / --simd_isa.
-// Because every path produces identical bits, switching the active table
-// mid-process changes throughput, never values. Tests that want a specific
-// path without touching the global can call TableFor(isa) directly.
+// best compiled-and-supported ISA (cpuid on x86, __aarch64__ for NEON),
+// resolved once per process on first use. Nothing in the library changes
+// it; only tests and benches call ForceIsa to pin a path. Because every
+// path produces identical bits, switching the active table mid-process
+// changes throughput, never values. Tests that want a specific path without
+// touching the global can call TableFor(isa) directly.
 //
 // Layering: this header is a dependency leaf (stdlib only), so the lowest
 // layers (common/math_utils, uncertain/moments) can route their hot loops
@@ -134,9 +135,10 @@ const KernelTable* TableFor(Isa isa);
 /// Best compiled-and-supported path on this machine (cpuid probe on x86).
 Isa DetectBestIsa();
 
-/// Forces the active dispatch path. kAuto re-resolves to DetectBestIsa().
-/// Returns false (leaving the active path unchanged) when the requested
-/// path is unavailable. Process-global: the last call wins, which is safe
+/// Forces the active dispatch path (tests and benches only). kAuto
+/// re-resolves to DetectBestIsa(). Returns false (leaving the active path
+/// unchanged) when the requested path is unavailable. Process-global: the
+/// last call wins, which is safe
 /// precisely because all paths are bit-identical — concurrent kernels see
 /// either table and produce the same values.
 bool ForceIsa(Isa isa);

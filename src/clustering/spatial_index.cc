@@ -30,32 +30,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-bool SpatialIndexChoiceFromString(const std::string& name,
-                                  SpatialIndexChoice* out) {
-  if (name == "auto") {
-    *out = SpatialIndexChoice::kAuto;
-  } else if (name == "rtree") {
-    *out = SpatialIndexChoice::kRTree;
-  } else if (name == "off") {
-    *out = SpatialIndexChoice::kOff;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-const char* SpatialIndexChoiceName(SpatialIndexChoice choice) {
-  switch (choice) {
-    case SpatialIndexChoice::kAuto:
-      return "auto";
-    case SpatialIndexChoice::kRTree:
-      return "rtree";
-    case SpatialIndexChoice::kOff:
-      return "off";
-  }
-  return "off";
-}
-
 SpatialIndexKind ResolveSpatialIndexKind(SpatialIndexChoice /*choice*/,
                                          std::size_t /*dims*/) {
   return SpatialIndexKind::kRTree;

@@ -31,7 +31,6 @@
 #include <atomic>
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "uncertain/box.h"
@@ -42,21 +41,11 @@ namespace uclust::clustering {
 /// Concrete index structure (what a built SpatialIndex runs on).
 enum class SpatialIndexKind { kRTree };
 
-/// The EngineConfig::spatial_index knob values: "auto" (the default
-/// structure), an explicit "rtree", or "off" (all-pairs bound sweeps).
-enum class SpatialIndexChoice { kAuto, kRTree, kOff };
+/// Kept only because perfbench/ builds its index through this resolver.
+enum class SpatialIndexChoice { kAuto };
 
-/// Parses "auto" / "rtree" / "off". Returns false (out untouched) for
-/// anything else — the grammar ApplyEngineKnob validates.
-bool SpatialIndexChoiceFromString(const std::string& name,
-                                  SpatialIndexChoice* out);
-
-/// Canonical knob spelling of a choice.
-const char* SpatialIndexChoiceName(SpatialIndexChoice choice);
-
-/// Resolves a buildable structure from a non-"off" choice. Every choice is
-/// the R-tree at every dimensionality; `dims` stays in the signature so
-/// callers name the data the structure is built for.
+/// The buildable structure for a choice: the R-tree at every
+/// dimensionality.
 SpatialIndexKind ResolveSpatialIndexKind(SpatialIndexChoice choice,
                                          std::size_t dims);
 

@@ -62,8 +62,6 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   // strictly farther. The ascending-slot strict-< scan over candidates
   // therefore picks the bit-identical label the k-row scan picks, without
   // gathering k full medoid rows per iteration.
-  const SpatialIndexChoice index_choice = eng.spatial_index();
-  const bool index_assign = index_choice != SpatialIndexChoice::kOff && !dense;
   int64_t assign_evals = 0;
 
   for (result.iterations = 0; result.iterations < params_.max_iters;
@@ -72,15 +70,13 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
     // round stay servable (medoids rarely all move), stale rows age out.
     store.BeginGeneration();
     std::size_t changed = 0;
-    if (index_assign) {
+    if (!dense) {
       std::vector<uncertain::Box> mboxes;
       mboxes.reserve(medoids.size());
       for (const std::size_t m : medoids) {
         mboxes.push_back(data.object(m).region());
       }
-      const SpatialIndex midx(
-          std::move(mboxes),
-          ResolveSpatialIndexKind(index_choice, data.dims()));
+      const SpatialIndex midx(std::move(mboxes), SpatialIndexKind::kRTree);
       struct AssignCounts {
         std::size_t changed = 0;
         int64_t evals = 0;

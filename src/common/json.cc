@@ -1,6 +1,7 @@
 #include "common/json.h"
 
 #include <cctype>
+#include <cerrno>
 #include <cstdlib>
 
 namespace uclust::common {
@@ -146,6 +147,16 @@ class Parser {
     if (end != token.c_str() + token.size()) {
       pos_ = start;
       return Error("malformed number");
+    }
+    // An integer token keeps its exact int64 value when it has one: a
+    // double holds integers exactly only up to 2^53.
+    if (token.find_first_of(".eE") == std::string::npos) {
+      errno = 0;
+      const long long i = std::strtoll(token.c_str(), &end, 10);
+      if (errno != ERANGE && end == token.c_str() + token.size()) {
+        *out = JsonValue::Integer(static_cast<int64_t>(i));
+        return Status::Ok();
+      }
     }
     *out = JsonValue::Number(v);
     return Status::Ok();

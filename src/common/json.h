@@ -151,8 +151,14 @@ class JsonValue {
   double AsDouble(double def = 0.0) const {
     return is_number() ? number_ : def;
   }
-  /// The number truncated to int64 (or `def` for non-numbers).
+  /// True for a number parsed from an integer token (no fraction or
+  /// exponent) that fits int64: AsInt() returns it exactly, even above 2^53
+  /// where the double AsDouble() returns has rounded it.
+  bool is_int() const { return is_int_; }
+  /// The number as int64: exact when is_int(), else the double truncated
+  /// (or `def` for non-numbers).
   int64_t AsInt(int64_t def = 0) const {
+    if (is_int_) return int_;
     return is_number() ? static_cast<int64_t>(number_) : def;
   }
   /// The string ("" for non-strings).
@@ -188,6 +194,12 @@ class JsonValue {
     j.number_ = v;
     return j;
   }
+  static JsonValue Integer(int64_t v) {
+    JsonValue j = Number(static_cast<double>(v));
+    j.is_int_ = true;
+    j.int_ = v;
+    return j;
+  }
   static JsonValue String(std::string v) {
     JsonValue j;
     j.type_ = Type::kString;
@@ -212,6 +224,8 @@ class JsonValue {
   Type type_ = Type::kNull;
   bool bool_ = false;
   double number_ = 0.0;
+  bool is_int_ = false;
+  int64_t int_ = 0;
   std::string string_;
   std::vector<JsonValue> items_;
   std::vector<std::pair<std::string, JsonValue>> members_;
@@ -220,7 +234,8 @@ class JsonValue {
 /// Parses one complete JSON document. Strict: the whole input must be
 /// consumed (trailing garbage is an error), nesting is capped at 64 levels,
 /// and only valid escape sequences are accepted (\uXXXX decodes to UTF-8;
-/// surrogate pairs are combined). Errors carry a byte offset.
+/// surrogate pairs are combined). Integer tokens that fit int64 keep their
+/// exact value (JsonValue::is_int). Errors carry a byte offset.
 Result<JsonValue> ParseJson(std::string_view text);
 
 }  // namespace uclust::common

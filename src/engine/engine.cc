@@ -3,64 +3,17 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdint>
-#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <thread>
 
-#include "clustering/simd/simd.h"
-
 namespace uclust::engine {
-
-namespace {
-
-// Applies EngineConfig::simd_isa to the process-global kernel dispatcher.
-// Unknown or unavailable requests fall back to auto (with a stderr warning)
-// rather than failing construction: the fallback is value-identical, only
-// slower/faster.
-void ApplySimdIsa(const std::string& name) {
-  clustering::simd::Isa isa;
-  if (!clustering::simd::IsaFromString(name, &isa)) {
-    std::fprintf(stderr,
-                 "engine: unknown simd_isa '%s', using auto (%s)\n",
-                 name.c_str(),
-                 clustering::simd::IsaName(
-                     clustering::simd::DetectBestIsa()).c_str());
-    clustering::simd::ForceIsa(clustering::simd::Isa::kAuto);
-    return;
-  }
-  if (!clustering::simd::ForceIsa(isa)) {
-    std::fprintf(stderr,
-                 "engine: simd_isa '%s' not available on this "
-                 "build/cpu, using auto (%s)\n",
-                 name.c_str(),
-                 clustering::simd::IsaName(
-                     clustering::simd::DetectBestIsa()).c_str());
-    clustering::simd::ForceIsa(clustering::simd::Isa::kAuto);
-  }
-}
-
-// Resolves EngineConfig::spatial_index. An unknown name falls back to auto
-// with a stderr warning, as simd_isa does: every choice serves the same
-// values, so the fallback changes only which pairs are tested.
-clustering::SpatialIndexChoice ResolveSpatialIndex(const std::string& name) {
-  auto choice = clustering::SpatialIndexChoice::kAuto;
-  if (!clustering::SpatialIndexChoiceFromString(name, &choice)) {
-    std::fprintf(stderr, "engine: unknown spatial_index '%s', using auto\n",
-                 name.c_str());
-  }
-  return choice;
-}
-
-}  // namespace
 
 Engine::Engine(const EngineConfig& config) {
   block_size_ = std::max<std::size_t>(config.block_size, 1);
   memory_budget_bytes_ = config.memory_budget_bytes;
   moment_chunk_rows_ = config.moment_chunk_rows;
   sample_chunk_rows_ = config.sample_chunk_rows;
-  spatial_index_ = ResolveSpatialIndex(config.spatial_index);
-  ApplySimdIsa(config.simd_isa);
   int threads = config.num_threads;
   if (threads == 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -72,10 +25,6 @@ Engine::Engine(const EngineConfig& config) {
 const Engine& Engine::Serial() {
   static const Engine* serial = new Engine();
   return *serial;
-}
-
-std::string Engine::simd_isa() const {
-  return clustering::simd::IsaName(clustering::simd::ActiveIsa());
 }
 
 namespace {
@@ -136,22 +85,6 @@ common::Status ApplyEngineKnob(const std::string& key,
   } else if (key == "sample_chunk_rows") {
     UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, kMaxSize, &n));
     cfg->sample_chunk_rows = static_cast<std::size_t>(n);
-  } else if (key == "simd_isa") {
-    clustering::simd::Isa isa;
-    if (!clustering::simd::IsaFromString(value, &isa)) {
-      return common::Status::InvalidArgument(
-          "engine knob 'simd_isa': expected auto, scalar, avx2, or neon, "
-          "got '" + value + "'");
-    }
-    cfg->simd_isa = value;
-  } else if (key == "spatial_index") {
-    auto choice = clustering::SpatialIndexChoice::kAuto;
-    if (!clustering::SpatialIndexChoiceFromString(value, &choice)) {
-      return common::Status::InvalidArgument(
-          "engine knob 'spatial_index': expected auto, rtree, or off, got '" +
-          value + "'");
-    }
-    cfg->spatial_index = value;
   } else {
     return common::Status::InvalidArgument("unknown engine knob '" + key +
                                            "'");
@@ -167,8 +100,6 @@ const std::vector<std::string>& EngineKnobNames() {
       "memory_budget_bytes",
       "moment_chunk_rows",
       "sample_chunk_rows",
-      "simd_isa",
-      "spatial_index",
   };
   return *names;
 }

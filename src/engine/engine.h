@@ -5,7 +5,9 @@
 // is a cheap copyable handle: copies share one ThreadPool, so a whole
 // algorithm registry can run on a single pool. The default-constructed
 // Engine is serial and allocates no threads, which keeps single-threaded
-// call sites (and unit tests) zero-overhead.
+// call sites (and unit tests) zero-overhead. Constructing an Engine changes
+// no process-wide state: the SIMD kernel path belongs to the process
+// (clustering/simd/simd.h), not to an engine.
 //
 // Determinism contract: for a fixed EngineConfig::block_size, every kernel
 // built on this engine produces bit-identical results for ANY num_threads,
@@ -20,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "clustering/spatial_index.h"
 #include "common/status.h"
 #include "engine/thread_pool.h"
 
@@ -54,23 +55,6 @@ struct EngineConfig {
   /// chunk/prefetch granularity and the span-validity window, never the
   /// served sample bytes.
   std::size_t sample_chunk_rows = 0;
-  /// SIMD instruction-set path for the inner-loop kernels
-  /// (clustering/simd/): "auto" (best compiled-and-supported path — AVX2 on
-  /// capable x86, NEON on aarch64, else scalar), or "scalar"/"avx2"/"neon"
-  /// to force one. The selection is process-global (the kernels dispatch
-  /// through one table; the last Engine constructed wins) and is a pure
-  /// throughput knob: every path uses the same lane-blocked accumulation
-  /// order, so results are bit-identical whichever path runs. Forcing an
-  /// unavailable path falls back to auto with a warning on stderr.
-  std::string simd_isa = "auto";
-  /// Spatial index over the per-object region boxes for the FDBSCAN and
-  /// UK-medoids candidate sweeps (clustering::SpatialIndex): "auto" or
-  /// "rtree" (the STR R-tree), "off" for the all-pairs bound sweeps. Pure
-  /// recompute knob under the determinism contract: the index only narrows
-  /// which pairs are *tested*, never which values are served, so
-  /// clusterings are bit-identical for every setting. An unknown name falls
-  /// back to auto with a warning on stderr, like simd_isa.
-  std::string spatial_index = "auto";
 };
 
 /// Copyable handle bundling an EngineConfig with a (shared) thread pool.
@@ -98,15 +82,6 @@ class Engine {
   std::size_t moment_chunk_rows() const { return moment_chunk_rows_; }
   /// Mapped sample-store chunk-rows hint (0 = budget-derived/default).
   std::size_t sample_chunk_rows() const { return sample_chunk_rows_; }
-  /// The SIMD path this engine resolved at construction ("scalar"/"avx2"/
-  /// "neon" — never "auto"; the default-constructed serial engine reports
-  /// whatever the process-global dispatcher currently runs).
-  std::string simd_isa() const;
-  /// The spatial-index choice for candidate sweeps, resolved from
-  /// EngineConfig::spatial_index at construction (never an unknown name).
-  clustering::SpatialIndexChoice spatial_index() const {
-    return spatial_index_;
-  }
   /// The pool, or nullptr when serial.
   ThreadPool* pool() const { return pool_.get(); }
 
@@ -115,8 +90,6 @@ class Engine {
   std::size_t memory_budget_bytes_ = 0;
   std::size_t moment_chunk_rows_ = 0;
   std::size_t sample_chunk_rows_ = 0;
-  clustering::SpatialIndexChoice spatial_index_ =
-      clustering::SpatialIndexChoice::kAuto;
   std::shared_ptr<ThreadPool> pool_;
 };
 
@@ -133,10 +106,6 @@ class Engine {
 ///                        byte count must fit size_t)
 ///   moment_chunk_rows    int >= 0 (0 = format default)
 ///   sample_chunk_rows    int >= 0 (0 = budget-derived/default)
-///   simd_isa             auto|scalar|avx2|neon (name validated here;
-///                        availability resolves at Engine construction)
-///   spatial_index        auto|rtree|off (candidate-sweep R-tree over
-///                        region boxes; auto = rtree)
 ///
 /// Returns InvalidArgument for an unknown key, an unparsable value, or a
 /// value its field cannot hold; `cfg` is unchanged on error. Later applications override earlier ones

@@ -23,6 +23,7 @@ common::Result<std::string> KnobValueToString(const std::string& key,
     case common::JsonValue::Type::kBool:
       return std::string(v.AsBool() ? "true" : "false");
     case common::JsonValue::Type::kNumber: {
+      if (v.is_int()) return std::to_string(v.AsInt());
       const double d = v.AsDouble();
       if (!std::isfinite(d) || d != std::floor(d)) {
         return common::Status::InvalidArgument(
@@ -46,7 +47,7 @@ common::Status ExpectInt(const std::string& key, const common::JsonValue& v,
     return common::Status::InvalidArgument("job spec: " + key +
                                            " must be an integer");
   }
-  if (!FitsInt64(v.AsDouble())) {  // AsInt() would be undefined
+  if (!v.is_int() && !FitsInt64(v.AsDouble())) {  // AsInt() would be UB
     return common::Status::OutOfRange(
         "job spec: " + key + " out of range [" + std::to_string(min) + ", " +
         std::to_string(max) + "]");

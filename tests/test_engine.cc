@@ -171,47 +171,27 @@ TEST(Engine, CopiesShareOnePool) {
   EXPECT_NE(a.pool(), nullptr);
 }
 
-// The spatial_index knob grammar is auto|rtree|off; the removed grid
-// structure is an error, not a silent fallback.
-TEST(EngineKnobs, SpatialIndexGrammarRejectsGrid) {
-  EngineConfig cfg;
-  for (const char* ok : {"auto", "rtree", "off"}) {
-    EXPECT_TRUE(ApplyEngineKnob("spatial_index", ok, &cfg).ok()) << ok;
-    EXPECT_EQ(cfg.spatial_index, ok);
-  }
-  cfg.spatial_index = "rtree";
-  for (const char* bad : {"grid", "RTree", ""}) {
-    const common::Status st = ApplyEngineKnob("spatial_index", bad, &cfg);
-    EXPECT_EQ(st.code(), common::StatusCode::kInvalidArgument) << bad;
-    EXPECT_NE(st.message().find("expected auto, rtree, or off"),
-              std::string::npos)
-        << st.message();
-    EXPECT_EQ(cfg.spatial_index, "rtree") << bad;  // unchanged on error
-  }
-}
-
-// The knob table is exactly the seven EngineConfig fields (memory budget
-// in two spellings); the deleted policy knobs are unknown keys.
+// The knob table is exactly the five EngineConfig fields (memory budget
+// in two spellings); the deleted policy and selection knobs are unknown
+// keys.
 TEST(EngineKnobs, NamesListTheSurvivingKnobsOnly) {
   EXPECT_EQ(EngineKnobNames(),
             (std::vector<std::string>{"threads", "block_size",
                                       "memory_budget_mb",
                                       "memory_budget_bytes",
                                       "moment_chunk_rows",
-                                      "sample_chunk_rows", "simd_isa",
-                                      "spatial_index"}));
+                                      "sample_chunk_rows"}));
   for (const std::string& key : EngineKnobNames()) {
     EngineConfig cfg;
-    const std::string value =
-        key == "simd_isa" || key == "spatial_index" ? "auto" : "1";
-    EXPECT_TRUE(ApplyEngineKnob(key, value, &cfg).ok()) << key;
+    EXPECT_TRUE(ApplyEngineKnob(key, "1", &cfg).ok()) << key;
   }
   for (const char* removed :
        {"pairwise_gather_tiles", "pairwise_warm_rows",
         "pairwise_pruned_sweeps", "ukmeans_ckmeans_reduction",
-        "ukmeans_bound_pruning", "ukmeans_minibatch_size"}) {
+        "ukmeans_bound_pruning", "ukmeans_minibatch_size", "simd_isa",
+        "spatial_index"}) {
     EngineConfig cfg;
-    const common::Status st = ApplyEngineKnob(removed, "1", &cfg);
+    const common::Status st = ApplyEngineKnob(removed, "auto", &cfg);
     EXPECT_EQ(st.code(), common::StatusCode::kInvalidArgument) << removed;
     EXPECT_NE(st.message().find("unknown engine knob"), std::string::npos)
         << st.message();
@@ -263,27 +243,6 @@ TEST(EngineKnobs, IntegerKnobsRejectOutOfRangeValues) {
   EXPECT_EQ(cfg.memory_budget_bytes, std::size_t{17592186044415} << 20);
   ASSERT_TRUE(ApplyEngineKnob("block_size", "9223372036854775807", &cfg).ok());
   EXPECT_EQ(cfg.block_size, std::size_t{9223372036854775807});
-}
-
-// A programmatic EngineConfig bypasses the knob grammar; the Engine resolves
-// the name once, warning and falling back to auto like simd_isa.
-TEST(Engine, UnknownSpatialIndexWarnsAndResolvesToAuto) {
-  for (const char* bad : {"grid", "RTree"}) {
-    EngineConfig config;
-    config.spatial_index = bad;
-    testing::internal::CaptureStderr();
-    const Engine eng(config);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_EQ(eng.spatial_index(), clustering::SpatialIndexChoice::kAuto)
-        << bad;
-    EXPECT_NE(err.find(std::string("unknown spatial_index '") + bad + "'"),
-              std::string::npos)
-        << err;
-  }
-  EngineConfig off;
-  off.spatial_index = "off";
-  EXPECT_EQ(Engine(off).spatial_index(), clustering::SpatialIndexChoice::kOff);
-  EXPECT_EQ(Engine().spatial_index(), clustering::SpatialIndexChoice::kAuto);
 }
 
 TEST(PerWorker, SlotsMatchConcurrencyAndStayInRange) {

@@ -8,9 +8,12 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "common/rng.h"
 #include "service/http_client.h"
 #include "service/http_server.h"
 #include "service/log.h"
@@ -161,6 +164,133 @@ TEST(HttpStatusReasonTest, KnownAndUnknownCodes) {
   EXPECT_STREQ(HttpStatusReason(200), "OK");
   EXPECT_STREQ(HttpStatusReason(429), "Too Many Requests");
   EXPECT_STREQ(HttpStatusReason(431), "Request Header Fields Too Large");
+}
+
+// One random mutation of a corpus request: byte flips, truncation,
+// duplicated or oversized headers, hostile Content-Length values, bare LF
+// line ends, or two requests spliced together.
+std::string MutateRequest(const std::vector<std::string>& corpus,
+                          common::Rng* rng) {
+  std::string text = corpus[rng->Index(corpus.size())];
+  const std::size_t head_end = text.find("\r\n\r\n");
+  switch (rng->Index(7)) {
+    case 0: {
+      const std::size_t flips = 1 + rng->Index(4);
+      for (std::size_t f = 0; f < flips; ++f) {
+        char& c = text[rng->Index(text.size())];
+        c = rng->Bernoulli(0.5) ? static_cast<char>(c ^ (1u << rng->Index(8)))
+                                : static_cast<char>(rng->Index(256));
+      }
+      break;
+    }
+    case 1:
+      text.resize(rng->Index(text.size() + 1));
+      break;
+    case 2: {
+      // Repeat the request's first header line, Content-Length included.
+      const std::size_t line = text.find("\r\n") + 2;
+      const std::size_t line_end = text.find("\r\n", line);
+      if (line_end <= head_end) {
+        text.insert(line, text.substr(line, line_end + 2 - line));
+      }
+      break;
+    }
+    case 3: {
+      const std::string pad =
+          "X-Pad: " + std::string(rng->Index(600), 'a') + "\r\n";
+      text.insert(text.find("\r\n") + 2, pad);
+      break;
+    }
+    case 4: {
+      static const char* const kLengths[] = {
+          "0", "1", "7", "64", "65", "99999999999999999999",
+          "18446744073709551615", "9999999999999999999", "-1", "+7", " 7",
+          "7 ", "0x10", "1e3", "abc", ""};
+      const std::string header = std::string("Content-Length: ") +
+                                 kLengths[rng->Index(std::size(kLengths))] +
+                                 "\r\n";
+      const std::size_t at = text.find("Content-Length: ");
+      if (at != std::string::npos && rng->Bernoulli(0.5)) {
+        text.replace(at, text.find("\r\n", at) + 2 - at, header);
+      } else {
+        text.insert(text.find("\r\n") + 2, header);
+      }
+      break;
+    }
+    case 5: {
+      // Bare LF for one CRLF, or for every CRLF in the head.
+      const bool all = rng->Bernoulli(0.5);
+      for (std::size_t at = text.find("\r\n"); at != std::string::npos;
+           at = text.find("\r\n", at)) {
+        if (all || rng->Bernoulli(0.3)) {
+          text.erase(at, 1);
+          if (!all) break;
+        } else {
+          at += 2;
+        }
+      }
+      break;
+    }
+    default:
+      text += corpus[rng->Index(corpus.size())];
+      break;
+  }
+  return text;
+}
+
+// Seeded mutation fuzz of the request parser: every mutant yields a
+// ParseOutcome without crashing or tripping a sanitizer, and a kDone parse
+// consumed no more than it was given, with exactly Content-Length body
+// bytes taken from the end of the consumed prefix.
+TEST(ParseHttpRequestFuzz, EveryMutantParsesOrIsRejected) {
+  const std::vector<std::string> corpus = {
+      "GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n",
+      "GET /v1/jobs/j-1/result HTTP/1.0\r\nHost: x\r\nAccept: */*\r\n\r\n",
+      "POST /v1/jobs HTTP/1.1\r\nHost: x\r\nContent-Type: application/json"
+      "\r\nContent-Length: 30\r\n\r\n{\"dataset_id\": \"ds-1\", \"k\": 3}",
+      "POST /v1/datasets HTTP/1.1\r\nContent-Length: 7\r\n\r\n{\"a\":1}",
+      "DELETE /v1/jobs/j-2 HTTP/1.1\r\nContent-Length: 0\r\n\r\n",
+  };
+  HttpServerConfig roomy;  // default limits
+  const HttpServerConfig configs[] = {SmallConfig(), roomy};
+  for (const std::string& text : corpus) {
+    HttpRequest req;
+    std::size_t consumed = 0;
+    ASSERT_EQ(ParseHttpRequest(text, roomy, &req, &consumed),
+              ParseOutcome::kDone)
+        << text;
+    ASSERT_EQ(consumed, text.size()) << text;
+  }
+
+  common::Rng rng(20261017);
+  int outcomes[6] = {};
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::string text = MutateRequest(corpus, &rng);
+    const HttpServerConfig& cfg = configs[iter % 2];
+    HttpRequest req;
+    std::size_t consumed = 0;
+    const ParseOutcome outcome = ParseHttpRequest(text, cfg, &req, &consumed);
+    const int index = static_cast<int>(outcome);
+    ASSERT_GE(index, 0) << "mutant " << iter;
+    ASSERT_LT(index, 6) << "mutant " << iter;
+    ++outcomes[index];
+    if (outcome != ParseOutcome::kDone) continue;
+    ASSERT_LE(consumed, text.size()) << "mutant " << iter;
+    const std::string& length = req.Header("content-length");
+    const std::size_t want =
+        length.empty() ? 0 : static_cast<std::size_t>(std::stoull(length));
+    ASSERT_EQ(req.body.size(), want) << "mutant " << iter << ": " << text;
+    ASSERT_EQ(text.compare(consumed - want, want, req.body), 0)
+        << "mutant " << iter;
+    EXPECT_FALSE(req.method.empty()) << "mutant " << iter;
+    EXPECT_EQ(req.target.front(), '/') << "mutant " << iter;
+  }
+  // The mutations must reach the accepting and the main rejecting verdicts.
+  EXPECT_GT(outcomes[static_cast<int>(ParseOutcome::kDone)], 0);
+  EXPECT_GT(outcomes[static_cast<int>(ParseOutcome::kNeedMore)], 0);
+  EXPECT_GT(outcomes[static_cast<int>(ParseOutcome::kBad)], 0);
+  EXPECT_GT(outcomes[static_cast<int>(ParseOutcome::kHeadersTooLarge)], 0);
+  EXPECT_GT(outcomes[static_cast<int>(ParseOutcome::kBodyTooLarge)], 0);
 }
 
 // Real sockets: start a server on an ephemeral port, round-trip a request

@@ -76,6 +76,34 @@ TEST(ParseJson, Scalars) {
   EXPECT_EQ(ParseJson("\"hi\"").ValueOrDie().AsString(), "hi");
 }
 
+// Integer tokens that fit int64 stay exact past 2^53; anything with a
+// fraction or exponent, or beyond int64, is a double only.
+TEST(ParseJson, IntegerTokensKeepExactInt64) {
+  const struct {
+    const char* text;
+    bool is_int;
+    int64_t value;
+  } cases[] = {
+      {"9007199254740993", true, 9007199254740993},
+      {"9223372036854775807", true, INT64_MAX},
+      {"-9223372036854775808", true, INT64_MIN},
+      {"-0", true, 0},
+      {"9223372036854775808", false, 0},
+      {"1e3", false, 0},
+      {"1.0", false, 0},
+  };
+  for (const auto& c : cases) {
+    const JsonValue v = ParseJson(c.text).ValueOrDie();
+    ASSERT_TRUE(v.is_number()) << c.text;
+    EXPECT_EQ(v.is_int(), c.is_int) << c.text;
+    if (c.is_int) {
+      EXPECT_EQ(v.AsInt(), c.value) << c.text;
+    }
+  }
+  EXPECT_EQ(ParseJson("9223372036854775808").ValueOrDie().AsDouble(), 0x1p63);
+  EXPECT_FALSE(ParseJson("\"7\"").ValueOrDie().is_int());
+}
+
 TEST(ParseJson, ObjectPreservesDocumentOrderAndFindTakesLast) {
   Result<JsonValue> parsed =
       ParseJson("{\"a\": 1, \"b\": 2, \"a\": 3}");

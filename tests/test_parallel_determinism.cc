@@ -58,6 +58,28 @@ engine::Engine EngineWith(int threads) {
   return engine::Engine(config);
 }
 
+// Every compiled-and-supported SIMD path.
+std::vector<clustering::simd::Isa> AvailableIsas() {
+  namespace simd = clustering::simd;
+  std::vector<simd::Isa> isas;
+  for (simd::Isa isa :
+       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
+    if (simd::TableFor(isa) != nullptr) isas.push_back(isa);
+  }
+  return isas;
+}
+
+// Forces one SIMD path for its scope and restores auto dispatch on exit,
+// however the scope is left.
+class ScopedIsa {
+ public:
+  explicit ScopedIsa(clustering::simd::Isa isa) {
+    EXPECT_TRUE(clustering::simd::ForceIsa(isa))
+        << clustering::simd::IsaName(isa);
+  }
+  ~ScopedIsa() { clustering::simd::ForceIsa(clustering::simd::Isa::kAuto); }
+};
+
 TEST(ParallelDeterminism, UkmeansBitIdenticalAcrossThreadCounts) {
   const auto ds = TestDataset(700, 4, 5, 31);
   const auto baseline = Ukmeans::RunOnMoments(ds.moments(), 5, 7,
@@ -101,51 +123,39 @@ TEST(ParallelDeterminism, CkmeansMatchesDirectAcrossThreadCounts) {
 }
 
 // The SIMD dispatch path is a second "parallelism" axis with the same
-// contract as the thread count: every compiled-and-supported simd_isa,
-// at every thread count, must reproduce the serial forced-scalar
+// contract as the thread count: every compiled-and-supported path, forced
+// process-wide, at every thread count, must reproduce the serial forced-scalar
 // clustering bit-for-bit — labels, objective, iterations, and the
 // pruning counters (which are a pure function of the identical
 // distances). This is the lane-blocked accumulation guarantee of
-// src/clustering/simd surfacing at the EngineConfig level.
+// src/clustering/simd surfacing at the clustering level.
 TEST(ParallelDeterminism, SimdIsaSweepBitIdenticalAcrossThreadCounts) {
   namespace simd = clustering::simd;
-  std::vector<std::string> isas;
-  for (simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
-    if (simd::TableFor(isa) != nullptr) isas.push_back(simd::IsaName(isa));
-  }
   const auto ds = TestDataset(700, 4, 5, 31);
-  const auto with = [&](const std::string& isa, int threads) {
-    engine::EngineConfig config;
-    config.num_threads = threads;
-    config.block_size = 128;
-    config.simd_isa = isa;
-    return engine::Engine(config);
-  };
   const CkMeans::Params p;
-  const auto baseline =
-      CkMeans::RunOnMoments(ds.moments(), 5, 7, p, with("scalar", 1));
-  for (const std::string& isa : isas) {
+  const auto baseline = [&] {
+    const ScopedIsa scalar(simd::Isa::kScalar);
+    return CkMeans::RunOnMoments(ds.moments(), 5, 7, p, EngineWith(1));
+  }();
+  for (simd::Isa isa : AvailableIsas()) {
+    const ScopedIsa forced(isa);
     for (int threads : kThreadCounts) {
       const auto out =
-          CkMeans::RunOnMoments(ds.moments(), 5, 7, p, with(isa, threads));
-      EXPECT_EQ(out.labels, baseline.labels)
-          << "isa=" << isa << " threads=" << threads;
-      EXPECT_EQ(out.objective, baseline.objective)
-          << "isa=" << isa << " threads=" << threads;
-      EXPECT_EQ(out.iterations, baseline.iterations)
-          << "isa=" << isa << " threads=" << threads;
+          CkMeans::RunOnMoments(ds.moments(), 5, 7, p, EngineWith(threads));
+      const std::string where = "isa=" + simd::IsaName(isa) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(out.labels, baseline.labels) << where;
+      EXPECT_EQ(out.objective, baseline.objective) << where;
+      EXPECT_EQ(out.iterations, baseline.iterations) << where;
       EXPECT_EQ(out.center_distance_evals, baseline.center_distance_evals)
-          << "isa=" << isa << " threads=" << threads;
-      EXPECT_EQ(out.bounds_skipped, baseline.bounds_skipped)
-          << "isa=" << isa << " threads=" << threads;
+          << where;
+      EXPECT_EQ(out.bounds_skipped, baseline.bounds_skipped) << where;
     }
   }
-  simd::ForceIsa(simd::Isa::kAuto);  // leave the process on auto dispatch
 }
 
 // The relocation local search (UCPC, MMVar) across thread count x forced
-// simd_isa, plus one run on a mapped .umom MomentStore: labels, objective,
+// SIMD path, plus one run on a mapped .umom MomentStore: labels, objective,
 // passes, moves and the screen's exact-fallback count must all match the
 // serial forced-scalar resident run. k = 17 puts one full 16-cluster lane
 // group and a tail cluster through the relocation-gain kernel.
@@ -154,13 +164,6 @@ void ExpectLocalSearchSweepBitIdentical(const data::UncertainDataset& ds,
                                         int k, uint64_t seed,
                                         const std::string& tag) {
   namespace simd = clustering::simd;
-  const auto with = [](const std::string& isa, int threads) {
-    engine::EngineConfig config;
-    config.num_threads = threads;
-    config.block_size = 128;
-    config.simd_isa = isa;
-    return engine::Engine(config);
-  };
   const auto expect_same = [&](const LocalSearchOutcome& out,
                                const LocalSearchOutcome& want,
                                const std::string& where) {
@@ -170,22 +173,22 @@ void ExpectLocalSearchSweepBitIdentical(const data::UncertainDataset& ds,
     EXPECT_EQ(out.moves, want.moves) << where;
     EXPECT_EQ(out.exact_fallbacks, want.exact_fallbacks) << where;
   };
-  const auto baseline = Algo::RunOnMoments(ds.moments(), k, seed,
-                                           typename Algo::Params(),
-                                           with("scalar", 1));
-  for (simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
-    if (simd::TableFor(isa) == nullptr) continue;
+  const auto baseline = [&] {
+    const ScopedIsa scalar(simd::Isa::kScalar);
+    return Algo::RunOnMoments(ds.moments(), k, seed, typename Algo::Params(),
+                              EngineWith(1));
+  }();
+  for (simd::Isa isa : AvailableIsas()) {
+    const ScopedIsa forced(isa);
     for (int threads : kThreadCounts) {
       expect_same(Algo::RunOnMoments(ds.moments(), k, seed,
                                      typename Algo::Params(),
-                                     with(simd::IsaName(isa), threads)),
+                                     EngineWith(threads)),
                   baseline,
                   tag + " isa=" + simd::IsaName(isa) +
                       " threads=" + std::to_string(threads));
     }
   }
-  simd::ForceIsa(simd::Isa::kAuto);  // leave the process on auto dispatch
 
   const std::string sidecar =
       ::testing::TempDir() + "determinism_local_search_" + tag + ".umom";
@@ -351,20 +354,13 @@ const std::vector<SampledInstance>& SampledInstances() {
 // the serial forced-scalar run with no budget.
 TEST(ParallelDeterminism, SampledWorkloadsBitIdenticalAcrossSampleBackends) {
   namespace simd = clustering::simd;
-  std::vector<std::string> isas;
-  for (simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
-    if (simd::TableFor(isa) != nullptr) isas.push_back(simd::IsaName(isa));
-  }
-  const auto make = [](const std::string& name, const std::string& isa,
-                       int threads, std::size_t budget,
-                       std::size_t chunk_rows) {
+  const auto make = [](const std::string& name, int threads,
+                       std::size_t budget, std::size_t chunk_rows) {
     engine::EngineConfig config;
     config.num_threads = threads;
     config.block_size = 32;
     config.memory_budget_bytes = budget;
     config.sample_chunk_rows = chunk_rows;
-    config.simd_isa = isa;
     return MakeSampled(name, engine::Engine(config));
   };
   // {pairwise backend, samples mapped} pairs the sweep ran.
@@ -372,8 +368,10 @@ TEST(ParallelDeterminism, SampledWorkloadsBitIdenticalAcrossSampleBackends) {
   for (const SampledInstance& inst : SampledInstances()) {
     const auto ds = TestDataset(inst.n, inst.m, 3, inst.seed);
     for (const std::string name : kSampledAlgorithms) {
-      const ClusteringResult baseline =
-          make(name, "scalar", 1, 0, 16)->Cluster(ds, 3, 13);
+      const ClusteringResult baseline = [&] {
+        const ScopedIsa scalar(simd::Isa::kScalar);
+        return make(name, 1, 0, 16)->Cluster(ds, 3, 13);
+      }();
       const std::size_t sample_bytes = inst.n * inst.m * sizeof(double) *
                                        static_cast<std::size_t>(
                                            SamplesOf(name));
@@ -384,21 +382,24 @@ TEST(ParallelDeterminism, SampledWorkloadsBitIdenticalAcrossSampleBackends) {
         // The tiled store recomputes evicted pairs, so its evaluation
         // counters are compared within the arm; a dense arm's equal the
         // baseline's.
-        const ClusteringResult arm_base =
-            tiled ? make(name, "scalar", 1, budget, 16)->Cluster(ds, 3, 13)
-                  : baseline;
+        const ClusteringResult arm_base = [&] {
+          if (!tiled) return baseline;
+          const ScopedIsa scalar(simd::Isa::kScalar);
+          return make(name, 1, budget, 16)->Cluster(ds, 3, 13);
+        }();
         for (const std::size_t chunk_rows :
              {std::size_t{16}, std::size_t{64}}) {
-          for (const std::string& isa : isas) {
+          for (simd::Isa isa : AvailableIsas()) {
+            const ScopedIsa forced(isa);
             for (int threads : kThreadCounts) {
               const ClusteringResult out =
-                  make(name, isa, threads, budget, chunk_rows)
-                      ->Cluster(ds, 3, 13);
+                  make(name, threads, budget, chunk_rows)->Cluster(ds, 3, 13);
               const auto label = [&] {
                 return name + " m=" + std::to_string(inst.m) +
                        " budget=" + std::to_string(budget) +
                        " chunk=" + std::to_string(chunk_rows) +
-                       " isa=" + isa + " threads=" + std::to_string(threads);
+                       " isa=" + simd::IsaName(isa) +
+                       " threads=" + std::to_string(threads);
               };
               if (!baseline.pairwise_backend.empty()) {
                 EXPECT_EQ(out.pairwise_backend, tiled ? "tiled" : "dense")
@@ -423,7 +424,6 @@ TEST(ParallelDeterminism, SampledWorkloadsBitIdenticalAcrossSampleBackends) {
   const std::set<std::pair<std::string, bool>> all = {
       {"dense", false}, {"dense", true}, {"tiled", false}, {"tiled", true}};
   EXPECT_EQ(arms, all);
-  simd::ForceIsa(simd::Isa::kAuto);  // leave the process on auto dispatch
 }
 
 // Fingerprints (labels + objective), ED evaluations and pair evaluations of
@@ -524,8 +524,8 @@ TEST(ParallelDeterminism, TiledBackendBitIdenticalAcrossThreadCounts) {
 // pruned pair sweeps) are pure recompute optimizations: the tiled and
 // on-the-fly backends must reproduce the serial dense clustering
 // bit-for-bit at any thread count, and their recompute effort (pair
-// evaluations, warm hits, pruned pairs) must not depend on the thread
-// count.
+// evaluations, warm hits, pruned pairs, index candidates and bound tests)
+// must not depend on the thread count.
 TEST(ParallelDeterminism, TilePoliciesBitIdenticalAcrossThreadCounts) {
   const auto ds = TestDataset(140, 3, 3, 43);
   const auto make = [&](const std::string& name, int threads,
@@ -562,64 +562,8 @@ TEST(ParallelDeterminism, TilePoliciesBitIdenticalAcrossThreadCounts) {
               << name << " threads=" << threads << " budget=" << budget;
           EXPECT_EQ(out.tile_warm_hits, serial.tile_warm_hits) << name;
           EXPECT_EQ(out.pairs_pruned, serial.pairs_pruned) << name;
-        }
-      }
-    }
-  }
-}
-
-// The spatial-index knob is a pure recompute optimization with the same
-// contract as the tile policies: every structure choice must reproduce the
-// index-off clustering bit-for-bit — on the dense AND the tiled backend, at
-// any thread count — and the new index counters, being pure functions of
-// the data, must be thread-count independent at a fixed (choice, budget).
-TEST(ParallelDeterminism, SpatialIndexChoicesBitIdenticalAcrossThreadCounts) {
-  const auto ds = TestDataset(140, 3, 3, 45);
-  const std::size_t tiled_budget = 10 * ds.size() * sizeof(double);
-  const auto make = [&](const std::string& name, int threads,
-                        std::size_t budget, const std::string& index) {
-    engine::EngineConfig config;
-    config.num_threads = threads;
-    config.block_size = 32;
-    config.memory_budget_bytes = budget;
-    config.spatial_index = index;
-    return MakeClustererOrDie(name, engine::Engine(config));
-  };
-  for (const std::string& name :
-       {std::string("FDBSCAN"), std::string("FOPTICS"),
-        std::string("UK-medoids")}) {
-    for (const std::size_t budget : {std::size_t{0}, tiled_budget}) {
-      const ClusteringResult off =
-          make(name, 1, budget, "off")->Cluster(ds, 3, 13);
-      for (const std::string& index :
-           {std::string("auto"), std::string("rtree")}) {
-        ClusteringResult serial;
-        for (int threads : kThreadCounts) {
-          const ClusteringResult out =
-              make(name, threads, budget, index)->Cluster(ds, 3, 13);
-          EXPECT_EQ(out.labels, off.labels)
-              << name << " index=" << index << " budget=" << budget
-              << " threads=" << threads;
-          EXPECT_EQ(out.iterations, off.iterations)
-              << name << " index=" << index << " threads=" << threads;
-          if (!std::isnan(off.objective)) {
-            EXPECT_EQ(out.objective, off.objective)
-                << name << " index=" << index << " threads=" << threads;
-          }
-          if (threads == 1) {
-            serial = out;
-          } else {
-            EXPECT_EQ(out.index_candidates, serial.index_candidates)
-                << name << " index=" << index << " threads=" << threads;
-            EXPECT_EQ(out.pairs_pruned_by_index, serial.pairs_pruned_by_index)
-                << name << " index=" << index << " threads=" << threads;
-            EXPECT_EQ(out.index_bound_tests, serial.index_bound_tests)
-                << name << " index=" << index << " threads=" << threads;
-            EXPECT_EQ(out.ed_evaluations, serial.ed_evaluations)
-                << name << " index=" << index << " threads=" << threads;
-            EXPECT_EQ(out.pair_evaluations, serial.pair_evaluations)
-                << name << " index=" << index << " threads=" << threads;
-          }
+          EXPECT_EQ(out.index_candidates, serial.index_candidates) << name;
+          EXPECT_EQ(out.index_bound_tests, serial.index_bound_tests) << name;
         }
       }
     }

@@ -71,7 +71,7 @@ TEST(JobSpec, FullBodyWithEngineKnobs) {
       "{\"dataset_id\": \"ds-2\", \"algorithm\": \"UK-means\", \"k\": 8,"
       " \"seed\": 42, \"max_iters\": 25, \"include_labels\": false,"
       " \"engine\": {\"threads\": 4, \"memory_budget_mb\": 64,"
-      "              \"spatial_index\": \"off\"}}");
+      "              \"block_size\": 256}}");
   ASSERT_TRUE(spec.ok()) << spec.status().ToString();
   const JobSpec& s = spec.ValueOrDie();
   EXPECT_EQ(s.algorithm, "UK-means");
@@ -80,28 +80,66 @@ TEST(JobSpec, FullBodyWithEngineKnobs) {
   EXPECT_FALSE(s.include_labels);
   EXPECT_EQ(s.engine.num_threads, 4);
   EXPECT_EQ(s.engine.memory_budget_bytes, 64u * 1024 * 1024);
-  EXPECT_EQ(s.engine.spatial_index, "off");
+  EXPECT_EQ(s.engine.block_size, 256u);
   EXPECT_EQ(s.engine_knobs.size(), 3u);
 }
 
-// The policy knobs deleted from EngineConfig are unknown keys now: a job
-// that still sends one gets InvalidArgument (HTTP 400), not a silent
-// default.
+// The policy and selection knobs deleted from EngineConfig are unknown keys
+// now: a job that still sends one gets InvalidArgument (HTTP 400) naming
+// the key, not a silent default.
 TEST(JobSpec, RemovedEngineKnobsAreRejected) {
-  for (const char* key :
-       {"pairwise_gather_tiles", "pairwise_warm_rows",
-        "pairwise_pruned_sweeps", "ukmeans_ckmeans_reduction",
-        "ukmeans_bound_pruning", "ukmeans_minibatch_size"}) {
+  const struct {
+    const char* key;
+    const char* value;
+  } removed[] = {
+      {"pairwise_gather_tiles", "0"},     {"pairwise_warm_rows", "0"},
+      {"pairwise_pruned_sweeps", "0"},    {"ukmeans_ckmeans_reduction", "0"},
+      {"ukmeans_bound_pruning", "0"},     {"ukmeans_minibatch_size", "0"},
+      {"spatial_index", "\"off\""},       {"simd_isa", "\"scalar\""},
+  };
+  for (const auto& r : removed) {
     auto spec = JobSpec::FromJson(
         std::string("{\"dataset_id\": \"ds-1\", \"k\": 2, \"engine\": {\"") +
-        key + "\": 0}}");
-    ASSERT_FALSE(spec.ok()) << key;
+        r.key + "\": " + r.value + "}}");
+    ASSERT_FALSE(spec.ok()) << r.key;
     EXPECT_EQ(spec.status().code(), common::StatusCode::kInvalidArgument)
-        << key;
+        << r.key;
+    EXPECT_NE(spec.status().message().find(std::string("engine.") + r.key),
+              std::string::npos)
+        << spec.status().ToString();
     EXPECT_NE(spec.status().message().find("unknown engine knob"),
               std::string::npos)
         << spec.status().ToString();
   }
+}
+
+// Integer fields are exact int64 values: a seed above 2^53 is kept as
+// sent, the documented maximum is accepted, and anything beyond int64 or
+// with a fraction is rejected rather than rounded.
+TEST(JobSpec, SeedIsAnExactInt64) {
+  const auto with_seed = [](const std::string& seed) {
+    return JobSpec::FromJson("{\"dataset_id\": \"ds-1\", \"k\": 2, \"seed\": " +
+                             seed + "}");
+  };
+  for (const auto& [text, value] :
+       {std::pair<const char*, uint64_t>{"9007199254740993",
+                                         9007199254740993ull},
+        {"9223372036854775807", 9223372036854775807ull}}) {
+    auto spec = with_seed(text);
+    ASSERT_TRUE(spec.ok()) << text << ": " << spec.status().ToString();
+    EXPECT_EQ(spec.ValueOrDie().seed, value) << text;
+    EXPECT_NE(spec.ValueOrDie().ToJson().find(std::string("\"seed\": ") + text),
+              std::string::npos)
+        << spec.ValueOrDie().ToJson();
+  }
+  for (const char* text : {"9223372036854775808", "1e19"}) {
+    auto spec = with_seed(text);
+    ASSERT_FALSE(spec.ok()) << text;
+    EXPECT_EQ(spec.status().code(), common::StatusCode::kOutOfRange) << text;
+  }
+  auto fractional = with_seed("1.5");
+  ASSERT_FALSE(fractional.ok());
+  EXPECT_EQ(fractional.status().code(), common::StatusCode::kInvalidArgument);
 }
 
 // Numeric engine knobs outside what their field (or the int64 cast of the
@@ -254,8 +292,6 @@ void ExpectValidSpec(const JobSpec& spec, const std::string& trace) {
       << trace;
   EXPECT_EQ(replay.moment_chunk_rows, spec.engine.moment_chunk_rows) << trace;
   EXPECT_EQ(replay.sample_chunk_rows, spec.engine.sample_chunk_rows) << trace;
-  EXPECT_EQ(replay.simd_isa, spec.engine.simd_isa) << trace;
-  EXPECT_EQ(replay.spatial_index, spec.engine.spatial_index) << trace;
   const std::string echo = spec.ToJson();
   auto reparsed = JobSpec::FromJson(echo);
   ASSERT_TRUE(reparsed.ok()) << trace << " echo=" << echo << ": "
@@ -273,8 +309,7 @@ TEST(JobSpecFuzz, EveryMutantParsesToAValidSpecOrFails) {
       " \"seed\": 42, \"max_iters\": 25, \"include_labels\": false,"
       " \"engine\": {\"threads\": 4, \"memory_budget_mb\": 64,"
       " \"block_size\": 256, \"moment_chunk_rows\": 1024,"
-      " \"sample_chunk_rows\": 64, \"simd_isa\": \"scalar\","
-      " \"spatial_index\": \"rtree\"}}",
+      " \"sample_chunk_rows\": 64}}",
       "{\"k\": 12, \"dataset_id\": \"ds-\\u0033\\n\", \"algorithm\":"
       " \"UK-medoids\", \"engine\": {\"memory_budget_bytes\": \"1048576\","
       " \"threads\": 0}}",
@@ -726,6 +761,42 @@ TEST(ClusteringService, EndToEndMatchesDirectRun) {
   ASSERT_TRUE(metrics_json.ok());
   EXPECT_GE(metrics_json.ValueOrDie().Find("completed")->AsInt(), 1);
 
+  svc.Stop();
+  SetLogEnabled(true);
+}
+
+// A seed above 2^53 reaches the job exactly: the job runs, and its status
+// echoes the seed as sent.
+TEST(ClusteringService, SeedAbove2To53RunsAndEchoesExactly) {
+  SetLogEnabled(false);
+  ServiceConfig cfg;
+  cfg.jobs.executors = 1;
+  ClusteringService svc(cfg);
+  svc.jobs().Start();
+  HttpResponse reg = svc.Handle(
+      Req("POST", "/v1/datasets", "{\"path\": \"" + TestDatasetPath() + "\"}"));
+  ASSERT_EQ(reg.status, 201) << reg.body;
+  const std::string ds_id =
+      common::ParseJson(reg.body).ValueOrDie().Find("id")->AsString();
+  HttpResponse submit = svc.Handle(
+      Req("POST", "/v1/jobs",
+          "{\"dataset_id\": \"" + ds_id +
+              "\", \"k\": 3, \"seed\": 9007199254740993}"));
+  ASSERT_EQ(submit.status, 202) << submit.body;
+  const std::string job_id =
+      common::ParseJson(submit.body).ValueOrDie().Find("job_id")->AsString();
+  ASSERT_TRUE(svc.jobs().Wait(job_id, 30000));
+  HttpResponse status = svc.Handle(Req("GET", "/v1/jobs/" + job_id));
+  ASSERT_EQ(status.status, 200);
+  auto status_json = common::ParseJson(status.body);
+  ASSERT_TRUE(status_json.ok());
+  EXPECT_EQ(status_json.ValueOrDie().Find("state")->AsString(), "done")
+      << status.body;
+  const common::JsonValue* seed =
+      status_json.ValueOrDie().Find("spec")->Find("seed");
+  ASSERT_NE(seed, nullptr) << status.body;
+  EXPECT_TRUE(seed->is_int());
+  EXPECT_EQ(seed->AsInt(), 9007199254740993) << status.body;
   svc.Stop();
   SetLogEnabled(true);
 }

@@ -4,8 +4,8 @@
 // remainder lanes, all-tail rows shorter than one lane block — and the
 // parity must survive all the way up through the tile producers, the
 // chunked MomentView plumbing, and the CK-means reduced-moment sweep.
-// This is the contract (simd.h) that makes --simd_isa a pure throughput
-// knob: forcing a path can change speed, never values.
+// This is the contract (simd.h) that makes the dispatched path a pure
+// throughput choice: forcing a path can change speed, never values.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -557,22 +557,18 @@ TEST(SimdKernels, CkmeansReducedSweepBitIdenticalUnderForcedIsas) {
   }
 }
 
-// EngineConfig::simd_isa is the user-facing spelling of ForceIsa: "scalar"
-// pins the reference path, unknown names fall back to auto, and the engine
-// reports the path actually active.
-TEST(SimdKernels, EngineConfigAppliesSimdIsa) {
+// The SIMD path belongs to the process: building an Engine, serial or
+// pooled, must leave a forced path in place (each service job builds its
+// own Engine while others run).
+TEST(SimdKernels, EngineConstructionLeavesDispatchAlone) {
   IsaGuard guard;
-  engine::EngineConfig config;
-  config.simd_isa = "scalar";
-  const engine::Engine eng(config);
-  EXPECT_EQ(eng.simd_isa(), "scalar");
-  EXPECT_EQ(ActiveIsa(), Isa::kScalar);
-
-  engine::EngineConfig bad;
-  bad.simd_isa = "sse9";
-  const engine::Engine eng2(bad);
-  EXPECT_EQ(ActiveIsa(), DetectBestIsa());
-  EXPECT_EQ(eng2.simd_isa(), IsaName(DetectBestIsa()));
+  ASSERT_TRUE(ForceIsa(Isa::kScalar));
+  for (int threads : {1, 4}) {
+    engine::EngineConfig config;
+    config.num_threads = threads;
+    const engine::Engine eng(config);
+    EXPECT_EQ(ActiveIsa(), Isa::kScalar) << "threads=" << threads;
+  }
 }
 
 }  // namespace

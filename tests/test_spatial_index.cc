@@ -184,30 +184,12 @@ TEST(SpatialIndex, EmptyIndexAnswersEmptily) {
   EXPECT_EQ(empty.bound_tests(), 0);
 }
 
-TEST(SpatialIndex, ChoiceParsingAndResolution) {
-  SpatialIndexChoice c = SpatialIndexChoice::kOff;
-  EXPECT_TRUE(SpatialIndexChoiceFromString("auto", &c));
-  EXPECT_EQ(c, SpatialIndexChoice::kAuto);
-  EXPECT_TRUE(SpatialIndexChoiceFromString("rtree", &c));
-  EXPECT_EQ(c, SpatialIndexChoice::kRTree);
-  EXPECT_TRUE(SpatialIndexChoiceFromString("off", &c));
-  EXPECT_EQ(c, SpatialIndexChoice::kOff);
-  for (const char* bad : {"grid", "octree", "RTree", ""}) {
-    c = SpatialIndexChoice::kRTree;
-    EXPECT_FALSE(SpatialIndexChoiceFromString(bad, &c)) << bad;
-    EXPECT_EQ(c, SpatialIndexChoice::kRTree) << bad;  // untouched on failure
-  }
-
-  EXPECT_STREQ(SpatialIndexChoiceName(SpatialIndexChoice::kAuto), "auto");
-  EXPECT_STREQ(SpatialIndexChoiceName(SpatialIndexChoice::kRTree), "rtree");
-  EXPECT_STREQ(SpatialIndexChoiceName(SpatialIndexChoice::kOff), "off");
-
-  // Auto and rtree both build the R-tree, at every dimensionality.
+// The resolver perfbench builds its index through: the R-tree at every
+// dimensionality.
+TEST(SpatialIndex, AutoResolvesToTheRTree) {
   for (const std::size_t dims : {std::size_t{1}, std::size_t{2},
                                  std::size_t{3}, std::size_t{9}}) {
     EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kAuto, dims),
-              SpatialIndexKind::kRTree);
-    EXPECT_EQ(ResolveSpatialIndexKind(SpatialIndexChoice::kRTree, dims),
               SpatialIndexKind::kRTree);
   }
 }

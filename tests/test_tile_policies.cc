@@ -138,7 +138,7 @@ TEST(TilePolicies, VisitSymmetricBlockStripesOversizedBlocks) {
 }
 
 // UK-medoids on the recomputing backends (member-block swap sweep, indexed
-// or gathered assignment, warm rows on the tiled backend) must reproduce
+// assignment, warm rows on the tiled backend) must reproduce
 // the dense-backend clustering bit-for-bit, while evaluating fewer pairs
 // than the full-row sweep it replaced would have: iterations * n * (n-1),
 // one recomputed row per object per swap sweep.
@@ -149,32 +149,27 @@ TEST(TilePolicies, UkMedoidsRecomputeBackendsMatchDense) {
 
   UkMedoids::Params mp;
   mp.use_closed_form = true;
-  const auto run = [&](std::size_t budget, const std::string& index) {
+  const auto run = [&](std::size_t budget) {
     engine::EngineConfig config;
     config.block_size = 32;
     config.memory_budget_bytes = budget;
-    config.spatial_index = index;
     UkMedoids algo(mp);
     algo.set_engine(engine::Engine(config));
     return algo.Cluster(ds, 3, 7);
   };
 
-  const ClusteringResult dense = run(0, "auto");
+  const ClusteringResult dense = run(0);
   ASSERT_EQ(dense.pairwise_backend, "dense");
   for (const std::size_t budget : {12 * row_bytes, std::size_t{1}}) {
-    for (const char* index : {"auto", "off"}) {
-      const ClusteringResult out = run(budget, index);
-      EXPECT_EQ(out.pairwise_backend, budget == 1 ? "onthefly" : "tiled");
-      EXPECT_EQ(out.labels, dense.labels)
-          << "budget=" << budget << " index=" << index;
-      EXPECT_EQ(out.iterations, dense.iterations) << "budget=" << budget;
-      EXPECT_EQ(out.objective, dense.objective) << "budget=" << budget;
-      const int64_t full_sweep_floor =
-          static_cast<int64_t>(out.iterations) * static_cast<int64_t>(n) *
-          static_cast<int64_t>(n - 1);
-      EXPECT_LT(out.pair_evaluations, full_sweep_floor)
-          << "budget=" << budget << " index=" << index;
-    }
+    const ClusteringResult out = run(budget);
+    EXPECT_EQ(out.pairwise_backend, budget == 1 ? "onthefly" : "tiled");
+    EXPECT_EQ(out.labels, dense.labels) << "budget=" << budget;
+    EXPECT_EQ(out.iterations, dense.iterations) << "budget=" << budget;
+    EXPECT_EQ(out.objective, dense.objective) << "budget=" << budget;
+    const int64_t full_sweep_floor = static_cast<int64_t>(out.iterations) *
+                                     static_cast<int64_t>(n) *
+                                     static_cast<int64_t>(n - 1);
+    EXPECT_LT(out.pair_evaluations, full_sweep_floor) << "budget=" << budget;
   }
 }
 
@@ -366,90 +361,113 @@ TEST(TilePolicies, PairwiseBoundIndexMixedDegeneratePairs) {
   EXPECT_TRUE(bounds.ProvablyBeyond(0, 1, std::sqrt(exact) * 0.9));
 }
 
-// The indexed FDBSCAN sweep composes "index narrows, predicate filters":
-// whichever structure narrows the candidate set, the evaluated pairs — and
-// with them the labels and both pruning counters — must be bit-identical to
-// the all-pairs predicate sweep, with only the bound-test count dropping.
-TEST(TilePolicies, FdbscanIndexedSweepCounterIdentical) {
+// FDBSCAN's two eps-sweeps evaluate the same pairs: the R-tree candidates
+// are exactly the pairs the all-pairs bound keeps. Forced either way, on the
+// dense and the tiled backend at any thread count, the labels, noise and
+// every pair counter match, every pair is accounted for, and only the
+// bound-test cost moves. The index counters are pure functions of the data.
+TEST(TilePolicies, FdbscanForcedSweepsCounterIdentical) {
   const auto ds = TestDataset(150, 2, 3, 113, /*min_separation=*/0.45);
   const std::size_t n = ds.size();
 
   Fdbscan::Params fp;
   fp.eps = 0.08;
-  const auto run = [&](std::size_t budget, const std::string& index) {
+  const auto run = [&](std::size_t budget, int threads, Fdbscan::Sweep sweep) {
     engine::EngineConfig config;
-    config.num_threads = 1;
+    config.num_threads = threads;
     config.block_size = 32;
     config.memory_budget_bytes = budget;
-    config.spatial_index = index;
     Fdbscan algo(fp);
     algo.set_engine(engine::Engine(config));
-    return algo.Cluster(ds, 3, 17);
+    return algo.Cluster(ds, 3, 17, sweep);
   };
 
-  const std::size_t row_bytes = n * sizeof(double);
   const int64_t all_pairs =
       static_cast<int64_t>(n) * static_cast<int64_t>(n - 1) / 2;
-  for (const std::size_t budget : {std::size_t{0}, 10 * row_bytes}) {
-    const ClusteringResult off = run(budget, "off");
-    EXPECT_EQ(off.index_candidates, 0);
-    EXPECT_EQ(off.index_bound_tests, 0);
-    for (const char* index : {"rtree", "auto"}) {
-      const ClusteringResult indexed = run(budget, index);
-      EXPECT_EQ(indexed.labels, off.labels)
-          << index << " budget=" << budget;
-      EXPECT_EQ(indexed.clusters_found, off.clusters_found) << index;
-      EXPECT_EQ(indexed.noise_objects, off.noise_objects) << index;
-      // The exact counter identity: same pairs evaluated, same pairs
-      // predicate-pruned, every pair accounted for.
-      EXPECT_EQ(indexed.pair_evaluations, off.pair_evaluations) << index;
-      EXPECT_EQ(indexed.pairs_pruned, off.pairs_pruned) << index;
-      EXPECT_EQ(indexed.ed_evaluations, off.ed_evaluations) << index;
-      EXPECT_EQ(indexed.pair_evaluations + indexed.pairs_pruned, all_pairs)
-          << index << " budget=" << budget;
+  const ClusteringResult want = run(0, 1, Fdbscan::Sweep::kAllPairs);
+  const ClusteringResult indexed_serial = run(0, 1, Fdbscan::Sweep::kIndexed);
+  for (const std::size_t budget : {std::size_t{0}, 10 * n * sizeof(double)}) {
+    for (int threads : {1, 2, 8}) {
+      const std::string where = "budget=" + std::to_string(budget) +
+                                " threads=" + std::to_string(threads);
+      const ClusteringResult all_run =
+          run(budget, threads, Fdbscan::Sweep::kAllPairs);
+      const ClusteringResult indexed =
+          run(budget, threads, Fdbscan::Sweep::kIndexed);
+      for (const ClusteringResult* out : {&all_run, &indexed}) {
+        EXPECT_EQ(out->labels, want.labels) << where;
+        EXPECT_EQ(out->noise_objects, want.noise_objects) << where;
+        EXPECT_EQ(out->pair_evaluations, want.pair_evaluations) << where;
+        EXPECT_EQ(out->pairs_pruned, want.pairs_pruned) << where;
+        EXPECT_EQ(out->ed_evaluations, want.ed_evaluations) << where;
+        EXPECT_EQ(out->pair_evaluations + out->pairs_pruned, all_pairs)
+            << where;
+      }
+      EXPECT_EQ(all_run.index_candidates, 0) << where;
+      EXPECT_EQ(all_run.index_bound_tests, 0) << where;
       EXPECT_EQ(indexed.index_candidates + indexed.pairs_pruned_by_index,
                 all_pairs)
-          << index << " budget=" << budget;
-      // The index did real narrowing on this separable dataset. (The
-      // bound-cost advantage over the n*(n-1)/2 floor only materializes at
-      // scale — bench_pairwise_smoke gates it at CI size.)
-      EXPECT_GT(indexed.pairs_pruned_by_index, 0) << index;
-      EXPECT_GT(indexed.index_candidates, 0) << index;
-      EXPECT_GT(indexed.index_bound_tests, 0) << index;
+          << where;
+      EXPECT_EQ(indexed.index_candidates, indexed_serial.index_candidates)
+          << where;
+      EXPECT_EQ(indexed.index_bound_tests, indexed_serial.index_bound_tests)
+          << where;
     }
   }
+  // The index did real narrowing on this separable dataset. (The bound-cost
+  // advantage over the n*(n-1)/2 floor only materializes at scale —
+  // bench_pairwise_smoke gates it at CI size.)
+  EXPECT_GT(want.pairs_pruned, 0);
+  EXPECT_GT(indexed_serial.pairs_pruned_by_index, 0);
+  EXPECT_GT(indexed_serial.index_bound_tests, 0);
 }
 
-// An EngineConfig::spatial_index the knob grammar would reject ("RTree",
-// the removed "grid") must warn and run exactly like "auto": the index
-// stays on, with the same labels and counters — never a silent "off".
-TEST(TilePolicies, UnknownSpatialIndexBehavesLikeAuto) {
-  const auto ds = TestDataset(150, 2, 3, 113, /*min_separation=*/0.45);
-  const std::size_t budget = 10 * ds.size() * sizeof(double);
-  Fdbscan::Params fp;
-  fp.eps = 0.08;
-  const auto run = [&](const std::string& index) {
-    engine::EngineConfig config;
-    config.block_size = 32;
-    config.memory_budget_bytes = budget;
-    config.spatial_index = index;
+// The selectivity probe sends a selective eps to the R-tree and a broad one
+// to the all-pairs sweep, and an unforced run is exactly the forced run of
+// the sweep the probe picked.
+TEST(TilePolicies, FdbscanProbePicksSweepBySelectivity) {
+  // Broad 3-D clusters with small uncertainty regions: the regime where a
+  // small eps is selective (the bench_pairwise_smoke INDEX set, scaled down).
+  data::MixtureParams mp;
+  mp.n = 600;
+  mp.dims = 3;
+  mp.classes = 8;
+  mp.sigma_min = 0.15;
+  mp.sigma_max = 0.25;
+  mp.min_separation = 0.4;
+  data::UncertaintyParams up;
+  up.family = data::PdfFamily::kNormal;
+  up.min_scale_frac = 0.002;
+  up.max_scale_frac = 0.01;
+  const auto ds =
+      data::UncertaintyModel(data::MakeGaussianMixture(mp, 131, "probe"), up,
+                             132)
+          .Uncertain();
+  const PairwiseBoundIndex bounds(ds.objects());
+  const struct {
+    double eps;
+    Fdbscan::Sweep want;
+  } cases[] = {{0.02, Fdbscan::Sweep::kIndexed},
+               {0.3, Fdbscan::Sweep::kAllPairs}};
+  for (const auto& c : cases) {
+    EXPECT_EQ(Fdbscan::ChooseSweep(bounds, c.eps), c.want) << c.eps;
+    Fdbscan::Params fp;
+    fp.eps = c.eps;
     Fdbscan algo(fp);
-    algo.set_engine(engine::Engine(config));
-    return algo.Cluster(ds, 3, 17);
-  };
-  const ClusteringResult want = run("auto");
-  ASSERT_GT(want.index_bound_tests, 0);
-  for (const char* bad : {"RTree", "grid"}) {
-    testing::internal::CaptureStderr();
-    const ClusteringResult got = run(bad);
-    const std::string err = testing::internal::GetCapturedStderr();
-    EXPECT_NE(err.find("unknown spatial_index"), std::string::npos) << err;
-    EXPECT_EQ(got.labels, want.labels) << bad;
-    EXPECT_EQ(got.pair_evaluations, want.pair_evaluations) << bad;
-    EXPECT_EQ(got.index_candidates, want.index_candidates) << bad;
-    EXPECT_EQ(got.index_bound_tests, want.index_bound_tests) << bad;
-    EXPECT_EQ(got.pairs_pruned_by_index, want.pairs_pruned_by_index) << bad;
+    const ClusteringResult probed = algo.Cluster(ds, 3, 5);
+    const ClusteringResult forced = algo.Cluster(ds, 3, 5, c.want);
+    EXPECT_EQ(probed.labels, forced.labels) << c.eps;
+    EXPECT_EQ(probed.pair_evaluations, forced.pair_evaluations) << c.eps;
+    EXPECT_EQ(probed.pairs_pruned, forced.pairs_pruned) << c.eps;
+    EXPECT_EQ(probed.index_candidates, forced.index_candidates) << c.eps;
+    EXPECT_EQ(probed.index_bound_tests, forced.index_bound_tests) << c.eps;
+    EXPECT_EQ(probed.index_bound_tests > 0,
+              c.want == Fdbscan::Sweep::kIndexed)
+        << c.eps;
   }
+  // Nothing to probe below two objects.
+  const PairwiseBoundIndex one(std::span(ds.objects()).first(1));
+  EXPECT_EQ(Fdbscan::ChooseSweep(one, 0.02), Fdbscan::Sweep::kAllPairs);
 }
 
 // The bound the pruned sweep consults must hold for every realization pair
