@@ -6,9 +6,10 @@
 // masquerade as an expected outcome. Modes:
 //
 //   --mode=compare   -> ingest the dataset's moments, run the direct
-//                       UK-means sweeps and the reduced+bounded CK-means
-//                       path on the same seed, and require bit-identical
-//                       labels/objective/iterations AND bounded
+//                       UK-means sweeps (the oracle in
+//                       tests/ukmeans_oracle.h) and the bound-pruned
+//                       CK-means path on the same seed, and require
+//                       bit-identical labels/objective/iterations AND bounded
 //                       center_distance_evals <= max_eval_ratio x the
 //                       direct count. CKMEANS RESULT=OK only when both the
 //                       exactness and the pruning-win gates hold.
@@ -39,13 +40,13 @@
 
 #include "bench_util.h"
 #include "clustering/ckmeans.h"
-#include "clustering/ukmeans.h"
 #include "common/cli.h"
 #include "common/stopwatch.h"
 #include "engine/engine.h"
 #include "io/dataset_reader.h"
 #include "io/ingest.h"
 #include "uncertain/moment_store.h"
+#include "../tests/ukmeans_oracle.h"
 
 namespace {
 
@@ -150,17 +151,14 @@ int Run(int argc, char** argv) {
   }
 
   const double max_eval_ratio = args.GetDouble("max_eval_ratio", 0.5);
-  clustering::Ukmeans::Params dp;
-  dp.max_iters = max_iters;
+  clustering::CkMeans::Params p;
+  p.max_iters = max_iters;
   sw.Reset();
-  const auto direct =
-      clustering::Ukmeans::RunOnMoments(mm, k, seed, dp, eng);
+  const auto direct = clustering::oracle::DirectUkmeans(mm, k, seed, p, eng);
   const double direct_ms = sw.ElapsedMs();
 
-  clustering::CkMeans::Params cp;
-  cp.max_iters = max_iters;  // reduction + bounds on by default
   sw.Reset();
-  const auto fast = clustering::CkMeans::RunOnMoments(mm, k, seed, cp, eng);
+  const auto fast = clustering::CkMeans::RunOnMoments(mm, k, seed, p, eng);
   const double fast_ms = sw.ElapsedMs();
 
   const double ratio =

@@ -15,9 +15,9 @@
 #include <cstdio>
 #include <vector>
 
+#include "clustering/ckmeans.h"
 #include "clustering/cluster_stats.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "common/math_utils.h"
 #include "data/dataset.h"
 #include "data/uncertainty_model.h"
@@ -94,7 +94,7 @@ int main() {
   }
   const data::UncertainDataset mixed("fig1", std::move(objects), truth, 2);
   const clustering::Ucpc ucpc;
-  const clustering::Ukmeans ukm;
+  const clustering::CkMeans ukm;
   double f_ucpc = 0.0, f_ukm = 0.0;
   const int runs = 20;
   for (int r = 0; r < runs; ++r) {

@@ -31,10 +31,10 @@
 #include "clustering/fdbscan.h"
 #include "clustering/foptics.h"
 #include "clustering/mmvar.h"
+#include "clustering/registry.h"
 #include "clustering/simd/simd.h"
 #include "clustering/uahc.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "clustering/ukmedoids.h"
 #include "common/cli.h"
 #include "data/benchmark_gen.h"
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::unique_ptr<clustering::Clusterer>> fast_group;
   fast_group.push_back(std::make_unique<clustering::Mmvar>());
-  fast_group.push_back(std::make_unique<clustering::Ukmeans>());
+  fast_group.push_back(clustering::MakeClustererOrDie("UK-means"));
   {
     clustering::BasicUkmeans::Params p;
     p.pruning = clustering::PruningStrategy::kMinMaxBB;

@@ -32,7 +32,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "clustering/ukmeans.h"
+#include "clustering/ckmeans.h"
 #include "common/cli.h"
 #include "common/stopwatch.h"
 #include "engine/engine.h"
@@ -104,8 +104,8 @@ int Run(int argc, char** argv) {
   }
 
   sw.Reset();
-  const auto outcome = clustering::Ukmeans::RunOnMoments(
-      mm, k, seed, clustering::Ukmeans::Params(), eng);
+  const auto outcome = clustering::CkMeans::RunOnMoments(
+      mm, k, seed, clustering::CkMeans::Params(), eng);
   std::printf("[ingest smoke] UK-means k=%d: objective=%.4f iterations=%d "
               "in %.1fms, rss=%ld KB\n",
               k, outcome.objective, outcome.iterations, sw.ElapsedMs(),

@@ -35,7 +35,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "clustering/ukmeans.h"
+#include "clustering/ckmeans.h"
 #include "common/cli.h"
 #include "common/stopwatch.h"
 #include "engine/engine.h"
@@ -107,10 +107,10 @@ int Run(int argc, char** argv) {
   }
 
   sw.Reset();
-  clustering::Ukmeans::Params params;
+  clustering::CkMeans::Params params;
   params.max_iters = static_cast<int>(args.GetInt("max_iters", 30));
   const auto outcome =
-      clustering::Ukmeans::RunOnMoments(mm, k, seed, params, eng);
+      clustering::CkMeans::RunOnMoments(mm, k, seed, params, eng);
   std::printf("[moments smoke] UK-means k=%d: objective=%.4f iterations=%d "
               "in %.1fms, moment_bytes_resident=%zu, rss=%ld KB\n",
               k, outcome.objective, outcome.iterations, sw.ElapsedMs(),

@@ -9,8 +9,8 @@
 //   --scale=F       dataset size scale in (0, 1]             (default 1.0)
 //   --slow_cap=N    max objects for UKmed/UAHC/FDB/FOPT      (default 400)
 //   --datasets=A,B  comma-separated subset of dataset names  (default all)
-//   --umin=F        min uncertainty scale (fraction of range, default 0.05)
-//   --umax=F        max uncertainty scale (fraction of range, default 0.25)
+//   --umin=F        min uncertainty scale (fraction of range, default 0.08)
+//   --umax=F        max uncertainty scale (fraction of range, default 0.40)
 //   --seed=S        master seed                              (default 1)
 #include <cstdio>
 #include <map>
@@ -22,9 +22,9 @@
 #include "clustering/fdbscan.h"
 #include "clustering/foptics.h"
 #include "clustering/mmvar.h"
+#include "clustering/registry.h"
 #include "clustering/uahc.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "clustering/ukmedoids.h"
 #include "common/cli.h"
 #include "common/csv.h"
@@ -48,7 +48,7 @@ std::vector<AlgoEntry> MakeAlgorithms(const engine::Engine& eng) {
   out.push_back({std::make_unique<clustering::Foptics>(), true});
   out.push_back({std::make_unique<clustering::Uahc>(), true});
   out.push_back({std::make_unique<clustering::UkMedoids>(), true});
-  out.push_back({std::make_unique<clustering::Ukmeans>(), false});
+  out.push_back({clustering::MakeClustererOrDie("UK-means"), false});
   out.push_back({std::make_unique<clustering::Mmvar>(), false});
   out.push_back({std::make_unique<clustering::Ucpc>(), false});
   for (auto& e : out) e.algo->set_engine(eng);

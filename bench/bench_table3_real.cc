@@ -18,9 +18,9 @@
 #include "clustering/fdbscan.h"
 #include "clustering/foptics.h"
 #include "clustering/mmvar.h"
+#include "clustering/registry.h"
 #include "clustering/uahc.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "clustering/ukmedoids.h"
 #include "common/cli.h"
 #include "data/microarray_gen.h"
@@ -42,7 +42,7 @@ std::vector<AlgoEntry> MakeAlgorithms(const engine::Engine& eng) {
   out.push_back({std::make_unique<clustering::Foptics>(), true});
   out.push_back({std::make_unique<clustering::Uahc>(), true});
   out.push_back({std::make_unique<clustering::UkMedoids>(), true});
-  out.push_back({std::make_unique<clustering::Ukmeans>(), false});
+  out.push_back({clustering::MakeClustererOrDie("UK-means"), false});
   out.push_back({std::make_unique<clustering::Mmvar>(), false});
   out.push_back({std::make_unique<clustering::Ucpc>(), false});
   for (auto& e : out) e.algo->set_engine(eng);

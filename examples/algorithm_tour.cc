@@ -14,9 +14,9 @@
 #include "clustering/fdbscan.h"
 #include "clustering/foptics.h"
 #include "clustering/mmvar.h"
+#include "clustering/registry.h"
 #include "clustering/uahc.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "clustering/ukmedoids.h"
 #include "common/cli.h"
 #include "data/benchmark_gen.h"
@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::unique_ptr<clustering::Clusterer>> algorithms;
   algorithms.push_back(std::make_unique<clustering::Ucpc>());
-  algorithms.push_back(std::make_unique<clustering::Ukmeans>());
+  algorithms.push_back(clustering::MakeClustererOrDie("UK-means"));
   algorithms.push_back(std::make_unique<clustering::Mmvar>());
   algorithms.push_back(std::make_unique<clustering::BasicUkmeans>());
   {

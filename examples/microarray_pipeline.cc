@@ -7,13 +7,12 @@
 #include <cstdio>
 #include <string>
 
+#include "clustering/ckmeans.h"
 #include "clustering/mmvar.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "common/cli.h"
 #include "data/microarray_gen.h"
 #include "eval/internal.h"
-#include "eval/model_selection.h"
 
 int main(int argc, char** argv) {
   const uclust::common::ArgParser args(argc, argv);
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
 
   const uclust::clustering::Ucpc ucpc;
   const uclust::clustering::Mmvar mmvar;
-  const uclust::clustering::Ukmeans ukmeans;
+  const uclust::clustering::CkMeans ukmeans;
   std::printf("%6s %10s %10s %10s\n", "k", "Q(UCPC)", "Q(MMVar)", "Q(UKM)");
   for (int k : {2, 3, 5, 10, 15}) {
     const auto ru = ucpc.Cluster(ds, k, seed + k);
@@ -56,18 +55,5 @@ int main(int argc, char** argv) {
     std::printf("%6d %10.4f %10.4f %10.4f\n", k, qu, qm, qk);
   }
   std::printf("(higher Q = more separated, more cohesive clustering)\n");
-
-  // How many modules does the data actually support? Model selection via
-  // the expected-distance silhouette (library extension).
-  const auto selection =
-      uclust::eval::SelectK(ds, ucpc, 2, 12,
-                            uclust::eval::SelectionCriterion::kSilhouette,
-                            /*runs=*/2, seed + 99);
-  std::printf("\nmodel selection (expected-distance silhouette): "
-              "best k = %d\n",
-              selection.best_k);
-  for (const auto& row : selection.scores) {
-    std::printf("  k=%2d  silhouette=%.4f\n", row.k, row.score);
-  }
   return 0;
 }

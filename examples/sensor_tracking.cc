@@ -8,8 +8,8 @@
 //   $ ./sensor_tracking [--sensors=400] [--groups=5] [--noise=0.15]
 #include <cstdio>
 
+#include "clustering/ckmeans.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "common/cli.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   // snapshot noise are random, exactly like the paper's protocol.
   const int runs = static_cast<int>(args.GetInt("runs", 10));
   const uclust::data::UncertainDataset uncertain = model.Uncertain();
-  const uclust::clustering::Ukmeans ukm;
+  const uclust::clustering::CkMeans ukm;
   const uclust::clustering::Ucpc ucpc;
   double f_oblivious = 0.0;
   double f_aware = 0.0;

@@ -13,8 +13,8 @@
 #include <cstdio>
 #include <vector>
 
+#include "clustering/ckmeans.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "common/cli.h"
 #include "common/rng.h"
 #include "data/dataset.h"
@@ -76,7 +76,8 @@ int main(int argc, char** argv) {
   std::printf("streamed n=%zu m=%zu (batch size 32)\n", mm.size(), mm.dims());
 
   // 3. The fast algorithms consume the matrix directly.
-  const auto ukm = clustering::Ukmeans::RunOnMoments(mm, /*k=*/2, /*seed=*/42);
+  const auto ukm = clustering::CkMeans::RunOnMoments(
+      mm, /*k=*/2, /*seed=*/42, clustering::CkMeans::Params());
   const auto ucpc = clustering::Ucpc::RunOnMoments(mm, /*k=*/2, /*seed=*/42);
   std::printf("UK-means: objective=%.4f iterations=%d\n", ukm.objective,
               ukm.iterations);

@@ -7,11 +7,11 @@
 // integrations the pruners try to avoid.
 //
 // This sample-integrated formulation exists to reproduce the baselines the
-// paper compares against; it is NOT the production UK-means path. The fast
-// family (ukmeans.h) removes the S factor entirely via the closed form, and
-// its CK-means layer (ckmeans.h) prunes the remaining k factor with
-// Hamerly/Elkan bounds over the reduced representation — the bounds there
-// play the role MinMax-BB/VDBiP play here, but without any sampling error.
+// paper compares against; it is NOT the production UK-means path. That path
+// (ckmeans.h) removes the S factor entirely via the closed form and prunes
+// the remaining k factor with Hamerly/Elkan bounds over the expected values
+// — the bounds there play the role MinMax-BB/VDBiP play here, but without
+// any sampling error.
 #ifndef UCLUST_CLUSTERING_BASIC_UKMEANS_H_
 #define UCLUST_CLUSTERING_BASIC_UKMEANS_H_
 

@@ -24,10 +24,11 @@ namespace {
 // step, so rounding can never turn a bound test into an unsound skip. The
 // skip tests are additionally strict (<), which closes the remaining exact-
 // tie corner (coincident centroids at distance 0): ties always fall through
-// to the full scan, whose comparison order matches kernels::NearestCentroid
-// exactly — that is what makes the pruned path bit-identical to the direct
-// sweeps. (Same scheme as the PairwiseBoundIndex slack, tighter because the
-// quantities here are single distances, not sample sums.)
+// to the full scan, whose comparison order (ascending c, strict <) matches
+// the direct sweeps' nearest-centroid scan exactly — that is what makes the
+// pruned path bit-identical to them. (Same scheme as the PairwiseBoundIndex
+// slack, tighter because the quantities here are single distances, not
+// sample sums.)
 constexpr double kBoundSlack = 1e-12;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -45,7 +46,7 @@ inline std::span<const double> CentroidAt(std::span<const double> centroids,
   return centroids.subspan(static_cast<std::size_t>(c) * m, m);
 }
 
-// Full k-center scan in kernels::NearestCentroid's exact comparison order
+// Full k-center scan in the direct sweeps' exact comparison order
 // (ascending c, strict <), additionally tracking the runner-up squared
 // distance for the lower bound. reuse_c (-1 = none) short-circuits the one
 // distance the bound-tightening step already evaluated — the reused value
@@ -187,35 +188,28 @@ SweepCounts AssignSweep(const engine::Engine& eng,
   return total;
 }
 
-}  // namespace
-
-ReducedMoments CkmeansReduce(const engine::Engine& eng,
-                             const uncertain::MomentView& mm) {
-  ReducedMoments r;
-  r.n = mm.size();
-  r.m = mm.dims();
-  r.means.resize(r.n * r.m);
-  r.constants.resize(r.n);
-  engine::ParallelFor(eng, r.n, [&](const engine::BlockedRange& range) {
-    for (std::size_t i = range.begin; i < range.end; ++i) {
-      const auto mean = mm.mean(i);
-      std::copy(mean.begin(), mean.end(), r.means.begin() + i * r.m);
-      r.constants[i] = mm.total_variance(i);
-    }
-  });
-  return r;
+ClusteringResult ToResult(CkMeans::Outcome outcome, int k) {
+  ClusteringResult result;
+  result.labels = std::move(outcome.labels);
+  result.k_requested = k;
+  result.clusters_found = CountClusters(result.labels);
+  result.iterations = outcome.iterations;
+  result.objective = outcome.objective;
+  result.center_distance_evals = outcome.center_distance_evals;
+  result.bounds_skipped = outcome.bounds_skipped;
+  return result;
 }
 
-namespace {
+}  // namespace
 
-// The one Lloyd loop. `view` needs only mean() and total_variance(): a
-// reduction (RunOnMoments, ClusterFile's resident form) or a mapped moment
-// store (ClusterFile over budget). Every read goes through the view, and
-// the sums and objective through the shared blocked kernels, so the result
-// does not depend on which of the two backs it.
-CkMeans::Outcome RunLloyd(const uncertain::MomentView& view, int k,
-                          uint64_t seed, const CkMeans::Params& params,
-                          const engine::Engine& eng) {
+// The one Lloyd loop. `view` needs only mean() and total_variance(): the
+// caller's moments, ClusterFile's reduced decode, or a mapped moment store.
+// Every read goes through the view, and the sums and objective through the
+// shared blocked kernels, so the result does not depend on what backs it.
+CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
+                                       int k, uint64_t seed,
+                                       const Params& params,
+                                       const engine::Engine& eng) {
   const std::size_t n = view.size();
   const std::size_t m = view.dims();
   assert(k >= 1 && n >= static_cast<std::size_t>(k));
@@ -228,7 +222,7 @@ CkMeans::Outcome RunLloyd(const uncertain::MomentView& view, int k,
           : RandomDistinctObjects(n, k, &rng);
   std::vector<double> centroids = CentroidsFromObjects(view, picks);
 
-  CkMeans::Outcome out;
+  Outcome out;
   out.labels.assign(n, -1);
   std::vector<double> ub(n, 0.0), lb(n, 0.0), half_sep, old_centroids;
   std::vector<double> sums;
@@ -273,27 +267,6 @@ CkMeans::Outcome RunLloyd(const uncertain::MomentView& view, int k,
   return out;
 }
 
-ClusteringResult ToResult(CkMeans::Outcome outcome, int k) {
-  ClusteringResult result;
-  result.labels = std::move(outcome.labels);
-  result.k_requested = k;
-  result.clusters_found = CountClusters(result.labels);
-  result.iterations = outcome.iterations;
-  result.objective = outcome.objective;
-  result.center_distance_evals = outcome.center_distance_evals;
-  result.bounds_skipped = outcome.bounds_skipped;
-  return result;
-}
-
-}  // namespace
-
-CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& mm,
-                                       int k, uint64_t seed,
-                                       const Params& params,
-                                       const engine::Engine& eng) {
-  return RunLloyd(CkmeansReduce(eng, mm).view(), k, seed, params, eng);
-}
-
 ClusteringResult CkMeans::Cluster(const data::UncertainDataset& data, int k,
                                   uint64_t seed) const {
   common::Stopwatch offline;
@@ -328,26 +301,28 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
         std::to_string(n));
   }
 
-  ReducedMoments red;
+  // The reduced form: the expected centroids (row-major n x m) and the
+  // per-object ED^ constants sigma^2(o), all the Lloyd loop reads.
+  std::vector<double> means, constants;
   uncertain::MomentStorePtr store;
   uncertain::MomentView view;
   if (ReducedFits(n, m, eng)) {
     // Resident form: decode the means and ED^ constants straight into the
-    // reduction; the mu2/var columns land in one batch of scratch.
-    red.n = n;
-    red.m = m;
-    red.means.resize(n * m);
-    red.constants.resize(n);
+    // reduction; the mu2/var columns land in one batch of scratch. The view
+    // backs only mean() and total_variance().
+    means.resize(n * m);
+    constants.resize(n);
     const std::size_t batch = std::min(io::kDefaultIngestBatch, n);
     std::vector<double> mu2(batch * m), var(batch * m);
     for (std::size_t done = 0; done < n;) {
       std::size_t rows = 0;
       UCLUST_RETURN_NOT_OK(reader.ReadMomentRows(
-          batch, &rows, red.means.data() + done * m, mu2.data(), var.data(),
-          red.constants.data() + done));
+          batch, &rows, means.data() + done * m, mu2.data(), var.data(),
+          constants.data() + done));
       done += rows;
     }
-    view = red.view();
+    view = uncertain::MomentView(n, m, means.data(), /*mu2=*/nullptr,
+                                 /*var=*/nullptr, constants.data());
   } else {
     // Mapped form: the reduction alone exceeds the budget, so the moment
     // store's auto rule spills to the .umom sidecar, and the loop reads its
@@ -362,7 +337,8 @@ common::Result<ClusteringResult> CkMeans::ClusterFile(
   const double offline_ms = offline.ElapsedMs();
 
   common::Stopwatch online;
-  ClusteringResult result = ToResult(RunLloyd(view, k, seed, params, eng), k);
+  ClusteringResult result =
+      ToResult(RunOnMoments(view, k, seed, params, eng), k);
   result.online_ms = online.ElapsedMs();
   result.offline_ms = offline_ms;
   return result;

@@ -1,19 +1,19 @@
-// CK-means: the O(nk)-per-iteration fast path of the UK-means family.
+// CK-means: the O(nk)-per-iteration UK-means. The registry builds it under
+// both "UK-means" and "CK-means"; the two names run this one Lloyd loop and
+// differ only in the label name() reports.
 //
-// Two stacked optimizations over the direct UK-means sweeps (ukmeans.h),
-// both exact under the library determinism contract — labels, objective,
-// and iteration count are bit-identical to the direct path
-// (Ukmeans::RunOnMoments, kept as the test reference) at any engine thread
-// count:
+// Two stacked optimizations over the direct UK-means sweeps, both exact
+// under the library determinism contract — labels, objective, and iteration
+// count are bit-identical to the direct O(I k n m) loop (kept as the test
+// oracle in tests/ukmeans_oracle.h) at any engine thread count:
 //
 //   1. Moment reduction (Lee, Kao & Cheng, ICDM-W 2007). König-Huygens
 //      splits the expected distance as ED(o, c) = sigma^2(o) +
-//      ||mu(o) - c||^2 (Eq. 8), so the Lloyd loop only ever touches each
+//      ||mu(o) - c||^2 (Eq. 8), so the Lloyd loop only ever reads each
 //      object's expected centroid mu(o) and the additive constant
-//      sigma^2(o). CkmeansReduce copies exactly those two columns out of a
-//      MomentView in one sequential pass — Resident or Mapped backend alike
-//      — and the loop then runs on a flat resident block of (m+1)/(3m+1)
-//      of the full moment bytes, with zero chunk faults per sweep.
+//      sigma^2(o) — the mean() and total_variance() of the caller's
+//      MomentView, read in place whatever backs it (flat columns, a mapped
+//      .umom store, or ClusterFile's reduced decode).
 //
 //   2. Hamerly/Elkan bound pruning. A per-object Euclidean upper bound to
 //      the assigned center and a lower bound to the second-closest center
@@ -28,11 +28,11 @@
 //
 // The file-backed driver ClusterFile runs the same loop over a .ubin
 // dataset in one of two forms, chosen by the engine memory budget: the
-// reduced representation decoded straight from the file when its
-// (m+1)*n doubles fit, and otherwise the mapped .umom moment store
-// (io::StreamMomentStoreFromFile), whose chunked view the loop reads in
-// place. Either way the results are bit-identical to RunOnMoments over the
-// fully ingested file.
+// reduced representation ((m+1)*n doubles: the means and ED^ constants)
+// decoded straight from the file when it fits, and otherwise the mapped
+// .umom moment store (io::StreamMomentStoreFromFile), whose chunked view
+// the loop reads in place. Either way the results are bit-identical to
+// RunOnMoments over the fully ingested file.
 //
 // Accounting contract: center_distance_evals counts the object-to-center
 // ||mu(o) - c||^2 evaluations of the assignment sweeps and bounds_skipped
@@ -40,9 +40,9 @@
 // satisfies evals + skipped == sweeps * n * k, where sweeps is the number
 // of assignment sweeps actually run — iterations + 1 on a converged run
 // (the final sweep changes nothing but still executes, exactly as on the
-// direct path) and iterations when the cap stops the loop. Center-to-center
-// work (drift norms, half separations — O(k^2) per iteration) is not
-// counted.
+// direct path) and iterations when the cap stops the loop. The sum is
+// therefore the direct path's evaluation count. Center-to-center work
+// (drift norms, half separations — O(k^2) per iteration) is not counted.
 #ifndef UCLUST_CLUSTERING_CKMEANS_H_
 #define UCLUST_CLUSTERING_CKMEANS_H_
 
@@ -50,6 +50,7 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "clustering/clusterer.h"
@@ -59,34 +60,7 @@
 
 namespace uclust::clustering {
 
-/// The reduced (König-Huygens) representation of an uncertain dataset: the
-/// flat expected-centroid block the Lloyd loop runs on, plus the additive
-/// per-object ED^ constants. ~(m+1) doubles per object.
-struct ReducedMoments {
-  std::size_t n = 0;
-  std::size_t m = 0;
-  /// Row-major n x m expected centroids mu(o_i).
-  std::vector<double> means;
-  /// Per-object additive constant sigma^2(o_i) (the total variance).
-  std::vector<double> constants;
-
-  /// Flat MomentView over the reduction. Only mean() and total_variance()
-  /// are backed — the reduction exists precisely because the Lloyd loop
-  /// reads nothing else; second_moment()/variance() would dereference null.
-  uncertain::MomentView view() const {
-    return uncertain::MomentView(n, m, means.data(), /*mu2=*/nullptr,
-                                 /*var=*/nullptr, constants.data());
-  }
-};
-
-/// Copies the expected centroids and ED^ constants out of `mm` in one
-/// blocked pass. Works against flat and chunked (mapped) views alike; the
-/// copied values are bit-identical to what the view serves.
-ReducedMoments CkmeansReduce(const engine::Engine& eng,
-                             const uncertain::MomentView& mm);
-
-/// The CK-means fast path as a standalone registry algorithm. As a library
-/// entry point, prefer Ukmeans — its Cluster() runs this path.
+/// UK-means as the bound-pruned Lloyd loop over expected values.
 class CkMeans final : public Clusterer {
  public:
   /// Audit observer for the bound-invariant tests: fired after every drift
@@ -107,7 +81,7 @@ class CkMeans final : public Clusterer {
     BoundAudit bound_audit;
   };
 
-  /// Outcome of the kernel (mirrors Ukmeans::Outcome plus the counters).
+  /// Outcome of the kernel.
   struct Outcome {
     std::vector<int> labels;
     double objective = 0.0;  ///< sum_o [ sigma^2(o) + ||mu(o) - c_l(o)||^2 ].
@@ -117,15 +91,19 @@ class CkMeans final : public Clusterer {
   };
 
   CkMeans() = default;
-  explicit CkMeans(const Params& params) : params_(params) {}
+  /// `name` is the label name() reports (the registry passes the name it
+  /// builds the algorithm under); it never changes the run.
+  explicit CkMeans(Params params, std::string name = "CK-means")
+      : params_(std::move(params)), name_(std::move(name)) {}
 
-  std::string name() const override { return "CK-means"; }
+  std::string name() const override { return name_; }
   ClusteringResult Cluster(const data::UncertainDataset& data, int k,
                            uint64_t seed) const override;
 
-  /// Kernel entry point for pre-packed moment statistics: one reduction
-  /// pass, then the bound-pruned Lloyd loop. Bit-identical to
-  /// Ukmeans::RunOnMoments (same seeding, tie-breaking, update, and
+  /// Kernel entry point for pre-packed moment statistics: the bound-pruned
+  /// Lloyd loop, reading mean() and total_variance() of `mm` in place (no
+  /// copy, so a mapped view stays within its chunk windows). Bit-identical
+  /// to the direct sweeps (same seeding, tie-breaking, update, and
   /// empty-cluster reseed order) at any engine thread count.
   static Outcome RunOnMoments(const uncertain::MomentView& mm, int k,
                               uint64_t seed, const Params& params,
@@ -154,6 +132,7 @@ class CkMeans final : public Clusterer {
 
  private:
   Params params_;
+  std::string name_ = "CK-means";
 };
 
 }  // namespace uclust::clustering

@@ -9,14 +9,11 @@
 // (Lemma 2 + Eq. 11) objectives, which is what makes Propositions 2 and 3
 // directly checkable. Corollary 1 turns add/remove into O(m) updates.
 //
-// Caveat for the CK-means reduced representation (clustering/ckmeans.h):
-// these aggregates consume the FULL moment columns — Phi needs mu2 and Psi
-// needs the per-dimension variances, neither of which the reduced view
-// carries (it serves mean() and total_variance() only). Feed ClusterMoments
-// the original MomentView, never ReducedMoments::view(). The CK-means
-// objective itself needs no aggregates: by König-Huygens it is the
-// assignment objective sum_o [sigma^2(o) + ||mu(o) - c||^2], which Lemma 1
-// equals at converged centroids (tests/test_ukmeans.cc cross-checks this).
+// These aggregates consume the FULL moment columns — Phi needs mu2 and Psi
+// the per-dimension variances. The CK-means objective (clustering/ckmeans.h)
+// needs none of them: by König-Huygens it is the assignment objective
+// sum_o [sigma^2(o) + ||mu(o) - c||^2], which Lemma 1 equals at converged
+// centroids (tests/test_ukmeans.cc cross-checks this).
 #ifndef UCLUST_CLUSTERING_CLUSTER_STATS_H_
 #define UCLUST_CLUSTERING_CLUSTER_STATS_H_
 

@@ -22,41 +22,6 @@ std::size_t TriangularRowBlock(const engine::Engine& eng, std::size_t n) {
 
 }  // namespace
 
-int NearestCentroid(std::span<const double> point,
-                    std::span<const double> centroids, int k, std::size_t m) {
-  // Dispatched center scan (same ascending-c strict-< decision sequence);
-  // the runner-up distance the kernel also tracks is unused here.
-  int best = 0;
-  double best_d2 = 0.0;
-  double second_d2 = 0.0;
-  simd::NearestTwo(point.data(), centroids.data(), k, m, /*reuse_c=*/-1,
-                   /*reuse_d2=*/0.0, &best, &best_d2, &second_d2);
-  return best;
-}
-
-std::size_t AssignNearest(const engine::Engine& eng,
-                          const uncertain::MomentView& mm,
-                          std::span<const double> centroids, int k,
-                          std::span<int> labels) {
-  const std::size_t m = mm.dims();
-  const std::vector<std::size_t> changed_per_block =
-      engine::MapBlocks<std::size_t>(
-          eng, mm.size(), [&](const engine::BlockedRange& r) {
-            std::size_t changed = 0;
-            for (std::size_t i = r.begin; i < r.end; ++i) {
-              const int best = NearestCentroid(mm.mean(i), centroids, k, m);
-              if (best != labels[i]) {
-                labels[i] = best;
-                ++changed;
-              }
-            }
-            return changed;
-          });
-  std::size_t total = 0;
-  for (std::size_t c : changed_per_block) total += c;
-  return total;
-}
-
 void SumMeansByLabel(const engine::Engine& eng,
                      const uncertain::MomentView& mm,
                      std::span<const int> labels, int k,

@@ -1,18 +1,13 @@
 // Shared blocked compute kernels of the clustering stack.
 //
-// The nearest-centroid / expected-distance inner loops used to be duplicated
-// across ukmeans.cc, basic_ukmeans.cc, and pruning call sites; they live
-// here once, formulated over MomentView / SampleView blocks and
-// dispatched through the execution engine. Every kernel is bit-identical
-// for any Engine thread count (fixed block partition + ordered reduction;
-// see engine/parallel_for.h).
+// The blocked inner loops shared by the clustering algorithms, formulated
+// over MomentView / SampleView blocks and dispatched through the execution
+// engine. Every kernel is bit-identical for any Engine thread count (fixed
+// block partition + ordered reduction; see engine/parallel_for.h).
 //
-// The CK-means fast path (clustering/ckmeans.h) sums and scores through
-// SumMeansByLabel and AssignmentObjective, so their blocked fold order lives
-// here only. Its bound-pruned assignment does not call AssignNearest; its
-// full scans (simd::NearestTwo) keep NearestCentroid's ascending-c strict-<
-// comparison order, which is what makes its labels bit-identical to the
-// direct sweeps.
+// CK-means (clustering/ckmeans.h) sums and scores through SumMeansByLabel
+// and AssignmentObjective, so their blocked fold order lives here only; its
+// assignment sweep is its own bound-pruned scan (simd::NearestTwo).
 //
 // The pairwise kernels are tile producers: they fill row tiles (or the
 // ragged upper-triangle rows) of a symmetric pairwise table for a
@@ -38,19 +33,6 @@
 #include "uncertain/uncertain_object.h"
 
 namespace uclust::clustering::kernels {
-
-/// Index of the centroid (flat k x m array) nearest to `point` by squared
-/// Euclidean distance; ties break toward the lower index.
-int NearestCentroid(std::span<const double> point,
-                    std::span<const double> centroids, int k, std::size_t m);
-
-/// Assigns every object's expected value to its nearest centroid (the
-/// UK-means assignment step, Eq. 8). Writes labels[i] and returns the number
-/// of labels that changed.
-std::size_t AssignNearest(const engine::Engine& eng,
-                          const uncertain::MomentView& mm,
-                          std::span<const double> centroids, int k,
-                          std::span<int> labels);
 
 /// Accumulates per-cluster sums of member means and member counts
 /// (the centroid-update numerators of Eq. 7). sums is resized to k*m and

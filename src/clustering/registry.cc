@@ -10,7 +10,6 @@
 #include "clustering/mmvar.h"
 #include "clustering/uahc.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "clustering/ukmedoids.h"
 
 namespace uclust::clustering {
@@ -36,8 +35,11 @@ std::vector<std::string> RegisteredClusterers() {
 common::Result<std::unique_ptr<Clusterer>> MakeClusterer(
     std::string_view name) {
   if (name == "UCPC") return std::unique_ptr<Clusterer>(new Ucpc());
-  if (name == "UK-means") return std::unique_ptr<Clusterer>(new Ukmeans());
-  if (name == "CK-means") return std::unique_ptr<Clusterer>(new CkMeans());
+  // One algorithm under two names; the name is only the reported label.
+  if (name == "UK-means" || name == "CK-means") {
+    return std::unique_ptr<Clusterer>(
+        new CkMeans(CkMeans::Params(), std::string(name)));
+  }
   if (name == "MMVar") return std::unique_ptr<Clusterer>(new Mmvar());
   if (name == "bUK-means") {
     return std::unique_ptr<Clusterer>(new BasicUkmeans());

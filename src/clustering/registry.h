@@ -19,9 +19,11 @@ namespace uclust::clustering {
 std::vector<std::string> RegisteredClusterers();
 
 /// Creates an algorithm by name. Accepted names (case-sensitive):
-/// "UCPC", "UK-means", "MMVar", "bUK-means", "MinMax-BB", "VDBiP",
-/// "MinMax-BB+shift", "VDBiP+shift", "UK-medoids", "UAHC", "FDBSCAN",
-/// "FOPTICS".
+/// "UCPC", "UK-means", "CK-means", "MMVar", "bUK-means", "MinMax-BB",
+/// "MinMax-BB+shift", "VDBiP", "VDBiP+shift", "UK-medoids", "UAHC",
+/// "FDBSCAN", "FOPTICS". "UK-means" and "CK-means" build the same
+/// algorithm (CkMeans, the bound-pruned UK-means); each reports the name it
+/// was built under.
 common::Result<std::unique_ptr<Clusterer>> MakeClusterer(
     std::string_view name);
 

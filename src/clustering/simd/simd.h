@@ -96,7 +96,7 @@ struct KernelTable {
                    double* var_dst, double* total_var_dst);
   /// Best / runner-up center scan of one point over a flat k x m centroid
   /// array — the CK-means reduced-moment sweep. Ascending c, strict <, ties
-  /// to the lower index (the kernels::NearestCentroid comparison order).
+  /// to the lower index (the direct UK-means sweeps' comparison order).
   /// reuse_c >= 0 substitutes reuse_d2 for that center's distance without
   /// changing the decision sequence.
   void (*nearest_two)(const double* point, const double* centroids, int k,

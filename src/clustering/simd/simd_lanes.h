@@ -223,8 +223,8 @@ void PackRowT(const double* mean, const double* mu2, const double* var,
 }
 
 // The CK-means reduced-moment scan: best and runner-up centers of one point
-// over a flat k x m centroid array. Mirrors the historical ScanCenters /
-// NearestCentroid decision sequence exactly — ascending c, strict <, ties
+// over a flat k x m centroid array. Mirrors the direct UK-means sweeps'
+// nearest-centroid decision sequence exactly — ascending c, strict <, ties
 // to the lower index — so routing through it changes no assignment and no
 // Hamerly/Elkan bound.
 template <class Ops>

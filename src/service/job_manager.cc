@@ -110,6 +110,14 @@ common::Result<std::string> JobManager::Submit(JobSpec spec,
                                                const std::string& request_id) {
   common::Result<DatasetInfo> dataset = registry_->Get(spec.dataset_id);
   if (!dataset.ok()) return dataset.status();
+  // Every algorithm indexes k distinct objects; reject here what would
+  // crash an executor lane.
+  const std::size_t n = dataset.ValueOrDie().n;
+  if (spec.k < 1 || static_cast<std::size_t>(spec.k) > n) {
+    return common::Status::InvalidArgument(
+        "job: need 1 <= k <= n, got k=" + std::to_string(spec.k) +
+        " for dataset " + spec.dataset_id + " with n=" + std::to_string(n));
+  }
 
   const std::size_t global = cfg_.global_budget_bytes;
   std::size_t budget = spec.engine.memory_budget_bytes;

@@ -118,9 +118,9 @@ class JobManager {
   void Stop();
 
   /// Validates against the registry + admission rules and enqueues.
-  /// Returns the job id, or: NotFound (unknown dataset), OutOfRange
-  /// (effective budget exceeds the global pool, or queue full — the
-  /// message distinguishes them).
+  /// Returns the job id, or: NotFound (unknown dataset), InvalidArgument
+  /// (k outside [1, n] for the dataset's n), OutOfRange (effective budget exceeds the
+  /// global pool, or queue full — the message distinguishes them).
   common::Result<std::string> Submit(JobSpec spec,
                                      const std::string& request_id);
 

@@ -27,9 +27,9 @@ namespace uclust::service {
 struct JobSpec {
   std::string dataset_id;
   /// Any clustering::RegisteredClusterers() name. "UK-means" and "CK-means"
-  /// run through the bounded-memory file-backed CK-means driver (they are
-  /// bit-identical by the library contract); every other algorithm loads
-  /// the dataset fully resident.
+  /// (one algorithm under two names) run through the bounded-memory
+  /// file-backed CK-means driver; every other algorithm loads the dataset
+  /// fully resident.
   std::string algorithm = "CK-means";
   int k = 0;
   std::uint64_t seed = 0;

@@ -8,8 +8,8 @@
 #include <tuple>
 
 #include "clustering/basic_ukmeans.h"
+#include "clustering/ckmeans.h"
 #include "clustering/pruning.h"
-#include "clustering/ukmeans.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "data/benchmark_gen.h"
@@ -168,7 +168,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(BasicUkmeans, AgreesWithFastUkmeansOnSeparatedData) {
   // On well-separated clusters the sampled assignment matches the exact one.
   const auto ds = PlantedDataset(200, 3, 9);
-  const Ukmeans fast;
+  const CkMeans fast;
   const BasicUkmeans slow;
   const ClusteringResult a = fast.Cluster(ds, 3, 10);
   const ClusteringResult b = slow.Cluster(ds, 3, 10);

@@ -1,10 +1,11 @@
-// Tests for the CK-means fast path (clustering/ckmeans.h): the reduced,
+// Tests for CK-means (clustering/ckmeans.h), the one UK-means: the
 // bound-pruned Lloyd loop must reproduce the direct UK-means sweeps
-// (Ukmeans::RunOnMoments) bit-for-bit on every moment backend, the
-// maintained bounds must actually bound, the
-// evaluation counters must satisfy their accounting contract, and the
-// file-backed driver must match the fully ingested run in both its
-// reduced-resident and its mapped .umom branch.
+// (oracle::DirectUkmeans, tests/ukmeans_oracle.h) bit-for-bit on every
+// moment backend, the maintained bounds must actually bound, the
+// evaluation counters must satisfy their accounting contract, the registry
+// must build it under both names, and the file-backed driver must match the
+// fully ingested run in both its reduced-resident and its mapped .umom
+// branch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +19,6 @@
 
 #include "clustering/ckmeans.h"
 #include "clustering/registry.h"
-#include "clustering/ukmeans.h"
 #include "common/math_utils.h"
 #include "common/rng.h"
 #include "data/benchmark_gen.h"
@@ -27,6 +27,7 @@
 #include "engine/engine.h"
 #include "io/ingest.h"
 #include "io/moment_file.h"
+#include "ukmeans_oracle.h"
 
 namespace uclust::clustering {
 namespace {
@@ -59,28 +60,11 @@ engine::Engine EngineWith(int threads, std::size_t budget = 0) {
 }
 
 // ---------------------------------------------------------------------------
-// Reduction layer.
+// Bit-identity against the direct reference.
 
-TEST(CkmeansReduction, CopiesMeansAndConstantsExactly) {
-  const auto ds = TestDataset(200, 4, 3, 21);
-  const auto mm = ds.moments().view();
-  const ReducedMoments red = CkmeansReduce(EngineWith(4), mm);
-  ASSERT_EQ(red.n, mm.size());
-  ASSERT_EQ(red.m, mm.dims());
-  const auto view = red.view();
-  for (std::size_t i = 0; i < red.n; ++i) {
-    const auto a = mm.mean(i);
-    const auto b = view.mean(i);
-    ASSERT_EQ(std::vector<double>(a.begin(), a.end()),
-              std::vector<double>(b.begin(), b.end())) << "object " << i;
-    ASSERT_EQ(mm.total_variance(i), view.total_variance(i)) << "object " << i;
-  }
-}
-
-TEST(CkmeansReduction, MatchesDirectOnChunkedMappedBackend) {
-  // Write the moments into a .umom with tiny chunks, reopen through the
-  // Mapped backend, and check both the reduction copy and the clustering
-  // outcome are bit-identical to the flat view.
+// CK-means reads the caller's view in place: over a chunked mapped view it
+// must reproduce the oracle over the flat view.
+TEST(Ckmeans, MatchesDirectOnChunkedMappedBackend) {
   const auto ds = TestDataset(300, 4, 4, 23);
   const auto flat = ds.moments().view();
   const std::string sidecar = TempPath("ckmeans_chunked.umom");
@@ -89,21 +73,20 @@ TEST(CkmeansReduction, MatchesDirectOnChunkedMappedBackend) {
   ASSERT_TRUE(store.ok());
   const auto mapped = store.ValueOrDie()->view();
 
-  const auto direct = Ukmeans::RunOnMoments(flat, 4, 5, Ukmeans::Params(),
+  const auto direct = oracle::DirectUkmeans(flat, 4, 5, CkMeans::Params(),
                                             EngineWith(1));
   for (int threads : kThreadCounts) {
-    CkMeans::Params p;
-    const auto out =
-        CkMeans::RunOnMoments(mapped, 4, 5, p, EngineWith(threads));
+    const auto out = CkMeans::RunOnMoments(mapped, 4, 5, CkMeans::Params(),
+                                           EngineWith(threads));
     EXPECT_EQ(out.labels, direct.labels) << "threads=" << threads;
     EXPECT_EQ(out.objective, direct.objective) << "threads=" << threads;
     EXPECT_EQ(out.iterations, direct.iterations) << "threads=" << threads;
+    EXPECT_EQ(out.center_distance_evals + out.bounds_skipped,
+              direct.center_distance_evals)
+        << "threads=" << threads;
   }
   std::remove(sidecar.c_str());
 }
-
-// ---------------------------------------------------------------------------
-// Bit-identity against the direct reference.
 
 // The one CK-means path must reproduce the direct UK-means sweeps at every
 // thread count; its pruning counters, a pure function of the deterministic
@@ -112,7 +95,7 @@ TEST(Ckmeans, MatchesDirectPathAcrossThreadCounts) {
   const auto ds = TestDataset(500, 3, 4, 25);
   const auto mm = ds.moments().view();
   const auto direct =
-      Ukmeans::RunOnMoments(mm, 4, 9, Ukmeans::Params(), EngineWith(1));
+      oracle::DirectUkmeans(mm, 4, 9, CkMeans::Params(), EngineWith(1));
   CkMeans::Outcome serial;
   for (int threads : kThreadCounts) {
     const auto out =
@@ -134,9 +117,9 @@ TEST(Ckmeans, MatchesDirectPathAcrossThreadCounts) {
 TEST(Ckmeans, PlusPlusSeedingMatchesDirectPath) {
   const auto ds = TestDataset(400, 3, 4, 27);
   const auto mm = ds.moments().view();
-  Ukmeans::Params dp;
+  CkMeans::Params dp;
   dp.init = InitStrategy::kPlusPlus;
-  const auto direct = Ukmeans::RunOnMoments(mm, 4, 11, dp, EngineWith(1));
+  const auto direct = oracle::DirectUkmeans(mm, 4, 11, dp, EngineWith(1));
   CkMeans::Params p;
   p.init = InitStrategy::kPlusPlus;
   const auto out = CkMeans::RunOnMoments(mm, 4, 11, p, EngineWith(2));
@@ -208,9 +191,9 @@ TEST(Ckmeans, CountersSatisfyAccountingContract) {
 
   // Direct reference: counts every pair every sweep.
   const auto direct =
-      Ukmeans::RunOnMoments(mm, k, 15, Ukmeans::Params(), EngineWith(2));
+      oracle::DirectUkmeans(mm, k, 15, CkMeans::Params(), EngineWith(2));
   EXPECT_EQ(direct.center_distance_evals,
-            expected_slots(direct.iterations, Ukmeans::Params().max_iters));
+            expected_slots(direct.iterations, CkMeans::Params().max_iters));
   EXPECT_LT(bounded.center_distance_evals, direct.center_distance_evals);
   // The bounded run's total accounts for exactly the direct run's slots.
   EXPECT_EQ(bounded.center_distance_evals + bounded.bounds_skipped,
@@ -234,7 +217,7 @@ TEST(Ckmeans, CountersMonotoneInIterationCap) {
   }
 }
 
-// The paper's Lloyd invariant on both UK-means paths: the objective
+// The paper's Lloyd invariant on CK-means and the direct oracle: the objective
 // reported at max_iters = 1, 2, 4, 8, ... never increases. At cap t the
 // result is J(L_t, c_t) with the centres c_t fitted to the labels L_t, so
 // J(L_{t+1}, c_{t+1}) <= J(L_{t+1}, c_t) <= J(L_t, c_t); an empty-cluster
@@ -272,27 +255,27 @@ TEST(LloydInvariant, UkmeansDirectObjectiveNeverIncreasesWithIterationCap) {
   ExpectObjectiveNonIncreasingInCap(
       "UK-means",
       [](const uncertain::MomentView& mm, uint64_t seed, int cap) {
-        Ukmeans::Params p;
+        CkMeans::Params p;
         p.max_iters = cap;
-        const auto out = Ukmeans::RunOnMoments(mm, 6, seed, p, EngineWith(2));
+        const auto out = oracle::DirectUkmeans(mm, 6, seed, p, EngineWith(2));
         return std::pair<double, int>(out.objective, out.iterations);
       });
 }
 
 // ---------------------------------------------------------------------------
-// UK-means routing and the registry entry.
+// The registry's UK-means.
 
-// Ukmeans::Cluster runs the CK-means path: the direct reference's labels,
+// The registered "UK-means" is CK-means: the direct reference's labels,
 // objective, and iterations, with fewer center-distance evaluations.
 TEST(Ckmeans, UkmeansClusterMatchesDirectWithFewerEvaluations) {
   const auto ds = TestDataset(500, 3, 4, 35);
-  const auto direct = Ukmeans::RunOnMoments(
-      ds.moments().view(), 4, 19, Ukmeans::Params(), EngineWith(2));
+  const auto direct = oracle::DirectUkmeans(
+      ds.moments().view(), 4, 19, CkMeans::Params(), EngineWith(2));
   EXPECT_GT(direct.center_distance_evals, 0);
 
-  Ukmeans fast_algo;
-  fast_algo.set_engine(EngineWith(2));
-  const ClusteringResult fast = fast_algo.Cluster(ds, 4, 19);
+  auto algo = MakeClusterer("UK-means", EngineWith(2));
+  ASSERT_TRUE(algo.ok());
+  const ClusteringResult fast = algo.ValueOrDie()->Cluster(ds, 4, 19);
 
   EXPECT_EQ(fast.labels, direct.labels);
   EXPECT_EQ(fast.objective, direct.objective);
@@ -301,15 +284,23 @@ TEST(Ckmeans, UkmeansClusterMatchesDirectWithFewerEvaluations) {
   EXPECT_GT(fast.bounds_skipped, 0);
 }
 
+// "UK-means" and "CK-means" build one algorithm: identical results and
+// counters, each reporting the name it was built under.
 TEST(Ckmeans, RegistryEntryMatchesUkmeans) {
   const auto ds = TestDataset(300, 3, 3, 37);
+  auto uk = MakeClusterer("UK-means");
   auto ck = MakeClusterer("CK-means");
+  ASSERT_TRUE(uk.ok());
   ASSERT_TRUE(ck.ok());
-  const ClusteringResult a = ck.ValueOrDie()->Cluster(ds, 3, 21);
-  const ClusteringResult b = Ukmeans().Cluster(ds, 3, 21);
+  EXPECT_EQ(uk.ValueOrDie()->name(), "UK-means");
+  EXPECT_EQ(ck.ValueOrDie()->name(), "CK-means");
+  const ClusteringResult a = uk.ValueOrDie()->Cluster(ds, 3, 21);
+  const ClusteringResult b = ck.ValueOrDie()->Cluster(ds, 3, 21);
   EXPECT_EQ(a.labels, b.labels);
   EXPECT_EQ(a.objective, b.objective);
   EXPECT_EQ(a.iterations, b.iterations);
+  EXPECT_EQ(a.center_distance_evals, b.center_distance_evals);
+  EXPECT_EQ(a.bounds_skipped, b.bounds_skipped);
 }
 
 // ---------------------------------------------------------------------------
@@ -331,7 +322,7 @@ struct FileFixture {
   std::size_t m = 6;
   int k = 4;
   uint64_t seed = 23;
-  Ukmeans::Outcome direct[2];  // indexed by InitStrategy
+  CkMeans::Outcome direct[2];  // indexed by InitStrategy
   CkMeans::Outcome fast[2];
 
   std::size_t reduced_bytes() const { return (m + 1) * n * sizeof(double); }
@@ -345,10 +336,10 @@ void RunReferences(FileFixture* f) {
     // Same block size as EngineWith: the objective's blocked summation
     // order is part of the determinism contract (fixed partition, any
     // threads).
-    Ukmeans::Params dp;
+    CkMeans::Params dp;
     dp.init = init;
     f->direct[static_cast<int>(init)] =
-        Ukmeans::RunOnMoments(mm, f->k, f->seed, dp, EngineWith(1));
+        oracle::DirectUkmeans(mm, f->k, f->seed, dp, EngineWith(1));
     CkMeans::Params cp;
     cp.init = init;
     f->fast[static_cast<int>(init)] =
@@ -373,7 +364,7 @@ FileFixture MakeFileFixture(std::size_t n) {
 void ExpectMatchesReferences(const ClusteringResult& out,
                              const FileFixture& f, InitStrategy init,
                              const std::string& trace) {
-  const Ukmeans::Outcome& direct = f.direct[static_cast<int>(init)];
+  const CkMeans::Outcome& direct = f.direct[static_cast<int>(init)];
   const CkMeans::Outcome& fast = f.fast[static_cast<int>(init)];
   EXPECT_EQ(out.labels, direct.labels) << trace;
   EXPECT_EQ(out.objective, direct.objective) << trace;

@@ -1,14 +1,11 @@
-// Tests for the data substrate: dataset containers, generators, the
-// uncertainty protocol, and CSV persistence.
+// Tests for the data substrate: dataset containers, generators and the
+// uncertainty protocol.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
-#include <filesystem>
 #include <set>
 
 #include "data/benchmark_gen.h"
-#include "data/csv_io.h"
 #include "data/dataset.h"
 #include "data/kdd_gen.h"
 #include "data/microarray_gen.h"
@@ -331,29 +328,6 @@ TEST(MicroarrayGen, ByNameScales) {
   EXPECT_EQ(ds.dims(), 21u);
   EXPECT_NEAR(static_cast<double>(ds.size()), 22690 * 0.01, 2.0);
   EXPECT_FALSE(MakeMicroarrayByName("Unknown", 1).ok());
-}
-
-TEST(CsvIo, RoundTripWithLabels) {
-  MixtureParams p;
-  p.n = 25;
-  p.dims = 3;
-  p.classes = 2;
-  const auto d = MakeGaussianMixture(p, 41, "roundtrip");
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "uclust_ds.csv").string();
-  ASSERT_TRUE(SaveDeterministic(path, d).ok());
-  auto r = LoadDeterministic(path, /*has_labels=*/true);
-  ASSERT_TRUE(r.ok());
-  const auto loaded = std::move(r).ValueOrDie();
-  ASSERT_EQ(loaded.size(), d.size());
-  EXPECT_EQ(loaded.labels, d.labels);
-  EXPECT_EQ(loaded.num_classes, d.num_classes);
-  for (std::size_t i = 0; i < d.size(); ++i) {
-    for (std::size_t j = 0; j < d.dims(); ++j) {
-      EXPECT_NEAR(loaded.points[i][j], d.points[i][j], 1e-12);
-    }
-  }
-  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -5,8 +5,8 @@
 
 #include <cmath>
 
+#include "clustering/ckmeans.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
 #include "eval/external.h"
@@ -231,7 +231,7 @@ TEST(Protocol, ProducesConsistentSummary) {
   const auto d = data::MakeGaussianMixture(params, 13, "proto");
   data::UncertaintyParams up;
   up.family = data::PdfFamily::kNormal;
-  const clustering::Ukmeans algo;
+  const clustering::CkMeans algo;
   const ThetaSummary s = RunThetaProtocol(d, up, algo, 3, 3, 17);
   EXPECT_EQ(s.runs, 3);
   EXPECT_GE(s.f_case1, 0.0);

@@ -1,20 +1,16 @@
 // Tests for the library extensions beyond the paper: the algorithm
-// registry, D^2-weighted initialization, the expected-distance silhouette,
-// and model selection for k.
+// registry and D^2-weighted initialization.
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "clustering/ckmeans.h"
 #include "clustering/init.h"
 #include "clustering/registry.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
 #include "eval/external.h"
-#include "eval/model_selection.h"
-#include "eval/silhouette.h"
-#include "uncertain/expected_distance.h"
 
 namespace uclust {
 namespace {
@@ -107,12 +103,12 @@ TEST(PlusPlusInit, ImprovesOrMatchesUkmeansObjective) {
   const auto ds = PlantedDataset(300, 5, 9);
   double forgy = 0.0, pp = 0.0;
   for (uint64_t s = 0; s < 10; ++s) {
-    clustering::Ukmeans::Params fp;
+    clustering::CkMeans::Params fp;
     fp.init = clustering::InitStrategy::kRandom;
-    clustering::Ukmeans::Params pf;
+    clustering::CkMeans::Params pf;
     pf.init = clustering::InitStrategy::kPlusPlus;
-    forgy += clustering::Ukmeans(fp).Cluster(ds, 5, s).objective;
-    pp += clustering::Ukmeans(pf).Cluster(ds, 5, s).objective;
+    forgy += clustering::CkMeans(fp).Cluster(ds, 5, s).objective;
+    pp += clustering::CkMeans(pf).Cluster(ds, 5, s).objective;
   }
   EXPECT_LE(pp, forgy * 1.02);  // on average at least as good
 }
@@ -125,121 +121,6 @@ TEST(PlusPlusInit, WorksThroughUcpcParams) {
   const auto r = algo.Cluster(ds, 3, 12);
   EXPECT_EQ(r.clusters_found, 3);
   EXPECT_GT(eval::AdjustedRand(ds.labels(), r.labels), 0.9);
-}
-
-// --- silhouette -----------------------------------------------------------
-
-// Brute-force silhouette with explicit pairwise ED^ loops.
-double BruteForceSilhouette(const data::UncertainDataset& ds,
-                            const std::vector<int>& labels, int k) {
-  const std::size_t n = ds.size();
-  double total = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::vector<double> avg(k, 0.0);
-    std::vector<int> count(k, 0);
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) continue;
-      avg[labels[j]] +=
-          uncertain::ExpectedSquaredDistance(ds.object(i), ds.object(j));
-      ++count[labels[j]];
-    }
-    if (count[labels[i]] == 0) continue;  // singleton
-    const double a = avg[labels[i]] / count[labels[i]];
-    double b = std::numeric_limits<double>::infinity();
-    for (int c = 0; c < k; ++c) {
-      if (c == labels[i] || count[c] == 0) continue;
-      // Note: other clusters include all their members.
-      const int full = c == labels[i] ? count[c] : count[c];
-      b = std::min(b, avg[c] / full);
-    }
-    const double denom = std::max(a, b);
-    total += denom > 0.0 ? (b - a) / denom : 0.0;
-  }
-  return total / static_cast<double>(n);
-}
-
-TEST(Silhouette, AggregateMatchesBruteForce) {
-  const auto ds = PlantedDataset(70, 3, 13);
-  common::Rng rng(14);
-  std::vector<int> labels(ds.size());
-  for (auto& l : labels) l = rng.UniformInt(0, 2);
-  for (int c = 0; c < 3; ++c) labels[c] = c;
-  const auto fast = eval::ExpectedSilhouette(ds.moments(), labels, 3);
-  const double brute = BruteForceSilhouette(ds, labels, 3);
-  EXPECT_NEAR(fast.mean, brute, 1e-9 * (1.0 + std::fabs(brute)));
-}
-
-TEST(Silhouette, GoodPartitionScoresHigherThanRandom) {
-  const auto ds = PlantedDataset(150, 3, 15);
-  const clustering::Ucpc algo;
-  const auto good = algo.Cluster(ds, 3, 16);
-  common::Rng rng(17);
-  std::vector<int> random_labels(ds.size());
-  for (auto& l : random_labels) l = rng.UniformInt(0, 2);
-  const double s_good =
-      eval::ExpectedSilhouette(ds.moments(), good.labels, 3).mean;
-  const double s_rand =
-      eval::ExpectedSilhouette(ds.moments(), random_labels, 3).mean;
-  EXPECT_GT(s_good, s_rand);
-  EXPECT_GE(s_good, -1.0);
-  EXPECT_LE(s_good, 1.0);
-}
-
-TEST(Silhouette, SingleClusterIsZero) {
-  const auto ds = PlantedDataset(30, 2, 19);
-  const std::vector<int> labels(ds.size(), 0);
-  const auto s = eval::ExpectedSilhouette(ds.moments(), labels, 1);
-  EXPECT_DOUBLE_EQ(s.mean, 0.0);
-}
-
-TEST(Silhouette, SingletonClustersGetZeroWidth) {
-  const auto ds = PlantedDataset(20, 2, 21);
-  std::vector<int> labels(ds.size(), 0);
-  labels[5] = 1;  // singleton
-  const auto s = eval::ExpectedSilhouette(ds.moments(), labels, 2);
-  EXPECT_DOUBLE_EQ(s.widths[5], 0.0);
-}
-
-// --- model selection --------------------------------------------------
-
-TEST(ModelSelection, RecoversPlantedKWithSilhouette) {
-  const auto ds = PlantedDataset(240, 4, 23);
-  const clustering::Ucpc algo;
-  const auto sel = eval::SelectK(ds, algo, 2, 7,
-                                 eval::SelectionCriterion::kSilhouette, 3, 24);
-  EXPECT_EQ(sel.best_k, 4);
-  ASSERT_EQ(sel.scores.size(), 6u);
-  EXPECT_EQ(sel.scores.front().k, 2);
-  EXPECT_EQ(sel.scores.back().k, 7);
-}
-
-TEST(ModelSelection, QualityCriterionProducesOrderedSweep) {
-  const auto ds = PlantedDataset(120, 3, 25);
-  const clustering::Ukmeans algo;
-  const auto sel = eval::SelectK(ds, algo, 2, 5,
-                                 eval::SelectionCriterion::kQuality, 2, 26);
-  EXPECT_GE(sel.best_k, 2);
-  EXPECT_LE(sel.best_k, 5);
-  int prev_k = 1;
-  for (const auto& row : sel.scores) {
-    EXPECT_GT(row.k, prev_k);
-    prev_k = row.k;
-    EXPECT_GE(row.score, -1.0);
-    EXPECT_LE(row.score, 1.0);
-  }
-}
-
-TEST(ModelSelection, DeterministicGivenSeed) {
-  const auto ds = PlantedDataset(90, 3, 27);
-  const clustering::Ucpc algo;
-  const auto a = eval::SelectK(ds, algo, 2, 4,
-                               eval::SelectionCriterion::kSilhouette, 2, 28);
-  const auto b = eval::SelectK(ds, algo, 2, 4,
-                               eval::SelectionCriterion::kSilhouette, 2, 28);
-  EXPECT_EQ(a.best_k, b.best_k);
-  for (std::size_t i = 0; i < a.scores.size(); ++i) {
-    EXPECT_DOUBLE_EQ(a.scores[i].score, b.scores[i].score);
-  }
 }
 
 }  // namespace

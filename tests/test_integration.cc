@@ -8,12 +8,13 @@
 #include <set>
 
 #include "clustering/basic_ukmeans.h"
+#include "clustering/ckmeans.h"
 #include "clustering/fdbscan.h"
 #include "clustering/foptics.h"
 #include "clustering/mmvar.h"
+#include "clustering/registry.h"
 #include "clustering/uahc.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "clustering/ukmedoids.h"
 #include "data/benchmark_gen.h"
 #include "data/microarray_gen.h"
@@ -34,7 +35,7 @@ std::vector<std::unique_ptr<Clusterer>> AllAlgorithms() {
   algos.push_back(std::make_unique<clustering::Foptics>());
   algos.push_back(std::make_unique<clustering::Uahc>());
   algos.push_back(std::make_unique<clustering::UkMedoids>());
-  algos.push_back(std::make_unique<clustering::Ukmeans>());
+  algos.push_back(clustering::MakeClustererOrDie("UK-means"));
   algos.push_back(std::make_unique<clustering::Mmvar>());
   algos.push_back(std::make_unique<clustering::Ucpc>());
   return algos;
@@ -120,7 +121,7 @@ TEST(Integration, UcpcHandlesHighVarianceDataBetterThanUkmeans) {
   const auto ds = data::UncertaintyModel(d, up, 10).Uncertain();
 
   const clustering::Ucpc ucpc;
-  const clustering::Ukmeans ukm;
+  const clustering::CkMeans ukm;
   double f_ucpc = 0.0, f_ukm = 0.0;
   const int runs = 10;
   for (uint64_t s = 0; s < runs; ++s) {
@@ -177,7 +178,7 @@ TEST(Integration, DiracDegenerationMakesCase1Meaningful) {
   auto d = data::MakeBenchmarkDataset("Iris", 17).ValueOrDie();
   const auto ds = data::UncertainDataset::FromDeterministic(d);
   const clustering::Ucpc ucpc;
-  const clustering::Ukmeans ukm;
+  const clustering::CkMeans ukm;
   double best_ucpc = std::numeric_limits<double>::infinity();
   double best_ukm = std::numeric_limits<double>::infinity();
   for (uint64_t s = 0; s < 5; ++s) {

@@ -13,9 +13,9 @@
 
 #include <gtest/gtest.h>
 
+#include "clustering/ckmeans.h"
 #include "clustering/mmvar.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "io/dataset_writer.h"
@@ -191,8 +191,8 @@ TEST(MomentStoreTest, FastAlgorithmsBitIdenticalAcrossBackendsAndThreads) {
   const MomentStorePtr resident =
       OpenStore(path, io::MomentBackendChoice::kResident);
   ASSERT_EQ(MomentBackend::kResident, resident->backend());
-  const auto ref_ukm = clustering::Ukmeans::RunOnMoments(
-      resident->view(), kClusters, kSeed, clustering::Ukmeans::Params(),
+  const auto ref_ukm = clustering::CkMeans::RunOnMoments(
+      resident->view(), kClusters, kSeed, clustering::CkMeans::Params(),
       engines[0]);
   const auto ref_mmv = clustering::Mmvar::RunOnMoments(
       resident->view(), kClusters, kSeed, clustering::Mmvar::Params(),
@@ -210,11 +210,12 @@ TEST(MomentStoreTest, FastAlgorithmsBitIdenticalAcrossBackendsAndThreads) {
   for (const engine::Engine& eng : engines) {
     for (const auto* store : {&resident, &mapped}) {
       const MomentView view = (*store)->view();
-      const auto ukm = clustering::Ukmeans::RunOnMoments(
-          view, kClusters, kSeed, clustering::Ukmeans::Params(), eng);
+      const auto ukm = clustering::CkMeans::RunOnMoments(
+          view, kClusters, kSeed, clustering::CkMeans::Params(), eng);
       EXPECT_EQ(ref_ukm.labels, ukm.labels);
       EXPECT_EQ(ref_ukm.objective, ukm.objective);
       EXPECT_EQ(ref_ukm.iterations, ukm.iterations);
+      EXPECT_EQ(ref_ukm.center_distance_evals, ukm.center_distance_evals);
       const auto mmv = clustering::Mmvar::RunOnMoments(
           view, kClusters, kSeed, clustering::Mmvar::Params(), eng);
       EXPECT_EQ(ref_mmv.labels, mmv.labels);

@@ -24,7 +24,6 @@
 #include "clustering/result_json.h"
 #include "clustering/simd/simd.h"
 #include "clustering/ucpc.h"
-#include "clustering/ukmeans.h"
 #include "clustering/ukmedoids.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
@@ -32,6 +31,7 @@
 #include "io/moment_file.h"
 #include "io/sample_file.h"
 #include "uncertain/sample_store.h"
+#include "ukmeans_oracle.h"
 
 namespace uclust::clustering {
 namespace {
@@ -80,14 +80,16 @@ class ScopedIsa {
   ~ScopedIsa() { clustering::simd::ForceIsa(clustering::simd::Isa::kAuto); }
 };
 
+// The direct oracle is itself thread-count independent, so one serial
+// reference serves the CK-means comparisons at every thread count.
 TEST(ParallelDeterminism, UkmeansBitIdenticalAcrossThreadCounts) {
   const auto ds = TestDataset(700, 4, 5, 31);
-  const auto baseline = Ukmeans::RunOnMoments(ds.moments(), 5, 7,
-                                              Ukmeans::Params(),
+  const auto baseline = oracle::DirectUkmeans(ds.moments(), 5, 7,
+                                              CkMeans::Params(),
                                               EngineWith(1));
   for (int threads : kThreadCounts) {
-    const auto out = Ukmeans::RunOnMoments(ds.moments(), 5, 7,
-                                           Ukmeans::Params(),
+    const auto out = oracle::DirectUkmeans(ds.moments(), 5, 7,
+                                           CkMeans::Params(),
                                            EngineWith(threads));
     EXPECT_EQ(out.labels, baseline.labels) << "threads=" << threads;
     EXPECT_EQ(out.objective, baseline.objective) << "threads=" << threads;
@@ -101,8 +103,8 @@ TEST(ParallelDeterminism, UkmeansBitIdenticalAcrossThreadCounts) {
 // so they too must be thread-count independent.
 TEST(ParallelDeterminism, CkmeansMatchesDirectAcrossThreadCounts) {
   const auto ds = TestDataset(700, 4, 5, 31);
-  const auto direct = Ukmeans::RunOnMoments(ds.moments(), 5, 7,
-                                            Ukmeans::Params(), EngineWith(1));
+  const auto direct = oracle::DirectUkmeans(ds.moments(), 5, 7,
+                                            CkMeans::Params(), EngineWith(1));
   CkMeans::Outcome serial;
   for (int threads : kThreadCounts) {
     const auto out = CkMeans::RunOnMoments(ds.moments(), 5, 7,

@@ -635,6 +635,36 @@ TEST(JobManager, UnknownDatasetRejectedAtSubmit) {
   manager.Stop();
 }
 
+// k above the dataset's n is rejected at submit, before any algorithm could
+// index past the objects; k == n still runs.
+TEST(JobManager, KAboveNRejectedAtSubmit) {
+  DatasetRegistry registry;
+  ASSERT_TRUE(registry.Register(TestDatasetPath()).ok());
+  const std::size_t n = registry.Get("ds-1").ValueOrDie().n;
+  JobManager manager(&registry, JobManagerConfig{});
+  manager.Start();
+
+  JobSpec spec = SpecFor("ds-1");
+  spec.algorithm = "UK-medoids";
+  spec.k = static_cast<int>(n) + 1;
+  auto r = manager.Submit(spec, "r-k");
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), common::StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("k=" + std::to_string(n + 1)),
+            std::string::npos)
+      << r.status().ToString();
+  EXPECT_NE(r.status().message().find("n=" + std::to_string(n)),
+            std::string::npos)
+      << r.status().ToString();
+
+  spec.k = static_cast<int>(n);
+  auto id = manager.Submit(spec, "r-kn");
+  ASSERT_TRUE(id.ok()) << id.status().ToString();
+  ASSERT_TRUE(manager.Wait(id.ValueOrDie(), 30000));
+  EXPECT_EQ(manager.Get(id.ValueOrDie()).ValueOrDie().state, JobState::kDone);
+  manager.Stop();
+}
+
 // ----------------------------------------------------------- golden file --
 
 TEST(ResultJson, MatchesGoldenFile) {
@@ -862,6 +892,39 @@ TEST(ClusteringService, OverBudgetJobUsesTheRegisteredMomentsPath) {
                 direct.ValueOrDie().labels, direct.ValueOrDie().objective)));
   std::remove(moments.c_str());
   std::remove(path.c_str());
+  SetLogEnabled(true);
+}
+
+// Over HTTP, a job with k = n + 1 is a 400 naming both values, and the
+// server keeps answering.
+TEST(ClusteringService, KAboveNIsABadRequest) {
+  SetLogEnabled(false);
+  ServiceConfig cfg;
+  cfg.jobs.executors = 1;
+  ClusteringService svc(cfg);
+  svc.jobs().Start();
+
+  HttpResponse reg = svc.Handle(
+      Req("POST", "/v1/datasets", "{\"path\": \"" + TestDatasetPath() + "\"}"));
+  ASSERT_EQ(reg.status, 201) << reg.body;
+  auto reg_json = common::ParseJson(reg.body);
+  ASSERT_TRUE(reg_json.ok());
+  const std::string ds_id = reg_json.ValueOrDie().Find("id")->AsString();
+  const int64_t n = reg_json.ValueOrDie().Find("n")->AsInt();
+
+  HttpResponse submit = svc.Handle(Req(
+      "POST", "/v1/jobs",
+      "{\"dataset_id\": \"" + ds_id +
+          "\", \"algorithm\": \"UK-medoids\", \"k\": " +
+          std::to_string(n + 1) + "}"));
+  EXPECT_EQ(submit.status, 400) << submit.body;
+  EXPECT_NE(submit.body.find("k=" + std::to_string(n + 1)), std::string::npos)
+      << submit.body;
+  EXPECT_NE(submit.body.find("n=" + std::to_string(n)), std::string::npos)
+      << submit.body;
+  EXPECT_EQ(svc.Handle(Req("GET", "/healthz")).status, 200);
+
+  svc.Stop();
   SetLogEnabled(true);
 }
 

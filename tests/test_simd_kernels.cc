@@ -18,12 +18,12 @@
 #include "clustering/ckmeans.h"
 #include "clustering/kernels.h"
 #include "clustering/simd/simd.h"
-#include "clustering/ukmeans.h"
 #include "common/rng.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
 #include "engine/engine.h"
 #include "uncertain/moments.h"
+#include "ukmeans_oracle.h"
 
 namespace uclust::clustering::simd {
 namespace {
@@ -496,7 +496,7 @@ TEST(SimdKernels, ChunkedMomentViewBitIdenticalUnderForcedIsas) {
     centroids[j] = mm.mean(j % mm.size())[j % mm.dims()];
   }
   std::vector<int> want_labels(mm.size(), -1);
-  kernels::AssignNearest(eng, mm.view(), centroids, 4, want_labels);
+  oracle::AssignNearest(eng, mm.view(), centroids, 4, want_labels);
   std::vector<double> want_sums;
   std::vector<std::size_t> want_counts;
   kernels::SumMeansByLabel(eng, mm.view(), want_labels, 4, &want_sums,
@@ -509,7 +509,7 @@ TEST(SimdKernels, ChunkedMomentViewBitIdenticalUnderForcedIsas) {
     for (const bool use_chunked : {false, true}) {
       const uncertain::MomentView view = use_chunked ? chunked : mm.view();
       std::vector<int> labels(mm.size(), -1);
-      kernels::AssignNearest(eng, view, centroids, 4, labels);
+      oracle::AssignNearest(eng, view, centroids, 4, labels);
       EXPECT_EQ(labels, want_labels)
           << "isa=" << IsaName(isa) << " chunked=" << use_chunked;
       std::vector<double> sums;
@@ -528,7 +528,7 @@ TEST(SimdKernels, ChunkedMomentViewBitIdenticalUnderForcedIsas) {
   }
 }
 
-// The CK-means reduced-moment, bound-pruned sweep routes its center scans
+// The CK-means bound-pruned sweep routes its center scans
 // through the dispatched nearest_two: forcing any ISA must reproduce the
 // forced-scalar clustering bit-for-bit, including the pruning counters (the
 // pruning decisions are a pure function of the distances).

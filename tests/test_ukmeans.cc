@@ -1,10 +1,11 @@
-// Tests for the fast UK-means (reduction to K-means on expected values).
+// Tests for UK-means (reduction to K-means on expected values), which the
+// library runs as CkMeans.
 #include <gtest/gtest.h>
 
 #include <limits>
 
+#include "clustering/ckmeans.h"
 #include "clustering/cluster_stats.h"
-#include "clustering/ukmeans.h"
 #include "common/math_utils.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
@@ -48,7 +49,7 @@ ClusteringResult BestOfSeeds(const Clusterer& algo,
 
 TEST(Ukmeans, RecoversPlantedClusters) {
   const auto ds = PlantedDataset(300, 4, 1);
-  const Ukmeans algo;
+  const CkMeans algo;
   const ClusteringResult r = BestOfSeeds(algo, ds, 4, 8);
   EXPECT_EQ(r.clusters_found, 4);
   EXPECT_GT(eval::AdjustedRand(ds.labels(), r.labels), 0.9);
@@ -56,7 +57,7 @@ TEST(Ukmeans, RecoversPlantedClusters) {
 
 TEST(Ukmeans, ObjectiveMatchesClosedFormRecomputation) {
   const auto ds = PlantedDataset(120, 3, 3);
-  const Ukmeans algo;
+  const CkMeans algo;
   const ClusteringResult r = algo.Cluster(ds, 3, 4);
   // Recompute: J_UK per Lemma 1 equals sum_o ED(o, centroid) when centroids
   // are the cluster means — which is what Lloyd converges to.
@@ -67,7 +68,7 @@ TEST(Ukmeans, ObjectiveMatchesClosedFormRecomputation) {
 
 TEST(Ukmeans, DeterministicGivenSeed) {
   const auto ds = PlantedDataset(150, 3, 5);
-  const Ukmeans algo;
+  const CkMeans algo;
   const auto a = algo.Cluster(ds, 3, 6);
   const auto b = algo.Cluster(ds, 3, 6);
   EXPECT_EQ(a.labels, b.labels);
@@ -84,7 +85,7 @@ TEST(Ukmeans, DiracDataBehavesLikeClassicKMeans) {
   params.min_separation = 0.5;
   const auto d = data::MakeGaussianMixture(params, 7, "dirac");
   const auto ds = data::UncertainDataset::FromDeterministic(d);
-  const Ukmeans algo;
+  const CkMeans algo;
   const ClusteringResult r = BestOfSeeds(algo, ds, 3, 8);
   for (std::size_t i = 0; i < ds.size(); ++i) {
     EXPECT_DOUBLE_EQ(ds.moments().total_variance(i), 0.0);
@@ -100,7 +101,7 @@ TEST(Ukmeans, ObjectiveIncludesVarianceFloor) {
   for (std::size_t i = 0; i < ds.size(); ++i) {
     floor += ds.moments().total_variance(i);
   }
-  const Ukmeans algo;
+  const CkMeans algo;
   const ClusteringResult r = algo.Cluster(ds, 2, 10);
   EXPECT_GE(r.objective, floor - 1e-9);
 }
@@ -109,7 +110,7 @@ TEST(Ukmeans, MoreClustersNeverHurtObjective) {
   // With best-of-several seeds, the optimal J_UK is monotone in k; check the
   // practical variant with a shared seed pool.
   const auto ds = PlantedDataset(150, 3, 11);
-  const Ukmeans algo;
+  const CkMeans algo;
   auto best_for_k = [&](int k) {
     double best = std::numeric_limits<double>::infinity();
     for (uint64_t s = 0; s < 5; ++s) {
@@ -122,7 +123,7 @@ TEST(Ukmeans, MoreClustersNeverHurtObjective) {
 
 TEST(Ukmeans, HandlesKEqualsN) {
   const auto ds = PlantedDataset(20, 2, 13);
-  const Ukmeans algo;
+  const CkMeans algo;
   const ClusteringResult r = algo.Cluster(ds, 20, 14);
   ASSERT_EQ(r.labels.size(), 20u);
   EXPECT_LE(r.clusters_found, 20);
@@ -130,9 +131,9 @@ TEST(Ukmeans, HandlesKEqualsN) {
 }
 
 TEST(Ukmeans, IterationCountBounded) {
-  Ukmeans::Params p;
+  CkMeans::Params p;
   p.max_iters = 2;
-  const Ukmeans algo(p);
+  const CkMeans algo(p);
   const auto ds = PlantedDataset(200, 4, 15);
   const ClusteringResult r = algo.Cluster(ds, 4, 16);
   EXPECT_LE(r.iterations, 2);
