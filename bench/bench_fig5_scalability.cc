@@ -72,6 +72,22 @@ using namespace uclust;  // NOLINT: bench brevity
 struct Timing {
   double ms = 0.0;
   int iterations = 0;
+  /// Local search only: object-passes screened, and those the relocation
+  /// screen decided on a carried bound without the gain kernel.
+  int64_t screened = 0, screen_skips = 0;
+
+  void AddLocalSearch(const clustering::LocalSearchOutcome& out,
+                      std::size_t n) {
+    iterations = out.passes;
+    screened += (out.passes + (out.converged ? 1 : 0)) *
+                static_cast<int64_t>(n);
+    screen_skips += out.screen_skips;
+  }
+  double skip_ratio() const {
+    return screened > 0 ? static_cast<double>(screen_skips) /
+                              static_cast<double>(screened)
+                        : 0.0;
+  }
 };
 
 using bench::PeakRssKb;
@@ -87,15 +103,17 @@ void TimeFastGroup(const uncertain::MomentView& mm, int k, int runs,
                           .iterations;
     ukm->ms += sw.ElapsedMs();
     sw.Reset();
-    mmv->iterations = clustering::Mmvar::RunOnMoments(
-                          mm, k, seed + r, clustering::Mmvar::Params(), eng)
-                          .passes;
+    const clustering::LocalSearchOutcome mmv_out =
+        clustering::Mmvar::RunOnMoments(mm, k, seed + r,
+                                        clustering::Mmvar::Params(), eng);
     mmv->ms += sw.ElapsedMs();
+    mmv->AddLocalSearch(mmv_out, mm.size());
     sw.Reset();
-    ucpc->iterations = clustering::Ucpc::RunOnMoments(
-                           mm, k, seed + r, clustering::Ucpc::Params(), eng)
-                           .passes;
+    const clustering::LocalSearchOutcome ucpc_out =
+        clustering::Ucpc::RunOnMoments(mm, k, seed + r,
+                                       clustering::Ucpc::Params(), eng);
     ucpc->ms += sw.ElapsedMs();
+    ucpc->AddLocalSearch(ucpc_out, mm.size());
   }
   ukm->ms /= runs;
   mmv->ms /= runs;
@@ -197,7 +215,7 @@ int main(int argc, char** argv) {
               dataset_path.empty() ? "KDD-like" : "file-backed",
               dataset_path.empty() ? base_n : file_mm.size(), sweep_dims, k,
               runs, eng.num_threads());
-  std::printf("%8s %10s | %12s %12s %12s\n", "fraction", "n", "UK-means",
+  std::printf("%8s %10s | %18s %29s %29s\n", "fraction", "n", "UK-means",
               "MMVar", "UCPC");
   json.Key("results");
   json.BeginArray();
@@ -235,9 +253,11 @@ int main(int argc, char** argv) {
     Timing ukm, mmv, ucpc;
     TimeFastGroup(mm, k, runs, seed, eng, &ukm, &mmv, &ucpc);
     std::printf(
-        "%7.0f%% %10zu | %8.1fms (I=%3d) %8.1fms (I=%3d) %8.1fms (I=%3d)\n",
+        "%7.0f%% %10zu | %8.1fms (I=%3d) %8.1fms (I=%3d skip=%.3f) "
+        "%8.1fms (I=%3d skip=%.3f)\n",
         frac * 100.0, mm.size(), ukm.ms, ukm.iterations, mmv.ms,
-        mmv.iterations, ucpc.ms, ucpc.iterations);
+        mmv.iterations, mmv.skip_ratio(), ucpc.ms, ucpc.iterations,
+        ucpc.skip_ratio());
     json.BeginObject();
     json.KV("fraction", frac);
     json.KV("n", mm.size());
@@ -252,6 +272,11 @@ int main(int argc, char** argv) {
     json.KV("UK-means", ukm.iterations);
     json.KV("MMVar", mmv.iterations);
     json.KV("UCPC", ucpc.iterations);
+    json.EndObject();
+    json.Key("screen_skip_ratio");
+    json.BeginObject();
+    json.KV("MMVar", mmv.skip_ratio());
+    json.KV("UCPC", ucpc.skip_ratio());
     json.EndObject();
     json.EndObject();
     if (frac == 1.00) largest_mm = std::move(mm);

@@ -1,10 +1,12 @@
 #include "clustering/local_search.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
 #include <cfloat>
 #include <cmath>
 #include <limits>
+#include <utility>
 
 #include "clustering/init.h"
 #include "clustering/simd/simd.h"
@@ -43,7 +45,9 @@ RelocationScreen::RelocationScreen(const uncertain::MomentView& moments,
       kind_(kind),
       var_sum_(moments.size()),
       mu2_sum_(moments.size()),
-      mean_sq_(moments.size()) {
+      mean_sq_(moments.size()),
+      lo_(moments.size()),
+      bound_label_(moments.size(), -1) {
   const double k_const = 4.0 * static_cast<double>(moments.dims() + 16);
   bound_scale_ = k_const * DBL_EPSILON;
   bound_floor_ = k_const * DBL_MIN;
@@ -76,14 +80,18 @@ void RelocationScreen::BeginPass(const std::vector<ClusterMoments>& stats,
   obj_ = &obj;
   const std::size_t k = stats.size();
   const std::size_t m = moments_.dims();
-  t_.resize(m * k);
+  std::swap(cur_, prev_);
+  cur_.t.resize(m * k);
   for (std::vector<double>* col :
-       {&offset_, &alpha_, &beta_, &omega_, &magnitude_, &norm_t_, &rm_offset_,
-        &rm_alpha_, &rm_beta_, &rm_omega_, &rm_magnitude_}) {
+       {&cur_.norm_t, &cur_.add.offset, &cur_.add.alpha, &cur_.add.beta,
+        &cur_.add.omega, &cur_.add.magnitude, &cur_.rm.offset, &cur_.rm.alpha,
+        &cur_.rm.beta, &cur_.rm.omega, &cur_.rm.magnitude}) {
     col->assign(k, 0.0);
   }
+  cur_.size.resize(k);
   for (std::size_t c = 0; c < k; ++c) {
     const ClusterMoments& s = stats[c];
+    cur_.size[c] = s.size();
     double psi = 0.0, psi_abs = 0.0, phi = 0.0, phi_abs = 0.0, tt = 0.0;
     for (std::size_t j = 0; j < m; ++j) {
       const double t = s.sum_mu()[j];
@@ -92,30 +100,75 @@ void RelocationScreen::BeginPass(const std::vector<ClusterMoments>& stats,
       phi += s.sum_mu2()[j];
       phi_abs += std::fabs(s.sum_mu2()[j]);
       tt += t * t;
-      t_[j * k + c] = t;
+      cur_.t[j * k + c] = t;
     }
-    norm_t_[c] = std::sqrt(tt);
+    cur_.norm_t[c] = std::sqrt(tt);
     // J(C') - J(C) without the object's terms, and the magnitude of its
     // summands (the omega*||T||^2 part is covered by the (||T||+||mu||)^2
     // term the kernel adds per object).
-    const auto fill = [&](const Weights& w, double* offset,
-                          double* magnitude) {
-      *offset = ((w.alpha * psi + w.beta * phi) - w.omega * tt) - obj[c];
-      *magnitude = (w.alpha * psi_abs + w.beta * phi_abs) + std::fabs(obj[c]);
+    const auto fill = [&](std::size_t size, Side* side) {
+      const Weights w = WeightsFor(kind_, size);
+      side->alpha[c] = w.alpha;
+      side->beta[c] = w.beta;
+      side->omega[c] = w.omega;
+      side->offset[c] =
+          ((w.alpha * psi + w.beta * phi) - w.omega * tt) - obj[c];
+      side->magnitude[c] =
+          (w.alpha * psi_abs + w.beta * phi_abs) + std::fabs(obj[c]);
     };
-    const Weights add = WeightsFor(kind_, s.size() + 1);
-    alpha_[c] = add.alpha;
-    beta_[c] = add.beta;
-    omega_[c] = add.omega;
-    fill(add, &offset_[c], &magnitude_[c]);
-    if (s.size() >= 2) {  // singletons never move (Propose skips them)
-      const Weights rm = WeightsFor(kind_, s.size() - 1);
-      rm_alpha_[c] = rm.alpha;
-      rm_beta_[c] = rm.beta;
-      rm_omega_[c] = rm.omega;
-      fill(rm, &rm_offset_[c], &rm_magnitude_[c]);
-    }
+    fill(s.size() + 1, &cur_.add);
+    // Singletons never move (Propose skips them).
+    if (s.size() >= 2) fill(s.size() - 1, &cur_.rm);
   }
+
+  // Drift bounds since the previous pass, for any move out of each source:
+  // its removal side plus the component-wise worst addition side. Removal
+  // columns exist only for clusters of two or more objects in both passes;
+  // without a previous pass of the same k every drift is infinite.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  drift_.assign(k, Drift{kInf, kInf, kInf, kInf, kInf});
+  if (prev_.size.size() != k) return;
+  Drift worst{0.0, 0.0, 0.0, 0.0, 0.0};
+  for (std::size_t c = 0; c < k; ++c) {
+    const Drift d = SideDrift(c, prev_.add, cur_.add);
+    worst = {std::max(worst.offset, d.offset), std::max(worst.alpha, d.alpha),
+             std::max(worst.beta, d.beta), std::max(worst.omega, d.omega),
+             std::max(worst.wt, d.wt)};
+  }
+  for (std::size_t c = 0; c < k; ++c) {
+    if (prev_.size[c] < 2 || cur_.size[c] < 2) continue;
+    const Drift d = SideDrift(c, prev_.rm, cur_.rm);
+    drift_[c] = {d.offset + worst.offset, d.alpha + worst.alpha,
+                 d.beta + worst.beta, d.omega + worst.omega, d.wt + worst.wt};
+  }
+}
+
+RelocationScreen::Drift RelocationScreen::SideDrift(std::size_t c,
+                                                    const Side& before,
+                                                    const Side& after) const {
+  const std::size_t k = cur_.size.size();
+  // The computed change plus bound_scale_ times the magnitudes of both
+  // passes, which covers the rounding of both passes' columns and of this
+  // difference, and the change of the exact path's error term
+  // (docs/algorithms.md, "Drift-bounded skip").
+  const auto change = [&](double x, double y, double scale_x, double scale_y) {
+    return std::fabs(y - x) + bound_scale_ * (scale_x + scale_y);
+  };
+  const double wa = before.omega[c], wb = after.omega[c];
+  double wt2 = 0.0;  // ||wb T_after - wa T_before||^2
+  for (std::size_t j = 0; j < moments_.dims(); ++j) {
+    const double d = wb * cur_.t[j * k + c] - wa * prev_.t[j * k + c];
+    wt2 += d * d;
+  }
+  const double na = prev_.norm_t[c], nb = cur_.norm_t[c];
+  return {change(before.offset[c], after.offset[c],
+                 before.magnitude[c] + wa * (na * na),
+                 after.magnitude[c] + wb * (nb * nb)),
+          change(before.alpha[c], after.alpha[c], before.alpha[c],
+                 after.alpha[c]),
+          change(before.beta[c], after.beta[c], before.beta[c], after.beta[c]),
+          change(wa, wb, wa, wb),
+          std::sqrt(wt2) + bound_scale_ * (wa * na + wb * nb)};
 }
 
 int RelocationScreen::ExactProposal(std::size_t i, int source,
@@ -140,36 +193,60 @@ int RelocationScreen::ExactProposal(std::size_t i, int source,
   return best;
 }
 
-int64_t RelocationScreen::Propose(std::size_t begin, std::size_t end,
-                                  const std::vector<int>& labels,
-                                  double tolerance, int* proposal) const {
+RelocationScreen::Counts RelocationScreen::Propose(
+    std::size_t begin, std::size_t end, const std::vector<int>& labels,
+    double tolerance, int* proposal) {
   const std::vector<ClusterMoments>& stats = *stats_;
   const int k = static_cast<int>(stats.size());
   const std::size_t m = moments_.dims();
-  const simd::GainColumns cols{t_.data(),     offset_.data(),
-                               alpha_.data(), beta_.data(),
-                               omega_.data(), magnitude_.data(),
-                               norm_t_.data()};
+  const Side& add = cur_.add;
+  const Side& rm = cur_.rm;
+  const simd::GainColumns cols{cur_.t.data(),        add.offset.data(),
+                               add.alpha.data(),     add.beta.data(),
+                               add.omega.data(),     add.magnitude.data(),
+                               cur_.norm_t.data()};
   std::vector<double> dot(k), gain(k), mag(k);
   constexpr double kInf = std::numeric_limits<double>::infinity();
-  int64_t fallbacks = 0;
+  Counts counts;
   for (std::size_t i = begin; i < end; ++i) {
     const int s = labels[i];
     proposal[i] = s;
-    if (stats[s].size() <= 1) continue;  // keep exactly k clusters
+    if (stats[s].size() <= 1) {  // keep exactly k clusters
+      bound_label_[i] = -1;
+      continue;
+    }
+    const double mean_norm = std::sqrt(mean_sq_[i]);
+    if (bound_label_[i] == s) {
+      // Age the carried bound by this pass's drift, without reading the
+      // moment row. The inflation covers the rounding of the drift sum and
+      // of the subtraction; a NaN variance sum or an infinite drift makes
+      // `aged` non-finite.
+      const Drift& d = drift_[s];
+      const double drift =
+          (((d.offset + d.alpha * var_sum_[i]) + d.beta * mu2_sum_[i]) +
+           d.omega * mean_sq_[i]) +
+          d.wt * (mean_norm + mean_norm);
+      const double shrink =
+          (drift + bound_scale_ * (drift + std::fabs(lo_[i]))) + bound_floor_;
+      const double aged = lo_[i] - shrink;
+      if (std::isfinite(aged) && aged >= -tolerance) {
+        lo_[i] = aged;  // still no target can gain
+        ++counts.skips;
+        continue;
+      }
+    }
+    ++counts.kernel_calls;
     const simd::GainObject o{moments_.mean(i).data(), var_sum_[i],
-                             mu2_sum_[i], mean_sq_[i],
-                             std::sqrt(mean_sq_[i])};
+                             mu2_sum_[i], mean_sq_[i], mean_norm};
     simd::RelocationGains(cols, k, m, o, dot.data(), gain.data(), mag.data());
     // Removing the object from its source: J(S - i) - J(S).
     const double src_gain =
-        ((rm_offset_[s] - rm_alpha_[s] * o.var_sum) - rm_beta_[s] * o.mu2_sum) -
-        rm_omega_[s] * (o.mean_sq - (dot[s] + dot[s]));
-    const double r = norm_t_[s] + o.mean_norm;
+        ((rm.offset[s] - rm.alpha[s] * o.var_sum) - rm.beta[s] * o.mu2_sum) -
+        rm.omega[s] * (o.mean_sq - (dot[s] + dot[s]));
+    const double r = cur_.norm_t[s] + o.mean_norm;
     const double src_mag =
-        ((rm_magnitude_[s] + rm_alpha_[s] * o.var_sum) +
-         rm_beta_[s] * o.mu2_sum) +
-        rm_omega_[s] * (r * r);
+        ((rm.magnitude[s] + rm.alpha[s] * o.var_sum) + rm.beta[s] * o.mu2_sum) +
+        rm.omega[s] * (r * r);
     // Every exact delta lies in [g - e, g + e]. Track the target with the
     // lowest upper end and the two lowest lower ends.
     bool finite = std::isfinite(src_gain) && std::isfinite(src_mag);
@@ -194,6 +271,10 @@ int64_t RelocationScreen::Propose(std::size_t begin, std::size_t end,
         lo2 = lo;
       }
     }
+    // lo1 lies below every exact delta by at least the exact path's own
+    // rounding bound; later passes age it instead of rerunning the kernel.
+    lo_[i] = lo1;
+    bound_label_[i] = finite ? s : -1;
     if (finite && !(lo1 < -tolerance)) continue;  // no target can gain
     const double other_lo = lo1_c == best ? lo2 : lo1;
     if (finite && best_hi < -tolerance && best_hi < other_lo) {
@@ -201,9 +282,9 @@ int64_t RelocationScreen::Propose(std::size_t begin, std::size_t end,
       continue;
     }
     proposal[i] = ExactProposal(i, s, tolerance);
-    ++fallbacks;
+    ++counts.exact_fallbacks;
   }
-  return fallbacks;
+  return counts;
 }
 
 LocalSearchOutcome RunLocalSearch(const uncertain::MomentView& moments,
@@ -256,13 +337,15 @@ LocalSearchOutcome RunLocalSearchFrom(const uncertain::MomentView& moments,
         params.min_relative_gain * (1.0 + std::fabs(total));
 
     screen.BeginPass(stats, obj);
-    std::atomic<int64_t> fallbacks{0};
+    std::atomic<int64_t> fallbacks{0}, skips{0};
     engine::ParallelFor(eng, n, [&](const engine::BlockedRange& r) {
-      fallbacks.fetch_add(screen.Propose(r.begin, r.end, out.labels, tolerance,
-                                         proposal.data()),
-                          std::memory_order_relaxed);
+      const RelocationScreen::Counts c = screen.Propose(
+          r.begin, r.end, out.labels, tolerance, proposal.data());
+      fallbacks.fetch_add(c.exact_fallbacks, std::memory_order_relaxed);
+      skips.fetch_add(c.skips, std::memory_order_relaxed);
     });
     out.exact_fallbacks += fallbacks.load();
+    out.screen_skips += skips.load();
 
     bool moved = false;
     for (std::size_t i = 0; i < n; ++i) {
@@ -287,7 +370,10 @@ LocalSearchOutcome RunLocalSearchFrom(const uncertain::MomentView& moments,
       ++out.moves;
       moved = true;
     }
-    if (!moved) break;
+    if (!moved) {
+      out.converged = true;
+      break;
+    }
   }
 
   // Recompute the total exactly to shed accumulated floating-point drift.

@@ -33,11 +33,20 @@ struct LocalSearchParams {
 struct LocalSearchOutcome {
   std::vector<int> labels;  ///< Cluster per object, in [0, k).
   double objective = 0.0;   ///< Final total objective sum_C J(C).
-  int passes = 0;           ///< Passes executed (the paper's iterations I).
-  int64_t moves = 0;        ///< Total object relocations performed.
+  /// Passes that moved at least one object (the paper's iterations I). A
+  /// converged run screens passes + 1 times: its final no-move pass is not
+  /// counted.
+  int passes = 0;
+  int64_t moves = 0;  ///< Total object relocations performed.
+  /// True when the last screened pass moved nothing; false when max_passes
+  /// stopped the run.
+  bool converged = false;
   /// Object-passes the relocation screen could not decide, which ran the
   /// exact per-dimension search instead (see RelocationScreen).
   int64_t exact_fallbacks = 0;
+  /// Object-passes decided by a bound carried from an earlier pass, without
+  /// the gain kernel (see RelocationScreen).
+  int64_t screen_skips = 0;
 };
 
 /// Phase 1 of a relocation pass (line 8 of Algorithm 1): the best move of
@@ -47,15 +56,31 @@ struct LocalSearchOutcome {
 /// closed-form gain with a rigorous rounding bound; only objects whose best
 /// move the bound cannot separate from the alternatives (near-ties,
 /// cancellation, non-finite values) run the exact search.
-/// docs/algorithms.md ("Screened proposals") derives the bound.
+///
+/// The screen is stateful across passes: each object keeps the lowest
+/// lower gain bound of its last screened pass, aged every pass by how far
+/// its source cluster and the most-changed target cluster drifted. While
+/// that bound still proves that no target gains, the object stays without
+/// running the gain kernel (Hamerly's bound, carried across passes).
+/// docs/algorithms.md ("Screened proposals", "Drift-bounded skip") derives
+/// both bounds.
 class RelocationScreen {
  public:
+  /// What one Propose call did with the objects of its range. Objects whose
+  /// source cluster is a singleton are in neither count.
+  struct Counts {
+    int64_t skips = 0;            ///< stayed on the carried bound alone
+    int64_t kernel_calls = 0;     ///< ran simd::RelocationGains
+    int64_t exact_fallbacks = 0;  ///< of those, also ran the exact search
+  };
+
   /// Precomputes each object's variance sum, second-moment sum and squared
   /// mean norm. O(n m).
   RelocationScreen(const uncertain::MomentView& moments, ObjectiveKind kind,
                    const engine::Engine& eng);
 
-  /// Freezes the per-cluster scalars of one pass. `obj[c]` must equal
+  /// Freezes the per-cluster scalars of one pass and how far they moved
+  /// since the previous BeginPass. `obj[c]` must equal
   /// Objective(kind, stats[c]); both must stay alive and unchanged while
   /// Propose runs. O(k m).
   void BeginPass(const std::vector<ClusterMoments>& stats,
@@ -64,15 +89,37 @@ class RelocationScreen {
   /// For each object i in [begin, end), writes to proposal[i] the target
   /// with the largest objective decrease beyond `tolerance` (first index on
   /// ties), or labels[i] when there is none or its cluster is a singleton.
-  /// Safe to call concurrently on disjoint ranges. Returns how many of the
-  /// objects ran the exact fallback.
-  int64_t Propose(std::size_t begin, std::size_t end,
-                  const std::vector<int>& labels, double tolerance,
-                  int* proposal) const;
+  /// Safe to call concurrently on disjoint ranges. The carried bounds
+  /// assume that, between two BeginPass calls, the ranges cover every
+  /// object exactly once.
+  Counts Propose(std::size_t begin, std::size_t end,
+                 const std::vector<int>& labels, double tolerance,
+                 int* proposal);
 
  private:
+  // Per-cluster scalars of adding an object to each cluster (`add`, which
+  // feeds simd::GainColumns) or removing one from it (`rm`).
+  struct Side {
+    std::vector<double> offset, alpha, beta, omega, magnitude;
+  };
+  // One pass's per-cluster columns.
+  struct PassColumns {
+    std::vector<double> t;  // m x k, row j holds T_cj for all c
+    std::vector<double> norm_t;
+    Side add, rm;
+    std::vector<std::size_t> size;
+  };
+  // Bound on how much one side of a move's gain moved between two passes,
+  // as coefficients of the object's 1, v, p, ||mu||^2 and 2 ||mu||.
+  struct Drift {
+    double offset, alpha, beta, omega, wt;
+  };
+
   /// The exact search: ObjectiveAfterRemove/Add for every target.
   int ExactProposal(std::size_t i, int source, double tolerance) const;
+  /// How far one side of cluster c moved from prev_ (`before`) to cur_
+  /// (`after`).
+  Drift SideDrift(std::size_t c, const Side& before, const Side& after) const;
 
   uncertain::MomentView moments_;
   ObjectiveKind kind_;
@@ -84,11 +131,14 @@ class RelocationScreen {
 
   const std::vector<ClusterMoments>* stats_ = nullptr;
   const std::vector<double>* obj_ = nullptr;
-  // Gain columns of adding an object to each cluster (simd::GainColumns)
-  // and the scalars of removing one from it.
-  std::vector<double> t_, offset_, alpha_, beta_, omega_, magnitude_, norm_t_;
-  std::vector<double> rm_offset_, rm_alpha_, rm_beta_, rm_omega_,
-      rm_magnitude_;
+  PassColumns cur_, prev_;
+  // drift_[s]: the drift bound of a move out of source s, for any target.
+  std::vector<Drift> drift_;
+
+  // Per object: the bound carried from its last screened pass, and its
+  // source cluster then (-1: no bound).
+  std::vector<double> lo_;
+  std::vector<int> bound_label_;
 };
 
 /// Runs Algorithm 1 from a random initial partition. Requires n >= k >= 1.
@@ -100,8 +150,8 @@ class RelocationScreen {
 /// serially in object order, revalidating each against the current
 /// aggregates (first-improving-move tie-breaking). Proposals depend only on
 /// the pass-start state and the application order is fixed, so labels,
-/// objective, pass and fallback counts are bit-identical for any engine
-/// thread count and SIMD path.
+/// objective, pass, fallback and skip counts are bit-identical for any
+/// engine thread count and SIMD path.
 LocalSearchOutcome RunLocalSearch(const uncertain::MomentView& moments,
                                   int k, const LocalSearchParams& params,
                                   common::Rng* rng,

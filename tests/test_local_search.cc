@@ -1,9 +1,11 @@
 // Tests for the relocation local search (Algorithm 1) and its UCPC / MMVar
 // wrappers: convergence, objective monotonicity, cluster-count invariants,
 // determinism, recovery of planted structure, and the screened proposals
-// (pinned fingerprints of the exhaustive search, a pass-by-pass oracle).
+// (pinned fingerprints of the exhaustive search, a pass-by-pass oracle
+// through one stateful screen, the skip/kernel/singleton accounting).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <iterator>
@@ -156,6 +158,38 @@ MomentMatrix Equidistant(std::vector<int>* labels) {
   return mm;
 }
 
+// A mixture of `classes` wide, overlapping classes: the clusters keep
+// trading boundary objects for many passes after the first few bulk passes,
+// which is where the screen's carried bounds decide most objects.
+MomentMatrix Overlapping(std::size_t n, std::size_t m, int classes,
+                         uint64_t seed) {
+  return Mixture(n, m, classes, seed, 20.0);
+}
+
+// A wide mixture plus one object far from everything. MMVar collapses it:
+// it ends with one big cluster and k - 1 singletons, so its later passes
+// screen singleton sources and the 1/s^2 weights of size-1 clusters.
+MomentMatrix FarOutlier(uint64_t seed) {
+  MomentMatrix mm = Mixture(600, 3, 4, seed, 8.0);
+  AppendObject({400.0, -300.0, 500.0}, {0.02, 0.02, 0.02}, &mm);
+  return mm;
+}
+
+// A planted mixture in which every fifth object has one negative variance
+// entry (still a valid second moment): the screen's bound treats v and p as
+// magnitudes, so those objects must always take the exact path.
+MomentMatrix NegativeVariance(uint64_t seed) {
+  const MomentMatrix base = Mixture(200, 3, 4, seed);
+  MomentMatrix mm(base.size(), base.dims());
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    const auto mean = base.mean(i);
+    std::vector<double> var(base.variance(i).begin(), base.variance(i).end());
+    if (i % 5 == 0) var[i % 3] = -0.01;
+    AppendObject({mean.begin(), mean.end()}, var, &mm);
+  }
+  return mm;
+}
+
 // Labels 0..k-1 for the first k objects (so no cluster starts empty), the
 // rest uniform over [0, k).
 std::vector<int> InitialLabels(std::size_t n, int k, uint64_t seed) {
@@ -195,6 +229,9 @@ std::vector<Instance> Instances() {
   std::vector<int> init;
   MomentMatrix mm = Equidistant(&init);
   out.push_back({"equidistant", std::move(mm), 3, Fallbacks::kSome, init});
+  add("negative_variance", NegativeVariance(105), 4, Fallbacks::kSome);
+  add("overlapping", Overlapping(2000, 16, 16, 106), 16, Fallbacks::kAny);
+  add("far_outlier", FarOutlier(107), 5, Fallbacks::kAny);
   return out;
 }
 
@@ -212,8 +249,10 @@ LocalSearchOutcome RunInstance(const Instance& inst, ObjectiveKind kind,
 }
 
 // Fingerprints recorded from the exhaustive proposal loop before the
-// screened proposals replaced it: the screen must reproduce every label,
-// objective bit, pass and move. Order: Instances() x kKinds.
+// screened proposals replaced it (the last nine rows: from the screen
+// before it carried bounds across passes, itself checked against the
+// exhaustive oracle): the screen must reproduce every label, objective
+// bit, pass and move. Order: Instances() x kKinds.
 struct Pin {
   uint64_t fingerprint;
   int passes;
@@ -238,6 +277,15 @@ constexpr Pin kPins[] = {
     {0xd94a25c14e46f507ull, 3, 5},     // equidistant UCPC
     {0x7631947b298aeef7ull, 1, 8},     // equidistant MMVar
     {0xb07a318c5a27499full, 3, 5},     // equidistant UK-means
+    {0xbbb71dfbb33ce5d9ull, 13, 177},  // negative_variance UCPC
+    {0x31831f5df5086effull, 2, 175},   // negative_variance MMVar
+    {0xbcbdf079e8d47a0aull, 9, 172},   // negative_variance UK-means
+    {0x255bf63b0e2f00ceull, 45, 4355},  // overlapping UCPC
+    {0x5901a1ee284b76e1ull, 12, 4830},  // overlapping MMVar
+    {0x70a0e0831272f1adull, 45, 4355},  // overlapping UK-means
+    {0x2a517e3273943397ull, 30, 970},  // far_outlier UCPC
+    {0x85cfbee780da16c9ull, 3, 494},   // far_outlier MMVar
+    {0x022124df80e9e44aull, 30, 970},  // far_outlier UK-means
 };
 
 TEST(LocalSearchScreen, MatchesPinnedExhaustiveFingerprints) {
@@ -291,10 +339,18 @@ int ExhaustiveProposal(ObjectiveKind kind,
   return best;
 }
 
+// What the screen did over a replayed run.
+struct ScreenTally {
+  int screens = 0;  // BeginPass calls
+  int64_t skips = 0, kernel_calls = 0, fallbacks = 0;
+  int64_t singletons = 0;  // object-passes whose source was a singleton
+};
+
 // Replays the local search pass by pass with the exhaustive oracle and
 // checks that the screen proposes exactly the same move for every object
-// in every pass. Returns the screen's fallback count.
-int64_t CheckScreenAgainstOracle(const Instance& inst, ObjectiveKind kind) {
+// in every pass. One screen serves the whole run, so its carried bounds are
+// checked too.
+ScreenTally CheckScreenAgainstOracle(const Instance& inst, ObjectiveKind kind) {
   const MomentMatrix& mm = inst.moments;
   const std::size_t n = mm.size();
   std::vector<int> labels = inst.init;
@@ -308,11 +364,19 @@ int64_t CheckScreenAgainstOracle(const Instance& inst, ObjectiveKind kind) {
   }
   RelocationScreen screen(mm, kind, engine::Engine::Serial());
   std::vector<int> screened(n);
-  int64_t fallbacks = 0;
+  ScreenTally tally;
   for (int pass = 0; pass < 100; ++pass) {
     const double tolerance = 1e-12 * (1.0 + std::fabs(total));
     screen.BeginPass(stats, obj);
-    fallbacks += screen.Propose(0, n, labels, tolerance, screened.data());
+    ++tally.screens;
+    for (std::size_t i = 0; i < n; ++i) {
+      tally.singletons += stats[labels[i]].size() <= 1 ? 1 : 0;
+    }
+    const RelocationScreen::Counts counts =
+        screen.Propose(0, n, labels, tolerance, screened.data());
+    tally.skips += counts.skips;
+    tally.kernel_calls += counts.kernel_calls;
+    tally.fallbacks += counts.exact_fallbacks;
     for (std::size_t i = 0; i < n; ++i) {
       const int want =
           ExhaustiveProposal(kind, stats, obj, mm, i, labels[i], tolerance);
@@ -320,7 +384,7 @@ int64_t CheckScreenAgainstOracle(const Instance& inst, ObjectiveKind kind) {
         ADD_FAILURE() << inst.name << " " << ObjectiveKindName(kind)
                       << " pass " << pass << " object " << i << ": screen "
                       << screened[i] << ", exhaustive " << want;
-        return fallbacks;
+        return tally;
       }
     }
     bool moved = false;  // phase 2, as in RunLocalSearchFrom
@@ -342,17 +406,21 @@ int64_t CheckScreenAgainstOracle(const Instance& inst, ObjectiveKind kind) {
     }
     if (!moved) break;
   }
-  return fallbacks;
+  return tally;
 }
 
-// Planted data never needs the fallback; the tie and cancellation cases do,
-// so the fallback path is exercised too.
+// Planted data never needs the fallback; the tie, cancellation and
+// negative-variance cases do, so the fallback path is exercised too.
 TEST(LocalSearchScreen, ProposalsMatchExhaustiveOraclePassByPass) {
   for (const Instance& inst : Instances()) {
     for (ObjectiveKind kind : kKinds) {
-      const int64_t fallbacks = CheckScreenAgainstOracle(inst, kind);
-      // The library counts the same fallbacks.
-      EXPECT_EQ(RunInstance(inst, kind).exact_fallbacks, fallbacks)
+      const ScreenTally tally = CheckScreenAgainstOracle(inst, kind);
+      const int64_t fallbacks = tally.fallbacks;
+      // The library counts the same fallbacks and skips.
+      const LocalSearchOutcome out = RunInstance(inst, kind);
+      EXPECT_EQ(out.exact_fallbacks, fallbacks)
+          << inst.name << " " << ObjectiveKindName(kind);
+      EXPECT_EQ(out.screen_skips, tally.skips)
           << inst.name << " " << ObjectiveKindName(kind);
       if (inst.fallbacks == Fallbacks::kNone) {
         EXPECT_EQ(fallbacks, 0) << inst.name << " " << ObjectiveKindName(kind);
@@ -361,6 +429,54 @@ TEST(LocalSearchScreen, ProposalsMatchExhaustiveOraclePassByPass) {
       }
     }
   }
+}
+
+// Every screened object-pass is a skip, a kernel call or a singleton
+// source, and a converged run screens one pass more than it counts.
+TEST(LocalSearchScreen, CountsObeyAccountingIdentity) {
+  for (const Instance& inst : Instances()) {
+    for (ObjectiveKind kind : kKinds) {
+      const std::string where =
+          std::string(inst.name) + " " + ObjectiveKindName(kind);
+      const ScreenTally tally = CheckScreenAgainstOracle(inst, kind);
+      const int64_t n = static_cast<int64_t>(inst.moments.size());
+      EXPECT_EQ(tally.skips + tally.kernel_calls + tally.singletons,
+                tally.screens * n)
+          << where;
+      EXPECT_LE(tally.fallbacks, tally.kernel_calls) << where;
+      const LocalSearchOutcome out = RunInstance(inst, kind);
+      EXPECT_EQ(tally.screens, out.passes + (out.converged ? 1 : 0)) << where;
+    }
+  }
+}
+
+// On a long run the late passes move few objects, and the carried bounds
+// decide most of them without the gain kernel.
+TEST(LocalSearchScreen, CarriedBoundsSkipOnLongRuns) {
+  for (const Instance& inst : Instances()) {
+    if (std::string(inst.name) != "overlapping") continue;
+    const LocalSearchOutcome out = RunInstance(inst, ObjectiveKind::kUcpc);
+    EXPECT_GE(out.passes, 20);
+    EXPECT_TRUE(out.converged);
+    EXPECT_GT(out.screen_skips, 0);
+    return;
+  }
+  ADD_FAILURE() << "no overlapping instance";
+}
+
+// MMVar collapses the far_outlier instance into singleton clusters; the
+// replay (and the oracle test) screens those singleton sources.
+TEST(LocalSearchScreen, MmvarCollapsesToSingletonClusters) {
+  for (const Instance& inst : Instances()) {
+    if (std::string(inst.name) != "far_outlier") continue;
+    const LocalSearchOutcome out = RunInstance(inst, ObjectiveKind::kMmvar);
+    const auto sizes = ClusterSizes(out.labels, inst.k);
+    EXPECT_EQ(std::count(sizes.begin(), sizes.end(), 1u), inst.k - 1);
+    EXPECT_GT(CheckScreenAgainstOracle(inst, ObjectiveKind::kMmvar).singletons,
+              0);
+    return;
+  }
+  ADD_FAILURE() << "no far_outlier instance";
 }
 
 // Algorithm 1's invariant: no relocation pass increases the objective.
@@ -466,6 +582,22 @@ TEST_P(LocalSearchObjective, RespectsMaxPasses) {
   common::Rng rng(10);
   const auto out = RunLocalSearch(ds.moments(), 5, params, &rng);
   EXPECT_LE(out.passes, 1);
+}
+
+TEST_P(LocalSearchObjective, ConvergedOnlyWhenTheLastPassMovedNothing) {
+  const auto ds = PlantedDataset(200, 4, 5, 9);
+  LocalSearchParams params;
+  params.objective = GetParam();
+  params.max_passes = 1;
+  common::Rng rng(10);
+  const auto capped = RunLocalSearch(ds.moments(), 5, params, &rng);
+  EXPECT_EQ(capped.passes, 1);
+  EXPECT_FALSE(capped.converged);
+  params.max_passes = LocalSearchParams().max_passes;
+  common::Rng rng_full(10);
+  const auto full = RunLocalSearch(ds.moments(), 5, params, &rng_full);
+  EXPECT_TRUE(full.converged);
+  EXPECT_LT(full.passes, params.max_passes);
 }
 
 std::string ObjectiveName(

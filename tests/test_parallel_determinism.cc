@@ -219,6 +219,64 @@ TEST(ParallelDeterminism, MmvarBitIdenticalAcrossThreadsIsasAndBackends) {
                                             12, "mmvar_k17");
 }
 
+// UCPC and MMVar on a perfbench-shaped instance (n = 4000, m = 16, k = 16)
+// long enough for many nearly-still passes. The pins were recorded before
+// the relocation screen carried bounds across passes; labels, objective,
+// passes and moves must match them at every thread count. Order: seed x
+// {UCPC, MMVar}.
+struct CentroidPin {
+  uint64_t fingerprint;
+  int passes;
+  int64_t moves;
+};
+constexpr CentroidPin kCentroidPins[] = {
+    {0x30221cdd36eb6f08ull, 17, 4943},  // seed 1 UCPC
+    {0xf55e4390050ed26bull, 12, 5683},  // seed 1 MMVar
+    {0x67df7b5636d05a16ull, 17, 5017},  // seed 2 UCPC
+    {0x85f1053c40039bc6ull, 8, 5085},   // seed 2 MMVar
+    {0x100a6af2773d6e4cull, 19, 4997},  // seed 3 UCPC
+    {0x82c9f6283b13dfe2ull, 7, 4934},   // seed 3 MMVar
+};
+
+TEST(ParallelDeterminism, CentroidLocalSearchMatchesPinnedFingerprints) {
+  const auto ds = TestDataset(4000, 16, 16, 61);
+  for (int threads : kThreadCounts) {
+    std::vector<CentroidPin> got;
+    std::string table;
+    const engine::Engine eng = EngineWith(threads);
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      for (const bool ucpc : {true, false}) {
+        const LocalSearchOutcome out =
+            ucpc ? Ucpc::RunOnMoments(ds.moments(), 16, seed, Ucpc::Params(),
+                                      eng)
+                 : Mmvar::RunOnMoments(ds.moments(), 16, seed,
+                                       Mmvar::Params(), eng);
+        got.push_back({ResultFingerprint(out.labels, out.objective),
+                       out.passes, out.moves});
+        char row[96];
+        std::snprintf(row, sizeof(row),
+                      "    {0x%016llxull, %d, %lld},  // seed %llu %s\n",
+                      static_cast<unsigned long long>(got.back().fingerprint),
+                      out.passes, static_cast<long long>(out.moves),
+                      static_cast<unsigned long long>(seed),
+                      ucpc ? "UCPC" : "MMVar");
+        table += row;
+      }
+    }
+    ASSERT_EQ(got.size(), std::size(kCentroidPins));
+    for (std::size_t p = 0; p < got.size(); ++p) {
+      const std::string where =
+          "row " + std::to_string(p) + " threads=" + std::to_string(threads);
+      EXPECT_EQ(got[p].fingerprint, kCentroidPins[p].fingerprint) << where;
+      EXPECT_EQ(got[p].passes, kCentroidPins[p].passes) << where;
+      EXPECT_EQ(got[p].moves, kCentroidPins[p].moves) << where;
+    }
+    if (HasFailure()) {
+      std::printf("actual pins (threads=%d):\n%s", threads, table.c_str());
+    }
+  }
+}
+
 TEST(ParallelDeterminism, ResidentSampleContentsBitIdentical) {
   const auto ds = TestDataset(300, 3, 3, 37);
   const uncertain::ResidentSampleStore serial(ds.objects(), 16, 0x5eed,
