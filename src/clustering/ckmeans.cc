@@ -200,10 +200,36 @@ ClusteringResult ToResult(CkMeans::Outcome outcome, int k) {
   return result;
 }
 
+// k must name 1..n distinct objects for the seeding to pick from.
+common::Status CheckK(const std::string& path, int k, std::size_t n) {
+  if (k < 1 || n < static_cast<std::size_t>(k)) {
+    return common::Status::InvalidArgument(
+        path + ": need 1 <= k <= n, got k=" + std::to_string(k) + ", n=" +
+        std::to_string(n));
+  }
+  return common::Status::Ok();
+}
+
+// RunOnMoments over `view` as a timed result: offline_ms is `offline`'s
+// reading on entry, online_ms the loop's own time.
+ClusteringResult RunTimed(const uncertain::MomentView& view, int k,
+                          uint64_t seed, const CkMeans::Params& params,
+                          const engine::Engine& eng,
+                          const common::Stopwatch& offline) {
+  const double offline_ms = offline.ElapsedMs();
+  common::Stopwatch online;
+  ClusteringResult result =
+      ToResult(CkMeans::RunOnMoments(view, k, seed, params, eng), k);
+  result.online_ms = online.ElapsedMs();
+  result.offline_ms = offline_ms;
+  return result;
+}
+
 }  // namespace
 
 // The one Lloyd loop. `view` needs only mean() and total_variance(): the
-// caller's moments, ClusterFile's reduced decode, or a mapped moment store.
+// caller's moments, a reduced decode (io::ReducedMoments), or a mapped
+// moment store.
 // Every read goes through the view, and the sums and objective through the
 // shared blocked kernels, so the result does not depend on what backs it.
 CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
@@ -271,14 +297,7 @@ ClusteringResult CkMeans::Cluster(const data::UncertainDataset& data, int k,
                                   uint64_t seed) const {
   common::Stopwatch offline;
   const uncertain::MomentView mm = data.moments().view();
-  const double offline_ms = offline.ElapsedMs();
-
-  common::Stopwatch online;
-  ClusteringResult result =
-      ToResult(RunOnMoments(mm, k, seed, params_, engine()), k);
-  result.online_ms = online.ElapsedMs();
-  result.offline_ms = offline_ms;
-  return result;
+  return RunTimed(mm, k, seed, params_, engine(), offline);
 }
 
 bool CkMeans::ReducedFits(std::size_t n, std::size_t m,
@@ -287,61 +306,43 @@ bool CkMeans::ReducedFits(std::size_t n, std::size_t m,
   return budget == 0 || (m + 1) * n * sizeof(double) <= budget;
 }
 
+common::Result<ClusteringResult> CkMeans::ClusterReduced(
+    const io::ReducedMoments& reduced, int k, uint64_t seed,
+    const Params& params, const engine::Engine& eng,
+    const common::Stopwatch& offline) {
+  UCLUST_RETURN_NOT_OK(CheckK(reduced.path, k, reduced.n));
+  return RunTimed(reduced.view(), k, seed, params, eng, offline);
+}
+
 common::Result<ClusteringResult> CkMeans::ClusterFile(
     const std::string& path, int k, uint64_t seed, const Params& params,
     const engine::Engine& eng, const std::string& moments_path) {
   common::Stopwatch offline;
-  io::BinaryDatasetReader reader;
-  UCLUST_RETURN_NOT_OK(reader.Open(path));
-  const std::size_t n = reader.size();
-  const std::size_t m = reader.dims();
-  if (k < 1 || n < static_cast<std::size_t>(k)) {
-    return common::Status::InvalidArgument(
-        path + ": need 1 <= k <= n, got k=" + std::to_string(k) + ", n=" +
-        std::to_string(n));
+  std::size_t n = 0, m = 0;
+  {
+    io::BinaryDatasetReader header;
+    UCLUST_RETURN_NOT_OK(header.Open(path));
+    n = header.size();
+    m = header.dims();
   }
+  UCLUST_RETURN_NOT_OK(CheckK(path, k, n));
 
-  // The reduced form: the expected centroids (row-major n x m) and the
-  // per-object ED^ constants sigma^2(o), all the Lloyd loop reads.
-  std::vector<double> means, constants;
-  uncertain::MomentStorePtr store;
-  uncertain::MomentView view;
   if (ReducedFits(n, m, eng)) {
-    // Resident form: decode the means and ED^ constants straight into the
-    // reduction; the mu2/var columns land in one batch of scratch. The view
-    // backs only mean() and total_variance().
-    means.resize(n * m);
-    constants.resize(n);
-    const std::size_t batch = std::min(io::kDefaultIngestBatch, n);
-    std::vector<double> mu2(batch * m), var(batch * m);
-    for (std::size_t done = 0; done < n;) {
-      std::size_t rows = 0;
-      UCLUST_RETURN_NOT_OK(reader.ReadMomentRows(
-          batch, &rows, means.data() + done * m, mu2.data(), var.data(),
-          constants.data() + done));
-      done += rows;
-    }
-    view = uncertain::MomentView(n, m, means.data(), /*mu2=*/nullptr,
-                                 /*var=*/nullptr, constants.data());
-  } else {
-    // Mapped form: the reduction alone exceeds the budget, so the moment
-    // store's auto rule spills to the .umom sidecar, and the loop reads its
-    // chunk windows in place.
-    io::MomentStoreOptions options;
-    options.sidecar_path = moments_path;
-    auto opened = io::StreamMomentStoreFromFile(path, eng, options);
-    UCLUST_RETURN_NOT_OK(opened.status());
-    store = std::move(opened).ValueOrDie();
-    view = store->view();
+    auto reduced = io::ReadReducedMoments(path);
+    UCLUST_RETURN_NOT_OK(reduced.status());
+    return ClusterReduced(reduced.ValueOrDie(), k, seed, params, eng,
+                          offline);
   }
-  const double offline_ms = offline.ElapsedMs();
 
-  common::Stopwatch online;
-  ClusteringResult result =
-      ToResult(RunOnMoments(view, k, seed, params, eng), k);
-  result.online_ms = online.ElapsedMs();
-  result.offline_ms = offline_ms;
-  return result;
+  // Mapped form: the reduction alone exceeds the budget, so the moment
+  // store's auto rule spills to the .umom sidecar, and the loop reads its
+  // chunk windows in place.
+  io::MomentStoreOptions options;
+  options.sidecar_path = moments_path;
+  auto opened = io::StreamMomentStoreFromFile(path, eng, options);
+  UCLUST_RETURN_NOT_OK(opened.status());
+  const uncertain::MomentStorePtr store = std::move(opened).ValueOrDie();
+  return RunTimed(store->view(), k, seed, params, eng, offline);
 }
 
 }  // namespace uclust::clustering

@@ -13,7 +13,7 @@
 //      object's expected centroid mu(o) and the additive constant
 //      sigma^2(o) — the mean() and total_variance() of the caller's
 //      MomentView, read in place whatever backs it (flat columns, a mapped
-//      .umom store, or ClusterFile's reduced decode).
+//      .umom store, or an io::ReducedMoments decode).
 //
 //   2. Hamerly/Elkan bound pruning. A per-object Euclidean upper bound to
 //      the assigned center and a lower bound to the second-closest center
@@ -28,11 +28,13 @@
 //
 // The file-backed driver ClusterFile runs the same loop over a .ubin
 // dataset in one of two forms, chosen by the engine memory budget: the
-// reduced representation ((m+1)*n doubles: the means and ED^ constants)
-// decoded straight from the file when it fits, and otherwise the mapped
-// .umom moment store (io::StreamMomentStoreFromFile), whose chunked view
-// the loop reads in place. Either way the results are bit-identical to
-// RunOnMoments over the fully ingested file.
+// reduced representation ((m+1)*n doubles: the means and ED^ constants,
+// io::ReadReducedMoments) when it fits, handed to ClusterReduced, and
+// otherwise the mapped .umom moment store (io::StreamMomentStoreFromFile),
+// whose chunked view the loop reads in place. Either way the results are
+// bit-identical to RunOnMoments over the fully ingested file. A caller that
+// keeps a reduction across runs (the service's per-dataset cache) calls
+// ClusterReduced directly and skips the decode.
 //
 // Accounting contract: center_distance_evals counts the object-to-center
 // ||mu(o) - c||^2 evaluations of the assignment sweeps and bounds_skipped
@@ -56,7 +58,12 @@
 #include "clustering/clusterer.h"
 #include "clustering/init.h"
 #include "common/status.h"
+#include "common/stopwatch.h"
 #include "uncertain/moments.h"
+
+namespace uclust::io {
+struct ReducedMoments;
+}  // namespace uclust::io
 
 namespace uclust::clustering {
 
@@ -111,18 +118,32 @@ class CkMeans final : public Clusterer {
                                   engine::Engine::Serial());
 
   /// File-backed driver: clusters a binary .ubin dataset in bounded memory.
-  /// When ReducedFits(), one decode pass fills the reduced representation
-  /// and the loop runs on it; otherwise the loop runs on the mapped .umom
-  /// moment store, built next to the dataset (or at `moments_path` when
-  /// non-empty) or reused when a matching sidecar is already there. A
-  /// store opened for a run keeps serving that snapshot even if the .ubin
-  /// is rewritten mid-run; the next call rebuilds the sidecar. Labels,
-  /// objective, iteration count and counters are bit-identical to
-  /// RunOnMoments over the fully ingested file at any thread count.
+  /// When ReducedFits(), io::ReadReducedMoments decodes the reduced
+  /// representation and ClusterReduced runs on it; otherwise the loop runs
+  /// on the mapped .umom moment store, built next to the dataset (or at
+  /// `moments_path` when non-empty) or reused when a matching sidecar is
+  /// already there. A store opened for a run keeps serving that snapshot
+  /// even if the .ubin is rewritten mid-run; the next call rebuilds the
+  /// sidecar. Labels, objective, iteration count and counters are
+  /// bit-identical to RunOnMoments over the fully ingested file at any
+  /// thread count. k outside [1, n] is InvalidArgument, checked before
+  /// anything is decoded.
   static common::Result<ClusteringResult> ClusterFile(
       const std::string& path, int k, uint64_t seed, const Params& params,
       const engine::Engine& eng = engine::Engine::Serial(),
       const std::string& moments_path = "");
+
+  /// Clusters a decoded reduction: the k check, RunOnMoments over
+  /// reduced.view(), and the result. `offline` is a stopwatch started when
+  /// the caller began producing `reduced`; its reading on entry becomes
+  /// offline_ms (a fresh decode's time for ClusterFile, the cache lookup's
+  /// for the service). The result equals ClusterFile on the file the
+  /// reduction was decoded from, bit for bit.
+  static common::Result<ClusteringResult> ClusterReduced(
+      const io::ReducedMoments& reduced, int k, uint64_t seed,
+      const Params& params,
+      const engine::Engine& eng = engine::Engine::Serial(),
+      const common::Stopwatch& offline = common::Stopwatch());
 
   /// Whether ClusterFile keeps the reduced representation of an n x m
   /// dataset resident: (m+1)*n doubles fit the engine memory budget (or it

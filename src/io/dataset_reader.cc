@@ -121,9 +121,29 @@ uncertain::PdfPtr MakePdf(PdfParams* p) {
   }
 }
 
+// One-entry memo of TruncatedNormalPdf::VarianceFactor. Datasets draw their
+// normal half-widths from very few values (usually one coverage), so the
+// erfc + exp behind the factor runs once per change of c instead of once
+// per entry. The stored factor is the function's own return value, so the
+// memo never changes a bit.
+class VarianceFactorMemo {
+ public:
+  double Get(double half_width) {
+    if (half_width != c_) {  // the NaN start compares unequal to any c
+      c_ = half_width;
+      factor_ = uncertain::TruncatedNormalPdf::VarianceFactor(half_width);
+    }
+    return factor_;
+  }
+
+ private:
+  double c_ = std::numeric_limits<double>::quiet_NaN();
+  double factor_ = 0.0;
+};
+
 // The moments the pdf MakePdf builds would report, from the same static
 // formulas its class calls — bit-identical without building it.
-uncertain::PdfMoments MomentsOf(const PdfParams& p) {
+uncertain::PdfMoments MomentsOf(const PdfParams& p, VarianceFactorMemo* memo) {
   using uncertain::Pdf;
   switch (p.tag) {
     case kPdfDirac:
@@ -131,9 +151,8 @@ uncertain::PdfMoments MomentsOf(const PdfParams& p) {
     case kPdfUniform:
       return uncertain::UniformPdf::MomentsOf(p.a, p.b);
     case kPdfNormal:
-      return {p.a, Pdf::SecondMomentOf(
-                       p.a, uncertain::TruncatedNormalPdf::TruncatedVariance(
-                                p.b, p.c))};
+      // TruncatedNormalPdf::TruncatedVariance(b, c), with the factor memoized.
+      return {p.a, Pdf::SecondMomentOf(p.a, (p.b * p.b) * memo->Get(p.c))};
     case kPdfExponential:
       return {p.a,
               Pdf::SecondMomentOf(
@@ -306,10 +325,11 @@ common::Status BinaryDatasetReader::ReadMomentRows(std::size_t max,
   double* const row_mean = row_moments.data();
   double* const row_mu2 = row_mean + m;
   double* const row_var = row_mu2 + m;
+  VarianceFactorMemo memo;  // per call: no state outlives the batch
   return DecodeRecords(
       std::min(max, remaining()),
       [&](std::size_t j, const PdfParams& p) {
-        const uncertain::PdfMoments mom = MomentsOf(p);
+        const uncertain::PdfMoments mom = MomentsOf(p, &memo);
         row_mean[j] = mom.mean;
         row_mu2[j] = mom.mu2;
         row_var[j] = uncertain::Pdf::VarianceOf(mom.mean, mom.mu2);

@@ -1,7 +1,9 @@
 #include "service/dataset_registry.h"
 
 #include <string_view>
+#include <utility>
 
+#include "io/chunked_sidecar.h"
 #include "io/dataset_reader.h"
 #include "service/log.h"
 
@@ -15,6 +17,15 @@ bool HasSuffix(const std::string& s, std::string_view suffix) {
 }
 
 }  // namespace
+
+const char* MomentCacheUseName(MomentCacheUse use) {
+  switch (use) {
+    case MomentCacheUse::kNone: return "none";
+    case MomentCacheUse::kHit: return "hit";
+    case MomentCacheUse::kFill: return "fill";
+  }
+  return "unknown";
+}
 
 common::Result<DatasetInfo> DatasetRegistry::Register(
     const std::string& path, const std::string& moments_path,
@@ -78,6 +89,54 @@ std::vector<DatasetInfo> DatasetRegistry::List() const {
 std::size_t DatasetRegistry::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return datasets_.size();
+}
+
+common::Result<std::shared_ptr<const io::ReducedMoments>>
+DatasetRegistry::ReducedMomentsFor(const std::string& id,
+                                   MomentCacheUse* use) const {
+  common::Result<DatasetInfo> info = Get(id);
+  UCLUST_RETURN_NOT_OK(info.status());
+  const std::string& path = info.ValueOrDie().path;
+  // Revalidate outside the lock: describing the file touches the disk.
+  common::Result<io::SidecarSource> source = io::DescribeSource(path);
+  UCLUST_RETURN_NOT_OK(source.status());
+
+  std::unique_lock<std::mutex> lock(cache_mu_);
+  CacheEntry& entry = cache_[id];  // map nodes stay put while unlocked
+  // Another lookup decoding this dataset fills the entry for us too.
+  cache_cv_.wait(lock, [&entry] { return !entry.filling; });
+  if (entry.reduced != nullptr &&
+      entry.reduced->source == source.ValueOrDie()) {
+    ++cache_stats_.hits;
+    if (use != nullptr) *use = MomentCacheUse::kHit;
+    return entry.reduced;
+  }
+  if (entry.reduced != nullptr) {
+    // Stale: drop the cache's reference. Jobs holding it keep theirs.
+    --cache_stats_.entries;
+    cache_stats_.bytes -= entry.reduced->bytes();
+    ++cache_stats_.invalidations;
+    entry.reduced.reset();
+  }
+  entry.filling = true;
+  lock.unlock();
+  common::Result<io::ReducedMoments> decoded = io::ReadReducedMoments(path);
+  lock.lock();
+  entry.filling = false;
+  cache_cv_.notify_all();
+  UCLUST_RETURN_NOT_OK(decoded.status());
+  entry.reduced = std::make_shared<const io::ReducedMoments>(
+      std::move(decoded).ValueOrDie());
+  ++cache_stats_.entries;
+  cache_stats_.bytes += entry.reduced->bytes();
+  ++cache_stats_.fills;
+  if (use != nullptr) *use = MomentCacheUse::kFill;
+  return entry.reduced;
+}
+
+MomentCacheStats DatasetRegistry::moment_cache_stats() const {
+  std::lock_guard<std::mutex> lock(cache_mu_);
+  return cache_stats_;
 }
 
 }  // namespace uclust::service

@@ -12,15 +12,24 @@
 // so the staleness guards (n, m, byte size, mtime, content probe; plus
 // samples-per-object and seed for samples) decide reuse-vs-rebuild exactly
 // as the CLI tools do.
+//
+// The registry also keeps each dataset's decoded-moment cache entry: the
+// io::ReducedMoments CK-means jobs run on, decoded on the first lookup and
+// shared by every later job while the file's source triple (byte size,
+// mtime, content probe) is unchanged. Registration never decodes.
 #ifndef UCLUST_SERVICE_DATASET_REGISTRY_H_
 #define UCLUST_SERVICE_DATASET_REGISTRY_H_
 
+#include <condition_variable>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
+#include "io/ingest.h"
 
 namespace uclust::service {
 
@@ -36,6 +45,22 @@ struct DatasetInfo {
   std::uint64_t file_bytes = 0;
   std::string moments_path;  // optional .umom sidecar ("" = none)
   std::string samples_path;  // optional .usmp sidecar ("" = none)
+};
+
+/// How a job got its reduced moments: from the cache, by filling it, or
+/// not through the cache at all.
+enum class MomentCacheUse { kNone, kHit, kFill };
+
+/// "none" / "hit" / "fill" — the job_finish log's moment_cache value.
+const char* MomentCacheUseName(MomentCacheUse use);
+
+/// The decoded-moment cache's counters (GET /v1/metrics "moment_cache").
+struct MomentCacheStats {
+  std::size_t entries = 0;  ///< gauge: datasets holding a reduction
+  std::size_t bytes = 0;    ///< gauge: the payload bytes of those
+  std::uint64_t hits = 0;
+  std::uint64_t fills = 0;
+  std::uint64_t invalidations = 0;  ///< stale entries replaced
 };
 
 /// Thread-safe id -> DatasetInfo catalog. Ids are process-lifetime stable;
@@ -60,9 +85,32 @@ class DatasetRegistry {
 
   std::size_t size() const;
 
+  /// The reduced moment form of dataset `id` (io::ReadReducedMoments),
+  /// decoded at most once per source triple. Every lookup re-describes the
+  /// file; an entry whose triple differs is stale and replaced, while jobs
+  /// that already hold it keep their snapshot. Concurrent lookups that
+  /// find no valid entry wait for a single decode. `use` (optional)
+  /// receives kHit or kFill. Logically const: the catalog never changes.
+  common::Result<std::shared_ptr<const io::ReducedMoments>> ReducedMomentsFor(
+      const std::string& id, MomentCacheUse* use = nullptr) const;
+
+  MomentCacheStats moment_cache_stats() const;
+
  private:
+  struct CacheEntry {
+    std::shared_ptr<const io::ReducedMoments> reduced;
+    bool filling = false;  // a lookup is decoding this dataset right now
+  };
+
   mutable std::mutex mu_;
   std::vector<DatasetInfo> datasets_;  // index i holds "ds-(i+1)"
+
+  // The decoded-moment cache, under its own lock so that a decode never
+  // blocks the catalog.
+  mutable std::mutex cache_mu_;
+  mutable std::condition_variable cache_cv_;  // a fill finished
+  mutable std::map<std::string, CacheEntry> cache_;  // by dataset id
+  mutable MomentCacheStats cache_stats_;
 };
 
 }  // namespace uclust::service

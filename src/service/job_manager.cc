@@ -5,6 +5,7 @@
 
 #include "clustering/ckmeans.h"
 #include "clustering/registry.h"
+#include "common/stopwatch.h"
 #include "io/dataset_reader.h"
 #include "service/log.h"
 
@@ -19,21 +20,31 @@ double UptimeMs() {
       .count();
 }
 
-/// The real clustering runner. UK-means / CK-means go through the
-/// bounded-memory file-backed CK-means driver (bit-identical to the direct
-/// sweeps by the library contract, and the only path that honors a budget
-/// smaller than the resident moments); over budget it maps the registered
-/// .umom sidecar, or <dataset>.umom when none is registered. Every other
-/// algorithm loads the dataset fully resident and dispatches through the
-/// registry.
+/// The real clustering runner. UK-means / CK-means run the bounded-memory
+/// CK-means driver (bit-identical to the direct sweeps by the library
+/// contract). When the (m+1)*n-double reduction fits the job's budget and
+/// `cache` is given (no global budget), the job runs on the registry's
+/// cached reduction; otherwise CkMeans::ClusterFile decodes into the job's
+/// own admitted budget, or over budget maps the registered .umom sidecar
+/// (<dataset>.umom when none is registered). Every other algorithm loads
+/// the dataset fully resident and dispatches through the registry.
 common::Result<clustering::ClusteringResult> RunClusteringJob(
     const JobSpec& spec, const DatasetInfo& dataset,
-    const engine::EngineConfig& engine_cfg) {
+    const engine::EngineConfig& engine_cfg, const DatasetRegistry* cache,
+    MomentCacheUse* use) {
   engine::Engine eng(engine_cfg);
   if (spec.algorithm == "UK-means" || spec.algorithm == "CK-means") {
     clustering::CkMeans::Params params;
     params.max_iters = spec.max_iters;
     params.init = clustering::InitStrategy::kRandom;
+    if (cache != nullptr &&
+        clustering::CkMeans::ReducedFits(dataset.n, dataset.m, eng)) {
+      common::Stopwatch offline;  // a hit's offline time is the lookup
+      auto reduced = cache->ReducedMomentsFor(dataset.id, use);
+      UCLUST_RETURN_NOT_OK(reduced.status());
+      return clustering::CkMeans::ClusterReduced(
+          *reduced.ValueOrDie(), spec.k, spec.seed, params, eng, offline);
+    }
     return clustering::CkMeans::ClusterFile(dataset.path, spec.k, spec.seed,
                                             params, eng, dataset.moments_path);
   }
@@ -210,14 +221,18 @@ void JobManager::ExecutorLoop() {
 
     // Run outside the lock. The admitted budget becomes the job's engine
     // budget so the per-job memory machinery enforces it.
+    // Under a global budget the moment cache is off: a cached reduction
+    // would sit outside admission control, so each job decodes into its
+    // own admitted budget instead.
     engine::EngineConfig engine_cfg = job->spec.engine;
-    if (cfg_.global_budget_bytes > 0) {
-      engine_cfg.memory_budget_bytes = job->budget;
-    }
+    const bool budgeted = cfg_.global_budget_bytes > 0;
+    if (budgeted) engine_cfg.memory_budget_bytes = job->budget;
+    MomentCacheUse cache_use = MomentCacheUse::kNone;
     common::Result<clustering::ClusteringResult> outcome =
         cfg_.runner_override
             ? cfg_.runner_override(job->spec, job->dataset, engine_cfg)
-            : RunClusteringJob(job->spec, job->dataset, engine_cfg);
+            : RunClusteringJob(job->spec, job->dataset, engine_cfg,
+                               budgeted ? nullptr : registry_, &cache_use);
 
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -240,6 +255,7 @@ void JobManager::ExecutorLoop() {
              {{"job", job->id},
               {"request", job->request_id},
               {"state", JobStateName(job->state)},
+              {"moment_cache", MomentCacheUseName(cache_use)},
               {"ms", std::to_string(job->finished_ms - job->started_ms)}});
   }
 }

@@ -21,6 +21,9 @@
 //     so the engine-level budget machinery (tiled pairwise stores, mapped
 //     moment columns, the mapped CK-means branch) enforces per-job what
 //     admission granted globally.
+//   * With B > 0 the registry's decoded-moment cache is not used: its bytes
+//     would sit outside every admitted b. With B = 0, CK-means jobs whose
+//     reduction fits their own budget share DatasetRegistry's cached one.
 #ifndef UCLUST_SERVICE_JOB_MANAGER_H_
 #define UCLUST_SERVICE_JOB_MANAGER_H_
 

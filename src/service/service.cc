@@ -320,6 +320,15 @@ HttpResponse ClusteringService::HandleMetrics() const {
   w.KV("global_budget_bytes", m.global_budget_bytes);
   w.KV("budget_in_use_bytes", m.budget_in_use_bytes);
   w.KV("datasets", registry_.size());
+  const MomentCacheStats cache = registry_.moment_cache_stats();
+  w.Key("moment_cache");
+  w.BeginObject();
+  w.KV("entries", cache.entries);
+  w.KV("bytes", cache.bytes);
+  w.KV("hits", static_cast<int64_t>(cache.hits));
+  w.KV("fills", static_cast<int64_t>(cache.fills));
+  w.KV("invalidations", static_cast<int64_t>(cache.invalidations));
+  w.EndObject();
   w.EndObject();
   HttpResponse resp;
   resp.body = w.str() + "\n";

@@ -13,7 +13,8 @@
 //   GET    /v1/jobs/{id}/result  canonical ClusteringResult JSON (409 until
 //                                the job is done)
 //   DELETE /v1/jobs/{id}         cancel a queued job (409 when running)
-//   GET    /v1/metrics           job counters/gauges + admission stats
+//   GET    /v1/metrics           job counters/gauges, admission stats and
+//                                the decoded-moment cache
 //
 // Handle() is public and socket-free: tests and the in-process smoke bench
 // drive the full route surface directly, while tools/serve wires it behind

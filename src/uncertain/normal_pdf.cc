@@ -57,23 +57,25 @@ TruncatedNormalPdf::TruncatedNormalPdf(HalfWidthTag, double mu, double sigma,
   assert(sigma > 0.0 && "TruncatedNormalPdf requires sigma > 0");
   assert(half_width > 0.0);
   mass_ = RegionMass(c_);
-  variance_ = TruncatedVariance(sigma_, c_, mass_);
+  variance_ = (sigma_ * sigma_) * VarianceFactor(c_, mass_);
 }
 
 double TruncatedNormalPdf::RegionMass(double half_width) {
   return 2.0 * common::NormalCdf(half_width) - 1.0;
 }
 
-double TruncatedNormalPdf::TruncatedVariance(double sigma, double half_width,
-                                             double mass) {
+double TruncatedNormalPdf::VarianceFactor(double half_width, double mass) {
   // Symmetric truncation: Var = sigma^2 * (1 - 2 c phi(c) / mass).
-  return sigma * sigma *
-         (1.0 - 2.0 * half_width * common::NormalPdf(half_width) / mass);
+  return 1.0 - 2.0 * half_width * common::NormalPdf(half_width) / mass;
+}
+
+double TruncatedNormalPdf::VarianceFactor(double half_width) {
+  return VarianceFactor(half_width, RegionMass(half_width));
 }
 
 double TruncatedNormalPdf::TruncatedVariance(double sigma,
                                              double half_width) {
-  return TruncatedVariance(sigma, half_width, RegionMass(half_width));
+  return (sigma * sigma) * VarianceFactor(half_width);
 }
 
 PdfPtr TruncatedNormalPdf::Make(double mu, double sigma) {

@@ -30,8 +30,15 @@ class TruncatedNormalPdf final : public Pdf {
   static PdfPtr FromHalfWidth(double mu, double sigma, double half_width);
 
   /// Variance of Normal(., sigma) truncated to +- half_width sigmas (the
-  /// closed form every instance stores).
+  /// closed form every instance stores): (sigma * sigma) *
+  /// VarianceFactor(half_width).
   static double TruncatedVariance(double sigma, double half_width);
+
+  /// The sigma-free part of the truncated variance, 1 - 2 c phi(c) /
+  /// mass(c) with mass(c) = 2 Phi(c) - 1. A decoder that sees one half-width
+  /// many times may keep it and form (sigma * sigma) * factor itself; the
+  /// result is bit-identical to TruncatedVariance.
+  static double VarianceFactor(double half_width);
 
   /// Untruncated location parameter (== mean(), by symmetry).
   double mu() const { return mu_; }
@@ -54,8 +61,7 @@ class TruncatedNormalPdf final : public Pdf {
   TruncatedNormalPdf(HalfWidthTag, double mu, double sigma, double half_width);
   // Untruncated mass of [-c, c]: 2 Phi(c) - 1.
   static double RegionMass(double half_width);
-  static double TruncatedVariance(double sigma, double half_width,
-                                  double mass);
+  static double VarianceFactor(double half_width, double mass);
 
   double mu_;
   double sigma_;

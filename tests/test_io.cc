@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/math_utils.h"
 #include "common/rng.h"
 #include "data/dataset.h"
 #include "engine/engine.h"
@@ -229,6 +230,22 @@ void ExpectEveryDecoderMatchesObjects(const std::string& path) {
     ExpectBitIdentical(oracle, streamed.ValueOrDie());
   }
 
+  auto reduced = io::ReadReducedMoments(path, /*batch_size=*/7);
+  ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
+  const MomentView rv = reduced.ValueOrDie().view();
+  ASSERT_EQ(rv.size(), oracle.size());
+  ASSERT_EQ(rv.dims(), oracle.dims());
+  EXPECT_EQ(reduced.ValueOrDie().bytes(),
+            (oracle.dims() + 1) * oracle.size() * sizeof(double));
+  for (std::size_t i = 0; i < rv.size(); ++i) {
+    ASSERT_EQ(0, std::memcmp(rv.mean(i).data(), oracle.view().mean(i).data(),
+                             rv.dims() * sizeof(double)))
+        << "reduced mean row " << i;
+    const double ta = rv.total_variance(i), tb = oracle.total_variance(i);
+    ASSERT_EQ(0, std::memcmp(&ta, &tb, sizeof(double)))
+        << "reduced constant " << i;
+  }
+
   const std::string sidecar = path + ".parity.umom";
   for (const auto backend : {io::MomentBackendChoice::kResident,
                              io::MomentBackendChoice::kMapped}) {
@@ -311,6 +328,35 @@ TEST(MomentDecoderTest, NormalMatchesObjectPath) {
       });
   ExpectEveryDecoderMatchesObjects(path);
   std::remove(path.c_str());
+}
+
+// The decoder memoizes the last half-width's variance factor; entries whose
+// c runs a, a, b, a (across dimension and record boundaries, at every batch
+// size) must still decode to the pdf objects' moments bit for bit.
+TEST(MomentDecoderTest, NormalHalfWidthMemoFollowsEveryChange) {
+  const double a = common::kNormal95;  // the default coverage's half-width
+  const double b = 2.5;
+  const double cycle[] = {a, a, b, a};
+  common::Rng rng(13);
+  const std::string path = WriteFamilyFile(
+      "dec_normal_memo.ubin", 19, 3, [&](std::size_t i, std::size_t j) {
+        return uncertain::TruncatedNormalPdf::FromHalfWidth(
+            rng.Uniform(-5, 5), rng.Uniform(0.01, 3), cycle[(i * 3 + j) % 4]);
+      });
+  ExpectEveryDecoderMatchesObjects(path);
+  std::remove(path.c_str());
+
+  // The factor is the closed form's sigma-free part, with the same rounding.
+  for (const double c : {a, b, io::kMinNormalHalfWidth, 6.0}) {
+    for (const double sigma : {1e-3, 0.37, 2.0}) {
+      const double whole =
+          uncertain::TruncatedNormalPdf::TruncatedVariance(sigma, c);
+      const double split =
+          (sigma * sigma) * uncertain::TruncatedNormalPdf::VarianceFactor(c);
+      EXPECT_EQ(0, std::memcmp(&whole, &split, sizeof(double)))
+          << "c=" << c << " sigma=" << sigma;
+    }
+  }
 }
 
 TEST(MomentDecoderTest, ExponentialMatchesObjectPath) {

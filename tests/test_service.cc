@@ -13,10 +13,12 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <mutex>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "clustering/ckmeans.h"
 #include "clustering/registry.h"
@@ -25,6 +27,7 @@
 #include "common/rng.h"
 #include "data/synthetic_gen.h"
 #include "engine/engine.h"
+#include "io/ingest.h"
 #include "service/dataset_registry.h"
 #include "service/job_manager.h"
 #include "service/job_spec.h"
@@ -378,6 +381,68 @@ TEST(DatasetRegistry, RejectsBadInputs) {
   EXPECT_FALSE(
       registry.Register(TestDatasetPath(), "/tmp/not_a_sidecar.bin").ok());
   EXPECT_EQ(registry.size(), 0u);
+}
+
+// Writes the fixed-record (all-normal) dataset the cache tests rewrite in
+// place: every seed gives a file of the same byte size.
+void WriteCacheDataset(const std::string& path, uint64_t seed,
+                       std::size_t n = 150) {
+  data::SyntheticGenParams params;
+  params.n = n;
+  params.m = 4;
+  params.classes = 3;
+  params.family = data::GenFamily::kNormal;
+  params.seed = seed;
+  ASSERT_TRUE(data::WriteSyntheticDataset(params, path, "cache").ok());
+}
+
+std::uintmax_t FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  return static_cast<std::uintmax_t>(in.tellg());
+}
+
+// A reduction handed out before the file changes is a snapshot: the rewrite
+// makes the next lookup decode the new bytes, and the old pointer still
+// holds the old ones.
+TEST(DatasetRegistry, ReducedMomentsSnapshotSurvivesARewrite) {
+  const std::string path = testing::TempDir() + "/uclust_cache_snapshot.ubin";
+  WriteCacheDataset(path, 21);
+  DatasetRegistry registry;
+  auto reg = registry.Register(path);
+  ASSERT_TRUE(reg.ok()) << reg.status().ToString();
+  EXPECT_EQ(registry.moment_cache_stats().entries, 0u);  // no decode yet
+
+  MomentCacheUse use = MomentCacheUse::kNone;
+  auto first = registry.ReducedMomentsFor("ds-1", &use);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(use, MomentCacheUse::kFill);
+  const std::shared_ptr<const io::ReducedMoments> old = first.ValueOrDie();
+  const std::vector<double> old_means = old->means;
+  const std::vector<double> old_constants = old->constants;
+  auto again = registry.ReducedMomentsFor("ds-1", &use);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(use, MomentCacheUse::kHit);
+  EXPECT_EQ(again.ValueOrDie().get(), old.get());
+
+  const std::uintmax_t bytes_before = FileBytes(path);
+  WriteCacheDataset(path, 22);
+  ASSERT_EQ(FileBytes(path), bytes_before);
+  auto fresh = registry.ReducedMomentsFor("ds-1", &use);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  EXPECT_EQ(use, MomentCacheUse::kFill);
+  EXPECT_NE(fresh.ValueOrDie().get(), old.get());
+  EXPECT_NE(fresh.ValueOrDie()->means, old_means);
+
+  EXPECT_EQ(old->means, old_means);
+  EXPECT_EQ(old->constants, old_constants);
+  const MomentCacheStats stats = registry.moment_cache_stats();
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, fresh.ValueOrDie()->bytes());
+  EXPECT_EQ(stats.fills, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.invalidations, 1u);
+  EXPECT_FALSE(registry.ReducedMomentsFor("ds-9").ok());
+  std::remove(path.c_str());
 }
 
 // ---------------------------------------------------------- JobManager --
@@ -892,6 +957,176 @@ TEST(ClusteringService, OverBudgetJobUsesTheRegisteredMomentsPath) {
                 direct.ValueOrDie().labels, direct.ValueOrDie().objective)));
   std::remove(moments.c_str());
   std::remove(path.c_str());
+  SetLogEnabled(true);
+}
+
+// ---------------------------------------------------- moment cache --
+
+std::string RegisterOver(ClusteringService* svc, const std::string& path) {
+  HttpResponse reg = svc->Handle(
+      Req("POST", "/v1/datasets", "{\"path\": \"" + path + "\"}"));
+  EXPECT_EQ(reg.status, 201) << reg.body;
+  return common::ParseJson(reg.body).ValueOrDie().Find("id")->AsString();
+}
+
+std::string SubmitCkmeans(ClusteringService* svc, const std::string& ds_id,
+                          uint64_t seed, const std::string& engine = "{}") {
+  HttpResponse submit = svc->Handle(Req(
+      "POST", "/v1/jobs",
+      "{\"dataset_id\": \"" + ds_id +
+          "\", \"algorithm\": \"CK-means\", \"k\": 3, \"seed\": " +
+          std::to_string(seed) + ", \"max_iters\": 30, \"engine\": " +
+          engine + "}"));
+  EXPECT_EQ(submit.status, 202) << submit.body;
+  return common::ParseJson(submit.body).ValueOrDie().Find("job_id")->AsString();
+}
+
+std::string JobFingerprint(ClusteringService* svc, const std::string& job) {
+  EXPECT_TRUE(svc->jobs().Wait(job, 30000));
+  HttpResponse result = svc->Handle(Req("GET", "/v1/jobs/" + job + "/result"));
+  EXPECT_EQ(result.status, 200) << result.body;
+  auto json = common::ParseJson(result.body);
+  if (!json.ok() || json.ValueOrDie().Find("result") == nullptr) return "";
+  return json.ValueOrDie().Find("result")->Find("fingerprint")->AsString();
+}
+
+std::string DirectFingerprint(const std::string& path, uint64_t seed) {
+  clustering::CkMeans::Params params;
+  params.max_iters = 30;
+  auto direct = clustering::CkMeans::ClusterFile(path, 3, seed, params);
+  EXPECT_TRUE(direct.ok()) << direct.status().ToString();
+  if (!direct.ok()) return "direct run failed";
+  return clustering::FingerprintHex(clustering::ResultFingerprint(
+      direct.ValueOrDie().labels, direct.ValueOrDie().objective));
+}
+
+// The moment_cache object of GET /v1/metrics.
+MomentCacheStats MetricsCache(ClusteringService* svc) {
+  HttpResponse metrics = svc->Handle(Req("GET", "/v1/metrics"));
+  EXPECT_EQ(metrics.status, 200);
+  auto json = common::ParseJson(metrics.body);
+  MomentCacheStats stats;
+  const common::JsonValue* cache =
+      json.ok() ? json.ValueOrDie().Find("moment_cache") : nullptr;
+  EXPECT_NE(cache, nullptr) << metrics.body;
+  if (cache == nullptr) return stats;
+  stats.entries = static_cast<std::size_t>(cache->Find("entries")->AsInt());
+  stats.bytes = static_cast<std::size_t>(cache->Find("bytes")->AsInt());
+  stats.hits = static_cast<uint64_t>(cache->Find("hits")->AsInt());
+  stats.fills = static_cast<uint64_t>(cache->Find("fills")->AsInt());
+  stats.invalidations =
+      static_cast<uint64_t>(cache->Find("invalidations")->AsInt());
+  return stats;
+}
+
+// A dataset rewritten in place (same byte size, new content) is re-decoded:
+// the next job clusters the new file, not the cached old one.
+TEST(MomentCache, RewrittenDatasetIsDecodedAgain) {
+  SetLogEnabled(false);
+  const std::string path = testing::TempDir() + "/uclust_cache_rewrite.ubin";
+  WriteCacheDataset(path, 31);
+  ServiceConfig cfg;
+  cfg.jobs.executors = 1;
+  ClusteringService svc(cfg);
+  svc.jobs().Start();
+  const std::string ds_id = RegisterOver(&svc, path);
+
+  EXPECT_EQ(JobFingerprint(&svc, SubmitCkmeans(&svc, ds_id, 4)),
+            DirectFingerprint(path, 4));
+  EXPECT_EQ(MetricsCache(&svc).fills, 1u);
+
+  const std::uintmax_t bytes_before = FileBytes(path);
+  WriteCacheDataset(path, 32);
+  ASSERT_EQ(FileBytes(path), bytes_before);
+  EXPECT_EQ(JobFingerprint(&svc, SubmitCkmeans(&svc, ds_id, 4)),
+            DirectFingerprint(path, 4));
+  const MomentCacheStats stats = MetricsCache(&svc);
+  EXPECT_EQ(stats.invalidations, 1u);
+  EXPECT_EQ(stats.fills, 2u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.bytes, (4u + 1u) * 150u * sizeof(double));
+  svc.Stop();
+  std::remove(path.c_str());
+  SetLogEnabled(true);
+}
+
+// Eight jobs queued before four executors start race to the empty cache:
+// one decodes, the rest wait for it, and every result is the direct one.
+// The file is large enough (a decode of milliseconds) for the lanes' first
+// lookups to overlap.
+TEST(MomentCache, ConcurrentColdStartDecodesOnce) {
+  SetLogEnabled(false);
+  const std::string path = testing::TempDir() + "/uclust_cache_cold.ubin";
+  WriteCacheDataset(path, 51, 20000);
+  ServiceConfig cfg;
+  cfg.jobs.executors = 4;
+  ClusteringService svc(cfg);
+  const std::string ds_id = RegisterOver(&svc, path);
+  std::vector<std::string> jobs;
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    jobs.push_back(SubmitCkmeans(&svc, ds_id, seed));
+  }
+  svc.jobs().Start();
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    EXPECT_EQ(JobFingerprint(&svc, jobs[seed - 1]),
+              DirectFingerprint(path, seed))
+        << "seed " << seed;
+  }
+  const MomentCacheStats stats = MetricsCache(&svc);
+  EXPECT_EQ(stats.fills, 1u);
+  EXPECT_EQ(stats.hits, 7u);
+  EXPECT_EQ(stats.entries, 1u);
+  EXPECT_EQ(stats.invalidations, 0u);
+  svc.Stop();
+  std::remove(path.c_str());
+  SetLogEnabled(true);
+}
+
+// Under a global budget the cache stays empty (its bytes would escape
+// admission control); a job budget below the reduction takes the mapped
+// branch and creates no entry either. Both still match ClusterFile.
+TEST(MomentCache, BudgetsKeepJobsOutOfTheCache) {
+  SetLogEnabled(false);
+  {
+    ServiceConfig cfg;
+    cfg.jobs.executors = 2;
+    cfg.jobs.global_budget_bytes = std::size_t{64} << 20;
+    ClusteringService svc(cfg);
+    svc.jobs().Start();
+    const std::string ds_id = RegisterOver(&svc, TestDatasetPath());
+    for (uint64_t seed : {3u, 3u, 5u}) {
+      EXPECT_EQ(JobFingerprint(&svc, SubmitCkmeans(&svc, ds_id, seed)),
+                DirectFingerprint(TestDatasetPath(), seed));
+    }
+    const MomentCacheStats stats = MetricsCache(&svc);
+    EXPECT_EQ(stats.bytes, 0u);
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.fills + stats.hits, 0u);
+    svc.Stop();
+  }
+  {
+    const std::string path = testing::TempDir() + "/uclust_cache_mapped.ubin";
+    WriteCacheDataset(path, 41);
+    const std::string moments = path + ".umom";
+    std::remove(moments.c_str());
+    ServiceConfig cfg;
+    cfg.jobs.executors = 1;
+    ClusteringService svc(cfg);
+    svc.jobs().Start();
+    const std::string ds_id = RegisterOver(&svc, path);
+    // (4 + 1) * 150 * 8 = 6000 bytes of reduction against 1024.
+    EXPECT_EQ(JobFingerprint(&svc, SubmitCkmeans(&svc, ds_id, 6,
+                                                 "{\"memory_budget_bytes\": "
+                                                 "1024}")),
+              DirectFingerprint(path, 6));
+    EXPECT_TRUE(std::ifstream(moments).good());  // the mapped branch ran
+    const MomentCacheStats stats = MetricsCache(&svc);
+    EXPECT_EQ(stats.entries, 0u);
+    EXPECT_EQ(stats.fills, 0u);
+    svc.Stop();
+    std::remove(moments.c_str());
+    std::remove(path.c_str());
+  }
   SetLogEnabled(true);
 }
 
