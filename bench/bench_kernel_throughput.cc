@@ -1,7 +1,8 @@
 // Microbench for the SIMD kernel layer (src/clustering/simd/): per-ISA
 // throughput of the hot inner loops — the closed-form ED^ tile
 // accumulation, the moment-column packing, the CK-means reduced-moment
-// nearest-two center sweep, and the matched-realization pair kernel of the
+// nearest-two center sweep (the center-lane kernel over the transposed
+// centers), and the matched-realization pair kernel of the
 // sampled algorithms at (m=2, S=24) and (m=16, S=32) — plus a runtime
 // cross-check that every compiled vector path reproduces the scalar
 // reference bit for bit on this machine's actual hardware (all of those,
@@ -12,10 +13,12 @@
 //     vs forced scalar),
 //   - `DISPATCH best=<isa>` — what auto dispatch resolves to here,
 //   - `KERNEL RESULT=OK|FAIL` — greppable smoke marker: OK iff every
-//     available vector path's outputs (tiles, packed rows, labels, gains,
-//     realization sums and counts) match the scalar reference bitwise (the
-//     bit-exactness contract, checked at runtime, on real inputs, with
-//     remainder lanes),
+//     available vector path's outputs (tiles, packed rows, gains,
+//     realization sums and counts) match the scalar reference bitwise, and
+//     every path's sweep (labels, best and runner-up distances) matches the
+//     row-major scan of the scalar squared_distance in
+//     tests/ukmeans_oracle.h bitwise (the bit-exactness contract, checked
+//     at runtime, on real inputs, with remainder lanes),
 //   - BENCH_kernel_throughput.json with everything above per ISA.
 //
 // Flags:
@@ -37,6 +40,7 @@
 #include "common/cli.h"
 #include "common/rng.h"
 #include "common/stopwatch.h"
+#include "../tests/ukmeans_oracle.h"
 
 namespace {
 
@@ -57,6 +61,7 @@ struct Inputs {
   std::vector<double> var;        // n x m
   std::vector<double> total_var;  // n
   std::vector<double> centroids;  // k x m
+  std::vector<double> center_lanes;  // m x k_pad (simd::ToCenterLanes)
 };
 
 Inputs MakeInputs(std::size_t m, std::size_t tile_rows, std::size_t n, int k,
@@ -85,6 +90,7 @@ Inputs MakeInputs(std::size_t m, std::size_t tile_rows, std::size_t n, int k,
   }
   in.centroids.resize(static_cast<std::size_t>(k) * m);
   for (double& c : in.centroids) c = rng.Uniform(-10.0, 10.0);
+  simd::ToCenterLanes(in.centroids.data(), k, m, &in.center_lanes);
   return in;
 }
 
@@ -120,20 +126,50 @@ void PackPass(const simd::KernelTable& t, const Inputs& in,
   }
 }
 
-// One assignment sweep: every object against all k centers via nearest_two.
+// Per-object outputs of one assignment sweep: the label and the best and
+// runner-up squared distances.
+struct SweepOut {
+  std::vector<int> labels;
+  std::vector<double> d2;  // n x {best, second}
+  explicit SweepOut(std::size_t n) : labels(n), d2(2 * n) {}
+  bool operator==(const SweepOut& o) const {
+    return labels == o.labels &&
+           std::memcmp(d2.data(), o.d2.data(), d2.size() * sizeof(double)) ==
+               0;
+  }
+};
+
+// One assignment sweep: every object against all k centers via nearest_two
+// on the center-lane layout.
 std::size_t SweepPass(const simd::KernelTable& t, const Inputs& in,
-                      std::vector<int>* labels) {
+                      SweepOut* out) {
   const std::size_t m = in.m;
   for (std::size_t i = 0; i < in.n; ++i) {
     int best = 0;
     double best_d2 = 0.0;
     double second_d2 = 0.0;
-    t.nearest_two(in.means.data() + i * m, in.centroids.data(), in.k, m, -1,
-                  0.0, &best, &best_d2, &second_d2);
-    (*labels)[i] = best;
-    g_sink += best_d2 - second_d2;
+    t.nearest_two(in.means.data() + i * m, in.center_lanes.data(), in.k, m,
+                  -1, 0.0, &best, &best_d2, &second_d2);
+    out->labels[i] = best;
+    out->d2[2 * i] = best_d2;
+    out->d2[2 * i + 1] = second_d2;
   }
   return in.n * static_cast<std::size_t>(in.k);
+}
+
+// The sweep's reference: the oracle's ascending-c, strict-< scan of
+// squared_distance over the row-major centroids, which every path's
+// nearest_two must match bit for bit.
+void RowMajorSweep(const simd::KernelTable& t, const Inputs& in,
+                   SweepOut* out) {
+  for (std::size_t i = 0; i < in.n; ++i) {
+    const clustering::oracle::NearestTwoResult r =
+        clustering::oracle::NearestTwoScan(t, in.means.data() + i * in.m,
+                                           in.centroids.data(), in.k, in.m);
+    out->labels[i] = r.best;
+    out->d2[2 * i] = r.best_d2;
+    out->d2[2 * i + 1] = r.second_d2;
+  }
 }
 
 // One relocation-screen pass: every object's gains against k clusters, the
@@ -258,11 +294,11 @@ int main(int argc, char** argv) {
   std::vector<double> ref_tile(tile_rows * n);
   std::vector<double> ref_mean(n * m), ref_mu2(n * m), ref_var(n * m),
       ref_tv(n);
-  std::vector<int> ref_labels(n);
+  SweepOut ref_sweep(n);
   std::vector<double> ref_gains(n * 3 * k);
   Ed2Tile(*scalar, in, &ref_tile);
   PackPass(*scalar, in, &ref_mean, &ref_mu2, &ref_var, &ref_tv);
-  SweepPass(*scalar, in, &ref_labels);
+  RowMajorSweep(*scalar, in, &ref_sweep);
   GainsPass(*scalar, in, &ref_gains);
   const RealizationInputs shapes[] = {MakeRealizationInputs(2, 24, seed + 1),
                                       MakeRealizationInputs(16, 32, seed + 2)};
@@ -287,17 +323,20 @@ int main(int argc, char** argv) {
 
     // Cross-check first (bitwise, memcmp over the output buffers): the
     // throughput numbers of a path that produces different bits would be
-    // meaningless.
+    // meaningless. The sweep is checked on every path, scalar included,
+    // against the row-major reference scan.
+    SweepOut sweep(n);
+    SweepPass(*table, in, &sweep);
+    r.cross_check_ok = sweep == ref_sweep;
     if (isa != simd::Isa::kScalar) {
       std::vector<double> tile(tile_rows * n);
       std::vector<double> mean(n * m), mu2(n * m), var(n * m), tv(n);
-      std::vector<int> labels(n);
       std::vector<double> gains(n * 3 * k);
       Ed2Tile(*table, in, &tile);
       PackPass(*table, in, &mean, &mu2, &var, &tv);
-      SweepPass(*table, in, &labels);
       GainsPass(*table, in, &gains);
       r.cross_check_ok =
+          r.cross_check_ok &&
           std::memcmp(tile.data(), ref_tile.data(),
                       tile.size() * sizeof(double)) == 0 &&
           std::memcmp(mean.data(), ref_mean.data(),
@@ -308,8 +347,6 @@ int main(int argc, char** argv) {
                       var.size() * sizeof(double)) == 0 &&
           std::memcmp(tv.data(), ref_tv.data(),
                       tv.size() * sizeof(double)) == 0 &&
-          std::memcmp(labels.data(), ref_labels.data(),
-                      labels.size() * sizeof(int)) == 0 &&
           std::memcmp(gains.data(), ref_gains.data(),
                       gains.size() * sizeof(double)) == 0;
       for (std::size_t q = 0; q < std::size(shapes); ++q) {
@@ -322,8 +359,8 @@ int main(int argc, char** argv) {
                         sums.size() * sizeof(double)) == 0 &&
             hits == ref_hits[q];
       }
-      all_ok = all_ok && r.cross_check_ok;
     }
+    all_ok = all_ok && r.cross_check_ok;
 
     // ED^ tile: each eval reads two mean rows (2 m doubles); GB/s counts
     // those reads (writes are one double per eval, negligible next to them).
@@ -355,14 +392,14 @@ int main(int argc, char** argv) {
     }
     // Nearest-two sweep: n x k squared-distance evaluations per pass.
     {
-      std::vector<int> labels(n);
+      SweepOut sweep(n);
       std::size_t evals = 0;
       const auto [reps, secs] = Measure(min_ms, [&] {
-        evals += SweepPass(*table, in, &labels);
+        evals += SweepPass(*table, in, &sweep);
       });
       (void)reps;
       r.sweep_evals_per_s = static_cast<double>(evals) / secs;
-      g_sink += labels[0];
+      g_sink += sweep.d2[0] - sweep.d2[1] + sweep.labels[0];
     }
     // Realization pairs: one realization_squared_sum call per object pair.
     for (std::size_t q = 0; q < std::size(shapes); ++q) {
@@ -392,8 +429,8 @@ int main(int argc, char** argv) {
                 r.pack_gb_per_s, r.sweep_evals_per_s, r.pairs_m2_s24_per_s,
                 r.pairs_m16_s32_per_s,
                 scalar_ed2 > 0 ? r.ed2_evals_per_s / scalar_ed2 : 0.0,
-                r.name == "scalar" ? "ref"
-                                   : (r.cross_check_ok ? "ok" : "DIFF"));
+                !r.cross_check_ok ? "DIFF"
+                                  : (r.name == "scalar" ? "ref" : "ok"));
   }
 
   common::JsonWriter json;

@@ -59,13 +59,13 @@ struct ScanResult {
 };
 
 inline ScanResult ScanCenters(std::span<const double> mean,
-                              std::span<const double> centroids, int k,
+                              std::span<const double> center_lanes, int k,
                               std::size_t m, int reuse_c, double reuse_d2) {
-  // Dispatched reduced-moment sweep kernel (clustering/simd/): same
-  // ascending-c strict-< decision sequence and runner-up tracking this
-  // function implemented inline before, now vectorized per distance.
+  // Dispatched center-lane kernel (clustering/simd/): one vector lane per
+  // center over the iteration's center-lane copy, every distance the same
+  // bits as simd::SquaredDistance against the row-major centroid.
   ScanResult r;
-  simd::NearestTwo(mean.data(), centroids.data(), k, m, reuse_c, reuse_d2,
+  simd::NearestTwo(mean.data(), center_lanes.data(), k, m, reuse_c, reuse_d2,
                    &r.best, &r.best_d2, &r.second_d2);
   return r;
 }
@@ -76,11 +76,14 @@ inline ScanResult ScanCenters(std::span<const double> mean,
 // counter totals. An unlabeled object (the first sweep) full-scans;
 // otherwise Hamerly's test first (skip the whole scan), then the
 // tightened-upper-bound retest (skip all but the assigned center), then
-// the full scan that restores exact bounds.
+// the full scan that restores exact bounds. `centroids` (row-major) serves
+// the retest's single distance, `center_lanes` (the same centers in the
+// center-lane layout) the full scans.
 inline void AssignOne(std::span<const double> mean,
-                      std::span<const double> centroids, int k, std::size_t m,
-                      std::span<const double> half_sep, int* label,
-                      double* ub, double* lb, SweepCounts* sc) {
+                      std::span<const double> centroids,
+                      std::span<const double> center_lanes, int k,
+                      std::size_t m, std::span<const double> half_sep,
+                      int* label, double* ub, double* lb, SweepCounts* sc) {
   if (*label >= 0) {
     const double bound = std::max(*lb, half_sep[*label]);
     if (*ub < bound) {
@@ -95,7 +98,7 @@ inline void AssignOne(std::span<const double> mean,
       sc->skipped += k - 1;
       return;
     }
-    const ScanResult r = ScanCenters(mean, centroids, k, m, *label, d2a);
+    const ScanResult r = ScanCenters(mean, center_lanes, k, m, *label, d2a);
     sc->evals += k - 1;
     if (r.best != *label) {
       *label = r.best;
@@ -105,7 +108,7 @@ inline void AssignOne(std::span<const double> mean,
     *lb = std::sqrt(r.second_d2) * (1.0 - kBoundSlack);
     return;
   }
-  const ScanResult r = ScanCenters(mean, centroids, k, m, -1, 0.0);
+  const ScanResult r = ScanCenters(mean, center_lanes, k, m, -1, 0.0);
   sc->evals += k;
   *label = r.best;
   ++sc->changed;
@@ -165,7 +168,8 @@ void MaintainBounds(const engine::Engine& eng, std::size_t m, int k,
 // the thread partition nor the view's backend affects the produced labels.
 SweepCounts AssignSweep(const engine::Engine& eng,
                         const uncertain::MomentView& view,
-                        std::span<const double> centroids, int k,
+                        std::span<const double> centroids,
+                        std::span<const double> center_lanes, int k,
                         std::span<const double> half_sep,
                         std::span<int> labels, std::span<double> ub,
                         std::span<double> lb) {
@@ -174,8 +178,8 @@ SweepCounts AssignSweep(const engine::Engine& eng,
       eng, view.size(), [&](const engine::BlockedRange& r) {
         SweepCounts sc;
         for (std::size_t i = r.begin; i < r.end; ++i) {
-          AssignOne(view.mean(i), centroids, k, m, half_sep, &labels[i],
-                    &ub[i], &lb[i], &sc);
+          AssignOne(view.mean(i), centroids, center_lanes, k, m, half_sep,
+                    &labels[i], &ub[i], &lb[i], &sc);
         }
         return sc;
       });
@@ -251,6 +255,10 @@ CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
   Outcome out;
   out.labels.assign(n, -1);
   std::vector<double> ub(n, 0.0), lb(n, 0.0), half_sep, old_centroids;
+  // The sweep's copy of the centers in the center-lane layout, rebuilt
+  // after every update; the row-major centroids stay canonical for the
+  // sums, drift, half separations, retest and objective.
+  std::vector<double> center_lanes;
   std::vector<double> sums;
   std::vector<std::size_t> counts;
 
@@ -259,11 +267,15 @@ CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
     // The first sweep has no labels to defend, so it always full-scans;
     // half separations only matter from the second sweep on.
     if (out.iterations > 0) HalfSeparations(centroids, k, m, &half_sep);
-    const SweepCounts sc = AssignSweep(eng, view, centroids, k, half_sep,
-                                       out.labels, ub, lb);
+    simd::ToCenterLanes(centroids.data(), k, m, &center_lanes);
+    const SweepCounts sc = AssignSweep(eng, view, centroids, center_lanes, k,
+                                       half_sep, out.labels, ub, lb);
     out.center_distance_evals += sc.evals;
     out.bounds_skipped += sc.skipped;
-    if (sc.changed == 0) break;
+    if (sc.changed == 0) {
+      out.converged = true;
+      break;
+    }
 
     // Update: centroid = average of member expected values (Eq. 7), with
     // the direct path's empty-cluster reseed in the same rng order.

@@ -21,6 +21,11 @@
 //      Elkan-style half-min-separation test rides along. Objects whose
 //      bounds prove the assignment unchanged skip the whole k-center scan,
 //      making late iterations O(n) instead of O(nk) distance evaluations.
+//      The full scans that remain run the center-lane kernel
+//      simd::NearestTwo: once per iteration the centers are copied into the
+//      center-lane layout (simd::ToCenterLanes: m rows per group of 16
+//      centers, a short last group row-major), so one vector lane scores
+//      one center and 16 centers cost no horizontal reduction.
 //      Bounds are kept floating-point-safe by a relative slack (upper
 //      bounds inflated, lower bounds deflated at every maintenance step),
 //      so a pruning decision is always conservative and the surviving
@@ -40,11 +45,12 @@
 // ||mu(o) - c||^2 evaluations of the assignment sweeps and bounds_skipped
 // the (object, center) slots the bounds proved unnecessary; the pair always
 // satisfies evals + skipped == sweeps * n * k, where sweeps is the number
-// of assignment sweeps actually run — iterations + 1 on a converged run
-// (the final sweep changes nothing but still executes, exactly as on the
-// direct path) and iterations when the cap stops the loop. The sum is
-// therefore the direct path's evaluation count. Center-to-center work
-// (drift norms, half separations — O(k^2) per iteration) is not counted.
+// of assignment sweeps actually run — iterations + converged: iterations
+// + 1 on a converged run (the final sweep changes nothing but still
+// executes, exactly as on the direct path) and iterations when the cap
+// stops the loop. The sum is therefore the direct path's evaluation count.
+// Center-to-center work (drift norms, half separations — O(k^2) per
+// iteration) is not counted.
 #ifndef UCLUST_CLUSTERING_CKMEANS_H_
 #define UCLUST_CLUSTERING_CKMEANS_H_
 
@@ -93,6 +99,9 @@ class CkMeans final : public Clusterer {
     std::vector<int> labels;
     double objective = 0.0;  ///< sum_o [ sigma^2(o) + ||mu(o) - c_l(o)||^2 ].
     int iterations = 0;
+    /// True when a sweep changed no label; false when max_iters stopped
+    /// the loop. The sweeps run are iterations + converged.
+    bool converged = false;
     int64_t center_distance_evals = 0;
     int64_t bounds_skipped = 0;
   };

@@ -7,7 +7,8 @@
 //
 // CK-means (clustering/ckmeans.h) sums and scores through SumMeansByLabel
 // and AssignmentObjective, so their blocked fold order lives here only; its
-// assignment sweep is its own bound-pruned scan (simd::NearestTwo).
+// assignment sweep is its own bound-pruned scan (the center-lane kernel
+// simd::NearestTwo over a per-iteration copy of the centers).
 //
 // The pairwise kernels are tile producers: they fill row tiles (or the
 // ragged upper-triangle rows) of a symmetric pairwise table for a

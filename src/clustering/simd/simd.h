@@ -37,8 +37,10 @@
 #ifndef UCLUST_CLUSTERING_SIMD_SIMD_H_
 #define UCLUST_CLUSTERING_SIMD_SIMD_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <string>
+#include <vector>
 
 namespace uclust::clustering::simd {
 
@@ -94,12 +96,23 @@ struct KernelTable {
   void (*pack_row)(const double* mean, const double* mu2, const double* var,
                    std::size_t m, double* mean_dst, double* mu2_dst,
                    double* var_dst, double* total_var_dst);
-  /// Best / runner-up center scan of one point over a flat k x m centroid
-  /// array — the CK-means reduced-moment sweep. Ascending c, strict <, ties
-  /// to the lower index (the direct UK-means sweeps' comparison order).
-  /// reuse_c >= 0 substitutes reuse_d2 for that center's distance without
-  /// changing the decision sequence.
-  void (*nearest_two)(const double* point, const double* centroids, int k,
+  /// Best / runner-up center scan of one point — the CK-means reduced-moment
+  /// sweep. `center_lanes` is the center-lane layout of the k centers
+  /// (ToCenterLanes). Its first m rows of CenterLaneStride(k) doubles hold
+  /// coordinate j of every lane-scored center in row j, so each vector lane
+  /// owns one center and a group of kLanes centers is scored with no
+  /// horizontal reduction: lane t of a center sums coordinates t, t+16, ...
+  /// in ascending order and the lanes fold in FoldLanes' tree. A last group
+  /// of at least kLanes / 2 centers is padded to a whole group; the padded
+  /// columns are computed and dropped, never compared. A shorter last group
+  /// follows row-major (one m-double row per center) and is scored per
+  /// center by squared_distance, which is cheaper than a mostly empty
+  /// group. Either way each distance is bit-identical to
+  /// squared_distance(point, center, m). Ascending c, strict <, ties to the
+  /// lower index (the direct UK-means sweeps' comparison order); second_d2
+  /// is +inf when k == 1. reuse_c >= 0 substitutes reuse_d2 for that
+  /// center's distance without changing the decision sequence.
+  void (*nearest_two)(const double* point, const double* center_lanes, int k,
                       std::size_t m, int reuse_c, double reuse_d2, int* best,
                       double* best_d2, double* second_d2);
   /// Relocation gains of one object against k clusters. Lanes run across
@@ -181,10 +194,38 @@ inline void PackRow(const double* mean, const double* mu2, const double* var,
                     total_var_dst);
 }
 
-inline void NearestTwo(const double* point, const double* centroids, int k,
+/// Row stride of the center-lane layout: k rounded down to whole lane
+/// groups, or up when the last group holds at least kLanes / 2 centers.
+/// Centers at or past the stride are the row-major tail.
+inline std::size_t CenterLaneStride(int k) {
+  const std::size_t kk = static_cast<std::size_t>(k);
+  const std::size_t full = kk / kLanes * kLanes;
+  return kk - full >= kLanes / 2 ? full + kLanes : full;
+}
+
+/// Writes the center-lane layout nearest_two reads of a flat k x m
+/// row-major centroid array: with stride = CenterLaneStride(k),
+/// lanes[j * stride + c] = coordinate j of center c < min(k, stride),
+/// padding columns zero, followed by the centers c >= stride row-major.
+/// O(k m); reuses lanes' storage.
+inline void ToCenterLanes(const double* centroids, int k, std::size_t m,
+                          std::vector<double>* lanes) {
+  const std::size_t kk = static_cast<std::size_t>(k);
+  const std::size_t stride = CenterLaneStride(k);
+  const std::size_t lane_k = std::min(kk, stride);
+  lanes->assign(m * stride, 0.0);
+  for (std::size_t c = 0; c < lane_k; ++c) {
+    for (std::size_t j = 0; j < m; ++j) {
+      (*lanes)[j * stride + c] = centroids[c * m + j];
+    }
+  }
+  lanes->insert(lanes->end(), centroids + lane_k * m, centroids + kk * m);
+}
+
+inline void NearestTwo(const double* point, const double* center_lanes, int k,
                        std::size_t m, int reuse_c, double reuse_d2, int* best,
                        double* best_d2, double* second_d2) {
-  Active().nearest_two(point, centroids, k, m, reuse_c, reuse_d2, best,
+  Active().nearest_two(point, center_lanes, k, m, reuse_c, reuse_d2, best,
                        best_d2, second_d2);
 }
 

@@ -222,24 +222,93 @@ void PackRowT(const double* mean, const double* mu2, const double* var,
   *total_var_dst = SumT<Ops>(var, m);
 }
 
-// The CK-means reduced-moment scan: best and runner-up centers of one point
-// over a flat k x m centroid array. Mirrors the direct UK-means sweeps'
-// nearest-centroid decision sequence exactly — ascending c, strict <, ties
-// to the lower index — so routing through it changes no assignment and no
-// Hamerly/Elkan bound.
+// FoldLanes' tree over the coordinate lanes l[0, used) of a center group,
+// in place; as in ShortRow, an operand made only of empty lanes (t >=
+// used) is left out, which is exact. used = 0 yields +0.0.
 template <class Ops>
-void NearestTwoT(const double* point, const double* centroids, int k,
+typename Ops::V FoldCoordinateLanes(typename Ops::V* l, std::size_t used) {
+  if (used == 0) return Ops::Zero();
+  for (std::size_t t = 0; t < 8; ++t) {
+    if (t + 8 < used) l[t] = Ops::Add(l[t], l[t + 8]);
+  }
+  for (std::size_t t = 0; t < 4; ++t) {
+    if (t + 4 < used) l[t] = Ops::Add(l[t], l[t + 4]);
+  }
+  if (2 < used) l[0] = Ops::Add(l[0], l[2]);
+  if (3 < used) l[1] = Ops::Add(l[1], l[3]);
+  return used > 1 ? Ops::Add(l[0], l[1]) : l[0];
+}
+
+// Squared distances from `point` to the kLanes centers of one center-lane
+// group (`group` = the group's first column, rows `stride` apart), into
+// d2[0, kLanes). Each Ops lane owns one center and gets exactly
+// squared_distance's operations: coordinate lane t sums the squares of
+// coordinates t, t+16, ... in ascending order (the leading `0.0 +`
+// dropped, exactly as in ShortRow), and the coordinate lanes fold in
+// FoldLanes' tree. Kept out of line: inlined, its array of kLanes vectors
+// made every NearestTwoT call pay for it, and a k < 8 scan, which never
+// runs a group, measured 1.5-1.7x slower.
+template <class Ops>
+[[gnu::noinline]] void CenterGroupDistances(const double* point,
+                                            const double* group,
+                                            std::size_t stride, std::size_t m,
+                                            double* d2) {
+  using V = typename Ops::V;
+  const std::size_t used = std::min(m, kLanes);
+  // Deliberately uninitialized, as in FullRowSquaredDistance: lanes[t] is
+  // written before it is read for every t < used.
+  V lanes[kLanes];
+  for (std::size_t t = 0; t < used; ++t) {
+    V d = Ops::Sub(Ops::Splat(point[t]), Ops::Load(group + t * stride));
+    V acc = Ops::Mul(d, d);
+    for (std::size_t j = t + kLanes; j < m; j += kLanes) {
+      d = Ops::Sub(Ops::Splat(point[j]), Ops::Load(group + j * stride));
+      acc = Ops::Add(acc, Ops::Mul(d, d));
+    }
+    lanes[t] = acc;
+  }
+  Ops::Store(d2, FoldCoordinateLanes<Ops>(lanes, used));
+}
+
+// The CK-means reduced-moment scan over the center-lane layout (see
+// KernelTable::nearest_two): CenterGroupDistances per lane group, whose
+// padded centers are scored and dropped before the comparisons, then the
+// row-major tail one center at a time through SquaredDistanceT. The
+// decision sequence mirrors the direct UK-means sweeps' nearest-centroid
+// scan — ascending c, strict <, ties to the lower index — so routing
+// through it changes no assignment and no Hamerly/Elkan bound.
+template <class Ops>
+void NearestTwoT(const double* point, const double* center_lanes, int k,
                  std::size_t m, int reuse_c, double reuse_d2, int* best,
                  double* best_d2, double* second_d2) {
+  const std::size_t kk = static_cast<std::size_t>(k);
+  const std::size_t stride = CenterLaneStride(k);
   int b = 0;
   double bd = std::numeric_limits<double>::infinity();
   double sd = std::numeric_limits<double>::infinity();
-  for (int c = 0; c < k; ++c) {
+  double d2[kLanes];
+  for (std::size_t c0 = 0; c0 < std::min(kk, stride); c0 += kLanes) {
+    CenterGroupDistances<Ops>(point, center_lanes + c0, stride, m, d2);
+    const std::size_t count = std::min(kLanes, kk - c0);
+    for (std::size_t t = 0; t < count; ++t) {
+      const int c = static_cast<int>(c0 + t);
+      const double d = c == reuse_c ? reuse_d2 : d2[t];
+      if (d < bd) {
+        sd = bd;
+        bd = d;
+        b = c;
+      } else if (d < sd) {
+        sd = d;
+      }
+    }
+  }
+  const double* tail = center_lanes + m * stride;
+  for (std::size_t i = stride; i < kk; ++i) {
+    const int c = static_cast<int>(i);
     const double d =
         c == reuse_c
             ? reuse_d2
-            : SquaredDistanceT<Ops>(
-                  point, centroids + static_cast<std::size_t>(c) * m, m);
+            : SquaredDistanceT<Ops>(point, tail + (i - stride) * m, m);
     if (d < bd) {
       sd = bd;
       bd = d;

@@ -178,26 +178,45 @@ TEST(Ckmeans, CountersSatisfyAccountingContract) {
 
   // Sweeps actually run: iterations + 1 on a converged run (the final
   // no-change sweep executes before the loop breaks), iterations at the cap.
-  const auto expected_slots = [&](int iterations, int max_iters) {
-    const int sweeps = iterations < max_iters ? iterations + 1 : iterations;
+  const auto expected_slots = [&](const CkMeans::Outcome& out) {
+    const int sweeps = out.iterations + (out.converged ? 1 : 0);
     return static_cast<int64_t>(sweeps) * n * k;
   };
 
-  CkMeans::Params on;
-  const auto bounded = CkMeans::RunOnMoments(mm, k, 15, on, EngineWith(2));
+  const auto bounded =
+      CkMeans::RunOnMoments(mm, k, 15, CkMeans::Params(), EngineWith(2));
+  EXPECT_TRUE(bounded.converged);
   EXPECT_EQ(bounded.center_distance_evals + bounded.bounds_skipped,
-            expected_slots(bounded.iterations, on.max_iters));
+            expected_slots(bounded));
   EXPECT_GT(bounded.bounds_skipped, 0);
 
   // Direct reference: counts every pair every sweep.
   const auto direct =
       oracle::DirectUkmeans(mm, k, 15, CkMeans::Params(), EngineWith(2));
-  EXPECT_EQ(direct.center_distance_evals,
-            expected_slots(direct.iterations, CkMeans::Params().max_iters));
+  EXPECT_TRUE(direct.converged);
+  EXPECT_EQ(direct.center_distance_evals, expected_slots(direct));
   EXPECT_LT(bounded.center_distance_evals, direct.center_distance_evals);
   // The bounded run's total accounts for exactly the direct run's slots.
   EXPECT_EQ(bounded.center_distance_evals + bounded.bounds_skipped,
             direct.center_distance_evals);
+}
+
+// The cap is the only other way the loop stops: one iteration cannot
+// converge (the first sweep labels every object), so max_iters = 1 reports
+// converged == false and one sweep's slots.
+TEST(Ckmeans, IterationCapReportsNotConverged) {
+  const auto ds = TestDataset(300, 3, 4, 35);
+  const auto mm = ds.moments().view();
+  CkMeans::Params p;
+  p.max_iters = 1;
+  const auto out = CkMeans::RunOnMoments(mm, 4, 3, p, EngineWith(2));
+  EXPECT_FALSE(out.converged);
+  EXPECT_EQ(out.iterations, 1);
+  EXPECT_EQ(out.center_distance_evals + out.bounds_skipped,
+            static_cast<int64_t>(mm.size()) * 4);
+  const auto direct = oracle::DirectUkmeans(mm, 4, 3, p, EngineWith(2));
+  EXPECT_FALSE(direct.converged);
+  EXPECT_EQ(direct.labels, out.labels);
 }
 
 TEST(Ckmeans, CountersMonotoneInIterationCap) {
@@ -539,12 +558,12 @@ TEST(CkmeansProperty, AccountingIdentityOnRandomInstances) {
     ASSERT_TRUE(store.ok()) << trace;
     const auto out = CkMeans::RunOnMoments(store.ValueOrDie()->view(), k,
                                            seed, p, EngineWith(2));
-    const bool hit_cap = out.iterations == p.max_iters;
-    const int sweeps = hit_cap ? out.iterations : out.iterations + 1;
+    EXPECT_EQ(out.converged, out.iterations < p.max_iters) << trace;
+    const int sweeps = out.iterations + (out.converged ? 1 : 0);
     EXPECT_EQ(out.center_distance_evals + out.bounds_skipped,
               static_cast<int64_t>(sweeps) * static_cast<int64_t>(gp.n) * k)
         << trace;
-    ++(hit_cap ? capped : converged);
+    ++(out.converged ? converged : capped);
 
     ASSERT_FALSE(CkMeans::ReducedFits(gp.n, gp.m, EngineWith(2, 1)));
     std::remove(sidecar.c_str());

@@ -277,6 +277,78 @@ TEST(ParallelDeterminism, CentroidLocalSearchMatchesPinnedFingerprints) {
   }
 }
 
+// CK-means on the same perfbench-shaped instance (n = 4000, m = 16), at
+// k = 8 (one padded center-lane group), k = 16 (one full group), k = 17 (a
+// group plus a row-major tail center) and k = 24 (a full group plus a
+// padded one). The pins were recorded with the row-major center scan,
+// before the sweep scored 16 centers per vector; labels + objective,
+// iterations and both sweep counters must match them at every thread
+// count under every forced SIMD path. Order: seed x {k = 8, 16, 17, 24}.
+struct CkmeansPin {
+  uint64_t fingerprint;
+  int iterations;
+  int64_t evals;
+  int64_t skipped;
+};
+constexpr CkmeansPin kCkmeansPins[] = {
+    {0x0279086d20b22005ull, 14, 98294, 381706},    // seed 1 k=8
+    {0x8c430c1bef639057ull, 17, 205244, 946756},   // seed 1 k=16
+    {0x2812f5d61c264acbull, 17, 210718, 1013282},  // seed 1 k=17
+    {0x36facecbce1bd7f5ull, 17, 346639, 1381361},  // seed 1 k=24
+    {0x5a3a8ebb53649343ull, 4, 98143, 61857},      // seed 2 k=8
+    {0x0f247a6356c20c40ull, 25, 205695, 1458305},  // seed 2 k=16
+    {0x75e09b328f36b25cull, 25, 259338, 1508662},  // seed 2 k=17
+    {0xb87f33aa227cc157ull, 31, 681813, 2390187},  // seed 2 k=24
+    {0x3eafa681f62c1d1full, 8, 92237, 195763},     // seed 3 k=8
+    {0x520a068a80d8a279ull, 14, 211716, 748284},   // seed 3 k=16
+    {0xf019cdaf10ebdd53ull, 14, 208254, 811746},   // seed 3 k=17
+    {0x3e8164935904ae58ull, 16, 379873, 1252127},  // seed 3 k=24
+};
+
+TEST(ParallelDeterminism, CkmeansMatchesPinnedFingerprints) {
+  namespace simd = clustering::simd;
+  const auto ds = TestDataset(4000, 16, 16, 61);
+  for (simd::Isa isa : AvailableIsas()) {
+    const ScopedIsa forced(isa);
+    for (int threads : kThreadCounts) {
+      std::vector<CkmeansPin> got;
+      std::string table;
+      const engine::Engine eng = EngineWith(threads);
+      for (uint64_t seed = 1; seed <= 3; ++seed) {
+        for (const int k : {8, 16, 17, 24}) {
+          const CkMeans::Outcome out = CkMeans::RunOnMoments(
+              ds.moments(), k, seed, CkMeans::Params(), eng);
+          got.push_back({ResultFingerprint(out.labels, out.objective),
+                         out.iterations, out.center_distance_evals,
+                         out.bounds_skipped});
+          char row[112];
+          std::snprintf(
+              row, sizeof(row),
+              "    {0x%016llxull, %d, %lld, %lld},  // seed %llu k=%d\n",
+              static_cast<unsigned long long>(got.back().fingerprint),
+              out.iterations, static_cast<long long>(out.center_distance_evals),
+              static_cast<long long>(out.bounds_skipped),
+              static_cast<unsigned long long>(seed), k);
+          table += row;
+        }
+      }
+      ASSERT_EQ(got.size(), std::size(kCkmeansPins));
+      const std::string where_run = "isa=" + simd::IsaName(isa) +
+                                    " threads=" + std::to_string(threads);
+      for (std::size_t p = 0; p < got.size(); ++p) {
+        const std::string where = "row " + std::to_string(p) + " " + where_run;
+        EXPECT_EQ(got[p].fingerprint, kCkmeansPins[p].fingerprint) << where;
+        EXPECT_EQ(got[p].iterations, kCkmeansPins[p].iterations) << where;
+        EXPECT_EQ(got[p].evals, kCkmeansPins[p].evals) << where;
+        EXPECT_EQ(got[p].skipped, kCkmeansPins[p].skipped) << where;
+      }
+      if (HasFailure()) {
+        std::printf("actual pins (%s):\n%s", where_run.c_str(), table.c_str());
+      }
+    }
+  }
+}
+
 TEST(ParallelDeterminism, ResidentSampleContentsBitIdentical) {
   const auto ds = TestDataset(300, 3, 3, 37);
   const uncertain::ResidentSampleStore serial(ds.objects(), 16, 0x5eed,

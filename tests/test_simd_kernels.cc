@@ -285,29 +285,112 @@ TEST(SimdKernels, VectorAddAndPackRowBitIdenticalAcrossIsas) {
   }
 }
 
+// Center lanes run across centers, so the center count matters as much as
+// m: row-major tails alone (k < 8), one padded group (k = 8), one full
+// group, a group plus a row-major tail (17, 35) or a padded group (24),
+// against all-tail rows, one full coordinate group, and group + tail rows.
+// The reference is the oracle's row-major squared_distance scan. Each
+// reuse_c gets two substitutes: the distance the scan would compute (what
+// the CK-means retest hands over) and a random value in [0, 4), mostly far
+// below the real distances, so the substitution decides the winner and a
+// kernel that ignored reuse_c or applied it to the wrong center fails.
 TEST(SimdKernels, NearestTwoBitIdenticalAcrossIsas) {
   const KernelTable* ref = TableFor(Isa::kScalar);
   ASSERT_NE(ref, nullptr);
   common::Rng rng(0x51D2);
-  for (const std::size_t m : {std::size_t{3}, std::size_t{16},
-                              std::size_t{33}}) {
-    for (const int k : {1, 2, 7}) {
+  int substitute_won = 0;
+  for (const std::size_t m : {1, 3, 15, 16, 17, 33}) {
+    for (const int k : {1, 2, 7, 8, 16, 17, 24, 35}) {
       const std::vector<double> point = RandomVector(m, &rng);
       const std::vector<double> centroids = RandomVector(k * m, &rng);
-      for (const int reuse_c : {-1, 0, k - 1}) {
-        const double reuse_d2 = rng.Uniform(0.0, 4.0);
-        int want_best = -2;
-        double want_bd = 0.0, want_sd = 0.0;
-        ref->nearest_two(point.data(), centroids.data(), k, m, reuse_c,
-                         reuse_d2, &want_best, &want_bd, &want_sd);
-        for (Isa isa : AvailableIsas()) {
-          int best = -2;
-          double bd = 0.0, sd = 0.0;
-          TableFor(isa)->nearest_two(point.data(), centroids.data(), k, m,
-                                     reuse_c, reuse_d2, &best, &bd, &sd);
-          EXPECT_EQ(want_best, best) << "isa=" << IsaName(isa);
-          EXPECT_TRUE(BitsEqual(want_bd, bd)) << "isa=" << IsaName(isa);
-          EXPECT_TRUE(BitsEqual(want_sd, sd)) << "isa=" << IsaName(isa);
+      const auto dist = [&](int c) {
+        return ref->squared_distance(point.data(), centroids.data() + c * m,
+                                     m);
+      };
+      std::vector<double> lanes;
+      ToCenterLanes(centroids.data(), k, m, &lanes);
+      ASSERT_EQ(lanes.size(),
+                std::max(CenterLaneStride(k), std::size_t(k)) * m);
+      for (const int reuse_c : {-1, 0, k / 2, k - 1}) {
+        const double exact = reuse_c < 0 ? 0.0 : dist(reuse_c);
+        for (const double reuse_d2 : {exact, rng.Uniform(0.0, 4.0)}) {
+          const std::string where =
+              "m=" + std::to_string(m) + " k=" + std::to_string(k) +
+              " reuse_c=" + std::to_string(reuse_c) +
+              (reuse_d2 == exact ? " exact" : " random");
+          const oracle::NearestTwoResult want = oracle::NearestTwoScan(
+              *ref, point.data(), centroids.data(), k, m, reuse_c, reuse_d2);
+          if (reuse_c >= 0 && reuse_d2 != exact && want.best == reuse_c &&
+              oracle::NearestTwoScan(*ref, point.data(), centroids.data(), k,
+                                     m)
+                      .best != reuse_c) {
+            ++substitute_won;
+          }
+          // The distance a center contributes: the substitute for reuse_c,
+          // squared_distance otherwise.
+          const auto scored = [&](int c) {
+            return c == reuse_c ? reuse_d2 : dist(c);
+          };
+          for (Isa isa : AvailableIsas()) {
+            const std::string at = where + " isa=" + IsaName(isa);
+            int best = -2;
+            double bd = 0.0, sd = 0.0;
+            TableFor(isa)->nearest_two(point.data(), lanes.data(), k, m,
+                                       reuse_c, reuse_d2, &best, &bd, &sd);
+            EXPECT_EQ(want.best, best) << at;
+            EXPECT_TRUE(BitsEqual(want.best_d2, bd)) << at;
+            EXPECT_TRUE(BitsEqual(want.second_d2, sd)) << at;
+            ASSERT_GE(best, 0) << at;
+            ASSERT_LT(best, k) << at;
+            EXPECT_TRUE(BitsEqual(scored(best), bd)) << at;
+            // The runner-up is some other center's distance, or +inf at
+            // k = 1.
+            bool runner_up_found = k == 1 && std::isinf(sd);
+            for (int c = 0; c < k && !runner_up_found; ++c) {
+              runner_up_found = c != best && BitsEqual(scored(c), sd);
+            }
+            EXPECT_TRUE(runner_up_found) << at;
+          }
+        }
+      }
+    }
+  }
+  // The random substitutes really moved decisions.
+  EXPECT_GT(substitute_won, 50);
+}
+
+// A padded last group's padding columns are zero: with the point at the
+// origin a padded lane sits at distance 0, closer than any real center.
+// Padded lanes never enter the decision, so a real center still wins. k = 8,
+// 12 and 24 end in a padded group; k = 1, 7 and 17 end in a row-major tail.
+TEST(SimdKernels, NearestTwoNeverPicksAPaddedLane) {
+  for (const std::size_t m : {1, 16, 17}) {
+    for (const int k : {1, 7, 8, 12, 17, 24}) {
+      const std::vector<double> point(m, 0.0);
+      std::vector<double> centroids(static_cast<std::size_t>(k) * m);
+      for (std::size_t i = 0; i < centroids.size(); ++i) {
+        centroids[i] = 5.0 + static_cast<double>(i % 7);
+      }
+      std::vector<double> lanes;
+      ToCenterLanes(centroids.data(), k, m, &lanes);
+      for (Isa isa : AvailableIsas()) {
+        int best = -2;
+        double bd = 0.0, sd = 0.0;
+        TableFor(isa)->nearest_two(point.data(), lanes.data(), k, m, -1, 0.0,
+                                   &best, &bd, &sd);
+        const std::string where = "m=" + std::to_string(m) +
+                                  " k=" + std::to_string(k) +
+                                  " isa=" + IsaName(isa);
+        ASSERT_GE(best, 0) << where;
+        ASSERT_LT(best, k) << where;
+        EXPECT_GE(bd, 25.0) << where;
+        EXPECT_GE(sd, 25.0) << where;
+        EXPECT_TRUE(BitsEqual(
+            SquaredDistance(point.data(), centroids.data() + best * m, m),
+            bd))
+            << where;
+        if (k == 1) {
+          EXPECT_EQ(sd, std::numeric_limits<double>::infinity()) << where;
         }
       }
     }
@@ -369,9 +452,11 @@ TEST(SimdKernels, NearestTwoMatchesHistoricalScanSemantics) {
   // lower bound consumes as "prune nothing").
   const std::vector<double> point = {1.0, 2.0};
   const std::vector<double> one = {0.0, 0.0};
+  std::vector<double> lanes;
+  ToCenterLanes(one.data(), 1, 2, &lanes);
   int best = -1;
   double bd = 0.0, sd = 0.0;
-  NearestTwo(point.data(), one.data(), 1, 2, -1, 0.0, &best, &bd, &sd);
+  NearestTwo(point.data(), lanes.data(), 1, 2, -1, 0.0, &best, &bd, &sd);
   EXPECT_EQ(best, 0);
   EXPECT_EQ(bd, 5.0);
   EXPECT_EQ(sd, std::numeric_limits<double>::infinity());
@@ -379,16 +464,35 @@ TEST(SimdKernels, NearestTwoMatchesHistoricalScanSemantics) {
   // All three centers are at distance 2: the tie breaks toward the lowest
   // center index.
   const std::vector<double> tied = {0.0, 3.0, 2.0, 1.0, 2.0, 1.0};
-  NearestTwo(point.data(), tied.data(), 3, 2, -1, 0.0, &best, &bd, &sd);
+  ToCenterLanes(tied.data(), 3, 2, &lanes);
+  NearestTwo(point.data(), lanes.data(), 3, 2, -1, 0.0, &best, &bd, &sd);
   EXPECT_EQ(best, 0);
   EXPECT_EQ(bd, 2.0);
   EXPECT_EQ(sd, 2.0);
 
   // reuse_c substitutes the cached distance without reordering decisions.
-  NearestTwo(point.data(), tied.data(), 3, 2, 2, 0.5, &best, &bd, &sd);
+  NearestTwo(point.data(), lanes.data(), 3, 2, 2, 0.5, &best, &bd, &sd);
   EXPECT_EQ(best, 2);
   EXPECT_EQ(bd, 0.5);
   EXPECT_EQ(sd, 2.0);
+
+  // The same ties past the first group, into a row-major tail (k = 18)
+  // and into a padded group (k = 24): k copies of one center, the tie
+  // still goes to center 0 and the runner-up is the same distance.
+  for (const int k : {18, 24}) {
+    std::vector<double> many;
+    for (int c = 0; c < k; ++c) many.insert(many.end(), {0.0, 3.0});
+    ToCenterLanes(many.data(), k, 2, &lanes);
+    NearestTwo(point.data(), lanes.data(), k, 2, -1, 0.0, &best, &bd, &sd);
+    EXPECT_EQ(best, 0) << "k=" << k;
+    EXPECT_EQ(bd, 2.0) << "k=" << k;
+    EXPECT_EQ(sd, 2.0) << "k=" << k;
+    NearestTwo(point.data(), lanes.data(), k, 2, k - 1, 0.5, &best, &bd,
+               &sd);
+    EXPECT_EQ(best, k - 1) << "k=" << k;
+    EXPECT_EQ(bd, 0.5) << "k=" << k;
+    EXPECT_EQ(sd, 2.0) << "k=" << k;
+  }
 }
 
 data::UncertainDataset SmallDataset(std::size_t n, std::size_t m, int classes,
@@ -528,8 +632,8 @@ TEST(SimdKernels, ChunkedMomentViewBitIdenticalUnderForcedIsas) {
   }
 }
 
-// The CK-means bound-pruned sweep routes its center scans
-// through the dispatched nearest_two: forcing any ISA must reproduce the
+// The CK-means bound-pruned sweep routes its center scans through the
+// dispatched center-lane nearest_two: forcing any ISA must reproduce the
 // forced-scalar clustering bit-for-bit, including the pruning counters (the
 // pruning decisions are a pure function of the distances).
 TEST(SimdKernels, CkmeansReducedSweepBitIdenticalUnderForcedIsas) {

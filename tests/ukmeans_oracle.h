@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -29,18 +30,50 @@
 
 namespace uclust::clustering::oracle {
 
+/// Best and runner-up centers of one point.
+struct NearestTwoResult {
+  int best = 0;
+  double best_d2 = std::numeric_limits<double>::infinity();
+  double second_d2 = std::numeric_limits<double>::infinity();
+};
+
+/// The row-major center scan over a flat k x m centroid array, with `t`'s
+/// squared_distance: ascending c, strict <, ties to the lower index,
+/// second_d2 = +inf when k == 1, and reuse_c >= 0 substituting reuse_d2 for
+/// that center's distance. This is the decision sequence and these are the
+/// distance bits the center-lane kernel simd::NearestTwo must reproduce; it
+/// shares no code with that kernel.
+inline NearestTwoResult NearestTwoScan(const simd::KernelTable& t,
+                                       const double* point,
+                                       const double* centroids, int k,
+                                       std::size_t m, int reuse_c = -1,
+                                       double reuse_d2 = 0.0) {
+  NearestTwoResult r;
+  for (int c = 0; c < k; ++c) {
+    const double d2 =
+        c == reuse_c
+            ? reuse_d2
+            : t.squared_distance(
+                  point, centroids + static_cast<std::size_t>(c) * m, m);
+    if (d2 < r.best_d2) {
+      r.second_d2 = r.best_d2;
+      r.best_d2 = d2;
+      r.best = c;
+    } else if (d2 < r.second_d2) {
+      r.second_d2 = d2;
+    }
+  }
+  return r;
+}
+
 /// Index of the centroid (flat k x m array) nearest to `point` by squared
-/// Euclidean distance; ties break toward the lower index. Goes through the
-/// dispatched center scan, so the distances are the ones CK-means computes.
+/// Euclidean distance under the active SIMD path; ties break toward the
+/// lower index.
 inline int NearestCentroid(std::span<const double> point,
                            std::span<const double> centroids, int k,
                            std::size_t m) {
-  int best = 0;
-  double best_d2 = 0.0;
-  double second_d2 = 0.0;
-  simd::NearestTwo(point.data(), centroids.data(), k, m, /*reuse_c=*/-1,
-                   /*reuse_d2=*/0.0, &best, &best_d2, &second_d2);
-  return best;
+  return NearestTwoScan(simd::Active(), point.data(), centroids.data(), k, m)
+      .best;
 }
 
 /// Assigns every object's expected value to its nearest centroid (the
@@ -96,7 +129,10 @@ inline CkMeans::Outcome DirectUkmeans(
        ++out.iterations) {
     // Assignment: argmin_c ED(o, c) = argmin_c ||mu(o) - c||^2 (Eq. 8).
     out.center_distance_evals += static_cast<int64_t>(n) * k;
-    if (AssignNearest(eng, mm, centroids, k, out.labels) == 0) break;
+    if (AssignNearest(eng, mm, centroids, k, out.labels) == 0) {
+      out.converged = true;
+      break;
+    }
 
     // Update: centroid = average of member expected values (Eq. 7).
     kernels::SumMeansByLabel(eng, mm, out.labels, k, &sums, &counts);
