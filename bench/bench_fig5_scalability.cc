@@ -72,9 +72,10 @@ using namespace uclust;  // NOLINT: bench brevity
 struct Timing {
   double ms = 0.0;
   int iterations = 0;
-  /// Local search only: object-passes screened, and those the relocation
-  /// screen decided on a carried bound without the gain kernel.
-  int64_t screened = 0, screen_skips = 0;
+  /// Local search only: object-passes screened, those the relocation
+  /// screen decided on a carried bound without the gain kernel, and those
+  /// the gain kernel's vector stay test decided.
+  int64_t screened = 0, screen_skips = 0, vector_stays = 0;
 
   void AddLocalSearch(const clustering::LocalSearchOutcome& out,
                       std::size_t n) {
@@ -82,12 +83,15 @@ struct Timing {
     screened += (out.passes + (out.converged ? 1 : 0)) *
                 static_cast<int64_t>(n);
     screen_skips += out.screen_skips;
+    vector_stays += out.vector_stays;
   }
-  double skip_ratio() const {
-    return screened > 0 ? static_cast<double>(screen_skips) /
-                              static_cast<double>(screened)
-                        : 0.0;
+  double PerScreened(int64_t count) const {
+    return screened > 0
+               ? static_cast<double>(count) / static_cast<double>(screened)
+               : 0.0;
   }
+  double skip_ratio() const { return PerScreened(screen_skips); }
+  double stay_ratio() const { return PerScreened(vector_stays); }
 };
 
 using bench::PeakRssKb;
@@ -215,7 +219,7 @@ int main(int argc, char** argv) {
               dataset_path.empty() ? "KDD-like" : "file-backed",
               dataset_path.empty() ? base_n : file_mm.size(), sweep_dims, k,
               runs, eng.num_threads());
-  std::printf("%8s %10s | %18s %29s %29s\n", "fraction", "n", "UK-means",
+  std::printf("%8s %10s | %18s %40s %40s\n", "fraction", "n", "UK-means",
               "MMVar", "UCPC");
   json.Key("results");
   json.BeginArray();
@@ -253,11 +257,11 @@ int main(int argc, char** argv) {
     Timing ukm, mmv, ucpc;
     TimeFastGroup(mm, k, runs, seed, eng, &ukm, &mmv, &ucpc);
     std::printf(
-        "%7.0f%% %10zu | %8.1fms (I=%3d) %8.1fms (I=%3d skip=%.3f) "
-        "%8.1fms (I=%3d skip=%.3f)\n",
+        "%7.0f%% %10zu | %8.1fms (I=%3d) %8.1fms (I=%3d skip=%.3f "
+        "stay=%.3f) %8.1fms (I=%3d skip=%.3f stay=%.3f)\n",
         frac * 100.0, mm.size(), ukm.ms, ukm.iterations, mmv.ms,
-        mmv.iterations, mmv.skip_ratio(), ucpc.ms, ucpc.iterations,
-        ucpc.skip_ratio());
+        mmv.iterations, mmv.skip_ratio(), mmv.stay_ratio(), ucpc.ms,
+        ucpc.iterations, ucpc.skip_ratio(), ucpc.stay_ratio());
     json.BeginObject();
     json.KV("fraction", frac);
     json.KV("n", mm.size());
@@ -277,6 +281,11 @@ int main(int argc, char** argv) {
     json.BeginObject();
     json.KV("MMVar", mmv.skip_ratio());
     json.KV("UCPC", ucpc.skip_ratio());
+    json.EndObject();
+    json.Key("vector_stay_ratio");
+    json.BeginObject();
+    json.KV("MMVar", mmv.stay_ratio());
+    json.KV("UCPC", ucpc.stay_ratio());
     json.EndObject();
     json.EndObject();
     if (frac == 1.00) largest_mm = std::move(mm);

@@ -2,19 +2,21 @@
 // throughput of the hot inner loops — the closed-form ED^ tile
 // accumulation, the moment-column packing, the CK-means reduced-moment
 // nearest-two center sweep (the center-lane kernel over the transposed
-// centers), and the matched-realization pair kernel of the
+// centers), the relocation screen's gains and its vector stay test over
+// k clusters, and the matched-realization pair kernel of the
 // sampled algorithms at (m=2, S=24) and (m=16, S=32) — plus a runtime
 // cross-check that every compiled vector path reproduces the scalar
-// reference bit for bit on this machine's actual hardware (all of those,
-// the realization count kernel, and the relocation-screen gains).
+// reference bit for bit on the hardware the bench runs on (all of those
+// and the realization count kernel).
 //
 // Output:
-//   - a human-readable table (evals/s, GB/s, realization pairs/s, speedup
-//     vs forced scalar),
+//   - a human-readable table (evals/s, GB/s, relocation objects/s,
+//     realization pairs/s, speedup vs forced scalar),
 //   - `DISPATCH best=<isa>` — what auto dispatch resolves to here,
 //   - `KERNEL RESULT=OK|FAIL` — greppable smoke marker: OK iff every
-//     available vector path's outputs (tiles, packed rows, gains,
-//     realization sums and counts) match the scalar reference bitwise, and
+//     available vector path's outputs (tiles, packed rows, gains, stay
+//     minima and flags, realization sums and counts) match the scalar
+//     reference bitwise, and
 //     every path's sweep (labels, best and runner-up distances) matches the
 //     row-major scan of the scalar squared_distance in
 //     tests/ukmeans_oracle.h bitwise (the bit-exactness contract, checked
@@ -25,10 +27,12 @@
 //   --m=D           dimensions per object             (default 64)
 //   --tile_rows=R   rows per ED^ tile                 (default 64)
 //   --n=N           objects (tile columns / sweep points) (default 2048)
-//   --k=K           centers for the nearest-two sweep (default 16)
+//   --k=K           centers of the nearest-two sweep and clusters of the
+//                   relocation kernels                (default 16)
 //   --min_ms=T      min measured wall ms per kernel   (default 200)
 //   --seed=S        input generator seed              (default 1)
 //   --json_out=PATH JSON path (default BENCH_kernel_throughput.json)
+#include <cfloat>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -196,6 +200,29 @@ void GainsPass(const simd::KernelTable& t, const Inputs& in,
   }
 }
 
+// One stay-test pass over GainsPass's output: every object's minimum lower
+// end and finiteness flag against the k clusters, the source cycling
+// through the clusters and the bound constants of m = 16. Outputs n x {lo,
+// flag}; returns the number of objects.
+std::size_t StayPass(const simd::KernelTable& t, const Inputs& in,
+                     const std::vector<double>& gains,
+                     std::vector<double>* out) {
+  const std::size_t k = static_cast<std::size_t>(in.k);
+  const double scale = 4.0 * 32.0 * DBL_EPSILON;
+  const double floor = 4.0 * 32.0 * DBL_MIN;
+  for (std::size_t i = 0; i < in.n; ++i) {
+    const double* row = gains.data() + i * 3 * k;
+    const int source = static_cast<int>(i % k);
+    double lo = 0.0;
+    const bool finite =
+        t.relocation_stay(row + k, row + 2 * k, in.k, source, row[k + source],
+                          row[2 * k + source], scale, floor, &lo);
+    (*out)[2 * i] = lo;
+    (*out)[2 * i + 1] = finite ? 1.0 : 0.0;
+  }
+  return in.n;
+}
+
 // Repeats fn until at least min_ms of wall time is covered; returns
 // (repetitions, elapsed seconds).
 template <typename Fn>
@@ -264,6 +291,8 @@ struct IsaResults {
   double ed2_gb_per_s = 0.0;
   double pack_gb_per_s = 0.0;
   double sweep_evals_per_s = 0.0;
+  double gains_objects_per_s = 0.0;
+  double stay_objects_per_s = 0.0;
   double pairs_m2_s24_per_s = 0.0;
   double pairs_m16_s32_per_s = 0.0;
   bool cross_check_ok = true;
@@ -300,6 +329,8 @@ int main(int argc, char** argv) {
   PackPass(*scalar, in, &ref_mean, &ref_mu2, &ref_var, &ref_tv);
   RowMajorSweep(*scalar, in, &ref_sweep);
   GainsPass(*scalar, in, &ref_gains);
+  std::vector<double> ref_stay(2 * n);
+  StayPass(*scalar, in, ref_gains, &ref_stay);
   const RealizationInputs shapes[] = {MakeRealizationInputs(2, 24, seed + 1),
                                       MakeRealizationInputs(16, 32, seed + 2)};
   const std::size_t n_pairs = kRealizationObjects * kRealizationPartners;
@@ -331,10 +362,11 @@ int main(int argc, char** argv) {
     if (isa != simd::Isa::kScalar) {
       std::vector<double> tile(tile_rows * n);
       std::vector<double> mean(n * m), mu2(n * m), var(n * m), tv(n);
-      std::vector<double> gains(n * 3 * k);
+      std::vector<double> gains(n * 3 * k), stay(2 * n);
       Ed2Tile(*table, in, &tile);
       PackPass(*table, in, &mean, &mu2, &var, &tv);
       GainsPass(*table, in, &gains);
+      StayPass(*table, in, ref_gains, &stay);
       r.cross_check_ok =
           r.cross_check_ok &&
           std::memcmp(tile.data(), ref_tile.data(),
@@ -348,7 +380,9 @@ int main(int argc, char** argv) {
           std::memcmp(tv.data(), ref_tv.data(),
                       tv.size() * sizeof(double)) == 0 &&
           std::memcmp(gains.data(), ref_gains.data(),
-                      gains.size() * sizeof(double)) == 0;
+                      gains.size() * sizeof(double)) == 0 &&
+          std::memcmp(stay.data(), ref_stay.data(),
+                      stay.size() * sizeof(double)) == 0;
       for (std::size_t q = 0; q < std::size(shapes); ++q) {
         std::vector<double> sums(n_pairs);
         std::vector<std::size_t> hits(n_pairs);
@@ -401,6 +435,29 @@ int main(int argc, char** argv) {
       r.sweep_evals_per_s = static_cast<double>(evals) / secs;
       g_sink += sweep.d2[0] - sweep.d2[1] + sweep.labels[0];
     }
+    // Relocation screen: the gain kernel per object, then the stay test
+    // over the gains it wrote.
+    {
+      std::vector<double> gains(n * 3 * k);
+      std::size_t objects = 0;
+      const auto [reps, secs] = Measure(min_ms, [&] {
+        GainsPass(*table, in, &gains);
+        objects += n;
+      });
+      (void)reps;
+      r.gains_objects_per_s = static_cast<double>(objects) / secs;
+      g_sink += gains[0];
+    }
+    {
+      std::vector<double> stay(2 * n);
+      std::size_t objects = 0;
+      const auto [reps, secs] = Measure(min_ms, [&] {
+        objects += StayPass(*table, in, ref_gains, &stay);
+      });
+      (void)reps;
+      r.stay_objects_per_s = static_cast<double>(objects) / secs;
+      g_sink += stay[0];
+    }
     // Realization pairs: one realization_squared_sum call per object pair.
     for (std::size_t q = 0; q < std::size(shapes); ++q) {
       std::vector<double> sums(n_pairs);
@@ -420,13 +477,16 @@ int main(int argc, char** argv) {
   for (const IsaResults& r : results) {
     if (r.name == "scalar") scalar_ed2 = r.ed2_evals_per_s;
   }
-  std::printf("%-8s %14s %10s %10s %14s %16s %17s %9s %6s\n", "isa",
-              "ed2 evals/s", "ed2 GB/s", "pack GB/s", "sweep evals/s",
-              "pairs/s m2 S24", "pairs/s m16 S32", "vs scalar", "bits");
+  std::printf("%-8s %14s %10s %10s %14s %12s %12s %16s %17s %9s %6s\n",
+              "isa", "ed2 evals/s", "ed2 GB/s", "pack GB/s", "sweep evals/s",
+              "gains obj/s", "stay obj/s", "pairs/s m2 S24",
+              "pairs/s m16 S32", "vs scalar", "bits");
   for (const IsaResults& r : results) {
-    std::printf("%-8s %14.3g %10.2f %10.2f %14.3g %16.3g %17.3g %8.2fx %6s\n",
+    std::printf("%-8s %14.3g %10.2f %10.2f %14.3g %12.3g %12.3g %16.3g %17.3g "
+                "%8.2fx %6s\n",
                 r.name.c_str(), r.ed2_evals_per_s, r.ed2_gb_per_s,
-                r.pack_gb_per_s, r.sweep_evals_per_s, r.pairs_m2_s24_per_s,
+                r.pack_gb_per_s, r.sweep_evals_per_s, r.gains_objects_per_s,
+                r.stay_objects_per_s, r.pairs_m2_s24_per_s,
                 r.pairs_m16_s32_per_s,
                 scalar_ed2 > 0 ? r.ed2_evals_per_s / scalar_ed2 : 0.0,
                 !r.cross_check_ok ? "DIFF"
@@ -457,6 +517,8 @@ int main(int argc, char** argv) {
     json.KV("ed2_gb_per_s", r.ed2_gb_per_s);
     json.KV("pack_gb_per_s", r.pack_gb_per_s);
     json.KV("sweep_evals_per_s", r.sweep_evals_per_s);
+    json.KV("relocation_gains_objects_per_s", r.gains_objects_per_s);
+    json.KV("relocation_stay_objects_per_s", r.stay_objects_per_s);
     json.KV("realization_pairs_per_s_m2_s24", r.pairs_m2_s24_per_s);
     json.KV("realization_pairs_per_s_m16_s32", r.pairs_m16_s32_per_s);
     json.KV("ed2_speedup_vs_scalar",

@@ -247,9 +247,23 @@ RelocationScreen::Counts RelocationScreen::Propose(
     const double src_mag =
         ((rm.magnitude[s] + rm.alpha[s] * o.var_sum) + rm.beta[s] * o.mu2_sum) +
         rm.omega[s] * (r * r);
-    // Every exact delta lies in [g - e, g + e]. Track the target with the
-    // lowest upper end and the two lowest lower ends.
+    // Every exact delta lies in [g - e, g + e]. Most objects stay: one
+    // lane-parallel minimum of the lower ends proves it, with the same lo1
+    // the loop below would find (up to the sign of a zero, which aging
+    // cannot see).
     bool finite = std::isfinite(src_gain) && std::isfinite(src_mag);
+    double lo_min;
+    if (finite &&
+        simd::RelocationStay(gain.data(), mag.data(), k, s, src_gain, src_mag,
+                             bound_scale_, bound_floor_, &lo_min) &&
+        !(lo_min < -tolerance)) {
+      lo_[i] = lo_min;
+      bound_label_[i] = s;
+      ++counts.vector_stays;
+      continue;
+    }
+    // Track the target with the lowest upper end and the two lowest lower
+    // ends.
     int best = s;
     double best_hi = kInf, lo1 = kInf, lo2 = kInf;
     int lo1_c = -1;
@@ -337,15 +351,17 @@ LocalSearchOutcome RunLocalSearchFrom(const uncertain::MomentView& moments,
         params.min_relative_gain * (1.0 + std::fabs(total));
 
     screen.BeginPass(stats, obj);
-    std::atomic<int64_t> fallbacks{0}, skips{0};
+    std::atomic<int64_t> fallbacks{0}, skips{0}, stays{0};
     engine::ParallelFor(eng, n, [&](const engine::BlockedRange& r) {
       const RelocationScreen::Counts c = screen.Propose(
           r.begin, r.end, out.labels, tolerance, proposal.data());
       fallbacks.fetch_add(c.exact_fallbacks, std::memory_order_relaxed);
       skips.fetch_add(c.skips, std::memory_order_relaxed);
+      stays.fetch_add(c.vector_stays, std::memory_order_relaxed);
     });
     out.exact_fallbacks += fallbacks.load();
     out.screen_skips += skips.load();
+    out.vector_stays += stays.load();
 
     bool moved = false;
     for (std::size_t i = 0; i < n; ++i) {

@@ -47,6 +47,9 @@ struct LocalSearchOutcome {
   /// Object-passes decided by a bound carried from an earlier pass, without
   /// the gain kernel (see RelocationScreen).
   int64_t screen_skips = 0;
+  /// Object-passes the gain kernel's vector stay test decided as "no move"
+  /// without the per-target selection loop (see RelocationScreen).
+  int64_t vector_stays = 0;
 };
 
 /// Phase 1 of a relocation pass (line 8 of Algorithm 1): the best move of
@@ -61,16 +64,20 @@ struct LocalSearchOutcome {
 /// lower gain bound of its last screened pass, aged every pass by how far
 /// its source cluster and the most-changed target cluster drifted. While
 /// that bound still proves that no target gains, the object stays without
-/// running the gain kernel (Hamerly's bound, carried across passes).
-/// docs/algorithms.md ("Screened proposals", "Drift-bounded skip") derives
-/// both bounds.
+/// running the gain kernel (Hamerly's bound, carried across passes). After
+/// the gain kernel, one lane-parallel minimum (simd::RelocationStay)
+/// settles the common "no target gains" case; only the other objects run
+/// the per-target selection loop. docs/algorithms.md ("Screened
+/// proposals", "Vector stay test", "Drift-bounded skip") derives the
+/// bounds.
 class RelocationScreen {
  public:
   /// What one Propose call did with the objects of its range. Objects whose
-  /// source cluster is a singleton are in neither count.
+  /// source cluster is a singleton are in none of the counts.
   struct Counts {
     int64_t skips = 0;            ///< stayed on the carried bound alone
     int64_t kernel_calls = 0;     ///< ran simd::RelocationGains
+    int64_t vector_stays = 0;     ///< of those, stayed on RelocationStay
     int64_t exact_fallbacks = 0;  ///< of those, also ran the exact search
   };
 

@@ -1,8 +1,9 @@
 // SIMD kernel layer: compile-time multi-versioned, runtime-dispatched
 // inner-loop primitives for the dense arithmetic sweeps of the clustering
 // stack (closed-form ED^ accumulation, moment-column packing, CK-means
-// center-distance scans, per-cluster sum accumulators, relocation gains,
-// and the matched-realization loops of the sampled pairwise kernels).
+// center-distance scans, per-cluster sum accumulators, relocation gains
+// and the relocation stay test, and the matched-realization loops of the
+// sampled pairwise kernels).
 //
 // Bit-exactness contract. Every primitive produces BIT-IDENTICAL doubles on
 // every ISA path (scalar reference, AVX2, NEON). The mechanism is a
@@ -126,6 +127,19 @@ struct KernelTable {
   void (*relocation_gains)(const GainColumns& cols, int k, std::size_t m,
                            const GainObject& obj, double* dot, double* gain,
                            double* mag);
+  /// The relocation screen's stay test over the gain and mag columns
+  /// relocation_gains wrote: for every target c != source,
+  ///   g_c  = src_gain + gain[c]
+  ///   e_c  = scale*(src_mag + mag[c]) + floor
+  ///   lo_c = g_c - e_c
+  /// (the screen's selection loop, operation for operation). Returns true
+  /// iff every g_c and e_c is finite; then *lo = (min_c lo_c) + 0.0, so a
+  /// zero minimum is +0.0, and +inf when there is no target (k == 1).
+  /// Otherwise *lo is NaN. gain[source] and mag[source] take no part. Lanes
+  /// run across targets; the minimum is exact, so every path agrees.
+  bool (*relocation_stay)(const double* gain, const double* mag, int k,
+                          int source, double src_gain, double src_mag,
+                          double scale, double floor, double* lo);
   /// Matched-realization sum of the sampled kernels:
   ///   sum_s squared_distance(a + s*m, b + s*b_stride, m), s in [0, S),
   /// accumulated in s order from 0.0. b_stride = m pairs realization s of
@@ -233,6 +247,13 @@ inline void RelocationGains(const GainColumns& cols, int k, std::size_t m,
                             const GainObject& obj, double* dot, double* gain,
                             double* mag) {
   Active().relocation_gains(cols, k, m, obj, dot, gain, mag);
+}
+
+inline bool RelocationStay(const double* gain, const double* mag, int k,
+                           int source, double src_gain, double src_mag,
+                           double scale, double floor, double* lo) {
+  return Active().relocation_stay(gain, mag, k, source, src_gain, src_mag,
+                                  scale, floor, lo);
 }
 
 inline double RealizationSquaredSum(const double* a, const double* b,

@@ -1,7 +1,8 @@
 // Shared lane-blocked kernel bodies, templated over a per-ISA `Ops` type.
 //
 // Every ISA TU instantiates the SAME templates below with its own Ops
-// (vector type + Zero/Splat/Load/Sub/Mul/Add/Store), so the accumulation
+// (vector type + Zero/Splat/Load/Sub/Mul/Add/Store, plus Min, Except,
+// MinLanes and AnyNan for the relocation stay test), so the accumulation
 // order — and therefore the rounding — is identical by construction: the
 // bit-exactness contract is structural, not something each path
 // re-implements and can drift on. An Ops vector always models exactly kLanes = 16 doubles
@@ -23,6 +24,7 @@
 #define UCLUST_CLUSTERING_SIMD_SIMD_LANES_H_
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <limits>
 
@@ -373,13 +375,82 @@ void RelocationGainsT(const GainColumns& cols, int k, std::size_t m,
   }
 }
 
+// One lane group of the stay test: each lane owns one target and computes
+// the selection loop's lower end with its operations, returned, and a
+// finiteness term Sub(g, g) + Sub(e, e), which is +0.0 exactly when g and e
+// are both finite and NaN otherwise; a NaN term clears *finite. A source in
+// the group has its lane replaced by +inf (and its term by +0.0) before
+// either can reach Min or AnyNan. Forced inline: called out of line, its
+// vectors went through memory and the kernel ran slower than the scalar
+// selection loop it replaces.
+template <class Ops>
+[[gnu::always_inline]] inline typename Ops::V StayGroup(
+    const double* gain, const double* mag, std::size_t c, std::size_t s,
+    double src_gain, double src_mag, double scale, double floor,
+    bool* finite) {
+  using V = typename Ops::V;
+  const V g = Ops::Add(Ops::Splat(src_gain), Ops::Load(gain + c));
+  const V e = Ops::Add(
+      Ops::Mul(Ops::Splat(scale), Ops::Add(Ops::Splat(src_mag),
+                                           Ops::Load(mag + c))),
+      Ops::Splat(floor));
+  V low = Ops::Sub(g, e);
+  V bad = Ops::Add(Ops::Sub(g, g), Ops::Sub(e, e));
+  if (s - c < kLanes) {  // unsigned: the source is in this group
+    low = Ops::Except(low, s - c, std::numeric_limits<double>::infinity());
+    bad = Ops::Except(bad, s - c, 0.0);
+  }
+  *finite = *finite && !Ops::AnyNan(bad);
+  return low;
+}
+
+// The relocation screen's stay test (see KernelTable): the full lane
+// groups in Ops vectors, whose lower ends meet lane-wise in Min and across
+// lanes once at the end in MinLanes, then the tail targets in scalar code
+// spelling out the same operations. Min's and MinLanes' treatment of NaN
+// and of equal zeros differs across ISAs; neither matters: a NaN lower end
+// needs a non-finite term, which already fails the test, and `+ 0.0` turns
+// a zero minimum of either sign into +0.0.
+template <class Ops>
+bool RelocationStayT(const double* gain, const double* mag, int k,
+                     int source, double src_gain, double src_mag,
+                     double scale, double floor, double* lo) {
+  using V = typename Ops::V;
+  const std::size_t kk = static_cast<std::size_t>(k);
+  const std::size_t s = static_cast<std::size_t>(source);
+  const std::size_t full = kk - (kk % kLanes);
+  double low = std::numeric_limits<double>::infinity();
+  bool finite = true;
+  if (full > 0) {
+    // The first group initializes the minimum, so k < 2 * kLanes needs no
+    // lane-wise Min at all.
+    V low_v = StayGroup<Ops>(gain, mag, 0, s, src_gain, src_mag, scale,
+                             floor, &finite);
+    for (std::size_t c = kLanes; c < full; c += kLanes) {
+      low_v = Ops::Min(low_v, StayGroup<Ops>(gain, mag, c, s, src_gain,
+                                             src_mag, scale, floor, &finite));
+    }
+    low = Ops::MinLanes(low_v);
+  }
+  for (std::size_t c = full; c < kk; ++c) {
+    if (c == s) continue;
+    const double g = src_gain + gain[c];
+    const double e = scale * (src_mag + mag[c]) + floor;
+    finite = finite && std::isfinite(g) && std::isfinite(e);
+    const double l = g - e;
+    low = l < low ? l : low;
+  }
+  *lo = finite ? low + 0.0 : std::numeric_limits<double>::quiet_NaN();
+  return finite;
+}
+
 template <class Ops>
 constexpr KernelTable MakeTable() {
   return KernelTable{
       &SquaredDistanceT<Ops>, &SumT<Ops>,         &Ed2T<Ops>,
       &VectorAddT<Ops>,       &PackRowT<Ops>,     &NearestTwoT<Ops>,
-      &RelocationGainsT<Ops>, &RealizationSquaredSumT<Ops>,
-      &RealizationsWithinT<Ops>,
+      &RelocationGainsT<Ops>, &RelocationStayT<Ops>,
+      &RealizationSquaredSumT<Ops>, &RealizationsWithinT<Ops>,
   };
 }
 

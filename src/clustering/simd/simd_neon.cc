@@ -50,6 +50,36 @@ struct NeonOps {
     for (int q = 0; q < kRegs; ++q) v.r[q] = vaddq_f64(a.r[q], b.r[q]);
     return v;
   }
+  // fmin propagates NaN and orders -0.0 below +0.0.
+  static V Min(const V& a, const V& b) {
+    V v;
+    for (int q = 0; q < kRegs; ++q) v.r[q] = vminq_f64(a.r[q], b.r[q]);
+    return v;
+  }
+  static V Except(const V& a, std::size_t lane, double fill) {
+    const uint64x2_t want = vdupq_n_u64(static_cast<uint64_t>(lane));
+    const float64x2_t f = vdupq_n_f64(fill);
+    V v;
+    for (int q = 0; q < kRegs; ++q) {
+      const uint64x2_t ids =
+          vcombine_u64(vcreate_u64(static_cast<uint64_t>(2 * q)),
+                       vcreate_u64(static_cast<uint64_t>(2 * q + 1)));
+      v.r[q] = vbslq_f64(vceqq_u64(ids, want), f, a.r[q]);
+    }
+    return v;
+  }
+  static double MinLanes(const V& a) {
+    float64x2_t m = a.r[0];
+    for (int q = 1; q < kRegs; ++q) m = vminq_f64(m, a.r[q]);
+    return vminvq_f64(m);
+  }
+  static bool AnyNan(const V& a) {
+    uint64x2_t ordered = vceqq_f64(a.r[0], a.r[0]);
+    for (int q = 1; q < kRegs; ++q) {
+      ordered = vandq_u64(ordered, vceqq_f64(a.r[q], a.r[q]));
+    }
+    return (vgetq_lane_u64(ordered, 0) & vgetq_lane_u64(ordered, 1)) == 0;
+  }
   static void Store(double* p, const V& a) {
     for (int q = 0; q < kRegs; ++q) vst1q_f64(p + 2 * q, a.r[q]);
   }

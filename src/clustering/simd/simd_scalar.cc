@@ -43,6 +43,32 @@ struct ScalarOps {
     for (std::size_t i = 0; i < kLanes; ++i) r.v[i] = a.v[i] + b.v[i];
     return r;
   }
+  static V Min(const V& a, const V& b) {
+    V r;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      r.v[i] = b.v[i] < a.v[i] ? b.v[i] : a.v[i];
+    }
+    return r;
+  }
+  static V Except(const V& a, std::size_t lane, double fill) {
+    V r = a;
+    r.v[lane] = fill;
+    return r;
+  }
+  static double MinLanes(const V& a) {
+    V r = a;
+    for (std::size_t w = kLanes / 2; w > 0; w /= 2) {
+      for (std::size_t i = 0; i < w; ++i) {
+        r.v[i] = r.v[i + w] < r.v[i] ? r.v[i + w] : r.v[i];
+      }
+    }
+    return r.v[0];
+  }
+  static bool AnyNan(const V& a) {
+    bool any = false;
+    for (std::size_t i = 0; i < kLanes; ++i) any = any || a.v[i] != a.v[i];
+    return any;
+  }
   static void Store(double* p, const V& a) {
     for (std::size_t i = 0; i < kLanes; ++i) p[i] = a.v[i];
   }

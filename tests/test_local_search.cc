@@ -2,7 +2,8 @@
 // wrappers: convergence, objective monotonicity, cluster-count invariants,
 // determinism, recovery of planted structure, and the screened proposals
 // (pinned fingerprints of the exhaustive search, a pass-by-pass oracle
-// through one stateful screen, the skip/kernel/singleton accounting).
+// through one stateful screen, the skip/kernel/singleton accounting, and
+// its independence of the worker count).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -342,7 +343,7 @@ int ExhaustiveProposal(ObjectiveKind kind,
 // What the screen did over a replayed run.
 struct ScreenTally {
   int screens = 0;  // BeginPass calls
-  int64_t skips = 0, kernel_calls = 0, fallbacks = 0;
+  int64_t skips = 0, kernel_calls = 0, vector_stays = 0, fallbacks = 0;
   int64_t singletons = 0;  // object-passes whose source was a singleton
 };
 
@@ -376,6 +377,7 @@ ScreenTally CheckScreenAgainstOracle(const Instance& inst, ObjectiveKind kind) {
         screen.Propose(0, n, labels, tolerance, screened.data());
     tally.skips += counts.skips;
     tally.kernel_calls += counts.kernel_calls;
+    tally.vector_stays += counts.vector_stays;
     tally.fallbacks += counts.exact_fallbacks;
     for (std::size_t i = 0; i < n; ++i) {
       const int want =
@@ -416,11 +418,13 @@ TEST(LocalSearchScreen, ProposalsMatchExhaustiveOraclePassByPass) {
     for (ObjectiveKind kind : kKinds) {
       const ScreenTally tally = CheckScreenAgainstOracle(inst, kind);
       const int64_t fallbacks = tally.fallbacks;
-      // The library counts the same fallbacks and skips.
+      // The library counts the same fallbacks, skips and vector stays.
       const LocalSearchOutcome out = RunInstance(inst, kind);
       EXPECT_EQ(out.exact_fallbacks, fallbacks)
           << inst.name << " " << ObjectiveKindName(kind);
       EXPECT_EQ(out.screen_skips, tally.skips)
+          << inst.name << " " << ObjectiveKindName(kind);
+      EXPECT_EQ(out.vector_stays, tally.vector_stays)
           << inst.name << " " << ObjectiveKindName(kind);
       if (inst.fallbacks == Fallbacks::kNone) {
         EXPECT_EQ(fallbacks, 0) << inst.name << " " << ObjectiveKindName(kind);
@@ -432,7 +436,9 @@ TEST(LocalSearchScreen, ProposalsMatchExhaustiveOraclePassByPass) {
 }
 
 // Every screened object-pass is a skip, a kernel call or a singleton
-// source, and a converged run screens one pass more than it counts.
+// source; a kernel call stays on the vector test, falls back to the exact
+// search, or neither; and a converged run screens one pass more than it
+// counts.
 TEST(LocalSearchScreen, CountsObeyAccountingIdentity) {
   for (const Instance& inst : Instances()) {
     for (ObjectiveKind kind : kKinds) {
@@ -443,15 +449,43 @@ TEST(LocalSearchScreen, CountsObeyAccountingIdentity) {
       EXPECT_EQ(tally.skips + tally.kernel_calls + tally.singletons,
                 tally.screens * n)
           << where;
-      EXPECT_LE(tally.fallbacks, tally.kernel_calls) << where;
+      EXPECT_LE(tally.vector_stays + tally.fallbacks, tally.kernel_calls)
+          << where;
       const LocalSearchOutcome out = RunInstance(inst, kind);
       EXPECT_EQ(tally.screens, out.passes + (out.converged ? 1 : 0)) << where;
     }
   }
 }
 
+// Phase 1 writes every object's carried bound and proposal from whichever
+// worker owns its block; the outcome, every screen count included, must
+// not depend on how many workers there are.
+TEST(LocalSearchScreen, OutcomeAndCountsIndependentOfThreads) {
+  engine::EngineConfig config;
+  config.num_threads = 4;
+  config.block_size = 64;  // several blocks even on the small instances
+  const engine::Engine threaded(config);
+  for (const Instance& inst : Instances()) {
+    for (ObjectiveKind kind : kKinds) {
+      const std::string where =
+          std::string(inst.name) + " " + ObjectiveKindName(kind);
+      const LocalSearchOutcome want = RunInstance(inst, kind);
+      const LocalSearchOutcome got = RunInstance(inst, kind, 100, threaded);
+      EXPECT_EQ(got.labels, want.labels) << where;
+      EXPECT_EQ(got.objective, want.objective) << where;
+      EXPECT_EQ(got.passes, want.passes) << where;
+      EXPECT_EQ(got.moves, want.moves) << where;
+      EXPECT_EQ(got.exact_fallbacks, want.exact_fallbacks) << where;
+      EXPECT_EQ(got.screen_skips, want.screen_skips) << where;
+      EXPECT_EQ(got.vector_stays, want.vector_stays) << where;
+    }
+  }
+}
+
 // On a long run the late passes move few objects, and the carried bounds
-// decide most of them without the gain kernel.
+// decide most of them without the gain kernel. Of the objects that do run
+// the kernel (k = 16, one full lane group), the vector stay test settles
+// some.
 TEST(LocalSearchScreen, CarriedBoundsSkipOnLongRuns) {
   for (const Instance& inst : Instances()) {
     if (std::string(inst.name) != "overlapping") continue;
@@ -459,6 +493,7 @@ TEST(LocalSearchScreen, CarriedBoundsSkipOnLongRuns) {
     EXPECT_GE(out.passes, 20);
     EXPECT_TRUE(out.converged);
     EXPECT_GT(out.screen_skips, 0);
+    EXPECT_GT(out.vector_stays, 0);
     return;
   }
   ADD_FAILURE() << "no overlapping instance";

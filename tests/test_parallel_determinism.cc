@@ -158,9 +158,10 @@ TEST(ParallelDeterminism, SimdIsaSweepBitIdenticalAcrossThreadCounts) {
 
 // The relocation local search (UCPC, MMVar) across thread count x forced
 // SIMD path, plus one run on a mapped .umom MomentStore: labels, objective,
-// passes, moves and the screen's exact-fallback count must all match the
-// serial forced-scalar resident run. k = 17 puts one full 16-cluster lane
-// group and a tail cluster through the relocation-gain kernel.
+// passes, moves and the screen's fallback, skip and vector-stay counts
+// must all match the serial forced-scalar resident run. k = 17 puts one
+// full 16-cluster lane group and a tail cluster through the relocation-gain
+// and stay kernels.
 template <typename Algo>
 void ExpectLocalSearchSweepBitIdentical(const data::UncertainDataset& ds,
                                         int k, uint64_t seed,
@@ -174,6 +175,8 @@ void ExpectLocalSearchSweepBitIdentical(const data::UncertainDataset& ds,
     EXPECT_EQ(out.passes, want.passes) << where;
     EXPECT_EQ(out.moves, want.moves) << where;
     EXPECT_EQ(out.exact_fallbacks, want.exact_fallbacks) << where;
+    EXPECT_EQ(out.screen_skips, want.screen_skips) << where;
+    EXPECT_EQ(out.vector_stays, want.vector_stays) << where;
   };
   const auto baseline = [&] {
     const ScopedIsa scalar(simd::Isa::kScalar);

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 #include <cstring>
 #include <limits>
@@ -442,6 +443,145 @@ TEST(SimdKernels, RelocationGainsBitIdenticalAcrossIsas) {
                                  got.size() * sizeof(double)))
             << "relocation_gains m=" << m << " k=" << k
             << " isa=" << IsaName(isa);
+      }
+    }
+  }
+}
+
+// The relocation screen's selection loop over the lower ends, as
+// RelocationScreen::Propose runs it: strict <, ties to the lower target.
+struct LoopStay {
+  bool finite;
+  double lo1;
+};
+
+LoopStay SelectionLoopStay(const std::vector<double>& gain,
+                           const std::vector<double>& mag, int s,
+                           double src_gain, double src_mag, double scale,
+                           double floor) {
+  LoopStay out{true, std::numeric_limits<double>::infinity()};
+  for (int c = 0; c < static_cast<int>(gain.size()); ++c) {
+    if (c == s) continue;
+    const double g = src_gain + gain[c];
+    const double e = scale * (src_mag + mag[c]) + floor;
+    out.finite = out.finite && std::isfinite(g) && std::isfinite(e);
+    const double lo = g - e;
+    if (lo < out.lo1) out.lo1 = lo;
+  }
+  return out;
+}
+
+// Runs relocation_stay on every path and checks it against the selection
+// loop: the same flag, and (when finite) the loop's minimum with a zero
+// as +0.0, bit for bit; NaN when not.
+void ExpectStayMatchesLoop(const std::vector<double>& gain,
+                           const std::vector<double>& mag, int s,
+                           double src_gain, double src_mag, double scale,
+                           double floor, const std::string& where) {
+  const int k = static_cast<int>(gain.size());
+  const LoopStay want =
+      SelectionLoopStay(gain, mag, s, src_gain, src_mag, scale, floor);
+  for (Isa isa : AvailableIsas()) {
+    double lo = 0.0;
+    const bool finite = TableFor(isa)->relocation_stay(
+        gain.data(), mag.data(), k, s, src_gain, src_mag, scale, floor, &lo);
+    EXPECT_EQ(finite, want.finite) << where << " isa=" << IsaName(isa);
+    if (want.finite) {
+      EXPECT_TRUE(BitsEqual(want.lo1 + 0.0, lo))
+          << where << " isa=" << IsaName(isa);
+    } else {
+      EXPECT_TRUE(std::isnan(lo)) << where << " isa=" << IsaName(isa);
+    }
+  }
+}
+
+// Source positions worth pinning for k targets: lane 0, mid-group, the
+// last target and, when k has a tail past its full lane groups, one inside
+// that tail.
+std::vector<int> StaySources(int k) {
+  std::vector<int> sources = {0, std::min(k - 1, 5), k - 1};
+  const int full = k - k % static_cast<int>(kLanes);
+  if (full > 0 && full < k) sources.push_back(full + (k - full) / 2);
+  return sources;
+}
+
+TEST(SimdKernels, RelocationStayMatchesSelectionLoopAcrossIsas) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double scale = 4.0 * 32.0 * DBL_EPSILON;
+  const double floor = 4.0 * 32.0 * DBL_MIN;
+  common::Rng rng(0x51D5);
+  for (const int k : {1, 7, 8, 16, 17, 35}) {
+    const std::size_t kk = static_cast<std::size_t>(k);
+    for (const int s : StaySources(k)) {
+      const std::string at =
+          "k=" + std::to_string(k) + " s=" + std::to_string(s);
+      // Ordinary values, both signs of minimum.
+      for (const double src_gain : {-4.0, 0.5, 4.0}) {
+        const std::vector<double> gain = RandomVector(kk, &rng);
+        std::vector<double> mag = RandomVector(kk, &rng);
+        for (double& e : mag) e = std::fabs(e);
+        ExpectStayMatchesLoop(gain, mag, s, src_gain, 1.25, scale, floor,
+                              at + " src_gain=" + std::to_string(src_gain));
+        // A non-finite value in the source lane takes no part.
+        for (const double bad : {nan, inf, -inf}) {
+          std::vector<double> g2 = gain, e2 = mag;
+          g2[s] = bad;
+          e2[s] = bad;
+          ExpectStayMatchesLoop(g2, e2, s, src_gain, 1.25, scale, floor,
+                                at + " bad source lane");
+          if (k > 1) {
+            double lo = 0.0;
+            EXPECT_TRUE(TableFor(Isa::kScalar)
+                            ->relocation_stay(g2.data(), e2.data(), k, s,
+                                              src_gain, 1.25, scale, floor,
+                                              &lo))
+                << at;
+          }
+        }
+      }
+      // A NaN or +-inf in any one non-source lane clears the flag.
+      for (int c = 0; c < k; ++c) {
+        if (c == s) continue;
+        for (const double bad : {nan, inf, -inf}) {
+          for (const bool in_gain : {true, false}) {
+            std::vector<double> gain = RandomVector(kk, &rng);
+            std::vector<double> mag = RandomVector(kk, &rng);
+            for (double& e : mag) e = std::fabs(e);
+            (in_gain ? gain : mag)[c] = bad;
+            const std::string where = at + " bad lane " + std::to_string(c) +
+                                      (in_gain ? " gain" : " mag");
+            ExpectStayMatchesLoop(gain, mag, s, 0.5, 1.25, scale, floor,
+                                  where);
+            double lo = 0.0;
+            EXPECT_FALSE(TableFor(Isa::kScalar)
+                             ->relocation_stay(gain.data(), mag.data(), k, s,
+                                               0.5, 1.25, scale, floor, &lo))
+                << where;
+          }
+        }
+      }
+      // Tied zero minima: with scale = floor = 0 every e is +0.0 and the
+      // lower end is src_gain + gain[c] = -0.0 + (+-0.0). Whatever the mix
+      // of signs, the result is +0.0.
+      for (int pattern = 0; pattern < 4; ++pattern) {
+        std::vector<double> gain(kk), mag(kk, 1.0);
+        for (std::size_t c = 0; c < kk; ++c) {
+          const bool negative =
+              pattern == 0 || (pattern == 2 && c % 2 == 0) ||
+              (pattern == 3 && c % 3 != 0);
+          gain[c] = negative ? -0.0 : 0.0;
+        }
+        if (k > 1) gain[(s + 1) % k] = 1.0;  // one target above the tie
+        ExpectStayMatchesLoop(gain, mag, s, -0.0, 1.0, 0.0, 0.0,
+                              at + " zero pattern " + std::to_string(pattern));
+        if (k > 2) {
+          double lo = -1.0;
+          ASSERT_TRUE(TableFor(Isa::kScalar)
+                          ->relocation_stay(gain.data(), mag.data(), k, s,
+                                            -0.0, 1.0, 0.0, 0.0, &lo));
+          EXPECT_TRUE(BitsEqual(0.0, lo)) << at;
+        }
       }
     }
   }
