@@ -34,11 +34,14 @@ constexpr double kBoundSlack = 1e-12;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 // Per-sweep tallies. changed feeds the convergence test; evals/skipped feed
-// the ClusteringResult counters and always sum to n * k per sweep.
+// the ClusteringResult counters and always sum to n * k per sweep. moved[c]
+// is set when cluster c gained or lost a member, so the update re-sums only
+// those clusters.
 struct SweepCounts {
   std::size_t changed = 0;
   int64_t evals = 0;
   int64_t skipped = 0;
+  std::vector<uint8_t> moved;
 };
 
 inline std::span<const double> CentroidAt(std::span<const double> centroids,
@@ -101,6 +104,8 @@ inline void AssignOne(std::span<const double> mean,
     const ScanResult r = ScanCenters(mean, center_lanes, k, m, *label, d2a);
     sc->evals += k - 1;
     if (r.best != *label) {
+      sc->moved[*label] = 1;
+      sc->moved[r.best] = 1;
       *label = r.best;
       ++sc->changed;
     }
@@ -111,6 +116,7 @@ inline void AssignOne(std::span<const double> mean,
   const ScanResult r = ScanCenters(mean, center_lanes, k, m, -1, 0.0);
   sc->evals += k;
   *label = r.best;
+  sc->moved[r.best] = 1;
   ++sc->changed;
   *ub = std::sqrt(r.best_d2) * (1.0 + kBoundSlack);
   *lb = std::sqrt(r.second_d2) * (1.0 - kBoundSlack);
@@ -177,6 +183,7 @@ SweepCounts AssignSweep(const engine::Engine& eng,
   const std::vector<SweepCounts> per_block = engine::MapBlocks<SweepCounts>(
       eng, view.size(), [&](const engine::BlockedRange& r) {
         SweepCounts sc;
+        sc.moved.assign(static_cast<std::size_t>(k), 0);
         for (std::size_t i = r.begin; i < r.end; ++i) {
           AssignOne(view.mean(i), centroids, center_lanes, k, m, half_sep,
                     &labels[i], &ub[i], &lb[i], &sc);
@@ -184,10 +191,12 @@ SweepCounts AssignSweep(const engine::Engine& eng,
         return sc;
       });
   SweepCounts total;
+  total.moved.assign(static_cast<std::size_t>(k), 0);
   for (const SweepCounts& sc : per_block) {
     total.changed += sc.changed;
     total.evals += sc.evals;
     total.skipped += sc.skipped;
+    for (int c = 0; c < k; ++c) total.moved[c] |= sc.moved[c];
   }
   return total;
 }
@@ -259,8 +268,9 @@ CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
   // after every update; the row-major centroids stay canonical for the
   // sums, drift, half separations, retest and objective.
   std::vector<double> center_lanes;
-  std::vector<double> sums;
-  std::vector<std::size_t> counts;
+  std::vector<double> sums(static_cast<std::size_t>(k) * m, 0.0);
+  std::vector<std::size_t> counts(static_cast<std::size_t>(k), 0);
+  std::vector<uint8_t> resum(static_cast<std::size_t>(k));
 
   for (out.iterations = 0; out.iterations < params.max_iters;
        ++out.iterations) {
@@ -278,8 +288,17 @@ CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
     }
 
     // Update: centroid = average of member expected values (Eq. 7), with
-    // the direct path's empty-cluster reseed in the same rng order.
-    kernels::SumMeansByLabel(eng, view, out.labels, k, &sums, &counts);
+    // the direct path's empty-cluster reseed in the same rng order. A
+    // cluster that neither gained nor lost a member keeps the sums row and
+    // count the full re-sum would give it again: the same members, summed
+    // in the same blocks and order. So only the clusters the sweep moved
+    // and the empty ones are re-summed (counts start at 0, so the first
+    // update re-sums all); every centroid is then rebuilt from its row as
+    // before, and an untouched one comes out with the same bits and drift 0.
+    for (int c = 0; c < k; ++c) {
+      resum[c] = sc.moved[c] != 0 || counts[c] == 0;
+    }
+    kernels::SumMeansByLabel(eng, view, out.labels, k, resum, &sums, &counts);
     old_centroids = centroids;
     for (int c = 0; c < k; ++c) {
       if (counts[c] == 0) {

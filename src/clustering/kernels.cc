@@ -1,5 +1,6 @@
 #include "clustering/kernels.h"
 
+#include <algorithm>
 #include <cassert>
 #include <limits>
 
@@ -27,8 +28,21 @@ void SumMeansByLabel(const engine::Engine& eng,
                      std::span<const int> labels, int k,
                      std::vector<double>* sums,
                      std::vector<std::size_t>* counts) {
+  sums->resize(static_cast<std::size_t>(k) * mm.dims());
+  counts->resize(k);
+  const std::vector<uint8_t> all(k, 1);
+  SumMeansByLabel(eng, mm, labels, k, all, sums, counts);
+}
+
+void SumMeansByLabel(const engine::Engine& eng,
+                     const uncertain::MomentView& mm,
+                     std::span<const int> labels, int k,
+                     std::span<const uint8_t> resum,
+                     std::vector<double>* sums,
+                     std::vector<std::size_t>* counts) {
   const std::size_t m = mm.dims();
   const std::size_t km = static_cast<std::size_t>(k) * m;
+  assert(sums->size() == km && counts->size() == resum.size());
   struct Partial {
     std::vector<double> sums;
     std::vector<std::size_t> counts;
@@ -38,21 +52,25 @@ void SumMeansByLabel(const engine::Engine& eng,
         Partial p{std::vector<double>(km, 0.0),
                   std::vector<std::size_t>(k, 0)};
         for (std::size_t i = r.begin; i < r.end; ++i) {
-          const auto mean = mm.mean(i);
-          double* dst =
-              p.sums.data() + static_cast<std::size_t>(labels[i]) * m;
-          simd::VectorAdd(dst, mean.data(), m);
-          ++p.counts[labels[i]];
+          const std::size_t c = static_cast<std::size_t>(labels[i]);
+          if (resum[c] == 0) continue;
+          simd::VectorAdd(p.sums.data() + c * m, mm.mean(i).data(), m);
+          ++p.counts[c];
         }
         return p;
       });
-  sums->assign(km, 0.0);
-  counts->assign(k, 0);
-  // Combine in block order: the floating-point result is a function of the
-  // block partition only, not of the thread count.
-  for (const Partial& p : partials) {
-    for (std::size_t j = 0; j < km; ++j) (*sums)[j] += p.sums[j];
-    for (int c = 0; c < k; ++c) (*counts)[c] += p.counts[c];
+  // Each re-summed row starts from 0.0 and combines in block order: the
+  // floating-point result is a function of the block partition only, not
+  // of the thread count.
+  for (std::size_t c = 0; c < resum.size(); ++c) {
+    if (resum[c] == 0) continue;
+    double* row = sums->data() + c * m;
+    std::fill(row, row + m, 0.0);
+    (*counts)[c] = 0;
+    for (const Partial& p : partials) {
+      for (std::size_t j = 0; j < m; ++j) row[j] += p.sums[c * m + j];
+      (*counts)[c] += p.counts[c];
+    }
   }
 }
 

@@ -6,7 +6,8 @@
 // block partition + ordered reduction; see engine/parallel_for.h).
 //
 // CK-means (clustering/ckmeans.h) sums and scores through SumMeansByLabel
-// and AssignmentObjective, so their blocked fold order lives here only; its
+// (re-summing only the clusters whose membership changed) and
+// AssignmentObjective, so their blocked fold order lives here only; its
 // assignment sweep is its own bound-pruned scan (the center-lane kernel
 // simd::NearestTwo over a per-iteration copy of the centers).
 //
@@ -41,6 +42,19 @@ namespace uclust::clustering::kernels {
 void SumMeansByLabel(const engine::Engine& eng,
                      const uncertain::MomentView& mm,
                      std::span<const int> labels, int k,
+                     std::vector<double>* sums,
+                     std::vector<std::size_t>* counts);
+
+/// SumMeansByLabel for the clusters c with resum[c] != 0 only: their rows
+/// of sums and their counts get the bits the full call gives them (same
+/// block partition, in-block order and block-order combine), and every
+/// other row is left as it is. sums and counts must already hold k*m and k
+/// entries; resum holds k flags. Only the members of re-summed clusters
+/// are read.
+void SumMeansByLabel(const engine::Engine& eng,
+                     const uncertain::MomentView& mm,
+                     std::span<const int> labels, int k,
+                     std::span<const uint8_t> resum,
                      std::vector<double>* sums,
                      std::vector<std::size_t>* counts);
 

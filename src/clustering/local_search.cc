@@ -380,8 +380,11 @@ LocalSearchOutcome RunLocalSearchFrom(const uncertain::MomentView& moments,
       stats[source].Remove(moments, i);
       stats[best].Add(moments, i);
       out.labels[i] = best;
-      obj[source] = Objective(params.objective, stats[source]);
-      obj[best] = Objective(params.objective, stats[best]);
+      // ObjectiveAfterRemove/Add evaluated Objective's expressions on
+      // exactly the aggregates Remove/Add just stored (sum + (-1)x is
+      // sum - x and sum + 1x is sum + x), so they are its bits.
+      obj[source] = source_after;
+      obj[best] = target_after;
       total += delta;
       ++out.moves;
       moved = true;

@@ -103,9 +103,12 @@ struct KernelTable {
   /// coordinate j of every lane-scored center in row j, so each vector lane
   /// owns one center and a group of kLanes centers is scored with no
   /// horizontal reduction: lane t of a center sums coordinates t, t+16, ...
-  /// in ascending order and the lanes fold in FoldLanes' tree. A last group
-  /// of at least kLanes / 2 centers is padded to a whole group; the padded
-  /// columns are computed and dropped, never compared. A shorter last group
+  /// in ascending order and the lanes fold in FoldLanes' tree. Each group's
+  /// best and runner-up come from its two smallest lanes, merged into the
+  /// running pair as the scan below would (a group with a NaN or a zero
+  /// among them runs that scan itself). A last group of at least
+  /// kLanes / 2 centers is padded to a whole group; the padded lanes are
+  /// computed, then set to +inf, so they never win. A shorter last group
   /// follows row-major (one m-double row per center) and is scored per
   /// center by squared_distance, which is cheaper than a mostly empty
   /// group. Either way each distance is bit-identical to

@@ -17,60 +17,69 @@ namespace uclust::clustering::simd {
 namespace {
 
 struct Avx2Ops {
+  using GroupOps = Avx2Ops;  // a center group folds in one V
   static constexpr int kRegs = static_cast<int>(kLanes / 4);
   struct V {
     __m256d r[kRegs];  // r[q] holds lanes 4q .. 4q+3
   };
+  // V{f(0), ..., f(3)}: every register index is a constant, so GCC keeps a
+  // V in four registers. Behind a loop over q it can leave V a stack array,
+  // copied through memory on every operation (it did in the center-group
+  // kernel).
+  template <class F>
+  [[gnu::always_inline]] static V Each(F f) {
+    static_assert(kRegs == 4);
+    return V{{f(0), f(1), f(2), f(3)}};
+  }
   static V Zero() {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_setzero_pd();
-    return v;
+    return Each([](int) { return _mm256_setzero_pd(); });
   }
   static V Splat(double x) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_set1_pd(x);
-    return v;
+    return Each([&](int) { return _mm256_set1_pd(x); });
   }
   static V Load(const double* p) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_loadu_pd(p + 4 * q);
-    return v;
+    return Each([&](int q) { return _mm256_loadu_pd(p + 4 * q); });
   }
   static V Sub(const V& a, const V& b) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_sub_pd(a.r[q], b.r[q]);
-    return v;
+    return Each([&](int q) { return _mm256_sub_pd(a.r[q], b.r[q]); });
   }
   static V Mul(const V& a, const V& b) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_mul_pd(a.r[q], b.r[q]);
-    return v;
+    return Each([&](int q) { return _mm256_mul_pd(a.r[q], b.r[q]); });
   }
   static V Add(const V& a, const V& b) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_add_pd(a.r[q], b.r[q]);
-    return v;
+    return Each([&](int q) { return _mm256_add_pd(a.r[q], b.r[q]); });
   }
   // minpd returns its second operand when the lanes compare equal or
   // either is NaN.
   static V Min(const V& a, const V& b) {
-    V v;
-    for (int q = 0; q < kRegs; ++q) v.r[q] = _mm256_min_pd(a.r[q], b.r[q]);
-    return v;
+    return Each([&](int q) { return _mm256_min_pd(a.r[q], b.r[q]); });
   }
-  // A compare-and-blend per register: no register is spilled to pick out
-  // the one lane.
+  // Except and FillFrom are a compare-and-blend per register: no register
+  // is spilled to pick out lanes.
   static V Except(const V& a, std::size_t lane, double fill) {
-    const __m256i want = _mm256_set1_epi64x(static_cast<long long>(lane));
+    return Blend(a, _mm256_set1_epi64x(static_cast<long long>(lane)), fill,
+                 [](__m256i ids, __m256i want) {
+                   return _mm256_cmpeq_epi64(ids, want);
+                 });
+  }
+  // Lanes at or past `count` replaced by `fill`, the same way.
+  static V FillFrom(const V& a, std::size_t count, double fill) {
+    return Blend(a, _mm256_set1_epi64x(static_cast<long long>(count) - 1),
+                 fill, [](__m256i ids, __m256i last) {
+                   return _mm256_cmpgt_epi64(ids, last);
+                 });
+  }
+  // Lane l of the result is `fill` where hit(ids, key) is all ones in the
+  // lane-index vector ids = (l), else lane l of `a`.
+  template <class Hit>
+  [[gnu::always_inline]] static V Blend(const V& a, __m256i key, double fill,
+                                        Hit hit) {
     const __m256d f = _mm256_set1_pd(fill);
-    V v;
-    for (int q = 0; q < kRegs; ++q) {
-      const __m256i ids = _mm256_setr_epi64x(4 * q, 4 * q + 1, 4 * q + 2,
-                                             4 * q + 3);
-      const __m256d hit = _mm256_castsi256_pd(_mm256_cmpeq_epi64(ids, want));
-      v.r[q] = _mm256_blendv_pd(a.r[q], f, hit);
-    }
-    return v;
+    return Each([&](int q) {
+      const __m256i ids =
+          _mm256_setr_epi64x(4 * q, 4 * q + 1, 4 * q + 2, 4 * q + 3);
+      return _mm256_blendv_pd(a.r[q], f, _mm256_castsi256_pd(hit(ids, key)));
+    });
   }
   static double MinLanes(const V& a) {
     static_assert(kRegs == 4);
@@ -79,6 +88,40 @@ struct Avx2Ops {
     const __m128d h = _mm_min_pd(_mm256_castpd256_pd128(m),
                                  _mm256_extractf128_pd(m, 1));
     return _mm_cvtsd_f64(_mm_min_sd(h, _mm_unpackhi_pd(h, h)));
+  }
+  // The two smallest lanes of a NaN-free `a`, as the pairs (smallest,
+  // runner-up) of lane subsets merge: across the four registers, then the
+  // two halves of one, then its two lanes. Merging (lo1, hi1) with (lo2,
+  // hi2) gives min(lo1, lo2) and min(max(lo1, lo2), min(hi1, hi2)).
+  static void LowestTwo(const V& a, double* m1, double* m2) {
+    const __m256d lo01 = _mm256_min_pd(a.r[0], a.r[1]);
+    const __m256d lo23 = _mm256_min_pd(a.r[2], a.r[3]);
+    const __m256d lo = _mm256_min_pd(lo01, lo23);
+    const __m256d hi = _mm256_min_pd(
+        _mm256_max_pd(lo01, lo23),
+        _mm256_min_pd(_mm256_max_pd(a.r[0], a.r[1]),
+                      _mm256_max_pd(a.r[2], a.r[3])));
+    const __m128d lo_a = _mm256_castpd256_pd128(lo);
+    const __m128d lo_b = _mm256_extractf128_pd(lo, 1);
+    const __m128d l2 = _mm_min_pd(lo_a, lo_b);
+    const __m128d h2 =
+        _mm_min_pd(_mm_max_pd(lo_a, lo_b),
+                   _mm_min_pd(_mm256_castpd256_pd128(hi),
+                              _mm256_extractf128_pd(hi, 1)));
+    const __m128d l_hi = _mm_unpackhi_pd(l2, l2);
+    *m1 = _mm_cvtsd_f64(_mm_min_sd(l2, l_hi));
+    *m2 = _mm_cvtsd_f64(_mm_min_sd(_mm_max_sd(l2, l_hi),
+                                   _mm_min_sd(h2, _mm_unpackhi_pd(h2, h2))));
+  }
+  static unsigned EqMask(const V& a, double x) {
+    const __m256d s = _mm256_set1_pd(x);
+    unsigned mask = 0;
+    for (int q = 0; q < kRegs; ++q) {
+      mask |= static_cast<unsigned>(_mm256_movemask_pd(
+                  _mm256_cmp_pd(a.r[q], s, _CMP_EQ_OQ)))
+              << (4 * q);
+    }
+    return mask;
   }
   static bool AnyNan(const V& a) {
     const __m256d unordered =

@@ -2,7 +2,9 @@
 //
 // Every ISA TU instantiates the SAME templates below with its own Ops
 // (vector type + Zero/Splat/Load/Sub/Mul/Add/Store, plus Min, Except,
-// MinLanes and AnyNan for the relocation stay test), so the accumulation
+// FillFrom, MinLanes, LowestTwo, EqMask and AnyNan for the selection steps
+// of the relocation stay test and the nearest-two scan, and GroupOps, the
+// unit a center-lane group's distances fold in), so the accumulation
 // order — and therefore the rounding — is identical by construction: the
 // bit-exactness contract is structural, not something each path
 // re-implements and can drift on. An Ops vector always models exactly kLanes = 16 doubles
@@ -24,6 +26,7 @@
 #define UCLUST_CLUSTERING_SIMD_SIMD_LANES_H_
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <limits>
@@ -224,58 +227,121 @@ void PackRowT(const double* mean, const double* mu2, const double* var,
   *total_var_dst = SumT<Ops>(var, m);
 }
 
-// FoldLanes' tree over the coordinate lanes l[0, used) of a center group,
-// in place; as in ShortRow, an operand made only of empty lanes (t >=
-// used) is left out, which is exact. used = 0 yields +0.0.
-template <class Ops>
-typename Ops::V FoldCoordinateLanes(typename Ops::V* l, std::size_t used) {
-  if (used == 0) return Ops::Zero();
-  for (std::size_t t = 0; t < 8; ++t) {
-    if (t + 8 < used) l[t] = Ops::Add(l[t], l[t + 8]);
+// One center-lane group's fold (see CenterGroupDistances) over the centers
+// of one G::V: coordinate lane t, FoldLanes' a_t and b_t built from them,
+// and the root.
+template <class G>
+struct CenterGroup {
+  using V = typename G::V;
+  const double* point;
+  const double* group;
+  std::size_t stride;
+  std::size_t m;
+  std::size_t used;  // min(m, kLanes): the occupied coordinate lanes
+
+  [[gnu::always_inline]] V Lane(std::size_t t) const {
+    V d = G::Sub(G::Splat(point[t]), G::Load(group + t * stride));
+    V acc = G::Mul(d, d);
+    for (std::size_t j = t + kLanes; j < m; j += kLanes) {
+      d = G::Sub(G::Splat(point[j]), G::Load(group + j * stride));
+      acc = G::Add(acc, G::Mul(d, d));
+    }
+    return acc;
   }
-  for (std::size_t t = 0; t < 4; ++t) {
-    if (t + 4 < used) l[t] = Ops::Add(l[t], l[t + 4]);
+  [[gnu::always_inline]] V Pair(std::size_t t) const {
+    return t + 8 < used ? G::Add(Lane(t), Lane(t + 8)) : Lane(t);
   }
-  if (2 < used) l[0] = Ops::Add(l[0], l[2]);
-  if (3 < used) l[1] = Ops::Add(l[1], l[3]);
-  return used > 1 ? Ops::Add(l[0], l[1]) : l[0];
-}
+  [[gnu::always_inline]] V Quad(std::size_t t) const {
+    return t + 4 < used ? G::Add(Pair(t), Pair(t + 4)) : Pair(t);
+  }
+  [[gnu::always_inline]] V Fold() const {
+    if (used == 0) return G::Splat(0.0);
+    const V b0 = Quad(0);
+    const V c0 = 2 < used ? G::Add(b0, Quad(2)) : b0;
+    if (used == 1) return c0;
+    const V b1 = Quad(1);
+    const V c1 = 3 < used ? G::Add(b1, Quad(3)) : b1;
+    return G::Add(c0, c1);
+  }
+};
 
 // Squared distances from `point` to the kLanes centers of one center-lane
 // group (`group` = the group's first column, rows `stride` apart), into
-// d2[0, kLanes). Each Ops lane owns one center and gets exactly
-// squared_distance's operations: coordinate lane t sums the squares of
-// coordinates t, t+16, ... in ascending order (the leading `0.0 +`
-// dropped, exactly as in ShortRow), and the coordinate lanes fold in
-// FoldLanes' tree. Kept out of line: inlined, its array of kLanes vectors
-// made every NearestTwoT call pay for it, and a k < 8 scan, which never
-// runs a group, measured 1.5-1.7x slower.
+// d2[0, kLanes). Each center gets exactly squared_distance's operations:
+// coordinate lane t sums the squares of coordinates t, t+16, ... in
+// ascending order (the leading `0.0 +` dropped, exactly as in ShortRow),
+// and the coordinate lanes fold in FoldLanes' tree, built one quad
+// b_t = (l_t + l_{t+8}) + (l_{t+4} + l_{t+12}) at a time and closed as
+// (b0 + b2) + (b1 + b3). As in ShortRow, an operand made only of empty
+// coordinate lanes (t >= m) is left out, which is exact; m = 0 yields
+// +0.0. At most five G::V are live at once, so the coordinate lanes need
+// no array in memory. Ops::GroupOps sets how many centers one fold covers:
+// the vector tables fold all kLanes at once (one lane per center), the
+// scalar table one center at a time (LaneOps), where 5 live 16-double
+// vectors would not fit in registers. Kept out of line: inlined into
+// NearestTwoT, the group loop's per-lane row pointers went to stack slots,
+// and the k = m = 16 scan ran about 10% slower.
 template <class Ops>
 [[gnu::noinline]] void CenterGroupDistances(const double* point,
                                             const double* group,
                                             std::size_t stride, std::size_t m,
                                             double* d2) {
-  using V = typename Ops::V;
+  using G = typename Ops::GroupOps;
+  constexpr std::size_t kWidth = sizeof(typename G::V) / sizeof(double);
+  static_assert(kLanes % kWidth == 0);
   const std::size_t used = std::min(m, kLanes);
-  // Deliberately uninitialized, as in FullRowSquaredDistance: lanes[t] is
-  // written before it is read for every t < used.
-  V lanes[kLanes];
-  for (std::size_t t = 0; t < used; ++t) {
-    V d = Ops::Sub(Ops::Splat(point[t]), Ops::Load(group + t * stride));
-    V acc = Ops::Mul(d, d);
-    for (std::size_t j = t + kLanes; j < m; j += kLanes) {
-      d = Ops::Sub(Ops::Splat(point[j]), Ops::Load(group + j * stride));
-      acc = Ops::Add(acc, Ops::Mul(d, d));
-    }
-    lanes[t] = acc;
+  for (std::size_t c = 0; c < kLanes; c += kWidth) {
+    G::Store(d2 + c, CenterGroup<G>{point, group + c, stride, m, used}.Fold());
   }
-  Ops::Store(d2, FoldCoordinateLanes<Ops>(lanes, used));
+}
+
+// Merges one prepared lane group (reuse_c substituted, padded lanes +inf)
+// into the running best b / bd and runner-up sd exactly as the ascending,
+// strict-< scan over its lanes would. Without NaN the scan's outcome is a
+// function of the group's two smallest values (LowestTwo): the best is the
+// lowest lane equal to the smallest, m1, and the runner-up is the smallest
+// of the other lanes, m2. If m1 < bd, the group takes the lead and the old
+// best competes for second place; otherwise only m1 can improve sd. Every
+// comparison keeps the scan's tie rule (an equal value never displaces).
+// Two groups run the scan itself on their stored lanes instead: one with
+// a NaN lane, which the scan skips but a vector minimum would not, and one
+// whose m1 or m2 is zero, because a vector minimum picks an arbitrary one
+// of two equal zeros and only zeros can be equal with different bits.
+// +inf lanes never pass a strict <, so the padded lanes drop out either
+// way.
+template <class Ops>
+[[gnu::always_inline]] inline void MergeGroup(const typename Ops::V& v,
+                                              std::size_t c0, int* b,
+                                              double* bd, double* sd) {
+  if (!Ops::AnyNan(v)) {
+    double m1, m2;
+    Ops::LowestTwo(v, &m1, &m2);
+    if (m1 != 0.0 && m2 != 0.0) {
+      const int idx = std::countr_zero(Ops::EqMask(v, m1));
+      const bool lead = m1 < *bd;
+      *sd = lead ? (m2 < *bd ? m2 : *bd) : (m1 < *sd ? m1 : *sd);
+      *b = lead ? static_cast<int>(c0) + idx : *b;
+      *bd = lead ? m1 : *bd;
+      return;
+    }
+  }
+  double d2[kLanes];
+  Ops::Store(d2, v);
+  for (std::size_t t = 0; t < kLanes; ++t) {
+    if (d2[t] < *bd) {
+      *sd = *bd;
+      *bd = d2[t];
+      *b = static_cast<int>(c0 + t);
+    } else if (d2[t] < *sd) {
+      *sd = d2[t];
+    }
+  }
 }
 
 // The CK-means reduced-moment scan over the center-lane layout (see
-// KernelTable::nearest_two): CenterGroupDistances per lane group, whose
-// padded centers are scored and dropped before the comparisons, then the
-// row-major tail one center at a time through SquaredDistanceT. The
+// KernelTable::nearest_two): per lane group, CenterGroupDistances, the
+// reuse_c substitution and +inf in the padded lanes, then MergeGroup; then
+// the row-major tail one center at a time through SquaredDistanceT. The
 // decision sequence mirrors the direct UK-means sweeps' nearest-centroid
 // scan — ascending c, strict <, ties to the lower index — so routing
 // through it changes no assignment and no Hamerly/Elkan bound.
@@ -288,21 +354,17 @@ void NearestTwoT(const double* point, const double* center_lanes, int k,
   int b = 0;
   double bd = std::numeric_limits<double>::infinity();
   double sd = std::numeric_limits<double>::infinity();
-  double d2[kLanes];
   for (std::size_t c0 = 0; c0 < std::min(kk, stride); c0 += kLanes) {
+    double d2[kLanes];
     CenterGroupDistances<Ops>(point, center_lanes + c0, stride, m, d2);
-    const std::size_t count = std::min(kLanes, kk - c0);
-    for (std::size_t t = 0; t < count; ++t) {
-      const int c = static_cast<int>(c0 + t);
-      const double d = c == reuse_c ? reuse_d2 : d2[t];
-      if (d < bd) {
-        sd = bd;
-        bd = d;
-        b = c;
-      } else if (d < sd) {
-        sd = d;
-      }
+    typename Ops::V v = Ops::Load(d2);
+    // unsigned: reuse_c = -1 and centers of other groups fall outside
+    const std::size_t reuse_lane = static_cast<std::size_t>(reuse_c) - c0;
+    if (reuse_lane < kLanes) v = Ops::Except(v, reuse_lane, reuse_d2);
+    if (kk - c0 < kLanes) {
+      v = Ops::FillFrom(v, kk - c0, std::numeric_limits<double>::infinity());
     }
+    MergeGroup<Ops>(v, c0, &b, &bd, &sd);
   }
   const double* tail = center_lanes + m * stride;
   for (std::size_t i = stride; i < kk; ++i) {

@@ -9,7 +9,20 @@ namespace uclust::clustering::simd {
 
 namespace {
 
+// One double, the unit the scalar table folds a center group in: one
+// center at a time keeps the fold's five live values in registers.
+struct LaneOps {
+  using V = double;
+  static V Splat(double x) { return x; }
+  static V Load(const double* p) { return *p; }
+  static V Sub(V a, V b) { return a - b; }
+  static V Mul(V a, V b) { return a * b; }
+  static V Add(V a, V b) { return a + b; }
+  static void Store(double* p, V a) { *p = a; }
+};
+
 struct ScalarOps {
+  using GroupOps = LaneOps;
   struct V {
     double v[kLanes];
   };
@@ -55,6 +68,11 @@ struct ScalarOps {
     r.v[lane] = fill;
     return r;
   }
+  static V FillFrom(const V& a, std::size_t count, double fill) {
+    V r = a;
+    for (std::size_t i = count; i < kLanes; ++i) r.v[i] = fill;
+    return r;
+  }
   static double MinLanes(const V& a) {
     V r = a;
     for (std::size_t w = kLanes / 2; w > 0; w /= 2) {
@@ -63,6 +81,27 @@ struct ScalarOps {
       }
     }
     return r.v[0];
+  }
+  static void LowestTwo(const V& a, double* m1, double* m2) {
+    double lo = a.v[0];
+    double hi = std::numeric_limits<double>::infinity();
+    for (std::size_t i = 1; i < kLanes; ++i) {
+      if (a.v[i] < lo) {
+        hi = lo;
+        lo = a.v[i];
+      } else if (a.v[i] < hi) {
+        hi = a.v[i];
+      }
+    }
+    *m1 = lo;
+    *m2 = hi;
+  }
+  static unsigned EqMask(const V& a, double x) {
+    unsigned mask = 0;
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      mask |= static_cast<unsigned>(a.v[i] == x) << i;
+    }
+    return mask;
   }
   static bool AnyNan(const V& a) {
     bool any = false;

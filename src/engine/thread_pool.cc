@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "engine/cpu_spread.h"
+
 namespace uclust::engine {
 
 namespace {
@@ -16,7 +18,11 @@ ThreadPool::ThreadPool(int workers) {
   const int count = std::max(workers, 1);
   threads_.reserve(count);
   for (int w = 0; w < count; ++w) {
-    threads_.emplace_back([this, w] { WorkerLoop(w + 1); });
+    const int cpu = CpuForNewThread();
+    threads_.emplace_back([this, w, cpu] {
+      StartOnCpu(cpu);
+      WorkerLoop(w + 1);
+    });
   }
 }
 

@@ -31,7 +31,8 @@ namespace uclust::engine {
 /// worker — nesting never deadlocks, it just does not parallelize further.
 class ThreadPool {
  public:
-  /// Spawns `workers` threads (at least 1).
+  /// Spawns `workers` threads (at least 1), each started on one of the
+  /// caller's other allowed CPUs (engine/cpu_spread.h).
   explicit ThreadPool(int workers);
   ~ThreadPool();
 

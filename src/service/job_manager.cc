@@ -6,6 +6,7 @@
 #include "clustering/ckmeans.h"
 #include "clustering/registry.h"
 #include "common/stopwatch.h"
+#include "engine/cpu_spread.h"
 #include "io/dataset_reader.h"
 #include "service/log.h"
 
@@ -94,7 +95,10 @@ void JobManager::Start() {
   pool_ = std::make_unique<engine::ThreadPool>(
       std::max(1, cfg_.executors - 1));
   const std::size_t lanes = static_cast<std::size_t>(cfg_.executors);
-  pool_holder_ = std::thread([this, lanes] {
+  // The holder lane is placed like the pool's workers (engine/cpu_spread.h).
+  const int cpu = engine::CpuForNewThread();
+  pool_holder_ = std::thread([this, lanes, cpu] {
+    engine::StartOnCpu(cpu);
     pool_->RunTasks(lanes, [this](std::size_t) { ExecutorLoop(); });
   });
 }

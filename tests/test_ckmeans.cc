@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <string>
@@ -126,6 +127,131 @@ TEST(Ckmeans, PlusPlusSeedingMatchesDirectPath) {
   EXPECT_EQ(out.labels, direct.labels);
   EXPECT_EQ(out.objective, direct.objective);
   EXPECT_EQ(out.iterations, direct.iterations);
+}
+
+// ---------------------------------------------------------------------------
+// The update re-sums only the clusters a sweep changed.
+
+engine::Engine EngineWithBlocks(int threads, std::size_t block_size) {
+  engine::EngineConfig config;
+  config.num_threads = threads;
+  config.block_size = block_size;
+  return engine::Engine(config);
+}
+
+// A re-summed row and count carry the full sum's bits; every other row and
+// count is left exactly as the caller had it.
+TEST(CkmeansUpdate, MaskedSumMatchesFullSumRowForRow) {
+  const auto ds = TestDataset(700, 5, 4, 31);
+  const auto mm = ds.moments().view();
+  constexpr int k = 7;
+  constexpr std::size_t m = 5;
+  common::Rng rng(4242);
+  std::vector<int> labels(mm.size());
+  // Cluster 6 stays empty: its re-summed row must come back all +0.0.
+  for (int& l : labels) l = static_cast<int>(rng.Index(k - 1));
+  constexpr double kSentinel = -7.25;
+  constexpr std::size_t kCountSentinel = 999;
+  int masked_rows = 0, kept_rows = 0;
+  for (const std::size_t block : {1, 7, 64, 1024}) {
+    for (const int threads : kThreadCounts) {
+      const engine::Engine eng = EngineWithBlocks(threads, block);
+      std::vector<double> full_sums;
+      std::vector<std::size_t> full_counts;
+      kernels::SumMeansByLabel(eng, mm, labels, k, &full_sums, &full_counts);
+      for (int trial = 0; trial < 6; ++trial) {
+        std::vector<uint8_t> resum(k);
+        for (uint8_t& f : resum) f = rng.Index(2) == 0 ? 0 : 1;
+        if (trial == 0) std::fill(resum.begin(), resum.end(), uint8_t{1});
+        if (trial == 1) std::fill(resum.begin(), resum.end(), uint8_t{0});
+        std::vector<double> sums(k * m, kSentinel);
+        std::vector<std::size_t> counts(k, kCountSentinel);
+        kernels::SumMeansByLabel(eng, mm, labels, k, resum, &sums, &counts);
+        const std::string where = "block=" + std::to_string(block) +
+                                  " threads=" + std::to_string(threads) +
+                                  " trial=" + std::to_string(trial);
+        for (int c = 0; c < k; ++c) {
+          if (resum[c] != 0) {
+            ++masked_rows;
+            EXPECT_EQ(counts[c], full_counts[c]) << where << " c=" << c;
+          } else {
+            ++kept_rows;
+            EXPECT_EQ(counts[c], kCountSentinel) << where << " c=" << c;
+          }
+          for (std::size_t j = 0; j < m; ++j) {
+            const double want =
+                resum[c] != 0 ? full_sums[c * m + j] : kSentinel;
+            EXPECT_EQ(std::memcmp(&sums[c * m + j], &want, sizeof(double)),
+                      0)
+                << where << " c=" << c << " j=" << j;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(masked_rows, 0);
+  EXPECT_GT(kept_rows, 0);
+}
+
+// 40 copies of one expected value and 40 scattered ones: a seeding that
+// draws the copy twice leaves the later center without members, so the
+// update reseeds it, and the reseeded center can win members back later.
+// Every such run must still match the direct loop, which re-sums every
+// cluster on every update.
+TEST(CkmeansUpdate, EmptiedAndReseededClustersMatchDirectLoop) {
+  constexpr std::size_t n = 80;
+  constexpr std::size_t m = 2;
+  constexpr int k = 6;
+  common::Rng rng(77);
+  std::vector<double> means(n * m, 0.0), constants(n);
+  for (std::size_t i = n / 2; i < n; ++i) {
+    means[i * m] = rng.Uniform(10.0, 20.0);
+    means[i * m + 1] = rng.Uniform(10.0, 20.0);
+  }
+  for (double& c : constants) c = rng.Uniform(0.0, 1.0);
+  const uncertain::MomentView view(n, m, means.data(), nullptr, nullptr,
+                                   constants.data());
+  int runs_with_empty = 0, runs_with_refill = 0;
+  for (uint64_t seed = 1; seed <= 30; ++seed) {
+    const auto direct = oracle::DirectUkmeans(view, k, seed,
+                                              CkMeans::Params(),
+                                              EngineWithBlocks(1, 16));
+    for (const int threads : kThreadCounts) {
+      // Which clusters each update left empty, by iteration.
+      std::vector<std::vector<bool>> empty;
+      CkMeans::Params p;
+      p.bound_audit = [&](int, std::span<const double>,
+                          std::span<const int> labels,
+                          std::span<const double>, std::span<const double>) {
+        std::vector<bool> none(k, true);
+        for (const int l : labels) none[l] = false;
+        empty.push_back(none);
+      };
+      const auto out = CkMeans::RunOnMoments(view, k, seed, p,
+                                             EngineWithBlocks(threads, 16));
+      const std::string where = "seed=" + std::to_string(seed) +
+                                " threads=" + std::to_string(threads);
+      EXPECT_EQ(out.labels, direct.labels) << where;
+      EXPECT_EQ(out.objective, direct.objective) << where;
+      EXPECT_EQ(out.iterations, direct.iterations) << where;
+      EXPECT_EQ(out.converged, direct.converged) << where;
+      if (threads != 1) continue;
+      bool had_empty = false, refilled = false;
+      for (std::size_t it = 0; it < empty.size(); ++it) {
+        for (int c = 0; c < k; ++c) {
+          if (!empty[it][c]) continue;
+          had_empty = true;
+          for (std::size_t later = it + 1; later < empty.size(); ++later) {
+            refilled = refilled || !empty[later][c];
+          }
+        }
+      }
+      runs_with_empty += had_empty;
+      runs_with_refill += refilled;
+    }
+  }
+  EXPECT_GT(runs_with_empty, 0);
+  EXPECT_GT(runs_with_refill, 0);
 }
 
 // ---------------------------------------------------------------------------

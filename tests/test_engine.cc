@@ -1,15 +1,21 @@
 // Tests for the execution engine: ThreadPool scheduling and reuse,
-// exception propagation, blocked-range helpers, and the determinism
-// contract of MapBlocks reductions.
+// exception propagation, blocked-range helpers, the determinism
+// contract of MapBlocks reductions, and worker start placement.
 #include <gtest/gtest.h>
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "engine/cpu_spread.h"
 #include "engine/engine.h"
 #include "engine/parallel_for.h"
 #include "engine/thread_pool.h"
@@ -260,6 +266,58 @@ TEST(PerWorker, SlotsMatchConcurrencyAndStayInRange) {
   });
   EXPECT_EQ(touched.load(), 1000);
 }
+
+// Threads started in a row from one CPU begin on the other allowed CPUs,
+// one each, in ascending order after the creator's and wrapping around.
+TEST(CpuSpread, TakesTheOtherAllowedCpusRoundRobin) {
+  const std::vector<int> four = {0, 1, 2, 3};
+  std::vector<int> got;
+  for (unsigned slot = 0; slot < 4; ++slot) {
+    got.push_back(SpreadCpu(four, 1, slot));
+  }
+  EXPECT_EQ(got, (std::vector<int>{2, 3, 0, 2}));
+  const std::vector<int> sparse = {0, 2, 5};
+  EXPECT_EQ(SpreadCpu(sparse, 5, 0), 0);
+  EXPECT_EQ(SpreadCpu(sparse, 5, 1), 2);
+  EXPECT_EQ(SpreadCpu(sparse, 5, 2), 0);
+}
+
+TEST(CpuSpread, NoChoiceGivesMinusOne) {
+  EXPECT_EQ(SpreadCpu({3}, 3, 0), -1);
+  EXPECT_EQ(SpreadCpu({0, 1}, 2, 0), -1);  // creator outside the set
+  EXPECT_EQ(SpreadCpu({}, 0, 0), -1);
+}
+
+#if defined(__linux__)
+std::vector<int> AllowedCpus() {
+  cpu_set_t mask;
+  std::vector<int> cpus;
+  if (sched_getaffinity(0, sizeof(mask), &mask) != 0) return cpus;
+  for (int c = 0; c < CPU_SETSIZE; ++c) {
+    if (CPU_ISSET(c, &mask)) cpus.push_back(c);
+  }
+  return cpus;
+}
+
+// A start position, not a pin: the thread ends with the affinity it had.
+TEST(CpuSpread, StartOnCpuRestoresTheAffinity) {
+  const std::vector<int> before = AllowedCpus();
+  ASSERT_FALSE(before.empty());
+  const int cpu = CpuForNewThread();
+  if (cpu >= 0) {
+    EXPECT_TRUE(std::find(before.begin(), before.end(), cpu) != before.end());
+  }
+  std::vector<int> inside;
+  std::thread t([&] {
+    StartOnCpu(cpu);
+    inside = AllowedCpus();
+  });
+  t.join();
+  EXPECT_EQ(inside, before);
+  StartOnCpu(-1);
+  EXPECT_EQ(AllowedCpus(), before);
+}
+#endif
 
 }  // namespace
 }  // namespace uclust::engine

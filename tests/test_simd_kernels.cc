@@ -587,6 +587,118 @@ TEST(SimdKernels, RelocationStayMatchesSelectionLoopAcrossIsas) {
   }
 }
 
+// The selection step of a lane group: the cases where the group's two
+// smallest lanes alone do not decide the scan, or decide it only through
+// the tie rule. Every path must match the oracle's row-major scan bit for
+// bit: ties among all 16 lanes, a NaN lane (which the scan never selects),
+// groups whose distances all overflow to +inf, reuse_c in a padded group,
+// a later group or tail center tying the first group's best, and zero
+// distances, where -0.0 and +0.0 compare equal but differ in bits.
+TEST(SimdKernels, NearestTwoSelectionEdgeCases) {
+  const KernelTable* ref = TableFor(Isa::kScalar);
+  ASSERT_NE(ref, nullptr);
+  const double kNan = std::numeric_limits<double>::quiet_NaN();
+  int cases = 0;
+  const auto check = [&](const std::vector<double>& point,
+                         const std::vector<double>& centroids, int k,
+                         std::size_t m, int reuse_c, double reuse_d2,
+                         const std::string& what) {
+    ++cases;
+    std::vector<double> lanes;
+    ToCenterLanes(centroids.data(), k, m, &lanes);
+    const oracle::NearestTwoResult want = oracle::NearestTwoScan(
+        *ref, point.data(), centroids.data(), k, m, reuse_c, reuse_d2);
+    for (Isa isa : AvailableIsas()) {
+      const std::string at = what + " k=" + std::to_string(k) +
+                             " m=" + std::to_string(m) +
+                             " reuse_c=" + std::to_string(reuse_c) +
+                             " isa=" + IsaName(isa);
+      int best = -2;
+      double bd = 0.0, sd = 0.0;
+      TableFor(isa)->nearest_two(point.data(), lanes.data(), k, m, reuse_c,
+                                 reuse_d2, &best, &bd, &sd);
+      EXPECT_EQ(want.best, best) << at;
+      EXPECT_TRUE(BitsEqual(want.best_d2, bd)) << at;
+      EXPECT_TRUE(BitsEqual(want.second_d2, sd)) << at;
+    }
+  };
+  common::Rng rng(0x51D4);
+  for (const std::size_t m : {std::size_t{3}, std::size_t{16}}) {
+    const auto center = [&](std::vector<double>* c, int i) {
+      return c->data() + static_cast<std::size_t>(i) * m;
+    };
+    for (const int k : {16, 17, 24, 35}) {
+      const std::vector<double> point = RandomVector(m, &rng);
+      // All distances tied: k copies of one center.
+      const std::vector<double> one = RandomVector(m, &rng);
+      std::vector<double> tied;
+      for (int c = 0; c < k; ++c) {
+        tied.insert(tied.end(), one.begin(), one.end());
+      }
+      const double tie = ref->squared_distance(point.data(), one.data(), m);
+      check(point, tied, k, m, -1, 0.0, "all tied");
+      check(point, tied, k, m, 5, tie, "all tied, exact reuse");
+      check(point, tied, k, m, k - 1, tie, "all tied, last reused");
+
+      // A NaN lane, in the first group and, past it, in the next group
+      // or the tail; and a NaN handed in through reuse_d2.
+      for (const int at : {0, 7, 15, k - 1}) {
+        std::vector<double> centroids = RandomVector(k * m, &rng);
+        center(&centroids, at)[0] = kNan;
+        check(point, centroids, k, m, -1, 0.0,
+              "NaN at " + std::to_string(at));
+        check(point, centroids, k, m, (at + 3) % k, 0.25,
+              "NaN at " + std::to_string(at) + ", reuse");
+      }
+      check(point, RandomVector(k * m, &rng), k, m, 3, kNan, "NaN reuse_d2");
+
+      // Every distance of the first group, or of all groups, overflows
+      // to +inf.
+      std::vector<double> far = RandomVector(k * m, &rng);
+      for (int c = 0; c < 16; ++c) center(&far, c)[0] = 1e300;
+      check(point, far, k, m, -1, 0.0, "first group +inf");
+      for (int c = 16; c < k; ++c) center(&far, c)[0] = 1e300;
+      check(point, far, k, m, -1, 0.0, "all +inf");
+      check(point, far, k, m, k / 2, 2.0, "all +inf, finite reuse");
+
+      // A later group's (or the tail's) minimum ties the first group's
+      // best: copies of the nearest center of group 1 further up.
+      std::vector<double> centroids = RandomVector(k * m, &rng);
+      std::copy(point.begin(), point.end(), center(&centroids, 3));
+      center(&centroids, 3)[0] += 0.01;
+      for (int c = 16; c < k; c += 5) {
+        std::copy(center(&centroids, 3), center(&centroids, 3) + m,
+                  center(&centroids, c));
+      }
+      check(point, centroids, k, m, -1, 0.0, "later group ties the best");
+      check(point, centroids, k, m, 3,
+            ref->squared_distance(point.data(), center(&centroids, 3), m),
+            "later group ties the reused best");
+
+      // Zero distances: the point sits on center 9, and reuse_d2 = -0.0
+      // ties it with the other zero sign (the scan keeps the first).
+      std::copy(point.begin(), point.end(), center(&centroids, 9));
+      check(point, centroids, k, m, -1, 0.0, "zero distance");
+      check(point, centroids, k, m, 2, -0.0, "-0.0 before +0.0");
+      check(point, centroids, k, m, 12, -0.0, "-0.0 after +0.0");
+    }
+    // reuse_c inside a padded group (k = 8: the only group; k = 24: the
+    // second one), with the exact distance, a winning and a losing value.
+    for (const int k : {8, 24}) {
+      const std::vector<double> point = RandomVector(m, &rng);
+      const std::vector<double> centroids = RandomVector(k * m, &rng);
+      for (const int reuse_c : {k - 8, k - 5, k - 1}) {
+        const double exact = ref->squared_distance(
+            point.data(), centroids.data() + reuse_c * m, m);
+        for (const double reuse_d2 : {exact, 1e-3, 1e9}) {
+          check(point, centroids, k, m, reuse_c, reuse_d2, "padded reuse");
+        }
+      }
+    }
+  }
+  EXPECT_GT(cases, 150);
+}
+
 TEST(SimdKernels, NearestTwoMatchesHistoricalScanSemantics) {
   // k == 1: no runner-up exists, second_d2 is +inf (the value the Hamerly
   // lower bound consumes as "prune nothing").
