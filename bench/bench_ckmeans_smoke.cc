@@ -18,11 +18,12 @@
 //                       `ulimit -v` cap this is expected to exhaust the
 //                       address space: CKMEANS RESULT=OOM (exit 3).
 //   --mode=file      -> CkMeans::ClusterFile under the engine flags. With a
-//                       budget below the (m + 1) n-double reduction it runs
-//                       on the mapped .umom moment store (built next to the
-//                       dataset, or reused) — expected to finish under the
-//                       same cap. The marker names the branch taken:
-//                       CKMEANS RESULT=OK mode=file branch=reduced|mapped.
+//                       budget below the (3m + 1) n-double resident columns
+//                       (io::ResidentMomentsFit) it runs on the mapped .umom
+//                       moment store (built next to the dataset, or reused)
+//                       — expected to finish under the same cap. The marker
+//                       names the branch taken:
+//                       CKMEANS RESULT=OK mode=file branch=resident|mapped.
 //
 // Flags:
 //   --dataset=PATH       binary dataset file                   (required)
@@ -79,8 +80,8 @@ int Run(int argc, char** argv) {
       return 1;
     }
     const char* branch =
-        clustering::CkMeans::ReducedFits(header.size(), header.dims(), eng)
-            ? "reduced"
+        io::ResidentMomentsFit(header.size(), header.dims(), eng)
+            ? "resident"
             : "mapped";
     clustering::CkMeans::Params p;
     p.max_iters = max_iters;

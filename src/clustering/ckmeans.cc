@@ -12,8 +12,6 @@
 #include "common/rng.h"
 #include "common/stopwatch.h"
 #include "engine/parallel_for.h"
-#include "io/dataset_reader.h"
-#include "io/ingest.h"
 
 namespace uclust::clustering {
 
@@ -213,36 +211,10 @@ ClusteringResult ToResult(CkMeans::Outcome outcome, int k) {
   return result;
 }
 
-// k must name 1..n distinct objects for the seeding to pick from.
-common::Status CheckK(const std::string& path, int k, std::size_t n) {
-  if (k < 1 || n < static_cast<std::size_t>(k)) {
-    return common::Status::InvalidArgument(
-        path + ": need 1 <= k <= n, got k=" + std::to_string(k) + ", n=" +
-        std::to_string(n));
-  }
-  return common::Status::Ok();
-}
-
-// RunOnMoments over `view` as a timed result: offline_ms is `offline`'s
-// reading on entry, online_ms the loop's own time.
-ClusteringResult RunTimed(const uncertain::MomentView& view, int k,
-                          uint64_t seed, const CkMeans::Params& params,
-                          const engine::Engine& eng,
-                          const common::Stopwatch& offline) {
-  const double offline_ms = offline.ElapsedMs();
-  common::Stopwatch online;
-  ClusteringResult result =
-      ToResult(CkMeans::RunOnMoments(view, k, seed, params, eng), k);
-  result.online_ms = online.ElapsedMs();
-  result.offline_ms = offline_ms;
-  return result;
-}
-
 }  // namespace
 
 // The one Lloyd loop. `view` needs only mean() and total_variance(): the
-// caller's moments, a reduced decode (io::ReducedMoments), or a mapped
-// moment store.
+// caller's moments, resident or mapped.
 // Every read goes through the view, and the sums and objective through the
 // shared blocked kernels, so the result does not depend on what backs it.
 CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
@@ -324,56 +296,20 @@ CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
   return out;
 }
 
-ClusteringResult CkMeans::Cluster(const data::UncertainDataset& data, int k,
-                                  uint64_t seed) const {
-  common::Stopwatch offline;
-  const uncertain::MomentView mm = data.moments().view();
-  return RunTimed(mm, k, seed, params_, engine(), offline);
-}
-
-bool CkMeans::ReducedFits(std::size_t n, std::size_t m,
-                          const engine::Engine& eng) {
-  const std::size_t budget = eng.memory_budget_bytes();
-  return budget == 0 || (m + 1) * n * sizeof(double) <= budget;
-}
-
-common::Result<ClusteringResult> CkMeans::ClusterReduced(
-    const io::ReducedMoments& reduced, int k, uint64_t seed,
-    const Params& params, const engine::Engine& eng,
-    const common::Stopwatch& offline) {
-  UCLUST_RETURN_NOT_OK(CheckK(reduced.path, k, reduced.n));
-  return RunTimed(reduced.view(), k, seed, params, eng, offline);
+ClusteringResult CkMeans::RunOnline(const uncertain::MomentView& mm, int k,
+                                    uint64_t seed) const {
+  return ToResult(RunOnMoments(mm, k, seed, params_, engine()), k);
 }
 
 common::Result<ClusteringResult> CkMeans::ClusterFile(
     const std::string& path, int k, uint64_t seed, const Params& params,
     const engine::Engine& eng, const std::string& moments_path) {
   common::Stopwatch offline;
-  std::size_t n = 0, m = 0;
-  {
-    io::BinaryDatasetReader header;
-    UCLUST_RETURN_NOT_OK(header.Open(path));
-    n = header.size();
-    m = header.dims();
-  }
-  UCLUST_RETURN_NOT_OK(CheckK(path, k, n));
-
-  if (ReducedFits(n, m, eng)) {
-    auto reduced = io::ReadReducedMoments(path);
-    UCLUST_RETURN_NOT_OK(reduced.status());
-    return ClusterReduced(reduced.ValueOrDie(), k, seed, params, eng,
-                          offline);
-  }
-
-  // Mapped form: the reduction alone exceeds the budget, so the moment
-  // store's auto rule spills to the .umom sidecar, and the loop reads its
-  // chunk windows in place.
-  io::MomentStoreOptions options;
-  options.sidecar_path = moments_path;
-  auto opened = io::StreamMomentStoreFromFile(path, eng, options);
-  UCLUST_RETURN_NOT_OK(opened.status());
-  const uncertain::MomentStorePtr store = std::move(opened).ValueOrDie();
-  return RunTimed(store->view(), k, seed, params, eng, offline);
+  auto store = OpenMomentStore(path, k, eng, moments_path);
+  UCLUST_RETURN_NOT_OK(store.status());
+  CkMeans ckmeans(params);
+  ckmeans.set_engine(eng);
+  return ckmeans.ClusterMoments(store.ValueOrDie()->view(), k, seed, offline);
 }
 
 }  // namespace uclust::clustering

@@ -12,8 +12,8 @@
 //      ||mu(o) - c||^2 (Eq. 8), so the Lloyd loop only ever reads each
 //      object's expected centroid mu(o) and the additive constant
 //      sigma^2(o) — the mean() and total_variance() of the caller's
-//      MomentView, read in place whatever backs it (flat columns, a mapped
-//      .umom store, or an io::ReducedMoments decode).
+//      MomentView, read in place whatever backs it (flat columns or a
+//      mapped .umom store).
 //
 //   2. Hamerly/Elkan bound pruning. A per-object Euclidean upper bound to
 //      the assigned center and a lower bound to the second-closest center
@@ -31,15 +31,13 @@
 //      so a pruning decision is always conservative and the surviving
 //      full scans reproduce the direct path's tie-breaking exactly.
 //
-// The file-backed driver ClusterFile runs the same loop over a .ubin
-// dataset in one of two forms, chosen by the engine memory budget: the
-// reduced representation ((m+1)*n doubles: the means and ED^ constants,
-// io::ReadReducedMoments) when it fits, handed to ClusterReduced, and
-// otherwise the mapped .umom moment store (io::StreamMomentStoreFromFile),
-// whose chunked view the loop reads in place. Either way the results are
-// bit-identical to RunOnMoments over the fully ingested file. A caller that
-// keeps a reduction across runs (the service's per-dataset cache) calls
-// ClusterReduced directly and skips the decode.
+// The file-backed driver ClusterFile opens the .ubin's moment store
+// through OpenMomentStore — resident columns when io::ResidentMomentsFit
+// holds for the engine budget, otherwise the mapped .umom sidecar, whose
+// chunked view the loop reads in place — and runs the same loop on it.
+// Either way the results are bit-identical to RunOnMoments over the fully
+// ingested file. A caller that keeps a store across runs (the service's
+// per-dataset cache) calls ClusterMoments on it and skips the decode.
 //
 // Accounting contract: center_distance_evals counts the object-to-center
 // ||mu(o) - c||^2 evaluations of the assignment sweeps and bounds_skipped
@@ -61,20 +59,15 @@
 #include <utility>
 #include <vector>
 
-#include "clustering/clusterer.h"
 #include "clustering/init.h"
+#include "clustering/moment_clusterer.h"
 #include "common/status.h"
-#include "common/stopwatch.h"
 #include "uncertain/moments.h"
-
-namespace uclust::io {
-struct ReducedMoments;
-}  // namespace uclust::io
 
 namespace uclust::clustering {
 
 /// UK-means as the bound-pruned Lloyd loop over expected values.
-class CkMeans final : public Clusterer {
+class CkMeans final : public MomentClusterer {
  public:
   /// Audit observer for the bound-invariant tests: fired after every drift
   /// maintenance step with the new centroids and the loosened bounds, so a
@@ -113,8 +106,8 @@ class CkMeans final : public Clusterer {
       : params_(std::move(params)), name_(std::move(name)) {}
 
   std::string name() const override { return name_; }
-  ClusteringResult Cluster(const data::UncertainDataset& data, int k,
-                           uint64_t seed) const override;
+  /// Replaces the Lloyd iteration cap (the service's JobSpec max_iters).
+  void set_max_iters(int max_iters) { params_.max_iters = max_iters; }
 
   /// Kernel entry point for pre-packed moment statistics: the bound-pruned
   /// Lloyd loop, reading mean() and total_variance() of `mm` in place (no
@@ -127,40 +120,25 @@ class CkMeans final : public Clusterer {
                                   engine::Engine::Serial());
 
   /// File-backed driver: clusters a binary .ubin dataset in bounded memory.
-  /// When ReducedFits(), io::ReadReducedMoments decodes the reduced
-  /// representation and ClusterReduced runs on it; otherwise the loop runs
-  /// on the mapped .umom moment store, built next to the dataset (or at
-  /// `moments_path` when non-empty) or reused when a matching sidecar is
-  /// already there. A store opened for a run keeps serving that snapshot
-  /// even if the .ubin is rewritten mid-run; the next call rebuilds the
-  /// sidecar. Labels, objective, iteration count and counters are
-  /// bit-identical to RunOnMoments over the fully ingested file at any
-  /// thread count. k outside [1, n] is InvalidArgument, checked before
-  /// anything is decoded.
+  /// OpenMomentStore checks k against the header (InvalidArgument outside
+  /// [1, n], before anything is decoded) and opens the moments: resident
+  /// when io::ResidentMomentsFit holds, otherwise the mapped .umom store,
+  /// built next to the dataset (or at `moments_path` when non-empty) or
+  /// reused when a matching sidecar is already there. A store opened for a
+  /// run keeps serving that snapshot even if the .ubin is rewritten
+  /// mid-run; the next call rebuilds the sidecar. offline_ms is the open,
+  /// online_ms the loop. Labels, objective, iteration count and counters
+  /// are bit-identical to RunOnMoments over the fully ingested file at any
+  /// thread count.
   static common::Result<ClusteringResult> ClusterFile(
       const std::string& path, int k, uint64_t seed, const Params& params,
       const engine::Engine& eng = engine::Engine::Serial(),
       const std::string& moments_path = "");
 
-  /// Clusters a decoded reduction: the k check, RunOnMoments over
-  /// reduced.view(), and the result. `offline` is a stopwatch started when
-  /// the caller began producing `reduced`; its reading on entry becomes
-  /// offline_ms (a fresh decode's time for ClusterFile, the cache lookup's
-  /// for the service). The result equals ClusterFile on the file the
-  /// reduction was decoded from, bit for bit.
-  static common::Result<ClusteringResult> ClusterReduced(
-      const io::ReducedMoments& reduced, int k, uint64_t seed,
-      const Params& params,
-      const engine::Engine& eng = engine::Engine::Serial(),
-      const common::Stopwatch& offline = common::Stopwatch());
-
-  /// Whether ClusterFile keeps the reduced representation of an n x m
-  /// dataset resident: (m+1)*n doubles fit the engine memory budget (or it
-  /// is unlimited).
-  static bool ReducedFits(std::size_t n, std::size_t m,
-                          const engine::Engine& eng);
-
  private:
+  ClusteringResult RunOnline(const uncertain::MomentView& mm, int k,
+                             uint64_t seed) const override;
+
   Params params_;
   std::string name_ = "CK-means";
 };

@@ -402,4 +402,14 @@ LocalSearchOutcome RunLocalSearchFrom(const uncertain::MomentView& moments,
   return out;
 }
 
+ClusteringResult LocalSearchResult(LocalSearchOutcome outcome, int k) {
+  ClusteringResult result;
+  result.labels = std::move(outcome.labels);
+  result.k_requested = k;
+  result.clusters_found = CountClusters(result.labels);
+  result.iterations = outcome.passes;
+  result.objective = outcome.objective;
+  return result;
+}
+
 }  // namespace uclust::clustering

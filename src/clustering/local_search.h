@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "clustering/cluster_stats.h"
+#include "clustering/clusterer.h"
 #include "clustering/init.h"
 #include "common/rng.h"
 #include "engine/engine.h"
@@ -172,6 +173,10 @@ LocalSearchOutcome RunLocalSearchFrom(const uncertain::MomentView& moments,
                                       std::vector<int> initial_labels,
                                       const engine::Engine& eng =
                                           engine::Engine::Serial());
+
+/// A UCPC or MMVar outcome as an untimed ClusteringResult: the labels, the
+/// moving passes as iterations, and the objective.
+ClusteringResult LocalSearchResult(LocalSearchOutcome outcome, int k);
 
 }  // namespace uclust::clustering
 

@@ -1,7 +1,5 @@
 #include "clustering/mmvar.h"
 
-#include "common/stopwatch.h"
-
 namespace uclust::clustering {
 
 LocalSearchOutcome Mmvar::RunOnMoments(const uncertain::MomentView& mm,
@@ -16,23 +14,9 @@ LocalSearchOutcome Mmvar::RunOnMoments(const uncertain::MomentView& mm,
   return RunLocalSearch(mm, k, ls, &rng, eng);
 }
 
-ClusteringResult Mmvar::Cluster(const data::UncertainDataset& data, int k,
-                                uint64_t seed) const {
-  common::Stopwatch offline;
-  const uncertain::MomentView mm = data.moments().view();
-  const double offline_ms = offline.ElapsedMs();
-
-  common::Stopwatch online;
-  LocalSearchOutcome outcome = RunOnMoments(mm, k, seed, params_, engine());
-  ClusteringResult result;
-  result.online_ms = online.ElapsedMs();
-  result.offline_ms = offline_ms;
-  result.labels = std::move(outcome.labels);
-  result.k_requested = k;
-  result.clusters_found = CountClusters(result.labels);
-  result.iterations = outcome.passes;
-  result.objective = outcome.objective;
-  return result;
+ClusteringResult Mmvar::RunOnline(const uncertain::MomentView& mm, int k,
+                                  uint64_t seed) const {
+  return LocalSearchResult(RunOnMoments(mm, k, seed, params_, engine()), k);
 }
 
 }  // namespace uclust::clustering

@@ -5,13 +5,13 @@
 #ifndef UCLUST_CLUSTERING_MMVAR_H_
 #define UCLUST_CLUSTERING_MMVAR_H_
 
-#include "clustering/clusterer.h"
 #include "clustering/local_search.h"
+#include "clustering/moment_clusterer.h"
 
 namespace uclust::clustering {
 
 /// The MMVar algorithm.
-class Mmvar final : public Clusterer {
+class Mmvar final : public MomentClusterer {
  public:
   /// Tuning knobs.
   struct Params {
@@ -24,8 +24,6 @@ class Mmvar final : public Clusterer {
   explicit Mmvar(const Params& params) : params_(params) {}
 
   std::string name() const override { return "MMVar"; }
-  ClusteringResult Cluster(const data::UncertainDataset& data, int k,
-                           uint64_t seed) const override;
 
   /// Kernel entry point for pre-packed moment statistics. Results are
   /// bit-identical for any engine thread count.
@@ -41,6 +39,9 @@ class Mmvar final : public Clusterer {
   }
 
  private:
+  ClusteringResult RunOnline(const uncertain::MomentView& mm, int k,
+                             uint64_t seed) const override;
+
   Params params_;
 };
 

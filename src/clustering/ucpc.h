@@ -6,13 +6,13 @@
 #ifndef UCLUST_CLUSTERING_UCPC_H_
 #define UCLUST_CLUSTERING_UCPC_H_
 
-#include "clustering/clusterer.h"
 #include "clustering/local_search.h"
+#include "clustering/moment_clusterer.h"
 
 namespace uclust::clustering {
 
 /// The UCPC algorithm.
-class Ucpc final : public Clusterer {
+class Ucpc final : public MomentClusterer {
  public:
   /// Tuning knobs.
   struct Params {
@@ -25,8 +25,6 @@ class Ucpc final : public Clusterer {
   explicit Ucpc(const Params& params) : params_(params) {}
 
   std::string name() const override { return "UCPC"; }
-  ClusteringResult Cluster(const data::UncertainDataset& data, int k,
-                           uint64_t seed) const override;
 
   /// Kernel entry point for pre-packed moment statistics (used by the
   /// scalability benches; numerically identical to Cluster()). Results are
@@ -43,6 +41,9 @@ class Ucpc final : public Clusterer {
   }
 
  private:
+  ClusteringResult RunOnline(const uncertain::MomentView& mm, int k,
+                             uint64_t seed) const override;
+
   Params params_;
 };
 

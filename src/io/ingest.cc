@@ -46,34 +46,10 @@ common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
   return mm;
 }
 
-common::Result<ReducedMoments> ReadReducedMoments(const std::string& path,
-                                                  std::size_t batch_size) {
-  ReducedMoments out;
-  out.path = path;
-  // Described before the file is even opened: a rename or rewrite that
-  // lands after this point leaves the triple older than the bytes decoded,
-  // which a later staleness check reports as stale, never the reverse.
-  auto source = DescribeSource(path);
-  UCLUST_RETURN_NOT_OK(source.status());
-  out.source = source.ValueOrDie();
-  BinaryDatasetReader reader;
-  UCLUST_RETURN_NOT_OK(reader.Open(path));
-  out.n = reader.size();
-  out.m = reader.dims();
-  const std::size_t n = out.n;
-  const std::size_t m = out.m;
-  out.means.resize(n * m);
-  out.constants.resize(n);
-  const std::size_t scratch = std::min(batch_size, n);
-  std::vector<double> mu2(scratch * m), var(scratch * m);
-  for (std::size_t done = 0; done < n;) {
-    std::size_t rows = 0;
-    UCLUST_RETURN_NOT_OK(reader.ReadMomentRows(
-        batch_size, &rows, out.means.data() + done * m, mu2.data(),
-        var.data(), out.constants.data() + done));
-    done += rows;
-  }
-  return out;
+bool ResidentMomentsFit(std::size_t n, std::size_t m,
+                        const engine::Engine& eng) {
+  const std::size_t budget = eng.memory_budget_bytes();
+  return budget == 0 || (3 * m + 1) * n * sizeof(double) <= budget;
 }
 
 common::Status BuildMomentSidecar(const std::string& dataset_path,
@@ -120,11 +96,8 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
   // the decision never requires materializing anything.
   MomentBackendChoice choice = options.backend;
   if (choice == MomentBackendChoice::kAuto) {
-    const std::size_t budget = eng.memory_budget_bytes();
-    const std::size_t resident_bytes = (3 * n * m + n) * sizeof(double);
-    choice = (budget == 0 || resident_bytes <= budget)
-                 ? MomentBackendChoice::kResident
-                 : MomentBackendChoice::kMapped;
+    choice = ResidentMomentsFit(n, m, eng) ? MomentBackendChoice::kResident
+                                           : MomentBackendChoice::kMapped;
   }
 
   if (choice == MomentBackendChoice::kResident) {

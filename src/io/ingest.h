@@ -10,16 +10,14 @@
 //   * StreamMomentsFromFile — the classic fully-resident MomentMatrix; peak
 //     memory is the O(n m) moment columns.
 //   * StreamMomentStoreFromFile — returns a MomentStore whose backend is
-//     selected by EngineConfig::memory_budget_bytes: Resident when the
-//     columns fit the budget (or it is unlimited), Mapped otherwise. On the
-//     Mapped path BuildMomentSidecar decodes one batch of rows at a time
-//     into a .umom sidecar (see moment_file.h), so peak memory is
-//     O(batch + chunk) regardless of n, and a valid matching sidecar from
-//     an earlier run is reused instead of rebuilt.
-//   * ReadReducedMoments — only what the CK-means Lloyd loop reads: the
-//     expected centroids and the ED^ constants, (m+1)*n doubles, tagged
-//     with the source triple they were decoded from. CkMeans::ClusterFile
-//     decodes through it, and the service keeps one per registered dataset.
+//     selected by EngineConfig::memory_budget_bytes: Resident when
+//     ResidentMomentsFit holds, Mapped otherwise. On the Mapped path
+//     BuildMomentSidecar decodes one batch of rows at a time into a .umom
+//     sidecar (see moment_file.h), so peak memory is O(batch + chunk)
+//     regardless of n, and a valid matching sidecar from an earlier run is
+//     reused instead of rebuilt. Every file-backed centroid run
+//     (clustering::OpenMomentStore) and the service's per-dataset cache
+//     open their moments here.
 #ifndef UCLUST_IO_INGEST_H_
 #define UCLUST_IO_INGEST_H_
 
@@ -30,7 +28,6 @@
 
 #include "common/status.h"
 #include "engine/engine.h"
-#include "io/chunked_sidecar.h"
 #include "uncertain/moment_store.h"
 #include "uncertain/moments.h"
 
@@ -46,10 +43,16 @@ common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
     const std::string& path, std::size_t batch_size = kDefaultIngestBatch,
     std::vector<int>* labels = nullptr, std::string* dataset_name = nullptr);
 
+/// Whether the resident moment columns of an n x m dataset, (3m + 1) * n
+/// doubles, fit eng's memory budget (0 = unlimited, mirroring
+/// PairwiseStore): the one resident-or-mapped rule of every moment
+/// consumer.
+bool ResidentMomentsFit(std::size_t n, std::size_t m,
+                        const engine::Engine& eng);
+
 /// How StreamMomentStoreFromFile picks the MomentStore backend.
 enum class MomentBackendChoice {
-  kAuto,      ///< Resident iff the columns fit eng.memory_budget_bytes()
-              ///< (0 = unlimited = Resident, mirroring PairwiseStore).
+  kAuto,      ///< Resident iff ResidentMomentsFit(n, m, eng).
   kResident,  ///< Force the flat in-memory columns.
   kMapped,    ///< Force the mmap-backed .umom sidecar.
 };
@@ -81,37 +84,6 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
     const engine::Engine& eng = engine::Engine::Serial(),
     const MomentStoreOptions& options = {},
     std::vector<int>* labels = nullptr, std::string* dataset_name = nullptr);
-
-/// The reduced moment form of a dataset file: per object the expected
-/// centroid mu(o) and the ED^ constant sigma^2(o) (the total variance), all
-/// the CK-means Lloyd loop reads.
-struct ReducedMoments {
-  std::string path;  ///< the dataset file it was decoded from
-  std::size_t n = 0;
-  std::size_t m = 0;
-  std::vector<double> means;      ///< row-major n x m
-  std::vector<double> constants;  ///< n ED^ constants
-  /// `path`'s source triple, taken before the decode: a file rewritten
-  /// while it ran compares unequal to DescribeSource(path) afterwards.
-  SidecarSource source;
-
-  /// A view backing only mean() and total_variance().
-  uncertain::MomentView view() const {
-    return uncertain::MomentView(n, m, means.data(), /*mu2=*/nullptr,
-                                 /*var=*/nullptr, constants.data());
-  }
-  /// Payload bytes: (m + 1) * n doubles.
-  std::size_t bytes() const {
-    return (means.size() + constants.size()) * sizeof(double);
-  }
-};
-
-/// Decodes `path` into its reduced moment form, `batch_size` rows per decode
-/// call; the mu2/var columns only pass through one batch of scratch. The
-/// values are bit-identical to the mean()/total_variance() columns of
-/// StreamMomentsFromFile.
-common::Result<ReducedMoments> ReadReducedMoments(
-    const std::string& path, std::size_t batch_size = kDefaultIngestBatch);
 
 /// Builds (or rebuilds) the .umom moment sidecar for a binary dataset file
 /// in one bounded-memory pass: ReadMomentRows batches of `batch_size` rows

@@ -5,6 +5,7 @@
 
 #include "io/chunked_sidecar.h"
 #include "io/dataset_reader.h"
+#include "io/ingest.h"
 #include "service/log.h"
 
 namespace uclust::service {
@@ -91,13 +92,15 @@ std::size_t DatasetRegistry::size() const {
   return datasets_.size();
 }
 
-common::Result<std::shared_ptr<const io::ReducedMoments>>
-DatasetRegistry::ReducedMomentsFor(const std::string& id,
-                                   MomentCacheUse* use) const {
+common::Result<std::shared_ptr<const uncertain::MomentStore>>
+DatasetRegistry::MomentsFor(const std::string& id, MomentCacheUse* use) const {
   common::Result<DatasetInfo> info = Get(id);
   UCLUST_RETURN_NOT_OK(info.status());
   const std::string& path = info.ValueOrDie().path;
-  // Revalidate outside the lock: describing the file touches the disk.
+  // Revalidate outside the lock: describing the file touches the disk. The
+  // triple is taken before any decode, so a rewrite that lands after this
+  // point leaves an entry older than its bytes, which the next lookup
+  // reports as stale, never the reverse.
   common::Result<io::SidecarSource> source = io::DescribeSource(path);
   UCLUST_RETURN_NOT_OK(source.status());
 
@@ -105,33 +108,35 @@ DatasetRegistry::ReducedMomentsFor(const std::string& id,
   CacheEntry& entry = cache_[id];  // map nodes stay put while unlocked
   // Another lookup decoding this dataset fills the entry for us too.
   cache_cv_.wait(lock, [&entry] { return !entry.filling; });
-  if (entry.reduced != nullptr &&
-      entry.reduced->source == source.ValueOrDie()) {
+  if (entry.store != nullptr && entry.source == source.ValueOrDie()) {
     ++cache_stats_.hits;
     if (use != nullptr) *use = MomentCacheUse::kHit;
-    return entry.reduced;
+    return entry.store;
   }
-  if (entry.reduced != nullptr) {
+  if (entry.store != nullptr) {
     // Stale: drop the cache's reference. Jobs holding it keep theirs.
     --cache_stats_.entries;
-    cache_stats_.bytes -= entry.reduced->bytes();
+    cache_stats_.bytes -= entry.store->moment_bytes_resident();
     ++cache_stats_.invalidations;
-    entry.reduced.reset();
+    entry.store.reset();
   }
   entry.filling = true;
   lock.unlock();
-  common::Result<io::ReducedMoments> decoded = io::ReadReducedMoments(path);
+  io::MomentStoreOptions resident;
+  resident.backend = io::MomentBackendChoice::kResident;
+  common::Result<uncertain::MomentStorePtr> decoded =
+      io::StreamMomentStoreFromFile(path, engine::Engine::Serial(), resident);
   lock.lock();
   entry.filling = false;
   cache_cv_.notify_all();
   UCLUST_RETURN_NOT_OK(decoded.status());
-  entry.reduced = std::make_shared<const io::ReducedMoments>(
-      std::move(decoded).ValueOrDie());
+  entry.store = std::move(decoded).ValueOrDie();
+  entry.source = source.ValueOrDie();
   ++cache_stats_.entries;
-  cache_stats_.bytes += entry.reduced->bytes();
+  cache_stats_.bytes += entry.store->moment_bytes_resident();
   ++cache_stats_.fills;
   if (use != nullptr) *use = MomentCacheUse::kFill;
-  return entry.reduced;
+  return entry.store;
 }
 
 MomentCacheStats DatasetRegistry::moment_cache_stats() const {

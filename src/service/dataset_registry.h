@@ -13,10 +13,12 @@
 // samples-per-object and seed for samples) decide reuse-vs-rebuild exactly
 // as the CLI tools do.
 //
-// The registry also keeps each dataset's decoded-moment cache entry: the
-// io::ReducedMoments CK-means jobs run on, decoded on the first lookup and
-// shared by every later job while the file's source triple (byte size,
-// mtime, content probe) is unchanged. Registration never decodes.
+// The registry also keeps each dataset's decoded-moment cache entry: one
+// resident MomentStore ((3m + 1) * n doubles, the offline phase of every
+// centroid algorithm) that UCPC, MMVar and UK-means / CK-means jobs run
+// on, decoded on the first lookup and shared by every later job while the
+// file's source triple (byte size, mtime, content probe) is unchanged.
+// Registration never decodes.
 #ifndef UCLUST_SERVICE_DATASET_REGISTRY_H_
 #define UCLUST_SERVICE_DATASET_REGISTRY_H_
 
@@ -29,7 +31,8 @@
 #include <vector>
 
 #include "common/status.h"
-#include "io/ingest.h"
+#include "io/chunked_sidecar.h"
+#include "uncertain/moment_store.h"
 
 namespace uclust::service {
 
@@ -47,8 +50,8 @@ struct DatasetInfo {
   std::string samples_path;  // optional .usmp sidecar ("" = none)
 };
 
-/// How a job got its reduced moments: from the cache, by filling it, or
-/// not through the cache at all.
+/// How a job got its moments: from the cache, by filling it, or not
+/// through the cache at all.
 enum class MomentCacheUse { kNone, kHit, kFill };
 
 /// "none" / "hit" / "fill" — the job_finish log's moment_cache value.
@@ -56,8 +59,8 @@ const char* MomentCacheUseName(MomentCacheUse use);
 
 /// The decoded-moment cache's counters (GET /v1/metrics "moment_cache").
 struct MomentCacheStats {
-  std::size_t entries = 0;  ///< gauge: datasets holding a reduction
-  std::size_t bytes = 0;    ///< gauge: the payload bytes of those
+  std::size_t entries = 0;  ///< gauge: datasets holding a moment store
+  std::size_t bytes = 0;    ///< gauge: the moment bytes of those
   std::uint64_t hits = 0;
   std::uint64_t fills = 0;
   std::uint64_t invalidations = 0;  ///< stale entries replaced
@@ -85,20 +88,21 @@ class DatasetRegistry {
 
   std::size_t size() const;
 
-  /// The reduced moment form of dataset `id` (io::ReadReducedMoments),
-  /// decoded at most once per source triple. Every lookup re-describes the
-  /// file; an entry whose triple differs is stale and replaced, while jobs
-  /// that already hold it keep their snapshot. Concurrent lookups that
-  /// find no valid entry wait for a single decode. `use` (optional)
-  /// receives kHit or kFill. Logically const: the catalog never changes.
-  common::Result<std::shared_ptr<const io::ReducedMoments>> ReducedMomentsFor(
+  /// The resident moment store of dataset `id`, decoded at most once per
+  /// source triple. Every lookup re-describes the file; an entry whose
+  /// triple differs is stale and replaced, while jobs that already hold it
+  /// keep their snapshot. Concurrent lookups that find no valid entry wait
+  /// for a single decode. `use` (optional) receives kHit or kFill.
+  /// Logically const: the catalog never changes.
+  common::Result<std::shared_ptr<const uncertain::MomentStore>> MomentsFor(
       const std::string& id, MomentCacheUse* use = nullptr) const;
 
   MomentCacheStats moment_cache_stats() const;
 
  private:
   struct CacheEntry {
-    std::shared_ptr<const io::ReducedMoments> reduced;
+    std::shared_ptr<const uncertain::MomentStore> store;
+    io::SidecarSource source;  // described before the decode began
     bool filling = false;  // a lookup is decoding this dataset right now
   };
 

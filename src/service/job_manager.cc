@@ -4,10 +4,12 @@
 #include <chrono>
 
 #include "clustering/ckmeans.h"
+#include "clustering/moment_clusterer.h"
 #include "clustering/registry.h"
 #include "common/stopwatch.h"
 #include "engine/cpu_spread.h"
 #include "io/dataset_reader.h"
+#include "io/ingest.h"
 #include "service/log.h"
 
 namespace uclust::service {
@@ -21,33 +23,47 @@ double UptimeMs() {
       .count();
 }
 
-/// The real clustering runner. UK-means / CK-means run the bounded-memory
-/// CK-means driver (bit-identical to the direct sweeps by the library
-/// contract). When the (m+1)*n-double reduction fits the job's budget and
-/// `cache` is given (no global budget), the job runs on the registry's
-/// cached reduction; otherwise CkMeans::ClusterFile decodes into the job's
-/// own admitted budget, or over budget maps the registered .umom sidecar
-/// (<dataset>.umom when none is registered). Every other algorithm loads
-/// the dataset fully resident and dispatches through the registry.
+/// The real clustering runner. A moment algorithm (UCPC, MMVar, UK-means /
+/// CK-means) runs its online phase on one of two moment stores. Without a
+/// global budget (`cache` given) and when io::ResidentMomentsFit holds for
+/// the job's budget, it is the registry's cached store; otherwise
+/// OpenMomentStore decodes into the job's own admitted budget, or over
+/// budget maps the registered .umom sidecar (<dataset>.umom when none is
+/// registered). Every other algorithm loads the dataset fully resident.
+/// Both routes are bit-identical to MakeClusterer(name)->Cluster on the
+/// file. The spec's max_iters caps the CK-means Lloyd loop only.
 common::Result<clustering::ClusteringResult> RunClusteringJob(
     const JobSpec& spec, const DatasetInfo& dataset,
     const engine::EngineConfig& engine_cfg, const DatasetRegistry* cache,
     MomentCacheUse* use) {
   engine::Engine eng(engine_cfg);
-  if (spec.algorithm == "UK-means" || spec.algorithm == "CK-means") {
-    clustering::CkMeans::Params params;
-    params.max_iters = spec.max_iters;
-    params.init = clustering::InitStrategy::kRandom;
+  common::Result<std::unique_ptr<clustering::Clusterer>> made =
+      clustering::MakeClusterer(spec.algorithm, eng);
+  UCLUST_RETURN_NOT_OK(made.status());
+  const std::unique_ptr<clustering::Clusterer> clusterer =
+      std::move(made).ValueOrDie();
+  if (auto* ckmeans = dynamic_cast<clustering::CkMeans*>(clusterer.get())) {
+    ckmeans->set_max_iters(spec.max_iters);
+  }
+  if (const auto* moments =
+          dynamic_cast<const clustering::MomentClusterer*>(clusterer.get())) {
+    common::Stopwatch offline;  // a hit's offline time is the lookup
+    std::shared_ptr<const uncertain::MomentStore> store;
     if (cache != nullptr &&
-        clustering::CkMeans::ReducedFits(dataset.n, dataset.m, eng)) {
-      common::Stopwatch offline;  // a hit's offline time is the lookup
-      auto reduced = cache->ReducedMomentsFor(dataset.id, use);
-      UCLUST_RETURN_NOT_OK(reduced.status());
-      return clustering::CkMeans::ClusterReduced(
-          *reduced.ValueOrDie(), spec.k, spec.seed, params, eng, offline);
+        io::ResidentMomentsFit(dataset.n, dataset.m, eng)) {
+      auto cached = cache->MomentsFor(dataset.id, use);
+      UCLUST_RETURN_NOT_OK(cached.status());
+      store = std::move(cached).ValueOrDie();
+      // The file may have lost objects since Submit checked k.
+      UCLUST_RETURN_NOT_OK(
+          clustering::CheckK(dataset.path, spec.k, store->size()));
+    } else {
+      auto opened = clustering::OpenMomentStore(dataset.path, spec.k, eng,
+                                                dataset.moments_path);
+      UCLUST_RETURN_NOT_OK(opened.status());
+      store = std::move(opened).ValueOrDie();
     }
-    return clustering::CkMeans::ClusterFile(dataset.path, spec.k, spec.seed,
-                                            params, eng, dataset.moments_path);
+    return moments->ClusterMoments(store->view(), spec.k, spec.seed, offline);
   }
   common::Result<data::UncertainDataset> read =
       io::ReadUncertainDataset(dataset.path);
@@ -58,10 +74,7 @@ common::Result<clustering::ClusteringResult> RunClusteringJob(
   if (!dataset.samples_path.empty()) {
     ds.set_samples_sidecar_path(dataset.samples_path);
   }
-  common::Result<std::unique_ptr<clustering::Clusterer>> clusterer =
-      clustering::MakeClusterer(spec.algorithm, eng);
-  if (!clusterer.ok()) return clusterer.status();
-  return clusterer.ValueOrDie()->Cluster(ds, spec.k, spec.seed);
+  return clusterer->Cluster(ds, spec.k, spec.seed);
 }
 
 }  // namespace

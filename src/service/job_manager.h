@@ -19,11 +19,13 @@
 //     observable via the max_running_concurrent metric.
 //   * The admitted b is written into the job's EngineConfig before the run,
 //     so the engine-level budget machinery (tiled pairwise stores, mapped
-//     moment columns, the mapped CK-means branch) enforces per-job what
-//     admission granted globally.
+//     moment and sample stores) enforces per-job what admission granted
+//     globally.
 //   * With B > 0 the registry's decoded-moment cache is not used: its bytes
-//     would sit outside every admitted b. With B = 0, CK-means jobs whose
-//     reduction fits their own budget share DatasetRegistry's cached one.
+//     would sit outside every admitted b. With B = 0, UCPC, MMVar and
+//     UK-means / CK-means jobs whose (3m + 1) * n moment doubles fit their
+//     own budget (io::ResidentMomentsFit) share DatasetRegistry's cached
+//     store.
 #ifndef UCLUST_SERVICE_JOB_MANAGER_H_
 #define UCLUST_SERVICE_JOB_MANAGER_H_
 

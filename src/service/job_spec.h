@@ -26,13 +26,16 @@ namespace uclust::service {
 
 struct JobSpec {
   std::string dataset_id;
-  /// Any clustering::RegisteredClusterers() name. "UK-means" and "CK-means"
-  /// (one algorithm under two names) run through the bounded-memory
-  /// file-backed CK-means driver; every other algorithm loads the dataset
-  /// fully resident.
+  /// Any clustering::RegisteredClusterers() name. The moment algorithms
+  /// (UCPC, MMVar, and "UK-means" / "CK-means", one algorithm under two
+  /// names) run on the dataset's moment store: the registry's cached one,
+  /// or resident or mapped within the job's budget. Every other algorithm
+  /// loads the dataset fully resident.
   std::string algorithm = "CK-means";
   int k = 0;
   std::uint64_t seed = 0;
+  /// Lloyd iteration cap of UK-means / CK-means; every other algorithm
+  /// keeps its own default cap.
   int max_iters = 100;
   /// Include the per-object labels array in the result JSON (counters and
   /// objective are always included).

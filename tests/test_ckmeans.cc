@@ -4,8 +4,7 @@
 // moment backend, the maintained bounds must actually bound, the
 // evaluation counters must satisfy their accounting contract, the registry
 // must build it under both names, and the file-backed driver must match the
-// fully ingested run in both its reduced-resident and its mapped .umom
-// branch.
+// fully ingested run in both its resident and its mapped .umom branch.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -449,7 +448,7 @@ TEST(Ckmeans, RegistryEntryMatchesUkmeans) {
 }
 
 // ---------------------------------------------------------------------------
-// File-backed driver: the reduced-resident and the mapped .umom branches.
+// File-backed driver: the resident and the mapped .umom branches.
 
 constexpr InitStrategy kInits[] = {InitStrategy::kRandom,
                                    InitStrategy::kPlusPlus};
@@ -470,7 +469,9 @@ struct FileFixture {
   CkMeans::Outcome direct[2];  // indexed by InitStrategy
   CkMeans::Outcome fast[2];
 
-  std::size_t reduced_bytes() const { return (m + 1) * n * sizeof(double); }
+  std::size_t resident_bytes() const {
+    return (3 * m + 1) * n * sizeof(double);
+  }
 };
 
 void RunReferences(FileFixture* f) {
@@ -524,15 +525,26 @@ void RemoveFixture(const FileFixture& f, const std::string& sidecar) {
 }
 
 // Unlimited, exactly-fitting and one-byte-short budgets: the first two keep
-// the reduction resident, the last runs on the mapped store.
+// the (3m + 1) * n moment doubles resident, the last runs on the mapped
+// store.
 TEST(CkmeansClusterFile, EveryBudgetMatchesIngestedRun) {
   const FileFixture f = MakeFileFixture(600);
   const std::string sidecar = TempPath("ckmeans_budget.umom");
   std::remove(sidecar.c_str());
   for (const std::size_t budget :
-       {std::size_t{0}, f.reduced_bytes(), f.reduced_bytes() - 1}) {
-    const bool reduced = budget != f.reduced_bytes() - 1;
-    EXPECT_EQ(CkMeans::ReducedFits(f.n, f.m, EngineWith(1, budget)), reduced);
+       {std::size_t{0}, f.resident_bytes(), f.resident_bytes() - 1}) {
+    const bool resident = budget != f.resident_bytes() - 1;
+    EXPECT_EQ(io::ResidentMomentsFit(f.n, f.m, EngineWith(1, budget)),
+              resident);
+    {
+      auto store = OpenMomentStore(f.path, f.k, EngineWith(1, budget),
+                                   sidecar);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      EXPECT_EQ(store.ValueOrDie()->backend(),
+                resident ? uncertain::MomentBackend::kResident
+                         : uncertain::MomentBackend::kMapped)
+          << "budget=" << budget;
+    }
     for (int threads : kThreadCounts) {
       for (const InitStrategy init : kInits) {
         const std::string trace = "budget=" + std::to_string(budget) +
@@ -547,7 +559,7 @@ TEST(CkmeansClusterFile, EveryBudgetMatchesIngestedRun) {
       }
     }
     // Only the mapped branch writes a sidecar.
-    EXPECT_EQ(std::filesystem::exists(sidecar), !reduced)
+    EXPECT_EQ(std::filesystem::exists(sidecar), !resident)
         << "budget=" << budget;
   }
   RemoveFixture(f, sidecar);
@@ -570,7 +582,7 @@ TEST(CkmeansClusterFile, MappedSweepMatchesIngestedRun) {
         engine::EngineConfig config;
         config.num_threads = threads;
         config.block_size = 128;
-        config.memory_budget_bytes = 2048;  // far below the reduction
+        config.memory_budget_bytes = 2048;  // far below the moment columns
         config.moment_chunk_rows = chunk_rows;
         CkMeans::Params p;
         p.init = init;
@@ -691,7 +703,7 @@ TEST(CkmeansProperty, AccountingIdentityOnRandomInstances) {
         << trace;
     ++(out.converged ? converged : capped);
 
-    ASSERT_FALSE(CkMeans::ReducedFits(gp.n, gp.m, EngineWith(2, 1)));
+    ASSERT_FALSE(io::ResidentMomentsFit(gp.n, gp.m, EngineWith(2, 1)));
     std::remove(sidecar.c_str());
     auto file = CkMeans::ClusterFile(path, k, seed, p, EngineWith(2, 1),
                                      sidecar);

@@ -230,22 +230,6 @@ void ExpectEveryDecoderMatchesObjects(const std::string& path) {
     ExpectBitIdentical(oracle, streamed.ValueOrDie());
   }
 
-  auto reduced = io::ReadReducedMoments(path, /*batch_size=*/7);
-  ASSERT_TRUE(reduced.ok()) << reduced.status().ToString();
-  const MomentView rv = reduced.ValueOrDie().view();
-  ASSERT_EQ(rv.size(), oracle.size());
-  ASSERT_EQ(rv.dims(), oracle.dims());
-  EXPECT_EQ(reduced.ValueOrDie().bytes(),
-            (oracle.dims() + 1) * oracle.size() * sizeof(double));
-  for (std::size_t i = 0; i < rv.size(); ++i) {
-    ASSERT_EQ(0, std::memcmp(rv.mean(i).data(), oracle.view().mean(i).data(),
-                             rv.dims() * sizeof(double)))
-        << "reduced mean row " << i;
-    const double ta = rv.total_variance(i), tb = oracle.total_variance(i);
-    ASSERT_EQ(0, std::memcmp(&ta, &tb, sizeof(double)))
-        << "reduced constant " << i;
-  }
-
   const std::string sidecar = path + ".parity.umom";
   for (const auto backend : {io::MomentBackendChoice::kResident,
                              io::MomentBackendChoice::kMapped}) {

@@ -27,6 +27,7 @@
 #include "common/rng.h"
 #include "data/synthetic_gen.h"
 #include "engine/engine.h"
+#include "io/dataset_reader.h"
 #include "io/ingest.h"
 #include "service/dataset_registry.h"
 #include "service/job_manager.h"
@@ -401,10 +402,10 @@ std::uintmax_t FileBytes(const std::string& path) {
   return static_cast<std::uintmax_t>(in.tellg());
 }
 
-// A reduction handed out before the file changes is a snapshot: the rewrite
-// makes the next lookup decode the new bytes, and the old pointer still
-// holds the old ones.
-TEST(DatasetRegistry, ReducedMomentsSnapshotSurvivesARewrite) {
+// A moment store handed out before the file changes is a snapshot: the
+// rewrite makes the next lookup decode the new bytes, and the old pointer
+// still serves the old ones.
+TEST(DatasetRegistry, MomentStoreSnapshotSurvivesARewrite) {
   const std::string path = testing::TempDir() + "/uclust_cache_snapshot.ubin";
   WriteCacheDataset(path, 21);
   DatasetRegistry registry;
@@ -413,13 +414,24 @@ TEST(DatasetRegistry, ReducedMomentsSnapshotSurvivesARewrite) {
   EXPECT_EQ(registry.moment_cache_stats().entries, 0u);  // no decode yet
 
   MomentCacheUse use = MomentCacheUse::kNone;
-  auto first = registry.ReducedMomentsFor("ds-1", &use);
+  auto first = registry.MomentsFor("ds-1", &use);
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(use, MomentCacheUse::kFill);
-  const std::shared_ptr<const io::ReducedMoments> old = first.ValueOrDie();
-  const std::vector<double> old_means = old->means;
-  const std::vector<double> old_constants = old->constants;
-  auto again = registry.ReducedMomentsFor("ds-1", &use);
+  const std::shared_ptr<const uncertain::MomentStore> old = first.ValueOrDie();
+  EXPECT_EQ(old->backend(), uncertain::MomentBackend::kResident);
+  const auto rows = [](const uncertain::MomentStore& store) {
+    const uncertain::MomentView v = store.view();
+    std::vector<double> out;
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      for (const auto column : {v.mean(i), v.second_moment(i), v.variance(i)}) {
+        out.insert(out.end(), column.begin(), column.end());
+      }
+      out.push_back(v.total_variance(i));
+    }
+    return out;
+  };
+  const std::vector<double> old_rows = rows(*old);
+  auto again = registry.MomentsFor("ds-1", &use);
   ASSERT_TRUE(again.ok());
   EXPECT_EQ(use, MomentCacheUse::kHit);
   EXPECT_EQ(again.ValueOrDie().get(), old.get());
@@ -427,21 +439,20 @@ TEST(DatasetRegistry, ReducedMomentsSnapshotSurvivesARewrite) {
   const std::uintmax_t bytes_before = FileBytes(path);
   WriteCacheDataset(path, 22);
   ASSERT_EQ(FileBytes(path), bytes_before);
-  auto fresh = registry.ReducedMomentsFor("ds-1", &use);
+  auto fresh = registry.MomentsFor("ds-1", &use);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
   EXPECT_EQ(use, MomentCacheUse::kFill);
   EXPECT_NE(fresh.ValueOrDie().get(), old.get());
-  EXPECT_NE(fresh.ValueOrDie()->means, old_means);
+  EXPECT_NE(rows(*fresh.ValueOrDie()), old_rows);
 
-  EXPECT_EQ(old->means, old_means);
-  EXPECT_EQ(old->constants, old_constants);
+  EXPECT_EQ(rows(*old), old_rows);
   const MomentCacheStats stats = registry.moment_cache_stats();
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.bytes, fresh.ValueOrDie()->bytes());
+  EXPECT_EQ(stats.bytes, (3u * 4u + 1u) * 150u * sizeof(double));
   EXPECT_EQ(stats.fills, 2u);
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.invalidations, 1u);
-  EXPECT_FALSE(registry.ReducedMomentsFor("ds-9").ok());
+  EXPECT_FALSE(registry.MomentsFor("ds-9").ok());
   std::remove(path.c_str());
 }
 
@@ -786,6 +797,89 @@ HttpRequest Req(const std::string& method, const std::string& target,
   return req;
 }
 
+std::string RegisterOver(ClusteringService* svc, const std::string& path) {
+  HttpResponse reg = svc->Handle(
+      Req("POST", "/v1/datasets", "{\"path\": \"" + path + "\"}"));
+  EXPECT_EQ(reg.status, 201) << reg.body;
+  return common::ParseJson(reg.body).ValueOrDie().Find("id")->AsString();
+}
+
+// Submits `algorithm` at k = 3 and returns the job id. max_iters caps
+// CK-means only.
+std::string SubmitJob(ClusteringService* svc, const std::string& ds_id,
+                      const std::string& algorithm, uint64_t seed,
+                      const std::string& engine = "{}", int max_iters = 30) {
+  HttpResponse submit = svc->Handle(Req(
+      "POST", "/v1/jobs",
+      "{\"dataset_id\": \"" + ds_id + "\", \"algorithm\": \"" + algorithm +
+          "\", \"k\": 3, \"seed\": " + std::to_string(seed) +
+          ", \"max_iters\": " + std::to_string(max_iters) +
+          ", \"engine\": " + engine + "}"));
+  EXPECT_EQ(submit.status, 202) << submit.body;
+  return common::ParseJson(submit.body).ValueOrDie().Find("job_id")->AsString();
+}
+
+std::string SubmitCkmeans(ClusteringService* svc, const std::string& ds_id,
+                          uint64_t seed, const std::string& engine = "{}") {
+  return SubmitJob(svc, ds_id, "CK-means", seed, engine);
+}
+
+std::string JobFingerprint(ClusteringService* svc, const std::string& job) {
+  EXPECT_TRUE(svc->jobs().Wait(job, 30000));
+  HttpResponse result = svc->Handle(Req("GET", "/v1/jobs/" + job + "/result"));
+  EXPECT_EQ(result.status, 200) << result.body;
+  auto json = common::ParseJson(result.body);
+  if (!json.ok() || json.ValueOrDie().Find("result") == nullptr) return "";
+  return json.ValueOrDie().Find("result")->Find("fingerprint")->AsString();
+}
+
+std::string DirectFingerprint(const std::string& path, uint64_t seed) {
+  clustering::CkMeans::Params params;
+  params.max_iters = 30;
+  auto direct = clustering::CkMeans::ClusterFile(path, 3, seed, params);
+  EXPECT_TRUE(direct.ok()) << direct.status().ToString();
+  if (!direct.ok()) return "direct run failed";
+  return clustering::FingerprintHex(clustering::ResultFingerprint(
+      direct.ValueOrDie().labels, direct.ValueOrDie().objective));
+}
+
+// The library call a service job must reproduce: `algorithm` built by the
+// registry, on the dataset read into pdf objects, at k = 3.
+std::string LibraryFingerprint(const std::string& algorithm,
+                               const std::string& path, uint64_t seed) {
+  auto ds = io::ReadUncertainDataset(path);
+  EXPECT_TRUE(ds.ok()) << ds.status().ToString();
+  if (!ds.ok()) return "read failed";
+  const clustering::ClusteringResult r =
+      clustering::MakeClustererOrDie(algorithm)->Cluster(ds.ValueOrDie(), 3,
+                                                         seed);
+  return clustering::FingerprintHex(
+      clustering::ResultFingerprint(r.labels, r.objective));
+}
+
+// The moment_cache object of GET /v1/metrics.
+MomentCacheStats MetricsCache(ClusteringService* svc) {
+  HttpResponse metrics = svc->Handle(Req("GET", "/v1/metrics"));
+  EXPECT_EQ(metrics.status, 200);
+  auto json = common::ParseJson(metrics.body);
+  MomentCacheStats stats;
+  const common::JsonValue* cache =
+      json.ok() ? json.ValueOrDie().Find("moment_cache") : nullptr;
+  EXPECT_NE(cache, nullptr) << metrics.body;
+  if (cache == nullptr) return stats;
+  stats.entries = static_cast<std::size_t>(cache->Find("entries")->AsInt());
+  stats.bytes = static_cast<std::size_t>(cache->Find("bytes")->AsInt());
+  stats.hits = static_cast<uint64_t>(cache->Find("hits")->AsInt());
+  stats.fills = static_cast<uint64_t>(cache->Find("fills")->AsInt());
+  stats.invalidations =
+      static_cast<uint64_t>(cache->Find("invalidations")->AsInt());
+  return stats;
+}
+
+// The algorithms whose service jobs run on the dataset's moment store,
+// besides CK-means.
+constexpr const char* kLocalSearchAlgorithms[] = {"UCPC", "MMVar"};
+
 TEST(ClusteringService, EndToEndMatchesDirectRun) {
   SetLogEnabled(false);
   ServiceConfig cfg;
@@ -848,15 +942,57 @@ TEST(ClusteringService, EndToEndMatchesDirectRun) {
       clustering::FingerprintHex(clustering::ResultFingerprint(
           direct.ValueOrDie().labels, direct.ValueOrDie().objective));
   EXPECT_EQ(service_fp, direct_fp);
+  // max_iters caps the CK-means loop on the cached store too.
+  params.max_iters = 1;
+  auto capped = clustering::CkMeans::ClusterFile(TestDatasetPath(), 3, 11,
+                                                 params);
+  ASSERT_TRUE(capped.ok());
+  EXPECT_EQ(capped.ValueOrDie().iterations, 1);
+  EXPECT_EQ(JobFingerprint(&svc, SubmitJob(&svc, ds_id, "CK-means", 11, "{}",
+                                           /*max_iters=*/1)),
+            clustering::FingerprintHex(clustering::ResultFingerprint(
+                capped.ValueOrDie().labels, capped.ValueOrDie().objective)));
+  EXPECT_NE(clustering::FingerprintHex(clustering::ResultFingerprint(
+                capped.ValueOrDie().labels, capped.ValueOrDie().objective)),
+            direct_fp);
 
-  // Metrics reflect the run.
+  // Metrics reflect the run. The job filled the cache with the dataset's
+  // resident moment store: (3m + 1) * n doubles for n = 120, m = 4.
   HttpResponse metrics = svc.Handle(Req("GET", "/v1/metrics"));
   ASSERT_EQ(metrics.status, 200);
   auto metrics_json = common::ParseJson(metrics.body);
   ASSERT_TRUE(metrics_json.ok());
   EXPECT_GE(metrics_json.ValueOrDie().Find("completed")->AsInt(), 1);
-
+  const MomentCacheStats cache = MetricsCache(&svc);
+  EXPECT_EQ(cache.fills, 1u);
+  EXPECT_EQ(cache.hits, 1u);
+  EXPECT_EQ(cache.entries, 1u);
+  EXPECT_EQ(cache.bytes, (3u * 4u + 1u) * 120u * sizeof(double));
   svc.Stop();
+
+  // UCPC and MMVar jobs run on the same cached store: on a fresh service
+  // the first job fills it and the second hits it, and both equal the
+  // library call on the dataset read into objects. max_iters = 1 leaves
+  // their default pass cap in place.
+  for (const std::string algorithm : kLocalSearchAlgorithms) {
+    ClusteringService fresh(cfg);
+    fresh.jobs().Start();
+    const std::string id = RegisterOver(&fresh, TestDatasetPath());
+    const std::string library =
+        LibraryFingerprint(algorithm, TestDatasetPath(), 11);
+    EXPECT_EQ(JobFingerprint(&fresh, SubmitJob(&fresh, id, algorithm, 11,
+                                               "{}", /*max_iters=*/1)),
+              library)
+        << algorithm << " on a cold cache";
+    EXPECT_EQ(MetricsCache(&fresh).fills, 1u) << algorithm;
+    EXPECT_EQ(JobFingerprint(&fresh, SubmitJob(&fresh, id, algorithm, 11)),
+              library)
+        << algorithm << " on a warm cache";
+    const MomentCacheStats stats = MetricsCache(&fresh);
+    EXPECT_EQ(stats.fills, 1u) << algorithm;
+    EXPECT_EQ(stats.hits, 1u) << algorithm;
+    fresh.Stop();
+  }
   SetLogEnabled(true);
 }
 
@@ -896,9 +1032,9 @@ TEST(ClusteringService, SeedAbove2To53RunsAndEchoesExactly) {
   SetLogEnabled(true);
 }
 
-// A budget below the (m+1)*n-double reduction sends a CK-means job to the
-// mapped .umom branch: the registered moments_path is where the sidecar
-// goes, not the default <dataset>.umom.
+// A budget below the (3m + 1) * n moment doubles sends a CK-means, UCPC
+// or MMVar job to the mapped .umom store: the registered moments_path is
+// where the sidecar goes, not the default <dataset>.umom.
 TEST(ClusteringService, OverBudgetJobUsesTheRegisteredMomentsPath) {
   SetLogEnabled(false);
   const std::string path = testing::TempDir() + "/uclust_service_mapped.ubin";
@@ -924,7 +1060,7 @@ TEST(ClusteringService, OverBudgetJobUsesTheRegisteredMomentsPath) {
   const std::string ds_id =
       common::ParseJson(reg.body).ValueOrDie().Find("id")->AsString();
 
-  // (5 + 1) * 200 * 8 = 9600 bytes of reduction against a 1024-byte budget.
+  // (3 * 5 + 1) * 200 * 8 = 25600 moment bytes against a 1024-byte budget.
   HttpResponse submit = svc.Handle(Req(
       "POST", "/v1/jobs",
       "{\"dataset_id\": \"" + ds_id +
@@ -943,6 +1079,15 @@ TEST(ClusteringService, OverBudgetJobUsesTheRegisteredMomentsPath) {
                                      .Find("result")
                                      ->Find("fingerprint")
                                      ->AsString();
+  EXPECT_TRUE(std::ifstream(moments).good());
+  for (const std::string algorithm : kLocalSearchAlgorithms) {
+    EXPECT_EQ(JobFingerprint(&svc, SubmitJob(&svc, ds_id, algorithm, 5,
+                                             "{\"memory_budget_bytes\": "
+                                             "1024}")),
+              LibraryFingerprint(algorithm, path, 5))
+        << algorithm;
+  }
+  EXPECT_EQ(MetricsCache(&svc).fills, 0u);
   svc.Stop();
 
   EXPECT_TRUE(std::ifstream(moments).good());
@@ -961,63 +1106,6 @@ TEST(ClusteringService, OverBudgetJobUsesTheRegisteredMomentsPath) {
 }
 
 // ---------------------------------------------------- moment cache --
-
-std::string RegisterOver(ClusteringService* svc, const std::string& path) {
-  HttpResponse reg = svc->Handle(
-      Req("POST", "/v1/datasets", "{\"path\": \"" + path + "\"}"));
-  EXPECT_EQ(reg.status, 201) << reg.body;
-  return common::ParseJson(reg.body).ValueOrDie().Find("id")->AsString();
-}
-
-std::string SubmitCkmeans(ClusteringService* svc, const std::string& ds_id,
-                          uint64_t seed, const std::string& engine = "{}") {
-  HttpResponse submit = svc->Handle(Req(
-      "POST", "/v1/jobs",
-      "{\"dataset_id\": \"" + ds_id +
-          "\", \"algorithm\": \"CK-means\", \"k\": 3, \"seed\": " +
-          std::to_string(seed) + ", \"max_iters\": 30, \"engine\": " +
-          engine + "}"));
-  EXPECT_EQ(submit.status, 202) << submit.body;
-  return common::ParseJson(submit.body).ValueOrDie().Find("job_id")->AsString();
-}
-
-std::string JobFingerprint(ClusteringService* svc, const std::string& job) {
-  EXPECT_TRUE(svc->jobs().Wait(job, 30000));
-  HttpResponse result = svc->Handle(Req("GET", "/v1/jobs/" + job + "/result"));
-  EXPECT_EQ(result.status, 200) << result.body;
-  auto json = common::ParseJson(result.body);
-  if (!json.ok() || json.ValueOrDie().Find("result") == nullptr) return "";
-  return json.ValueOrDie().Find("result")->Find("fingerprint")->AsString();
-}
-
-std::string DirectFingerprint(const std::string& path, uint64_t seed) {
-  clustering::CkMeans::Params params;
-  params.max_iters = 30;
-  auto direct = clustering::CkMeans::ClusterFile(path, 3, seed, params);
-  EXPECT_TRUE(direct.ok()) << direct.status().ToString();
-  if (!direct.ok()) return "direct run failed";
-  return clustering::FingerprintHex(clustering::ResultFingerprint(
-      direct.ValueOrDie().labels, direct.ValueOrDie().objective));
-}
-
-// The moment_cache object of GET /v1/metrics.
-MomentCacheStats MetricsCache(ClusteringService* svc) {
-  HttpResponse metrics = svc->Handle(Req("GET", "/v1/metrics"));
-  EXPECT_EQ(metrics.status, 200);
-  auto json = common::ParseJson(metrics.body);
-  MomentCacheStats stats;
-  const common::JsonValue* cache =
-      json.ok() ? json.ValueOrDie().Find("moment_cache") : nullptr;
-  EXPECT_NE(cache, nullptr) << metrics.body;
-  if (cache == nullptr) return stats;
-  stats.entries = static_cast<std::size_t>(cache->Find("entries")->AsInt());
-  stats.bytes = static_cast<std::size_t>(cache->Find("bytes")->AsInt());
-  stats.hits = static_cast<uint64_t>(cache->Find("hits")->AsInt());
-  stats.fills = static_cast<uint64_t>(cache->Find("fills")->AsInt());
-  stats.invalidations =
-      static_cast<uint64_t>(cache->Find("invalidations")->AsInt());
-  return stats;
-}
 
 // A dataset rewritten in place (same byte size, new content) is re-decoded:
 // the next job clusters the new file, not the cached old one.
@@ -1044,7 +1132,7 @@ TEST(MomentCache, RewrittenDatasetIsDecodedAgain) {
   EXPECT_EQ(stats.invalidations, 1u);
   EXPECT_EQ(stats.fills, 2u);
   EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.bytes, (4u + 1u) * 150u * sizeof(double));
+  EXPECT_EQ(stats.bytes, (3u * 4u + 1u) * 150u * sizeof(double));
   svc.Stop();
   std::remove(path.c_str());
   SetLogEnabled(true);
@@ -1083,8 +1171,8 @@ TEST(MomentCache, ConcurrentColdStartDecodesOnce) {
 }
 
 // Under a global budget the cache stays empty (its bytes would escape
-// admission control); a job budget below the reduction takes the mapped
-// branch and creates no entry either. Both still match ClusterFile.
+// admission control); a job budget below the moment columns takes the
+// mapped store and creates no entry either. Both still match the library.
 TEST(MomentCache, BudgetsKeepJobsOutOfTheCache) {
   SetLogEnabled(false);
   {
@@ -1097,6 +1185,11 @@ TEST(MomentCache, BudgetsKeepJobsOutOfTheCache) {
     for (uint64_t seed : {3u, 3u, 5u}) {
       EXPECT_EQ(JobFingerprint(&svc, SubmitCkmeans(&svc, ds_id, seed)),
                 DirectFingerprint(TestDatasetPath(), seed));
+    }
+    for (const std::string algorithm : kLocalSearchAlgorithms) {
+      EXPECT_EQ(JobFingerprint(&svc, SubmitJob(&svc, ds_id, algorithm, 3)),
+                LibraryFingerprint(algorithm, TestDatasetPath(), 3))
+          << algorithm;
     }
     const MomentCacheStats stats = MetricsCache(&svc);
     EXPECT_EQ(stats.bytes, 0u);
@@ -1114,7 +1207,7 @@ TEST(MomentCache, BudgetsKeepJobsOutOfTheCache) {
     ClusteringService svc(cfg);
     svc.jobs().Start();
     const std::string ds_id = RegisterOver(&svc, path);
-    // (4 + 1) * 150 * 8 = 6000 bytes of reduction against 1024.
+    // (3 * 4 + 1) * 150 * 8 = 15600 moment bytes against 1024.
     EXPECT_EQ(JobFingerprint(&svc, SubmitCkmeans(&svc, ds_id, 6,
                                                  "{\"memory_budget_bytes\": "
                                                  "1024}")),
