@@ -1,6 +1,8 @@
 #include "clustering/ckmeans.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <limits>
@@ -17,7 +19,7 @@ namespace uclust::clustering {
 
 namespace {
 
-// Relative floating-point safety margin of the bound maintenance: upper
+// Relative floating-point safety margin of the bound loosening: upper
 // bounds are inflated and lower bounds deflated by this factor at every
 // step, so rounding can never turn a bound test into an unsound skip. The
 // skip tests are additionally strict (<), which closes the remaining exact-
@@ -71,26 +73,40 @@ inline ScanResult ScanCenters(std::span<const double> mean,
   return r;
 }
 
-// One object's assignment decision — a pure function of the object's own
-// (label, ub, lb) state and the shared centroids/half_sep inputs, so any
-// partition of objects over threads yields the same labels and the same
-// counter totals. An unlabeled object (the first sweep) full-scans;
-// otherwise Hamerly's test first (skip the whole scan), then the
-// tightened-upper-bound retest (skip all but the assigned center), then
-// the full scan that restores exact bounds. `centroids` (row-major) serves
-// the retest's single distance, `center_lanes` (the same centers in the
-// center-lane layout) the full scans.
-inline void AssignOne(std::span<const double> mean,
-                      std::span<const double> centroids,
-                      std::span<const double> center_lanes, int k,
-                      std::size_t m, std::span<const double> half_sep,
-                      int* label, double* ub, double* lb, SweepCounts* sc) {
+// Loosens one object's bounds after a centroid update: the upper bound
+// absorbs its own center's drift, the lower bound gives up the largest
+// drift of any center. Inflation/deflation keeps both sides conservative
+// under rounding; the inf lower bounds of k == 1 stay inf. The sweep's
+// settle pass and the bound audit both loosen through this one helper.
+inline void LoosenBounds(double drift, double max_drift, double* ub,
+                         double* lb) {
+  *ub = (*ub + drift) * (1.0 + kBoundSlack);
+  // lb <- (down <= 0 ? +0.0 : down * (1 - slack)), spelled as a bit mask:
+  // compilers turn the plain select into a branch on the data, and that
+  // branch mispredicts in the settle pass.
+  const double down = *lb - max_drift;
+  const uint64_t keep = uint64_t{0} - static_cast<uint64_t>(!(down <= 0.0));
+  *lb = std::bit_cast<double>(
+      std::bit_cast<uint64_t>(down * (1.0 - kBoundSlack)) & keep);
+}
+
+// One unsettled object's assignment decision — a pure function of the
+// object's own (label, ub, lb) state and the shared centroids/half_sep
+// inputs, so any partition of objects over threads yields the same labels
+// and the same counter totals. An unlabeled object (the first sweep)
+// full-scans; a labelled one, which Hamerly's test did not settle, gets
+// the tightened-upper-bound retest (skip all but the assigned center),
+// then the full scan that restores exact bounds. `centroids` (row-major)
+// serves the retest's single distance, `center_lanes` (the same centers in
+// the center-lane layout) the full scans.
+inline void AssignCandidate(std::span<const double> mean,
+                            std::span<const double> centroids,
+                            std::span<const double> center_lanes, int k,
+                            std::size_t m, std::span<const double> half_sep,
+                            int* label, double* ub, double* lb,
+                            SweepCounts* sc) {
   if (*label >= 0) {
     const double bound = std::max(*lb, half_sep[*label]);
-    if (*ub < bound) {
-      sc->skipped += k;
-      return;
-    }
     const double d2a =
         common::SquaredDistance(mean, CentroidAt(centroids, *label, m));
     sc->evals += 1;
@@ -141,50 +157,95 @@ void HalfSeparations(std::span<const double> centroids, int k, std::size_t m,
   }
 }
 
-// Loosens every object's bounds after a centroid update: the upper bound
-// absorbs its own center's drift, the lower bound gives up the largest
-// drift of any center. Inflation/deflation keeps both sides conservative
-// under rounding; the inf lower bounds of k == 1 stay inf.
-void MaintainBounds(const engine::Engine& eng, std::size_t m, int k,
-                    std::span<const double> old_centroids,
-                    std::span<const double> centroids,
-                    std::span<const int> labels, std::span<double> ub,
-                    std::span<double> lb) {
-  std::vector<double> drift(static_cast<std::size_t>(k));
-  double max_drift = 0.0;
+// Per-center drifts ||c_new - c_old|| of one update and their maximum:
+// what LoosenBounds needs for every object before the next sweep.
+struct Drifts {
+  std::vector<double> per_center;
+  double max = 0.0;
+};
+
+void CenterDrifts(std::span<const double> old_centroids,
+                  std::span<const double> centroids, int k, std::size_t m,
+                  Drifts* d) {
+  d->per_center.resize(static_cast<std::size_t>(k));
+  d->max = 0.0;
   for (int c = 0; c < k; ++c) {
-    drift[c] = std::sqrt(common::SquaredDistance(
+    d->per_center[c] = std::sqrt(common::SquaredDistance(
         CentroidAt(old_centroids, c, m), CentroidAt(centroids, c, m)));
-    max_drift = std::max(max_drift, drift[c]);
+    d->max = std::max(d->max, d->per_center[c]);
   }
-  engine::ParallelFor(eng, labels.size(), [&](const engine::BlockedRange& r) {
-    for (std::size_t i = r.begin; i < r.end; ++i) {
-      ub[i] = (ub[i] + drift[labels[i]]) * (1.0 + kBoundSlack);
-      const double down = lb[i] - max_drift;
-      lb[i] = down <= 0.0 ? 0.0 : down * (1.0 - kBoundSlack);
-    }
-  });
 }
 
-// Assignment sweep over every object of `view`. Label/bound writes are
-// per-object disjoint and the shared inputs are read-only, so the blocked
-// parallel pass is race-free, and per-object decisions are pure, so neither
-// the thread partition nor the view's backend affects the produced labels.
+// Objects per settle chunk: the settle pass's candidate offsets live on the
+// stack, and the chunk's labels and bounds stay in L1 for the second pass.
+constexpr std::size_t kSettleChunk = 256;
+
+// Settle pass over one chunk of `len` labelled objects (the pointers start
+// at its first object): loosens every object's bounds with the update's
+// drifts, applies Hamerly's test ub < max(lb, half_sep[label]) and writes
+// the offsets it does not settle to `cand`, in object order. Whether a
+// bound holds is data-dependent and mispredicts, so the offset is always
+// written and the count advances by the test's negation, with no branch.
+// Returns the number of candidates.
+inline std::size_t SettleChunk(std::size_t len, const int* labels,
+                               double* ub, double* lb, const Drifts& drifts,
+                               const double* half_sep, uint32_t* cand) {
+  const double* drift = drifts.per_center.data();
+  const double max_drift = drifts.max;
+  std::size_t count = 0;
+  for (std::size_t t = 0; t < len; ++t) {
+    const int label = labels[t];
+    double upper = ub[t], lower = lb[t];
+    LoosenBounds(drift[label], max_drift, &upper, &lower);
+    ub[t] = upper;
+    lb[t] = lower;
+    cand[count] = static_cast<uint32_t>(t);
+    count += !(upper < std::max(lower, half_sep[label]));
+  }
+  return count;
+}
+
+// Assignment sweep over every object of `view`. Each block walks its
+// objects in chunks of two passes: SettleChunk (skipped on the first
+// sweep, which has no labels or drifts, so every object is a candidate),
+// then AssignCandidate on the candidates, in object order. Label/bound
+// writes are per-object disjoint and the shared inputs are read-only, so
+// the blocked parallel pass is race-free, and per-object decisions are
+// pure, so neither the thread partition nor the view's backend affects the
+// produced labels.
 SweepCounts AssignSweep(const engine::Engine& eng,
                         const uncertain::MomentView& view,
                         std::span<const double> centroids,
                         std::span<const double> center_lanes, int k,
                         std::span<const double> half_sep,
-                        std::span<int> labels, std::span<double> ub,
-                        std::span<double> lb) {
+                        const Drifts* drifts, std::span<int> labels,
+                        std::span<double> ub, std::span<double> lb) {
   const std::size_t m = view.dims();
   const std::vector<SweepCounts> per_block = engine::MapBlocks<SweepCounts>(
       eng, view.size(), [&](const engine::BlockedRange& r) {
         SweepCounts sc;
         sc.moved.assign(static_cast<std::size_t>(k), 0);
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          AssignOne(view.mean(i), centroids, center_lanes, k, m, half_sep,
-                    &labels[i], &ub[i], &lb[i], &sc);
+        std::array<uint32_t, kSettleChunk> cand{};
+        for (std::size_t begin = r.begin; begin < r.end;
+             begin += kSettleChunk) {
+          const std::size_t len = std::min(kSettleChunk, r.end - begin);
+          std::size_t count = 0;
+          if (drifts == nullptr) {
+            for (std::size_t t = 0; t < len; ++t) {
+              cand[t] = static_cast<uint32_t>(t);
+            }
+            count = len;
+          } else {
+            count = SettleChunk(len, labels.data() + begin, ub.data() + begin,
+                                lb.data() + begin, *drifts, half_sep.data(),
+                                cand.data());
+            sc.skipped += static_cast<int64_t>(len - count) * k;
+          }
+          for (std::size_t c = 0; c < count; ++c) {
+            const std::size_t i = begin + cand[c];
+            AssignCandidate(view.mean(i), centroids, center_lanes, k, m,
+                            half_sep, &labels[i], &ub[i], &lb[i], &sc);
+          }
         }
         return sc;
       });
@@ -243,6 +304,7 @@ CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
   std::vector<double> sums(static_cast<std::size_t>(k) * m, 0.0);
   std::vector<std::size_t> counts(static_cast<std::size_t>(k), 0);
   std::vector<uint8_t> resum(static_cast<std::size_t>(k));
+  Drifts drifts;
 
   for (out.iterations = 0; out.iterations < params.max_iters;
        ++out.iterations) {
@@ -250,8 +312,10 @@ CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
     // half separations only matter from the second sweep on.
     if (out.iterations > 0) HalfSeparations(centroids, k, m, &half_sep);
     simd::ToCenterLanes(centroids.data(), k, m, &center_lanes);
-    const SweepCounts sc = AssignSweep(eng, view, centroids, center_lanes, k,
-                                       half_sep, out.labels, ub, lb);
+    const SweepCounts sc =
+        AssignSweep(eng, view, centroids, center_lanes, k, half_sep,
+                    out.iterations > 0 ? &drifts : nullptr, out.labels, ub,
+                    lb);
     out.center_distance_evals += sc.evals;
     out.bounds_skipped += sc.skipped;
     if (sc.changed == 0) {
@@ -285,9 +349,16 @@ CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
             sums[static_cast<std::size_t>(c) * m + j] * inv;
       }
     }
-    MaintainBounds(eng, m, k, old_centroids, centroids, out.labels, ub, lb);
+    // The next sweep loosens the bounds with these drifts as it reads
+    // them; the audit sees copies loosened the same way.
+    CenterDrifts(old_centroids, centroids, k, m, &drifts);
     if (params.bound_audit) {
-      params.bound_audit(out.iterations, centroids, out.labels, ub, lb);
+      std::vector<double> upper = ub, lower = lb;
+      for (std::size_t i = 0; i < n; ++i) {
+        LoosenBounds(drifts.per_center[out.labels[i]], drifts.max, &upper[i],
+                     &lower[i]);
+      }
+      params.bound_audit(out.iterations, centroids, out.labels, upper, lower);
     }
   }
 

@@ -17,17 +17,19 @@
 //
 //   2. Hamerly/Elkan bound pruning. A per-object Euclidean upper bound to
 //      the assigned center and a lower bound to the second-closest center
-//      are maintained from per-center drift norms after every update; an
-//      Elkan-style half-min-separation test rides along. Objects whose
-//      bounds prove the assignment unchanged skip the whole k-center scan,
-//      making late iterations O(n) instead of O(nk) distance evaluations.
+//      are loosened by the last update's per-center drift norms; an
+//      Elkan-style half-min-separation test rides along. Each sweep block
+//      loosens and tests its objects in one branch-free settle pass that
+//      compacts the unsettled ones into a candidate list; only those are
+//      retested and scanned, so late iterations cost O(n) cheap bound
+//      updates instead of O(nk) distance evaluations.
 //      The full scans that remain run the center-lane kernel
 //      simd::NearestTwo: once per iteration the centers are copied into the
 //      center-lane layout (simd::ToCenterLanes: m rows per group of 16
 //      centers, a short last group row-major), so one vector lane scores
 //      one center and 16 centers cost no horizontal reduction.
 //      Bounds are kept floating-point-safe by a relative slack (upper
-//      bounds inflated, lower bounds deflated at every maintenance step),
+//      bounds inflated, lower bounds deflated at every loosening step),
 //      so a pruning decision is always conservative and the surviving
 //      full scans reproduce the direct path's tie-breaking exactly.
 //
@@ -69,10 +71,12 @@ namespace uclust::clustering {
 /// UK-means as the bound-pruned Lloyd loop over expected values.
 class CkMeans final : public MomentClusterer {
  public:
-  /// Audit observer for the bound-invariant tests: fired after every drift
-  /// maintenance step with the new centroids and the loosened bounds, so a
-  /// test can verify upper >= d(o, assigned) and lower <= min distance to
-  /// the other centers.
+  /// Audit observer for the bound-invariant tests: fired after every
+  /// centroid update with the new centroids and copies of the bounds
+  /// loosened by the update's drifts — by the same helper, and so to the
+  /// same bits, as the next sweep's settle pass loosens them — so a test
+  /// can verify upper >= d(o, assigned) and lower <= min distance to the
+  /// other centers.
   using BoundAudit = std::function<void(
       int iteration, std::span<const double> centroids,
       std::span<const int> labels, std::span<const double> upper,

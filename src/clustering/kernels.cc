@@ -1,10 +1,10 @@
 #include "clustering/kernels.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
 
-#include "clustering/simd/simd.h"
 #include "common/math_utils.h"
 
 namespace uclust::clustering::kernels {
@@ -20,6 +20,10 @@ std::size_t TriangularRowBlock(const engine::Engine& eng, std::size_t n) {
   const std::size_t lanes = static_cast<std::size_t>(eng.num_threads());
   return engine::ClampBlock(eng, n / (lanes * 8) + 1);
 }
+
+// Objects per member-compaction chunk of the masked SumMeansByLabel: the
+// member offsets live on the stack.
+constexpr std::size_t kMemberChunk = 256;
 
 }  // namespace
 
@@ -51,11 +55,26 @@ void SumMeansByLabel(const engine::Engine& eng,
       eng, mm.size(), [&](const engine::BlockedRange& r) {
         Partial p{std::vector<double>(km, 0.0),
                   std::vector<std::size_t>(k, 0)};
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          const std::size_t c = static_cast<std::size_t>(labels[i]);
-          if (resum[c] == 0) continue;
-          simd::VectorAdd(p.sums.data() + c * m, mm.mean(i).data(), m);
-          ++p.counts[c];
+        // Compact the chunk's members of flagged clusters first, without a
+        // branch (whether a member's cluster is flagged is data-dependent
+        // and mispredicts), then add their rows in object order.
+        std::array<uint32_t, kMemberChunk> members{};
+        for (std::size_t begin = r.begin; begin < r.end;
+             begin += kMemberChunk) {
+          const std::size_t len = std::min(kMemberChunk, r.end - begin);
+          std::size_t count = 0;
+          for (std::size_t t = 0; t < len; ++t) {
+            members[count] = static_cast<uint32_t>(t);
+            count += resum[static_cast<std::size_t>(labels[begin + t])] != 0;
+          }
+          for (std::size_t u = 0; u < count; ++u) {
+            const std::size_t i = begin + members[u];
+            const std::size_t c = static_cast<std::size_t>(labels[i]);
+            double* row = p.sums.data() + c * m;
+            const double* mean = mm.mean(i).data();
+            for (std::size_t j = 0; j < m; ++j) row[j] += mean[j];
+            ++p.counts[c];
+          }
         }
         return p;
       });

@@ -1,9 +1,8 @@
 // SIMD kernel layer: compile-time multi-versioned, runtime-dispatched
 // inner-loop primitives for the dense arithmetic sweeps of the clustering
 // stack (closed-form ED^ accumulation, moment-column packing, CK-means
-// center-distance scans, per-cluster sum accumulators, relocation gains
-// and the relocation stay test, and the matched-realization loops of the
-// sampled pairwise kernels).
+// center-distance scans, relocation gains and the relocation stay test,
+// and the matched-realization loops of the sampled pairwise kernels).
 //
 // Bit-exactness contract. Every primitive produces BIT-IDENTICAL doubles on
 // every ISA path (scalar reference, AVX2, NEON). The mechanism is a
@@ -89,9 +88,6 @@ struct KernelTable {
   /// The tv fold order matches the historical ExpectedSquaredDistance.
   double (*ed2)(const double* mean_lo, const double* mean_hi, std::size_t m,
                 double tv_lo, double tv_hi);
-  /// dst[j] += src[j] for j in [0, n) — the per-cluster sum accumulator.
-  /// Element-wise, so it is bit-identical across ISAs trivially.
-  void (*vector_add)(double* dst, const double* src, std::size_t n);
   /// The canonical moment-row packing: copies the three length-m columns
   /// and writes total_var = lane-blocked sum of var (MomentMatrix::PackRow).
   void (*pack_row)(const double* mean, const double* mu2, const double* var,
@@ -198,10 +194,6 @@ inline double Sum(const double* v, std::size_t n) { return Active().sum(v, n); }
 inline double Ed2(const double* mean_lo, const double* mean_hi, std::size_t m,
                   double tv_lo, double tv_hi) {
   return Active().ed2(mean_lo, mean_hi, m, tv_lo, tv_hi);
-}
-
-inline void VectorAdd(double* dst, const double* src, std::size_t n) {
-  Active().vector_add(dst, src, n);
 }
 
 inline void PackRow(const double* mean, const double* mu2, const double* var,

@@ -207,17 +207,6 @@ double Ed2T(const double* mean_lo, const double* mean_hi, std::size_t m,
 }
 
 template <class Ops>
-void VectorAddT(double* dst, const double* src, std::size_t n) {
-  const std::size_t full = n - (n % kLanes);
-  for (std::size_t j = 0; j < full; j += kLanes) {
-    Ops::Store(dst + j, Ops::Add(Ops::Load(dst + j), Ops::Load(src + j)));
-  }
-  for (std::size_t j = full; j < n; ++j) {
-    dst[j] += src[j];
-  }
-}
-
-template <class Ops>
 void PackRowT(const double* mean, const double* mu2, const double* var,
               std::size_t m, double* mean_dst, double* mu2_dst,
               double* var_dst, double* total_var_dst) {
@@ -510,7 +499,7 @@ template <class Ops>
 constexpr KernelTable MakeTable() {
   return KernelTable{
       &SquaredDistanceT<Ops>, &SumT<Ops>,         &Ed2T<Ops>,
-      &VectorAddT<Ops>,       &PackRowT<Ops>,     &NearestTwoT<Ops>,
+      &PackRowT<Ops>,         &NearestTwoT<Ops>,
       &RelocationGainsT<Ops>, &RelocationStayT<Ops>,
       &RealizationSquaredSumT<Ops>, &RealizationsWithinT<Ops>,
   };

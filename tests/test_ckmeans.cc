@@ -256,43 +256,86 @@ TEST(CkmeansUpdate, EmptiedAndReseededClustersMatchDirectLoop) {
 // ---------------------------------------------------------------------------
 // Bound invariants and counter accounting.
 
+// The sweep loosens each block's bounds in its settle pass and the audit
+// sees copies loosened by the same helper. k = 16 puts the centers in one
+// padded lane group and k = 17 adds a row-major tail; block size 16 makes
+// many blocks build their own candidate lists.
 TEST(Ckmeans, MaintainedBoundsActuallyBound) {
   const auto ds = TestDataset(300, 3, 4, 29);
   const auto mm = ds.moments().view();
-  int audits = 0;
-  CkMeans::Params p;
-  p.bound_audit = [&](int iteration, std::span<const double> centroids,
-                      std::span<const int> labels,
-                      std::span<const double> upper,
-                      std::span<const double> lower) {
-    ASSERT_FALSE(upper.empty());
-    ASSERT_FALSE(lower.empty());
-    const std::size_t m = mm.dims();
-    const int k = static_cast<int>(centroids.size() / m);
-    for (std::size_t i = 0; i < mm.size(); ++i) {
-      const auto mean = mm.mean(i);
-      double assigned = 0.0;
-      double min_other = std::numeric_limits<double>::infinity();
-      for (int c = 0; c < k; ++c) {
-        const double d = std::sqrt(common::SquaredDistance(
-            mean, std::span<const double>(centroids.data() + c * m, m)));
-        if (c == labels[i]) {
-          assigned = d;
-        } else {
-          min_other = std::min(min_other, d);
+  for (const int k : {1, 4, 16, 17}) {
+    for (const int threads : {1, 4}) {
+      const std::string where =
+          "k=" + std::to_string(k) + " threads=" + std::to_string(threads);
+      int audits = 0;
+      CkMeans::Params p;
+      p.bound_audit = [&](int iteration, std::span<const double> centroids,
+                          std::span<const int> labels,
+                          std::span<const double> upper,
+                          std::span<const double> lower) {
+        ASSERT_EQ(upper.size(), mm.size());
+        ASSERT_EQ(lower.size(), mm.size());
+        const std::size_t m = mm.dims();
+        ASSERT_EQ(centroids.size(), static_cast<std::size_t>(k) * m);
+        for (std::size_t i = 0; i < mm.size(); ++i) {
+          const auto mean = mm.mean(i);
+          double assigned = 0.0;
+          double min_other = std::numeric_limits<double>::infinity();
+          for (int c = 0; c < k; ++c) {
+            const double d = std::sqrt(common::SquaredDistance(
+                mean, std::span<const double>(centroids.data() + c * m, m)));
+            if (c == labels[i]) {
+              assigned = d;
+            } else {
+              min_other = std::min(min_other, d);
+            }
+          }
+          // The loosened bounds must still bracket the true distances (the
+          // 1e-9 headroom only covers this test's own recomputation error).
+          ASSERT_GE(upper[i], assigned - 1e-9)
+              << where << " iter " << iteration << " object " << i;
+          ASSERT_LE(lower[i], min_other + 1e-9)
+              << where << " iter " << iteration << " object " << i;
         }
-      }
-      // The loosened bounds must still bracket the true distances (the
-      // 1e-9 headroom only covers this test's own recomputation error).
-      ASSERT_GE(upper[i], assigned - 1e-9)
-          << "iter " << iteration << " object " << i;
-      ASSERT_LE(lower[i], min_other + 1e-9)
-          << "iter " << iteration << " object " << i;
+        ++audits;
+      };
+      const auto out =
+          CkMeans::RunOnMoments(mm, k, 13, p, EngineWithBlocks(threads, 16));
+      EXPECT_GT(audits, 0) << where;
+      const auto direct = oracle::DirectUkmeans(mm, k, 13, CkMeans::Params(),
+                                                EngineWithBlocks(threads, 16));
+      EXPECT_EQ(out.labels, direct.labels) << where;
     }
-    ++audits;
-  };
-  (void)CkMeans::RunOnMoments(mm, 4, 13, p, EngineWith(2));
-  EXPECT_GT(audits, 0);
+  }
+}
+
+// At k = 1 the lower bounds and the half separation are +inf, so the
+// settle pass of the second sweep settles every object: one update, then a
+// converged sweep that evaluates nothing.
+TEST(Ckmeans, KEqualsOneSettlesEveryObjectAfterTheFirstSweep) {
+  const auto ds = TestDataset(500, 4, 3, 41);
+  const auto mm = ds.moments().view();
+  const int64_t n = static_cast<int64_t>(mm.size());
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    for (const int threads : {1, 4}) {
+      const std::string where = "seed=" + std::to_string(seed) +
+                                " threads=" + std::to_string(threads);
+      const engine::Engine eng = EngineWithBlocks(threads, 64);
+      const auto out = CkMeans::RunOnMoments(mm, 1, seed, CkMeans::Params(),
+                                             eng);
+      EXPECT_EQ(out.iterations, 1) << where;
+      EXPECT_TRUE(out.converged) << where;
+      EXPECT_EQ(out.center_distance_evals, n) << where;
+      EXPECT_EQ(out.bounds_skipped, n) << where;
+      const auto direct =
+          oracle::DirectUkmeans(mm, 1, seed, CkMeans::Params(), eng);
+      EXPECT_EQ(out.labels, direct.labels) << where;
+      EXPECT_EQ(std::memcmp(&out.objective, &direct.objective,
+                            sizeof(double)),
+                0)
+          << where;
+    }
+  }
 }
 
 TEST(Ckmeans, CountersSatisfyAccountingContract) {
