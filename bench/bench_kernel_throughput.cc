@@ -3,20 +3,23 @@
 // accumulation, the moment-column packing, the CK-means reduced-moment
 // nearest-two center sweep (the center-lane kernel over the transposed
 // centers), the relocation screen's gains and its vector stay test over
-// k clusters, and the matched-realization pair kernel of the
-// sampled algorithms at (m=2, S=24) and (m=16, S=32) — plus a runtime
-// cross-check that every compiled vector path reproduces the scalar
-// reference bit for bit on the hardware the bench runs on (all of those
-// and the realization count kernel).
+// k clusters, and the matched-realization kernels of the sampled
+// algorithms at (m=2, S=24) and (m=16, S=32), one pair per call and four
+// pairs of one row object per call (the PairwiseKernel::EvalRow unit) —
+// plus a runtime cross-check that every compiled vector path reproduces
+// the scalar reference bit for bit on the hardware the bench runs on (all
+// of those and the realization count kernels).
 //
 // Output:
 //   - a human-readable table (evals/s, GB/s, relocation objects/s,
-//     realization pairs/s, speedup vs forced scalar),
+//     realization pairs/s per pair and per row call, speedup vs forced
+//     scalar),
 //   - `DISPATCH best=<isa>` — what auto dispatch resolves to here,
 //   - `KERNEL RESULT=OK|FAIL` — greppable smoke marker: OK iff every
 //     available vector path's outputs (tiles, packed rows, gains, stay
 //     minima and flags, realization sums and counts) match the scalar
-//     reference bitwise, and
+//     reference bitwise, every path's four-pair row kernels (scalar
+//     included) match the scalar per-pair sums and counts bitwise, and
 //     every path's sweep (labels, best and runner-up distances) matches the
 //     row-major scan of the scalar squared_distance in
 //     tests/ukmeans_oracle.h bitwise (the bit-exactness contract, checked
@@ -285,6 +288,38 @@ std::size_t RealizationPass(const simd::KernelTable& t,
   return pairs;
 }
 
+// RealizationPass through the four-pair kernels: object i against its
+// kRealizationPartners successors, four per call, i as the first operand
+// of each pair, as EvalRow pairs a row with partners above it.
+std::size_t RealizationRowPass(const simd::KernelTable& t,
+                               const RealizationInputs& in,
+                               std::vector<double>* sums,
+                               std::vector<std::size_t>* hits) {
+  static_assert(kRealizationPartners % 4 == 0);
+  const std::size_t row = in.s_count * in.m;
+  const double eps2 = 4.0 * static_cast<double>(in.m);
+  std::size_t pairs = 0;
+  for (std::size_t i = 0; i < kRealizationObjects; ++i) {
+    const double* a = in.samples.data() + i * row;
+    for (std::size_t r = 1; r <= kRealizationPartners; r += 4) {
+      const double* rows[4] = {a, a, a, a};
+      const double* partners[4];
+      for (std::size_t u = 0; u < 4; ++u) {
+        partners[u] =
+            in.samples.data() + ((i + r + u) % kRealizationObjects) * row;
+      }
+      t.realization_squared_sums4(rows, partners, in.s_count, in.m,
+                                  sums->data() + pairs);
+      if (hits != nullptr) {
+        t.realizations_within4(rows, partners, in.s_count, in.m, eps2,
+                               hits->data() + pairs);
+      }
+      pairs += 4;
+    }
+  }
+  return pairs;
+}
+
 struct IsaResults {
   std::string name;
   double ed2_evals_per_s = 0.0;
@@ -295,6 +330,8 @@ struct IsaResults {
   double stay_objects_per_s = 0.0;
   double pairs_m2_s24_per_s = 0.0;
   double pairs_m16_s32_per_s = 0.0;
+  double row_pairs_m2_s24_per_s = 0.0;
+  double row_pairs_m16_s32_per_s = 0.0;
   bool cross_check_ok = true;
 };
 
@@ -359,6 +396,15 @@ int main(int argc, char** argv) {
     SweepOut sweep(n);
     SweepPass(*table, in, &sweep);
     r.cross_check_ok = sweep == ref_sweep;
+    for (std::size_t q = 0; q < std::size(shapes); ++q) {
+      std::vector<double> sums(n_pairs);
+      std::vector<std::size_t> hits(n_pairs);
+      RealizationRowPass(*table, shapes[q], &sums, &hits);
+      r.cross_check_ok = r.cross_check_ok &&
+                         std::memcmp(sums.data(), ref_sums[q].data(),
+                                     sums.size() * sizeof(double)) == 0 &&
+                         hits == ref_hits[q];
+    }
     if (isa != simd::Isa::kScalar) {
       std::vector<double> tile(tile_rows * n);
       std::vector<double> mean(n * m), mu2(n * m), var(n * m), tv(n);
@@ -470,6 +516,18 @@ int main(int argc, char** argv) {
           static_cast<double>(pairs) / secs;
       g_sink += sums[0];
     }
+    // The same pairs, four per realization_squared_sums4 call.
+    for (std::size_t q = 0; q < std::size(shapes); ++q) {
+      std::vector<double> sums(n_pairs);
+      std::size_t pairs = 0;
+      const auto [reps, secs] = Measure(min_ms, [&] {
+        pairs += RealizationRowPass(*table, shapes[q], &sums, nullptr);
+      });
+      (void)reps;
+      (q == 0 ? r.row_pairs_m2_s24_per_s : r.row_pairs_m16_s32_per_s) =
+          static_cast<double>(pairs) / secs;
+      g_sink += sums[0];
+    }
     results.push_back(std::move(r));
   }
 
@@ -477,17 +535,20 @@ int main(int argc, char** argv) {
   for (const IsaResults& r : results) {
     if (r.name == "scalar") scalar_ed2 = r.ed2_evals_per_s;
   }
-  std::printf("%-8s %14s %10s %10s %14s %12s %12s %16s %17s %9s %6s\n",
+  std::printf("%-8s %14s %10s %10s %14s %12s %12s %16s %17s %16s %17s %9s "
+              "%6s\n",
               "isa", "ed2 evals/s", "ed2 GB/s", "pack GB/s", "sweep evals/s",
               "gains obj/s", "stay obj/s", "pairs/s m2 S24",
-              "pairs/s m16 S32", "vs scalar", "bits");
+              "pairs/s m16 S32", "row4/s m2 S24", "row4/s m16 S32",
+              "vs scalar", "bits");
   for (const IsaResults& r : results) {
     std::printf("%-8s %14.3g %10.2f %10.2f %14.3g %12.3g %12.3g %16.3g %17.3g "
-                "%8.2fx %6s\n",
+                "%16.3g %17.3g %8.2fx %6s\n",
                 r.name.c_str(), r.ed2_evals_per_s, r.ed2_gb_per_s,
                 r.pack_gb_per_s, r.sweep_evals_per_s, r.gains_objects_per_s,
                 r.stay_objects_per_s, r.pairs_m2_s24_per_s,
-                r.pairs_m16_s32_per_s,
+                r.pairs_m16_s32_per_s, r.row_pairs_m2_s24_per_s,
+                r.row_pairs_m16_s32_per_s,
                 scalar_ed2 > 0 ? r.ed2_evals_per_s / scalar_ed2 : 0.0,
                 !r.cross_check_ok ? "DIFF"
                                   : (r.name == "scalar" ? "ref" : "ok"));
@@ -521,6 +582,9 @@ int main(int argc, char** argv) {
     json.KV("relocation_stay_objects_per_s", r.stay_objects_per_s);
     json.KV("realization_pairs_per_s_m2_s24", r.pairs_m2_s24_per_s);
     json.KV("realization_pairs_per_s_m16_s32", r.pairs_m16_s32_per_s);
+    json.KV("realization_row_pairs_per_s_m2_s24", r.row_pairs_m2_s24_per_s);
+    json.KV("realization_row_pairs_per_s_m16_s32",
+            r.row_pairs_m16_s32_per_s);
     json.KV("ed2_speedup_vs_scalar",
             scalar_ed2 > 0 ? r.ed2_evals_per_s / scalar_ed2 : 0.0);
     json.KV("cross_check_ok", r.cross_check_ok);

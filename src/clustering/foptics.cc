@@ -146,14 +146,25 @@ ClusteringResult Foptics::Cluster(const data::UncertainDataset& data, int k,
       if (!resident) walk_evals += static_cast<int64_t>(n - order.size());
       std::size_t next = n;
       double best = kUndefined;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (processed[j]) continue;
-        const double d = resident ? drow[j] : kernel.Eval(current, j);
+      const auto relax = [&](std::size_t j, double d) {
         reach[j] = std::min(reach[j], std::max(core_dist[current], d));
         if (reach[j] < best) {
           best = reach[j];
           next = j;
         }
+      };
+      if (resident) {
+        for (std::size_t j = 0; j < n; ++j) {
+          if (!processed[j]) relax(j, drow[j]);
+        }
+      } else {
+        // The unprocessed columns in ascending order, scored a stack chunk
+        // at a time and relaxed in that same order.
+        kernels::RowBatch batch(kernel, current, relax);
+        for (std::size_t j = 0; j < n; ++j) {
+          if (!processed[j]) batch.Add(j, j);
+        }
+        batch.Flush();
       }
       if (next == n) break;  // all remaining are unreachable: new component
       current = next;

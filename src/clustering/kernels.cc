@@ -25,7 +25,63 @@ std::size_t TriangularRowBlock(const engine::Engine& eng, std::size_t n) {
 // member offsets live on the stack.
 constexpr std::size_t kMemberChunk = 256;
 
+// Scores row i against the columns [begin, end) other than i, handing each
+// (j, value) to `sink` in ascending j.
+template <class Sink>
+void EvalColumns(const PairwiseKernel& kernel, std::size_t i,
+                 std::size_t begin, std::size_t end, Sink sink) {
+  RowBatch batch(kernel, i, std::move(sink));
+  for (std::size_t j = begin; j < end; ++j) {
+    if (j != i) batch.Add(j, j);
+  }
+  batch.Flush();
+}
+
 }  // namespace
+
+void PairwiseKernel::EvalRow(std::size_t i, const std::size_t* cols,
+                             std::size_t count, double* out) const {
+  const std::size_t grouped =
+      kind == Kind::kClosedFormED2 ? 0 : count - count % 4;
+  if (grouped > 0) {
+    uncertain::SampleView::RowCursor cursor(samples, i);
+    const simd::KernelTable& table = simd::Active();
+    const int s_count = samples.samples_per_object();
+    const std::size_t s = static_cast<std::size_t>(s_count);
+    const std::size_t m = samples.dims();
+    const double eps2 = eps * eps;
+    for (std::size_t t = 0; t < grouped; t += 4) {
+      const double* partner[4];
+      for (std::size_t u = 0; u < 4; ++u) {
+        partner[u] = cursor.Partner(cols[t + u]);
+      }
+      // row() only after the group's partners (a chunk switch re-resolves
+      // it); each pair keeps Eval's (lo, hi) operand order.
+      const double* a[4];
+      const double* b[4];
+      for (std::size_t u = 0; u < 4; ++u) {
+        const bool row_lo = i <= cols[t + u];
+        a[u] = row_lo ? cursor.row() : partner[u];
+        b[u] = row_lo ? partner[u] : cursor.row();
+      }
+      if (kind == Kind::kDistanceProbability) {
+        std::size_t hits[4];
+        table.realizations_within4(a, b, s, m, eps2, hits);
+        for (std::size_t u = 0; u < 4; ++u) {
+          out[t + u] = static_cast<double>(hits[u]) / s_count;
+        }
+      } else {
+        double acc[4];
+        table.realization_squared_sums4(a, b, s, m, acc);
+        for (std::size_t u = 0; u < 4; ++u) {
+          const double ed = acc[u] / s_count;
+          out[t + u] = kind == Kind::kSampleED ? std::sqrt(ed) : ed;
+        }
+      }
+    }
+  }
+  for (std::size_t t = grouped; t < count; ++t) out[t] = Eval(i, cols[t]);
+}
 
 void SumMeansByLabel(const engine::Engine& eng,
                      const uncertain::MomentView& mm,
@@ -128,12 +184,11 @@ int64_t FillDenseTriangular(const engine::Engine& eng,
           [&](const engine::BlockedRange& r) {
         int64_t evals = 0;
         for (std::size_t i = r.begin; i < r.end; ++i) {
-          for (std::size_t j = i + 1; j < n; ++j) {
-            const double v = kernel.Eval(i, j);
+          EvalColumns(kernel, i, i + 1, n, [&](std::size_t j, double v) {
             d[i * n + j] = v;
             d[j * n + i] = v;
-            ++evals;
-          }
+          });
+          evals += static_cast<int64_t>(n - 1 - i);
         }
         return evals;
       });
@@ -157,14 +212,10 @@ int64_t FillRowTile(const engine::Engine& eng, const PairwiseKernel& kernel,
         for (std::size_t t = r.begin; t < r.end; ++t) {
           const std::size_t i = row_begin + t;
           double* row = out + t * n;
-          for (std::size_t j = 0; j < n; ++j) {
-            if (j == i) {
-              row[j] = 0.0;
-              continue;
-            }
-            row[j] = kernel.Eval(i, j);
-            ++evals;
-          }
+          row[i] = 0.0;
+          EvalColumns(kernel, i, 0, n,
+                      [row](std::size_t j, double v) { row[j] = v; });
+          evals += static_cast<int64_t>(n - 1);
         }
         return evals;
       });
@@ -191,15 +242,18 @@ int64_t FillUpperRowTilePruned(const engine::Engine& eng,
         for (std::size_t t = r.begin; t < r.end; ++t) {
           const std::size_t i = row_begin + t;
           double* row = out + t * n;
+          RowBatch batch(kernel, i,
+                         [row](std::size_t j, double v) { row[j] = v; });
           for (std::size_t j = i + 1; j < n; ++j) {
             if (skip(i, j)) {
               row[j] = 0.0;
               ++c.pruned;
               continue;
             }
-            row[j] = kernel.Eval(i, j);
+            batch.Add(j, j);
             ++c.evals;
           }
+          batch.Flush();
         }
         return c;
       });
@@ -232,11 +286,14 @@ int64_t FillUpperRowTileFromCandidates(const engine::Engine& eng,
           double* row = out + t * n;
           std::fill(row + i + 1, row + n, 0.0);
           int64_t row_evals = 0;
+          RowBatch batch(kernel, i,
+                         [row](std::size_t j, double v) { row[j] = v; });
           for (const std::size_t j : candidates(i)) {
             assert(j > i && j < n);
-            row[j] = kernel.Eval(i, j);
+            batch.Add(j, j);
             ++row_evals;
           }
+          batch.Flush();
           c.evals += row_evals;
           c.pruned += static_cast<int64_t>(n - i - 1) - row_evals;
         }
@@ -266,14 +323,10 @@ int64_t FillGatherTile(const engine::Engine& eng, const PairwiseKernel& kernel,
           const std::size_t i = rows[t];
           double* row =
               out + (out_slots.empty() ? t : out_slots[t]) * n;
-          for (std::size_t j = 0; j < n; ++j) {
-            if (j == i) {
-              row[j] = 0.0;
-              continue;
-            }
-            row[j] = kernel.Eval(i, j);
-            ++evals;
-          }
+          row[i] = 0.0;
+          EvalColumns(kernel, i, 0, n,
+                      [row](std::size_t j, double v) { row[j] = v; });
+          evals += static_cast<int64_t>(n - 1);
         }
         return evals;
       });
@@ -300,13 +353,16 @@ int64_t FillSymmetricBlock(const engine::Engine& eng,
         for (std::size_t t = r.begin; t < r.end; ++t) {
           const std::size_t a = missing_slots[t];
           out[a * s + a] = 0.0;
-          for (std::size_t u = t + 1; u < count; ++u) {
-            const std::size_t b = missing_slots[u];
-            const double v = kernel.Eval(ids[a], ids[b]);
+          RowBatch batch(kernel, ids[a], [&](std::size_t b, double v) {
             out[a * s + b] = v;
             out[b * s + a] = v;
-            ++evals;
+          });
+          for (std::size_t u = t + 1; u < count; ++u) {
+            const std::size_t b = missing_slots[u];
+            batch.Add(ids[b], b);
           }
+          batch.Flush();
+          evals += static_cast<int64_t>(count - 1 - t);
         }
         return evals;
       });
@@ -331,14 +387,14 @@ int64_t FillBlockRows(const engine::Engine& eng, const PairwiseKernel& kernel,
         for (std::size_t t = r.begin; t < r.end; ++t) {
           const std::size_t a = row_slots[t];
           double* row = out + out_slots[t] * s;
+          row[a] = 0.0;
+          RowBatch batch(kernel, ids[a],
+                         [row](std::size_t b, double v) { row[b] = v; });
           for (std::size_t b = 0; b < s; ++b) {
-            if (b == a) {
-              row[b] = 0.0;
-              continue;
-            }
-            row[b] = kernel.Eval(ids[a], ids[b]);
-            ++evals;
+            if (b != a) batch.Add(ids[b], b);
           }
+          batch.Flush();
+          evals += static_cast<int64_t>(s - 1);
         }
         return evals;
       });
@@ -361,10 +417,9 @@ int64_t FillUpperRowTile(const engine::Engine& eng,
         for (std::size_t t = r.begin; t < r.end; ++t) {
           const std::size_t i = row_begin + t;
           double* row = out + t * n;
-          for (std::size_t j = i + 1; j < n; ++j) {
-            row[j] = kernel.Eval(i, j);
-            ++evals;
-          }
+          EvalColumns(kernel, i, i + 1, n,
+                      [row](std::size_t j, double v) { row[j] = v; });
+          evals += static_cast<int64_t>(n - 1 - i);
         }
         return evals;
       });

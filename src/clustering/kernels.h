@@ -14,9 +14,10 @@
 // The pairwise kernels are tile producers: they fill row tiles (or the
 // ragged upper-triangle rows) of a symmetric pairwise table for a
 // PairwiseKernel, so the PairwiseStore backends can materialize the table
-// fully or stream it in bounded blocks. Every producer evaluates a
-// pair as (min(i, j), max(i, j)), which makes a given entry bit-identical
-// no matter which producer (or backend) computed it.
+// fully or stream it in bounded blocks. Every producer scores a row at a
+// time through PairwiseKernel::EvalRow and evaluates a pair as
+// (min(i, j), max(i, j)), which makes a given entry bit-identical no
+// matter which producer (or backend) computed it.
 #ifndef UCLUST_CLUSTERING_KERNELS_H_
 #define UCLUST_CLUSTERING_KERNELS_H_
 
@@ -25,6 +26,7 @@
 #include <cstdint>
 #include <functional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "clustering/simd/simd.h"
@@ -74,9 +76,10 @@ double AssignmentObjective(const engine::Engine& eng,
 /// kernel. The sampled kinds read through uncertain::SampleView, so both
 /// the Resident and the Mapped (out-of-core .usmp) SampleStore backends
 /// serve them — with bit-identical values, since the bytes behind the view
-/// are identical by the sample-store contract. Each sampled evaluation
-/// holds exactly two object rows at once, within the chunked view's
-/// span-validity window.
+/// are identical by the sample-store contract. A sampled Eval holds two
+/// object rows at once, and an EvalRow call the row plus one four-partner
+/// group (fewer than 8 chunks), within the chunked view's span-validity
+/// window.
 struct PairwiseKernel {
   enum class Kind {
     kClosedFormED2,        ///< ED^ from moments (Lemma 3); no integration.
@@ -153,10 +156,59 @@ struct PairwiseKernel {
     return 0.0;  // unreachable
   }
 
+  /// Evaluates row i against count partner columns: out[t] == Eval(i,
+  /// cols[t]) bit for bit (a NaN stays a NaN; as everywhere in the simd
+  /// layer, its payload is outside the contract), in any column order,
+  /// partners below and above i alike. The sampled kinds resolve row i
+  /// once, walk the partners with a SampleView::RowCursor (one chunk lookup
+  /// per chunk run) and score them four at a time through the four-pair
+  /// simd kernels, each pair in its canonical (lo, hi) operand order; the
+  /// closed form and the last count % 4 partners go through Eval.
+  void EvalRow(std::size_t i, const std::size_t* cols, std::size_t count,
+               double* out) const;
+
   Kind kind = Kind::kClosedFormED2;
   std::span<const uncertain::UncertainObject> objects{};
   uncertain::SampleView samples{};
   double eps = 0.0;
+};
+
+/// Columns per RowBatch flush: the batch's columns, slots and values live
+/// on the stack.
+inline constexpr std::size_t kRowBatchColumns = 64;
+
+/// Feeds one row's pairs to PairwiseKernel::EvalRow a fixed stack chunk at a
+/// time. Add(col, slot) queues partner `col`; when kRowBatchColumns are
+/// queued, and at Flush, one EvalRow call scores the queue and hands each
+/// (slot, value) to `sink` in queue order, so a consumer that walks its
+/// columns in order sees the values in that order. `slot` is the caller's
+/// name for the entry (an output column, a block slot).
+template <class Sink>
+class RowBatch {
+ public:
+  RowBatch(const PairwiseKernel& kernel, std::size_t row, Sink sink)
+      : kernel_(kernel), row_(row), sink_(std::move(sink)) {}
+
+  void Add(std::size_t col, std::size_t slot) {
+    cols_[size_] = col;
+    slots_[size_] = slot;
+    if (++size_ == kRowBatchColumns) Flush();
+  }
+
+  void Flush() {
+    kernel_.EvalRow(row_, cols_, size_, values_);
+    for (std::size_t t = 0; t < size_; ++t) sink_(slots_[t], values_[t]);
+    size_ = 0;
+  }
+
+ private:
+  const PairwiseKernel& kernel_;
+  std::size_t row_;
+  Sink sink_;
+  std::size_t size_ = 0;
+  std::size_t cols_[kRowBatchColumns];
+  std::size_t slots_[kRowBatchColumns];
+  double values_[kRowBatchColumns];
 };
 
 /// Fills the full symmetric n x n table for `kernel` (each pair evaluated

@@ -151,6 +151,21 @@ struct KernelTable {
   std::size_t (*realizations_within)(const double* a, const double* b,
                                      std::size_t s_count, std::size_t m,
                                      double eps2);
+  /// Four matched-realization sums at once, one per pair t in [0, 4):
+  ///   out[t] = realization_squared_sum(a[t], b[t], s_count, m, m)
+  /// bit for bit. The four accumulators advance one realization at a time,
+  /// so their add chains overlap instead of each waiting on its own add
+  /// latency; each still adds in s order from 0.0. Pairs may share a row
+  /// (PairwiseKernel::EvalRow passes its row object in every pair).
+  void (*realization_squared_sums4)(const double* const* a,
+                                    const double* const* b,
+                                    std::size_t s_count, std::size_t m,
+                                    double* out);
+  /// Four realizations_within counts at once:
+  ///   out[t] = realizations_within(a[t], b[t], s_count, m, eps2).
+  void (*realizations_within4)(const double* const* a, const double* const* b,
+                               std::size_t s_count, std::size_t m,
+                               double eps2, std::size_t* out);
 };
 
 /// Table of a specific path, or nullptr when that path is not compiled in
@@ -261,6 +276,19 @@ inline std::size_t RealizationsWithin(const double* a, const double* b,
                                       std::size_t s_count, std::size_t m,
                                       double eps2) {
   return Active().realizations_within(a, b, s_count, m, eps2);
+}
+
+inline void RealizationSquaredSums4(const double* const* a,
+                                    const double* const* b,
+                                    std::size_t s_count, std::size_t m,
+                                    double* out) {
+  Active().realization_squared_sums4(a, b, s_count, m, out);
+}
+
+inline void RealizationsWithin4(const double* const* a, const double* const* b,
+                                std::size_t s_count, std::size_t m,
+                                double eps2, std::size_t* out) {
+  Active().realizations_within4(a, b, s_count, m, eps2, out);
 }
 
 // Per-ISA table factories (defined in their own TUs so target-specific

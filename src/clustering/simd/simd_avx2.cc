@@ -16,8 +16,31 @@ namespace uclust::clustering::simd {
 
 namespace {
 
+// One __m256d, lane p holding pair p: the unit of the four-pair short-row
+// sums (QuadShortRowSums).
+struct Avx2QuadOps {
+  using V = __m256d;
+  static V Load(const double* p) { return _mm256_loadu_pd(p); }
+  static V Sub(V a, V b) { return _mm256_sub_pd(a, b); }
+  static V Mul(V a, V b) { return _mm256_mul_pd(a, b); }
+  static V Add(V a, V b) { return _mm256_add_pd(a, b); }
+  static void Store(double* p, V a) { _mm256_storeu_pd(p, a); }
+  // 4 x 4 transpose: lane k of *r_p becomes lane p of *r_k.
+  [[gnu::always_inline]] static void Transpose(V* r0, V* r1, V* r2, V* r3) {
+    const V t0 = _mm256_unpacklo_pd(*r0, *r1);  // 00 10 02 12
+    const V t1 = _mm256_unpackhi_pd(*r0, *r1);  // 01 11 03 13
+    const V t2 = _mm256_unpacklo_pd(*r2, *r3);  // 20 30 22 32
+    const V t3 = _mm256_unpackhi_pd(*r2, *r3);  // 21 31 23 33
+    *r0 = _mm256_permute2f128_pd(t0, t2, 0x20);
+    *r1 = _mm256_permute2f128_pd(t1, t3, 0x20);
+    *r2 = _mm256_permute2f128_pd(t0, t2, 0x31);
+    *r3 = _mm256_permute2f128_pd(t1, t3, 0x31);
+  }
+};
+
 struct Avx2Ops {
   using GroupOps = Avx2Ops;  // a center group folds in one V
+  using QuadOps = Avx2QuadOps;
   static constexpr int kRegs = static_cast<int>(kLanes / 4);
   struct V {
     __m256d r[kRegs];  // r[q] holds lanes 4q .. 4q+3

@@ -3,8 +3,10 @@
 // Every ISA TU instantiates the SAME templates below with its own Ops
 // (vector type + Zero/Splat/Load/Sub/Mul/Add/Store, plus Min, Except,
 // FillFrom, MinLanes, LowestTwo, EqMask and AnyNan for the selection steps
-// of the relocation stay test and the nearest-two scan, and GroupOps, the
-// unit a center-lane group's distances fold in), so the accumulation
+// of the relocation stay test and the nearest-two scan, GroupOps, the
+// unit a center-lane group's distances fold in, and optionally QuadOps, a
+// four-double vector whose lanes are the four pairs of the four-pair
+// realization sums), so the accumulation
 // order — and therefore the rounding — is identical by construction: the
 // bit-exactness contract is structural, not something each path
 // re-implements and can drift on. An Ops vector always models exactly kLanes = 16 doubles
@@ -69,26 +71,41 @@ inline double FoldLanes(const double lanes[kLanes]) {
 // occupancy tests below are compile-time constants and each instantiation
 // is straight-line code. (Ops only keeps each ISA TU's instantiation its
 // own, so the -mavx2 one can never be linked into another path.)
+//
+// ShortRowFold is that tree over any value type: sq(t) yields element t's
+// square and add(x, y) the sum x + y, so ShortRow folds doubles and
+// QuadShortRowSums folds four pairs' squares lane by lane, with the same
+// additions in the same order.
+template <std::size_t M, class Sq, class Add>
+[[gnu::always_inline]] inline auto ShortRowFold(Sq sq, Add add) {
+  // lane(t) is FoldLanes' a_t (lanes t and t + 8), quad(t) its b_t (a_t
+  // and a_{t+4}); an operand made only of empty lanes is left out.
+  const auto lane = [&](std::size_t t) {
+    return t + 8 < M ? add(sq(t), sq(t + 8)) : sq(t);
+  };
+  const auto quad = [&](std::size_t t) {
+    return t + 4 < M ? add(lane(t), lane(t + 4)) : lane(t);
+  };
+  const auto c0 = 2 < M ? add(quad(0), quad(2)) : quad(0);
+  if constexpr (M == 1) {
+    return c0;
+  } else {
+    const auto c1 = 3 < M ? add(quad(1), quad(3)) : quad(1);
+    return add(c0, c1);
+  }
+}
+
 template <class Ops, std::size_t M>
 struct ShortRow {
   static_assert(M > 0 && M < kLanes);
+  static constexpr std::size_t kM = M;
   double operator()(const double* a, const double* b) const {
-    const auto sq = [&](std::size_t t) {
-      const double d = a[t] - b[t];
-      return d * d;
-    };
-    // lane(t) is FoldLanes' a_t (lanes t and t + 8), quad(t) its b_t (a_t
-    // and a_{t+4}); an operand made only of empty lanes is left out.
-    const auto lane = [&](std::size_t t) {
-      return t + 8 < M ? sq(t) + sq(t + 8) : sq(t);
-    };
-    const auto quad = [&](std::size_t t) {
-      return t + 4 < M ? lane(t) + lane(t + 4) : lane(t);
-    };
-    const double c0 = 2 < M ? quad(0) + quad(2) : quad(0);
-    if constexpr (M == 1) return c0;
-    const double c1 = 3 < M ? quad(1) + quad(3) : quad(1);
-    return c0 + c1;
+    return ShortRowFold<M>(
+        [&](std::size_t t) {
+          const double d = a[t] - b[t];
+          return d * d;
+        },
+        [](double x, double y) { return x + y; });
   }
 };
 
@@ -178,6 +195,103 @@ std::size_t RealizationsWithinT(const double* a, const double* b,
       if (row(a + s * m, b + s * m) <= eps2) ++hits;
     }
     return hits;
+  });
+}
+
+// Four pairs' matched-realization sums for rows shorter than one lane
+// group, on a 4-wide vector type Q (Ops::QuadOps) whose lane p belongs to
+// pair p. Four realizations at a time: each pair's 4·M elements load as M
+// chunks of four, are differenced within the pair (a - b, element by
+// element) and transposed, so lane p of e[k] is pair p's difference at
+// element k. Each realization's squares then fold in ShortRow's tree lane
+// by lane, and acc adds the four realizations in s order: every lane
+// performs exactly its pair's single-pair operations. Adds the whole groups
+// of four realizations into acc[0, 4) and returns how many realizations
+// that covered.
+template <class Q, std::size_t M>
+std::size_t QuadShortRowSums(const double* const* a, const double* const* b,
+                             std::size_t s_count, double* acc) {
+  using V = typename Q::V;
+  V sum = Q::Load(acc);
+  const std::size_t whole = s_count - s_count % 4;
+  for (std::size_t off = 0; off < whole * M; off += 4 * M) {
+    V e[4 * M];
+    for (std::size_t c = 0; c < M; ++c) {
+      const std::size_t at = off + 4 * c;
+      V d0 = Q::Sub(Q::Load(a[0] + at), Q::Load(b[0] + at));
+      V d1 = Q::Sub(Q::Load(a[1] + at), Q::Load(b[1] + at));
+      V d2 = Q::Sub(Q::Load(a[2] + at), Q::Load(b[2] + at));
+      V d3 = Q::Sub(Q::Load(a[3] + at), Q::Load(b[3] + at));
+      Q::Transpose(&d0, &d1, &d2, &d3);
+      e[4 * c] = d0;
+      e[4 * c + 1] = d1;
+      e[4 * c + 2] = d2;
+      e[4 * c + 3] = d3;
+    }
+    for (std::size_t r = 0; r < 4; ++r) {
+      const V* row = e + r * M;
+      const auto sq = [&](std::size_t t) { return Q::Mul(row[t], row[t]); };
+      const auto add = [](V x, V y) { return Q::Add(x, y); };
+      sum = Q::Add(sum, ShortRowFold<M>(sq, add));
+    }
+  }
+  Q::Store(acc, sum);
+  return whole;
+}
+
+// The four-pair forms of RealizationSquaredSumT and RealizationsWithinT
+// (PairwiseKernel::EvalRow's unit): pair t keeps its own accumulator with
+// exactly the single-pair loop's operations, and the four advance
+// together, one realization at a time, so four independent add chains
+// share the latency one chain waited on alone. An Ops with a QuadOps
+// vector runs the short rows' whole groups of four realizations through
+// QuadShortRowSums first.
+template <class Ops>
+void RealizationSquaredSums4T(const double* const* a, const double* const* b,
+                              std::size_t s_count, std::size_t m,
+                              double* out) {
+  WithRowKernel<Ops>(m, [&](auto row) {
+    double acc[4] = {0.0, 0.0, 0.0, 0.0};
+    std::size_t start = 0;
+    if constexpr (requires { typename Ops::QuadOps; decltype(row)::kM; }) {
+      start = QuadShortRowSums<typename Ops::QuadOps, decltype(row)::kM>(
+          a, b, s_count, acc);
+    }
+    const double *a0 = a[0], *a1 = a[1], *a2 = a[2], *a3 = a[3];
+    const double *b0 = b[0], *b1 = b[1], *b2 = b[2], *b3 = b[3];
+    double acc0 = acc[0], acc1 = acc[1], acc2 = acc[2], acc3 = acc[3];
+    for (std::size_t s = start, off = start * m; s < s_count;
+         ++s, off += m) {
+      acc0 += row(a0 + off, b0 + off);
+      acc1 += row(a1 + off, b1 + off);
+      acc2 += row(a2 + off, b2 + off);
+      acc3 += row(a3 + off, b3 + off);
+    }
+    out[0] = acc0;
+    out[1] = acc1;
+    out[2] = acc2;
+    out[3] = acc3;
+  });
+}
+
+template <class Ops>
+void RealizationsWithin4T(const double* const* a, const double* const* b,
+                          std::size_t s_count, std::size_t m, double eps2,
+                          std::size_t* out) {
+  WithRowKernel<Ops>(m, [&](auto row) {
+    const double *a0 = a[0], *a1 = a[1], *a2 = a[2], *a3 = a[3];
+    const double *b0 = b[0], *b1 = b[1], *b2 = b[2], *b3 = b[3];
+    std::size_t hits0 = 0, hits1 = 0, hits2 = 0, hits3 = 0;
+    for (std::size_t s = 0, off = 0; s < s_count; ++s, off += m) {
+      hits0 += row(a0 + off, b0 + off) <= eps2;
+      hits1 += row(a1 + off, b1 + off) <= eps2;
+      hits2 += row(a2 + off, b2 + off) <= eps2;
+      hits3 += row(a3 + off, b3 + off) <= eps2;
+    }
+    out[0] = hits0;
+    out[1] = hits1;
+    out[2] = hits2;
+    out[3] = hits3;
   });
 }
 
@@ -502,6 +616,7 @@ constexpr KernelTable MakeTable() {
       &PackRowT<Ops>,         &NearestTwoT<Ops>,
       &RelocationGainsT<Ops>, &RelocationStayT<Ops>,
       &RealizationSquaredSumT<Ops>, &RealizationsWithinT<Ops>,
+      &RealizationSquaredSums4T<Ops>, &RealizationsWithin4T<Ops>,
   };
 }
 

@@ -91,21 +91,30 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
                   midx.NearestCandidates(data.object(i).region(), &cand);
                   int best = 0;
                   double best_d = std::numeric_limits<double>::infinity();
-                  for (const std::size_t slot : cand) {
-                    const std::size_t mid = medoids[slot];
-                    // The gather path serves the table diagonal (exactly 0)
-                    // when an object is its own medoid; Eval(i, i) would
-                    // return the nonzero self ED^, so match the diagonal.
-                    double d = 0.0;
-                    if (mid != i) {
-                      d = kernel.Eval(i, mid);
-                      ++ac.evals;
-                    }
+                  const auto offer = [&](std::size_t slot, double d) {
                     if (d < best_d) {
                       best_d = d;
                       best = static_cast<int>(slot);
                     }
+                  };
+                  // Candidates are offered in slot order; the batch scores
+                  // them a stack chunk at a time.
+                  kernels::RowBatch batch(kernel, i, offer);
+                  for (const std::size_t slot : cand) {
+                    const std::size_t mid = medoids[slot];
+                    // The gather path serves the table diagonal (exactly 0)
+                    // when an object is its own medoid; Eval(i, i) would
+                    // return the nonzero self ED^, so match the diagonal:
+                    // offer 0 in this slot's turn, after the queued ones.
+                    if (mid == i) {
+                      batch.Flush();
+                      offer(slot, 0.0);
+                      continue;
+                    }
+                    batch.Add(mid, slot);
+                    ++ac.evals;
                   }
+                  batch.Flush();
                   ac.cands += static_cast<int64_t>(cand.size());
                   if (best != result.labels[i]) {
                     result.labels[i] = best;

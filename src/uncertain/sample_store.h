@@ -28,9 +28,10 @@
 // Span-validity contract (chunked views only): a span returned by a chunked
 // view stays valid on the calling thread until that thread accesses objects
 // from several (>= 8) OTHER chunks. Consumers must not cache sample spans
-// across object iterations — every sampled kernel holds at most two distinct
-// object rows at once, well within the window every chunk source keeps
-// mapped. Flat views have no such limit.
+// across object iterations — every sampled kernel holds at most one row
+// object plus one four-partner group at once (SampleView::RowCursor below):
+// five rows from at most five chunks, within the window every chunk source
+// keeps mapped. Flat views have no such limit.
 //
 // Layering: this header owns the interface, the canonical draw, and the
 // Resident backend; the Mapped backend and the backend-selecting factory
@@ -116,10 +117,13 @@ class SampleView {
 
   /// All S realizations of object i as one contiguous S * m span.
   std::span<const double> ObjectSamples(std::size_t i) const {
-    const std::size_t row = static_cast<std::size_t>(samples_) * m_;
+    const std::size_t row = row_size();
     if (source_ == nullptr) return {flat_ + i * row, row};
     return {source_->ChunkData(i >> shift_) + (i & mask_) * row, row};
   }
+
+  /// Resolves one row object and a walk of partners (defined below).
+  class RowCursor;
 
   /// The s-th realization of object i, as a length-m span.
   std::span<const double> SampleOf(std::size_t i, int s) const {
@@ -137,6 +141,10 @@ class SampleView {
   double DistanceProbability(std::size_t i, std::size_t j, double eps) const;
 
  private:
+  std::size_t row_size() const {
+    return static_cast<std::size_t>(samples_) * m_;
+  }
+
   std::size_t n_ = 0;
   int samples_ = 0;
   std::size_t m_ = 0;
@@ -144,6 +152,56 @@ class SampleView {
   std::size_t mask_ = 0;
   const double* flat_ = nullptr;
   const SampleChunkSource* source_ = nullptr;
+};
+
+/// One thread's walk from a pinned object (the row) over many partner
+/// objects, as PairwiseKernel::EvalRow pairs them. The row is resolved once;
+/// partners go through a chunk-run cursor that reuses the chunk base
+/// pointer while consecutive partners share a chunk, so a chunked view pays
+/// one ChunkData call per chunk run instead of one per partner. Each time a
+/// partner run starts in another chunk, the row's chunk is looked up again
+/// (a window hit), so the row stays among the thread's most recent chunks
+/// and its pointer valid, however many chunks the partners cross; read row()
+/// after resolving the partners it is paired with. Spans obey the
+/// span-validity contract above: the row plus up to four partners resolved
+/// since stay valid together.
+class SampleView::RowCursor {
+ public:
+  RowCursor(const SampleView& view, std::size_t row)
+      : view_(view), row_index_(row), row_(view.ObjectSamples(row).data()) {
+    if (view.chunked()) {
+      chunk_ = row >> view.shift_;
+      base_ = row_ - (row & view.mask_) * view.row_size();
+    }
+  }
+
+  /// The row object's S * m realizations.
+  const double* row() const { return row_; }
+
+  /// Partner object j's S * m realizations.
+  const double* Partner(std::size_t j) {
+    if (view_.source_ == nullptr) return view_.flat_ + j * view_.row_size();
+    const std::size_t chunk = j >> view_.shift_;
+    if (chunk != chunk_) StartRun(chunk);
+    return base_ + (j & view_.mask_) * view_.row_size();
+  }
+
+ private:
+  void StartRun(std::size_t chunk) {
+    chunk_ = chunk;
+    base_ = view_.source_->ChunkData(chunk);
+    const std::size_t row_chunk = row_index_ >> view_.shift_;
+    const double* row_base = chunk == row_chunk
+                                 ? base_
+                                 : view_.source_->ChunkData(row_chunk);
+    row_ = row_base + (row_index_ & view_.mask_) * view_.row_size();
+  }
+
+  const SampleView& view_;
+  std::size_t row_index_;
+  const double* row_;
+  std::size_t chunk_ = 0;         // chunk of the current partner run
+  const double* base_ = nullptr;  // its base pointer
 };
 
 /// One dataset's sample set behind an ownership backend.

@@ -4,8 +4,13 @@
 // the configured budget.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstring>
+#include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "clustering/foptics.h"
@@ -15,7 +20,9 @@
 #include "clustering/ukmedoids.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
+#include "common/rng.h"
 #include "engine/engine.h"
+#include "io/sample_file.h"
 #include "uncertain/sample_store.h"
 
 namespace uclust::clustering {
@@ -161,6 +168,79 @@ TEST(PairwiseStore, BudgetSelectsBackendAndBoundsPeak) {
   for (std::size_t i = 0; i < n; i += 3) store.GatherRow(i, &row);
   store.VisitAllRows([](std::size_t, std::span<const double>) {});
   EXPECT_LE(store.table_bytes_peak(), 16 * row_bytes);
+}
+
+// EvalRow is Eval, bit for bit, for every kernel kind on the resident and
+// the mapped sample view. The mapped sidecar has one object per chunk, so
+// a full row crosses n - 1 > kSidecarWindowSlots chunks and the thread's
+// window LRU evicts while the row is being scored; the row's own chunk
+// must survive that. Partner lists: every length 0-9 with random columns
+// (unsorted, below and above i, i itself allowed), and the full row
+// ascending, descending and shuffled.
+TEST(PairwiseKernel, EvalRowMatchesEvalOnResidentAndMappedViews) {
+  const auto ds = TestDataset(61, 3, 3, 29);
+  const std::size_t n = ds.size();
+  const uncertain::ResidentSampleStore resident(ds.objects(), 24, 0x5eed);
+  const std::string sidecar =
+      ::testing::TempDir() + "pairwise_evalrow.usmp";
+  ASSERT_TRUE(io::WriteSampleFile(resident.view(), sidecar, 0x5eed,
+                                  /*chunk_rows=*/1)
+                  .ok());
+  auto opened = io::MappedSampleStore::Open(sidecar);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  std::unique_ptr<io::MappedSampleStore> mapped =
+      std::move(opened).ValueOrDie();
+  const uncertain::SampleView mapped_view = mapped->view();
+  ASSERT_EQ(1u, mapped_view.chunk_rows());
+
+  common::Rng rng(0xE7A1);
+  std::vector<std::vector<std::size_t>> lists;
+  for (std::size_t len = 0; len <= 9; ++len) {
+    for (int rep = 0; rep < 3; ++rep) {
+      std::vector<std::size_t> cols(len);
+      for (std::size_t& c : cols) {
+        c = static_cast<std::size_t>(rng.Uniform(0.0, 1.0) * n) % n;
+      }
+      lists.push_back(cols);
+    }
+  }
+  std::vector<std::size_t> all(n);
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  lists.push_back(all);
+  lists.push_back(std::vector<std::size_t>(all.rbegin(), all.rend()));
+  for (std::size_t t = n - 1; t > 0; --t) {
+    const std::size_t u = static_cast<std::size_t>(rng.Uniform(0.0, 1.0) *
+                                                   (t + 1)) % (t + 1);
+    std::swap(all[t], all[u]);
+  }
+  lists.push_back(all);
+
+  for (const uncertain::SampleView& view : {resident.view(), mapped_view}) {
+    const kernels::PairwiseKernel kinds[] = {
+        kernels::PairwiseKernel::ClosedFormED2(ds.objects()),
+        kernels::PairwiseKernel::SampleED2(view),
+        kernels::PairwiseKernel::SampleED(view),
+        kernels::PairwiseKernel::DistanceProbability(view, 0.4),
+    };
+    for (const auto& kernel : kinds) {
+      for (const std::size_t i : {std::size_t{0}, n / 2, n - 1}) {
+        for (const std::vector<std::size_t>& cols : lists) {
+          std::vector<double> got(cols.size() + 1, -1.0);
+          kernel.EvalRow(i, cols.data(), cols.size(), got.data());
+          for (std::size_t t = 0; t < cols.size(); ++t) {
+            const double want = kernel.Eval(i, cols[t]);
+            ASSERT_EQ(0, std::memcmp(&want, &got[t], sizeof(double)))
+                << "kind=" << static_cast<int>(kernel.kind)
+                << " chunked=" << view.chunked() << " i=" << i
+                << " col=" << cols[t] << " of " << cols.size();
+          }
+          EXPECT_EQ(-1.0, got[cols.size()]) << "wrote past count";
+        }
+      }
+    }
+  }
+  mapped.reset();
+  std::remove(sidecar.c_str());
 }
 
 // Identical clusterings across backends, selected through the engine's

@@ -244,6 +244,98 @@ TEST(SimdKernels, RealizationKernelsMatchPerRealizationLoop) {
   }
 }
 
+// The four-pair row kernels (PairwiseKernel::EvalRow's unit) against the
+// per-pair kernels, on every ISA: one row object paired with four partners,
+// the row as the first operand of every pair (a partner above it), as the
+// second (below it), and mixed. Sums must be the per-pair results of the
+// same table and of the scalar table bit for bit, except that any NaN
+// matches any NaN (SameDouble: which of two NaN payloads an addition keeps
+// depends on the compiler's operand order, so payloads are outside the
+// contract), and counts must be equal. Hostile realizations: NaNs of
+// different payloads in the row and in a partner at the same coordinate,
+// +inf against +inf (inf - inf), and -inf.
+TEST(SimdKernels, RowKernelsMatchPairKernelsAcrossIsas) {
+  const KernelTable* ref = TableFor(Isa::kScalar);
+  ASSERT_NE(ref, nullptr);
+  const double inf = std::numeric_limits<double>::infinity();
+  const auto nan_payload = [](uint64_t payload) {
+    const uint64_t bits = 0x7FF8000000000000ULL | payload;
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    return v;
+  };
+  common::Rng rng(0x40B5);
+  for (const std::size_t m : {1, 2, 3, 15, 16, 17, 33}) {
+    // S = 7: whole groups of four realizations plus a tail of three.
+    for (const std::size_t s_count : {1, 7, 24, 32}) {
+      for (const bool hostile : {false, true}) {
+        const std::size_t row_len = s_count * m;
+        std::vector<double> row = RandomVector(row_len, &rng);
+        std::vector<std::vector<double>> partners;
+        for (int t = 0; t < 4; ++t) {
+          partners.push_back(RandomVector(row_len, &rng));
+        }
+        // Partner 3 repeats the row's first realization: distance 0, so
+        // eps2 = 0 ties.
+        std::copy(row.begin(), row.begin() + m, partners[3].begin());
+        if (hostile) {
+          const std::size_t last = row_len - 1;
+          row[0] = nan_payload(1);
+          partners[0][0] = nan_payload(2);
+          row[last] = inf;
+          partners[1][last] = inf;
+          partners[2][row_len / 2] = -inf;
+          partners[3][last] = nan_payload(3);
+        }
+        const double* p[4] = {partners[0].data(), partners[1].data(),
+                              partners[2].data(), partners[3].data()};
+        // Bit t of `row_first` puts the row first in pair t.
+        for (const unsigned row_first : {0xFu, 0x0u, 0x5u, 0x6u}) {
+          const double* a[4];
+          const double* b[4];
+          for (int t = 0; t < 4; ++t) {
+            const bool first = (row_first >> t) & 1u;
+            a[t] = first ? row.data() : p[t];
+            b[t] = first ? p[t] : row.data();
+          }
+          const std::string where =
+              "m=" + std::to_string(m) + " S=" + std::to_string(s_count) +
+              " hostile=" + std::to_string(hostile) +
+              " row_first=" + std::to_string(row_first);
+          for (Isa isa : AvailableIsas()) {
+            const KernelTable* t = TableFor(isa);
+            double sums[4];
+            t->realization_squared_sums4(a, b, s_count, m, sums);
+            for (int u = 0; u < 4; ++u) {
+              EXPECT_TRUE(SameDouble(
+                  t->realization_squared_sum(a[u], b[u], s_count, m, m),
+                  sums[u]))
+                  << where << " pair " << u << " isa=" << IsaName(isa);
+              EXPECT_TRUE(SameDouble(
+                  ref->realization_squared_sum(a[u], b[u], s_count, m, m),
+                  sums[u]))
+                  << where << " pair " << u << " isa=" << IsaName(isa);
+            }
+            const double d2 = ref->squared_distance(a[1], b[1], m);
+            for (const double eps2 : {0.0, d2, std::nextafter(d2, 0.0),
+                                      2.0 * m, inf, -1.0}) {
+              std::size_t hits[4];
+              t->realizations_within4(a, b, s_count, m, eps2, hits);
+              for (int u = 0; u < 4; ++u) {
+                EXPECT_EQ(ref->realizations_within(a[u], b[u], s_count, m,
+                                                   eps2),
+                          hits[u])
+                    << where << " eps2=" << eps2 << " pair " << u
+                    << " isa=" << IsaName(isa);
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(SimdKernels, PackRowBitIdenticalAcrossIsas) {
   const KernelTable* ref = TableFor(Isa::kScalar);
   ASSERT_NE(ref, nullptr);
