@@ -36,8 +36,8 @@
 //   --pairwise_n=N    size of the backend/spatial-index axis sweeps
 //                     (default 1500; 0 skips them)
 //   --pairwise_budget_mb=M  tiled-backend budget   (default 4)
-//   --simd_isa=I      force the process-wide SIMD path: auto, scalar, avx2
-//                     or neon (default auto); results never change, so the
+//   --simd_isa=I      force the process-wide SIMD path: auto, scalar or
+//                     avx2 (default auto); results never change, so the
 //                     fingerprint below must match across paths
 //   --seed=S          master seed                (default 1)
 #include <algorithm>
@@ -146,8 +146,8 @@ int main(int argc, char** argv) {
   if (!clustering::simd::IsaFromString(isa_name, &isa) ||
       !clustering::simd::ForceIsa(isa)) {
     std::fprintf(stderr,
-                 "fig5 scalability: --simd_isa: expected auto, scalar, avx2, "
-                 "or neon available on this cpu, got '%s'\n",
+                 "fig5 scalability: --simd_isa: expected auto, scalar, or "
+                 "avx2 available on this cpu, got '%s'\n",
                  isa_name.c_str());
     return 1;
   }

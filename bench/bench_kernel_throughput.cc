@@ -101,7 +101,7 @@ Inputs MakeInputs(std::size_t m, std::size_t tile_rows, std::size_t n, int k,
   return in;
 }
 
-// One ED^ tile pass in FillRowTile's shape: rows x n closed-form kernel
+// One ED^ tile pass in a gather tile's shape: rows x n closed-form kernel
 // evaluations through the table's ed2. Returns the number of evaluations.
 std::size_t Ed2Tile(const simd::KernelTable& t, const Inputs& in,
                     std::vector<double>* out) {
@@ -379,8 +379,7 @@ int main(int argc, char** argv) {
     RealizationPass(*scalar, shape, &ref_sums.back(), &ref_hits.back());
   }
 
-  const simd::Isa kCandidates[] = {simd::Isa::kScalar, simd::Isa::kAvx2,
-                                   simd::Isa::kNeon};
+  const simd::Isa kCandidates[] = {simd::Isa::kScalar, simd::Isa::kAvx2};
   std::vector<IsaResults> results;
   bool all_ok = true;
   for (const simd::Isa isa : kCandidates) {

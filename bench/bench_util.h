@@ -99,7 +99,7 @@ struct KernelThroughputRow {
 };
 
 /// Measures the closed-form ED^ tile kernel (tile_rows x n evaluations of
-/// dimension m, FillRowTile's access shape) per compiled-and-supported ISA
+/// dimension m, a gather tile's access shape) per compiled-and-supported ISA
 /// path. Runs each path for at least min_ms of wall time. Deterministic
 /// inputs; does not disturb the process-global dispatch state. The full
 /// per-primitive microbench is bench_kernel_throughput.
@@ -113,8 +113,7 @@ inline std::vector<KernelThroughputRow> MeasureEd2TileThroughput(
   for (double& v : total_var) v = rng.Uniform(0.0, 4.0 * m);
   std::vector<double> tile(tile_rows * n);
   std::vector<KernelThroughputRow> rows;
-  for (const simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
+  for (const simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
     const simd::KernelTable* table = simd::TableFor(isa);
     if (table == nullptr) continue;
     std::size_t evals = 0;

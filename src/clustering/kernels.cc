@@ -197,33 +197,6 @@ int64_t FillDenseTriangular(const engine::Engine& eng,
   return total;
 }
 
-int64_t FillRowTile(const engine::Engine& eng, const PairwiseKernel& kernel,
-                    std::size_t row_begin, std::size_t row_end, double* out) {
-  const std::size_t n = kernel.size();
-  const std::size_t rows = row_end - row_begin;
-  // Rows cost uniformly n - 1 evaluations, so the plain linear partition
-  // balances; many small blocks still help when the tile is shallow.
-  const std::size_t block = engine::ClampBlock(
-      eng, rows / (static_cast<std::size_t>(eng.num_threads()) * 4) + 1);
-  const std::vector<int64_t> evals_per_block =
-      engine::MapBlocksBlocked<int64_t>(
-          eng, rows, block, [&](const engine::BlockedRange& r) {
-        int64_t evals = 0;
-        for (std::size_t t = r.begin; t < r.end; ++t) {
-          const std::size_t i = row_begin + t;
-          double* row = out + t * n;
-          row[i] = 0.0;
-          EvalColumns(kernel, i, 0, n,
-                      [row](std::size_t j, double v) { row[j] = v; });
-          evals += static_cast<int64_t>(n - 1);
-        }
-        return evals;
-      });
-  int64_t total = 0;
-  for (int64_t e : evals_per_block) total += e;
-  return total;
-}
-
 int64_t FillUpperRowTilePruned(const engine::Engine& eng,
                                const PairwiseKernel& kernel,
                                std::size_t row_begin, std::size_t row_end,
@@ -245,7 +218,7 @@ int64_t FillUpperRowTilePruned(const engine::Engine& eng,
           RowBatch batch(kernel, i,
                          [row](std::size_t j, double v) { row[j] = v; });
           for (std::size_t j = i + 1; j < n; ++j) {
-            if (skip(i, j)) {
+            if (skip && skip(i, j)) {
               row[j] = 0.0;
               ++c.pruned;
               continue;
@@ -312,7 +285,9 @@ int64_t FillGatherTile(const engine::Engine& eng, const PairwiseKernel& kernel,
                        std::span<const std::size_t> out_slots) {
   const std::size_t n = kernel.size();
   const std::size_t count = rows.size();
-  // Requested rows cost uniformly n - 1 evaluations, like FillRowTile.
+  // Requested rows cost uniformly n - 1 evaluations, so the plain linear
+  // partition balances; many small blocks still help when the tile is
+  // shallow.
   const std::size_t block = engine::ClampBlock(
       eng, count / (static_cast<std::size_t>(eng.num_threads()) * 4) + 1);
   const std::vector<int64_t> evals_per_block =
@@ -377,7 +352,7 @@ int64_t FillBlockRows(const engine::Engine& eng, const PairwiseKernel& kernel,
                       std::span<const std::size_t> out_slots, double* out) {
   const std::size_t s = ids.size();
   const std::size_t count = row_slots.size();
-  // Listed rows cost uniformly |ids| - 1 evaluations, like FillRowTile.
+  // Listed rows cost uniformly |ids| - 1 evaluations, like FillGatherTile.
   const std::size_t block = engine::ClampBlock(
       eng, count / (static_cast<std::size_t>(eng.num_threads()) * 4) + 1);
   const std::vector<int64_t> evals_per_block =
@@ -395,31 +370,6 @@ int64_t FillBlockRows(const engine::Engine& eng, const PairwiseKernel& kernel,
           }
           batch.Flush();
           evals += static_cast<int64_t>(s - 1);
-        }
-        return evals;
-      });
-  int64_t total = 0;
-  for (int64_t e : evals_per_block) total += e;
-  return total;
-}
-
-int64_t FillUpperRowTile(const engine::Engine& eng,
-                         const PairwiseKernel& kernel, std::size_t row_begin,
-                         std::size_t row_end, double* out) {
-  const std::size_t n = kernel.size();
-  const std::size_t rows = row_end - row_begin;
-  // Row i costs n - 1 - i, so reuse the skew-aware triangular row blocking.
-  const std::vector<int64_t> evals_per_block =
-      engine::MapBlocksBlocked<int64_t>(
-          eng, rows, TriangularRowBlock(eng, rows),
-          [&](const engine::BlockedRange& r) {
-        int64_t evals = 0;
-        for (std::size_t t = r.begin; t < r.end; ++t) {
-          const std::size_t i = row_begin + t;
-          double* row = out + t * n;
-          EvalColumns(kernel, i, i + 1, n,
-                      [row](std::size_t j, double v) { row[j] = v; });
-          evals += static_cast<int64_t>(n - 1 - i);
         }
         return evals;
       });

@@ -11,13 +11,13 @@
 // assignment sweep is its own bound-pruned scan (the center-lane kernel
 // simd::NearestTwo over a per-iteration copy of the centers).
 //
-// The pairwise kernels are tile producers: they fill row tiles (or the
-// ragged upper-triangle rows) of a symmetric pairwise table for a
-// PairwiseKernel, so the PairwiseStore backends can materialize the table
-// fully or stream it in bounded blocks. Every producer scores a row at a
-// time through PairwiseKernel::EvalRow and evaluates a pair as
-// (min(i, j), max(i, j)), which makes a given entry bit-identical no
-// matter which producer (or backend) computed it.
+// The pairwise kernels are tile producers: they fill gather tiles (full rows
+// for a list of row indices) or the ragged upper-triangle rows of a
+// symmetric pairwise table for a PairwiseKernel, so the PairwiseStore
+// backends can materialize the table fully or stream it in bounded blocks.
+// Every producer scores a row at a time through PairwiseKernel::EvalRow and
+// evaluates a pair as (min(i, j), max(i, j)), which makes a given entry
+// bit-identical no matter which producer (or backend) computed it.
 #ifndef UCLUST_CLUSTERING_KERNELS_H_
 #define UCLUST_CLUSTERING_KERNELS_H_
 
@@ -219,30 +219,18 @@ int64_t FillDenseTriangular(const engine::Engine& eng,
                             const PairwiseKernel& kernel,
                             std::vector<double>* dist);
 
-/// Fills the row tile [row_begin, row_end) x [0, n) for `kernel` into `out`
-/// (row-major, (row_end - row_begin) x n, diagonal entries 0). Every entry
-/// of the tile is evaluated, so a row costs n - 1 evaluations. Parallel over
-/// rows; returns the number of evaluations.
-int64_t FillRowTile(const engine::Engine& eng, const PairwiseKernel& kernel,
-                    std::size_t row_begin, std::size_t row_end, double* out);
-
-/// Fills the ragged upper-triangle rows [row_begin, row_end): entry (i, j)
-/// for j > i lands at out[(i - row_begin) * n + j]; entries j <= i are left
-/// untouched. Evaluates only the upper triangle, so a full sweep costs
-/// n*(n-1)/2 evaluations. Parallel over rows; returns the evaluation count.
-int64_t FillUpperRowTile(const engine::Engine& eng,
-                         const PairwiseKernel& kernel, std::size_t row_begin,
-                         std::size_t row_end, double* out);
-
 /// Cheap pure predicate over a pair (i, j): true means the pair's exact
 /// kernel value is provably 0 and the evaluation may be skipped. Must be
 /// safe to call concurrently.
 using PairSkipTest = std::function<bool(std::size_t, std::size_t)>;
 
-/// FillUpperRowTile with bound-based pair pruning: pairs for which `skip`
-/// returns true are written as exactly 0.0 without a kernel evaluation
-/// (which is the value the kernel would have produced — the caller's
-/// contract). Returns the evaluation count and adds the number of skipped
+/// Fills the ragged upper-triangle rows [row_begin, row_end): entry (i, j)
+/// for j > i lands at out[(i - row_begin) * n + j]; entries j <= i are left
+/// untouched. Parallel over rows. Pairs for which a non-empty `skip` returns
+/// true are written as exactly 0.0 without a kernel evaluation (which is
+/// the value the kernel would have produced — the caller's contract); an
+/// empty `skip` evaluates every pair, so a full sweep costs n*(n-1)/2
+/// evaluations. Returns the evaluation count and adds the number of skipped
 /// pairs to *pruned. The skip decision is a pure function of the pair, so
 /// the filled tile is bit-identical for any thread count.
 int64_t FillUpperRowTilePruned(const engine::Engine& eng,

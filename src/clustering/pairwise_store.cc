@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 
 namespace uclust::clustering {
 
@@ -222,7 +223,7 @@ void PairwiseStore::CopyRowInto(std::size_t i, double* dst) {
   }
   // Fills the caller's buffer directly; only the optional warm copy is
   // store-materialized (and accounted).
-  evaluations_ += kernels::FillRowTile(eng_, kernel_, i, i + 1, dst);
+  evaluations_ += kernels::FillGatherTile(eng_, kernel_, {&i, 1}, dst);
   ++warm_misses_;
   MaybeRetainWarmRow(i, dst);
 }
@@ -368,13 +369,17 @@ void PairwiseStore::VisitAllRows(const RowVisitor& fn) {
         });
     return;
   }
-  // Recomputing backends: bounded scratch blocks, nothing retained.
+  // Recomputing backends: bounded scratch blocks, each one gather tile of
+  // consecutive rows, nothing retained.
   const std::size_t chunk = StreamRows();
   std::vector<double> scratch(chunk * n_);
+  std::vector<std::size_t> rows;
   for (std::size_t r0 = 0; r0 < n_; r0 += chunk) {
     const std::size_t r1 = std::min(n_, r0 + chunk);
-    evaluations_ += kernels::FillRowTile(eng_, kernel_, r0, r1,
-                                         scratch.data());
+    rows.resize(r1 - r0);
+    std::iota(rows.begin(), rows.end(), r0);
+    evaluations_ += kernels::FillGatherTile(eng_, kernel_, rows,
+                                            scratch.data());
     NoteTableBytes(scratch.size() * sizeof(double));
     engine::ParallelForBlocked(
         eng_, r1 - r0, VisitRowBlock(eng_, r1 - r0),
@@ -388,44 +393,24 @@ void PairwiseStore::VisitAllRows(const RowVisitor& fn) {
 
 void PairwiseStore::VisitUpperTriangle(const UpperVisitor& fn,
                                        const kernels::PairSkipTest& skip) {
-  if (n_ == 0) return;
-  if (dense_ready_) {
-    const double* d = dense_.data();
-    engine::ParallelForBlocked(
-        eng_, n_, VisitRowBlock(eng_, n_), [&](const engine::BlockedRange& r) {
-          for (std::size_t i = r.begin; i < r.end; ++i) {
-            fn(i, {d + i * n_ + i + 1, n_ - i - 1});
-          }
-        });
-    return;
-  }
-  // Stream ragged row blocks; each pair is evaluated (or skipped under the
-  // predicate) exactly once and nothing is retained.
-  const std::size_t chunk = StreamRows();
-  std::vector<double> scratch(chunk * n_);
-  for (std::size_t r0 = 0; r0 < n_; r0 += chunk) {
-    const std::size_t r1 = std::min(n_, r0 + chunk);
-    if (skip) {
-      evaluations_ += kernels::FillUpperRowTilePruned(
-          eng_, kernel_, r0, r1, scratch.data(), skip, &pruned_pairs_);
-    } else {
-      evaluations_ += kernels::FillUpperRowTile(eng_, kernel_, r0, r1,
-                                                scratch.data());
-    }
-    NoteTableBytes(scratch.size() * sizeof(double));
-    engine::ParallelForBlocked(
-        eng_, r1 - r0, VisitRowBlock(eng_, r1 - r0),
-        [&](const engine::BlockedRange& r) {
-          for (std::size_t tr = r.begin; tr < r.end; ++tr) {
-            const std::size_t i = r0 + tr;
-            fn(i, {scratch.data() + tr * n_ + i + 1, n_ - i - 1});
-          }
-        });
-  }
+  // Each pair is evaluated, or skipped under the predicate, exactly once.
+  StreamUpperTriangle(fn, [&](std::size_t r0, std::size_t r1, double* out) {
+    return kernels::FillUpperRowTilePruned(eng_, kernel_, r0, r1, out, skip,
+                                           &pruned_pairs_);
+  });
 }
 
 void PairwiseStore::VisitUpperTriangleCandidates(
     const UpperVisitor& fn, const kernels::CandidateColumns& candidates) {
+  // The producer touches only the candidate columns of each ragged row.
+  StreamUpperTriangle(fn, [&](std::size_t r0, std::size_t r1, double* out) {
+    return kernels::FillUpperRowTileFromCandidates(
+        eng_, kernel_, r0, r1, out, candidates, &pruned_pairs_);
+  });
+}
+
+void PairwiseStore::StreamUpperTriangle(const UpperVisitor& fn,
+                                        const UpperTileFill& fill) {
   if (n_ == 0) return;
   if (dense_ready_) {
     const double* d = dense_.data();
@@ -437,14 +422,11 @@ void PairwiseStore::VisitUpperTriangleCandidates(
         });
     return;
   }
-  // Same streaming shape as VisitUpperTriangle, but the producer touches
-  // only the candidate columns of each ragged row.
   const std::size_t chunk = StreamRows();
   std::vector<double> scratch(chunk * n_);
   for (std::size_t r0 = 0; r0 < n_; r0 += chunk) {
     const std::size_t r1 = std::min(n_, r0 + chunk);
-    evaluations_ += kernels::FillUpperRowTileFromCandidates(
-        eng_, kernel_, r0, r1, scratch.data(), candidates, &pruned_pairs_);
+    evaluations_ += fill(r0, r1, scratch.data());
     NoteTableBytes(scratch.size() * sizeof(double));
     engine::ParallelForBlocked(
         eng_, r1 - r0, VisitRowBlock(eng_, r1 - r0),

@@ -226,6 +226,14 @@ class PairwiseStore {
   /// Inserts a copy of row i (length n) into the warm cache when the cache
   /// is on and the row fits after LRU eviction.
   void MaybeRetainWarmRow(std::size_t i, const double* src);
+  /// Fills the upper-triangle rows [r0, r1) into a scratch block (row i at
+  /// scratch + (i - r0) * n) and returns the evaluations it made.
+  using UpperTileFill =
+      std::function<int64_t(std::size_t, std::size_t, double*)>;
+  /// The one body of both upper-triangle visits: a materialized dense table
+  /// is read back; otherwise `fill` fills bounded scratch blocks, which are
+  /// visited and dropped.
+  void StreamUpperTriangle(const UpperVisitor& fn, const UpperTileFill& fill);
   /// Rows per streaming scratch block (bounded, >= 1).
   std::size_t StreamRows() const;
   /// Bytes the streaming scratch of a sweep may occupy (budget-capped).

@@ -5,13 +5,13 @@
 // and the matched-realization loops of the sampled pairwise kernels).
 //
 // Bit-exactness contract. Every primitive produces BIT-IDENTICAL doubles on
-// every ISA path (scalar reference, AVX2, NEON). The mechanism is a
+// every ISA path (scalar reference, AVX2). The mechanism is a
 // fixed-width lane-blocked accumulation order: reductions always run over
 // kLanes = 16 independent lane accumulators (lane l owns elements l, l+16,
 // l+32, ...; the tail element `full + t` lands in lane t) and the lanes are
 // folded in one fixed tree (FoldLanes in simd_lanes.h). AVX2 implements the
-// 16-lane block as four 4-wide registers, NEON as eight 2-wide registers,
-// and the scalar reference as sixteen plain accumulators — the same
+// 16-lane block as four 4-wide registers and the scalar reference as
+// sixteen plain accumulators — the same
 // additions in the same order, so the rounding is the same everywhere. The
 // width is 16 (not one hardware register) so the vector paths run several
 // independent add chains: one 4-lane accumulator would pin AVX2 to the
@@ -24,8 +24,8 @@
 // independence, reapplied to lane width.
 //
 // Dispatch. A process-global table pointer selects the active path: the
-// best compiled-and-supported ISA (cpuid on x86, __aarch64__ for NEON),
-// resolved once per process on first use. Nothing in the library changes
+// best compiled-and-supported ISA (a cpuid probe on x86; every other target
+// takes the scalar table), resolved once per process on first use. Nothing in the library changes
 // it; only tests and benches call ForceIsa to pin a path. Because every
 // path produces identical bits, switching the active table mid-process
 // changes throughput, never values. Tests that want a specific path without
@@ -45,15 +45,15 @@
 namespace uclust::clustering::simd {
 
 /// Fixed accumulation width of the lane-blocked contract. Independent of
-/// the hardware vector width: AVX2 packs four 4-lane registers, NEON eight
-/// 2-lane registers, a scalar build sixteen plain accumulators. Changing
+/// the hardware vector width: AVX2 packs four 4-lane registers, a scalar
+/// build sixteen plain accumulators. Changing
 /// this changes rounding on every path at once (it can never diverge a
 /// single path).
 inline constexpr std::size_t kLanes = 16;
 
 /// Instruction-set paths. kAuto is a request (resolve to the best compiled
 /// and hardware-supported path), never an active state.
-enum class Isa { kScalar = 0, kAvx2 = 1, kNeon = 2, kAuto = 3 };
+enum class Isa { kScalar = 0, kAvx2 = 1, kAuto = 2 };
 
 /// Pass-constant per-cluster columns of the relocation screen
 /// (clustering/local_search.cc), each of length k unless noted.
@@ -190,7 +190,7 @@ Isa ActiveIsa();
 /// The active table (never null; lazily initialized, lock-free).
 const KernelTable& Active();
 
-/// "scalar" / "avx2" / "neon" / "auto".
+/// "scalar" / "avx2" / "auto".
 std::string IsaName(Isa isa);
 
 /// Parses IsaName spellings; returns false (and leaves *isa untouched) on
@@ -278,24 +278,10 @@ inline std::size_t RealizationsWithin(const double* a, const double* b,
   return Active().realizations_within(a, b, s_count, m, eps2);
 }
 
-inline void RealizationSquaredSums4(const double* const* a,
-                                    const double* const* b,
-                                    std::size_t s_count, std::size_t m,
-                                    double* out) {
-  Active().realization_squared_sums4(a, b, s_count, m, out);
-}
-
-inline void RealizationsWithin4(const double* const* a, const double* const* b,
-                                std::size_t s_count, std::size_t m,
-                                double eps2, std::size_t* out) {
-  Active().realizations_within4(a, b, s_count, m, eps2, out);
-}
-
 // Per-ISA table factories (defined in their own TUs so target-specific
 // compile flags stay contained). Return nullptr when not compiled in.
 const KernelTable* ScalarTable();
 const KernelTable* Avx2Table();
-const KernelTable* NeonTable();
 
 }  // namespace uclust::clustering::simd
 

@@ -22,12 +22,6 @@ bool CpuHasAvx2() {
 std::atomic<const KernelTable*> g_active{nullptr};
 std::atomic<Isa> g_active_isa{Isa::kScalar};
 
-const KernelTable* ResolveAuto(Isa* isa) {
-  const Isa best = DetectBestIsa();
-  *isa = best;
-  return TableFor(best);
-}
-
 }  // namespace
 
 const KernelTable* TableFor(Isa isa) {
@@ -38,26 +32,20 @@ const KernelTable* TableFor(Isa isa) {
       // Compiled in AND executable here: a table whose code the CPU cannot
       // run must be unreachable, even for tests poking paths directly.
       return CpuHasAvx2() ? Avx2Table() : nullptr;
-    case Isa::kNeon:
-      return NeonTable();
-    case Isa::kAuto: {
-      Isa resolved;
-      return ResolveAuto(&resolved);
-    }
+    case Isa::kAuto:
+      return TableFor(DetectBestIsa());
   }
   return nullptr;
 }
 
 Isa DetectBestIsa() {
   if (CpuHasAvx2() && Avx2Table() != nullptr) return Isa::kAvx2;
-  if (NeonTable() != nullptr) return Isa::kNeon;
   return Isa::kScalar;
 }
 
 bool ForceIsa(Isa isa) {
-  Isa resolved = isa;
-  const KernelTable* table =
-      isa == Isa::kAuto ? ResolveAuto(&resolved) : TableFor(isa);
+  const Isa resolved = isa == Isa::kAuto ? DetectBestIsa() : isa;
+  const KernelTable* table = TableFor(resolved);
   if (table == nullptr) return false;
   // Table first, then the name: a racing Active() sees a valid table either
   // way, and ActiveIsa is informational (all tables agree on values).
@@ -86,8 +74,6 @@ std::string IsaName(Isa isa) {
       return "scalar";
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kNeon:
-      return "neon";
     case Isa::kAuto:
       return "auto";
   }
@@ -99,8 +85,6 @@ bool IsaFromString(const std::string& name, Isa* isa) {
     *isa = Isa::kScalar;
   } else if (name == "avx2") {
     *isa = Isa::kAvx2;
-  } else if (name == "neon") {
-    *isa = Isa::kNeon;
   } else if (name == "auto") {
     *isa = Isa::kAuto;
   } else {

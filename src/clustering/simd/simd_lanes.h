@@ -6,12 +6,11 @@
 // of the relocation stay test and the nearest-two scan, GroupOps, the
 // unit a center-lane group's distances fold in, and optionally QuadOps, a
 // four-double vector whose lanes are the four pairs of the four-pair
-// realization sums), so the accumulation
-// order — and therefore the rounding — is identical by construction: the
-// bit-exactness contract is structural, not something each path
-// re-implements and can drift on. An Ops vector always models exactly kLanes = 16 doubles
-// (AVX2 packs four 4-wide registers, NEON eight 2-wide registers, scalar a
-// double[16]).
+// realization sums), so the accumulation order — and therefore the
+// rounding — is identical by construction: the bit-exactness contract is
+// structural, not something each path re-implements and can drift on. An
+// Ops vector always models exactly kLanes = 16 doubles (AVX2 packs four
+// 4-wide registers, scalar a double[16]).
 //
 // Shape of every reduction:
 //   1. vector body over the full groups [0, m - m % 16),

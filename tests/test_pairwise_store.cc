@@ -110,10 +110,24 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
        {PairwiseBackend::kDense, PairwiseBackend::kTiled,
         PairwiseBackend::kOnTheFly}) {
     PairwiseStore store(eng, kernel, Explicit(backend, 5));
+    // Evaluation counts from a cold store: a recomputing backend spends
+    // n - 1 on one gathered row, n * (n - 1) on a full row visit and
+    // n * (n - 1) / 2 on an upper sweep; the dense table is filled once.
+    const bool dense = backend == PairwiseBackend::kDense;
+    const int64_t nn = static_cast<int64_t>(n);
+    const int64_t half = nn * (nn - 1) / 2;
+    std::vector<double> cold_row;
+    store.GatherRow(1, &cold_row);
+    EXPECT_EQ(store.evaluations(), dense ? half : nn - 1)
+        << PairwiseBackendName(backend);
+    int64_t before = store.evaluations();
     std::vector<double> from_rows(n * n, -1.0);
     store.VisitAllRows([&](std::size_t i, std::span<const double> row) {
       for (std::size_t j = 0; j < n; ++j) from_rows[i * n + j] = row[j];
     });
+    EXPECT_EQ(store.evaluations() - before, dense ? 0 : 2 * half)
+        << PairwiseBackendName(backend);
+    before = store.evaluations();
     std::vector<double> from_upper(n * n, 0.0);
     store.VisitUpperTriangle([&](std::size_t i,
                                  std::span<const double> tail) {
@@ -122,6 +136,11 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
         from_upper[(i + 1 + t) * n + i] = tail[t];
       }
     });
+    EXPECT_EQ(store.evaluations() - before, dense ? 0 : half)
+        << PairwiseBackendName(backend);
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(cold_row[j], want[n + j]) << PairwiseBackendName(backend);
+    }
     std::vector<std::size_t> some_rows = {0, n / 2, n - 1, 3};
     std::vector<double> gathered;
     store.GatherRows(some_rows, &gathered);

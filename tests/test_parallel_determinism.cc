@@ -62,8 +62,7 @@ engine::Engine EngineWith(int threads) {
 std::vector<clustering::simd::Isa> AvailableIsas() {
   namespace simd = clustering::simd;
   std::vector<simd::Isa> isas;
-  for (simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kNeon}) {
+  for (simd::Isa isa : {simd::Isa::kScalar, simd::Isa::kAvx2}) {
     if (simd::TableFor(isa) != nullptr) isas.push_back(isa);
   }
   return isas;
