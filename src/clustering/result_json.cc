@@ -1,5 +1,6 @@
 #include "clustering/result_json.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 
@@ -33,15 +34,21 @@ std::string FingerprintHex(uint64_t fingerprint) {
   return buf;
 }
 
-void AppendResultJson(common::JsonWriter* json, const ClusteringResult& r,
-                      bool include_labels) {
+namespace {
+
+/// The canonical field order, shared by both AppendResultJson overloads.
+/// `for_each_label(emit)` calls emit(label) for every label in order; it
+/// runs only when `include_labels` is set.
+template <typename ForEachLabel>
+void AppendResultObject(common::JsonWriter* json, const ClusteringResult& r,
+                        uint64_t fingerprint, bool include_labels,
+                        const ForEachLabel& for_each_label) {
   json->BeginObject();
   json->KV("k_requested", r.k_requested);
   json->KV("clusters_found", r.clusters_found);
   json->KV("iterations", r.iterations);
   json->KVExact("objective", r.objective);
-  json->KV("fingerprint", FingerprintHex(ResultFingerprint(
-                              r.labels, r.objective)));
+  json->KV("fingerprint", FingerprintHex(fingerprint));
   json->KV("online_ms", r.online_ms);
   json->KV("offline_ms", r.offline_ms);
   json->KV("ed_evaluations", r.ed_evaluations);
@@ -60,10 +67,81 @@ void AppendResultJson(common::JsonWriter* json, const ClusteringResult& r,
   if (include_labels) {
     json->Key("labels");
     json->BeginArray();
-    for (int label : r.labels) json->Value(label);
+    for_each_label([json](int label) { json->Value(label); });
     json->EndArray();
   }
   json->EndObject();
+}
+
+template <typename Word>
+void PackLabels(const std::vector<int>& labels, int base,
+                std::vector<uint8_t>* out) {
+  out->resize(labels.size() * sizeof(Word));
+  uint8_t* dst = out->data();
+  for (int label : labels) {
+    const Word word = static_cast<Word>(static_cast<int64_t>(label) - base);
+    std::memcpy(dst, &word, sizeof(Word));
+    dst += sizeof(Word);
+  }
+}
+
+template <typename Word, typename Emit>
+void UnpackLabels(const PackedResult& r, const Emit& emit) {
+  const uint8_t* src = r.packed_labels.data();
+  const uint8_t* end = src + r.packed_labels.size();
+  for (; src != end; src += sizeof(Word)) {
+    Word word;
+    std::memcpy(&word, src, sizeof(Word));
+    emit(static_cast<int>(r.label_base + static_cast<int64_t>(word)));
+  }
+}
+
+}  // namespace
+
+void AppendResultJson(common::JsonWriter* json, const ClusteringResult& r,
+                      bool include_labels) {
+  AppendResultObject(json, r, ResultFingerprint(r.labels, r.objective),
+                     include_labels, [&r](const auto& emit) {
+                       for (int label : r.labels) emit(label);
+                     });
+}
+
+PackedResult PackResult(ClusteringResult r, bool include_labels) {
+  PackedResult packed;
+  packed.fingerprint = ResultFingerprint(r.labels, r.objective);
+  if (include_labels) {
+    int64_t range = 0;
+    if (!r.labels.empty()) {
+      const auto [lo, hi] =
+          std::minmax_element(r.labels.begin(), r.labels.end());
+      packed.label_base = *lo;
+      range = static_cast<int64_t>(*hi) - *lo;
+    }
+    if (range <= 0xff) {
+      packed.label_width = 1;
+      PackLabels<uint8_t>(r.labels, packed.label_base, &packed.packed_labels);
+    } else if (range <= 0xffff) {
+      packed.label_width = 2;
+      PackLabels<uint16_t>(r.labels, packed.label_base, &packed.packed_labels);
+    } else {
+      packed.label_width = 4;
+      PackLabels<uint32_t>(r.labels, packed.label_base, &packed.packed_labels);
+    }
+  }
+  r.labels = std::vector<int>();
+  packed.scalars = std::move(r);
+  return packed;
+}
+
+void AppendResultJson(common::JsonWriter* json, const PackedResult& r) {
+  AppendResultObject(json, r.scalars, r.fingerprint, r.label_width > 0,
+                     [&r](const auto& emit) {
+                       switch (r.label_width) {
+                         case 1: UnpackLabels<uint8_t>(r, emit); break;
+                         case 2: UnpackLabels<uint16_t>(r, emit); break;
+                         default: UnpackLabels<uint32_t>(r, emit); break;
+                       }
+                     });
 }
 
 std::string ResultToJson(const ClusteringResult& r, bool include_labels) {

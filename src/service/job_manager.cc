@@ -1,6 +1,7 @@
 #include "service/job_manager.h"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 
 #include "clustering/ckmeans.h"
@@ -21,6 +22,20 @@ double UptimeMs() {
   static const Clock::time_point start = Clock::now();
   return std::chrono::duration<double, std::milli>(Clock::now() - start)
       .count();
+}
+
+/// The jobs_ index an id names: ids are "j-" followed by index + 1 in
+/// decimal without leading zeros. SIZE_MAX for any other string.
+std::size_t JobIndex(const std::string& id) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  if (id.size() < 3 || id.compare(0, 2, "j-") != 0 || id[2] == '0') {
+    return kNone;
+  }
+  std::size_t number = 0;
+  const char* last = id.data() + id.size();
+  const auto [end, ec] = std::from_chars(id.data() + 2, last, number);
+  if (ec != std::errc() || end != last) return kNone;
+  return number - 1;
 }
 
 /// The real clustering runner. A moment algorithm (UCPC, MMVar, UK-means /
@@ -251,13 +266,26 @@ void JobManager::ExecutorLoop() {
             : RunClusteringJob(job->spec, job->dataset, engine_cfg,
                                budgeted ? nullptr : registry_, &cache_use);
 
+    // Packed here, outside the lock: the record keeps labels only when the
+    // spec asks for them, at the narrowest width that holds them.
+    std::shared_ptr<const clustering::PackedResult> packed;
+    std::size_t retained_bytes = 0;
+    if (outcome.ok()) {
+      packed = std::make_shared<const clustering::PackedResult>(
+          clustering::PackResult(std::move(outcome).ValueOrDie(),
+                                 job->spec.include_labels));
+      retained_bytes = packed->RetainedBytes();
+    }
+
     {
       std::lock_guard<std::mutex> lock(mu_);
       job->finished_ms = UptimeMs();
-      if (outcome.ok()) {
-        job->result = std::move(outcome).ValueOrDie();
+      if (packed != nullptr) {
+        job->result = std::move(packed);
         job->state = JobState::kDone;
         ++metrics_.completed;
+        ++metrics_.results_retained;
+        metrics_.result_bytes_retained += retained_bytes;
       } else {
         job->error = outcome.status().ToString();
         job->state = JobState::kFailed;
@@ -273,27 +301,23 @@ void JobManager::ExecutorLoop() {
               {"request", job->request_id},
               {"state", JobStateName(job->state)},
               {"moment_cache", MomentCacheUseName(cache_use)},
+              {"retained_bytes", std::to_string(retained_bytes)},
               {"ms", std::to_string(job->finished_ms - job->started_ms)}});
   }
 }
 
 common::Result<JobSnapshot> JobManager::Get(const std::string& id) const {
   std::lock_guard<std::mutex> lock(mu_);
-  for (const std::unique_ptr<Job>& job : jobs_) {
-    if (job->id == id) return SnapshotLocked(*job);
+  const Job* job = FindLocked(id);
+  if (job == nullptr) {
+    return common::Status::NotFound("job: unknown job id: " + id);
   }
-  return common::Status::NotFound("job: unknown job id: " + id);
+  return SnapshotLocked(*job);
 }
 
 common::Status JobManager::Cancel(const std::string& id) {
   std::unique_lock<std::mutex> lock(mu_);
-  Job* found = nullptr;
-  for (const std::unique_ptr<Job>& job : jobs_) {
-    if (job->id == id) {
-      found = job.get();
-      break;
-    }
-  }
+  Job* found = FindLocked(id);
   if (found == nullptr) {
     return common::Status::NotFound("job: unknown job id: " + id);
   }
@@ -319,13 +343,10 @@ common::Status JobManager::Cancel(const std::string& id) {
 
 bool JobManager::Wait(const std::string& id, int timeout_ms) const {
   const auto terminal = [this, &id]() {
-    for (const std::unique_ptr<Job>& job : jobs_) {
-      if (job->id != id) continue;
-      return job->state == JobState::kDone ||
-             job->state == JobState::kFailed ||
-             job->state == JobState::kCancelled;
-    }
-    return false;  // unknown id never becomes terminal
+    const Job* job = FindLocked(id);
+    if (job == nullptr) return false;  // unknown id never becomes terminal
+    return job->state == JobState::kDone || job->state == JobState::kFailed ||
+           job->state == JobState::kCancelled;
   };
   std::unique_lock<std::mutex> lock(mu_);
   if (timeout_ms < 0) {
@@ -338,6 +359,11 @@ bool JobManager::Wait(const std::string& id, int timeout_ms) const {
 JobMetrics JobManager::Metrics() const {
   std::lock_guard<std::mutex> lock(mu_);
   return metrics_;
+}
+
+JobManager::Job* JobManager::FindLocked(const std::string& id) const {
+  const std::size_t index = JobIndex(id);
+  return index < jobs_.size() ? jobs_[index].get() : nullptr;
 }
 
 JobSnapshot JobManager::SnapshotLocked(const Job& job) const {

@@ -6,6 +6,8 @@
 // Lifecycle: queued -> running -> done | failed, or queued -> cancelled.
 // A running job is never cancelled mid-compute (the kernels have no
 // preemption points); Cancel() on a running job is a 409-style error.
+// Finished jobs are kept for the process lifetime; a done job keeps one
+// clustering::PackedResult, packed on its executor lane.
 //
 // Admission control semantics (the service's budget contract):
 //   * Let B = JobManagerConfig::global_budget_bytes (0 = unlimited).
@@ -40,6 +42,7 @@
 #include <vector>
 
 #include "clustering/clusterer.h"
+#include "clustering/result_json.h"
 #include "common/status.h"
 #include "engine/thread_pool.h"
 #include "service/dataset_registry.h"
@@ -81,9 +84,11 @@ struct JobSnapshot {
   /// The budget admission reserves while the job runs (0 iff the global
   /// pool is unlimited and the spec set none).
   std::size_t effective_budget_bytes = 0;
-  std::string error;                   // non-empty iff kFailed
-  clustering::ClusteringResult result; // valid iff kDone
-  std::string request_id;              // correlation id of the submit
+  std::string error;      // non-empty iff kFailed
+  /// The job's retained result record, shared rather than copied; non-null
+  /// iff kDone.
+  std::shared_ptr<const clustering::PackedResult> result;
+  std::string request_id;  // correlation id of the submit
   double queued_ms = 0;    // process-uptime stamps; 0 = not reached
   double started_ms = 0;
   double finished_ms = 0;
@@ -104,6 +109,11 @@ struct JobMetrics {
   std::size_t max_running_concurrent = 0;
   std::size_t global_budget_bytes = 0;
   std::size_t budget_in_use_bytes = 0;  // gauge
+  /// Finished jobs whose result record the manager keeps (gauge; every
+  /// done job is kept for the process lifetime).
+  std::size_t results_retained = 0;
+  /// Sum of PackedResult::RetainedBytes over those records (gauge).
+  std::size_t result_bytes_retained = 0;
 };
 
 class JobManager {
@@ -129,7 +139,8 @@ class JobManager {
   common::Result<std::string> Submit(JobSpec spec,
                                      const std::string& request_id);
 
-  /// Snapshot of one job; NotFound for unknown ids.
+  /// Snapshot of one job; NotFound for unknown ids. A done job's result
+  /// record is shared with the snapshot, not copied.
   common::Result<JobSnapshot> Get(const std::string& id) const;
 
   /// Cancels a queued job. Running jobs return InvalidArgument (the API
@@ -151,12 +162,14 @@ class JobManager {
     std::size_t budget = 0;
     bool counted_admission_wait = false;
     std::string error;
-    clustering::ClusteringResult result;
+    std::shared_ptr<const clustering::PackedResult> result;
     std::string request_id;
     double queued_ms = 0, started_ms = 0, finished_ms = 0;
   };
 
   void ExecutorLoop();
+  // The job an id names, or null; caller holds mu_.
+  Job* FindLocked(const std::string& id) const;
   // Budget check for the queue head; caller holds mu_.
   bool Admissible(const Job& job) const;
   JobSnapshot SnapshotLocked(const Job& job) const;

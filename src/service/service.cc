@@ -297,7 +297,7 @@ HttpResponse ClusteringService::HandleJobs(const HttpRequest& req,
   w.KV("algorithm", job.spec.algorithm);
   w.KV("dataset_id", job.dataset.id);
   w.Key("result");
-  clustering::AppendResultJson(&w, job.result, job.spec.include_labels);
+  clustering::AppendResultJson(&w, *job.result);
   w.EndObject();
   HttpResponse resp;
   resp.body = w.str() + "\n";
@@ -319,6 +319,8 @@ HttpResponse ClusteringService::HandleMetrics() const {
   w.KV("max_running_concurrent", m.max_running_concurrent);
   w.KV("global_budget_bytes", m.global_budget_bytes);
   w.KV("budget_in_use_bytes", m.budget_in_use_bytes);
+  w.KV("results_retained", m.results_retained);
+  w.KV("result_bytes_retained", m.result_bytes_retained);
   w.KV("datasets", registry_.size());
   const MomentCacheStats cache = registry_.moment_cache_stats();
   w.Key("moment_cache");

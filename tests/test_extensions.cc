@@ -1,7 +1,8 @@
 // Tests for the library extensions beyond the paper: the algorithm
-// registry and D^2-weighted initialization.
+// registry, D^2-weighted initialization and the label utilities.
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <set>
 
 #include "clustering/ckmeans.h"
@@ -121,6 +122,17 @@ TEST(PlusPlusInit, WorksThroughUcpcParams) {
   const auto r = algo.Cluster(ds, 3, 12);
   EXPECT_EQ(r.clusters_found, 3);
   EXPECT_GT(eval::AdjustedRand(ds.labels(), r.labels), 0.9);
+}
+
+TEST(LabelUtils, CountClustersCountsDistinctNonNegativeLabels) {
+  EXPECT_EQ(clustering::CountClusters({}), 0);
+  EXPECT_EQ(clustering::CountClusters({-1, -1}), 0);
+  EXPECT_EQ(clustering::CountClusters({4, 4, 4, 4, 4}), 1);
+  // Noise and gaps: 1 and 3..6 are unused, and 7 is at n.
+  EXPECT_EQ(clustering::CountClusters({0, -1, 2, 2, -1, 0, 7}), 3);
+  // Labels at or above n, repeated.
+  EXPECT_EQ(clustering::CountClusters({5, 9, 5, 1000, 9, 1000, 42}), 4);
+  EXPECT_EQ(clustering::CountClusters({INT_MAX, 0, INT_MAX, INT_MIN}), 2);
 }
 
 }  // namespace

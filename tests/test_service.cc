@@ -1,7 +1,8 @@
 // Tests for the service layer: JobSpec validation, the dataset registry,
 // admission control (serialization of over-budget jobs, rejection at
 // submit), job lifecycle + cancellation, the canonical ClusteringResult
-// serialization against its golden file, and the full REST route surface
+// serialization against its golden file and its packed form, job-id
+// lookup, the retained-result gauges, and the full REST route surface
 // through ClusteringService::Handle (socket-free) — including a
 // fingerprint match between a service job and a direct in-process run.
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <condition_variable>
 #include <cstdio>
 #include <fstream>
@@ -1293,6 +1295,243 @@ TEST(ClusteringService, ResultBeforeDoneAndCancelConflicts) {
   // Cancelling a terminal job is an idempotent success.
   EXPECT_EQ(svc.Handle(Req("DELETE", "/v1/jobs/" + job_id)).status, 200);
 
+  svc.Stop();
+  SetLogEnabled(true);
+}
+
+// ------------------------------------------------------- packed result --
+
+// A result with every scalar field set, carrying `labels`.
+clustering::ClusteringResult ResultWithLabels(std::vector<int> labels) {
+  clustering::ClusteringResult r;
+  r.labels = std::move(labels);
+  r.k_requested = 3;
+  r.clusters_found = 2;
+  r.iterations = 7;
+  r.objective = 0.1 + 0.2;
+  r.online_ms = 2.5;
+  r.offline_ms = 0.75;
+  r.ed_evaluations = 31;
+  r.noise_objects = 2;
+  r.pairwise_backend = "onthefly";
+  r.table_bytes_peak = 4096;
+  r.pair_evaluations = 55;
+  r.tile_warm_hits = 5;
+  r.tile_warm_misses = 6;
+  r.pairs_pruned = 8;
+  r.center_distance_evals = 90;
+  r.bounds_skipped = 30;
+  r.index_candidates = 12;
+  r.pairs_pruned_by_index = 9;
+  r.index_bound_tests = 21;
+  return r;
+}
+
+struct LabelCase {
+  const char* name;
+  std::vector<int> labels;
+  int width;  // bytes per packed label
+};
+
+const std::vector<LabelCase>& LabelCases() {
+  static const std::vector<LabelCase> cases = {
+      {"labels in [0, 255]", {0, 255, 17, 3, 255, 0, 128}, 1},
+      {"labels from 256", {0, 256, 300, 65535, 1}, 2},
+      {"labels from 65536", {0, 65536, 70000, 2}, 4},
+      {"noise labels", {-1, 0, 2, -1, 1, 254}, 1},
+      {"wide negative labels", {-300, 5, -1}, 2},
+      {"int extremes", {INT_MIN, INT_MAX, 0}, 4},
+      {"no objects", {}, 1},
+  };
+  return cases;
+}
+
+// Every label shape packs to its narrowest width, keeps no labels without
+// include_labels, and renders the original result's bytes either way.
+TEST(PackedResult, RendersTheOriginalBytesAtTheNarrowestWidth) {
+  for (const LabelCase& c : LabelCases()) {
+    const clustering::ClusteringResult r = ResultWithLabels(c.labels);
+    for (const bool include : {true, false}) {
+      const clustering::PackedResult packed =
+          clustering::PackResult(r, include);
+      common::JsonWriter w;
+      clustering::AppendResultJson(&w, packed);
+      EXPECT_EQ(w.str(), clustering::ResultToJson(r, include))
+          << c.name << " include_labels=" << include;
+      EXPECT_EQ(packed.fingerprint,
+                clustering::ResultFingerprint(r.labels, r.objective))
+          << c.name;
+      EXPECT_EQ(packed.label_width, include ? c.width : 0) << c.name;
+      EXPECT_EQ(packed.packed_labels.size(),
+                include ? c.labels.size() * c.width : 0u)
+          << c.name;
+      EXPECT_EQ(packed.RetainedBytes(),
+                sizeof(clustering::PackedResult) + packed.packed_labels.size());
+      EXPECT_TRUE(packed.scalars.labels.empty()) << c.name;
+    }
+  }
+}
+
+// Through the service, a job's GET .../result body is the wrapper around
+// AppendResultJson of the result its runner returned, byte for byte, for
+// every label shape with and without labels. Without labels the
+// fingerprint is still there, and GET /v1/jobs/{id} carries no result.
+TEST(ClusteringService, ResultRouteRendersThePackedRecordExactly) {
+  SetLogEnabled(false);
+  ServiceConfig cfg;
+  cfg.jobs.executors = 1;
+  // The spec's seed picks the label case.
+  cfg.jobs.runner_override = [](const JobSpec& spec, const DatasetInfo&,
+                                const engine::EngineConfig&)
+      -> common::Result<clustering::ClusteringResult> {
+    return ResultWithLabels(LabelCases()[spec.seed].labels);
+  };
+  ClusteringService svc(cfg);
+  svc.jobs().Start();
+  const std::string ds_id = RegisterOver(&svc, TestDatasetPath());
+
+  for (std::size_t i = 0; i < LabelCases().size(); ++i) {
+    const clustering::ClusteringResult original =
+        ResultWithLabels(LabelCases()[i].labels);
+    for (const bool include : {true, false}) {
+      HttpResponse submit = svc.Handle(Req(
+          "POST", "/v1/jobs",
+          "{\"dataset_id\": \"" + ds_id + "\", \"k\": 3, \"seed\": " +
+              std::to_string(i) + ", \"include_labels\": " +
+              (include ? "true" : "false") + "}"));
+      ASSERT_EQ(submit.status, 202) << submit.body;
+      const std::string job_id = common::ParseJson(submit.body)
+                                     .ValueOrDie()
+                                     .Find("job_id")
+                                     ->AsString();
+      ASSERT_TRUE(svc.jobs().Wait(job_id, 10000));
+
+      HttpResponse result =
+          svc.Handle(Req("GET", "/v1/jobs/" + job_id + "/result"));
+      ASSERT_EQ(result.status, 200) << result.body;
+      common::JsonWriter expected;
+      expected.BeginObject();
+      expected.KV("job_id", job_id);
+      expected.KV("algorithm", "CK-means");
+      expected.KV("dataset_id", ds_id);
+      expected.Key("result");
+      clustering::AppendResultJson(&expected, original, include);
+      expected.EndObject();
+      EXPECT_EQ(result.body, expected.str() + "\n")
+          << LabelCases()[i].name << " include_labels=" << include;
+      const common::JsonValue parsed =
+          common::ParseJson(result.body).ValueOrDie();
+      const common::JsonValue* res = parsed.Find("result");
+      ASSERT_NE(res, nullptr);
+      EXPECT_EQ(res->Find("fingerprint")->AsString(),
+                clustering::FingerprintHex(clustering::ResultFingerprint(
+                    original.labels, original.objective)));
+      EXPECT_EQ(res->Find("labels") != nullptr, include);
+
+      // The status body keeps exactly its fields, and repeats unchanged.
+      HttpResponse status = svc.Handle(Req("GET", "/v1/jobs/" + job_id));
+      ASSERT_EQ(status.status, 200) << status.body;
+      const common::JsonValue status_json =
+          common::ParseJson(status.body).ValueOrDie();
+      std::vector<std::string> keys;
+      for (const auto& member : status_json.members()) {
+        keys.push_back(member.first);
+      }
+      EXPECT_EQ(keys, (std::vector<std::string>{
+                          "id", "state", "request_id", "dataset_id",
+                          "effective_budget_bytes", "spec", "queued_ms",
+                          "started_ms", "finished_ms"}));
+      EXPECT_EQ(svc.Handle(Req("GET", "/v1/jobs/" + job_id)).body,
+                status.body);
+    }
+  }
+  svc.Stop();
+  SetLogEnabled(true);
+}
+
+// The retained-result gauges of GET /v1/metrics: a k = 3 CK-means job keeps
+// one byte per object plus the record's fixed part, and a job without
+// include_labels keeps the fixed part alone.
+TEST(ClusteringService, MetricsCountRetainedResultBytes) {
+  SetLogEnabled(false);
+  ServiceConfig cfg;
+  cfg.jobs.executors = 1;
+  ClusteringService svc(cfg);
+  svc.jobs().Start();
+  const std::string ds_id = RegisterOver(&svc, TestDatasetPath());
+  const auto gauges = [&svc]() {
+    HttpResponse metrics = svc.Handle(Req("GET", "/v1/metrics"));
+    EXPECT_EQ(metrics.status, 200);
+    const common::JsonValue json = common::ParseJson(metrics.body).ValueOrDie();
+    return std::make_pair(json.Find("results_retained")->AsInt(),
+                          json.Find("result_bytes_retained")->AsInt());
+  };
+  EXPECT_EQ(gauges(), std::make_pair(int64_t{0}, int64_t{0}));
+
+  const int64_t fixed = sizeof(clustering::PackedResult);
+  const int64_t n = 120;  // the fixture dataset's object count
+  EXPECT_FALSE(JobFingerprint(&svc, SubmitCkmeans(&svc, ds_id, 2)).empty());
+  EXPECT_EQ(gauges(), std::make_pair(int64_t{1}, fixed + n));
+
+  HttpResponse submit = svc.Handle(
+      Req("POST", "/v1/jobs",
+          "{\"dataset_id\": \"" + ds_id +
+              "\", \"k\": 3, \"seed\": 2, \"include_labels\": false}"));
+  ASSERT_EQ(submit.status, 202) << submit.body;
+  const std::string job_id =
+      common::ParseJson(submit.body).ValueOrDie().Find("job_id")->AsString();
+  EXPECT_FALSE(JobFingerprint(&svc, job_id).empty());
+  EXPECT_EQ(gauges(), std::make_pair(int64_t{2}, 2 * fixed + n));
+  svc.Stop();
+  SetLogEnabled(true);
+}
+
+// Ids resolve by parsing, not by a scan: "j-" and the 1-based index in
+// decimal without leading zeros. Everything else is NotFound, and a 404
+// over HTTP, exactly as an id no job carries.
+TEST(JobManager, MalformedAndOutOfRangeIdsAreNotFound) {
+  SetLogEnabled(false);
+  ServiceConfig cfg;
+  cfg.jobs.executors = 1;
+  cfg.jobs.runner_override = [](const JobSpec&, const DatasetInfo&,
+                                const engine::EngineConfig&)
+      -> common::Result<clustering::ClusteringResult> {
+    return ResultWithLabels({0, 1, 2});
+  };
+  ClusteringService svc(cfg);
+  svc.jobs().Start();
+  const std::string ds_id = RegisterOver(&svc, TestDatasetPath());
+  std::vector<std::string> ids;
+  for (int i = 0; i < 12; ++i) ids.push_back(SubmitCkmeans(&svc, ds_id, i));
+  ASSERT_EQ(ids.front(), "j-1");
+  ASSERT_EQ(ids.back(), "j-12");
+  for (const std::string& id : ids) {
+    ASSERT_TRUE(svc.jobs().Wait(id, 10000)) << id;
+    auto snap = svc.jobs().Get(id);
+    ASSERT_TRUE(snap.ok()) << id;
+    EXPECT_EQ(snap.ValueOrDie().id, id);
+    EXPECT_EQ(snap.ValueOrDie().state, JobState::kDone);
+  }
+
+  for (const std::string bad :
+       {"j-0", "j-", "j-01", "j-12x", "x-1", "j-13", "j-99",
+        "j-18446744073709551615", "j-18446744073709551616",
+        "j-99999999999999999999999", "j--1", "j-+1", "J-1", "j-1 ", "-1",
+        ""}) {
+    EXPECT_EQ(svc.jobs().Get(bad).status().code(),
+              common::StatusCode::kNotFound)
+        << "\"" << bad << "\"";
+    EXPECT_EQ(svc.jobs().Cancel(bad).code(), common::StatusCode::kNotFound)
+        << "\"" << bad << "\"";
+    EXPECT_FALSE(svc.jobs().Wait(bad, 0)) << "\"" << bad << "\"";
+    if (bad.empty() || bad.find(' ') != std::string::npos) continue;
+    EXPECT_EQ(svc.Handle(Req("GET", "/v1/jobs/" + bad)).status, 404) << bad;
+    EXPECT_EQ(svc.Handle(Req("GET", "/v1/jobs/" + bad + "/result")).status,
+              404)
+        << bad;
+    EXPECT_EQ(svc.Handle(Req("DELETE", "/v1/jobs/" + bad)).status, 404)
+        << bad;
+  }
   svc.Stop();
   SetLogEnabled(true);
 }
