@@ -6,7 +6,7 @@
 //
 // Besides the paper's table, the bench measures the serial-vs-parallel
 // speedup of the execution engine at the 100% size, sweeps the
-// PairwiseStore backend axis (dense / tiled / on-the-fly ED^ tables) on an
+// PairwiseStore budget axis (dense, tiled, one-row tiled ED^ tables) on an
 // object-backed UK-medoids workload with peak-RSS and peak-table-memory
 // accounting, sweeps the FDBSCAN spatial-index axis (the sweep the
 // selectivity probe picks, then the forced R-tree and all-pairs sweeps, with
@@ -481,7 +481,7 @@ int main(int argc, char** argv) {
 
   // PairwiseStore backend axis: the same object-backed UK-medoids workload
   // under an unlimited budget (dense table), a tiled budget, and a 1-byte
-  // budget (on-the-fly rows). Labels must agree bit-for-bit; what changes
+  // budget (tiled, one-row blocks). Labels must agree bit-for-bit; what changes
   // is peak table memory (recorded from the store), process RSS, and the
   // recompute work (pair evaluations, warm-row hits).
   const std::size_t pairwise_n =

@@ -115,8 +115,8 @@ int Run(int argc, char** argv) {
     std::printf("[pairwise smoke] RESULT=FAIL\n");
     return 1;
   }
-  // One row is the hard floor of row-granular access (see
-  // PairwiseStore::StreamRows), so a sub-row budget is checked against it.
+  // One row is the hard floor of row-granular access (tile_rows is at least
+  // 1; see PairwiseStoreOptions), so a sub-row budget is checked against it.
   const std::size_t budget_floor =
       std::max(config.memory_budget_bytes, n * sizeof(double));
   if (config.memory_budget_bytes > 0 && r.table_bytes_peak > budget_floor) {

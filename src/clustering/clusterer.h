@@ -38,11 +38,11 @@ struct ClusteringResult {
   /// Objects labeled as noise before noise-policy mapping (density-based
   /// algorithms only).
   int noise_objects = 0;
-  /// PairwiseStore backend the run used ("dense", "tiled", "onthefly");
+  /// PairwiseStore backend the run used ("dense", "tiled");
   /// empty for algorithms without a pairwise phase.
   std::string pairwise_backend;
   /// Peak bytes of storage the PairwiseStore materialized at any one time
-  /// (dense table, cached tiles, warm rows, or streaming scratch). 0
+  /// (dense table, warm rows, and streaming scratch). 0
   /// without a pairwise phase. Not included: algorithm-side working state
   /// outside the store — in particular UAHC's Lance-Williams overlay, which
   /// holds one distance row per alive merge-product cluster (see uahc.h).

@@ -312,32 +312,25 @@ int64_t FillGatherTile(const engine::Engine& eng, const PairwiseKernel& kernel,
 
 int64_t FillSymmetricBlock(const engine::Engine& eng,
                            const PairwiseKernel& kernel,
-                           std::span<const std::size_t> ids,
-                           std::span<const std::size_t> missing_slots,
-                           double* out) {
+                           std::span<const std::size_t> ids, double* out) {
   const std::size_t s = ids.size();
-  const std::size_t count = missing_slots.size();
-  // Missing slot t pairs with the |missing| - 1 - t slots after it, the same
-  // triangular skew as the whole-table fill; cells (a, b) and (b, a) belong
-  // to the block owning the lower missing index, so no cell is written twice.
+  // Row a pairs with the s - 1 - a rows after it, the same triangular skew
+  // as the whole-table fill; cells (a, b) and (b, a) belong to the block
+  // owning the lower row, so no cell is written twice.
   const std::vector<int64_t> evals_per_block =
       engine::MapBlocksBlocked<int64_t>(
-          eng, count, TriangularRowBlock(eng, count),
+          eng, s, TriangularRowBlock(eng, s),
           [&](const engine::BlockedRange& r) {
         int64_t evals = 0;
-        for (std::size_t t = r.begin; t < r.end; ++t) {
-          const std::size_t a = missing_slots[t];
+        for (std::size_t a = r.begin; a < r.end; ++a) {
           out[a * s + a] = 0.0;
           RowBatch batch(kernel, ids[a], [&](std::size_t b, double v) {
             out[a * s + b] = v;
             out[b * s + a] = v;
           });
-          for (std::size_t u = t + 1; u < count; ++u) {
-            const std::size_t b = missing_slots[u];
-            batch.Add(ids[b], b);
-          }
+          for (std::size_t b = a + 1; b < s; ++b) batch.Add(ids[b], b);
           batch.Flush();
-          evals += static_cast<int64_t>(count - 1 - t);
+          evals += static_cast<int64_t>(s - 1 - a);
         }
         return evals;
       });
@@ -347,12 +340,11 @@ int64_t FillSymmetricBlock(const engine::Engine& eng,
 }
 
 int64_t FillBlockRows(const engine::Engine& eng, const PairwiseKernel& kernel,
-                      std::span<const std::size_t> ids,
-                      std::span<const std::size_t> row_slots,
-                      std::span<const std::size_t> out_slots, double* out) {
+                      std::span<const std::size_t> ids, std::size_t r0,
+                      std::size_t r1, double* out) {
   const std::size_t s = ids.size();
-  const std::size_t count = row_slots.size();
-  // Listed rows cost uniformly |ids| - 1 evaluations, like FillGatherTile.
+  const std::size_t count = r1 - r0;
+  // Rows cost uniformly |ids| - 1 evaluations, like FillGatherTile.
   const std::size_t block = engine::ClampBlock(
       eng, count / (static_cast<std::size_t>(eng.num_threads()) * 4) + 1);
   const std::vector<int64_t> evals_per_block =
@@ -360,8 +352,8 @@ int64_t FillBlockRows(const engine::Engine& eng, const PairwiseKernel& kernel,
           eng, count, block, [&](const engine::BlockedRange& r) {
         int64_t evals = 0;
         for (std::size_t t = r.begin; t < r.end; ++t) {
-          const std::size_t a = row_slots[t];
-          double* row = out + out_slots[t] * s;
+          const std::size_t a = r0 + t;
+          double* row = out + t * s;
           row[a] = 0.0;
           RowBatch batch(kernel, ids[a],
                          [row](std::size_t b, double v) { row[b] = v; });

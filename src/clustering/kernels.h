@@ -271,28 +271,22 @@ int64_t FillGatherTile(const engine::Engine& eng, const PairwiseKernel& kernel,
                        std::span<const std::size_t> rows, double* out,
                        std::span<const std::size_t> out_slots = {});
 
-/// Fills the missing part of a symmetric |ids| x |ids| block (row-major over
-/// `ids`): for missing slots a < b (entries of `missing_slots`, ascending)
-/// writes Eval(ids[a], ids[b]) into (a, b) AND (b, a) of `out`, and zeroes
-/// the missing diagonals. Slots not listed are assumed already filled by the
-/// caller (rows served from cache). Costs |missing| * (|missing| - 1) / 2
-/// evaluations — the candidate x member slab of the UK-medoids swap sweep.
-/// Parallel over missing slots; each cell is written exactly once.
+/// Fills the symmetric |ids| x |ids| block (row-major over `ids`): for slots
+/// a < b writes Eval(ids[a], ids[b]) into (a, b) AND (b, a) of `out`, and
+/// zeroes the diagonal. Costs |ids| * (|ids| - 1) / 2 evaluations — the
+/// member x member slab of the UK-medoids swap sweep. Parallel over rows;
+/// each cell is written exactly once.
 int64_t FillSymmetricBlock(const engine::Engine& eng,
                            const PairwiseKernel& kernel,
-                           std::span<const std::size_t> ids,
-                           std::span<const std::size_t> missing_slots,
-                           double* out);
+                           std::span<const std::size_t> ids, double* out);
 
-/// Fills individual rows of the symmetric |ids| x |ids| block: for each t,
-/// row a = row_slots[t] lands at out + out_slots[t] * ids.size(), holding
-/// Eval(ids[a], ids[b]) for every b (0 when a == b). Costs |ids| - 1
-/// evaluations per listed row. Parallel over the listed rows — the striped
-/// producer for blocks too large to materialize whole.
+/// Fills rows [r0, r1) of the symmetric |ids| x |ids| block: row a lands at
+/// out + (a - r0) * ids.size(), holding Eval(ids[a], ids[b]) for every b (0
+/// when a == b). Costs |ids| - 1 evaluations per row. Parallel over the
+/// rows — the striped producer for blocks too large to materialize whole.
 int64_t FillBlockRows(const engine::Engine& eng, const PairwiseKernel& kernel,
-                      std::span<const std::size_t> ids,
-                      std::span<const std::size_t> row_slots,
-                      std::span<const std::size_t> out_slots, double* out);
+                      std::span<const std::size_t> ids, std::size_t r0,
+                      std::size_t r1, double* out);
 
 }  // namespace uclust::clustering::kernels
 

@@ -8,14 +8,16 @@ namespace uclust::clustering {
 
 namespace {
 
-// Scratch target of streaming sweeps on backends without a configured tile
-// shape (dense-backend upper sweeps, on-the-fly sweeps): one bounded block,
-// independent of the thread count so evaluation counts stay deterministic.
+// Scratch bound of streaming sweeps that no tile shape sizes (dense-backend
+// upper sweeps before the table exists): one bounded block, independent of
+// the thread count so evaluation counts stay deterministic, and never above
+// a finite budget.
 constexpr std::size_t kStreamScratchBytes = std::size_t{1} << 20;  // 1 MiB
 
-// Warm-cache target when a tiled store has no finite budget to carve from
-// (explicitly forced tiled backends): mirrors the stream scratch bound.
-constexpr std::size_t kDefaultWarmBytes = std::size_t{1} << 20;  // 1 MiB
+std::size_t StreamScratchTarget(std::size_t budget_bytes) {
+  return budget_bytes > 0 ? std::min(kStreamScratchBytes, budget_bytes)
+                          : kStreamScratchBytes;
+}
 
 // Row-block size for the parallel visitor passes over an already-filled
 // buffer of `rows` rows. Purely a load-balancing choice; visitors own
@@ -33,47 +35,16 @@ std::string PairwiseBackendName(PairwiseBackend backend) {
       return "dense";
     case PairwiseBackend::kTiled:
       return "tiled";
-    case PairwiseBackend::kOnTheFly:
-      return "onthefly";
   }
   return "unknown";
 }
-
-namespace {
-
-// Derives the kTiled warm-cache capacity and streaming block height from
-// the budget: warm rows get a quarter of it when at least one row fits
-// without pushing the rest below two rows (a capacity under one row turns
-// the cache off), and tile_rows is a quarter of what remains, in rows.
-void DeriveTiledPolicies(PairwiseStoreOptions* o, std::size_t n) {
-  const std::size_t row_bytes = std::max<std::size_t>(n, 1) * sizeof(double);
-  const std::size_t budget = o->memory_budget_bytes;
-  if (o->warm_capacity_bytes == 0) {
-    std::size_t warm = budget > 0 ? budget / 4 : kDefaultWarmBytes;
-    if (budget > 0 && budget - warm < 2 * row_bytes) {
-      warm = budget > 2 * row_bytes ? budget - 2 * row_bytes : 0;
-    }
-    o->warm_capacity_bytes = warm;
-  }
-  if (o->warm_capacity_bytes < row_bytes) o->warm_capacity_bytes = 0;
-  const std::size_t tile_budget =
-      budget > o->warm_capacity_bytes ? budget - o->warm_capacity_bytes
-                                      : budget;
-  if (o->tile_rows == 0) {
-    o->tile_rows = tile_budget > 0 ? tile_budget / (4 * row_bytes)
-                                   : (std::size_t{1} << 20) / row_bytes;
-  }
-  o->tile_rows = std::clamp<std::size_t>(o->tile_rows, 1,
-                                         std::max<std::size_t>(n, 1));
-}
-
-}  // namespace
 
 PairwiseStoreOptions PairwiseStoreOptions::FromBudget(std::size_t budget_bytes,
                                                       std::size_t n) {
   PairwiseStoreOptions o;
   o.memory_budget_bytes = budget_bytes;
-  const std::size_t row_bytes = n * sizeof(double);
+  const std::size_t rows = std::max<std::size_t>(n, 1);
+  const std::size_t row_bytes = rows * sizeof(double);
   // Overflow-safe "n * n * sizeof(double) <= budget" (up to one row of
   // rounding slack, which only shifts the dense/tiled boundary by < 1 row).
   const bool dense_fits =
@@ -81,41 +52,32 @@ PairwiseStoreOptions PairwiseStoreOptions::FromBudget(std::size_t budget_bytes,
       (budget_bytes / n) / sizeof(double) >= n;
   if (dense_fits) {
     o.backend = PairwiseBackend::kDense;
+    o.tile_rows = std::clamp<std::size_t>(
+        StreamScratchTarget(budget_bytes) / row_bytes, 1, rows);
     return o;
   }
-  if (budget_bytes >= 2 * row_bytes) {
-    o.backend = PairwiseBackend::kTiled;
-    DeriveTiledPolicies(&o, n);
-    return o;
+  // Warm rows get a quarter of the budget when at least one row fits without
+  // pushing the rest below two rows (a capacity under one row turns the
+  // cache off); tile_rows is a quarter of what remains, in rows — one-row
+  // blocks and no warm cache under the tightest budgets.
+  o.backend = PairwiseBackend::kTiled;
+  std::size_t warm = budget_bytes / 4;
+  if (budget_bytes - warm < 2 * row_bytes) {
+    warm = budget_bytes > 2 * row_bytes ? budget_bytes - 2 * row_bytes : 0;
   }
-  o.backend = PairwiseBackend::kOnTheFly;
-  o.tile_rows = 1;
+  o.warm_capacity_bytes = warm < row_bytes ? 0 : warm;
+  o.tile_rows = std::clamp<std::size_t>(
+      (budget_bytes - o.warm_capacity_bytes) / (4 * row_bytes), 1, rows);
   return o;
 }
 
 PairwiseStore::PairwiseStore(const engine::Engine& eng,
-                             const kernels::PairwiseKernel& kernel,
-                             const PairwiseStoreOptions& options)
-    : eng_(eng), kernel_(kernel), options_(options), n_(kernel.size()) {
-  switch (options_.backend) {
-    case PairwiseBackend::kDense:
-      options_.warm_capacity_bytes = 0;
-      break;
-    case PairwiseBackend::kOnTheFly:
-      options_.tile_rows = 1;
-      options_.warm_capacity_bytes = 0;
-      break;
-    case PairwiseBackend::kTiled:
-      DeriveTiledPolicies(&options_, n_);
-      break;
-  }
-}
-
-PairwiseStore::PairwiseStore(const engine::Engine& eng,
                              const kernels::PairwiseKernel& kernel)
-    : PairwiseStore(eng, kernel,
-                    PairwiseStoreOptions::FromBudget(eng.memory_budget_bytes(),
-                                                     kernel.size())) {}
+    : eng_(eng),
+      kernel_(kernel),
+      options_(PairwiseStoreOptions::FromBudget(eng.memory_budget_bytes(),
+                                                kernel.size())),
+      n_(kernel.size()) {}
 
 void PairwiseStore::NoteTableBytes(std::size_t extra_scratch_bytes) {
   const std::size_t live =
@@ -128,23 +90,6 @@ void PairwiseStore::EnsureDense() {
   evaluations_ += kernels::FillDenseTriangular(eng_, kernel_, &dense_);
   dense_ready_ = true;
   NoteTableBytes(0);
-}
-
-std::size_t PairwiseStore::StreamScratchTarget() const {
-  // A finite budget caps streaming scratch (never below one row, the hard
-  // floor of row-granular access — enforced by the callers' clamps).
-  std::size_t target = kStreamScratchBytes;
-  if (options_.memory_budget_bytes > 0) {
-    target = std::min(target, options_.memory_budget_bytes);
-  }
-  return target;
-}
-
-std::size_t PairwiseStore::StreamRows() const {
-  if (options_.backend == PairwiseBackend::kTiled) return options_.tile_rows;
-  const std::size_t row_bytes = std::max<std::size_t>(n_, 1) * sizeof(double);
-  return std::clamp<std::size_t>(StreamScratchTarget() / row_bytes, 1,
-                                 std::max<std::size_t>(n_, 1));
 }
 
 void PairwiseStore::Warm() {
@@ -160,7 +105,6 @@ const double* PairwiseStore::WarmRowData(std::size_t i) {
   const auto it = warm_index_.find(i);
   if (it == warm_index_.end()) return nullptr;
   warm_rows_.splice(warm_rows_.begin(), warm_rows_, it->second);
-  warm_rows_.front().generation = generation_;
   return warm_rows_.front().data.data();
 }
 
@@ -175,37 +119,11 @@ void PairwiseStore::MaybeRetainWarmRow(std::size_t i, const double* src) {
   }
   WarmRow row;
   row.row = i;
-  row.generation = generation_;
   row.data.assign(src, src + n_);
   warm_bytes_ += row_bytes;
   warm_rows_.push_front(std::move(row));
   warm_index_[i] = warm_rows_.begin();
   NoteTableBytes(0);
-}
-
-void PairwiseStore::BeginGeneration() {
-  ++generation_;
-  // Invalidate rows last touched more than warm_retain_generations ago —
-  // the explicit staleness bound of the warm-row protocol.
-  const uint64_t keep_from =
-      generation_ > options_.warm_retain_generations
-          ? generation_ - options_.warm_retain_generations
-          : 0;
-  for (auto it = warm_rows_.begin(); it != warm_rows_.end();) {
-    if (it->generation < keep_from) {
-      warm_bytes_ -= it->data.size() * sizeof(double);
-      warm_index_.erase(it->row);
-      it = warm_rows_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-void PairwiseStore::InvalidateWarmRows() {
-  warm_rows_.clear();
-  warm_index_.clear();
-  warm_bytes_ = 0;
 }
 
 const double* PairwiseStore::ServeRow(std::size_t i) {
@@ -265,92 +183,47 @@ void PairwiseStore::VisitSymmetricBlock(
   const std::size_t s = ids.size();
   if (s == 0) return;
   if (options_.backend == PairwiseBackend::kDense) EnsureDense();
-  const std::size_t row_bytes = s * sizeof(double);
-  // Scratch bound for the block: up to a quarter of a finite budget (the
-  // symmetric-halving fast path is worth more scratch than a plain stream
-  // sweep), but never past what the warm cache leaves of the budget right
-  // now — live bytes plus scratch stay within it, down to the
-  // one-block-row floor. On the dense backend the table is the
-  // budget-approved artifact, so only the stream target applies.
-  std::size_t scratch_budget = StreamScratchTarget();
-  if (options_.memory_budget_bytes > 0 &&
-      options_.backend != PairwiseBackend::kDense) {
+  // Scratch bound for the block: the stream bound, raised on the tiled
+  // backend to a quarter of the budget (the symmetric-halving fast path is
+  // worth more scratch than a plain stream sweep). On the dense backend the
+  // table is the budget-approved artifact, so only the stream bound applies.
+  std::size_t scratch_budget =
+      StreamScratchTarget(options_.memory_budget_bytes);
+  if (options_.backend == PairwiseBackend::kTiled) {
     scratch_budget =
-        std::min(std::max(scratch_budget, options_.memory_budget_bytes / 4),
-                 options_.memory_budget_bytes > warm_bytes_
-                     ? options_.memory_budget_bytes - warm_bytes_
-                     : 0);
+        std::max(scratch_budget, options_.memory_budget_bytes / 4);
   }
-  const std::size_t stripe_rows = std::clamp<std::size_t>(
-      scratch_budget / row_bytes, 1, s);
+  const std::size_t stripe_rows =
+      std::clamp<std::size_t>(scratch_budget / (s * sizeof(double)), 1, s);
 
-  if (stripe_rows >= s) {
-    // The whole block fits the scratch bound: served rows are read back and
-    // mirrored into missing rows' columns — d(ids[b], ids[a]) ==
-    // d(ids[a], ids[b]) bit-for-bit — and the (missing, missing) cells are
-    // one symmetric kernel pass, each pair evaluated once.
-    std::vector<double> block(s * s);
-    double* d = block.data();
-    gather_missing_.clear();  // reused here as the missing SLOT list
-    std::vector<char> served(s, 0);
-    for (std::size_t a = 0; a < s; ++a) {
-      if (const double* src = ServeRow(ids[a])) {
-        for (std::size_t b = 0; b < s; ++b) d[a * s + b] = src[ids[b]];
-        served[a] = 1;
-      } else {
-        gather_missing_.push_back(a);
-      }
-    }
-    if (!gather_missing_.empty()) {
-      warm_misses_ += static_cast<int64_t>(gather_missing_.size());
-      for (const std::size_t a : gather_missing_) {
-        for (std::size_t b = 0; b < s; ++b) {
-          if (served[b]) d[a * s + b] = d[b * s + a];
-        }
-      }
-      evaluations_ +=
-          kernels::FillSymmetricBlock(eng_, kernel_, ids, gather_missing_, d);
-    }
-    NoteTableBytes(block.size() * sizeof(double));
-    engine::ParallelForBlocked(
-        eng_, s, VisitRowBlock(eng_, s), [&](const engine::BlockedRange& r) {
-          for (std::size_t a = r.begin; a < r.end; ++a) {
-            fn(a, {d + a * s, s});
-          }
-        });
-    return;
-  }
-
-  // Striped fallback for blocks larger than the scratch bound (a skewed
-  // cluster under a tight budget): bounded row stripes, nothing
-  // materialized beyond stripe_rows x |ids|. The symmetric halving is
-  // unavailable across stripes, so non-served rows cost |ids| - 1
-  // evaluations each — still a member-column slab, never a full tile.
+  // Bounded row stripes, nothing materialized beyond stripe_rows x |ids|.
+  // A block that fits in one stripe is computed pairwise-symmetrically, each
+  // pair evaluated once; across stripes the halving is unavailable, so a
+  // striped row costs |ids| - 1 evaluations — still a member-column slab,
+  // never a full tile.
   std::vector<double> scratch(stripe_rows * s);
+  double* d = scratch.data();
   for (std::size_t r0 = 0; r0 < s; r0 += stripe_rows) {
     const std::size_t r1 = std::min(s, r0 + stripe_rows);
-    gather_missing_.clear();
-    gather_slots_.clear();
-    for (std::size_t a = r0; a < r1; ++a) {
-      double* dst = scratch.data() + (a - r0) * s;
-      if (const double* src = ServeRow(ids[a])) {
-        for (std::size_t b = 0; b < s; ++b) dst[b] = src[ids[b]];
-      } else {
-        gather_missing_.push_back(a);
-        gather_slots_.push_back(a - r0);
+    if (dense_ready_) {
+      for (std::size_t a = r0; a < r1; ++a) {
+        const double* src = dense_.data() + ids[a] * n_;
+        for (std::size_t b = 0; b < s; ++b) d[(a - r0) * s + b] = src[ids[b]];
       }
-    }
-    if (!gather_missing_.empty()) {
-      warm_misses_ += static_cast<int64_t>(gather_missing_.size());
-      evaluations_ += kernels::FillBlockRows(
-          eng_, kernel_, ids, gather_missing_, gather_slots_, scratch.data());
+      warm_hits_ += static_cast<int64_t>(r1 - r0);
+    } else {
+      evaluations_ += stripe_rows >= s
+                          ? kernels::FillSymmetricBlock(eng_, kernel_, ids, d)
+                          : kernels::FillBlockRows(eng_, kernel_, ids, r0, r1,
+                                                   d);
+      warm_misses_ += static_cast<int64_t>(r1 - r0);
     }
     NoteTableBytes(scratch.size() * sizeof(double));
     engine::ParallelForBlocked(
         eng_, r1 - r0, VisitRowBlock(eng_, r1 - r0),
         [&](const engine::BlockedRange& r) {
           for (std::size_t tr = r.begin; tr < r.end; ++tr) {
-            fn(r0 + tr, {scratch.data() + tr * s, s});
+            fn(r0 + tr, {d + tr * s, s});
           }
         });
   }
@@ -369,9 +242,9 @@ void PairwiseStore::VisitAllRows(const RowVisitor& fn) {
         });
     return;
   }
-  // Recomputing backends: bounded scratch blocks, each one gather tile of
-  // consecutive rows, nothing retained.
-  const std::size_t chunk = StreamRows();
+  // kTiled: blocks of tile_rows rows, each one gather tile of consecutive
+  // rows, nothing retained.
+  const std::size_t chunk = options_.tile_rows;
   std::vector<double> scratch(chunk * n_);
   std::vector<std::size_t> rows;
   for (std::size_t r0 = 0; r0 < n_; r0 += chunk) {
@@ -422,7 +295,7 @@ void PairwiseStore::StreamUpperTriangle(const UpperVisitor& fn,
         });
     return;
   }
-  const std::size_t chunk = StreamRows();
+  const std::size_t chunk = options_.tile_rows;
   std::vector<double> scratch(chunk * n_);
   for (std::size_t r0 = 0; r0 < n_; r0 += chunk) {
     const std::size_t r1 = std::min(n_, r0 + chunk);

@@ -4,42 +4,41 @@
 // The paper's O(n^2)-class baselines (UK-medoids, UAHC, FOPTICS, FDBSCAN)
 // precompute a dense n x n pairwise table, which caps every such workload at
 // whatever n^2 doubles fit in RAM. PairwiseStore decouples the access
-// pattern from the storage policy with three interchangeable backends:
+// pattern from the storage policy with two backends:
 //
-//   kDense    — the classic full table, built once by the triangular kernel
-//               (bit-identical values, parallel schedule, and evaluation
-//               count of the original offline phase);
-//   kTiled    — nothing precomputed: sweeps recompute budget-sized row
-//               blocks (tile_rows rows each) through the engine's blocked
-//               kernels, and gathered rows are kept in a warm-row cache;
-//   kOnTheFly — the same with one-row blocks and no warm cache: nothing is
-//               retained.
+//   kDense — the classic full table, built once by the triangular kernel
+//            (bit-identical values, parallel schedule, and evaluation count
+//            of the original offline phase);
+//   kTiled — nothing precomputed: sweeps recompute budget-sized row blocks
+//            (tile_rows rows each, down to one-row blocks under the tightest
+//            budgets) through the engine's blocked kernels, and gathered rows
+//            are kept in an LRU warm-row cache when the budget's warm
+//            carve-out holds a row.
 //
 // Every access is shaped by the workload rather than by a tile grid:
 //
 //   gathers       — GatherRows/VisitSymmetricBlock compute asymmetric
-//                   candidate x n (or candidate x candidate) slabs: exactly
-//                   the entries a medoid gather or swap sweep reads, in one
+//                   candidate x n (or member x member) slabs: exactly the
+//                   entries a medoid gather or swap sweep reads, in one
 //                   parallel kernel pass;
-//   warm rows     — gathered rows are retained across consumer iterations
-//                   (PAM rounds, Lance-Williams merges) in a budget-bounded
-//                   warm cache with an explicit generation/invalidation
-//                   protocol (BeginGeneration/InvalidateWarmRows) and
-//                   hit/miss counters — on whenever the budget's warm
-//                   carve-out holds a row;
+//   warm rows     — rows computed by GatherRow/GatherRows are retained in a
+//                   budget-bounded LRU cache and served back without kernel
+//                   work (hit/miss counters); a base row is a pure function
+//                   of its index, so a retained row is never stale and the
+//                   capacity is the only bound;
 //   pruned sweeps — VisitUpperTriangle accepts a cheap pair predicate that
 //                   skips pairs whose exact value is provably 0 (e.g. the
 //                   FDBSCAN distance probability of two objects whose
 //                   regions are farther apart than eps) before any kernel
 //                   evaluation.
 //
-// The backend is normally selected from EngineConfig::memory_budget_bytes
-// (0 = unlimited = dense); tests and benches can force one explicitly.
-// Invariant: because every producer evaluates a pair as (min(i, j),
-// max(i, j)), each entry is a pure function of that pair, and a pruned pair
-// is skipped only when its exact value is proven, all backends serve
-// bit-identical values — so every clustering built on the store is
-// identical across backends and thread counts; only memory and recompute
+// EngineConfig::memory_budget_bytes is the store's only input: it selects
+// the backend and sizes the tiles and the warm cache (0 = unlimited =
+// dense). Invariant: because every producer evaluates a pair as
+// (min(i, j), max(i, j)), each entry is a pure function of that pair, and a
+// pruned pair is skipped only when its exact value is proven, both backends
+// serve bit-identical values — so every clustering built on the store is
+// identical across budgets and thread counts; only memory and recompute
 // cost change.
 //
 // Thread-safety: the random-access API (GatherRow/GatherRows) is for the
@@ -63,33 +62,30 @@
 namespace uclust::clustering {
 
 /// Storage policy of a PairwiseStore.
-enum class PairwiseBackend { kDense, kTiled, kOnTheFly };
+enum class PairwiseBackend { kDense, kTiled };
 
-/// Lower-case display name ("dense", "tiled", "onthefly").
+/// Lower-case display name ("dense", "tiled").
 std::string PairwiseBackendName(PairwiseBackend backend);
 
-/// Tuning of a PairwiseStore instance.
+/// The storage policy a PairwiseStore derives from its memory budget — a
+/// read-only report: the budget is the store's only input.
 struct PairwiseStoreOptions {
   PairwiseBackend backend = PairwiseBackend::kDense;
-  /// The budget the backend was derived from (informational; 0 = unlimited).
+  /// The budget the policy was derived from (0 = unlimited).
   std::size_t memory_budget_bytes = 0;
-  /// Rows per streaming block of the recomputing sweeps (kTiled; kOnTheFly
-  /// pins this to 1). 0 = derive: a quarter of what the budget leaves after
-  /// the warm carve-out, in rows.
-  std::size_t tile_rows = 0;
-  /// Warm-row cache capacity in bytes (kTiled only: kDense reads are
-  /// already free and kOnTheFly retains nothing), carved out of
-  /// memory_budget_bytes. 0 = derive (a quarter of the budget). A capacity
-  /// below one row turns the cache off and is stored as 0.
+  /// Rows per streaming block of the recomputing sweeps (kTiled: a quarter
+  /// of what the budget leaves after the warm carve-out, in rows; kDense,
+  /// whose upper-triangle sweeps stream until a table is materialized: a
+  /// bounded ~1 MiB block). At least 1.
+  std::size_t tile_rows = 1;
+  /// Warm-row cache capacity in bytes, carved out of the budget (kTiled
+  /// only; kDense reads are already free). 0 = the cache is off.
   std::size_t warm_capacity_bytes = 0;
-  /// Warm rows last touched more than this many generations ago are
-  /// invalidated at the next BeginGeneration().
-  std::size_t warm_retain_generations = 2;
 
-  /// Backend selection rule for an n-object table under `budget_bytes`:
-  /// unlimited or a budget the dense table fits in -> kDense; room for at
-  /// least two rows -> kTiled, with the warm-row cache carved out of the
-  /// budget; anything smaller -> kOnTheFly.
+  /// The policy for an n-object table under `budget_bytes`: unlimited or a
+  /// budget the dense table fits in -> kDense; anything smaller -> kTiled,
+  /// with warm rows given a quarter of the budget when one row fits without
+  /// pushing the rest below two rows.
   static PairwiseStoreOptions FromBudget(std::size_t budget_bytes,
                                          std::size_t n);
 };
@@ -97,11 +93,9 @@ struct PairwiseStoreOptions {
 /// One symmetric pairwise table served through a storage backend.
 class PairwiseStore {
  public:
-  /// Store over `kernel` with explicit options. The kernel's referenced
-  /// objects / sample cache must outlive the store.
-  PairwiseStore(const engine::Engine& eng, const kernels::PairwiseKernel& kernel,
-                const PairwiseStoreOptions& options);
-  /// Store with options derived from eng.memory_budget_bytes().
+  /// Store over `kernel` with the policy derived from
+  /// eng.memory_budget_bytes(). The kernel's referenced objects / sample
+  /// cache must outlive the store.
   PairwiseStore(const engine::Engine& eng,
                 const kernels::PairwiseKernel& kernel);
 
@@ -109,7 +103,7 @@ class PairwiseStore {
   std::size_t size() const { return n_; }
   /// The storage policy in effect.
   PairwiseBackend backend() const { return options_.backend; }
-  /// The options in effect (after derivation).
+  /// The policy derived from the budget.
   const PairwiseStoreOptions& options() const { return options_; }
   /// Kernel evaluations performed so far (tile recomputation included).
   int64_t evaluations() const { return evaluations_; }
@@ -123,7 +117,7 @@ class PairwiseStore {
   std::size_t table_bytes_peak() const { return table_bytes_peak_; }
 
   /// Builds whatever the backend precomputes (kDense: the full table;
-  /// kTiled/kOnTheFly: nothing). Call inside the offline timing phase to
+  /// kTiled: nothing). Call inside the offline timing phase to
   /// keep the paper's offline/online accounting for the dense path.
   void Warm();
 
@@ -141,28 +135,19 @@ class PairwiseStore {
   /// pass (and retained in the warm cache when one is on).
   void GatherRows(std::span<const std::size_t> rows, std::vector<double>* out);
   /// Visits each row of the symmetric |ids| x |ids| sub-block (diagonal 0)
-  /// — the candidate x member slab of the UK-medoids swap sweep. The
-  /// visitor receives (slot a, length-|ids| span) with span[b] =
-  /// value(ids[a], ids[b]), invoked concurrently for different rows. The
-  /// block is never materialized whole beyond the streaming scratch bound:
-  /// when it fits, rows already materialized (dense / warm) are read back and mirrored into missing rows' columns and the rest is
-  /// computed pairwise-symmetrically (|missing| * (|missing| - 1) / 2
+  /// — the member x member slab of the UK-medoids swap sweep. The visitor
+  /// receives (slot a, length-|ids| span) with span[b] =
+  /// value(ids[a], ids[b]), invoked concurrently for different rows. A
+  /// materialized dense table is read back (rows count as hits); otherwise
+  /// every row is computed (and counted as a miss) — never from the warm
+  /// cache, and never retained in it. When the block fits the scratch bound
+  /// it is filled pairwise-symmetrically (|ids| * (|ids| - 1) / 2
   /// evaluations); larger blocks stream budget-bounded row stripes
-  /// (|ids| - 1 evaluations per non-served row). `ids` must be distinct.
+  /// (|ids| - 1 evaluations per row). `ids` must be distinct.
   void VisitSymmetricBlock(std::span<const std::size_t> ids,
                            const std::function<void(
                                std::size_t, std::span<const double>)>& fn);
 
-  /// Iteration-scoped warm-row protocol: marks the start of a new consumer
-  /// iteration (a PAM round, a Lance-Williams merge round). Warm rows stay
-  /// servable across generations; rows last touched more than
-  /// options().warm_retain_generations generations ago are invalidated
-  /// here, bounding staleness without a full flush.
-  void BeginGeneration();
-  /// Drops every warm row immediately (explicit invalidation).
-  void InvalidateWarmRows();
-  /// Generation counter (starts at 0, incremented by BeginGeneration).
-  uint64_t generation() const { return generation_; }
   /// Gathered rows served without kernel work (warm cache or dense table).
   int64_t warm_hits() const { return warm_hits_; }
   /// Gathered rows that required kernel computation.
@@ -175,9 +160,9 @@ class PairwiseStore {
   /// Visitor for one full row: (row index, length-n span).
   using RowVisitor = std::function<void(std::size_t, std::span<const double>)>;
   /// Visits every row 0..n-1 exactly once. Parallel: the visitor is invoked
-  /// concurrently for different rows. kDense reads the table; the
-  /// recomputing backends stream bounded scratch blocks (n*(n-1)
-  /// evaluations — both halves of every pair).
+  /// concurrently for different rows. kDense reads the table; kTiled
+  /// streams blocks of tile_rows rows (n*(n-1) evaluations — both halves
+  /// of every pair).
   void VisitAllRows(const RowVisitor& fn);
 
   /// Visitor for the strict upper-triangle tail of row i: the span covers
@@ -209,19 +194,18 @@ class PairwiseStore {
  private:
   struct WarmRow {
     std::size_t row = 0;
-    uint64_t generation = 0;
     std::vector<double> data;
   };
 
   void EnsureDense();
   /// GatherRow into a raw length-n destination.
   void CopyRowInto(std::size_t i, double* dst);
-  /// Warm-cache lookup; touches recency + generation on hit.
+  /// Warm-cache lookup; moves a hit to the most-recently-used end.
   const double* WarmRowData(std::size_t i);
   /// The one serving chain of the gather APIs: the dense table first, then
-  /// the warm cache. Returns the length-n row
-  /// and counts a warm hit, or nullptr (the caller computes and counts the
-  /// miss). The pointer is invalidated by the next non-const store call.
+  /// the warm cache. Returns the length-n row and counts a warm hit, or
+  /// nullptr (the caller computes and counts the miss). The pointer is
+  /// invalidated by the next non-const store call.
   const double* ServeRow(std::size_t i);
   /// Inserts a copy of row i (length n) into the warm cache when the cache
   /// is on and the row fits after LRU eviction.
@@ -234,10 +218,6 @@ class PairwiseStore {
   /// is read back; otherwise `fill` fills bounded scratch blocks, which are
   /// visited and dropped.
   void StreamUpperTriangle(const UpperVisitor& fn, const UpperTileFill& fill);
-  /// Rows per streaming scratch block (bounded, >= 1).
-  std::size_t StreamRows() const;
-  /// Bytes the streaming scratch of a sweep may occupy (budget-capped).
-  std::size_t StreamScratchTarget() const;
   void NoteTableBytes(std::size_t live_bytes);
 
   engine::Engine eng_;
@@ -255,7 +235,6 @@ class PairwiseStore {
   std::list<WarmRow> warm_rows_;
   std::unordered_map<std::size_t, std::list<WarmRow>::iterator> warm_index_;
   std::size_t warm_bytes_ = 0;
-  uint64_t generation_ = 0;
   int64_t warm_hits_ = 0;
   int64_t warm_misses_ = 0;
   int64_t pruned_pairs_ = 0;

@@ -76,9 +76,9 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
       // Zero-copy when materialized; otherwise a single-row fetch (NN-chain
       // tips have no tile locality, so faulting whole tiles would multiply
       // kernel work by tile_rows). Chain tips are revisited as the chain
-      // grows, so under the warm-row policy the fetch is retained and the
-      // revisits become warm hits. The span stays valid through this scan:
-      // nothing below touches the store.
+      // grows, and a base row never changes, so the store's warm-row cache
+      // turns the revisits into warm hits. The span stays valid through
+      // this scan: nothing below touches the store.
       const std::span<const double> resident = store.ResidentRow(u);
       if (!resident.empty()) {
         row_u = resident.data();
@@ -101,10 +101,6 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
   std::vector<double> row_a(n, 0.0);
   std::vector<double> row_b(n, 0.0);
   while (remaining > 1) {
-    // One merge round = one warm-row generation: rows of clusters still on
-    // the chain stay warm (base singleton rows never change — merges only
-    // retire indices), rows untouched for a while age out.
-    store.BeginGeneration();
     if (chain.empty()) {
       for (std::size_t u = 0; u < n; ++u) {
         if (alive[u]) {

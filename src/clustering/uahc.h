@@ -9,14 +9,14 @@
 // The dendrogram is cut when k clusters remain.
 //
 // Memory model: base ED^ values are read through clustering::PairwiseStore
-// (dense / tiled / on-the-fly, selected by EngineConfig::
-// memory_budget_bytes), and Lance-Williams updates live in an overlay that
-// holds one distance row per alive merge-product cluster — the classic
-// dense working table exists only under the dense backend. NN-chain tip
-// rows fetched on the tiled backend are retained across merge rounds by
-// the store's warm-row cache (one BeginGeneration per merge): chain tips
-// are revisited as the chain grows, so about half of the row fetches of a
-// tight-budget run are warm hits, roughly halving its pair evaluations.
+// (dense or tiled, selected by EngineConfig::memory_budget_bytes), and
+// Lance-Williams updates live in an overlay that holds one distance row per
+// alive merge-product cluster — the classic dense working table exists only
+// under the dense backend. NN-chain tip rows fetched on the tiled backend
+// stay in the store's LRU warm-row cache: a base row never changes (merges
+// only retire indices), and chain tips are revisited as the chain grows, so
+// the revisits are warm hits and a run whose cache holds the live chain
+// computes each base row about once.
 // Clusterings are bit-identical across backends and thread counts.
 #ifndef UCLUST_CLUSTERING_UAHC_H_
 #define UCLUST_CLUSTERING_UAHC_H_

@@ -66,9 +66,6 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
 
   for (result.iterations = 0; result.iterations < params_.max_iters;
        ++result.iterations) {
-    // One PAM round = one warm-row generation: medoid rows gathered last
-    // round stay servable (medoids rarely all move), stale rows age out.
-    store.BeginGeneration();
     std::size_t changed = 0;
     if (!dense) {
       std::vector<uncertain::Box> mboxes;
@@ -183,12 +180,11 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
         cand_cost[i] = cost;
       });
     } else {
-      // Recompute backends: one member x member slab per cluster
-      // (warm rows read back, the rest evaluated symmetrically;
-      // budget-bounded stripes when the slab is too large to materialize),
-      // with row sums in the visitor. Summation order over a block row is
-      // ascending members — exactly the dense row sweep's order restricted
-      // to the member columns, so cand_cost is bit-identical.
+      // Tiled backend: one member x member slab per cluster (evaluated
+      // symmetrically; budget-bounded stripes when the slab is too large to
+      // materialize), with row sums in the visitor. Summation order over a
+      // block row is ascending members — exactly the dense row sweep's order
+      // restricted to the member columns, so cand_cost is bit-identical.
       for (int c = 0; c < k; ++c) {
         const std::vector<std::size_t>& mem = members[c];
         if (mem.empty()) continue;

@@ -10,13 +10,11 @@
 // online phase), and the swap sweep reads each object's member columns
 // straight out of it. Under a finite EngineConfig::memory_budget_bytes the
 // store recomputes instead, and the sweeps read only what they need: the
-// assignment step asks the spatial index which medoids could be nearest
-// (or, with the index off, gathers the k medoid rows as one asymmetric
-// gather tile, retained across PAM iterations by the warm-row cache — see
-// PairwiseStore::BeginGeneration), and the swap sweep reads per-cluster
-// member x member slabs. Table memory stays bounded at any n, and
-// clusterings are bit-identical to the dense backend's at any thread
-// count; see docs/memory-backends.md.
+// assignment step asks a spatial index over the k medoid regions which
+// medoids could be nearest and evaluates only those pairs, and the swap
+// sweep computes per-cluster member x member slabs. Table memory stays
+// bounded at any n, and clusterings are bit-identical to the dense
+// backend's at any thread count; see docs/memory-backends.md.
 #ifndef UCLUST_CLUSTERING_UKMEDOIDS_H_
 #define UCLUST_CLUSTERING_UKMEDOIDS_H_
 

@@ -38,10 +38,10 @@ struct DeterministicDataset {
 /// Used by the bench harness to keep O(n^2)-time baselines within a time
 /// budget and to mirror the paper's evaluation sizes. It is no longer a
 /// memory necessity for the table itself: the pairwise consumers access
-/// ED^ through clustering::PairwiseStore, whose tiled / on-the-fly
-/// backends (selected via EngineConfig::memory_budget_bytes) bound the
-/// table memory at any n (UAHC additionally keeps a merge overlay of one
-/// row per alive merge-product cluster; see uahc.h).
+/// ED^ through clustering::PairwiseStore, whose tiled backend (selected
+/// via EngineConfig::memory_budget_bytes) bounds the table memory at any n
+/// (UAHC additionally keeps a merge overlay of one row per alive
+/// merge-product cluster; see uahc.h).
 DeterministicDataset Subsample(const DeterministicDataset& dataset,
                                std::size_t max_n, uint64_t seed);
 

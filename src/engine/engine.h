@@ -37,9 +37,9 @@ struct EngineConfig {
   std::size_t block_size = 1024;
   /// Upper bound on the bytes a memory-hungry artifact may materialize at
   /// once. 0 = unlimited (dense n x n tables, fully resident moment columns
-  /// — the classic behavior). A finite budget makes every PairwiseStore
-  /// consumer (UK-medoids, UAHC, FOPTICS, FDBSCAN) switch to tiled or
-  /// on-the-fly ED^ access, and makes file-backed moment ingestion
+  /// — the classic behavior). A finite budget below the n x n table makes
+  /// every PairwiseStore consumer (UK-medoids, UAHC, FOPTICS, FDBSCAN)
+  /// switch to tiled ED^ recompute, and makes file-backed moment ingestion
   /// (io::StreamMomentStoreFromFile) spill moment columns whose resident
   /// size exceeds the budget to an mmap-backed .umom sidecar; clusterings
   /// are bit-identical either way.

@@ -1,7 +1,7 @@
-// PairwiseStore backend contract: Dense, Tiled, and OnTheFly must serve
-// bit-identical ED^ values, every pairwise consumer must produce identical
-// clusterings under any memory budget, and peak table memory must respect
-// the configured budget.
+// PairwiseStore backend contract: the dense table and the tiled store, with
+// multi-row or one-row blocks, must serve bit-identical ED^ values, every
+// pairwise consumer must produce identical clusterings under any memory
+// budget, and peak table memory must respect the configured budget.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -41,12 +41,19 @@ data::UncertainDataset TestDataset(std::size_t n, std::size_t m, int classes,
   return data::UncertaintyModel(d, up, seed + 1).Uncertain();
 }
 
-PairwiseStoreOptions Explicit(PairwiseBackend backend,
-                              std::size_t tile_rows) {
-  PairwiseStoreOptions o;
-  o.backend = backend;
-  o.tile_rows = tile_rows;
-  return o;
+// An engine whose memory budget is `rows` table rows of an n-object table.
+engine::Engine RowsBudget(std::size_t n, std::size_t rows) {
+  engine::EngineConfig config;
+  config.memory_budget_bytes = rows * n * sizeof(double);
+  return engine::Engine(config);
+}
+
+// An engine with a 1-byte budget: a tiled store with one-row blocks and no
+// warm cache.
+engine::Engine OneByteBudget() {
+  engine::EngineConfig config;
+  config.memory_budget_bytes = 1;
+  return engine::Engine(config);
 }
 
 // The full n x n table as served by GatherRows over every row.
@@ -70,11 +77,21 @@ TEST(PairwiseStore, BackendsServeBitIdenticalValues) {
       kernels::PairwiseKernel::SampleED(cache),
       kernels::PairwiseKernel::DistanceProbability(cache, 0.3),
   };
+  // 38 rows: 7-row blocks and a 9-row warm cache; 1 byte: one-row blocks.
+  const engine::Engine tiled_eng = RowsBudget(n, 38);
+  const engine::Engine row_eng = OneByteBudget();
   for (const auto& kernel : kernels_under_test) {
-    PairwiseStore dense(eng, kernel, Explicit(PairwiseBackend::kDense, 0));
-    PairwiseStore tiled(eng, kernel, Explicit(PairwiseBackend::kTiled, 7));
-    PairwiseStore fly(eng, kernel, Explicit(PairwiseBackend::kOnTheFly, 0));
-    // Row by row (GatherRow) on every backend, and batched (GatherRows)
+    PairwiseStore dense(eng, kernel);
+    PairwiseStore tiled(tiled_eng, kernel);
+    PairwiseStore fly(row_eng, kernel);
+    ASSERT_EQ(dense.backend(), PairwiseBackend::kDense);
+    ASSERT_EQ(tiled.backend(), PairwiseBackend::kTiled);
+    ASSERT_EQ(tiled.options().tile_rows, 7u);
+    ASSERT_GT(tiled.options().warm_capacity_bytes, 0u);
+    ASSERT_EQ(fly.backend(), PairwiseBackend::kTiled);
+    ASSERT_EQ(fly.options().tile_rows, 1u);
+    ASSERT_EQ(fly.options().warm_capacity_bytes, 0u);
+    // Row by row (GatherRow) on every store, and batched (GatherRows)
     // on the recomputing ones.
     std::vector<double> d_row, t_row, f_row;
     for (std::size_t i = 0; i < n; ++i) {
@@ -88,10 +105,8 @@ TEST(PairwiseStore, BackendsServeBitIdenticalValues) {
         ASSERT_EQ(f_row[j], want) << i << "," << j;
       }
     }
-    PairwiseStore tiled_batch(eng, kernel,
-                              Explicit(PairwiseBackend::kTiled, 7));
-    PairwiseStore fly_batch(eng, kernel,
-                            Explicit(PairwiseBackend::kOnTheFly, 0));
+    PairwiseStore tiled_batch(tiled_eng, kernel);
+    PairwiseStore fly_batch(row_eng, kernel);
     const std::vector<double> want = AllRows(&dense);
     ASSERT_EQ(AllRows(&tiled_batch), want);
     ASSERT_EQ(AllRows(&fly_batch), want);
@@ -104,29 +119,35 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
   const engine::Engine eng;
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
-  PairwiseStore reference(eng, kernel, Explicit(PairwiseBackend::kDense, 0));
+  PairwiseStore reference(eng, kernel);
   const std::vector<double> want = AllRows(&reference);
-  for (PairwiseBackend backend :
-       {PairwiseBackend::kDense, PairwiseBackend::kTiled,
-        PairwiseBackend::kOnTheFly}) {
-    PairwiseStore store(eng, kernel, Explicit(backend, 5));
+  // Dense; tiled with 5-row blocks (28 rows of budget); tiled with one-row
+  // blocks (1 byte).
+  for (const engine::Engine& budget_eng :
+       {eng, RowsBudget(n, 28), OneByteBudget()}) {
+    PairwiseStore store(budget_eng, kernel);
+    const std::string name =
+        PairwiseBackendName(store.backend()) + " tile_rows=" +
+        std::to_string(store.options().tile_rows);
+    ASSERT_EQ(store.options().tile_rows,
+              budget_eng.memory_budget_bytes() == 0 ? n
+              : budget_eng.memory_budget_bytes() == 1 ? 1u
+                                                      : 5u);
     // Evaluation counts from a cold store: a recomputing backend spends
     // n - 1 on one gathered row, n * (n - 1) on a full row visit and
     // n * (n - 1) / 2 on an upper sweep; the dense table is filled once.
-    const bool dense = backend == PairwiseBackend::kDense;
+    const bool dense = store.backend() == PairwiseBackend::kDense;
     const int64_t nn = static_cast<int64_t>(n);
     const int64_t half = nn * (nn - 1) / 2;
     std::vector<double> cold_row;
     store.GatherRow(1, &cold_row);
-    EXPECT_EQ(store.evaluations(), dense ? half : nn - 1)
-        << PairwiseBackendName(backend);
+    EXPECT_EQ(store.evaluations(), dense ? half : nn - 1) << name;
     int64_t before = store.evaluations();
     std::vector<double> from_rows(n * n, -1.0);
     store.VisitAllRows([&](std::size_t i, std::span<const double> row) {
       for (std::size_t j = 0; j < n; ++j) from_rows[i * n + j] = row[j];
     });
-    EXPECT_EQ(store.evaluations() - before, dense ? 0 : 2 * half)
-        << PairwiseBackendName(backend);
+    EXPECT_EQ(store.evaluations() - before, dense ? 0 : 2 * half) << name;
     before = store.evaluations();
     std::vector<double> from_upper(n * n, 0.0);
     store.VisitUpperTriangle([&](std::size_t i,
@@ -136,10 +157,9 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
         from_upper[(i + 1 + t) * n + i] = tail[t];
       }
     });
-    EXPECT_EQ(store.evaluations() - before, dense ? 0 : half)
-        << PairwiseBackendName(backend);
+    EXPECT_EQ(store.evaluations() - before, dense ? 0 : half) << name;
     for (std::size_t j = 0; j < n; ++j) {
-      ASSERT_EQ(cold_row[j], want[n + j]) << PairwiseBackendName(backend);
+      ASSERT_EQ(cold_row[j], want[n + j]) << name;
     }
     std::vector<std::size_t> some_rows = {0, n / 2, n - 1, 3};
     std::vector<double> gathered;
@@ -147,9 +167,9 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         ASSERT_EQ(from_rows[i * n + j], want[i * n + j])
-            << PairwiseBackendName(backend) << " " << i << "," << j;
+            << name << " " << i << "," << j;
         ASSERT_EQ(from_upper[i * n + j], want[i * n + j])
-            << PairwiseBackendName(backend) << " " << i << "," << j;
+            << name << " " << i << "," << j;
       }
     }
     for (std::size_t r = 0; r < some_rows.size(); ++r) {
@@ -174,15 +194,19 @@ TEST(PairwiseStore, BudgetSelectsBackendAndBoundsPeak) {
   // The warm carve-out plus four streaming blocks fit the budget.
   EXPECT_LE(tiled.warm_capacity_bytes + 4 * tiled.tile_rows * row_bytes,
             16 * row_bytes);
-  EXPECT_EQ(PairwiseStoreOptions::FromBudget(1, n).backend,
-            PairwiseBackend::kOnTheFly);
+  // Below two rows the store is still tiled: one-row blocks, no warm rows.
+  for (const std::size_t tiny : {std::size_t{1}, 2 * row_bytes - 1}) {
+    const PairwiseStoreOptions o = PairwiseStoreOptions::FromBudget(tiny, n);
+    EXPECT_EQ(o.backend, PairwiseBackend::kTiled) << tiny;
+    EXPECT_EQ(o.tile_rows, 1u) << tiny;
+    EXPECT_EQ(o.warm_capacity_bytes, 0u) << tiny;
+  }
 
   // A tiled store driven hard stays under its budget.
   const auto ds = TestDataset(n, 2, 2, 19);
-  const engine::Engine eng;
-  PairwiseStore store(eng, kernels::PairwiseKernel::ClosedFormED2(
-                               ds.objects()),
-                      PairwiseStoreOptions::FromBudget(16 * row_bytes, n));
+  PairwiseStore store(RowsBudget(n, 16), kernels::PairwiseKernel::ClosedFormED2(
+                                             ds.objects()));
+  ASSERT_EQ(store.options().tile_rows, tiled.tile_rows);
   std::vector<double> row;
   for (std::size_t i = 0; i < n; i += 3) store.GatherRow(i, &row);
   store.VisitAllRows([](std::size_t, std::span<const double>) {});
@@ -264,12 +288,13 @@ TEST(PairwiseKernel, EvalRowMatchesEvalOnResidentAndMappedViews) {
 
 // Identical clusterings across backends, selected through the engine's
 // memory_budget_bytes knob exactly as production call sites do. Budgets:
-// 0 = unlimited (dense), a few rows (tiled), 1 byte (on-the-fly).
+// 0 = unlimited (dense), a few rows (tiled), 1 byte (tiled, one-row
+// blocks).
 TEST(PairwiseStore, ConsumersProduceIdenticalClusteringsAcrossBackends) {
   const auto ds = TestDataset(120, 3, 3, 23);
   const std::size_t row_bytes = ds.size() * sizeof(double);
   const std::size_t budgets[] = {0, 12 * row_bytes, 1};
-  const char* expected_backend[] = {"dense", "tiled", "onthefly"};
+  const char* expected_backend[] = {"dense", "tiled", "tiled"};
 
   const auto run = [&](Clusterer* algo, std::size_t budget) {
     engine::EngineConfig config;

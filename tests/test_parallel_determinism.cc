@@ -655,8 +655,8 @@ TEST(ParallelDeterminism, TiledBackendBitIdenticalAcrossThreadCounts) {
 }
 
 // The recomputing backends' sweeps (member-block gathers, warm rows,
-// pruned pair sweeps) are pure recompute optimizations: the tiled and
-// on-the-fly backends must reproduce the serial dense clustering
+// pruned pair sweeps) are pure recompute optimizations: the tiled backend,
+// with multi-row and one-row blocks, must reproduce the serial dense clustering
 // bit-for-bit at any thread count, and their recompute effort (pair
 // evaluations, warm hits, pruned pairs, index candidates and bound tests)
 // must not depend on the thread count.
@@ -670,7 +670,7 @@ TEST(ParallelDeterminism, TilePoliciesBitIdenticalAcrossThreadCounts) {
     config.memory_budget_bytes = budget;
     return MakeClustererOrDie(name, engine::Engine(config));
   };
-  // ~10 rows (tiled, warm rows on) and 1 byte (on-the-fly).
+  // ~10 rows (tiled, warm rows on) and 1 byte (tiled, one-row blocks).
   const std::size_t budgets[] = {10 * ds.size() * sizeof(double), 1};
   for (const std::string& name :
        {std::string("UK-medoids"), std::string("UAHC"),

@@ -1313,7 +1313,7 @@ clustering::ClusteringResult ResultWithLabels(std::vector<int> labels) {
   r.offline_ms = 0.75;
   r.ed_evaluations = 31;
   r.noise_objects = 2;
-  r.pairwise_backend = "onthefly";
+  r.pairwise_backend = "tiled";
   r.table_bytes_peak = 4096;
   r.pair_evaluations = 55;
   r.tile_warm_hits = 5;

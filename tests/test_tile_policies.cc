@@ -1,10 +1,10 @@
 // Workload-aware PairwiseStore access contract: asymmetric gather blocks
 // serve the same bits the dense table holds, UK-medoids on the recomputing
-// backends is clustering-identical to the dense backend under the legacy
-// full-sweep evaluation floor, the warm-row cache obeys its hit/miss
-// counters and generation/invalidation protocol under the memory budget,
-// and the bound-pruned pair sweep skips only pairs whose distance
-// probability is provably 0.
+// backend is clustering-identical to the dense backend under the legacy
+// full-sweep evaluation floor, the warm-row cache keeps its hit/miss
+// counters and least-recently-used order under the memory budget, and the
+// bound-pruned pair sweep skips only pairs whose distance probability is
+// provably 0.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -40,13 +40,11 @@ data::UncertainDataset TestDataset(std::size_t n, std::size_t m, int classes,
   return data::UncertaintyModel(d, up, seed + 1).Uncertain();
 }
 
-PairwiseStoreOptions Explicit(PairwiseBackend backend, std::size_t tile_rows,
-                              std::size_t warm_capacity) {
-  PairwiseStoreOptions o;
-  o.backend = backend;
-  o.tile_rows = tile_rows;
-  o.warm_capacity_bytes = warm_capacity;
-  return o;
+// An engine whose memory budget is `bytes` (0 = unlimited: a dense store).
+engine::Engine BudgetEngine(std::size_t bytes) {
+  engine::EngineConfig config;
+  config.memory_budget_bytes = bytes;
+  return engine::Engine(config);
 }
 
 // The full n x n table, read back row by row from a dense store.
@@ -77,31 +75,48 @@ TEST(TilePolicies, VisitSymmetricBlockMatchesDenseReference) {
   const engine::Engine eng;
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
-  PairwiseStore reference(eng, kernel, Explicit(PairwiseBackend::kDense, 0, 0));
+  PairwiseStore reference(eng, kernel);
   const std::vector<double> table = DenseTable(&reference);
 
   // Every other object — an id set crossing several row blocks.
   std::vector<std::size_t> ids;
   for (std::size_t i = 0; i < n; i += 2) ids.push_back(i);
+  const std::size_t s = ids.size();
+  const int64_t ss = static_cast<int64_t>(s);
 
-  for (PairwiseBackend backend :
-       {PairwiseBackend::kDense, PairwiseBackend::kTiled,
-        PairwiseBackend::kOnTheFly}) {
-    PairwiseStore store(eng, kernel,
-                        Explicit(backend, 5, 8 * n * sizeof(double)));
-    // Seed the warm cache (kTiled) / dense table so the block mixes served
-    // rows (copied and mirrored) with computed rows.
+  // Dense; tiled with 5-row blocks and a 7-row warm cache (28 rows of
+  // budget), where the block fits one symmetric pass; tiled with one-row
+  // blocks (1 byte), where the block streams one-row stripes.
+  for (const std::size_t budget : {std::size_t{0}, 28 * n * sizeof(double),
+                                   std::size_t{1}}) {
+    PairwiseStore store(BudgetEngine(budget), kernel);
+    // Gathered rows sit in the dense table or the warm cache; the block
+    // reads the dense table, but computes every row on the tiled backend.
     std::vector<double> seeded;
     store.GatherRows(std::vector<std::size_t>{ids[0], ids[1], ids[3]},
                      &seeded);
+    const bool dense = store.backend() == PairwiseBackend::kDense;
+    if (budget > 1) {
+      ASSERT_EQ(store.options().tile_rows, 5u);
+      ASSERT_EQ(store.warm_bytes(), 3 * n * sizeof(double));
+    }
+    const int64_t evals = store.evaluations();
+    const int64_t hits = store.warm_hits();
+    const int64_t misses = store.warm_misses();
 
     const std::vector<double> block = CollectSymmetricBlock(&store, ids);
-    for (std::size_t a = 0; a < ids.size(); ++a) {
-      for (std::size_t b = 0; b < ids.size(); ++b) {
-        ASSERT_EQ(block[a * ids.size() + b], table[ids[a] * n + ids[b]])
-            << PairwiseBackendName(backend) << " " << a << "," << b;
+    for (std::size_t a = 0; a < s; ++a) {
+      for (std::size_t b = 0; b < s; ++b) {
+        ASSERT_EQ(block[a * s + b], table[ids[a] * n + ids[b]])
+            << "budget=" << budget << " " << a << "," << b;
       }
     }
+    const int64_t want_evals =
+        dense ? 0 : budget == 1 ? ss * (ss - 1) : ss * (ss - 1) / 2;
+    EXPECT_EQ(store.evaluations() - evals, want_evals) << "budget=" << budget;
+    EXPECT_EQ(store.warm_hits() - hits, dense ? ss : 0) << "budget=" << budget;
+    EXPECT_EQ(store.warm_misses() - misses, dense ? 0 : ss)
+        << "budget=" << budget;
   }
 }
 
@@ -114,7 +129,7 @@ TEST(TilePolicies, VisitSymmetricBlockStripesOversizedBlocks) {
   const engine::Engine eng;
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
-  PairwiseStore reference(eng, kernel, Explicit(PairwiseBackend::kDense, 0, 0));
+  PairwiseStore reference(eng, kernel);
   const std::vector<double> table = DenseTable(&reference);
 
   std::vector<std::size_t> ids(n);  // the worst case: one giant cluster
@@ -123,9 +138,9 @@ TEST(TilePolicies, VisitSymmetricBlockStripesOversizedBlocks) {
   // Budget of ~3 block rows: far below the n x n slab, so the visit must
   // stripe. Its quarter-budget warm carve-out is under one row, so the
   // warm cache is off.
-  PairwiseStoreOptions o = Explicit(PairwiseBackend::kTiled, 4, 0);
-  o.memory_budget_bytes = 3 * n * sizeof(double);
-  PairwiseStore store(eng, kernel, o);
+  const std::size_t budget = 3 * n * sizeof(double);
+  PairwiseStore store(BudgetEngine(budget), kernel);
+  ASSERT_EQ(store.backend(), PairwiseBackend::kTiled);
   EXPECT_EQ(store.options().warm_capacity_bytes, std::size_t{0});
   const std::vector<double> block = CollectSymmetricBlock(&store, ids);
   for (std::size_t a = 0; a < n; ++a) {
@@ -134,11 +149,11 @@ TEST(TilePolicies, VisitSymmetricBlockStripesOversizedBlocks) {
     }
   }
   // Scratch stayed within the budget (stripes, not the whole slab).
-  EXPECT_LE(store.table_bytes_peak(), o.memory_budget_bytes);
+  EXPECT_LE(store.table_bytes_peak(), budget);
 }
 
-// UK-medoids on the recomputing backends (member-block swap sweep, indexed
-// assignment, warm rows on the tiled backend) must reproduce
+// UK-medoids on the recomputing backend (member-block swap sweep, indexed
+// assignment), with multi-row and one-row blocks, must reproduce
 // the dense-backend clustering bit-for-bit, while evaluating fewer pairs
 // than the full-row sweep it replaced would have: iterations * n * (n-1),
 // one recomputed row per object per swap sweep.
@@ -162,7 +177,7 @@ TEST(TilePolicies, UkMedoidsRecomputeBackendsMatchDense) {
   ASSERT_EQ(dense.pairwise_backend, "dense");
   for (const std::size_t budget : {12 * row_bytes, std::size_t{1}}) {
     const ClusteringResult out = run(budget);
-    EXPECT_EQ(out.pairwise_backend, budget == 1 ? "onthefly" : "tiled");
+    EXPECT_EQ(out.pairwise_backend, "tiled");
     EXPECT_EQ(out.labels, dense.labels) << "budget=" << budget;
     EXPECT_EQ(out.iterations, dense.iterations) << "budget=" << budget;
     EXPECT_EQ(out.objective, dense.objective) << "budget=" << budget;
@@ -173,67 +188,70 @@ TEST(TilePolicies, UkMedoidsRecomputeBackendsMatchDense) {
   }
 }
 
-TEST(TilePolicies, WarmRowCountersAndGenerationInvalidation) {
+// The warm cache evicts the least recently used row: a gathered row stays a
+// hit while fewer than `capacity` other rows are gathered after its last
+// use, and becomes a miss once `capacity` other distinct rows have pushed
+// it out. A hit refreshes a row, so the order is by use, not by insertion.
+TEST(TilePolicies, WarmRowsEvictLeastRecentlyUsed) {
   const auto ds = TestDataset(48, 2, 2, 107);
   const std::size_t n = ds.size();
-  const engine::Engine eng;
+  const std::size_t row_bytes = n * sizeof(double);
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
-  PairwiseStoreOptions options =
-      Explicit(PairwiseBackend::kTiled, 8, 4 * n * sizeof(double));
-  options.warm_retain_generations = 2;
-  PairwiseStore store(eng, kernel, options);
+  // 16 rows of budget: a 4-row warm cache and 3-row blocks.
+  PairwiseStore store(BudgetEngine(16 * row_bytes), kernel);
+  ASSERT_EQ(store.backend(), PairwiseBackend::kTiled);
+  const std::size_t capacity = store.options().warm_capacity_bytes / row_bytes;
+  ASSERT_EQ(capacity, 4u);
 
   std::vector<double> row;
-  store.GatherRow(40, &row);  // cold: computed
-  EXPECT_EQ(store.warm_misses(), 1);
-  EXPECT_EQ(store.warm_hits(), 0);
+  int64_t hits = 0;
+  int64_t misses = 0;
+  const auto gather = [&](std::size_t i, bool hit) {
+    const int64_t evals = store.evaluations();
+    store.GatherRow(i, &row);
+    (hit ? hits : misses) += 1;
+    EXPECT_EQ(store.warm_hits(), hits) << "row " << i;
+    EXPECT_EQ(store.warm_misses(), misses) << "row " << i;
+    EXPECT_EQ(store.evaluations() - evals,
+              hit ? 0 : static_cast<int64_t>(n) - 1)
+        << "row " << i;
+    for (std::size_t j = 0; j < n; ++j) {
+      ASSERT_EQ(row[j], i == j ? 0.0 : kernel.Eval(i, j)) << i << "," << j;
+    }
+    EXPECT_LE(store.warm_bytes(), store.options().warm_capacity_bytes);
+  };
 
-  store.GatherRow(40, &row);  // retained: a warm hit, no new evaluations
-  const int64_t evals_after_first = store.evaluations();
-  EXPECT_EQ(store.warm_hits(), 1);
-  EXPECT_EQ(store.warm_misses(), 1);
-  EXPECT_EQ(store.evaluations(), evals_after_first);
-
-  // Within the retention window the row stays warm.
-  store.BeginGeneration();
-  store.GatherRow(40, &row);
-  EXPECT_EQ(store.warm_hits(), 2);
-  EXPECT_EQ(store.warm_misses(), 1);
-
-  // Untouched past the retention window: invalidated at generation start.
-  store.BeginGeneration();
-  store.BeginGeneration();
-  store.BeginGeneration();
-  store.GatherRow(40, &row);
-  EXPECT_EQ(store.warm_hits(), 2);
-  EXPECT_EQ(store.warm_misses(), 2);
-
-  // Explicit invalidation drops the row immediately.
-  store.InvalidateWarmRows();
-  EXPECT_EQ(store.warm_bytes(), std::size_t{0});
-  store.GatherRow(40, &row);
-  EXPECT_EQ(store.warm_misses(), 3);
-
-  // Counters only ever grow (monotonicity is what makes them per-phase
-  // differences meaningful in ClusteringResult).
-  EXPECT_GE(store.warm_hits(), 2);
-  EXPECT_GE(store.warm_misses(), 3);
+  gather(40, false);  // cold: computed and retained
+  gather(40, true);   // retained: served without kernel work
+  // capacity - 1 other rows fill the cache; row 40 is still held.
+  for (std::size_t i = 0; i + 1 < capacity; ++i) gather(i, false);
+  EXPECT_EQ(store.warm_bytes(), capacity * row_bytes);
+  gather(40, true);  // refreshed: now the most recently used row
+  // One more row evicts the least recently used one (row 0), not row 40,
+  // the oldest insertion.
+  gather(capacity, false);
+  gather(40, true);
+  // capacity - 1 other rows after its last use: row 40 is still held...
+  gather(0, false);
+  for (std::size_t i = 10; i + 2 < 10 + capacity; ++i) gather(i, false);
+  gather(40, true);
+  // ...and capacity other distinct rows push it out.
+  for (std::size_t i = 20; i < 20 + capacity; ++i) gather(i, false);
+  gather(40, false);
 }
 
 TEST(TilePolicies, WarmCacheEvictsWithinItsCapacityAndBudget) {
   const auto ds = TestDataset(64, 2, 2, 109);
   const std::size_t n = ds.size();
   const std::size_t row_bytes = n * sizeof(double);
-  const engine::Engine eng;
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
 
   // Budget-derived tiled store: warm cache + sweep scratch must fit the
   // budget.
   const std::size_t budget = 12 * row_bytes;
-  PairwiseStore store(eng, kernel,
-                      PairwiseStoreOptions::FromBudget(budget, n));
+  PairwiseStore store(BudgetEngine(budget), kernel);
   ASSERT_EQ(store.backend(), PairwiseBackend::kTiled);
   ASSERT_GT(store.options().warm_capacity_bytes, std::size_t{0});
   std::vector<double> row;
@@ -244,10 +262,16 @@ TEST(TilePolicies, WarmCacheEvictsWithinItsCapacityAndBudget) {
   store.VisitAllRows([](std::size_t, std::span<const double>) {});
   EXPECT_LE(store.table_bytes_peak(), budget);
 
-  // A warm capacity below one row disables the policy instead of thrashing.
-  PairwiseStore tiny(eng, kernel,
-                     Explicit(PairwiseBackend::kTiled, 4, row_bytes - 1));
+  // A warm carve-out below one row disables the cache instead of thrashing:
+  // a quarter of 3 rows is under a row.
+  PairwiseStore tiny(BudgetEngine(3 * row_bytes), kernel);
+  ASSERT_EQ(tiny.backend(), PairwiseBackend::kTiled);
   EXPECT_EQ(tiny.options().warm_capacity_bytes, std::size_t{0});
+  tiny.GatherRow(7, &row);
+  tiny.GatherRow(7, &row);
+  EXPECT_EQ(tiny.warm_hits(), 0);
+  EXPECT_EQ(tiny.warm_misses(), 2);
+  EXPECT_EQ(tiny.warm_bytes(), std::size_t{0});
 }
 
 // Pruned sweep contract on a separable dataset, on every backend: the
@@ -282,24 +306,21 @@ TEST(TilePolicies, BoundSkipServesIdenticalPairsWithFewerEvaluations) {
 
   const int64_t all_pairs =
       static_cast<int64_t>(n) * static_cast<int64_t>(n - 1) / 2;
-  for (PairwiseBackend backend :
-       {PairwiseBackend::kDense, PairwiseBackend::kTiled,
-        PairwiseBackend::kOnTheFly}) {
-    PairwiseStoreOptions o = Explicit(backend, 16, 0);
-    o.memory_budget_bytes = backend == PairwiseBackend::kDense
-                                ? 0
-                                : 40 * n * sizeof(double);
-    PairwiseStore plain(eng, kernel, o);
-    PairwiseStore pruned(eng, kernel, o);
-    EXPECT_EQ(sweep(&pruned, true), sweep(&plain, false))
-        << PairwiseBackendName(backend);
-    EXPECT_EQ(plain.evaluations(), all_pairs) << PairwiseBackendName(backend);
+  // Dense; tiled with multi-row blocks (40 rows of budget); tiled with
+  // one-row blocks (1 byte).
+  for (const std::size_t budget :
+       {std::size_t{0}, 40 * n * sizeof(double), std::size_t{1}}) {
+    const engine::Engine budget_eng = BudgetEngine(budget);
+    PairwiseStore plain(budget_eng, kernel);
+    PairwiseStore pruned(budget_eng, kernel);
+    const std::string where = "budget=" + std::to_string(budget);
+    EXPECT_EQ(plain.options().tile_rows > 1, budget != 1) << where;
+    EXPECT_EQ(sweep(&pruned, true), sweep(&plain, false)) << where;
+    EXPECT_EQ(plain.evaluations(), all_pairs) << where;
     EXPECT_EQ(plain.pruned_pairs(), 0);
-    EXPECT_GT(pruned.pruned_pairs(), 0) << PairwiseBackendName(backend);
-    EXPECT_LT(pruned.evaluations(), plain.evaluations())
-        << PairwiseBackendName(backend);
-    EXPECT_EQ(pruned.evaluations() + pruned.pruned_pairs(), all_pairs)
-        << PairwiseBackendName(backend);
+    EXPECT_GT(pruned.pruned_pairs(), 0) << where;
+    EXPECT_LT(pruned.evaluations(), plain.evaluations()) << where;
+    EXPECT_EQ(pruned.evaluations() + pruned.pruned_pairs(), all_pairs) << where;
   }
 }
 

@@ -7,6 +7,7 @@
 #include "uncertain/expected_distance.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
+#include "engine/engine.h"
 #include "eval/external.h"
 #include "uncertain/dirac_pdf.h"
 
@@ -112,6 +113,39 @@ TEST(Uahc, DeterministicAndSeedIndependent) {
   const auto a = algo.Cluster(ds, 3, 1);
   const auto b = algo.Cluster(ds, 3, 999);
   EXPECT_EQ(a.labels, b.labels);
+}
+
+// On the tiled backend UAHC reads base ED^ values only through single-row
+// gathers, so every pair evaluation belongs to a computed (missed) row of
+// n - 1 entries, and the warm-row cache only saves recomputation. Labels
+// match the dense run at a multi-row budget (warm rows on) and at a 1-byte
+// budget (one-row blocks, no warm rows).
+TEST(Uahc, TiledBudgetsMatchDenseWithOneRowPerMiss) {
+  const auto ds = PlantedDataset(150, 4, 11);
+  const int64_t n = static_cast<int64_t>(ds.size());
+  const auto run = [&](std::size_t budget) {
+    engine::EngineConfig config;
+    config.memory_budget_bytes = budget;
+    Uahc algo;
+    algo.set_engine(engine::Engine(config));
+    return algo.Cluster(ds, 4, 1);
+  };
+  const ClusteringResult dense = run(0);
+  ASSERT_EQ(dense.pairwise_backend, "dense");
+  for (const std::size_t budget :
+       {16 * ds.size() * sizeof(double), std::size_t{1}}) {
+    const ClusteringResult out = run(budget);
+    EXPECT_EQ(out.pairwise_backend, "tiled") << "budget=" << budget;
+    EXPECT_EQ(out.labels, dense.labels) << "budget=" << budget;
+    EXPECT_EQ(out.pair_evaluations, out.tile_warm_misses * (n - 1))
+        << "budget=" << budget;
+    EXPECT_GE(out.tile_warm_misses, n) << "budget=" << budget;
+    if (budget == 1) {
+      EXPECT_EQ(out.tile_warm_hits, 0);
+    } else {
+      EXPECT_GT(out.tile_warm_hits, 0);
+    }
+  }
 }
 
 TEST(Uahc, KEqualsNLeavesSingletons) {
