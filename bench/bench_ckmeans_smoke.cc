@@ -112,9 +112,8 @@ int Run(int argc, char** argv) {
 
   // compare / resident both start from fully ingested resident columns.
   common::Stopwatch sw;
-  io::MomentStoreOptions options;
-  options.backend = io::MomentBackendChoice::kResident;
-  auto opened = io::StreamMomentStoreFromFile(path, eng, options);
+  // The budget-free serial engine always decodes resident columns.
+  auto opened = io::StreamMomentStoreFromFile(path);
   if (!opened.ok()) {
     std::fprintf(stderr, "ckmeans smoke: %s\n",
                  opened.status().ToString().c_str());

@@ -417,8 +417,8 @@ int main(int argc, char** argv) {
   // process, so moments_bytes_resident is the meaningful memory signal.
   if (largest_mm.size() > 0 && args.GetBool("with_moment_backends", true)) {
     const std::string umom_path = json_out + ".umom";
-    const common::Status wst = io::WriteMomentFile(
-        largest_mm.view(), umom_path, eng.moment_chunk_rows());
+    const common::Status wst =
+        io::WriteMomentFile(largest_mm.view(), umom_path);
     auto mapped_store =
         wst.ok() ? io::MappedMomentStore::Open(umom_path)
                  : common::Result<std::unique_ptr<io::MappedMomentStore>>(wst);

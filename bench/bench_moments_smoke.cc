@@ -4,12 +4,14 @@
 // the Resident backend dies. CI runs this twice on the same
 // dataset_gen-produced file under a hard `ulimit -v`:
 //
-//   --mode=mapped   -> .ubin records decode batch by batch into the .umom
+//   --mode=mapped   -> under --memory_budget_mb/--memory_budget_bytes, or
+//                      else a budget of 1/8 of the resident columns, .ubin
+//                      records decode batch by batch into the .umom
 //                      sidecar (O(batch + chunk) heap), then UK-means runs
 //                      over chunk-granular mapped windows (bounded address
 //                      space). Expected to finish: MOMENTS_SMOKE RESULT=OK.
-//   --mode=resident -> the classic flat columns: (3 n m + n) doubles must
-//                      fit the cap. Expected to exhaust it:
+//   --mode=resident -> no budget, so the classic flat columns: (3 n m + n)
+//                      doubles must fit the cap. Expected to exhaust it:
 //                      MOMENTS_SMOKE RESULT=OOM.
 //
 // The RESULT= marker is machine-readable on purpose: CI greps for it instead
@@ -22,12 +24,10 @@
 //   --dataset=PATH   binary dataset file                      (required)
 //   --mode=mapped|resident                                    (default mapped)
 //   --sidecar=PATH   .umom location        (default: dataset path + ".umom")
-//   --reuse_sidecar=0|1  reuse a matching sidecar             (default 1)
 //   --k=K            clusters for the UK-means run            (default 8)
 //   --max_iters=I    UK-means iteration cap                   (default 30)
-//   --batch=B        streaming batch size                     (default 4096)
 //   --seed=S         clustering seed                          (default 1)
-//   --threads=N --block_size=B --moment_chunk_rows=R          engine knobs
+//   --threads=N --block_size=B --memory_budget_mb=M          engine knobs
 #include <cstdint>
 #include <cstdio>
 #include <new>
@@ -39,6 +39,7 @@
 #include "common/cli.h"
 #include "common/stopwatch.h"
 #include "engine/engine.h"
+#include "io/dataset_reader.h"
 #include "io/ingest.h"
 #include "io/mmap_file.h"
 #include "io/moment_file.h"
@@ -58,30 +59,27 @@ int Run(int argc, char** argv) {
   const std::string mode = args.GetString("mode", "mapped");
   const int k = static_cast<int>(args.GetInt("k", 8));
   const uint64_t seed = static_cast<uint64_t>(args.GetInt("seed", 1));
-  const engine::Engine eng(
-      bench::EngineConfigFromFlagsOrDie(args, "moments smoke"));
-
-  io::MomentStoreOptions options;
-  options.batch_size = static_cast<std::size_t>(args.GetInt("batch", 4096));
-  options.sidecar_path = args.GetString("sidecar", "");
-  options.reuse_sidecar = args.GetBool("reuse_sidecar", true);
-  if (mode == "mapped") {
-    options.backend = io::MomentBackendChoice::kMapped;
-  } else if (mode == "resident") {
-    options.backend = io::MomentBackendChoice::kResident;
-  } else {
-    std::fprintf(stderr,
-                 "moments smoke: --mode must be mapped or resident\n");
-    return 1;
+  std::size_t resident_bytes = 0;
+  {
+    io::BinaryDatasetReader header;
+    const common::Status st = header.Open(path);
+    if (!st.ok()) {
+      std::fprintf(stderr, "moments smoke: %s\n", st.ToString().c_str());
+      std::printf("MOMENTS_SMOKE RESULT=FAIL\n");
+      return 1;
+    }
+    resident_bytes = (3 * header.dims() + 1) * header.size() * sizeof(double);
   }
+  const engine::Engine eng =
+      bench::SmokeModeEngine(args, mode, resident_bytes, "moments smoke");
+  const std::string sidecar = args.GetString("sidecar", "");
 
-  std::printf("[moments smoke] mode=%s dataset=%s batch=%zu chunk_hint=%zu\n",
-              mode.c_str(), path.c_str(), options.batch_size,
-              eng.moment_chunk_rows());
+  std::printf("[moments smoke] mode=%s dataset=%s memory_budget_bytes=%zu\n",
+              mode.c_str(), path.c_str(), eng.memory_budget_bytes());
 
   common::Stopwatch sw;
   std::vector<int> labels;
-  auto opened = io::StreamMomentStoreFromFile(path, eng, options, &labels);
+  auto opened = io::StreamMomentStoreFromFile(path, eng, sidecar, &labels);
   if (!opened.ok()) {
     std::fprintf(stderr, "moments smoke: %s\n",
                  opened.status().ToString().c_str());
@@ -124,9 +122,10 @@ int Run(int argc, char** argv) {
     // Diagnose whether the windows actually came from mmap or from the
     // graceful heap-read fallback — same values either way, different
     // paging behavior.
-    std::printf("[moments smoke] mmap_windows=%s (mmap supported: %s)\n",
+    std::printf("[moments smoke] mmap_windows=%s (mmap supported: %s) "
+                "chunk_rows=%zu\n",
                 mapped->used_mmap() ? "yes" : "no",
-                io::MmapSupported() ? "yes" : "no");
+                io::MmapSupported() ? "yes" : "no", mapped->chunk_rows());
   }
   std::printf("MOMENTS_SMOKE RESULT=OK mode=%s backend=%s n=%zu\n",
               mode.c_str(),

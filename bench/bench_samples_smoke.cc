@@ -4,14 +4,17 @@
 // .usmp) SampleStore backend, where the Resident backend dies. CI runs this
 // twice on the same dataset_gen-produced file under a hard `ulimit -v`:
 //
-//   --mode=mapped   -> the factory streams the dataset file into the .usmp
+//   --mode=mapped   -> under --memory_budget_mb/--memory_budget_bytes, or
+//                      else a budget of 1/8 of the resident block, the
+//                      factory streams the dataset file into the .usmp
 //                      sidecar (O(batch) heap, or reuses a matching emitted
 //                      sidecar via the staleness guard) and the workload
 //                      then runs over chunk-granular mapped windows (bounded
 //                      address space). Expected to finish:
 //                      SAMPLES RESULT=OK.
-//   --mode=resident -> the classic flat block: n * S * m doubles must fit
-//                      the cap. Expected to exhaust it: SAMPLES RESULT=OOM.
+//   --mode=resident -> no budget, so the classic flat block: n * S * m
+//                      doubles must fit the cap. Expected to exhaust it:
+//                      SAMPLES RESULT=OOM.
 //
 // The RESULT= marker is machine-readable on purpose: CI greps for it instead
 // of inspecting bare exit codes, so an unrelated crash cannot masquerade as
@@ -24,16 +27,15 @@
 // Flags:
 //   --dataset=PATH   binary dataset file                      (required)
 //   --mode=mapped|resident                                    (default mapped)
-//   --sidecar=PATH   .usmp location (default: the factory's param-encoded
+//   --sidecar=PATH   the dataset's annotated .usmp sidecar, used when its
+//                    S and seed match (default: the factory's param-encoded
 //                    path next to the dataset)
-//   --reuse_sidecar=0|1  reuse a matching sidecar             (default 1)
 //   --samples_per_object=S  realizations per object           (default 64)
 //   --sample_seed=S  master draw seed            (default dataset_gen's
 //                    0x5eedbeef, so --emit-samples sidecars are reusable)
 //   --k=K            pseudo-centers for the assignment sweep  (default 8)
-//   --batch=B        streaming build batch size               (default 1024)
 //   --json_out=PATH  bench JSON artifact ("" = none)          (default "")
-//   --threads=N --sample_chunk_rows=R                         engine knobs
+//   --threads=N --memory_budget_mb=M                          engine knobs
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -86,28 +88,7 @@ int Run(int argc, char** argv) {
       static_cast<int>(args.GetInt("samples_per_object", 64));
   const uint64_t sample_seed =
       static_cast<uint64_t>(args.GetInt("sample_seed", 0x5eedbeefLL));
-  const engine::Engine eng(
-      bench::EngineConfigFromFlagsOrDie(args, "samples smoke"));
-
-  io::SampleStoreOptions options;
-  options.batch_size = static_cast<std::size_t>(args.GetInt("batch", 1024));
-  options.sidecar_path = args.GetString("sidecar", "");
-  options.reuse_sidecar = args.GetBool("reuse_sidecar", true);
-  if (mode == "mapped") {
-    options.backend = io::SampleBackendChoice::kMapped;
-  } else if (mode == "resident") {
-    options.backend = io::SampleBackendChoice::kResident;
-  } else {
-    std::fprintf(stderr,
-                 "samples smoke: --mode must be mapped or resident\n");
-    return 1;
-  }
-
-  std::printf("[samples smoke] mode=%s dataset=%s S=%d seed=%llx "
-              "batch=%zu chunk_hint=%zu\n",
-              mode.c_str(), path.c_str(), samples_per_object,
-              static_cast<unsigned long long>(sample_seed),
-              options.batch_size, eng.sample_chunk_rows());
+  const std::string sidecar = args.GetString("sidecar", "");
 
   common::Stopwatch sw;
   auto read = io::ReadUncertainDataset(path);
@@ -117,7 +98,18 @@ int Run(int argc, char** argv) {
     std::printf("SAMPLES RESULT=FAIL\n");
     return 1;
   }
-  const data::UncertainDataset ds = std::move(read).ValueOrDie();
+  data::UncertainDataset ds = std::move(read).ValueOrDie();
+  if (!sidecar.empty()) ds.set_samples_sidecar_path(sidecar);
+  const engine::Engine eng = bench::SmokeModeEngine(
+      args, mode,
+      ds.size() * static_cast<std::size_t>(samples_per_object) * ds.dims() *
+          sizeof(double),
+      "samples smoke");
+  std::printf("[samples smoke] mode=%s dataset=%s S=%d seed=%llx "
+              "memory_budget_bytes=%zu\n",
+              mode.c_str(), path.c_str(), samples_per_object,
+              static_cast<unsigned long long>(sample_seed),
+              eng.memory_budget_bytes());
   std::printf("[samples smoke] dataset n=%zu m=%zu loaded in %.1fms, "
               "rss=%ld KB\n",
               ds.size(), ds.dims(), sw.ElapsedMs(), bench::PeakRssKb());
@@ -129,8 +121,7 @@ int Run(int argc, char** argv) {
   }
 
   sw.Reset();
-  auto opened =
-      io::MakeSampleStore(ds, samples_per_object, sample_seed, eng, options);
+  auto opened = io::MakeSampleStore(ds, samples_per_object, sample_seed, eng);
   if (!opened.ok()) {
     std::fprintf(stderr, "samples smoke: %s\n",
                  opened.status().ToString().c_str());

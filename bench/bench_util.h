@@ -2,6 +2,7 @@
 #ifndef UCLUST_BENCH_BENCH_UTIL_H_
 #define UCLUST_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -55,6 +56,29 @@ inline engine::EngineConfig EngineConfigFromFlagsOrDie(
     std::exit(1);
   }
   return cfg;
+}
+
+/// The engine of a backend smoke's --mode, set through the budget alone:
+/// "resident" runs budget-free, so every store stays resident; "mapped"
+/// keeps the --memory_budget_mb/--memory_budget_bytes budget, or else takes
+/// 1/8 of `resident_bytes`, which the resident block cannot fit. Any other
+/// mode prints "<tool>: --mode must be mapped or resident" and exits 1.
+inline engine::Engine SmokeModeEngine(const common::ArgParser& args,
+                                      const std::string& mode,
+                                      std::size_t resident_bytes,
+                                      const char* tool) {
+  engine::EngineConfig cfg = EngineConfigFromFlagsOrDie(args, tool);
+  if (mode == "resident") {
+    cfg.memory_budget_bytes = 0;
+  } else if (mode == "mapped") {
+    if (cfg.memory_budget_bytes == 0) {
+      cfg.memory_budget_bytes = std::max<std::size_t>(resident_bytes / 8, 1);
+    }
+  } else {
+    std::fprintf(stderr, "%s: --mode must be mapped or resident\n", tool);
+    std::exit(1);
+  }
+  return engine::Engine(cfg);
 }
 
 /// Timing-free results fingerprint — now canonical in

@@ -40,9 +40,7 @@ common::Result<uncertain::MomentStorePtr> OpenMomentStore(
     UCLUST_RETURN_NOT_OK(header.Open(path));
     UCLUST_RETURN_NOT_OK(CheckK(path, k, header.size()));
   }
-  io::MomentStoreOptions options;
-  options.sidecar_path = moments_path;
-  return io::StreamMomentStoreFromFile(path, eng, options);
+  return io::StreamMomentStoreFromFile(path, eng, moments_path);
 }
 
 }  // namespace uclust::clustering

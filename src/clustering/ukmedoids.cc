@@ -62,7 +62,7 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   // strictly farther. The ascending-slot strict-< scan over candidates
   // therefore picks the bit-identical label the k-row scan picks, without
   // gathering k full medoid rows per iteration.
-  int64_t assign_evals = 0;
+  int64_t direct_evals = 0;
 
   for (result.iterations = 0; result.iterations < params_.max_iters;
        ++result.iterations) {
@@ -123,7 +123,7 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
       int64_t iter_cands = 0;
       for (const AssignCounts& ac : per_block) {
         changed += ac.changed;
-        assign_evals += ac.evals;
+        direct_evals += ac.evals;
         iter_cands += ac.cands;
       }
       result.index_candidates += iter_cands;
@@ -222,23 +222,54 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
     if (!medoid_moved) break;
   }
 
-  // Objective: total ED^ between objects and their medoids.
-  store.GatherRows(medoids, &med_rows);
-  result.objective = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t c = static_cast<std::size_t>(result.labels[i]);
-    result.objective += med_rows[c * n + i];
+  // Objective: total ED^ between objects and their medoids, summed in
+  // ascending i. The dense table serves the k medoid rows; a recomputing
+  // backend scores each cluster's members against its medoid row instead of
+  // gathering k full rows. EvalRow == Eval, and a medoid's own term is
+  // exactly 0 like the table diagonal, so the bits agree.
+  if (dense) {
+    store.GatherRows(medoids, &med_rows);
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t c = static_cast<std::size_t>(result.labels[i]);
+      cand_cost[i] = med_rows[c * n + i];
+    }
+  } else {
+    const std::vector<int64_t> evals_per_cluster =
+        engine::MapBlocksBlocked<int64_t>(
+            eng, static_cast<std::size_t>(k), 1,
+            [&](const engine::BlockedRange& r) {
+              int64_t evals = 0;
+              for (std::size_t c = r.begin; c < r.end; ++c) {
+                const std::size_t mid = medoids[c];
+                kernels::RowBatch batch(
+                    kernel, mid,
+                    [&](std::size_t i, double d) { cand_cost[i] = d; });
+                for (const std::size_t i : members[c]) {
+                  if (i == mid) {
+                    cand_cost[i] = 0.0;
+                    continue;
+                  }
+                  batch.Add(i, i);
+                  ++evals;
+                }
+                batch.Flush();
+              }
+              return evals;
+            });
+    for (const int64_t e : evals_per_cluster) direct_evals += e;
   }
+  result.objective = 0.0;
+  for (std::size_t i = 0; i < n; ++i) result.objective += cand_cost[i];
   result.online_ms = online.ElapsedMs();
-  // Indexed assignment evaluates the kernel outside the store; fold those
-  // evaluations into the same totals the gathered rows would have produced
-  // them under (sampled kernels integrate per evaluation, the closed form
-  // does not).
+  // Indexed assignment and the recomputed objective evaluate the kernel
+  // outside the store; fold those evaluations into the same totals the
+  // gathered rows would have produced them under (sampled kernels integrate
+  // per evaluation, the closed form does not).
   result.ed_evaluations += store.ed_evaluations() +
-                           (kernel.counts_ed_evaluations() ? assign_evals : 0);
+                           (kernel.counts_ed_evaluations() ? direct_evals : 0);
   result.pairwise_backend = PairwiseBackendName(store.backend());
   result.table_bytes_peak = store.table_bytes_peak();
-  result.pair_evaluations = store.evaluations() + assign_evals;
+  result.pair_evaluations = store.evaluations() + direct_evals;
   result.tile_warm_hits = store.warm_hits();
   result.tile_warm_misses = store.warm_misses();
   result.clusters_found = CountClusters(result.labels);

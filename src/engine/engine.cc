@@ -12,8 +12,6 @@ namespace uclust::engine {
 Engine::Engine(const EngineConfig& config) {
   block_size_ = std::max<std::size_t>(config.block_size, 1);
   memory_budget_bytes_ = config.memory_budget_bytes;
-  moment_chunk_rows_ = config.moment_chunk_rows;
-  sample_chunk_rows_ = config.sample_chunk_rows;
   int threads = config.num_threads;
   if (threads == 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
@@ -79,12 +77,6 @@ common::Status ApplyEngineKnob(const std::string& key,
         &n));
     cfg->memory_budget_bytes =
         static_cast<std::size_t>(n) * (std::size_t{1} << 20);
-  } else if (key == "moment_chunk_rows") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, kMaxSize, &n));
-    cfg->moment_chunk_rows = static_cast<std::size_t>(n);
-  } else if (key == "sample_chunk_rows") {
-    UCLUST_RETURN_NOT_OK(ParseKnobInt(key, value, 0, kMaxSize, &n));
-    cfg->sample_chunk_rows = static_cast<std::size_t>(n);
   } else {
     return common::Status::InvalidArgument("unknown engine knob '" + key +
                                            "'");
@@ -98,8 +90,6 @@ const std::vector<std::string>& EngineKnobNames() {
       "block_size",
       "memory_budget_mb",
       "memory_budget_bytes",
-      "moment_chunk_rows",
-      "sample_chunk_rows",
   };
   return *names;
 }

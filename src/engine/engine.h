@@ -39,22 +39,12 @@ struct EngineConfig {
   /// once. 0 = unlimited (dense n x n tables, fully resident moment columns
   /// — the classic behavior). A finite budget below the n x n table makes
   /// every PairwiseStore consumer (UK-medoids, UAHC, FOPTICS, FDBSCAN)
-  /// switch to tiled ED^ recompute, and makes file-backed moment ingestion
-  /// (io::StreamMomentStoreFromFile) spill moment columns whose resident
-  /// size exceeds the budget to an mmap-backed .umom sidecar; clusterings
-  /// are bit-identical either way.
+  /// switch to tiled ED^ recompute, and makes the moment and sample store
+  /// factories (io::StreamMomentStoreFromFile, io::MakeSampleStore) spill
+  /// columns or realizations whose resident size exceeds the budget to an
+  /// mmap-backed sidecar, chunked so every thread's windows fit the budget
+  /// (io::SidecarChunkRequirement); clusterings are bit-identical either way.
   std::size_t memory_budget_bytes = 0;
-  /// Rows per chunk of a Mapped moment store (io::MappedMomentStore).
-  /// Rounded up to a power of two by consumers; 0 = the format default
-  /// (io::kDefaultMomentChunkRows, 4096). Changes chunk/prefetch
-  /// granularity and the span-validity window, never the served values.
-  std::size_t moment_chunk_rows = 0;
-  /// Objects per chunk of a Mapped sample store (io::MappedSampleStore).
-  /// Rounded up to a power of two by consumers; 0 = a budget-derived size,
-  /// then the format default (io::kDefaultSampleChunkRows, 512). Changes
-  /// chunk/prefetch granularity and the span-validity window, never the
-  /// served sample bytes.
-  std::size_t sample_chunk_rows = 0;
 };
 
 /// Copyable handle bundling an EngineConfig with a (shared) thread pool.
@@ -78,18 +68,12 @@ class Engine {
   /// Memory budget in bytes for pairwise tables and moment columns
   /// (0 = unlimited).
   std::size_t memory_budget_bytes() const { return memory_budget_bytes_; }
-  /// Mapped moment-store chunk-rows hint (0 = format default).
-  std::size_t moment_chunk_rows() const { return moment_chunk_rows_; }
-  /// Mapped sample-store chunk-rows hint (0 = budget-derived/default).
-  std::size_t sample_chunk_rows() const { return sample_chunk_rows_; }
   /// The pool, or nullptr when serial.
   ThreadPool* pool() const { return pool_.get(); }
 
  private:
   std::size_t block_size_ = 1024;
   std::size_t memory_budget_bytes_ = 0;
-  std::size_t moment_chunk_rows_ = 0;
-  std::size_t sample_chunk_rows_ = 0;
   std::shared_ptr<ThreadPool> pool_;
 };
 
@@ -104,8 +88,6 @@ class Engine {
 ///   memory_budget_bytes  int >= 0 (0 = unlimited)
 ///   memory_budget_mb     convenience form; sets the bytes field (the
 ///                        byte count must fit size_t)
-///   moment_chunk_rows    int >= 0 (0 = format default)
-///   sample_chunk_rows    int >= 0 (0 = budget-derived/default)
 ///
 /// Returns InvalidArgument for an unknown key, an unparsable value, or a
 /// value its field cannot hold; `cfg` is unchanged on error. Later applications override earlier ones

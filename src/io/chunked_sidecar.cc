@@ -167,10 +167,9 @@ bool SidecarReusable(const SidecarLayout& layout, const std::string& path,
 }
 
 std::size_t SidecarChunkRequirement(const SidecarLayout& layout,
-                                    std::size_t hint,
                                     std::size_t budget_bytes, int threads,
                                     std::size_t row_bytes) {
-  if (hint != 0 || budget_bytes == 0) return hint;
+  if (budget_bytes == 0) return 0;
   const std::size_t window_budget =
       budget_bytes / (static_cast<std::size_t>(threads) * kSidecarWindowSlots);
   const std::size_t want = window_budget / row_bytes;

@@ -119,14 +119,16 @@ common::Result<SidecarInfo> ReadSidecarInfo(const SidecarLayout& layout,
 bool SidecarReusable(const SidecarLayout& layout, const std::string& path,
                      const SidecarInfo& want, std::size_t chunk_requirement);
 
-/// Effective chunk requirement of a mapped store: `hint` when nonzero;
-/// otherwise, under a memory budget, chunks sized so the window caches
-/// themselves respect the budget that forced the Mapped backend — every
-/// thread keeps up to kSidecarWindowSlots windows alive, so threads x slots
-/// x chunk bytes must fit. Floored to a power of two, clamped to
-/// [budget_floor_rows, default_chunk_rows]. 0 = no requirement.
+/// Chunk rows of a mapped store under a memory budget: sized so the window
+/// caches themselves respect the budget that forced the Mapped backend —
+/// every thread keeps up to kSidecarWindowSlots windows alive, so threads x
+/// slots x chunk bytes must fit. Floored to a power of two, clamped to
+/// [budget_floor_rows, default_chunk_rows]. 0 (no budget) = no requirement,
+/// which writers read as the format default. Both store factories and
+/// `dataset_gen --emit-moments/--emit-samples` size their sidecars here, so
+/// an emitted sidecar is the one a run under the same budget and threads
+/// reuses.
 std::size_t SidecarChunkRequirement(const SidecarLayout& layout,
-                                    std::size_t hint,
                                     std::size_t budget_bytes, int threads,
                                     std::size_t row_bytes);
 

@@ -83,25 +83,19 @@ common::Status BuildMomentSidecar(const std::string& dataset_path,
 
 common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
     const std::string& path, const engine::Engine& eng,
-    const MomentStoreOptions& options, std::vector<int>* labels,
+    const std::string& sidecar_path, std::vector<int>* labels,
     std::string* dataset_name) {
   BinaryDatasetReader reader;
   UCLUST_RETURN_NOT_OK(reader.Open(path));
   const std::size_t n = reader.size();
   const std::size_t m = reader.dims();
 
-  // Backend policy (mirrors PairwiseStoreOptions::FromBudget): unlimited
+  // Backend policy (mirrors the PairwiseStore budget rule): unlimited
   // budget, or columns that fit it, stay resident; anything larger spills to
   // the mmap-backed sidecar. The header gives n and m before ingestion, so
   // the decision never requires materializing anything.
-  MomentBackendChoice choice = options.backend;
-  if (choice == MomentBackendChoice::kAuto) {
-    choice = ResidentMomentsFit(n, m, eng) ? MomentBackendChoice::kResident
-                                           : MomentBackendChoice::kMapped;
-  }
-
-  if (choice == MomentBackendChoice::kResident) {
-    auto mm = ReadAllMoments(&reader, options.batch_size);
+  if (ResidentMomentsFit(n, m, eng)) {
+    auto mm = ReadAllMoments(&reader, kDefaultIngestBatch);
     UCLUST_RETURN_NOT_OK(mm.status());
     if (labels != nullptr) UCLUST_RETURN_NOT_OK(reader.ReadLabels(labels));
     if (dataset_name != nullptr) *dataset_name = reader.name();
@@ -109,9 +103,8 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
         new uncertain::ResidentMomentStore(std::move(mm).ValueOrDie()));
   }
 
-  const std::string sidecar = options.sidecar_path.empty()
-                                  ? path + ".umom"
-                                  : options.sidecar_path;
+  const std::string sidecar =
+      sidecar_path.empty() ? path + ".umom" : sidecar_path;
   auto source = DescribeSource(path);
   UCLUST_RETURN_NOT_OK(source.status());
   SidecarInfo want;
@@ -119,15 +112,10 @@ common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
   want.m = m;
   want.source = source.ValueOrDie();
   const std::size_t chunk_rows = SidecarChunkRequirement(
-      kMomentLayout,
-      options.chunk_rows != 0 ? options.chunk_rows : eng.moment_chunk_rows(),
-      eng.memory_budget_bytes(), eng.num_threads(),
+      kMomentLayout, eng.memory_budget_bytes(), eng.num_threads(),
       SidecarRowBytes(kMomentLayout, want));
-  const bool reuse = options.reuse_sidecar &&
-                     SidecarReusable(kMomentLayout, sidecar, want, chunk_rows);
-  if (!reuse) {
-    UCLUST_RETURN_NOT_OK(
-        BuildMomentSidecar(path, sidecar, chunk_rows, options.batch_size));
+  if (!SidecarReusable(kMomentLayout, sidecar, want, chunk_rows)) {
+    UCLUST_RETURN_NOT_OK(BuildMomentSidecar(path, sidecar, chunk_rows));
   }
   auto store = MappedMomentStore::Open(sidecar);
   UCLUST_RETURN_NOT_OK(store.status());

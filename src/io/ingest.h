@@ -50,40 +50,19 @@ common::Result<uncertain::MomentMatrix> StreamMomentsFromFile(
 bool ResidentMomentsFit(std::size_t n, std::size_t m,
                         const engine::Engine& eng);
 
-/// How StreamMomentStoreFromFile picks the MomentStore backend.
-enum class MomentBackendChoice {
-  kAuto,      ///< Resident iff ResidentMomentsFit(n, m, eng).
-  kResident,  ///< Force the flat in-memory columns.
-  kMapped,    ///< Force the mmap-backed .umom sidecar.
-};
-
-/// Tuning of a StreamMomentStoreFromFile call.
-struct MomentStoreOptions {
-  MomentBackendChoice backend = MomentBackendChoice::kAuto;
-  /// Rows per sidecar chunk; 0 = the engine's moment_chunk_rows hint, then
-  /// the format default. Rounded up to a power of two.
-  std::size_t chunk_rows = 0;
-  /// Sidecar location; "" = dataset path + ".umom".
-  std::string sidecar_path;
-  /// Reuse an existing sidecar that matches the dataset (n, m and source
-  /// triple) under the effective chunk requirement — SidecarReusable in
-  /// chunked_sidecar.h. Anything else is silently rebuilt; set false to
-  /// force a rebuild regardless.
-  bool reuse_sidecar = true;
-  /// Rows per decode call of the ingestion pass (the sidecar build's
-  /// scratch size).
-  std::size_t batch_size = kDefaultIngestBatch;
-};
-
 /// Streams `path` into a MomentStore whose backend is selected by the
-/// engine's memory budget (see MomentStoreOptions to force one).
+/// engine's memory budget: Resident when ResidentMomentsFit holds, else a
+/// Mapped .umom sidecar at `sidecar_path` ("" = dataset path + ".umom")
+/// with SidecarChunkRequirement chunks. A valid sidecar matching the
+/// dataset (n, m, source triple) with chunks no larger than that is reused
+/// (SidecarReusable in chunked_sidecar.h); anything else is rebuilt.
 /// `labels`/`dataset_name` (optional) receive the file's labels column and
 /// stored name. Both backends serve bit-identical moment statistics.
 common::Result<uncertain::MomentStorePtr> StreamMomentStoreFromFile(
     const std::string& path,
     const engine::Engine& eng = engine::Engine::Serial(),
-    const MomentStoreOptions& options = {},
-    std::vector<int>* labels = nullptr, std::string* dataset_name = nullptr);
+    const std::string& sidecar_path = "", std::vector<int>* labels = nullptr,
+    std::string* dataset_name = nullptr);
 
 /// Builds (or rebuilds) the .umom moment sidecar for a binary dataset file
 /// in one bounded-memory pass: ReadMomentRows batches of `batch_size` rows

@@ -172,7 +172,7 @@ std::string TempSpillPath() {
 
 common::Result<uncertain::SampleStorePtr> MakeSampleStore(
     const data::UncertainDataset& data, int samples_per_object, uint64_t seed,
-    const engine::Engine& eng, const SampleStoreOptions& options) {
+    const engine::Engine& eng) {
   if (samples_per_object <= 0) {
     return common::Status::InvalidArgument("samples_per_object must be > 0");
   }
@@ -183,39 +183,30 @@ common::Result<uncertain::SampleStorePtr> MakeSampleStore(
   // Backend policy (mirrors StreamMomentStoreFromFile): unlimited budget, or
   // a sample block that fits it, stays resident; anything larger spills to
   // the mmap-backed sidecar.
-  SampleBackendChoice choice = options.backend;
-  if (choice == SampleBackendChoice::kAuto) {
-    const std::size_t budget = eng.memory_budget_bytes();
-    const std::size_t resident_bytes = n * s_count * m * sizeof(double);
-    choice = (budget == 0 || resident_bytes <= budget)
-                 ? SampleBackendChoice::kResident
-                 : SampleBackendChoice::kMapped;
-  }
-  if (choice == SampleBackendChoice::kResident || n == 0) {
+  const std::size_t budget = eng.memory_budget_bytes();
+  if (budget == 0 || n * s_count * m * sizeof(double) <= budget) {
     return uncertain::SampleStorePtr(new uncertain::ResidentSampleStore(
         data.objects(), samples_per_object, seed, eng));
   }
 
-  // Sidecar location: an explicit option wins, then the dataset's annotated
-  // sidecar (service registry), then a param-encoded sibling of the source
-  // file, then a self-deleting temp spill (in-memory dataset, nothing
-  // durable to key a reusable file off).
+  // Sidecar location: the dataset's annotated sidecar (service registry),
+  // then a param-encoded sibling of the source file, then a self-deleting
+  // temp spill (in-memory dataset, nothing durable to key a reusable file
+  // off). The annotated sidecar is one pinned artifact drawn with one
+  // (S, seed); every sampled algorithm carries a distinct default seed, so
+  // honoring the pin for a mismatched request would rebuild-overwrite the
+  // shared file on every alternating job — exactly the churn the
+  // param-encoded default path exists to avoid. Use the pin only when its
+  // header matches the request; otherwise fall through to the default
+  // location.
   const std::string& source = data.source_path();
-  std::string sidecar = options.sidecar_path;
-  if (sidecar.empty()) {
-    // The annotated sidecar is one pinned artifact drawn with one (S, seed);
-    // every sampled algorithm carries a distinct default seed, so honoring
-    // the pin for a mismatched request would rebuild-overwrite the shared
-    // file on every alternating job — exactly the churn the param-encoded
-    // default path exists to avoid. Use the pin only when its header matches
-    // the request; otherwise fall through to the default location.
-    const std::string& annotated = data.samples_sidecar_path();
-    if (!annotated.empty()) {
-      auto pinned = ReadSampleFileInfo(annotated);
-      if (pinned.ok() && pinned.ValueOrDie().fields[0] == s_count &&
-          pinned.ValueOrDie().fields[1] == seed) {
-        sidecar = annotated;
-      }
+  std::string sidecar;
+  const std::string& annotated = data.samples_sidecar_path();
+  if (!annotated.empty()) {
+    auto pinned = ReadSampleFileInfo(annotated);
+    if (pinned.ok() && pinned.ValueOrDie().fields[0] == s_count &&
+        pinned.ValueOrDie().fields[1] == seed) {
+      sidecar = annotated;
     }
   }
   if (sidecar.empty() && !source.empty()) {
@@ -237,19 +228,14 @@ common::Result<uncertain::SampleStorePtr> MakeSampleStore(
     UCLUST_RETURN_NOT_OK(described.status());
     want.source = described.ValueOrDie();
   }
-  const std::size_t chunk_rows = SidecarChunkRequirement(
-      kSampleLayout,
-      options.chunk_rows != 0 ? options.chunk_rows : eng.sample_chunk_rows(),
-      eng.memory_budget_bytes(), eng.num_threads(),
-      SidecarRowBytes(kSampleLayout, want));
-  const bool reuse = options.reuse_sidecar && !temp_spill &&
-                     SidecarReusable(kSampleLayout, sidecar, want, chunk_rows);
-  if (!reuse) {
+  const std::size_t chunk_rows =
+      SidecarChunkRequirement(kSampleLayout, budget, eng.num_threads(),
+                              SidecarRowBytes(kSampleLayout, want));
+  if (temp_spill ||
+      !SidecarReusable(kSampleLayout, sidecar, want, chunk_rows)) {
     if (!source.empty()) {
-      UCLUST_RETURN_NOT_OK(BuildSampleSidecar(source, sidecar,
-                                              samples_per_object, seed, eng,
-                                              chunk_rows,
-                                              options.batch_size));
+      UCLUST_RETURN_NOT_OK(BuildSampleSidecar(
+          source, sidecar, samples_per_object, seed, eng, chunk_rows));
     } else {
       UCLUST_RETURN_NOT_OK(BuildSampleSidecarFromObjects(
           data.objects(), sidecar, samples_per_object, seed, chunk_rows));

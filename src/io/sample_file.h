@@ -157,43 +157,20 @@ common::Status BuildSampleSidecarFromObjects(
 std::string DefaultSampleSidecarPath(const std::string& dataset_path,
                                      int samples_per_object, uint64_t seed);
 
-/// How MakeSampleStore picks the SampleStore backend.
-enum class SampleBackendChoice {
-  kAuto,      ///< Resident iff the n*S*m block fits eng.memory_budget_bytes()
-              ///< (0 = unlimited = Resident, mirroring the moment factory).
-  kResident,  ///< Force the flat in-memory block.
-  kMapped,    ///< Force the mmap-backed .usmp sidecar.
-};
-
-/// Tuning of a MakeSampleStore call.
-struct SampleStoreOptions {
-  SampleBackendChoice backend = SampleBackendChoice::kAuto;
-  /// Objects per sidecar chunk; 0 = the engine's sample_chunk_rows hint,
-  /// then a budget-derived size, then the format default. Rounded up to a
-  /// power of two.
-  std::size_t chunk_rows = 0;
-  /// Sidecar location; "" = the dataset's annotated sidecar, then
-  /// DefaultSampleSidecarPath next to its source file, then a self-deleting
-  /// temp spill.
-  std::string sidecar_path;
-  /// Reuse an existing sidecar that matches the request (n, m,
-  /// samples_per_object, seed and, for file-backed datasets, the source
-  /// triple) under the effective chunk requirement — SidecarReusable in
-  /// chunked_sidecar.h. Anything else is silently rebuilt; set false to
-  /// force a rebuild.
-  bool reuse_sidecar = true;
-  /// Streaming batch size for file-backed sidecar builds.
-  std::size_t batch_size = 1024;
-};
-
 /// Creates the SampleStore serving `samples_per_object` realizations of
-/// every object in `data`, drawn from `seed`, with the backend selected by
-/// the engine's memory budget (see SampleStoreOptions to force one). Both
+/// every object in `data`, drawn from `seed`. The engine's memory budget
+/// selects the backend: Resident when the n * S * m block fits it (0 =
+/// unlimited = Resident, mirroring the moment factory), else a Mapped .usmp
+/// sidecar with SidecarChunkRequirement chunks — the dataset's annotated
+/// sidecar when its (S, seed) match, then DefaultSampleSidecarPath next to
+/// its source file, then a self-deleting temp spill. A valid sidecar that
+/// matches the request (n, m, S, seed and, for file-backed datasets, the
+/// source triple) with chunks no larger than that is reused
+/// (SidecarReusable in chunked_sidecar.h); anything else is rebuilt. Both
 /// backends serve bit-identical sample bytes.
 common::Result<uncertain::SampleStorePtr> MakeSampleStore(
     const data::UncertainDataset& data, int samples_per_object, uint64_t seed,
-    const engine::Engine& eng = engine::Engine::Serial(),
-    const SampleStoreOptions& options = {});
+    const engine::Engine& eng = engine::Engine::Serial());
 
 /// MakeSampleStore with the clusterer-facing failure policy: Cluster() has
 /// no status channel, so a factory failure (unwritable sidecar location,

@@ -122,10 +122,9 @@ DatasetRegistry::MomentsFor(const std::string& id, MomentCacheUse* use) const {
   }
   entry.filling = true;
   lock.unlock();
-  io::MomentStoreOptions resident;
-  resident.backend = io::MomentBackendChoice::kResident;
+  // The budget-free serial engine always decodes resident columns.
   common::Result<uncertain::MomentStorePtr> decoded =
-      io::StreamMomentStoreFromFile(path, engine::Engine::Serial(), resident);
+      io::StreamMomentStoreFromFile(path);
   lock.lock();
   entry.filling = false;
   cache_cv_.notify_all();

@@ -6,8 +6,8 @@
 // the same canonical path returns the existing id rather than a duplicate.
 //
 // A registration may also carry a `.umom` moment sidecar path and/or a
-// `.usmp` sample sidecar path; jobs that stream moments pass the former
-// through io::MomentStoreOptions::sidecar_path, and sampled jobs pass the
+// `.usmp` sample sidecar path; jobs that stream moments pass the former as
+// io::StreamMomentStoreFromFile's sidecar path, and sampled jobs pass the
 // latter through the dataset's samples annotation into io::MakeSampleStore —
 // so the staleness guards (n, m, byte size, mtime, content probe; plus
 // samples-per-object and seed for samples) decide reuse-vs-rebuild exactly

@@ -615,8 +615,9 @@ TEST(CkmeansClusterFile, MappedSweepMatchesIngestedRun) {
   const std::string sidecar = TempPath("ckmeans_mapped_sweep.umom");
   for (const std::size_t chunk_rows :
        {std::size_t{4}, std::size_t{16}, std::size_t{64}}) {
-    // A smaller-chunk sidecar would be reused for a larger requirement.
-    std::remove(sidecar.c_str());
+    // Pre-built at this granularity: at 2048 bytes the budget requires
+    // 64-row chunks, so every run reuses the smaller-or-equal ones.
+    ASSERT_TRUE(io::BuildMomentSidecar(f.path, sidecar, chunk_rows).ok());
     for (int threads : kThreadCounts) {
       for (const InitStrategy init : kInits) {
         const std::string trace = "chunk_rows=" + std::to_string(chunk_rows) +
@@ -626,7 +627,6 @@ TEST(CkmeansClusterFile, MappedSweepMatchesIngestedRun) {
         config.num_threads = threads;
         config.block_size = 128;
         config.memory_budget_bytes = 2048;  // far below the moment columns
-        config.moment_chunk_rows = chunk_rows;
         CkMeans::Params p;
         p.init = init;
         auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, p,

@@ -6,17 +6,24 @@
 // on it to regenerate identical inputs per test case.
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include <sys/stat.h>
+
 #include <gtest/gtest.h>
 
 #include "data/synthetic_gen.h"
 #include "io/dataset_reader.h"
+#include "engine/engine.h"
 #include "io/ingest.h"
+#include "io/moment_format.h"
 #include "io/sample_file.h"
+#include "io/sample_format.h"
+#include "uncertain/moment_store.h"
 
 namespace uclust {
 namespace {
@@ -169,6 +176,75 @@ TEST(DatasetGenDeterminism, GeneratedFileRoundTripsThroughReader) {
     ASSERT_EQ(labels[i], expect) << "label mismatch at object " << i;
   }
   std::remove(path.c_str());
+}
+
+// Device, inode and mtime of `path`: a rebuilt sidecar is renamed into
+// place from a temp sibling, so it never keeps all three.
+struct FileIdentity {
+  dev_t dev = 0;
+  ino_t ino = 0;
+  int64_t mtime_ns = 0;
+  bool operator==(const FileIdentity&) const = default;
+};
+
+FileIdentity Identify(const std::string& path) {
+  struct stat st{};
+  EXPECT_EQ(0, ::stat(path.c_str(), &st)) << path;
+  return {st.st_dev, st.st_ino,
+          static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+              st.st_mtim.tv_nsec};
+}
+
+// The tool sizes --emit-moments/--emit-samples chunks from its
+// --memory_budget_mb and --threads exactly as the store factories do, so a
+// run under the same budget and thread count reuses both sidecars.
+TEST(DatasetGenTool, EmittedSidecarsAreReusedUnderTheSameBudget) {
+  const std::string ubin = TempPath("gen_tool.ubin");
+  const std::string umom = ubin + ".umom";
+  constexpr int kSamples = 32;
+  constexpr uint64_t kSampleSeed = 0x5eedbeef;  // the tool's default
+  const std::string usmp =
+      io::DefaultSampleSidecarPath(ubin, kSamples, kSampleSeed);
+  // 6000 x 8: 1.2 MB of moment columns and 12 MB of samples, both above
+  // the 1 MiB budget.
+  const std::string cmd =
+      std::string(UCLUST_DATASET_GEN) + " --out=" + ubin +
+      " --n=6000 --m=8 --classes=4 --seed=3 --memory_budget_mb=1"
+      " --threads=2 --emit-moments=" + umom + " --emit-samples=" + usmp +
+      " --samples_per_object=" + std::to_string(kSamples) + " > /dev/null";
+  ASSERT_EQ(0, std::system(cmd.c_str())) << cmd;
+  const FileIdentity moments_emitted = Identify(umom);
+  const FileIdentity samples_emitted = Identify(usmp);
+
+  engine::EngineConfig config;
+  config.memory_budget_bytes = std::size_t{1} << 20;
+  config.num_threads = 2;
+  const engine::Engine eng(config);
+
+  {
+    auto moments = io::StreamMomentStoreFromFile(ubin, eng);
+    ASSERT_TRUE(moments.ok()) << moments.status().ToString();
+    EXPECT_EQ(uncertain::MomentBackend::kMapped,
+              moments.ValueOrDie()->backend());
+    // Budget-sized chunks, not the format default.
+    EXPECT_LT(moments.ValueOrDie()->view().chunk_rows(),
+              io::kDefaultMomentChunkRows);
+
+    auto ds = io::ReadUncertainDataset(ubin);
+    ASSERT_TRUE(ds.ok()) << ds.status().ToString();
+    auto samples =
+        io::MakeSampleStore(ds.ValueOrDie(), kSamples, kSampleSeed, eng);
+    ASSERT_TRUE(samples.ok()) << samples.status().ToString();
+    EXPECT_EQ(usmp, samples.ValueOrDie()->sidecar_path());
+    EXPECT_LT(samples.ValueOrDie()->view().chunk_rows(),
+              io::kDefaultSampleChunkRows);
+  }
+  EXPECT_EQ(moments_emitted, Identify(umom)) << "the .umom was rebuilt";
+  EXPECT_EQ(samples_emitted, Identify(usmp)) << "the .usmp was rebuilt";
+
+  std::remove(umom.c_str());
+  std::remove(usmp.c_str());
+  std::remove(ubin.c_str());
 }
 
 }  // namespace

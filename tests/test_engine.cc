@@ -177,16 +177,14 @@ TEST(Engine, CopiesShareOnePool) {
   EXPECT_NE(a.pool(), nullptr);
 }
 
-// The knob table is exactly the five EngineConfig fields (memory budget
-// in two spellings); the deleted policy and selection knobs are unknown
-// keys.
+// The knob table is exactly the three EngineConfig fields (memory budget
+// in two spellings); the deleted policy, selection and chunk-rows knobs are
+// unknown keys.
 TEST(EngineKnobs, NamesListTheSurvivingKnobsOnly) {
   EXPECT_EQ(EngineKnobNames(),
             (std::vector<std::string>{"threads", "block_size",
                                       "memory_budget_mb",
-                                      "memory_budget_bytes",
-                                      "moment_chunk_rows",
-                                      "sample_chunk_rows"}));
+                                      "memory_budget_bytes"}));
   for (const std::string& key : EngineKnobNames()) {
     EngineConfig cfg;
     EXPECT_TRUE(ApplyEngineKnob(key, "1", &cfg).ok()) << key;
@@ -195,7 +193,7 @@ TEST(EngineKnobs, NamesListTheSurvivingKnobsOnly) {
        {"pairwise_gather_tiles", "pairwise_warm_rows",
         "pairwise_pruned_sweeps", "ukmeans_ckmeans_reduction",
         "ukmeans_bound_pruning", "ukmeans_minibatch_size", "simd_isa",
-        "spatial_index"}) {
+        "spatial_index", "moment_chunk_rows", "sample_chunk_rows"}) {
     EngineConfig cfg;
     const common::Status st = ApplyEngineKnob(removed, "auto", &cfg);
     EXPECT_EQ(st.code(), common::StatusCode::kInvalidArgument) << removed;
@@ -219,8 +217,8 @@ TEST(EngineKnobs, IntegerKnobsRejectOutOfRangeValues) {
       {"block_size", "99999999999999999999999"},  // strtoll ERANGE
       {"block_size", "0"},
       {"memory_budget_bytes", "-99999999999999999999999"},
-      {"moment_chunk_rows", "18446744073709551616"},
-      {"sample_chunk_rows", "12abc"},
+      {"memory_budget_bytes", "18446744073709551616"},  // 2^64
+      {"block_size", "12abc"},
       {"threads", ""},
   };
   for (const auto& c : bad) {

@@ -230,17 +230,18 @@ void ExpectEveryDecoderMatchesObjects(const std::string& path) {
     ExpectBitIdentical(oracle, streamed.ValueOrDie());
   }
 
+  // Both factory backends: budget-free resident columns, and under a 1-byte
+  // budget a sidecar pre-built in 8-row chunks from 7-row decode batches,
+  // which the factory reuses (its requirement is 64 rows).
   const std::string sidecar = path + ".parity.umom";
-  for (const auto backend : {io::MomentBackendChoice::kResident,
-                             io::MomentBackendChoice::kMapped}) {
-    io::MomentStoreOptions options;
-    options.backend = backend;
-    options.sidecar_path = sidecar;
-    options.reuse_sidecar = false;
-    options.chunk_rows = 8;
-    options.batch_size = 7;
-    auto store = io::StreamMomentStoreFromFile(
-        path, engine::Engine::Serial(), options);
+  ASSERT_TRUE(io::BuildMomentSidecar(path, sidecar, /*chunk_rows=*/8,
+                                     /*batch_size=*/7)
+                  .ok());
+  engine::EngineConfig tiny;
+  tiny.memory_budget_bytes = 1;
+  for (const engine::Engine& eng :
+       {engine::Engine::Serial(), engine::Engine(tiny)}) {
+    auto store = io::StreamMomentStoreFromFile(path, eng, sidecar);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ExpectBitIdentical(oracle, store.ValueOrDie()->view());
   }

@@ -123,19 +123,25 @@ void WriteFileBytes(const std::string& path, const std::vector<char>& bytes) {
   EXPECT_TRUE(out.good());
 }
 
-// Opens a forced-backend store over `path`.
+// A serial engine with a `budget`-byte memory budget.
+engine::Engine BudgetEngine(std::size_t budget) {
+  engine::EngineConfig config;
+  config.memory_budget_bytes = budget;
+  return engine::Engine(config);
+}
+
+// A budget no test dataset's columns fit: the factory maps, and its chunk
+// requirement is the 64-row floor.
+const engine::Engine& TinyBudget() {
+  static const engine::Engine eng = BudgetEngine(1);
+  return eng;
+}
+
+// Opens `path` through the factory, whose budget picks the backend.
 MomentStorePtr OpenStore(const std::string& path,
-                         io::MomentBackendChoice choice,
                          const engine::Engine& eng = engine::Engine::Serial(),
-                         std::size_t chunk_rows = 0,
-                         const std::string& sidecar = "",
-                         bool reuse = true) {
-  io::MomentStoreOptions options;
-  options.backend = choice;
-  options.chunk_rows = chunk_rows;
-  options.sidecar_path = sidecar;
-  options.reuse_sidecar = reuse;
-  auto store = io::StreamMomentStoreFromFile(path, eng, options);
+                         const std::string& sidecar = "") {
+  auto store = io::StreamMomentStoreFromFile(path, eng, sidecar);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return std::move(store).ValueOrDie();
 }
@@ -153,9 +159,12 @@ TEST(MomentStoreTest, ChunkBoundarySweepIsBitIdentical) {
        {std::size_t{1}, std::size_t{8}, std::size_t{32}, std::size_t{128}}) {
     const std::string sidecar =
         TempPath("chunksweep" + std::to_string(chunk_rows) + ".umom");
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), chunk_rows, sidecar);
+    // The store itself, not the factory: a 128-row chunk is above every
+    // budget requirement for 97 rows.
+    ASSERT_TRUE(io::BuildMomentSidecar(path, sidecar, chunk_rows).ok());
+    auto opened = io::MappedMomentStore::Open(sidecar);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const MomentStorePtr store = std::move(opened).ValueOrDie();
     ASSERT_EQ(MomentBackend::kMapped, store->backend());
     EXPECT_TRUE(store->view().chunked());
     EXPECT_EQ(chunk_rows, store->view().chunk_rows());
@@ -188,8 +197,7 @@ TEST(MomentStoreTest, FastAlgorithmsBitIdenticalAcrossBackendsAndThreads) {
                                     engine::Engine(eight)};
 
   // Reference run: resident backend, single thread.
-  const MomentStorePtr resident =
-      OpenStore(path, io::MomentBackendChoice::kResident);
+  const MomentStorePtr resident = OpenStore(path);
   ASSERT_EQ(MomentBackend::kResident, resident->backend());
   const auto ref_ukm = clustering::CkMeans::RunOnMoments(
       resident->view(), kClusters, kSeed, clustering::CkMeans::Params(),
@@ -201,11 +209,12 @@ TEST(MomentStoreTest, FastAlgorithmsBitIdenticalAcrossBackendsAndThreads) {
       resident->view(), kClusters, kSeed, clustering::Ucpc::Params(),
       engines[0]);
 
-  // Small chunks so every run crosses many chunk boundaries.
-  const MomentStorePtr mapped =
-      OpenStore(path, io::MomentBackendChoice::kMapped,
-                engine::Engine::Serial(), /*chunk_rows=*/16, sidecar);
+  // Small chunks so every run crosses many chunk boundaries: pre-built, then
+  // reused by the factory, whose tiny budget requires 64-row chunks.
+  ASSERT_TRUE(io::BuildMomentSidecar(path, sidecar, /*chunk_rows=*/16).ok());
+  const MomentStorePtr mapped = OpenStore(path, TinyBudget(), sidecar);
   ASSERT_EQ(MomentBackend::kMapped, mapped->backend());
+  ASSERT_EQ(16u, mapped->view().chunk_rows());
 
   for (const engine::Engine& eng : engines) {
     for (const auto* store : {&resident, &mapped}) {
@@ -293,16 +302,12 @@ TEST(MomentStoreTest, AutoBackendSelectionFollowsBudget) {
       {1, MomentBackend::kMapped},
   };
   for (const Case& c : cases) {
-    engine::EngineConfig config;
-    config.memory_budget_bytes = c.budget;
-    const engine::Engine eng(config);
     const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kAuto, eng, 0,
-                  TempPath("budget.umom"));
+        OpenStore(path, BudgetEngine(c.budget), TempPath("budget.umom"));
     EXPECT_EQ(c.expected, store->backend()) << "budget " << c.budget;
     if (c.expected == MomentBackend::kMapped) {
-      // With no explicit chunk hint, auto-sizing bounds the per-thread
-      // window cache by the budget (floored to the 64-row minimum here).
+      // Chunks are sized so the per-thread window cache fits the budget
+      // (floored to the 64-row minimum here).
       EXPECT_EQ(64u, store->view().chunk_rows()) << "budget " << c.budget;
     }
   }
@@ -318,9 +323,8 @@ TEST(MomentStoreTest, SidecarReuseHonorsStalenessGuard) {
 
   // First open builds the sidecar.
   {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar);
+    const MomentStorePtr store = OpenStore(path, TinyBudget(), sidecar);
+    ASSERT_EQ(MomentBackend::kMapped, store->backend());
     ExpectViewsBitIdentical(reference.view(), store->view());
   }
 
@@ -331,30 +335,27 @@ TEST(MomentStoreTest, SidecarReuseHonorsStalenessGuard) {
   std::memcpy(bytes.data() + io::kMomentHeaderBytes, &poison, sizeof(poison));
   WriteFileBytes(sidecar, bytes);
   {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar, /*reuse=*/true);
+    const MomentStorePtr store = OpenStore(path, TinyBudget(), sidecar);
     EXPECT_EQ(poison, store->view().mean(0)[0]);
   }
 
-  // reuse=false must rebuild and restore the true value.
+  // A deleted sidecar is rebuilt and restores the true value.
+  std::remove(sidecar.c_str());
   {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar, /*reuse=*/false);
+    const MomentStorePtr store = OpenStore(path, TinyBudget(), sidecar);
     ExpectViewsBitIdentical(reference.view(), store->view());
   }
 
   // A sidecar whose stored source size mismatches the dataset is stale:
-  // rewrite the guard field and expect a silent rebuild even with reuse on.
+  // rewrite the guard field (and poison a payload double) and expect a
+  // silent rebuild.
   bytes = ReadFileBytes(sidecar);
   const uint64_t wrong_source = 1;
   std::memcpy(bytes.data() + 40, &wrong_source, sizeof(wrong_source));
+  std::memcpy(bytes.data() + io::kMomentHeaderBytes, &poison, sizeof(poison));
   WriteFileBytes(sidecar, bytes);
   {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar, /*reuse=*/true);
+    const MomentStorePtr store = OpenStore(path, TinyBudget(), sidecar);
     ExpectViewsBitIdentical(reference.view(), store->view());
   }
   std::remove(sidecar.c_str());
@@ -366,28 +367,19 @@ TEST(MomentStoreTest, SidecarReuseRespectsChunkRequirement) {
   const std::string path = WriteTestFile("chunkreq.ubin", objects);
   const std::string sidecar = TempPath("chunkreq.umom");
 
-  // Build with 8-row chunks.
+  // The budget requires 64-row chunks. A sidecar with 8-row chunks is
+  // reused (window memory only shrinks).
+  ASSERT_TRUE(io::BuildMomentSidecar(path, sidecar, /*chunk_rows=*/8).ok());
   {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), /*chunk_rows=*/8, sidecar);
+    const MomentStorePtr store = OpenStore(path, TinyBudget(), sidecar);
     EXPECT_EQ(8u, store->view().chunk_rows());
   }
-  // A larger requirement reuses the smaller-chunk sidecar (window memory
-  // only shrinks).
+  // One with 128-row chunks must be rebuilt: serving them when the budget
+  // sized windows for 64 rows would exceed the memory bound.
+  ASSERT_TRUE(io::BuildMomentSidecar(path, sidecar, /*chunk_rows=*/128).ok());
   {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), /*chunk_rows=*/32, sidecar);
-    EXPECT_EQ(8u, store->view().chunk_rows());
-  }
-  // A smaller requirement must rebuild: serving 8-row chunks when the
-  // caller sized windows for 4 would exceed the memory bound.
-  {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), /*chunk_rows=*/4, sidecar);
-    EXPECT_EQ(4u, store->view().chunk_rows());
+    const MomentStorePtr store = OpenStore(path, TinyBudget(), sidecar);
+    EXPECT_EQ(64u, store->view().chunk_rows());
     ExpectViewsBitIdentical(MomentMatrix::FromObjects(objects).view(),
                             store->view());
   }
@@ -405,9 +397,7 @@ TEST(MomentStoreTest, SidecarRebuiltWhenDatasetRegeneratedInPlace) {
   const std::size_t v1_bytes = ReadFileBytes(path).size();
   const std::string sidecar = TempPath("regen.umom");
   {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar);
+    const MomentStorePtr store = OpenStore(path, TinyBudget(), sidecar);
     ExpectViewsBitIdentical(MomentMatrix::FromObjects(objects_v1).view(),
                             store->view());
   }
@@ -419,9 +409,7 @@ TEST(MomentStoreTest, SidecarRebuiltWhenDatasetRegeneratedInPlace) {
   ASSERT_EQ(path, path2);
   ASSERT_EQ(v1_bytes, ReadFileBytes(path).size());
 
-  const MomentStorePtr store =
-      OpenStore(path, io::MomentBackendChoice::kMapped,
-                engine::Engine::Serial(), 8, sidecar, /*reuse=*/true);
+  const MomentStorePtr store = OpenStore(path, TinyBudget(), sidecar);
   ExpectViewsBitIdentical(MomentMatrix::FromObjects(objects_v2).view(),
                           store->view());
   std::remove(sidecar.c_str());
@@ -434,9 +422,7 @@ TEST(MomentStoreTest, FailedRebuildPreservesExistingSidecar) {
   const std::string sidecar = TempPath("failsafe.umom");
   const MomentMatrix reference = MomentMatrix::FromObjects(objects);
   {
-    const MomentStorePtr store =
-        OpenStore(path, io::MomentBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar);
+    const MomentStorePtr store = OpenStore(path, TinyBudget(), sidecar);
     ExpectViewsBitIdentical(reference.view(), store->view());
   }
 
@@ -450,11 +436,8 @@ TEST(MomentStoreTest, FailedRebuildPreservesExistingSidecar) {
   std::memcpy(bytes.data() + 64 + 17, &huge_payload, sizeof(huge_payload));
   WriteFileBytes(path, bytes);
 
-  io::MomentStoreOptions options;
-  options.backend = io::MomentBackendChoice::kMapped;
-  options.sidecar_path = sidecar;
-  const auto failed = io::StreamMomentStoreFromFile(path, engine::Engine::Serial(),
-                                                    options);
+  const auto failed =
+      io::StreamMomentStoreFromFile(path, TinyBudget(), sidecar);
   EXPECT_FALSE(failed.ok());
 
   // The previously built sidecar must have survived the failed rebuild

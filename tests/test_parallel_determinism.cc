@@ -457,6 +457,14 @@ int SamplesOf(const std::string& name) {
   return BasicUkmeans::Params{}.samples;
 }
 
+// Master draw seed of each sampled algorithm (its default Params).
+uint64_t SampleSeedOf(const std::string& name) {
+  if (name == "UK-medoids") return UkMedoids::Params{}.sample_seed;
+  if (name == "FDBSCAN") return Fdbscan::Params{}.sample_seed;
+  if (name == "FOPTICS") return Foptics::Params{}.sample_seed;
+  return BasicUkmeans::Params{}.sample_seed;
+}
+
 // One fixed instance of the sampled sweep. The budgets pick the backends:
 // the pairwise table (n^2 doubles) goes tiled when it exceeds the budget,
 // the sample block (n * S * m doubles) goes to a mapped .usmp spill when
@@ -483,28 +491,31 @@ const std::vector<SampledInstance>& SampledInstances() {
 // Sampled-workload determinism sweep: for each sampled algorithm, the
 // clustering must be bit-identical across the SIMD dispatch path, the
 // thread count, the pairwise backend (dense vs tiled), the sample backend
-// (Resident vs the mmap-backed .usmp spill) and its chunk size — labels,
+// (Resident vs the mmap-backed .usmp sidecar) and its chunk size — labels,
 // objective, iteration count, and both evaluation counters. The baseline is
-// the serial forced-scalar run with no budget.
+// the serial forced-scalar run with no budget. Each chunk size is a sidecar
+// pre-built from the objects and pinned on the dataset; every mapped budget
+// here requires the 16-row floor, so the factory reuses both sizes.
 TEST(ParallelDeterminism, SampledWorkloadsBitIdenticalAcrossSampleBackends) {
   namespace simd = clustering::simd;
   const auto make = [](const std::string& name, int threads,
-                       std::size_t budget, std::size_t chunk_rows) {
+                       std::size_t budget) {
     engine::EngineConfig config;
     config.num_threads = threads;
     config.block_size = 32;
     config.memory_budget_bytes = budget;
-    config.sample_chunk_rows = chunk_rows;
     return MakeSampled(name, engine::Engine(config));
   };
+  const std::string pinned = ::testing::TempDir() + "determinism_pin.usmp";
   // {pairwise backend, samples mapped} pairs the sweep ran.
   std::set<std::pair<std::string, bool>> arms;
   for (const SampledInstance& inst : SampledInstances()) {
-    const auto ds = TestDataset(inst.n, inst.m, 3, inst.seed);
+    auto ds = TestDataset(inst.n, inst.m, 3, inst.seed);
+    ds.set_samples_sidecar_path(pinned);
     for (const std::string name : kSampledAlgorithms) {
       const ClusteringResult baseline = [&] {
         const ScopedIsa scalar(simd::Isa::kScalar);
-        return make(name, 1, 0, 16)->Cluster(ds, 3, 13);
+        return make(name, 1, 0)->Cluster(ds, 3, 13);
       }();
       const std::size_t sample_bytes = inst.n * inst.m * sizeof(double) *
                                        static_cast<std::size_t>(
@@ -519,15 +530,19 @@ TEST(ParallelDeterminism, SampledWorkloadsBitIdenticalAcrossSampleBackends) {
         const ClusteringResult arm_base = [&] {
           if (!tiled) return baseline;
           const ScopedIsa scalar(simd::Isa::kScalar);
-          return make(name, 1, budget, 16)->Cluster(ds, 3, 13);
+          return make(name, 1, budget)->Cluster(ds, 3, 13);
         }();
         for (const std::size_t chunk_rows :
-             {std::size_t{16}, std::size_t{64}}) {
+             {std::size_t{4}, std::size_t{16}}) {
+          ASSERT_TRUE(io::BuildSampleSidecarFromObjects(
+                          ds.objects(), pinned, SamplesOf(name),
+                          SampleSeedOf(name), chunk_rows)
+                          .ok());
           for (simd::Isa isa : AvailableIsas()) {
             const ScopedIsa forced(isa);
             for (int threads : kThreadCounts) {
               const ClusteringResult out =
-                  make(name, threads, budget, chunk_rows)->Cluster(ds, 3, 13);
+                  make(name, threads, budget)->Cluster(ds, 3, 13);
               const auto label = [&] {
                 return name + " m=" + std::to_string(inst.m) +
                        " budget=" + std::to_string(budget) +
@@ -551,10 +566,15 @@ TEST(ParallelDeterminism, SampledWorkloadsBitIdenticalAcrossSampleBackends) {
                   << label();
             }
           }
+          // The mapped runs reused the pinned chunks, not a rebuild.
+          auto info = io::ReadSampleFileInfo(pinned);
+          ASSERT_TRUE(info.ok()) << info.status().ToString();
+          EXPECT_EQ(chunk_rows, info.ValueOrDie().chunk_rows);
         }
       }
     }
   }
+  std::remove(pinned.c_str());
   const std::set<std::pair<std::string, bool>> all = {
       {"dense", false}, {"dense", true}, {"tiled", false}, {"tiled", true}};
   EXPECT_EQ(arms, all);

@@ -125,19 +125,25 @@ void WriteFileBytes(const std::string& path, const std::vector<char>& bytes) {
   EXPECT_TRUE(out.good());
 }
 
-// Opens a forced-backend store over `ds`.
+// A serial engine with a `budget`-byte memory budget.
+engine::Engine BudgetEngine(std::size_t budget) {
+  engine::EngineConfig config;
+  config.memory_budget_bytes = budget;
+  return engine::Engine(config);
+}
+
+// A budget no test dataset's samples fit: the factory maps, and its chunk
+// requirement is the 16-row floor.
+const engine::Engine& TinyBudget() {
+  static const engine::Engine eng = BudgetEngine(1);
+  return eng;
+}
+
+// Opens `ds`'s samples through the factory, whose budget picks the backend.
 SampleStorePtr OpenStore(const data::UncertainDataset& ds,
                          int samples_per_object, uint64_t seed,
-                         io::SampleBackendChoice choice,
-                         const engine::Engine& eng = engine::Engine::Serial(),
-                         std::size_t chunk_rows = 0,
-                         const std::string& sidecar = "", bool reuse = true) {
-  io::SampleStoreOptions options;
-  options.backend = choice;
-  options.chunk_rows = chunk_rows;
-  options.sidecar_path = sidecar;
-  options.reuse_sidecar = reuse;
-  auto store = io::MakeSampleStore(ds, samples_per_object, seed, eng, options);
+                         const engine::Engine& eng = engine::Engine::Serial()) {
+  auto store = io::MakeSampleStore(ds, samples_per_object, seed, eng);
   EXPECT_TRUE(store.ok()) << store.status().ToString();
   return std::move(store).ValueOrDie();
 }
@@ -156,9 +162,14 @@ TEST(SampleStoreTest, ChunkBoundarySweepIsBitIdentical) {
        {std::size_t{1}, std::size_t{8}, std::size_t{32}, std::size_t{128}}) {
     const std::string sidecar =
         TempPath("smp_chunksweep" + std::to_string(chunk_rows) + ".usmp");
-    const SampleStorePtr store =
-        OpenStore(ds, 6, 0x5eed, io::SampleBackendChoice::kMapped,
-                  engine::Engine::Serial(), chunk_rows, sidecar);
+    // The store itself, not the factory: 32- and 128-row chunks are above
+    // every budget requirement for 97 rows.
+    ASSERT_TRUE(io::BuildSampleSidecar(path, sidecar, 6, 0x5eed,
+                                       engine::Engine::Serial(), chunk_rows)
+                    .ok());
+    auto opened = io::MappedSampleStore::Open(sidecar);
+    ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+    const SampleStorePtr store = std::move(opened).ValueOrDie();
     ASSERT_EQ(SampleBackend::kMapped, store->backend());
     EXPECT_TRUE(store->view().chunked());
     EXPECT_EQ(chunk_rows, store->view().chunk_rows());
@@ -243,37 +254,30 @@ TEST(SampleStoreTest, AutoBackendSelectionFollowsBudget) {
       {1, SampleBackend::kMapped},
   };
   for (const Case& c : cases) {
-    engine::EngineConfig config;
-    config.memory_budget_bytes = c.budget;
-    const engine::Engine eng(config);
     const SampleStorePtr store =
-        OpenStore(ds, kSamples, 0x5eed, io::SampleBackendChoice::kAuto, eng, 0,
-                  TempPath("smp_budget.usmp"));
+        OpenStore(ds, kSamples, 0x5eed, BudgetEngine(c.budget));
     EXPECT_EQ(c.expected, store->backend()) << "budget " << c.budget;
     if (c.expected == SampleBackend::kMapped) {
-      // With no explicit chunk hint, auto-sizing bounds the per-thread
-      // window cache by the budget. The floor is 16 rows — 4x smaller than
-      // the moment store's, because a sample row is S times wider.
+      // Chunks are sized so the per-thread window cache fits the budget.
+      // The floor is 16 rows — 4x smaller than the moment store's, because
+      // a sample row is S times wider.
       EXPECT_EQ(16u, store->view().chunk_rows()) << "budget " << c.budget;
     }
   }
-  std::remove(TempPath("smp_budget.usmp").c_str());
+  std::remove(io::DefaultSampleSidecarPath(path, kSamples, 0x5eed).c_str());
   std::remove(path.c_str());
 }
 
 TEST(SampleStoreTest, SidecarReuseHonorsStalenessGuard) {
   const auto objects = MakeTestObjects(30, 2, /*seed=*/23);
   const std::string path = WriteTestFile("smp_reuse.ubin", objects);
-  const std::string sidecar = TempPath("smp_reuse.usmp");
+  const std::string sidecar = io::DefaultSampleSidecarPath(path, 4, 0x5eed);
   const auto ds = LoadDataset(path);
   const ResidentSampleStore reference(ds.objects(), /*samples=*/4, 0x5eed);
-  const auto open = [&](bool reuse) {
-    return OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                     engine::Engine::Serial(), 8, sidecar, reuse);
-  };
+  const auto open = [&] { return OpenStore(ds, 4, 0x5eed, TinyBudget()); };
 
   // First open builds the sidecar.
-  ExpectSamplesBitIdentical(reference.view(), open(true)->view());
+  ExpectSamplesBitIdentical(reference.view(), open()->view());
 
   // Poison one payload double in place (same size, header untouched). A
   // reusing open must serve the poisoned byte — proof it did NOT rebuild.
@@ -285,21 +289,24 @@ TEST(SampleStoreTest, SidecarReuseHonorsStalenessGuard) {
     WriteFileBytes(sidecar, bytes);
   };
   poison_payload();
-  EXPECT_EQ(poison, open(true)->view().ObjectSamples(0)[0]);
+  EXPECT_EQ(poison, open()->view().ObjectSamples(0)[0]);
 
-  // reuse=false must rebuild and restore the true value.
-  ExpectSamplesBitIdentical(reference.view(), open(false)->view());
+  // A deleted sidecar is rebuilt and restores the true value.
+  std::remove(sidecar.c_str());
+  ExpectSamplesBitIdentical(reference.view(), open()->view());
 
   // A sidecar whose stored source size mismatches the dataset is stale:
-  // rewrite the guard field (offset 56) and expect a silent rebuild even
-  // with reuse on.
+  // rewrite the guard field (offset 56), poison the payload, and expect a
+  // silent rebuild.
   {
     std::vector<char> bytes = ReadFileBytes(sidecar);
     const uint64_t wrong_source = 1;
     std::memcpy(bytes.data() + 56, &wrong_source, sizeof(wrong_source));
+    std::memcpy(bytes.data() + io::kSampleHeaderBytes, &poison,
+                sizeof(poison));
     WriteFileBytes(sidecar, bytes);
   }
-  ExpectSamplesBitIdentical(reference.view(), open(true)->view());
+  ExpectSamplesBitIdentical(reference.view(), open()->view());
 
   // The guard extends the moment store's with the DRAW parameters. A
   // sidecar recording a different master seed (offset 48) is not the
@@ -313,7 +320,7 @@ TEST(SampleStoreTest, SidecarReuseHonorsStalenessGuard) {
                 sizeof(poison));
     WriteFileBytes(sidecar, bytes);
   }
-  ExpectSamplesBitIdentical(reference.view(), open(true)->view());
+  ExpectSamplesBitIdentical(reference.view(), open()->view());
 
   // Same for samples-per-object (offset 32): the header's size check fails
   // for the declared S, so the file is invalid and silently rebuilt.
@@ -325,7 +332,7 @@ TEST(SampleStoreTest, SidecarReuseHonorsStalenessGuard) {
                 sizeof(poison));
     WriteFileBytes(sidecar, bytes);
   }
-  ExpectSamplesBitIdentical(reference.view(), open(true)->view());
+  ExpectSamplesBitIdentical(reference.view(), open()->view());
 
   std::remove(sidecar.c_str());
   std::remove(path.c_str());
@@ -334,22 +341,23 @@ TEST(SampleStoreTest, SidecarReuseHonorsStalenessGuard) {
 TEST(SampleStoreTest, SidecarReuseRespectsChunkRequirement) {
   const auto objects = MakeTestObjects(40, 2, /*seed=*/61);
   const std::string path = WriteTestFile("smp_chunkreq.ubin", objects);
-  const std::string sidecar = TempPath("smp_chunkreq.usmp");
+  const std::string sidecar = io::DefaultSampleSidecarPath(path, 4, 0x5eed);
   const auto ds = LoadDataset(path);
-  const auto open = [&](std::size_t chunk_rows) {
-    return OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                     engine::Engine::Serial(), chunk_rows, sidecar);
+  const auto build = [&](std::size_t chunk_rows) {
+    ASSERT_TRUE(io::BuildSampleSidecar(path, sidecar, 4, 0x5eed,
+                                       engine::Engine::Serial(), chunk_rows)
+                    .ok());
   };
 
-  // Build with 8-row chunks.
-  EXPECT_EQ(8u, open(8)->view().chunk_rows());
-  // A larger requirement reuses the smaller-chunk sidecar (window memory
-  // only shrinks).
-  EXPECT_EQ(8u, open(32)->view().chunk_rows());
-  // A smaller requirement must rebuild: serving 8-row chunks when the
-  // caller sized windows for 4 would exceed the memory bound.
-  const SampleStorePtr rebuilt = open(4);
-  EXPECT_EQ(4u, rebuilt->view().chunk_rows());
+  // The budget requires 16-row chunks. A sidecar with 8-row chunks is
+  // reused (window memory only shrinks).
+  build(8);
+  EXPECT_EQ(8u, OpenStore(ds, 4, 0x5eed, TinyBudget())->view().chunk_rows());
+  // One with 32-row chunks must be rebuilt: serving them when the budget
+  // sized windows for 16 rows would exceed the memory bound.
+  build(32);
+  const SampleStorePtr rebuilt = OpenStore(ds, 4, 0x5eed, TinyBudget());
+  EXPECT_EQ(16u, rebuilt->view().chunk_rows());
   const ResidentSampleStore reference(ds.objects(), 4, 0x5eed);
   ExpectSamplesBitIdentical(reference.view(), rebuilt->view());
   std::remove(sidecar.c_str());
@@ -364,12 +372,10 @@ TEST(SampleStoreTest, SidecarRebuiltWhenDatasetRegeneratedInPlace) {
   const auto objects_v1 = MakeTestObjects(24, 2, /*seed=*/51);
   const std::string path = WriteTestFile("smp_regen.ubin", objects_v1);
   const std::size_t v1_bytes = ReadFileBytes(path).size();
-  const std::string sidecar = TempPath("smp_regen.usmp");
+  const std::string sidecar = io::DefaultSampleSidecarPath(path, 4, 0x5eed);
   {
     const auto ds = LoadDataset(path);
-    const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar);
+    const SampleStorePtr store = OpenStore(ds, 4, 0x5eed, TinyBudget());
     ExpectSamplesBitIdentical(ResidentSampleStore(objects_v1, 4, 0x5eed).view(),
                               store->view());
   }
@@ -382,9 +388,7 @@ TEST(SampleStoreTest, SidecarRebuiltWhenDatasetRegeneratedInPlace) {
   ASSERT_EQ(v1_bytes, ReadFileBytes(path).size());
 
   const auto ds = LoadDataset(path);
-  const SampleStorePtr store =
-      OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                engine::Engine::Serial(), 8, sidecar, /*reuse=*/true);
+  const SampleStorePtr store = OpenStore(ds, 4, 0x5eed, TinyBudget());
   ExpectSamplesBitIdentical(ResidentSampleStore(objects_v2, 4, 0x5eed).view(),
                             store->view());
   std::remove(sidecar.c_str());
@@ -394,13 +398,11 @@ TEST(SampleStoreTest, SidecarRebuiltWhenDatasetRegeneratedInPlace) {
 TEST(SampleStoreTest, FailedRebuildPreservesExistingSidecar) {
   const auto objects = MakeTestObjects(25, 2, /*seed=*/71);
   const std::string path = WriteTestFile("smp_failsafe.ubin", objects);
-  const std::string sidecar = TempPath("smp_failsafe.usmp");
+  const std::string sidecar = io::DefaultSampleSidecarPath(path, 4, 0x5eed);
   const ResidentSampleStore reference(objects, 4, 0x5eed);
   const auto ds = LoadDataset(path);  // loaded BEFORE the corruption below
   {
-    const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                  engine::Engine::Serial(), 8, sidecar);
+    const SampleStorePtr store = OpenStore(ds, 4, 0x5eed, TinyBudget());
     ExpectSamplesBitIdentical(reference.view(), store->view());
   }
 
@@ -414,11 +416,7 @@ TEST(SampleStoreTest, FailedRebuildPreservesExistingSidecar) {
   const uint32_t huge_payload = 0xffffffffu;
   std::memcpy(bytes.data() + 64 + 17, &huge_payload, sizeof(huge_payload));
   WriteFileBytes(path, bytes);
-  io::SampleStoreOptions options;
-  options.backend = io::SampleBackendChoice::kMapped;
-  options.sidecar_path = sidecar;
-  const auto failed =
-      io::MakeSampleStore(ds, 4, 0x5eed, engine::Engine::Serial(), options);
+  const auto failed = io::MakeSampleStore(ds, 4, 0x5eed, TinyBudget());
   EXPECT_FALSE(failed.ok());
 
   // The previously built sidecar must have survived the failed rebuild
@@ -438,8 +436,7 @@ TEST(SampleStoreTest, TempSpillSelfDeletesWithTheStore) {
   const ResidentSampleStore reference(objects, 4, 0x5eed);
   std::string spill;
   {
-    const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped);
+    const SampleStorePtr store = OpenStore(ds, 4, 0x5eed, TinyBudget());
     spill = store->sidecar_path();
     ASSERT_FALSE(spill.empty());
     EXPECT_TRUE(std::filesystem::exists(spill));
@@ -459,8 +456,7 @@ TEST(SampleStoreTest, DefaultSidecarIsReusedAcrossFactoryCalls) {
   const auto ds = LoadDataset(path);
   const std::string sidecar = io::DefaultSampleSidecarPath(path, 4, 0x5eed);
   {
-    const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped);
+    const SampleStorePtr store = OpenStore(ds, 4, 0x5eed, TinyBudget());
     EXPECT_EQ(sidecar, store->sidecar_path());
   }
   ASSERT_TRUE(std::filesystem::exists(sidecar));
@@ -469,8 +465,7 @@ TEST(SampleStoreTest, DefaultSidecarIsReusedAcrossFactoryCalls) {
   std::memcpy(bytes.data() + io::kSampleHeaderBytes, &poison, sizeof(poison));
   WriteFileBytes(sidecar, bytes);
   {
-    const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped);
+    const SampleStorePtr store = OpenStore(ds, 4, 0x5eed, TinyBudget());
     EXPECT_EQ(poison, store->view().ObjectSamples(0)[0]);
   }
   // A different seed encodes a different default path — no churn of the
@@ -491,35 +486,32 @@ TEST(SampleStoreTest, AnnotatedSidecarReusedOnlyWhenHeaderMatches) {
   const std::string path = WriteTestFile("smp_annotated.ubin", objects);
   auto ds = LoadDataset(path);
   const std::string pinned = TempPath("smp_annotated_pin.usmp");
-  {
-    // Emit the pinned artifact with seed 0x5eed (as dataset_gen would).
-    const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped,
-                  engine::Engine::Serial(), /*chunk_rows=*/0, pinned);
-    EXPECT_EQ(pinned, store->sidecar_path());
-  }
+  // Emit the pinned artifact with seed 0x5eed (as dataset_gen would), in
+  // chunks the tiny budget's 16-row requirement accepts.
+  ASSERT_TRUE(io::BuildSampleSidecar(path, pinned, 4, 0x5eed,
+                                     engine::Engine::Serial(),
+                                     /*chunk_rows=*/16)
+                  .ok());
   ds.set_samples_sidecar_path(pinned);
   const std::vector<char> pinned_bytes = ReadFileBytes(pinned);
 
   {
     // Matching (S, seed): the pin is honored.
-    const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eed, io::SampleBackendChoice::kMapped);
+    const SampleStorePtr store = OpenStore(ds, 4, 0x5eed, TinyBudget());
     EXPECT_EQ(pinned, store->sidecar_path());
+    EXPECT_EQ(pinned_bytes, ReadFileBytes(pinned));
   }
   {
     // Mismatched seed: the store lands on the default sibling and the
     // pinned file survives bit-for-bit.
-    const SampleStorePtr store =
-        OpenStore(ds, 4, 0x5eee, io::SampleBackendChoice::kMapped);
+    const SampleStorePtr store = OpenStore(ds, 4, 0x5eee, TinyBudget());
     EXPECT_EQ(io::DefaultSampleSidecarPath(path, 4, 0x5eee),
               store->sidecar_path());
     EXPECT_EQ(pinned_bytes, ReadFileBytes(pinned));
   }
   {
     // Mismatched samples-per-object likewise.
-    const SampleStorePtr store =
-        OpenStore(ds, 8, 0x5eed, io::SampleBackendChoice::kMapped);
+    const SampleStorePtr store = OpenStore(ds, 8, 0x5eed, TinyBudget());
     EXPECT_EQ(io::DefaultSampleSidecarPath(path, 8, 0x5eed),
               store->sidecar_path());
     EXPECT_EQ(pinned_bytes, ReadFileBytes(pinned));
@@ -538,10 +530,8 @@ TEST(SampleStoreTest, FactoryFailureFallsBackToResident) {
   const auto objects = MakeTestObjects(20, 2, /*seed=*/95);
   data::UncertainDataset ds("inmem", objects, {}, 0);
   ds.set_source_path("/nonexistent-dir/missing.ubin");
-  engine::EngineConfig config;
-  config.memory_budget_bytes = 1;  // forces the Mapped choice
   const SampleStorePtr store =
-      io::MakeSampleStoreOrResident(ds, 4, 0x5eed, engine::Engine(config));
+      io::MakeSampleStoreOrResident(ds, 4, 0x5eed, TinyBudget());
   ASSERT_NE(nullptr, store);
   EXPECT_EQ(SampleBackend::kResident, store->backend());
   ExpectSamplesBitIdentical(ResidentSampleStore(objects, 4, 0x5eed).view(),

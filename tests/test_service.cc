@@ -90,8 +90,8 @@ TEST(JobSpec, FullBodyWithEngineKnobs) {
   EXPECT_EQ(s.engine_knobs.size(), 3u);
 }
 
-// The policy and selection knobs deleted from EngineConfig are unknown keys
-// now: a job that still sends one gets InvalidArgument (HTTP 400) naming
+// The policy, selection and chunk-rows knobs deleted from EngineConfig are
+// unknown keys now: a job that still sends one gets InvalidArgument (HTTP 400) naming
 // the key, not a silent default.
 TEST(JobSpec, RemovedEngineKnobsAreRejected) {
   const struct {
@@ -102,6 +102,7 @@ TEST(JobSpec, RemovedEngineKnobsAreRejected) {
       {"pairwise_pruned_sweeps", "0"},    {"ukmeans_ckmeans_reduction", "0"},
       {"ukmeans_bound_pruning", "0"},     {"ukmeans_minibatch_size", "0"},
       {"spatial_index", "\"off\""},       {"simd_isa", "\"scalar\""},
+      {"moment_chunk_rows", "1024"},      {"sample_chunk_rows", "64"},
   };
   for (const auto& r : removed) {
     auto spec = JobSpec::FromJson(
@@ -296,8 +297,6 @@ void ExpectValidSpec(const JobSpec& spec, const std::string& trace) {
   EXPECT_EQ(replay.block_size, spec.engine.block_size) << trace;
   EXPECT_EQ(replay.memory_budget_bytes, spec.engine.memory_budget_bytes)
       << trace;
-  EXPECT_EQ(replay.moment_chunk_rows, spec.engine.moment_chunk_rows) << trace;
-  EXPECT_EQ(replay.sample_chunk_rows, spec.engine.sample_chunk_rows) << trace;
   const std::string echo = spec.ToJson();
   auto reparsed = JobSpec::FromJson(echo);
   ASSERT_TRUE(reparsed.ok()) << trace << " echo=" << echo << ": "
@@ -314,8 +313,7 @@ TEST(JobSpecFuzz, EveryMutantParsesToAValidSpecOrFails) {
       "{\"dataset_id\": \"ds-2\", \"algorithm\": \"UK-means\", \"k\": 8,"
       " \"seed\": 42, \"max_iters\": 25, \"include_labels\": false,"
       " \"engine\": {\"threads\": 4, \"memory_budget_mb\": 64,"
-      " \"block_size\": 256, \"moment_chunk_rows\": 1024,"
-      " \"sample_chunk_rows\": 64}}",
+      " \"block_size\": 256}}",
       "{\"k\": 12, \"dataset_id\": \"ds-\\u0033\\n\", \"algorithm\":"
       " \"UK-medoids\", \"engine\": {\"memory_budget_bytes\": \"1048576\","
       " \"threads\": 0}}",

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <limits>
 #include <set>
+#include <string>
 
 #include "clustering/ukmedoids.h"
 #include "data/benchmark_gen.h"
@@ -157,6 +158,36 @@ TEST(UkMedoids, ObjectiveNeverIncreasesWithIterationCap) {
   }
   // Not vacuous: some run kept improving past the first caps.
   EXPECT_GE(longest_run, 3);
+}
+
+// On the tiled backend the objective scores each member against its
+// medoid's row instead of gathering k full medoid rows: the value keeps the
+// dense table's bits (EvalRow == Eval, a medoid's own term is 0 like the
+// diagonal), and every warm-row miss is a member row of an update sweep —
+// n per sweep, none from the objective.
+TEST(UkMedoids, TiledObjectiveMatchesDenseWithoutGatheringMedoidRows) {
+  const auto ds = PlantedDataset(150, 4, 19);
+  const std::size_t n = ds.size();
+  engine::EngineConfig tiled;
+  tiled.memory_budget_bytes = 12 * n * sizeof(double);
+  for (const bool closed_form : {true, false}) {
+    for (const int cap : {1, 2, 50}) {
+      UkMedoids::Params p;
+      p.use_closed_form = closed_form;
+      p.max_iters = cap;
+      const ClusteringResult dense = UkMedoids(p).Cluster(ds, 6, 23);
+      UkMedoids algo(p);
+      algo.set_engine(engine::Engine(tiled));
+      const ClusteringResult r = algo.Cluster(ds, 6, 23);
+      const std::string trace = "closed_form=" + std::to_string(closed_form) +
+                                " cap=" + std::to_string(cap);
+      ASSERT_EQ(r.pairwise_backend, "tiled") << trace;
+      EXPECT_EQ(r.labels, dense.labels) << trace;
+      EXPECT_EQ(r.objective, dense.objective) << trace;
+      EXPECT_GT(r.tile_warm_misses, 0) << trace;
+      EXPECT_EQ(r.tile_warm_misses % static_cast<int64_t>(n), 0) << trace;
+    }
+  }
 }
 
 }  // namespace

@@ -46,11 +46,13 @@
 //                     mismatched sidecar is never reused — the run falls
 //                     back to its own param-encoded sibling file.
 //
-// Engine knobs (--threads, --moment_chunk_rows, --sample_chunk_rows, ...)
-// are parsed strictly through the canonical common::ParseEngineFlags table
-// and drive the sidecar passes: the chunk-rows knobs set the respective
-// sidecar chunk rows (rounded up to a power of two; 0 = format default) and
-// --threads parallelizes the packing/drawing.
+// Engine knobs (--threads, --memory_budget_mb, ...) are parsed strictly
+// through the canonical common::ParseEngineFlags table and drive the sidecar
+// passes: the sidecars are chunked by io::SidecarChunkRequirement from the
+// budget and thread count (no budget = the format default), exactly as the
+// store factories size them, so a run under the same --memory_budget_mb and
+// --threads reuses an emitted sidecar instead of rebuilding it; --threads
+// also parallelizes the drawing.
 //
 // Equal flags produce byte-identical sidecars too: the sample bytes for
 // object i are a pure function of (pdf records, sample seed, i, S), never
@@ -61,8 +63,11 @@
 #include "common/cli.h"
 #include "data/synthetic_gen.h"
 #include "engine/engine.h"
+#include "io/chunked_sidecar.h"
 #include "io/ingest.h"
+#include "io/moment_format.h"
 #include "io/sample_file.h"
+#include "io/sample_format.h"
 
 namespace {
 
@@ -100,6 +105,14 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "dataset_gen: %s\n", st.ToString().c_str());
     return 1;
   }
+  const engine::Engine eng(engine_cfg);
+  // Chunk rows of a sidecar of `layout` whose rows have `info`'s shape.
+  const auto chunk_rows = [&eng](const io::SidecarLayout& layout,
+                                 const io::SidecarInfo& info) {
+    return io::SidecarChunkRequirement(layout, eng.memory_budget_bytes(),
+                                       eng.num_threads(),
+                                       io::SidecarRowBytes(layout, info));
+  };
 
   st = data::ValidateSyntheticGenParams(params);
   if (!st.ok()) {
@@ -122,8 +135,10 @@ int main(int argc, char** argv) {
   // its n/m/source-size staleness guard).
   const std::string moments_path = args.GetString("emit-moments", "");
   if (!moments_path.empty()) {
+    io::SidecarInfo info;
+    info.m = params.m;
     st = io::BuildMomentSidecar(out_path, moments_path,
-                                engine_cfg.moment_chunk_rows);
+                                chunk_rows(io::kMomentLayout, info));
     if (!st.ok()) {
       std::fprintf(stderr, "dataset_gen: %s\n", st.ToString().c_str());
       return 1;
@@ -141,9 +156,12 @@ int main(int argc, char** argv) {
         static_cast<int>(args.GetInt("samples_per_object", 32));
     const uint64_t sample_seed = static_cast<uint64_t>(
         args.GetInt("sample_seed", 0x5eedbeefLL));
+    io::SidecarInfo info;
+    info.m = params.m;
+    info.fields = {static_cast<uint64_t>(samples_per_object), sample_seed};
     st = io::BuildSampleSidecar(out_path, samples_path, samples_per_object,
-                                sample_seed, engine::Engine(engine_cfg),
-                                engine_cfg.sample_chunk_rows);
+                                sample_seed, eng,
+                                chunk_rows(io::kSampleLayout, info));
     if (!st.ok()) {
       std::fprintf(stderr, "dataset_gen: %s\n", st.ToString().c_str());
       return 1;
