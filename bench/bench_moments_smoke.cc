@@ -122,10 +122,8 @@ int Run(int argc, char** argv) {
     // Diagnose whether the windows actually came from mmap or from the
     // graceful heap-read fallback — same values either way, different
     // paging behavior.
-    std::printf("[moments smoke] mmap_windows=%s (mmap supported: %s) "
-                "chunk_rows=%zu\n",
-                mapped->used_mmap() ? "yes" : "no",
-                io::MmapSupported() ? "yes" : "no", mapped->chunk_rows());
+    std::printf("[moments smoke] mmap_windows=%s chunk_rows=%zu\n",
+                mapped->used_mmap() ? "yes" : "no", mapped->chunk_rows());
   }
   std::printf("MOMENTS_SMOKE RESULT=OK mode=%s backend=%s n=%zu\n",
               mode.c_str(),

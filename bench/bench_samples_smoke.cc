@@ -192,10 +192,8 @@ int Run(int argc, char** argv) {
     // Diagnose whether the windows actually came from mmap or from the
     // graceful heap-read fallback — same values either way, different
     // paging behavior.
-    std::printf("[samples smoke] mmap_windows=%s (mmap supported: %s) "
-                "chunk_rows=%zu sidecar=%s\n",
-                mapped->used_mmap() ? "yes" : "no",
-                io::MmapSupported() ? "yes" : "no", mapped->chunk_rows(),
+    std::printf("[samples smoke] mmap_windows=%s chunk_rows=%zu sidecar=%s\n",
+                mapped->used_mmap() ? "yes" : "no", mapped->chunk_rows(),
                 mapped->sidecar_path().c_str());
   }
 

@@ -8,6 +8,7 @@
 #include <limits>
 #include <utility>
 
+#include "clustering/init.h"
 #include "clustering/kernels.h"
 #include "clustering/simd/simd.h"
 #include "common/math_utils.h"
@@ -288,11 +289,8 @@ CkMeans::Outcome CkMeans::RunOnMoments(const uncertain::MomentView& view,
 
   // Seeding consumes the rng exactly like the direct path.
   common::Rng rng(seed);
-  const std::vector<std::size_t> picks =
-      params.init == InitStrategy::kPlusPlus
-          ? PlusPlusObjects(view, k, &rng)
-          : RandomDistinctObjects(n, k, &rng);
-  std::vector<double> centroids = CentroidsFromObjects(view, picks);
+  std::vector<double> centroids =
+      CentroidsFromObjects(view, RandomDistinctObjects(n, k, &rng));
 
   Outcome out;
   out.labels.assign(n, -1);

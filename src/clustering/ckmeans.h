@@ -61,7 +61,6 @@
 #include <utility>
 #include <vector>
 
-#include "clustering/init.h"
 #include "clustering/moment_clusterer.h"
 #include "common/status.h"
 #include "uncertain/moments.h"
@@ -85,8 +84,6 @@ class CkMeans final : public MomentClusterer {
   /// Tuning knobs.
   struct Params {
     int max_iters = 100;  ///< Cap on Lloyd iterations.
-    /// Seeding: Forgy (the paper's choice) or D^2-weighted.
-    InitStrategy init = InitStrategy::kRandom;
     /// Test-only bound observer (see BoundAudit); empty in production.
     BoundAudit bound_audit;
   };

@@ -1,4 +1,6 @@
-// Initialization strategies shared by the partitional algorithms.
+// The paper's starting states for the partitional algorithms: a random
+// partition for the relocation local search (UCPC, MMVar) and Forgy seeds
+// for the K-means-style methods (UK-means, CK-means).
 #ifndef UCLUST_CLUSTERING_INIT_H_
 #define UCLUST_CLUSTERING_INIT_H_
 
@@ -22,26 +24,6 @@ std::vector<std::size_t> RandomDistinctObjects(std::size_t n, int k,
 std::vector<double> CentroidsFromObjects(
     const uncertain::MomentView& moments,
     const std::vector<std::size_t>& picks);
-
-/// D^2-weighted seeding over the expected-value vectors (k-means++ style,
-/// Arthur & Vassilvitskii 2007), an optional extension over the paper's
-/// random initialization: each next seed is drawn with probability
-/// proportional to the squared distance to the nearest chosen seed.
-/// Returns k distinct object indices.
-std::vector<std::size_t> PlusPlusObjects(const uncertain::MomentView& mm,
-                                         int k, common::Rng* rng);
-
-/// Partition induced by assigning every object to its nearest seed's mean —
-/// turns seed objects into an initial partition for the relocation local
-/// search. Every cluster is non-empty (each seed claims itself).
-std::vector<int> PartitionFromSeeds(const uncertain::MomentView& mm,
-                                    const std::vector<std::size_t>& seeds);
-
-/// How partitional algorithms pick their starting state.
-enum class InitStrategy {
-  kRandom,    ///< Random partition / Forgy seeds (the paper's choice).
-  kPlusPlus,  ///< D^2-weighted seeding (library extension).
-};
 
 }  // namespace uclust::clustering
 

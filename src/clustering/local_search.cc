@@ -16,6 +16,9 @@ namespace uclust::clustering {
 
 namespace {
 
+// Relative improvement below which a move is considered numerical noise.
+constexpr double kMinRelativeGain = 1e-12;
+
 // Weights of J(C) = alpha*Psi + beta*Phi - omega*||T||^2 (Psi, Phi summed
 // over dimensions) for a cluster of `size` objects: the per-dimension
 // objectives of cluster_stats.cc with the size factored out.
@@ -305,11 +308,8 @@ LocalSearchOutcome RunLocalSearch(const uncertain::MomentView& moments,
                                   int k, const LocalSearchParams& params,
                                   common::Rng* rng,
                                   const engine::Engine& eng) {
-  std::vector<int> initial =
-      params.init == InitStrategy::kPlusPlus
-          ? PartitionFromSeeds(moments, PlusPlusObjects(moments, k, rng))
-          : RandomPartition(moments.size(), k, rng);
-  return RunLocalSearchFrom(moments, k, params, std::move(initial), eng);
+  return RunLocalSearchFrom(moments, k, params,
+                            RandomPartition(moments.size(), k, rng), eng);
 }
 
 LocalSearchOutcome RunLocalSearchFrom(const uncertain::MomentView& moments,
@@ -347,8 +347,7 @@ LocalSearchOutcome RunLocalSearchFrom(const uncertain::MomentView& moments,
   RelocationScreen screen(moments, params.objective, eng);
   std::vector<int> proposal(n);
   for (out.passes = 0; out.passes < params.max_passes; ++out.passes) {
-    const double tolerance =
-        params.min_relative_gain * (1.0 + std::fabs(total));
+    const double tolerance = kMinRelativeGain * (1.0 + std::fabs(total));
 
     screen.BeginPass(stats, obj);
     std::atomic<int64_t> fallbacks{0}, skips{0}, stays{0};

@@ -10,7 +10,6 @@
 
 #include "clustering/cluster_stats.h"
 #include "clustering/clusterer.h"
-#include "clustering/init.h"
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "uncertain/moments.h"
@@ -23,11 +22,6 @@ struct LocalSearchParams {
   /// Upper bound on full passes over the data (convergence usually takes
   /// far fewer; Proposition 4 guarantees termination).
   int max_passes = 100;
-  /// Relative improvement below which a move is considered numerical noise.
-  double min_relative_gain = 1e-12;
-  /// Starting partition: random (the paper's Algorithm 1) or induced by
-  /// D^2-weighted seeds (library extension; see init.h).
-  InitStrategy init = InitStrategy::kRandom;
 };
 
 /// Result of a local-search run.
@@ -149,7 +143,8 @@ class RelocationScreen {
   std::vector<int> bound_label_;
 };
 
-/// Runs Algorithm 1 from a random initial partition. Requires n >= k >= 1.
+/// Runs Algorithm 1 from RandomPartition (its Line 2), drawn from `rng`.
+/// Requires n >= k >= 1.
 /// Clusters never become empty (a relocation that would empty its source
 /// cluster is skipped), so exactly k clusters are returned.
 ///

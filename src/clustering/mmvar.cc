@@ -10,7 +10,6 @@ LocalSearchOutcome Mmvar::RunOnMoments(const uncertain::MomentView& mm,
   LocalSearchParams ls;
   ls.objective = ObjectiveKind::kMmvar;
   ls.max_passes = params.max_passes;
-  ls.init = params.init;
   return RunLocalSearch(mm, k, ls, &rng, eng);
 }
 

@@ -17,8 +17,6 @@ class Ucpc final : public MomentClusterer {
   /// Tuning knobs.
   struct Params {
     int max_passes = 100;  ///< Cap on relocation passes.
-    /// Initial partition strategy (random, per the paper, by default).
-    InitStrategy init = InitStrategy::kRandom;
   };
 
   Ucpc() = default;

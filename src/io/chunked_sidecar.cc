@@ -1,5 +1,9 @@
 #include "io/chunked_sidecar.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <cassert>
 #include <cstdlib>
 #include <cstring>
@@ -8,12 +12,6 @@
 #include <utility>
 
 #include "io/binary_format.h"  // kEndianTag / kEndianTagSwapped
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace uclust::io {
 
@@ -42,25 +40,15 @@ uint64_t NextStoreSerial() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-// Validates the header of the file open as `fd` (-1 = portable fallback:
-// size and bytes are read by path).
+// Validates the header of the file open as `fd`; `path` names it in errors.
 common::Result<SidecarInfo> ValidateHeader(const SidecarLayout& layout,
                                            int fd, const std::string& path) {
   auto corrupt = [&](const std::string& msg) {
     return common::Status::IOError(path + ": " + msg);
   };
-  uint64_t file_size = 0;
-#if defined(__unix__) || defined(__APPLE__)
   struct stat st;
   if (::fstat(fd, &st) != 0) return corrupt("cannot determine file size");
-  file_size = static_cast<uint64_t>(st.st_size);
-#else
-  // std::filesystem reports 64-bit sizes everywhere; a long-based ftell
-  // would cap validatable sidecars at 2 GB on LLP64 platforms.
-  std::error_code size_ec;
-  file_size = static_cast<uint64_t>(std::filesystem::file_size(path, size_ec));
-  if (size_ec) return corrupt("cannot determine file size");
-#endif
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
   const std::string kind = layout.kind;
   if (file_size < layout.header_bytes) {
     return corrupt("file too short for a " + kind + "-sidecar header");
@@ -318,9 +306,7 @@ WindowCache::~WindowCache() {
 }
 
 MappedSidecar::~MappedSidecar() {
-#if defined(__unix__) || defined(__APPLE__)
   if (fd_ >= 0) ::close(fd_);
-#endif
 }
 
 common::Status MappedSidecar::Open(const SidecarLayout& layout,
@@ -328,7 +314,6 @@ common::Status MappedSidecar::Open(const SidecarLayout& layout,
   layout_ = &layout;
   pool_ = layout.window_pool;
   path_ = path;
-#if defined(__unix__) || defined(__APPLE__)
   // Descriptor first, then validate through it: a rebuild renamed over
   // `path` between the two steps would otherwise pair this header's
   // chunk_rows with the other inode's bytes (the file size does not depend
@@ -336,7 +321,6 @@ common::Status MappedSidecar::Open(const SidecarLayout& layout,
   // descriptor closes that window by construction.
   fd_ = ::open(path.c_str(), O_RDONLY);
   if (fd_ < 0) return common::Status::NotFound("cannot open " + path);
-#endif
   auto info = ValidateHeader(layout, fd_, path);
   UCLUST_RETURN_NOT_OK(info.status());
   info_ = info.ValueOrDie();

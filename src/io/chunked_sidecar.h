@@ -275,7 +275,7 @@ class MappedSidecar {
   const SidecarLayout* layout_ = nullptr;
   int pool_ = 0;  // layout_->window_pool, one load closer to the hit path
   std::string path_;
-  int fd_ = -1;  // POSIX descriptor for mapping; -1 on portable fallback
+  int fd_ = -1;  // the open file; every window is mapped or read from it
   SidecarInfo info_;
   uint64_t row_bytes_ = 0;
   uint64_t serial_ = 0;  // unique per store; keys the thread-local windows

@@ -1,56 +1,29 @@
 #include "io/mmap_file.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <utility>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define UCLUST_HAVE_MMAP 1
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
 
 namespace uclust::io {
 
 common::Status ReadExact(int fd, const std::string& path,
                          std::uint64_t offset, std::size_t length,
                          unsigned char* dst) {
-#if UCLUST_HAVE_MMAP
-  if (fd >= 0) {
-    std::size_t done = 0;
-    while (done < length) {
-      const ssize_t got = ::pread(fd, dst + done, length - done,
-                                  static_cast<off_t>(offset + done));
-      if (got <= 0) {
-        return common::Status::IOError(path + ": short read at offset " +
-                                       std::to_string(offset + done));
-      }
-      done += static_cast<std::size_t>(got);
+  std::size_t done = 0;
+  while (done < length) {
+    const ssize_t got = ::pread(fd, dst + done, length - done,
+                                static_cast<off_t>(offset + done));
+    if (got <= 0) {
+      return common::Status::IOError(path + ": short read at offset " +
+                                     std::to_string(offset + done));
     }
-    return common::Status::Ok();
-  }
-#else
-  (void)fd;
-#endif
-  // Portable fallback: std::streamoff is at least 64-bit, so sidecars past
-  // 2 GB — the out-of-core regime — seek correctly where a long-based
-  // std::fseek would silently truncate the offset.
-  std::ifstream in(path, std::ios::binary);
-  if (!in.good()) {
-    return common::Status::IOError(path + ": cannot open for region read");
-  }
-  in.seekg(static_cast<std::streamoff>(offset));
-  in.read(reinterpret_cast<char*>(dst),
-          static_cast<std::streamsize>(length));
-  if (!in.good() ||
-      in.gcount() != static_cast<std::streamsize>(length)) {
-    return common::Status::IOError(path + ": short read at offset " +
-                                   std::to_string(offset));
+    done += static_cast<std::size_t>(got);
   }
   return common::Status::Ok();
 }
@@ -71,24 +44,13 @@ MappedRegion& MappedRegion::operator=(MappedRegion&& other) noexcept {
 
 void MappedRegion::Release() {
   if (base_ == nullptr) return;
-#if UCLUST_HAVE_MMAP
   if (mapped_) {
     ::munmap(base_, map_bytes_);
-    base_ = nullptr;
-    mapped_ = false;
-    return;
+  } else {
+    std::free(base_);
   }
-#endif
-  std::free(base_);
   base_ = nullptr;
-}
-
-bool MmapSupported() {
-#if UCLUST_HAVE_MMAP
-  return true;
-#else
-  return false;
-#endif
+  mapped_ = false;
 }
 
 std::uint64_t FileMTimeTicks(const std::string& path) {
@@ -132,17 +94,7 @@ std::uint64_t FileProbeHash(const std::string& path) {
 }
 
 std::uint64_t ProcessUniqueToken() {
-#if defined(__unix__) || defined(__APPLE__)
   return static_cast<std::uint64_t>(::getpid());
-#else
-  // No getpid: ASLR-derived address entropy mixed with the first-call tick.
-  static const std::uint64_t token =
-      (static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(&token)) >>
-       4) ^
-      static_cast<std::uint64_t>(
-          std::chrono::steady_clock::now().time_since_epoch().count());
-  return token;
-#endif
 }
 
 std::string UniqueScratchSiblingPath(const std::string& path) {
@@ -161,28 +113,24 @@ common::Result<MappedRegion> MapFileRegion(int fd, const std::string& path,
   MappedRegion region;
   region.size_ = length;
   if (length == 0) return region;
-#if UCLUST_HAVE_MMAP
-  if (fd >= 0) {
-    const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
-    const std::uint64_t aligned = offset - offset % page;
-    const std::size_t lead = static_cast<std::size_t>(offset - aligned);
-    const std::size_t map_bytes = lead + length;
-    void* base = ::mmap(nullptr, map_bytes, PROT_READ, MAP_PRIVATE, fd,
-                        static_cast<off_t>(aligned));
-    if (base != MAP_FAILED) {
-      // Chunk-granular prefetch: tell the OS the whole window is about to be
-      // read so it can page it in ahead of the first access.
-      ::madvise(base, map_bytes, MADV_WILLNEED);
-      region.base_ = static_cast<unsigned char*>(base);
-      region.map_bytes_ = map_bytes;
-      region.lead_ = lead;
-      region.mapped_ = true;
-      return region;
-    }
-    // Fall through to the heap path: an mmap failure (e.g. ENOMEM under an
-    // address-space cap, or an unmappable file system) degrades gracefully.
+  const std::size_t page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  const std::uint64_t aligned = offset - offset % page;
+  const std::size_t lead = static_cast<std::size_t>(offset - aligned);
+  const std::size_t map_bytes = lead + length;
+  void* base = ::mmap(nullptr, map_bytes, PROT_READ, MAP_PRIVATE, fd,
+                      static_cast<off_t>(aligned));
+  if (base != MAP_FAILED) {
+    // Chunk-granular prefetch: tell the OS the whole window is about to be
+    // read so it can page it in ahead of the first access.
+    ::madvise(base, map_bytes, MADV_WILLNEED);
+    region.base_ = static_cast<unsigned char*>(base);
+    region.map_bytes_ = map_bytes;
+    region.lead_ = lead;
+    region.mapped_ = true;
+    return region;
   }
-#endif
+  // Fall through to the heap path: an mmap failure (e.g. ENOMEM under an
+  // address-space cap, or an unmappable file system) degrades gracefully.
   unsigned char* buf = static_cast<unsigned char*>(std::malloc(length));
   if (buf == nullptr) {
     return common::Status::IOError(path + ": cannot allocate " +

@@ -1,15 +1,14 @@
 // Minimal read-only memory-mapping wrapper with a graceful heap fallback.
 //
-// MapFileRegion maps one byte window [offset, offset + length) of a file.
-// On POSIX systems it uses mmap (page-aligning the request internally and
-// issuing an madvise(WILLNEED) prefetch for the window); where mmap is
-// unavailable — non-POSIX builds, or an mmap call that fails at runtime —
-// it degrades to a heap buffer filled by positional reads, preserving the
-// exact same bytes at the cost of losing OS-managed eviction. Callers can
-// tell which mode they got via MappedRegion::mapped().
+// MapFileRegion maps one byte window [offset, offset + length) of a file
+// with mmap (page-aligning the request internally and issuing an
+// madvise(WILLNEED) prefetch for the window). When the mmap call fails at
+// runtime it degrades to a heap buffer filled by positional reads,
+// preserving the exact same bytes at the cost of losing OS-managed
+// eviction. Callers can tell which mode they got via MappedRegion::mapped().
 //
 // Thread-safety: MapFileRegion is safe to call concurrently on the same
-// open file descriptor (pread; the portable fallback opens its own stream).
+// open file descriptor (mmap and pread take explicit offsets).
 #ifndef UCLUST_IO_MMAP_FILE_H_
 #define UCLUST_IO_MMAP_FILE_H_
 
@@ -55,23 +54,18 @@ class MappedRegion {
   bool mapped_ = false;
 };
 
-/// Maps [offset, offset + length) of the file. `fd` is used on POSIX
-/// systems (pass the descriptor of an open file; it may be shared across
-/// threads); `path` is used only by the portable fallback, which opens its
-/// own stream per call.
+/// Maps [offset, offset + length) of the file open as `fd` (the descriptor
+/// may be shared across threads); `path` only names the file in errors.
 common::Result<MappedRegion> MapFileRegion(int fd, const std::string& path,
                                            std::uint64_t offset,
                                            std::size_t length);
 
-/// Fills `dst` with the `length` bytes at `offset`, preferring pread on `fd`
-/// (thread-safe on a shared descriptor) and falling back to a private stream
-/// on `path` when `fd` < 0 or the build has no POSIX I/O.
+/// Fills `dst` with the `length` bytes at `offset` of the file open as `fd`,
+/// by pread (thread-safe on a shared descriptor); `path` only names the
+/// file in errors.
 common::Status ReadExact(int fd, const std::string& path,
                          std::uint64_t offset, std::size_t length,
                          unsigned char* dst);
-
-/// True when this build can attempt real mmap mappings.
-bool MmapSupported();
 
 /// Last-write time of `path` in filesystem-clock ticks (an opaque,
 /// machine-stable unit; 0 when the file or timestamp is unavailable). Part
@@ -85,9 +79,8 @@ std::uint64_t FileMTimeTicks(const std::string& path);
 /// mtime tick still differ here unless their probed bytes match.
 std::uint64_t FileProbeHash(const std::string& path);
 
-/// Process-unique token for scratch-file names: getpid where available,
-/// ASLR-derived entropy elsewhere, so two processes sharing a directory
-/// still produce distinct generated names.
+/// Process-unique token for scratch-file names (the pid), so two processes
+/// sharing a directory still produce distinct generated names.
 std::uint64_t ProcessUniqueToken();
 
 /// A sibling scratch path `<path>.tmp-<token>-<counter>`, unique per

@@ -114,20 +114,6 @@ TEST(Ckmeans, MatchesDirectPathAcrossThreadCounts) {
   }
 }
 
-TEST(Ckmeans, PlusPlusSeedingMatchesDirectPath) {
-  const auto ds = TestDataset(400, 3, 4, 27);
-  const auto mm = ds.moments().view();
-  CkMeans::Params dp;
-  dp.init = InitStrategy::kPlusPlus;
-  const auto direct = oracle::DirectUkmeans(mm, 4, 11, dp, EngineWith(1));
-  CkMeans::Params p;
-  p.init = InitStrategy::kPlusPlus;
-  const auto out = CkMeans::RunOnMoments(mm, 4, 11, p, EngineWith(2));
-  EXPECT_EQ(out.labels, direct.labels);
-  EXPECT_EQ(out.objective, direct.objective);
-  EXPECT_EQ(out.iterations, direct.iterations);
-}
-
 // ---------------------------------------------------------------------------
 // The update re-sums only the clusters a sweep changed.
 
@@ -493,13 +479,6 @@ TEST(Ckmeans, RegistryEntryMatchesUkmeans) {
 // ---------------------------------------------------------------------------
 // File-backed driver: the resident and the mapped .umom branches.
 
-constexpr InitStrategy kInits[] = {InitStrategy::kRandom,
-                                   InitStrategy::kPlusPlus};
-
-const char* InitName(InitStrategy init) {
-  return init == InitStrategy::kPlusPlus ? "++" : "random";
-}
-
 // Writes a synthetic .ubin and runs both references over its fully
 // ingested moments: the direct UK-means sweeps (labels, objective,
 // iterations) and CK-means RunOnMoments (the pruning counters).
@@ -509,8 +488,8 @@ struct FileFixture {
   std::size_t m = 6;
   int k = 4;
   uint64_t seed = 23;
-  CkMeans::Outcome direct[2];  // indexed by InitStrategy
-  CkMeans::Outcome fast[2];
+  CkMeans::Outcome direct;
+  CkMeans::Outcome fast;
 
   std::size_t resident_bytes() const {
     return (3 * m + 1) * n * sizeof(double);
@@ -521,19 +500,12 @@ void RunReferences(FileFixture* f) {
   auto store = io::StreamMomentStoreFromFile(f->path);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   const auto mm = store.ValueOrDie()->view();
-  for (const InitStrategy init : kInits) {
-    // Same block size as EngineWith: the objective's blocked summation
-    // order is part of the determinism contract (fixed partition, any
-    // threads).
-    CkMeans::Params dp;
-    dp.init = init;
-    f->direct[static_cast<int>(init)] =
-        oracle::DirectUkmeans(mm, f->k, f->seed, dp, EngineWith(1));
-    CkMeans::Params cp;
-    cp.init = init;
-    f->fast[static_cast<int>(init)] =
-        CkMeans::RunOnMoments(mm, f->k, f->seed, cp, EngineWith(1));
-  }
+  // Same block size as EngineWith: the objective's blocked summation order
+  // is part of the determinism contract (fixed partition, any threads).
+  f->direct = oracle::DirectUkmeans(mm, f->k, f->seed, CkMeans::Params(),
+                                    EngineWith(1));
+  f->fast = CkMeans::RunOnMoments(mm, f->k, f->seed, CkMeans::Params(),
+                                  EngineWith(1));
 }
 
 FileFixture MakeFileFixture(std::size_t n) {
@@ -551,15 +523,12 @@ FileFixture MakeFileFixture(std::size_t n) {
 }
 
 void ExpectMatchesReferences(const ClusteringResult& out,
-                             const FileFixture& f, InitStrategy init,
-                             const std::string& trace) {
-  const CkMeans::Outcome& direct = f.direct[static_cast<int>(init)];
-  const CkMeans::Outcome& fast = f.fast[static_cast<int>(init)];
-  EXPECT_EQ(out.labels, direct.labels) << trace;
-  EXPECT_EQ(out.objective, direct.objective) << trace;
-  EXPECT_EQ(out.iterations, direct.iterations) << trace;
-  EXPECT_EQ(out.center_distance_evals, fast.center_distance_evals) << trace;
-  EXPECT_EQ(out.bounds_skipped, fast.bounds_skipped) << trace;
+                             const FileFixture& f, const std::string& trace) {
+  EXPECT_EQ(out.labels, f.direct.labels) << trace;
+  EXPECT_EQ(out.objective, f.direct.objective) << trace;
+  EXPECT_EQ(out.iterations, f.direct.iterations) << trace;
+  EXPECT_EQ(out.center_distance_evals, f.fast.center_distance_evals) << trace;
+  EXPECT_EQ(out.bounds_skipped, f.fast.bounds_skipped) << trace;
 }
 
 void RemoveFixture(const FileFixture& f, const std::string& sidecar) {
@@ -589,17 +558,12 @@ TEST(CkmeansClusterFile, EveryBudgetMatchesIngestedRun) {
           << "budget=" << budget;
     }
     for (int threads : kThreadCounts) {
-      for (const InitStrategy init : kInits) {
-        const std::string trace = "budget=" + std::to_string(budget) +
-                                  " threads=" + std::to_string(threads) +
-                                  " init=" + InitName(init);
-        CkMeans::Params p;
-        p.init = init;
-        auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, p,
-                                      EngineWith(threads, budget), sidecar);
-        ASSERT_TRUE(r.ok()) << trace << ": " << r.status().ToString();
-        ExpectMatchesReferences(r.ValueOrDie(), f, init, trace);
-      }
+      const std::string trace = "budget=" + std::to_string(budget) +
+                                " threads=" + std::to_string(threads);
+      auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, CkMeans::Params(),
+                                    EngineWith(threads, budget), sidecar);
+      ASSERT_TRUE(r.ok()) << trace << ": " << r.status().ToString();
+      ExpectMatchesReferences(r.ValueOrDie(), f, trace);
     }
     // Only the mapped branch writes a sidecar.
     EXPECT_EQ(std::filesystem::exists(sidecar), !resident)
@@ -619,21 +583,16 @@ TEST(CkmeansClusterFile, MappedSweepMatchesIngestedRun) {
     // 64-row chunks, so every run reuses the smaller-or-equal ones.
     ASSERT_TRUE(io::BuildMomentSidecar(f.path, sidecar, chunk_rows).ok());
     for (int threads : kThreadCounts) {
-      for (const InitStrategy init : kInits) {
-        const std::string trace = "chunk_rows=" + std::to_string(chunk_rows) +
-                                  " threads=" + std::to_string(threads) +
-                                  " init=" + InitName(init);
-        engine::EngineConfig config;
-        config.num_threads = threads;
-        config.block_size = 128;
-        config.memory_budget_bytes = 2048;  // far below the moment columns
-        CkMeans::Params p;
-        p.init = init;
-        auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, p,
-                                      engine::Engine(config), sidecar);
-        ASSERT_TRUE(r.ok()) << trace << ": " << r.status().ToString();
-        ExpectMatchesReferences(r.ValueOrDie(), f, init, trace);
-      }
+      const std::string trace = "chunk_rows=" + std::to_string(chunk_rows) +
+                                " threads=" + std::to_string(threads);
+      engine::EngineConfig config;
+      config.num_threads = threads;
+      config.block_size = 128;
+      config.memory_budget_bytes = 2048;  // far below the moment columns
+      auto r = CkMeans::ClusterFile(f.path, f.k, f.seed, CkMeans::Params(),
+                                    engine::Engine(config), sidecar);
+      ASSERT_TRUE(r.ok()) << trace << ": " << r.status().ToString();
+      ExpectMatchesReferences(r.ValueOrDie(), f, trace);
     }
     auto store = io::MappedMomentStore::Open(sidecar);
     ASSERT_TRUE(store.ok());
@@ -652,15 +611,13 @@ TEST(CkmeansClusterFile, MappedBranchWritesAndReusesTheDefaultSidecar) {
   auto first = CkMeans::ClusterFile(f.path, f.k, f.seed, p,
                                     EngineWith(2, 2048));
   ASSERT_TRUE(first.ok()) << first.status().ToString();
-  ExpectMatchesReferences(first.ValueOrDie(), f, InitStrategy::kRandom,
-                          "cold");
+  ExpectMatchesReferences(first.ValueOrDie(), f, "cold");
   ASSERT_TRUE(std::filesystem::exists(sidecar));
   const auto built = std::filesystem::last_write_time(sidecar);
   auto second = CkMeans::ClusterFile(f.path, f.k, f.seed, p,
                                      EngineWith(2, 2048));
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  ExpectMatchesReferences(second.ValueOrDie(), f, InitStrategy::kRandom,
-                          "reused");
+  ExpectMatchesReferences(second.ValueOrDie(), f, "reused");
   EXPECT_EQ(std::filesystem::last_write_time(sidecar), built);
   RemoveFixture(f, sidecar);
 }
@@ -691,18 +648,16 @@ TEST(CkmeansClusterFile, RewrittenFileFinishesOnTheOpenedSnapshot) {
                                      EngineWith(2, 2048), sidecar);
   ASSERT_TRUE(rewritten);
   ASSERT_TRUE(during.ok()) << during.status().ToString();
-  ExpectMatchesReferences(during.ValueOrDie(), f, InitStrategy::kRandom,
-                          "during rewrite");
+  ExpectMatchesReferences(during.ValueOrDie(), f, "during rewrite");
 
   FileFixture after = f;
   RunReferences(&after);
-  ASSERT_NE(after.direct[0].labels, f.direct[0].labels)
+  ASSERT_NE(after.direct.labels, f.direct.labels)
       << "the rewrite must change the clustering for this test to bite";
   auto next = CkMeans::ClusterFile(f.path, f.k, f.seed, CkMeans::Params(),
                                    EngineWith(2, 2048), sidecar);
   ASSERT_TRUE(next.ok()) << next.status().ToString();
-  ExpectMatchesReferences(next.ValueOrDie(), after, InitStrategy::kRandom,
-                          "after rewrite");
+  ExpectMatchesReferences(next.ValueOrDie(), after, "after rewrite");
   RemoveFixture(f, sidecar);
 }
 
@@ -726,8 +681,6 @@ TEST(CkmeansProperty, AccountingIdentityOnRandomInstances) {
     const uint64_t seed = draw.Index(1000000);
     CkMeans::Params p;
     p.max_iters = 1 + static_cast<int>(draw.Index(12));
-    p.init = draw.Index(2) == 0 ? InitStrategy::kRandom
-                                : InitStrategy::kPlusPlus;
     const std::string trace =
         "trial=" + std::to_string(trial) + " n=" + std::to_string(gp.n) +
         " m=" + std::to_string(gp.m) + " k=" + std::to_string(k) +

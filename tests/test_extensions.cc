@@ -1,17 +1,15 @@
-// Tests for the library extensions beyond the paper: the algorithm
-// registry, D^2-weighted initialization and the label utilities.
+// Tests for the algorithm registry, the paper's seeding (init.h) and the
+// label utilities.
 #include <gtest/gtest.h>
 
 #include <climits>
 #include <set>
 
-#include "clustering/ckmeans.h"
+#include "clustering/clusterer.h"
 #include "clustering/init.h"
 #include "clustering/registry.h"
-#include "clustering/ucpc.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
-#include "eval/external.h"
 
 namespace uclust {
 namespace {
@@ -60,68 +58,52 @@ TEST(Registry, MakeAllProducesWorkingInstances) {
   }
 }
 
-TEST(PlusPlusInit, SeedsAreDistinctAndSpread) {
-  const auto ds = PlantedDataset(150, 3, 3);
-  common::Rng rng(4);
-  const auto seeds = clustering::PlusPlusObjects(ds.moments(), 3, &rng);
-  ASSERT_EQ(seeds.size(), 3u);
-  const std::set<std::size_t> unique(seeds.begin(), seeds.end());
-  EXPECT_EQ(unique.size(), 3u);
-  // With three well-separated classes, D^2 seeding nearly always picks one
-  // seed per class.
-  std::set<int> classes;
-  for (std::size_t s : seeds) classes.insert(ds.labels()[s]);
-  EXPECT_EQ(classes.size(), 3u);
-}
-
-TEST(PlusPlusInit, PartitionFromSeedsCoversEveryCluster) {
-  const auto ds = PlantedDataset(90, 3, 5);
-  common::Rng rng(6);
-  const auto seeds = clustering::PlusPlusObjects(ds.moments(), 3, &rng);
-  const auto labels = clustering::PartitionFromSeeds(ds.moments(), seeds);
-  const auto sizes = clustering::ClusterSizes(labels, 3);
-  for (auto s : sizes) EXPECT_GT(s, 0u);
-  for (std::size_t c = 0; c < seeds.size(); ++c) {
-    EXPECT_EQ(labels[seeds[c]], static_cast<int>(c));
+// The paper's starting states (init.h): every UCPC and MMVar run starts
+// from RandomPartition, every UK-means and CK-means run from
+// RandomDistinctObjects.
+TEST(Seeding, RandomPartitionCoversEveryClusterInRange) {
+  constexpr int k = 5;
+  for (const std::size_t n : {std::size_t{k}, std::size_t{k + 1},
+                              std::size_t{2000}}) {
+    common::Rng rng(n);
+    const std::vector<int> labels = clustering::RandomPartition(n, k, &rng);
+    ASSERT_EQ(labels.size(), n);
+    for (int l : labels) {
+      EXPECT_GE(l, 0);
+      EXPECT_LT(l, k);
+    }
+    for (auto size : clustering::ClusterSizes(labels, k)) {
+      EXPECT_GT(size, 0u) << "n=" << n;
+    }
   }
 }
 
-TEST(PlusPlusInit, DegenerateIdenticalPointsStillWorks) {
-  // All means identical: the D^2 mass is zero after the first seed; the
-  // fallback must still return k distinct-ish seeds without hanging.
-  std::vector<uncertain::UncertainObject> objs;
-  for (int i = 0; i < 10; ++i) {
-    objs.push_back(uncertain::UncertainObject::Deterministic(
-        std::vector<double>{1.0, 1.0}));
+TEST(Seeding, RandomDistinctObjectsAreDistinctAndInRange) {
+  constexpr int k = 7;
+  for (const std::size_t n : {std::size_t{k}, std::size_t{k + 1},
+                              std::size_t{2000}}) {
+    common::Rng rng(n);
+    const std::vector<std::size_t> picks =
+        clustering::RandomDistinctObjects(n, k, &rng);
+    ASSERT_EQ(picks.size(), static_cast<std::size_t>(k));
+    const std::set<std::size_t> unique(picks.begin(), picks.end());
+    EXPECT_EQ(unique.size(), picks.size()) << "n=" << n;
+    EXPECT_LT(*unique.rbegin(), n);
+    // At n == k the draw is a permutation of every object.
+    if (n == static_cast<std::size_t>(k)) {
+      EXPECT_EQ(*unique.begin(), 0u);
+    }
   }
-  const data::UncertainDataset ds("flat", std::move(objs), {}, 0);
-  common::Rng rng(7);
-  const auto seeds = clustering::PlusPlusObjects(ds.moments(), 3, &rng);
-  EXPECT_EQ(seeds.size(), 3u);
 }
 
-TEST(PlusPlusInit, ImprovesOrMatchesUkmeansObjective) {
-  const auto ds = PlantedDataset(300, 5, 9);
-  double forgy = 0.0, pp = 0.0;
-  for (uint64_t s = 0; s < 10; ++s) {
-    clustering::CkMeans::Params fp;
-    fp.init = clustering::InitStrategy::kRandom;
-    clustering::CkMeans::Params pf;
-    pf.init = clustering::InitStrategy::kPlusPlus;
-    forgy += clustering::CkMeans(fp).Cluster(ds, 5, s).objective;
-    pp += clustering::CkMeans(pf).Cluster(ds, 5, s).objective;
+TEST(Seeding, SameSeedGivesSameStart) {
+  for (const uint64_t seed : {1u, 2u, 99u}) {
+    common::Rng a(seed), b(seed);
+    EXPECT_EQ(clustering::RandomPartition(500, 6, &a),
+              clustering::RandomPartition(500, 6, &b));
+    EXPECT_EQ(clustering::RandomDistinctObjects(500, 6, &a),
+              clustering::RandomDistinctObjects(500, 6, &b));
   }
-  EXPECT_LE(pp, forgy * 1.02);  // on average at least as good
-}
-
-TEST(PlusPlusInit, WorksThroughUcpcParams) {
-  const auto ds = PlantedDataset(120, 3, 11);
-  clustering::Ucpc::Params params;
-  params.init = clustering::InitStrategy::kPlusPlus;
-  const clustering::Ucpc algo(params);
-  const auto r = algo.Cluster(ds, 3, 12);
-  EXPECT_EQ(r.clusters_found, 3);
-  EXPECT_GT(eval::AdjustedRand(ds.labels(), r.labels), 0.9);
 }
 
 TEST(LabelUtils, CountClustersCountsDistinctNonNegativeLabels) {

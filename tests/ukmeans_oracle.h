@@ -115,10 +115,8 @@ inline CkMeans::Outcome DirectUkmeans(
   assert(k >= 1 && n >= static_cast<std::size_t>(k));
   common::Rng rng(seed);
 
-  std::vector<double> centroids = CentroidsFromObjects(
-      mm, params.init == InitStrategy::kPlusPlus
-              ? PlusPlusObjects(mm, k, &rng)
-              : RandomDistinctObjects(n, k, &rng));
+  std::vector<double> centroids =
+      CentroidsFromObjects(mm, RandomDistinctObjects(n, k, &rng));
 
   CkMeans::Outcome out;
   out.labels.assign(n, -1);
