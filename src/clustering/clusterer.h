@@ -41,21 +41,22 @@ struct ClusteringResult {
   /// PairwiseStore backend the run used ("dense", "tiled");
   /// empty for algorithms without a pairwise phase.
   std::string pairwise_backend;
-  /// Peak bytes of storage the PairwiseStore materialized at any one time
-  /// (dense table, warm rows, and streaming scratch). 0
-  /// without a pairwise phase. Not included: algorithm-side working state
-  /// outside the store — in particular UAHC's Lance-Williams overlay, which
-  /// holds one distance row per alive merge-product cluster (see uahc.h).
+  /// Peak bytes of table storage materialized at any one time: the
+  /// PairwiseStore's dense table and streaming scratch, and the base rows
+  /// UAHC's NN-chain holds. 0 without a pairwise phase. Not included: other
+  /// algorithm-side working state — in particular UAHC's Lance-Williams
+  /// overlay, which holds one distance row per alive merge-product cluster
+  /// (see uahc.h).
   std::size_t table_bytes_peak = 0;
   /// Total pairwise kernel evaluations the run performed (closed-form and
   /// sampled alike — unlike ed_evaluations, which counts only sample
   /// integrations). The recompute cost the budgeted sweeps minimize. 0
   /// without a pairwise phase.
   int64_t pair_evaluations = 0;
-  /// Gathered rows the PairwiseStore served without kernel work (warm
-  /// cache or dense table).
+  /// Rows served without kernel work: dense-table copies, and UAHC's
+  /// reuses of the rows its NN-chain holds.
   int64_t tile_warm_hits = 0;
-  /// Gathered rows the PairwiseStore had to compute.
+  /// Rows the PairwiseStore had to compute.
   int64_t tile_warm_misses = 0;
   /// Sweep pairs skipped by cheap spatial bounds instead of evaluated
   /// (the pruned-sweep policy; see clustering::PairwiseBoundIndex).

@@ -191,11 +191,7 @@ ClusteringResult Fdbscan::Run(const data::UncertainDataset& data,
       return bounds.ProvablyBeyond(i, j, eps);
     });
   }
-  result.ed_evaluations += store.ed_evaluations();
-  result.pairwise_backend = PairwiseBackendName(store.backend());
-  result.table_bytes_peak = store.table_bytes_peak();
-  result.pair_evaluations = store.evaluations();
-  result.pairs_pruned = store.pruned_pairs();
+  store.ReportTo(&result);
   std::vector<std::vector<std::pair<std::size_t, double>>> adj(n);
   for (std::size_t i = 0; i < n; ++i) {
     for (const auto& [j, p] : upper[i]) {

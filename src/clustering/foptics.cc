@@ -68,10 +68,10 @@ ClusteringResult Foptics::Cluster(const data::UncertainDataset& data, int k,
   //
   // PerWorker otherwise forbids reduction state. It is safe here because
   // selecting the rank-th smallest of a multiset does no arithmetic and does
-  // not depend on the order values arrive in, and Eval canonicalises each
-  // pair to (lo, hi), so (i, j) and (j, i) are the same double. Core
-  // distances are therefore bit-identical on every backend and at every
-  // thread count.
+  // not depend on the order values arrive in, and EvalRow scores each pair
+  // in its canonical (lo, hi) order, so (i, j) and (j, i) are the same
+  // double. Core distances are therefore bit-identical on every backend and
+  // at every thread count.
   std::vector<double> core_dist(n, kUndefined);
   const std::size_t rank =
       n == 0 ? 0
@@ -240,12 +240,7 @@ ClusteringResult Foptics::Cluster(const data::UncertainDataset& data, int k,
   result.offline_ms = offline_ms;
   // The walk evaluates the kernel outside the store; its evaluations
   // (sample-integrated, like every SampleED call) fold into the store's.
-  result.ed_evaluations += store.ed_evaluations() + walk_evals;
-  result.pairwise_backend = PairwiseBackendName(store.backend());
-  result.table_bytes_peak = store.table_bytes_peak();
-  result.pair_evaluations = store.evaluations() + walk_evals;
-  result.tile_warm_hits = store.warm_hits();
-  result.tile_warm_misses = store.warm_misses();
+  store.ReportTo(&result, walk_evals);
   return result;
 }
 

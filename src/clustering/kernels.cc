@@ -6,6 +6,7 @@
 #include <limits>
 
 #include "common/math_utils.h"
+#include "uncertain/expected_distance.h"
 
 namespace uclust::clustering::kernels {
 
@@ -41,46 +42,66 @@ void EvalColumns(const PairwiseKernel& kernel, std::size_t i,
 
 void PairwiseKernel::EvalRow(std::size_t i, const std::size_t* cols,
                              std::size_t count, double* out) const {
-  const std::size_t grouped =
-      kind == Kind::kClosedFormED2 ? 0 : count - count % 4;
-  if (grouped > 0) {
-    uncertain::SampleView::RowCursor cursor(samples, i);
-    const simd::KernelTable& table = simd::Active();
-    const int s_count = samples.samples_per_object();
-    const std::size_t s = static_cast<std::size_t>(s_count);
-    const std::size_t m = samples.dims();
-    const double eps2 = eps * eps;
-    for (std::size_t t = 0; t < grouped; t += 4) {
-      const double* partner[4];
+  if (kind == Kind::kClosedFormED2) {
+    for (std::size_t t = 0; t < count; ++t) {
+      const std::size_t j = cols[t];
+      out[t] = uncertain::ExpectedSquaredDistance(objects[std::min(i, j)],
+                                                  objects[std::max(i, j)]);
+    }
+    return;
+  }
+  if (count == 0) return;
+  uncertain::SampleView::RowCursor cursor(samples, i);
+  const simd::KernelTable& table = simd::Active();
+  const int s_count = samples.samples_per_object();
+  const std::size_t s = static_cast<std::size_t>(s_count);
+  const std::size_t m = samples.dims();
+  const double eps2 = eps * eps;
+  const std::size_t grouped = count - count % 4;
+  for (std::size_t t = 0; t < grouped; t += 4) {
+    const double* partner[4];
+    for (std::size_t u = 0; u < 4; ++u) {
+      partner[u] = cursor.Partner(cols[t + u]);
+    }
+    // row() only after the group's partners (a chunk switch re-resolves
+    // it); each pair keeps its canonical (lo, hi) operand order.
+    const double* a[4];
+    const double* b[4];
+    for (std::size_t u = 0; u < 4; ++u) {
+      const bool row_lo = i <= cols[t + u];
+      a[u] = row_lo ? cursor.row() : partner[u];
+      b[u] = row_lo ? partner[u] : cursor.row();
+    }
+    if (kind == Kind::kDistanceProbability) {
+      std::size_t hits[4];
+      table.realizations_within4(a, b, s, m, eps2, hits);
       for (std::size_t u = 0; u < 4; ++u) {
-        partner[u] = cursor.Partner(cols[t + u]);
+        out[t + u] = static_cast<double>(hits[u]) / s_count;
       }
-      // row() only after the group's partners (a chunk switch re-resolves
-      // it); each pair keeps Eval's (lo, hi) operand order.
-      const double* a[4];
-      const double* b[4];
+    } else {
+      double acc[4];
+      table.realization_squared_sums4(a, b, s, m, acc);
       for (std::size_t u = 0; u < 4; ++u) {
-        const bool row_lo = i <= cols[t + u];
-        a[u] = row_lo ? cursor.row() : partner[u];
-        b[u] = row_lo ? partner[u] : cursor.row();
-      }
-      if (kind == Kind::kDistanceProbability) {
-        std::size_t hits[4];
-        table.realizations_within4(a, b, s, m, eps2, hits);
-        for (std::size_t u = 0; u < 4; ++u) {
-          out[t + u] = static_cast<double>(hits[u]) / s_count;
-        }
-      } else {
-        double acc[4];
-        table.realization_squared_sums4(a, b, s, m, acc);
-        for (std::size_t u = 0; u < 4; ++u) {
-          const double ed = acc[u] / s_count;
-          out[t + u] = kind == Kind::kSampleED ? std::sqrt(ed) : ed;
-        }
+        const double ed = acc[u] / s_count;
+        out[t + u] = kind == Kind::kSampleED ? std::sqrt(ed) : ed;
       }
     }
   }
-  for (std::size_t t = grouped; t < count; ++t) out[t] = Eval(i, cols[t]);
+  // The last count % 4 partners, one pair per single-pair simd entry, from
+  // the same cursor.
+  for (std::size_t t = grouped; t < count; ++t) {
+    const double* partner = cursor.Partner(cols[t]);
+    const bool row_lo = i <= cols[t];
+    const double* a = row_lo ? cursor.row() : partner;
+    const double* b = row_lo ? partner : cursor.row();
+    if (kind == Kind::kDistanceProbability) {
+      const std::size_t hits = table.realizations_within(a, b, s, m, eps2);
+      out[t] = static_cast<double>(hits) / s_count;
+    } else {
+      const double ed = table.realization_squared_sum(a, b, s, m, m) / s_count;
+      out[t] = kind == Kind::kSampleED ? std::sqrt(ed) : ed;
+    }
+  }
 }
 
 void SumMeansByLabel(const engine::Engine& eng,
@@ -281,8 +302,7 @@ int64_t FillUpperRowTileFromCandidates(const engine::Engine& eng,
 }
 
 int64_t FillGatherTile(const engine::Engine& eng, const PairwiseKernel& kernel,
-                       std::span<const std::size_t> rows, double* out,
-                       std::span<const std::size_t> out_slots) {
+                       std::span<const std::size_t> rows, double* out) {
   const std::size_t n = kernel.size();
   const std::size_t count = rows.size();
   // Requested rows cost uniformly n - 1 evaluations, so the plain linear
@@ -296,8 +316,7 @@ int64_t FillGatherTile(const engine::Engine& eng, const PairwiseKernel& kernel,
         int64_t evals = 0;
         for (std::size_t t = r.begin; t < r.end; ++t) {
           const std::size_t i = rows[t];
-          double* row =
-              out + (out_slots.empty() ? t : out_slots[t]) * n;
+          double* row = out + t * n;
           row[i] = 0.0;
           EvalColumns(kernel, i, 0, n,
                       [row](std::size_t j, double v) { row[j] = v; });

@@ -21,8 +21,6 @@
 #ifndef UCLUST_CLUSTERING_KERNELS_H_
 #define UCLUST_CLUSTERING_KERNELS_H_
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -31,7 +29,6 @@
 
 #include "clustering/simd/simd.h"
 #include "engine/parallel_for.h"
-#include "uncertain/expected_distance.h"
 #include "uncertain/moments.h"
 #include "uncertain/sample_store.h"
 #include "uncertain/uncertain_object.h"
@@ -76,10 +73,9 @@ double AssignmentObjective(const engine::Engine& eng,
 /// kernel. The sampled kinds read through uncertain::SampleView, so both
 /// the Resident and the Mapped (out-of-core .usmp) SampleStore backends
 /// serve them — with bit-identical values, since the bytes behind the view
-/// are identical by the sample-store contract. A sampled Eval holds two
-/// object rows at once, and an EvalRow call the row plus one four-partner
-/// group (fewer than 8 chunks), within the chunked view's span-validity
-/// window.
+/// are identical by the sample-store contract. A sampled EvalRow call holds
+/// the row plus one four-partner group (fewer than 8 chunks), within the
+/// chunked view's span-validity window.
 struct PairwiseKernel {
   enum class Kind {
     kClosedFormED2,        ///< ED^ from moments (Lemma 3); no integration.
@@ -130,40 +126,16 @@ struct PairwiseKernel {
   /// counts no integrations).
   bool counts_ed_evaluations() const { return kind != Kind::kClosedFormED2; }
 
-  /// Evaluates the pair. Arguments are canonicalized to (lo, hi), so
-  /// Eval(i, j) and Eval(j, i) are the same floating-point value.
-  double Eval(std::size_t i, std::size_t j) const {
-    const std::size_t lo = std::min(i, j);
-    const std::size_t hi = std::max(i, j);
-    switch (kind) {
-      case Kind::kClosedFormED2:
-        return uncertain::ExpectedSquaredDistance(objects[lo], objects[hi]);
-      case Kind::kSampleED2:
-      case Kind::kSampleED: {
-        // Fetch each object's row once (two chunk lookups per pair, not two
-        // per sample); the matched-realization loop is one simd call.
-        const int s_count = samples.samples_per_object();
-        const double acc = simd::RealizationSquaredSum(
-            samples.ObjectSamples(lo).data(), samples.ObjectSamples(hi).data(),
-            static_cast<std::size_t>(s_count), samples.dims(),
-            samples.dims());
-        const double ed = acc / s_count;
-        return kind == Kind::kSampleED ? std::sqrt(ed) : ed;
-      }
-      case Kind::kDistanceProbability:
-        return samples.DistanceProbability(lo, hi, eps);
-    }
-    return 0.0;  // unreachable
-  }
-
-  /// Evaluates row i against count partner columns: out[t] == Eval(i,
-  /// cols[t]) bit for bit (a NaN stays a NaN; as everywhere in the simd
-  /// layer, its payload is outside the contract), in any column order,
-  /// partners below and above i alike. The sampled kinds resolve row i
-  /// once, walk the partners with a SampleView::RowCursor (one chunk lookup
-  /// per chunk run) and score them four at a time through the four-pair
-  /// simd kernels, each pair in its canonical (lo, hi) operand order; the
-  /// closed form and the last count % 4 partners go through Eval.
+  /// Evaluates row i against count partner columns: out[t] is the value
+  /// of the pair (i, cols[t]), computed in its canonical (lo, hi) operand
+  /// order, so (i, j) and (j, i) are the same floating-point value (a NaN
+  /// stays a NaN; as everywhere in the simd layer, its payload is outside
+  /// the contract). Any column order is allowed, partners below and above
+  /// i alike; a one-pair call is the single-pair evaluation. The sampled
+  /// kinds resolve row i once, walk the partners with a
+  /// SampleView::RowCursor (one chunk lookup per chunk run) and score them
+  /// four at a time through the four-pair simd kernels, and the last
+  /// count % 4 through the single-pair entries from the same cursor.
   void EvalRow(std::size_t i, const std::size_t* cols, std::size_t count,
                double* out) const;
 
@@ -264,26 +236,25 @@ int64_t FillUpperRowTileFromCandidates(const engine::Engine& eng,
 
 /// Fills an asymmetric "gather tile": full length-n rows for exactly the
 /// requested row indices, in one parallel pass. Row r of the request lands
-/// at out + r * n (or at out + out_slots[r] * n when `out_slots` is given,
-/// letting callers scatter computed rows between rows served from cache).
-/// Costs n - 1 evaluations per requested row (diagonal entries are 0).
+/// at out + r * n. Costs n - 1 evaluations per requested row (diagonal
+/// entries are 0).
 int64_t FillGatherTile(const engine::Engine& eng, const PairwiseKernel& kernel,
-                       std::span<const std::size_t> rows, double* out,
-                       std::span<const std::size_t> out_slots = {});
+                       std::span<const std::size_t> rows, double* out);
 
 /// Fills the symmetric |ids| x |ids| block (row-major over `ids`): for slots
-/// a < b writes Eval(ids[a], ids[b]) into (a, b) AND (b, a) of `out`, and
-/// zeroes the diagonal. Costs |ids| * (|ids| - 1) / 2 evaluations — the
-/// member x member slab of the UK-medoids swap sweep. Parallel over rows;
-/// each cell is written exactly once.
+/// a < b writes the value of (ids[a], ids[b]) into (a, b) AND (b, a) of
+/// `out`, and zeroes the diagonal. Costs |ids| * (|ids| - 1) / 2
+/// evaluations — the member x member slab of the UK-medoids swap sweep.
+/// Parallel over rows; each cell is written exactly once.
 int64_t FillSymmetricBlock(const engine::Engine& eng,
                            const PairwiseKernel& kernel,
                            std::span<const std::size_t> ids, double* out);
 
 /// Fills rows [r0, r1) of the symmetric |ids| x |ids| block: row a lands at
-/// out + (a - r0) * ids.size(), holding Eval(ids[a], ids[b]) for every b (0
-/// when a == b). Costs |ids| - 1 evaluations per row. Parallel over the
-/// rows — the striped producer for blocks too large to materialize whole.
+/// out + (a - r0) * ids.size(), holding the value of (ids[a], ids[b]) for
+/// every b (0 when a == b). Costs |ids| - 1 evaluations per row. Parallel
+/// over the rows — the striped producer for blocks too large to
+/// materialize whole.
 int64_t FillBlockRows(const engine::Engine& eng, const PairwiseKernel& kernel,
                       std::span<const std::size_t> ids, std::size_t r0,
                       std::size_t r1, double* out);

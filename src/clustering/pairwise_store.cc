@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <numeric>
 
 namespace uclust::clustering {
 
@@ -56,18 +55,11 @@ PairwiseStoreOptions PairwiseStoreOptions::FromBudget(std::size_t budget_bytes,
         StreamScratchTarget(budget_bytes) / row_bytes, 1, rows);
     return o;
   }
-  // Warm rows get a quarter of the budget when at least one row fits without
-  // pushing the rest below two rows (a capacity under one row turns the
-  // cache off); tile_rows is a quarter of what remains, in rows — one-row
-  // blocks and no warm cache under the tightest budgets.
+  // A quarter of the budget per streaming block, in rows: one-row blocks
+  // under the tightest budgets.
   o.backend = PairwiseBackend::kTiled;
-  std::size_t warm = budget_bytes / 4;
-  if (budget_bytes - warm < 2 * row_bytes) {
-    warm = budget_bytes > 2 * row_bytes ? budget_bytes - 2 * row_bytes : 0;
-  }
-  o.warm_capacity_bytes = warm < row_bytes ? 0 : warm;
-  o.tile_rows = std::clamp<std::size_t>(
-      (budget_bytes - o.warm_capacity_bytes) / (4 * row_bytes), 1, rows);
+  o.tile_rows =
+      std::clamp<std::size_t>(budget_bytes / (4 * row_bytes), 1, rows);
   return o;
 }
 
@@ -81,7 +73,7 @@ PairwiseStore::PairwiseStore(const engine::Engine& eng,
 
 void PairwiseStore::NoteTableBytes(std::size_t extra_scratch_bytes) {
   const std::size_t live =
-      dense_.size() * sizeof(double) + warm_bytes_ + extra_scratch_bytes;
+      dense_.size() * sizeof(double) + extra_scratch_bytes;
   table_bytes_peak_ = std::max(table_bytes_peak_, live);
 }
 
@@ -101,80 +93,29 @@ std::span<const double> PairwiseStore::ResidentRow(std::size_t i) const {
   return {};
 }
 
-const double* PairwiseStore::WarmRowData(std::size_t i) {
-  const auto it = warm_index_.find(i);
-  if (it == warm_index_.end()) return nullptr;
-  warm_rows_.splice(warm_rows_.begin(), warm_rows_, it->second);
-  return warm_rows_.front().data.data();
-}
-
-void PairwiseStore::MaybeRetainWarmRow(std::size_t i, const double* src) {
-  if (warm_index_.contains(i)) return;
-  const std::size_t row_bytes = n_ * sizeof(double);
-  if (row_bytes == 0 || row_bytes > options_.warm_capacity_bytes) return;
-  while (warm_bytes_ + row_bytes > options_.warm_capacity_bytes) {
-    warm_bytes_ -= warm_rows_.back().data.size() * sizeof(double);
-    warm_index_.erase(warm_rows_.back().row);
-    warm_rows_.pop_back();
-  }
-  WarmRow row;
-  row.row = i;
-  row.data.assign(src, src + n_);
-  warm_bytes_ += row_bytes;
-  warm_rows_.push_front(std::move(row));
-  warm_index_[i] = warm_rows_.begin();
-  NoteTableBytes(0);
-}
-
-const double* PairwiseStore::ServeRow(std::size_t i) {
-  const std::span<const double> resident = ResidentRow(i);
-  const double* src = !resident.empty() ? resident.data() : WarmRowData(i);
-  if (src != nullptr) ++warm_hits_;
-  return src;
-}
-
-void PairwiseStore::CopyRowInto(std::size_t i, double* dst) {
-  if (options_.backend == PairwiseBackend::kDense) EnsureDense();
-  if (const double* src = ServeRow(i)) {
-    std::memcpy(dst, src, n_ * sizeof(double));
-    return;
-  }
-  // Fills the caller's buffer directly; only the optional warm copy is
-  // store-materialized (and accounted).
-  evaluations_ += kernels::FillGatherTile(eng_, kernel_, {&i, 1}, dst);
-  ++warm_misses_;
-  MaybeRetainWarmRow(i, dst);
-}
-
 void PairwiseStore::GatherRow(std::size_t i, std::vector<double>* out) {
   out->resize(n_);
-  CopyRowInto(i, out->data());
+  if (options_.backend == PairwiseBackend::kDense) {
+    EnsureDense();
+    std::memcpy(out->data(), dense_.data() + i * n_, n_ * sizeof(double));
+    ++warm_hits_;
+    return;
+  }
+  evaluations_ +=
+      kernels::FillGatherTile(eng_, kernel_, {&i, 1}, out->data());
+  ++warm_misses_;
 }
 
-void PairwiseStore::GatherRows(std::span<const std::size_t> rows,
-                               std::vector<double>* out) {
-  out->resize(rows.size() * n_);
-  if (options_.backend == PairwiseBackend::kDense) EnsureDense();
-  gather_missing_.clear();
-  gather_slots_.clear();
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    if (const double* src = ServeRow(rows[r])) {
-      std::memcpy(out->data() + r * n_, src, n_ * sizeof(double));
-      continue;
-    }
-    gather_missing_.push_back(rows[r]);
-    gather_slots_.push_back(r);
-  }
-  if (gather_missing_.empty()) return;
-  // One asymmetric gather tile for every missing row, computed directly
-  // into the caller's buffer in a single parallel pass.
-  evaluations_ += kernels::FillGatherTile(eng_, kernel_, gather_missing_,
-                                          out->data(), gather_slots_);
-  warm_misses_ += static_cast<int64_t>(gather_missing_.size());
-  for (std::size_t t = 0; t < gather_missing_.size(); ++t) {
-    MaybeRetainWarmRow(gather_missing_[t],
-                       out->data() + gather_slots_[t] * n_);
-  }
+void PairwiseStore::ReportTo(ClusteringResult* result,
+                             int64_t outside_evaluations) const {
+  const int64_t evaluations = evaluations_ + outside_evaluations;
+  if (kernel_.counts_ed_evaluations()) result->ed_evaluations += evaluations;
+  result->pairwise_backend = PairwiseBackendName(options_.backend);
+  result->table_bytes_peak = table_bytes_peak_;
+  result->pair_evaluations = evaluations;
+  result->tile_warm_hits = warm_hits_;
+  result->tile_warm_misses = warm_misses_;
+  result->pairs_pruned = pruned_pairs_;
 }
 
 void PairwiseStore::VisitSymmetricBlock(
@@ -182,7 +123,6 @@ void PairwiseStore::VisitSymmetricBlock(
     const std::function<void(std::size_t, std::span<const double>)>& fn) {
   const std::size_t s = ids.size();
   if (s == 0) return;
-  if (options_.backend == PairwiseBackend::kDense) EnsureDense();
   // Scratch bound for the block: the stream bound, raised on the tiled
   // backend to a quarter of the budget (the symmetric-halving fast path is
   // worth more scratch than a plain stream sweep). On the dense backend the
@@ -205,60 +145,17 @@ void PairwiseStore::VisitSymmetricBlock(
   double* d = scratch.data();
   for (std::size_t r0 = 0; r0 < s; r0 += stripe_rows) {
     const std::size_t r1 = std::min(s, r0 + stripe_rows);
-    if (dense_ready_) {
-      for (std::size_t a = r0; a < r1; ++a) {
-        const double* src = dense_.data() + ids[a] * n_;
-        for (std::size_t b = 0; b < s; ++b) d[(a - r0) * s + b] = src[ids[b]];
-      }
-      warm_hits_ += static_cast<int64_t>(r1 - r0);
-    } else {
-      evaluations_ += stripe_rows >= s
-                          ? kernels::FillSymmetricBlock(eng_, kernel_, ids, d)
-                          : kernels::FillBlockRows(eng_, kernel_, ids, r0, r1,
-                                                   d);
-      warm_misses_ += static_cast<int64_t>(r1 - r0);
-    }
+    evaluations_ += stripe_rows >= s
+                        ? kernels::FillSymmetricBlock(eng_, kernel_, ids, d)
+                        : kernels::FillBlockRows(eng_, kernel_, ids, r0, r1,
+                                                 d);
+    warm_misses_ += static_cast<int64_t>(r1 - r0);
     NoteTableBytes(scratch.size() * sizeof(double));
     engine::ParallelForBlocked(
         eng_, r1 - r0, VisitRowBlock(eng_, r1 - r0),
         [&](const engine::BlockedRange& r) {
           for (std::size_t tr = r.begin; tr < r.end; ++tr) {
             fn(r0 + tr, {d + tr * s, s});
-          }
-        });
-  }
-}
-
-void PairwiseStore::VisitAllRows(const RowVisitor& fn) {
-  if (n_ == 0) return;
-  if (options_.backend == PairwiseBackend::kDense) {
-    EnsureDense();
-    const double* d = dense_.data();
-    engine::ParallelForBlocked(
-        eng_, n_, VisitRowBlock(eng_, n_), [&](const engine::BlockedRange& r) {
-          for (std::size_t i = r.begin; i < r.end; ++i) {
-            fn(i, {d + i * n_, n_});
-          }
-        });
-    return;
-  }
-  // kTiled: blocks of tile_rows rows, each one gather tile of consecutive
-  // rows, nothing retained.
-  const std::size_t chunk = options_.tile_rows;
-  std::vector<double> scratch(chunk * n_);
-  std::vector<std::size_t> rows;
-  for (std::size_t r0 = 0; r0 < n_; r0 += chunk) {
-    const std::size_t r1 = std::min(n_, r0 + chunk);
-    rows.resize(r1 - r0);
-    std::iota(rows.begin(), rows.end(), r0);
-    evaluations_ += kernels::FillGatherTile(eng_, kernel_, rows,
-                                            scratch.data());
-    NoteTableBytes(scratch.size() * sizeof(double));
-    engine::ParallelForBlocked(
-        eng_, r1 - r0, VisitRowBlock(eng_, r1 - r0),
-        [&](const engine::BlockedRange& r) {
-          for (std::size_t tr = r.begin; tr < r.end; ++tr) {
-            fn(r0 + tr, {scratch.data() + tr * n_, n_});
           }
         });
   }

@@ -272,12 +272,6 @@ inline double RealizationSquaredSum(const double* a, const double* b,
   return Active().realization_squared_sum(a, b, s_count, m, b_stride);
 }
 
-inline std::size_t RealizationsWithin(const double* a, const double* b,
-                                      std::size_t s_count, std::size_t m,
-                                      double eps2) {
-  return Active().realizations_within(a, b, s_count, m, eps2);
-}
-
 // Per-ISA table factories (defined in their own TUs so target-specific
 // compile flags stay contained). Return nullptr when not compiled in.
 const KernelTable* ScalarTable();

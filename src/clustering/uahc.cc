@@ -40,7 +40,8 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
   // merges — exactly the greedy UPGMA cut.
   //
   // Distance bookkeeping: base (singleton-singleton) ED^ values are read
-  // straight from the store; only clusters that are merge products carry an
+  // from the store's rows (resident, or computed and held by the chain
+  // below); only clusters that are merge products carry an
   // explicit distance row, kept in the `merged` overlay and updated by the
   // Lance-Williams recurrence exactly as the classic in-place table was.
   // The value sequence is therefore bit-identical to the dense-table
@@ -67,26 +68,66 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
   std::unordered_map<std::size_t, std::vector<double>> merged;
   std::vector<double*> mrow(n, nullptr);
 
-  std::vector<double> near_row;
-  auto nearest = [&](std::size_t u) {
+  // Base rows of the chain's singleton entries, held by the chain itself on
+  // the tiled backend (the dense backend reads resident rows in place).
+  // chain_rows[e] is chain[e]'s base row, or empty when chain[e] is a merge
+  // product or its row was dropped. A base row never changes (merges only
+  // retire indices), and the NN-chain revisits only its top entries: a
+  // merge reads the top two rows, and the entry below them becomes the tip
+  // and is re-scanned. At most `hold` rows are held, the deepest dropped
+  // first; a merge pops both entries with their rows, so a retired
+  // object's row is never kept.
+  const bool resident = store.backend() == PairwiseBackend::kDense;
+  const std::size_t hold = store.options().tile_rows;
+  std::vector<std::vector<double>> chain_rows;
+  chain_rows.reserve(n);
+  std::size_t held = 0;
+  std::size_t held_peak = 0;
+  int64_t row_reuses = 0;
+
+  // Pushes u onto the chain, with no row yet.
+  auto push = [&](std::size_t u) {
+    chain.push_back(u);
+    chain_rows.emplace_back();
+  };
+  // Pops the top entry and frees its row.
+  auto pop = [&]() {
+    if (!chain_rows.back().empty()) --held;
+    chain_rows.pop_back();
+    chain.pop_back();
+  };
+  // The held row of singleton entry e, or nullptr (a reuse when held).
+  auto held_row = [&](std::size_t e) -> const double* {
+    if (chain_rows[e].empty()) return nullptr;
+    ++row_reuses;
+    return chain_rows[e].data();
+  };
+  // The distance row of entry e: its overlay row, its resident or held
+  // base row, or its base row computed into the stack. The scan for the
+  // deepest held row costs at most the chain's depth, below the n - 1
+  // evaluations of the row it makes room for.
+  auto chain_row = [&](std::size_t e) -> const double* {
+    const std::size_t u = chain[e];
+    if (mrow[u] != nullptr) return mrow[u];
+    if (resident) return store.ResidentRow(u).data();
+    if (const double* row = held_row(e)) return row;
+    if (held == hold) {
+      std::size_t deepest = 0;
+      while (chain_rows[deepest].empty()) ++deepest;
+      std::vector<double>().swap(chain_rows[deepest]);
+      --held;
+    }
+    store.GatherRow(u, &chain_rows[e]);
+    held_peak = std::max(held_peak, ++held);
+    return chain_rows[e].data();
+  };
+
+  // Nearest alive neighbour of the chain's tip.
+  auto nearest = [&]() {
+    const std::size_t u = chain.back();
+    const double* row_u = chain_row(chain.size() - 1);
     std::size_t best = n;
     double best_d = std::numeric_limits<double>::infinity();
-    const double* row_u = mrow[u];
-    if (row_u == nullptr) {
-      // Zero-copy when materialized; otherwise a single-row fetch (NN-chain
-      // tips have no tile locality, so faulting whole tiles would multiply
-      // kernel work by tile_rows). Chain tips are revisited as the chain
-      // grows, and a base row never changes, so the store's warm-row cache
-      // turns the revisits into warm hits. The span stays valid through
-      // this scan: nothing below touches the store.
-      const std::span<const double> resident = store.ResidentRow(u);
-      if (!resident.empty()) {
-        row_u = resident.data();
-      } else {
-        store.GatherRow(u, &near_row);
-        row_u = near_row.data();
-      }
-    }
     for (std::size_t v = 0; v < n; ++v) {
       if (v == u || !alive[v]) continue;
       const double d = !mrow[u] && mrow[v] ? mrow[v][u] : row_u[v];
@@ -98,46 +139,44 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
     return std::pair<std::size_t, double>(best, best_d);
   };
 
-  std::vector<double> row_a(n, 0.0);
-  std::vector<double> row_b(n, 0.0);
+  std::vector<double> row_a;
   while (remaining > 1) {
     if (chain.empty()) {
       for (std::size_t u = 0; u < n; ++u) {
         if (alive[u]) {
-          chain.push_back(u);
+          push(u);
           break;
         }
       }
     }
     // Grow the chain until a reciprocal nearest-neighbor pair appears.
     for (;;) {
-      const std::size_t tip = chain.back();
-      const auto [nn, nn_d] = nearest(tip);
+      const std::size_t top = chain.size() - 1;
+      const auto [nn, nn_d] = nearest();
       assert(nn != n);
-      if (chain.size() >= 2 && nn == chain[chain.size() - 2]) {
+      if (top >= 1 && nn == chain[top - 1]) {
         // Reciprocal pair (tip, nn): merge into `nn` (the earlier element).
         const std::size_t a = nn;
-        const std::size_t b = tip;
-        chain.pop_back();
-        chain.pop_back();
+        const std::size_t b = chain[top];
         merges.push_back({a, b, nn_d});
         const double sa = static_cast<double>(sizes[a]);
         const double sb = static_cast<double>(sizes[b]);
-        // Snapshot both operand rows before touching the overlay (b's
-        // overlay row is about to be dropped). A snapshot of a singleton
-        // operand is its base row; entries against merged u are patched
-        // from u's overlay row below.
+        // Both operand rows, read before a's overlay row is created. The
+        // tip's row was just scanned, so it is its overlay row or a
+        // resident or held base row. A singleton a's base row is computed
+        // into scratch when the chain dropped it: the stack may be full
+        // with the tip's row. Entries against a merged u are read from u's
+        // overlay row below. A merged operand's overlay row is read in
+        // place: entry u of mrow[a] is read before it is written, and
+        // mrow[b] is never written.
         const bool a_was_merged = mrow[a] != nullptr;
         const bool b_was_merged = mrow[b] != nullptr;
-        if (a_was_merged) {
-          std::copy_n(mrow[a], n, row_a.begin());
-        } else {
+        const double* rb = chain_row(top);
+        const double* ra = a_was_merged || resident ? chain_row(top - 1)
+                                                    : held_row(top - 1);
+        if (ra == nullptr) {
           store.GatherRow(a, &row_a);
-        }
-        if (b_was_merged) {
-          std::copy_n(mrow[b], n, row_b.begin());
-        } else {
-          store.GatherRow(b, &row_b);
+          ra = row_a.data();
         }
         if (!a_was_merged) {
           mrow[a] = merged.emplace(a, std::vector<double>(n, 0.0))
@@ -145,14 +184,14 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
         }
         for (std::size_t u = 0; u < n; ++u) {
           if (!alive[u] || u == a || u == b) continue;
-          const double dua =
-              mrow[u] && !a_was_merged ? mrow[u][a] : row_a[u];
-          const double dub =
-              mrow[u] && !b_was_merged ? mrow[u][b] : row_b[u];
+          const double dua = mrow[u] && !a_was_merged ? mrow[u][a] : ra[u];
+          const double dub = mrow[u] && !b_was_merged ? mrow[u][b] : rb[u];
           const double d = (sa * dua + sb * dub) / (sa + sb);
           mrow[a][u] = d;
           if (mrow[u]) mrow[u][a] = d;
         }
+        pop();
+        pop();
         merged.erase(b);
         mrow[b] = nullptr;
         sizes[a] += sizes[b];
@@ -160,7 +199,7 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
         --remaining;
         break;
       }
-      chain.push_back(nn);
+      push(nn);
     }
   }
 
@@ -192,11 +231,12 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
   result.objective = std::numeric_limits<double>::quiet_NaN();
   result.online_ms = online.ElapsedMs();
   result.offline_ms = offline_ms;
-  result.pairwise_backend = PairwiseBackendName(store.backend());
-  result.table_bytes_peak = store.table_bytes_peak();
-  result.pair_evaluations = store.evaluations();
-  result.tile_warm_hits = store.warm_hits();
-  result.tile_warm_misses = store.warm_misses();
+  store.ReportTo(&result);
+  // Rows the chain held count as table storage, and their reuses as rows
+  // served without kernel work.
+  result.table_bytes_peak =
+      std::max(result.table_bytes_peak, held_peak * n * sizeof(double));
+  result.tile_warm_hits += row_reuses;
   return result;
 }
 

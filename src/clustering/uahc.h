@@ -12,11 +12,12 @@
 // (dense or tiled, selected by EngineConfig::memory_budget_bytes), and
 // Lance-Williams updates live in an overlay that holds one distance row per
 // alive merge-product cluster — the classic dense working table exists only
-// under the dense backend. NN-chain tip rows fetched on the tiled backend
-// stay in the store's LRU warm-row cache: a base row never changes (merges
-// only retire indices), and chain tips are revisited as the chain grows, so
-// the revisits are warm hits and a run whose cache holds the live chain
-// computes each base row about once.
+// under the dense backend. On the tiled backend the NN-chain holds the base
+// rows of its singleton entries itself, at most the store's tile_rows of
+// them (the deepest dropped first): a base row never changes (merges only
+// retire indices), a merge reads the top two entries' rows and the entry
+// below them is re-scanned, so those reads reuse held rows. A merge pops
+// both entries with their rows, so rows of retired objects are never kept.
 // Clusterings are bit-identical across backends and thread counts.
 #ifndef UCLUST_CLUSTERING_UAHC_H_
 #define UCLUST_CLUSTERING_UAHC_H_

@@ -47,7 +47,7 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   result.labels.assign(n, -1);
   std::vector<std::vector<std::size_t>> members(k);
   std::vector<std::size_t> best_medoid(k);
-  std::vector<double> med_rows;  // k x n: row c = d(medoids[c], .)
+  std::vector<const double*> med_rows(k);  // dense: row c = d(medoids[c], .)
   std::vector<double> cand_cost(n, 0.0);
   // The member-block sweep only pays off when rows would otherwise be
   // recomputed; on the dense backend the row sweep reads the resident table
@@ -99,10 +99,10 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
                   kernels::RowBatch batch(kernel, i, offer);
                   for (const std::size_t slot : cand) {
                     const std::size_t mid = medoids[slot];
-                    // The gather path serves the table diagonal (exactly 0)
-                    // when an object is its own medoid; Eval(i, i) would
-                    // return the nonzero self ED^, so match the diagonal:
-                    // offer 0 in this slot's turn, after the queued ones.
+                    // The table diagonal is exactly 0 when an object is its
+                    // own medoid; scoring the pair (i, i) would return the
+                    // nonzero self ED^, so match the diagonal: offer 0 in
+                    // this slot's turn, after the queued ones.
                     if (mid == i) {
                       batch.Flush();
                       offer(slot, 0.0);
@@ -131,10 +131,12 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
           static_cast<int64_t>(n) * k - iter_cands;
       result.index_bound_tests += midx.bound_tests();
     } else {
-      // Assignment to the nearest medoid: materialize the k medoid rows
-      // through the store, then sweep objects in parallel blocks (the
+      // Assignment to the nearest medoid: read the k medoid rows in place
+      // from the resident table, then sweep objects in parallel blocks (the
       // change counter reduces over blocks in order).
-      store.GatherRows(medoids, &med_rows);
+      for (int c = 0; c < k; ++c) {
+        med_rows[c] = store.ResidentRow(medoids[c]).data();
+      }
       const std::vector<std::size_t> changed_per_block =
           engine::MapBlocks<std::size_t>(
               eng, n, [&](const engine::BlockedRange& r) {
@@ -143,8 +145,7 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
                   int best = 0;
                   double best_d = std::numeric_limits<double>::infinity();
                   for (int c = 0; c < k; ++c) {
-                    const double d =
-                        med_rows[static_cast<std::size_t>(c) * n + i];
+                    const double d = med_rows[c][i];
                     if (d < best_d) {
                       best_d = d;
                       best = c;
@@ -172,12 +173,15 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
     if (dense) {
       // Resident table: every row read in place, each object summed over
       // its own cluster's member columns.
-      store.VisitAllRows([&](std::size_t i, std::span<const double> row) {
-        double cost = 0.0;
-        for (std::size_t other : members[result.labels[i]]) {
-          cost += row[other];
+      engine::ParallelFor(eng, n, [&](const engine::BlockedRange& r) {
+        for (std::size_t i = r.begin; i < r.end; ++i) {
+          const std::span<const double> row = store.ResidentRow(i);
+          double cost = 0.0;
+          for (std::size_t other : members[result.labels[i]]) {
+            cost += row[other];
+          }
+          cand_cost[i] = cost;
         }
-        cand_cost[i] = cost;
       });
     } else {
       // Tiled backend: one member x member slab per cluster (evaluated
@@ -223,15 +227,15 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   }
 
   // Objective: total ED^ between objects and their medoids, summed in
-  // ascending i. The dense table serves the k medoid rows; a recomputing
-  // backend scores each cluster's members against its medoid row instead of
-  // gathering k full rows. EvalRow == Eval, and a medoid's own term is
-  // exactly 0 like the table diagonal, so the bits agree.
+  // ascending i. The dense table serves the k medoid rows in place; a
+  // recomputing backend scores each cluster's members against its medoid
+  // row instead of gathering k full rows. EvalRow computes the table's
+  // values, and a medoid's own term is exactly 0 like the table diagonal,
+  // so the bits agree.
   if (dense) {
-    store.GatherRows(medoids, &med_rows);
     for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t c = static_cast<std::size_t>(result.labels[i]);
-      cand_cost[i] = med_rows[c * n + i];
+      const std::size_t mid = medoids[result.labels[i]];
+      cand_cost[i] = store.ResidentRow(mid)[i];
     }
   } else {
     const std::vector<int64_t> evals_per_cluster =
@@ -262,16 +266,8 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   for (std::size_t i = 0; i < n; ++i) result.objective += cand_cost[i];
   result.online_ms = online.ElapsedMs();
   // Indexed assignment and the recomputed objective evaluate the kernel
-  // outside the store; fold those evaluations into the same totals the
-  // gathered rows would have produced them under (sampled kernels integrate
-  // per evaluation, the closed form does not).
-  result.ed_evaluations += store.ed_evaluations() +
-                           (kernel.counts_ed_evaluations() ? direct_evals : 0);
-  result.pairwise_backend = PairwiseBackendName(store.backend());
-  result.table_bytes_peak = store.table_bytes_peak();
-  result.pair_evaluations = store.evaluations() + direct_evals;
-  result.tile_warm_hits = store.warm_hits();
-  result.tile_warm_misses = store.warm_misses();
+  // outside the store; fold those evaluations into the store's totals.
+  store.ReportTo(&result, direct_evals);
   result.clusters_found = CountClusters(result.labels);
   return result;
 }

@@ -26,9 +26,9 @@ void DrawObjectSamples(const UncertainObject& object, uint64_t seed,
 
 SampleChunkSource::~SampleChunkSource() = default;
 
-// Both matched-realization loops run inside the simd kernel layer: one
-// dispatched call per object (pair), and the loop is compiled under the
-// simd TUs' -ffp-contract=off like every other lane-blocked reduction.
+// The matched-realization loop runs inside the simd kernel layer: one
+// dispatched call per object, and the loop is compiled under the simd TUs'
+// -ffp-contract=off like every other lane-blocked reduction.
 double SampleView::ExpectedSquaredDistanceToPoint(
     std::size_t i, std::span<const double> y) const {
   assert(y.size() == m_);
@@ -36,14 +36,6 @@ double SampleView::ExpectedSquaredDistanceToPoint(
       ObjectSamples(i).data(), y.data(), static_cast<std::size_t>(samples_),
       m_, /*b_stride=*/0);
   return acc / samples_;
-}
-
-double SampleView::DistanceProbability(std::size_t i, std::size_t j,
-                                       double eps) const {
-  const std::size_t hits = clustering::simd::RealizationsWithin(
-      ObjectSamples(i).data(), ObjectSamples(j).data(),
-      static_cast<std::size_t>(samples_), m_, eps * eps);
-  return static_cast<double>(hits) / samples_;
 }
 
 SampleStore::~SampleStore() = default;

@@ -136,10 +136,6 @@ class SampleView {
   double ExpectedSquaredDistanceToPoint(std::size_t i,
                                         std::span<const double> y) const;
 
-  /// Matched-pairs estimate of Pr[ dist(o_i, o_j) <= eps ] over the
-  /// realizations (FDBSCAN distance probability). O(S * m).
-  double DistanceProbability(std::size_t i, std::size_t j, double eps) const;
-
  private:
   std::size_t row_size() const {
     return static_cast<std::size_t>(samples_) * m_;

@@ -16,6 +16,7 @@
 #include "clustering/foptics.h"
 #include "clustering/fdbscan.h"
 #include "clustering/pairwise_store.h"
+#include "clustering/simd/simd.h"
 #include "clustering/uahc.h"
 #include "clustering/ukmedoids.h"
 #include "data/benchmark_gen.h"
@@ -23,6 +24,7 @@
 #include "common/rng.h"
 #include "engine/engine.h"
 #include "io/sample_file.h"
+#include "uncertain/expected_distance.h"
 #include "uncertain/sample_store.h"
 
 namespace uclust::clustering {
@@ -48,21 +50,50 @@ engine::Engine RowsBudget(std::size_t n, std::size_t rows) {
   return engine::Engine(config);
 }
 
-// An engine with a 1-byte budget: a tiled store with one-row blocks and no
-// warm cache.
+// An engine with a 1-byte budget: a tiled store with one-row blocks.
 engine::Engine OneByteBudget() {
   engine::EngineConfig config;
   config.memory_budget_bytes = 1;
   return engine::Engine(config);
 }
 
-// The full n x n table as served by GatherRows over every row.
+// The full n x n table as served by GatherRow over every row.
 std::vector<double> AllRows(PairwiseStore* store) {
-  std::vector<std::size_t> rows(store->size());
-  std::iota(rows.begin(), rows.end(), std::size_t{0});
   std::vector<double> table;
-  store->GatherRows(rows, &table);
+  std::vector<double> row;
+  for (std::size_t i = 0; i < store->size(); ++i) {
+    store->GatherRow(i, &row);
+    table.insert(table.end(), row.begin(), row.end());
+  }
   return table;
+}
+
+// Test-local oracle for one pair of `kernel`: the closed form, or the
+// scalar table's single-pair realization loops over the two objects'
+// ObjectSamples rows, in the canonical (lo, hi) operand order.
+double PairOracle(const kernels::PairwiseKernel& kernel, std::size_t i,
+                  std::size_t j) {
+  using Kind = kernels::PairwiseKernel::Kind;
+  const std::size_t lo = std::min(i, j);
+  const std::size_t hi = std::max(i, j);
+  if (kernel.kind == Kind::kClosedFormED2) {
+    return uncertain::ExpectedSquaredDistance(kernel.objects[lo],
+                                              kernel.objects[hi]);
+  }
+  const simd::KernelTable& scalar = *simd::TableFor(simd::Isa::kScalar);
+  const uncertain::SampleView& view = kernel.samples;
+  const int s_count = view.samples_per_object();
+  const std::size_t s = static_cast<std::size_t>(s_count);
+  const std::size_t m = view.dims();
+  const double* a = view.ObjectSamples(lo).data();
+  const double* b = view.ObjectSamples(hi).data();
+  if (kernel.kind == Kind::kDistanceProbability) {
+    const std::size_t hits =
+        scalar.realizations_within(a, b, s, m, kernel.eps * kernel.eps);
+    return static_cast<double>(hits) / s_count;
+  }
+  const double ed = scalar.realization_squared_sum(a, b, s, m, m) / s_count;
+  return kernel.kind == Kind::kSampleED ? std::sqrt(ed) : ed;
 }
 
 TEST(PairwiseStore, BackendsServeBitIdenticalValues) {
@@ -77,7 +108,7 @@ TEST(PairwiseStore, BackendsServeBitIdenticalValues) {
       kernels::PairwiseKernel::SampleED(cache),
       kernels::PairwiseKernel::DistanceProbability(cache, 0.3),
   };
-  // 38 rows: 7-row blocks and a 9-row warm cache; 1 byte: one-row blocks.
+  // 38 rows: 9-row blocks; 1 byte: one-row blocks.
   const engine::Engine tiled_eng = RowsBudget(n, 38);
   const engine::Engine row_eng = OneByteBudget();
   for (const auto& kernel : kernels_under_test) {
@@ -86,20 +117,18 @@ TEST(PairwiseStore, BackendsServeBitIdenticalValues) {
     PairwiseStore fly(row_eng, kernel);
     ASSERT_EQ(dense.backend(), PairwiseBackend::kDense);
     ASSERT_EQ(tiled.backend(), PairwiseBackend::kTiled);
-    ASSERT_EQ(tiled.options().tile_rows, 7u);
-    ASSERT_GT(tiled.options().warm_capacity_bytes, 0u);
+    ASSERT_EQ(tiled.options().tile_rows, 9u);
     ASSERT_EQ(fly.backend(), PairwiseBackend::kTiled);
     ASSERT_EQ(fly.options().tile_rows, 1u);
-    ASSERT_EQ(fly.options().warm_capacity_bytes, 0u);
-    // Row by row (GatherRow) on every store, and batched (GatherRows)
-    // on the recomputing ones.
+    // Row by row against the oracle on every store, and the whole table
+    // from fresh recomputing stores against the dense one.
     std::vector<double> d_row, t_row, f_row;
     for (std::size_t i = 0; i < n; ++i) {
       dense.GatherRow(i, &d_row);
       tiled.GatherRow(i, &t_row);
       fly.GatherRow(i, &f_row);
       for (std::size_t j = 0; j < n; ++j) {
-        const double want = i == j ? 0.0 : kernel.Eval(i, j);
+        const double want = i == j ? 0.0 : PairOracle(kernel, i, j);
         ASSERT_EQ(d_row[j], want) << i << "," << j;
         ASSERT_EQ(t_row[j], want) << i << "," << j;
         ASSERT_EQ(f_row[j], want) << i << "," << j;
@@ -121,7 +150,7 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
       kernels::PairwiseKernel::ClosedFormED2(ds.objects());
   PairwiseStore reference(eng, kernel);
   const std::vector<double> want = AllRows(&reference);
-  // Dense; tiled with 5-row blocks (28 rows of budget); tiled with one-row
+  // Dense; tiled with 7-row blocks (28 rows of budget); tiled with one-row
   // blocks (1 byte).
   for (const engine::Engine& budget_eng :
        {eng, RowsBudget(n, 28), OneByteBudget()}) {
@@ -132,9 +161,9 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
     ASSERT_EQ(store.options().tile_rows,
               budget_eng.memory_budget_bytes() == 0 ? n
               : budget_eng.memory_budget_bytes() == 1 ? 1u
-                                                      : 5u);
+                                                      : 7u);
     // Evaluation counts from a cold store: a recomputing backend spends
-    // n - 1 on one gathered row, n * (n - 1) on a full row visit and
+    // n - 1 on one gathered row, n * (n - 1) on gathering every row and
     // n * (n - 1) / 2 on an upper sweep; the dense table is filled once.
     const bool dense = store.backend() == PairwiseBackend::kDense;
     const int64_t nn = static_cast<int64_t>(n);
@@ -143,10 +172,7 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
     store.GatherRow(1, &cold_row);
     EXPECT_EQ(store.evaluations(), dense ? half : nn - 1) << name;
     int64_t before = store.evaluations();
-    std::vector<double> from_rows(n * n, -1.0);
-    store.VisitAllRows([&](std::size_t i, std::span<const double> row) {
-      for (std::size_t j = 0; j < n; ++j) from_rows[i * n + j] = row[j];
-    });
+    const std::vector<double> from_rows = AllRows(&store);
     EXPECT_EQ(store.evaluations() - before, dense ? 0 : 2 * half) << name;
     before = store.evaluations();
     std::vector<double> from_upper(n * n, 0.0);
@@ -163,7 +189,11 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
     }
     std::vector<std::size_t> some_rows = {0, n / 2, n - 1, 3};
     std::vector<double> gathered;
-    store.GatherRows(some_rows, &gathered);
+    std::vector<double> row;
+    for (const std::size_t i : some_rows) {
+      store.GatherRow(i, &row);
+      gathered.insert(gathered.end(), row.begin(), row.end());
+    }
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         ASSERT_EQ(from_rows[i * n + j], want[i * n + j])
@@ -191,15 +221,13 @@ TEST(PairwiseStore, BudgetSelectsBackendAndBoundsPeak) {
   const PairwiseStoreOptions tiled =
       PairwiseStoreOptions::FromBudget(16 * row_bytes, n);
   EXPECT_EQ(tiled.backend, PairwiseBackend::kTiled);
-  // The warm carve-out plus four streaming blocks fit the budget.
-  EXPECT_LE(tiled.warm_capacity_bytes + 4 * tiled.tile_rows * row_bytes,
-            16 * row_bytes);
-  // Below two rows the store is still tiled: one-row blocks, no warm rows.
-  for (const std::size_t tiny : {std::size_t{1}, 2 * row_bytes - 1}) {
+  // A streaming block is a quarter of the budget.
+  EXPECT_EQ(tiled.tile_rows, 4u);
+  // Below eight rows the store is still tiled, with one-row blocks.
+  for (const std::size_t tiny : {std::size_t{1}, 8 * row_bytes - 1}) {
     const PairwiseStoreOptions o = PairwiseStoreOptions::FromBudget(tiny, n);
     EXPECT_EQ(o.backend, PairwiseBackend::kTiled) << tiny;
     EXPECT_EQ(o.tile_rows, 1u) << tiny;
-    EXPECT_EQ(o.warm_capacity_bytes, 0u) << tiny;
   }
 
   // A tiled store driven hard stays under its budget.
@@ -209,18 +237,20 @@ TEST(PairwiseStore, BudgetSelectsBackendAndBoundsPeak) {
   ASSERT_EQ(store.options().tile_rows, tiled.tile_rows);
   std::vector<double> row;
   for (std::size_t i = 0; i < n; i += 3) store.GatherRow(i, &row);
-  store.VisitAllRows([](std::size_t, std::span<const double>) {});
+  for (std::size_t i = 0; i < n; ++i) store.GatherRow(i, &row);
+  store.VisitUpperTriangle([](std::size_t, std::span<const double>) {});
   EXPECT_LE(store.table_bytes_peak(), 16 * row_bytes);
 }
 
-// EvalRow is Eval, bit for bit, for every kernel kind on the resident and
-// the mapped sample view. The mapped sidecar has one object per chunk, so
-// a full row crosses n - 1 > kSidecarWindowSlots chunks and the thread's
-// window LRU evicts while the row is being scored; the row's own chunk
-// must survive that. Partner lists: every length 0-9 with random columns
+// EvalRow matches the test-local pair oracle, bit for bit, for every kernel
+// kind on the resident and the mapped sample view, in the four-pair groups
+// and in the count % 4 tail alike. The mapped sidecar has one object per
+// chunk, so a full row crosses n - 1 > kSidecarWindowSlots chunks and the
+// thread's window LRU evicts while the row is being scored; the row's own
+// chunk must survive that. Partner lists: every length 0-9 with random columns
 // (unsorted, below and above i, i itself allowed), and the full row
 // ascending, descending and shuffled.
-TEST(PairwiseKernel, EvalRowMatchesEvalOnResidentAndMappedViews) {
+TEST(PairwiseKernel, EvalRowMatchesPairOracleOnResidentAndMappedViews) {
   const auto ds = TestDataset(61, 3, 3, 29);
   const std::size_t n = ds.size();
   const uncertain::ResidentSampleStore resident(ds.objects(), 24, 0x5eed);
@@ -271,7 +301,7 @@ TEST(PairwiseKernel, EvalRowMatchesEvalOnResidentAndMappedViews) {
           std::vector<double> got(cols.size() + 1, -1.0);
           kernel.EvalRow(i, cols.data(), cols.size(), got.data());
           for (std::size_t t = 0; t < cols.size(); ++t) {
-            const double want = kernel.Eval(i, cols[t]);
+            const double want = PairOracle(kernel, i, cols[t]);
             ASSERT_EQ(0, std::memcmp(&want, &got[t], sizeof(double)))
                 << "kind=" << static_cast<int>(kernel.kind)
                 << " chunked=" << view.chunked() << " i=" << i

@@ -1,10 +1,8 @@
-// Workload-aware PairwiseStore access contract: asymmetric gather blocks
+// Workload-aware PairwiseStore access contract: member x member blocks
 // serve the same bits the dense table holds, UK-medoids on the recomputing
 // backend is clustering-identical to the dense backend under the legacy
-// full-sweep evaluation floor, the warm-row cache keeps its hit/miss
-// counters and least-recently-used order under the memory budget, and the
-// bound-pruned pair sweep skips only pairs whose distance probability is
-// provably 0.
+// full-sweep evaluation floor, and the bound-pruned pair sweep skips only
+// pairs whose distance probability is provably 0.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -49,11 +47,12 @@ engine::Engine BudgetEngine(std::size_t bytes) {
 
 // The full n x n table, read back row by row from a dense store.
 std::vector<double> DenseTable(PairwiseStore* dense) {
-  const std::size_t n = dense->size();
-  std::vector<std::size_t> rows(n);
-  for (std::size_t i = 0; i < n; ++i) rows[i] = i;
   std::vector<double> table;
-  dense->GatherRows(rows, &table);
+  std::vector<double> row;
+  for (std::size_t i = 0; i < dense->size(); ++i) {
+    dense->GatherRow(i, &row);
+    table.insert(table.end(), row.begin(), row.end());
+  }
   return table;
 }
 
@@ -84,21 +83,21 @@ TEST(TilePolicies, VisitSymmetricBlockMatchesDenseReference) {
   const std::size_t s = ids.size();
   const int64_t ss = static_cast<int64_t>(s);
 
-  // Dense; tiled with 5-row blocks and a 7-row warm cache (28 rows of
-  // budget), where the block fits one symmetric pass; tiled with one-row
-  // blocks (1 byte), where the block streams one-row stripes.
+  // Dense, where the block fits one symmetric pass under the stream bound;
+  // tiled with 7-row blocks (28 rows of budget), where it fits one pass
+  // too; tiled with one-row blocks (1 byte), where the block streams
+  // one-row stripes.
   for (const std::size_t budget : {std::size_t{0}, 28 * n * sizeof(double),
                                    std::size_t{1}}) {
     PairwiseStore store(BudgetEngine(budget), kernel);
-    // Gathered rows sit in the dense table or the warm cache; the block
-    // reads the dense table, but computes every row on the tiled backend.
+    // Gathered rows materialize the dense table; the block computes every
+    // row on every backend all the same.
     std::vector<double> seeded;
-    store.GatherRows(std::vector<std::size_t>{ids[0], ids[1], ids[3]},
-                     &seeded);
-    const bool dense = store.backend() == PairwiseBackend::kDense;
+    for (const std::size_t i : {ids[0], ids[1], ids[3]}) {
+      store.GatherRow(i, &seeded);
+    }
     if (budget > 1) {
-      ASSERT_EQ(store.options().tile_rows, 5u);
-      ASSERT_EQ(store.warm_bytes(), 3 * n * sizeof(double));
+      ASSERT_EQ(store.options().tile_rows, 7u);
     }
     const int64_t evals = store.evaluations();
     const int64_t hits = store.warm_hits();
@@ -112,11 +111,10 @@ TEST(TilePolicies, VisitSymmetricBlockMatchesDenseReference) {
       }
     }
     const int64_t want_evals =
-        dense ? 0 : budget == 1 ? ss * (ss - 1) : ss * (ss - 1) / 2;
+        budget == 1 ? ss * (ss - 1) : ss * (ss - 1) / 2;
     EXPECT_EQ(store.evaluations() - evals, want_evals) << "budget=" << budget;
-    EXPECT_EQ(store.warm_hits() - hits, dense ? ss : 0) << "budget=" << budget;
-    EXPECT_EQ(store.warm_misses() - misses, dense ? 0 : ss)
-        << "budget=" << budget;
+    EXPECT_EQ(store.warm_hits() - hits, 0) << "budget=" << budget;
+    EXPECT_EQ(store.warm_misses() - misses, ss) << "budget=" << budget;
   }
 }
 
@@ -136,12 +134,10 @@ TEST(TilePolicies, VisitSymmetricBlockStripesOversizedBlocks) {
   for (std::size_t i = 0; i < n; ++i) ids[i] = i;
 
   // Budget of ~3 block rows: far below the n x n slab, so the visit must
-  // stripe. Its quarter-budget warm carve-out is under one row, so the
-  // warm cache is off.
+  // stripe.
   const std::size_t budget = 3 * n * sizeof(double);
   PairwiseStore store(BudgetEngine(budget), kernel);
   ASSERT_EQ(store.backend(), PairwiseBackend::kTiled);
-  EXPECT_EQ(store.options().warm_capacity_bytes, std::size_t{0});
   const std::vector<double> block = CollectSymmetricBlock(&store, ids);
   for (std::size_t a = 0; a < n; ++a) {
     for (std::size_t b = 0; b < n; ++b) {
@@ -186,92 +182,6 @@ TEST(TilePolicies, UkMedoidsRecomputeBackendsMatchDense) {
                                      static_cast<int64_t>(n - 1);
     EXPECT_LT(out.pair_evaluations, full_sweep_floor) << "budget=" << budget;
   }
-}
-
-// The warm cache evicts the least recently used row: a gathered row stays a
-// hit while fewer than `capacity` other rows are gathered after its last
-// use, and becomes a miss once `capacity` other distinct rows have pushed
-// it out. A hit refreshes a row, so the order is by use, not by insertion.
-TEST(TilePolicies, WarmRowsEvictLeastRecentlyUsed) {
-  const auto ds = TestDataset(48, 2, 2, 107);
-  const std::size_t n = ds.size();
-  const std::size_t row_bytes = n * sizeof(double);
-  const kernels::PairwiseKernel kernel =
-      kernels::PairwiseKernel::ClosedFormED2(ds.objects());
-  // 16 rows of budget: a 4-row warm cache and 3-row blocks.
-  PairwiseStore store(BudgetEngine(16 * row_bytes), kernel);
-  ASSERT_EQ(store.backend(), PairwiseBackend::kTiled);
-  const std::size_t capacity = store.options().warm_capacity_bytes / row_bytes;
-  ASSERT_EQ(capacity, 4u);
-
-  std::vector<double> row;
-  int64_t hits = 0;
-  int64_t misses = 0;
-  const auto gather = [&](std::size_t i, bool hit) {
-    const int64_t evals = store.evaluations();
-    store.GatherRow(i, &row);
-    (hit ? hits : misses) += 1;
-    EXPECT_EQ(store.warm_hits(), hits) << "row " << i;
-    EXPECT_EQ(store.warm_misses(), misses) << "row " << i;
-    EXPECT_EQ(store.evaluations() - evals,
-              hit ? 0 : static_cast<int64_t>(n) - 1)
-        << "row " << i;
-    for (std::size_t j = 0; j < n; ++j) {
-      ASSERT_EQ(row[j], i == j ? 0.0 : kernel.Eval(i, j)) << i << "," << j;
-    }
-    EXPECT_LE(store.warm_bytes(), store.options().warm_capacity_bytes);
-  };
-
-  gather(40, false);  // cold: computed and retained
-  gather(40, true);   // retained: served without kernel work
-  // capacity - 1 other rows fill the cache; row 40 is still held.
-  for (std::size_t i = 0; i + 1 < capacity; ++i) gather(i, false);
-  EXPECT_EQ(store.warm_bytes(), capacity * row_bytes);
-  gather(40, true);  // refreshed: now the most recently used row
-  // One more row evicts the least recently used one (row 0), not row 40,
-  // the oldest insertion.
-  gather(capacity, false);
-  gather(40, true);
-  // capacity - 1 other rows after its last use: row 40 is still held...
-  gather(0, false);
-  for (std::size_t i = 10; i + 2 < 10 + capacity; ++i) gather(i, false);
-  gather(40, true);
-  // ...and capacity other distinct rows push it out.
-  for (std::size_t i = 20; i < 20 + capacity; ++i) gather(i, false);
-  gather(40, false);
-}
-
-TEST(TilePolicies, WarmCacheEvictsWithinItsCapacityAndBudget) {
-  const auto ds = TestDataset(64, 2, 2, 109);
-  const std::size_t n = ds.size();
-  const std::size_t row_bytes = n * sizeof(double);
-  const kernels::PairwiseKernel kernel =
-      kernels::PairwiseKernel::ClosedFormED2(ds.objects());
-
-  // Budget-derived tiled store: warm cache + sweep scratch must fit the
-  // budget.
-  const std::size_t budget = 12 * row_bytes;
-  PairwiseStore store(BudgetEngine(budget), kernel);
-  ASSERT_EQ(store.backend(), PairwiseBackend::kTiled);
-  ASSERT_GT(store.options().warm_capacity_bytes, std::size_t{0});
-  std::vector<double> row;
-  for (std::size_t i = 0; i < n; ++i) {
-    store.GatherRow(i, &row);
-    EXPECT_LE(store.warm_bytes(), store.options().warm_capacity_bytes);
-  }
-  store.VisitAllRows([](std::size_t, std::span<const double>) {});
-  EXPECT_LE(store.table_bytes_peak(), budget);
-
-  // A warm carve-out below one row disables the cache instead of thrashing:
-  // a quarter of 3 rows is under a row.
-  PairwiseStore tiny(BudgetEngine(3 * row_bytes), kernel);
-  ASSERT_EQ(tiny.backend(), PairwiseBackend::kTiled);
-  EXPECT_EQ(tiny.options().warm_capacity_bytes, std::size_t{0});
-  tiny.GatherRow(7, &row);
-  tiny.GatherRow(7, &row);
-  EXPECT_EQ(tiny.warm_hits(), 0);
-  EXPECT_EQ(tiny.warm_misses(), 2);
-  EXPECT_EQ(tiny.warm_bytes(), std::size_t{0});
 }
 
 // Pruned sweep contract on a separable dataset, on every backend: the

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "clustering/kernels.h"
 #include "common/rng.h"
 #include "uncertain/box.h"
 #include "uncertain/dirac_pdf.h"
@@ -236,11 +237,17 @@ TEST(SampleStore, DistanceProbabilityEndpoints) {
   objs.push_back(MakeObject2D(0.0, 0.1, 0.0, 0.1));
   objs.push_back(MakeObject2D(100.0, 0.1, 100.0, 0.1));
   const ResidentSampleStore store(objs, 32, 5);
-  const SampleView cache = store.view();
+  const auto probability = [&](std::size_t i, std::size_t j, double eps) {
+    double p = -1.0;
+    clustering::kernels::PairwiseKernel::DistanceProbability(store.view(),
+                                                             eps)
+        .EvalRow(i, &j, 1, &p);
+    return p;
+  };
   // Near-identical objects: always within a huge radius.
-  EXPECT_DOUBLE_EQ(cache.DistanceProbability(0, 1, 10.0), 1.0);
+  EXPECT_DOUBLE_EQ(probability(0, 1, 10.0), 1.0);
   // Distant object: never within a small radius.
-  EXPECT_DOUBLE_EQ(cache.DistanceProbability(0, 2, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(probability(0, 2, 1.0), 0.0);
 }
 
 }  // namespace
