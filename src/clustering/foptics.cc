@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
+#include <numeric>
 
 #include "clustering/pairwise_store.h"
 #include "common/stopwatch.h"
@@ -123,48 +124,34 @@ ClusteringResult Foptics::Cluster(const data::UncertainDataset& data, int k,
     });
   }
 
-  // OPTICS walk (eps = infinity: one complete ordering). Each step relaxes
-  // the reachability of every unprocessed object through `current` and
-  // picks the next pivot (smallest reachability, lowest index on ties) in
-  // the same pass. A materialized row (the dense table) is read
-  // zero-copy; otherwise only the unprocessed columns are evaluated, so the
-  // walk pays each unordered pair once — n*(n-1)/2 evaluations and no row
-  // gathers.
+  // OPTICS walk (eps = infinity: one complete ordering). Each step scores
+  // `current` against the unprocessed objects, kept in ascending order,
+  // then relaxes their reachability through `current` and picks the next
+  // pivot (smallest reachability, lowest index on ties) in one pass over
+  // the scores; a new component starts at the lowest unprocessed index. So
+  // a recomputing store pays each unordered pair once — n*(n-1)/2
+  // evaluations and no row gathers.
   std::vector<double> reach(n, kUndefined);
-  std::vector<bool> processed(n, false);
   std::vector<std::size_t> order;
   order.reserve(n);
-  int64_t walk_evals = 0;
-  for (std::size_t start = 0; start < n; ++start) {
-    if (processed[start]) continue;
-    std::size_t current = start;
+  std::vector<std::size_t> rest(n);  // the unprocessed objects, ascending
+  std::iota(rest.begin(), rest.end(), std::size_t{0});
+  std::vector<double> dist(n);
+  while (!rest.empty()) {
+    std::size_t current = rest.front();
     for (;;) {
-      processed[current] = true;
+      rest.erase(std::lower_bound(rest.begin(), rest.end(), current));
       order.push_back(current);
-      const std::span<const double> drow = store.ResidentRow(current);
-      const bool resident = !drow.empty();
-      if (!resident) walk_evals += static_cast<int64_t>(n - order.size());
+      store.ScoreRow(current, rest, dist.data());
       std::size_t next = n;
       double best = kUndefined;
-      const auto relax = [&](std::size_t j, double d) {
-        reach[j] = std::min(reach[j], std::max(core_dist[current], d));
+      for (std::size_t t = 0; t < rest.size(); ++t) {
+        const std::size_t j = rest[t];
+        reach[j] = std::min(reach[j], std::max(core_dist[current], dist[t]));
         if (reach[j] < best) {
           best = reach[j];
           next = j;
         }
-      };
-      if (resident) {
-        for (std::size_t j = 0; j < n; ++j) {
-          if (!processed[j]) relax(j, drow[j]);
-        }
-      } else {
-        // The unprocessed columns in ascending order, scored a stack chunk
-        // at a time and relaxed in that same order.
-        kernels::RowBatch batch(kernel, current, relax);
-        for (std::size_t j = 0; j < n; ++j) {
-          if (!processed[j]) batch.Add(j, j);
-        }
-        batch.Flush();
       }
       if (next == n) break;  // all remaining are unreachable: new component
       current = next;
@@ -238,9 +225,7 @@ ClusteringResult Foptics::Cluster(const data::UncertainDataset& data, int k,
   result.objective = std::numeric_limits<double>::quiet_NaN();
   result.online_ms = online.ElapsedMs();
   result.offline_ms = offline_ms;
-  // The walk evaluates the kernel outside the store; its evaluations
-  // (sample-integrated, like every SampleED call) fold into the store's.
-  store.ReportTo(&result, walk_evals);
+  store.ReportTo(&result);
   return result;
 }
 

@@ -132,8 +132,8 @@ struct PairwiseKernel {
   /// stays a NaN; as everywhere in the simd layer, its payload is outside
   /// the contract). Any column order is allowed, partners below and above
   /// i alike; a one-pair call is the single-pair evaluation. The sampled
-  /// kinds resolve row i once, walk the partners with a
-  /// SampleView::RowCursor (one chunk lookup per chunk run) and score them
+  /// kinds walk the partners with a SampleView::RowCursor (one chunk
+  /// lookup per chunk run, and row i resolved with each run) and score them
   /// four at a time through the four-pair simd kernels, and the last
   /// count % 4 through the single-pair entries from the same cursor.
   void EvalRow(std::size_t i, const std::size_t* cols, std::size_t count,

@@ -1,7 +1,6 @@
 #include "clustering/pairwise_store.h"
 
 #include <algorithm>
-#include <cstring>
 
 namespace uclust::clustering {
 
@@ -88,27 +87,42 @@ void PairwiseStore::Warm() {
   if (options_.backend == PairwiseBackend::kDense) EnsureDense();
 }
 
-std::span<const double> PairwiseStore::ResidentRow(std::size_t i) const {
-  if (dense_ready_) return {dense_.data() + i * n_, n_};
-  return {};
+std::span<const double> PairwiseStore::Row(std::size_t i,
+                                           std::vector<double>* scratch) {
+  Warm();
+  if (dense_ready_) {
+    ++warm_hits_;
+    return {dense_.data() + i * n_, n_};
+  }
+  scratch->resize(n_);
+  evaluations_ +=
+      kernels::FillGatherTile(eng_, kernel_, {&i, 1}, scratch->data());
+  ++warm_misses_;
+  return *scratch;
 }
 
-void PairwiseStore::GatherRow(std::size_t i, std::vector<double>* out) {
-  out->resize(n_);
-  if (options_.backend == PairwiseBackend::kDense) {
-    EnsureDense();
-    std::memcpy(out->data(), dense_.data() + i * n_, n_ * sizeof(double));
-    ++warm_hits_;
+void PairwiseStore::ScoreRow(std::size_t i,
+                             std::span<const std::size_t> cols, double* out) {
+  if (dense_ready_) {
+    const double* row = dense_.data() + i * n_;
+    for (std::size_t t = 0; t < cols.size(); ++t) out[t] = row[cols[t]];
     return;
   }
-  evaluations_ +=
-      kernels::FillGatherTile(eng_, kernel_, {&i, 1}, out->data());
-  ++warm_misses_;
+  std::size_t begin = 0;
+  for (std::size_t t = 0; t <= cols.size(); ++t) {
+    if (t < cols.size() && cols[t] != i) continue;
+    if (t > begin) {
+      kernel_.EvalRow(i, cols.data() + begin, t - begin, out + begin);
+      evaluations_.fetch_add(static_cast<int64_t>(t - begin),
+                             std::memory_order_relaxed);
+    }
+    if (t < cols.size()) out[t] = 0.0;
+    begin = t + 1;
+  }
 }
 
-void PairwiseStore::ReportTo(ClusteringResult* result,
-                             int64_t outside_evaluations) const {
-  const int64_t evaluations = evaluations_ + outside_evaluations;
+void PairwiseStore::ReportTo(ClusteringResult* result) const {
+  const int64_t evaluations = evaluations_.load();
   if (kernel_.counts_ed_evaluations()) result->ed_evaluations += evaluations;
   result->pairwise_backend = PairwiseBackendName(options_.backend);
   result->table_bytes_peak = table_bytes_peak_;
@@ -123,6 +137,19 @@ void PairwiseStore::VisitSymmetricBlock(
     const std::function<void(std::size_t, std::span<const double>)>& fn) {
   const std::size_t s = ids.size();
   if (s == 0) return;
+  if (dense_ready_) {
+    // Each row gathered from the table into a per-block row buffer.
+    warm_hits_ += static_cast<int64_t>(s);
+    engine::ParallelFor(eng_, s, [&](const engine::BlockedRange& r) {
+      std::vector<double> row(s);
+      for (std::size_t a = r.begin; a < r.end; ++a) {
+        const double* table_row = dense_.data() + ids[a] * n_;
+        for (std::size_t b = 0; b < s; ++b) row[b] = table_row[ids[b]];
+        fn(a, row);
+      }
+    });
+    return;
+  }
   // Scratch bound for the block: the stream bound, raised on the tiled
   // backend to a quarter of the budget (the symmetric-halving fast path is
   // worth more scratch than a plain stream sweep). On the dense backend the

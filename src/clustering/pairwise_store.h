@@ -11,20 +11,30 @@
 //            of the original offline phase);
 //   kTiled — nothing precomputed: sweeps recompute budget-sized row blocks
 //            (tile_rows rows each, down to one-row blocks under the tightest
-//            budgets) through the engine's blocked kernels, and a gathered
+//            budgets) through the engine's blocked kernels, and a requested
 //            row is computed on every request. A caller that revisits rows
 //            keeps them itself (UAHC's NN-chain holds its chain's rows).
 //
-// Every access is shaped by the workload rather than by a tile grid:
+// Callers never name the backend: every access reads the table when one is
+// materialized and computes what it needs otherwise, and the store counts
+// every kernel evaluation itself. Accesses are shaped by the workload
+// rather than by a tile grid:
 //
-//   gathers       — GatherRow copies one row; VisitSymmetricBlock computes
-//                   the member x member slab of a UK-medoids swap sweep in
-//                   one parallel kernel pass;
+//   scoring       — ScoreRow scores one row against a list of columns (the
+//                   UK-medoids assignment and objective, the OPTICS walk);
+//   rows          — Row serves one full row (NN-chain tips);
+//                   VisitSymmetricBlock serves the member x member slab of a
+//                   UK-medoids swap sweep, computed in one parallel kernel
+//                   pass on the tiled backend;
 //   pruned sweeps — VisitUpperTriangle accepts a cheap pair predicate that
 //                   skips pairs whose exact value is provably 0 (e.g. the
 //                   FDBSCAN distance probability of two objects whose
 //                   regions are farther apart than eps) before any kernel
 //                   evaluation.
+//
+// A row served whole from the dense table counts as a warm hit and a
+// computed one as a warm miss; ScoreRow scores part of a row and counts
+// only its pair evaluations.
 //
 // EngineConfig::memory_budget_bytes is the store's only input: it selects
 // the backend and sizes the tiles (0 = unlimited = dense). Invariant:
@@ -34,13 +44,14 @@
 // — so every clustering built on the store is identical across budgets and
 // thread counts; only memory and recompute cost change.
 //
-// Thread-safety: GatherRow is for the algorithm's serial control thread;
-// the Visit* sweeps parallelize internally and invoke the visitor
-// concurrently (one call per row — the visitor owns row-indexed output
-// slots).
+// Thread-safety: ScoreRow may be called from many threads at once; Row and
+// the Visit* sweeps are for the algorithm's serial control thread. The
+// sweeps parallelize internally and invoke the visitor concurrently (one
+// call per row — the visitor owns row-indexed output slots).
 #ifndef UCLUST_CLUSTERING_PAIRWISE_STORE_H_
 #define UCLUST_CLUSTERING_PAIRWISE_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -92,50 +103,58 @@ class PairwiseStore {
   /// The policy derived from the budget.
   const PairwiseStoreOptions& options() const { return options_; }
   /// Kernel evaluations performed so far (tile recomputation included).
-  int64_t evaluations() const { return evaluations_; }
+  int64_t evaluations() const { return evaluations_.load(); }
   /// Peak bytes of materialized table storage (dense table and streaming
   /// scratch) held at any one time.
   std::size_t table_bytes_peak() const { return table_bytes_peak_; }
+  /// True once the dense table is materialized: every read is then free of
+  /// kernel work.
+  bool materialized() const { return dense_ready_; }
 
   /// Builds whatever the backend precomputes (kDense: the full table;
   /// kTiled: nothing). Call inside the offline timing phase to
   /// keep the paper's offline/online accounting for the dense path.
   void Warm();
 
-  /// Row i as a zero-copy span when the dense table is materialized; an
-  /// empty span otherwise. Never computes.
-  std::span<const double> ResidentRow(std::size_t i) const;
-  /// Copies row i into `out` (resized to n): the dense backend copies it
-  /// from the table (a hit); the tiled backend computes row i (a miss).
-  /// The primitive for random-access row walks (NN-chain tips).
-  void GatherRow(std::size_t i, std::vector<double>* out);
+  /// Scores row i against `cols` (any order, repeats allowed): out[t] =
+  /// value(i, cols[t]). Reads the table when one is materialized;
+  /// otherwise scores through PairwiseKernel::EvalRow, one call per run of
+  /// columns between occurrences of i. A column equal to i yields exactly
+  /// 0, as the table's diagonal does, with no evaluation. Safe to call from
+  /// many threads at once: each call adds its evaluations to evaluations().
+  void ScoreRow(std::size_t i, std::span<const std::size_t> cols,
+                double* out);
+
+  /// Row i: a zero-copy span of the dense table (a hit; the kDense backend
+  /// materializes its table first), or row i computed into `scratch`,
+  /// resized to n (a miss). The span is valid until `scratch` or the store
+  /// changes. The primitive for random-access row walks (NN-chain tips).
+  std::span<const double> Row(std::size_t i, std::vector<double>* scratch);
   /// Visits each row of the symmetric |ids| x |ids| sub-block (diagonal 0)
   /// — the member x member slab of the UK-medoids swap sweep. The visitor
   /// receives (slot a, length-|ids| span) with span[b] =
-  /// value(ids[a], ids[b]), invoked concurrently for different rows. Every
-  /// row is computed (and counted as a miss); a dense table is not read.
-  /// When the block fits the scratch bound it is filled
-  /// pairwise-symmetrically (|ids| * (|ids| - 1) / 2 evaluations); larger
-  /// blocks stream budget-bounded row stripes (|ids| - 1 evaluations per
-  /// row). `ids` must be distinct.
+  /// value(ids[a], ids[b]), invoked concurrently for different rows. A
+  /// materialized table is read back (one hit per row). Otherwise every row
+  /// is computed (one miss per row): when the block fits the scratch bound
+  /// it is filled pairwise-symmetrically (|ids| * (|ids| - 1) / 2
+  /// evaluations); larger blocks stream budget-bounded row stripes
+  /// (|ids| - 1 evaluations per row). `ids` must be distinct.
   void VisitSymmetricBlock(std::span<const std::size_t> ids,
                            const std::function<void(
                                std::size_t, std::span<const double>)>& fn);
 
-  /// Rows served without kernel work (dense-table copies).
+  /// Rows served whole without kernel work (dense-table reads).
   int64_t warm_hits() const { return warm_hits_; }
-  /// Rows that required kernel computation.
+  /// Rows served whole that required kernel computation.
   int64_t warm_misses() const { return warm_misses_; }
   /// Pairs skipped by the sweep predicate instead of evaluated.
   int64_t pruned_pairs() const { return pruned_pairs_; }
 
   /// Hands the store's counters to `result`: the backend name, the table
-  /// peak, pruned pairs, row hits and misses, and the pair evaluations —
-  /// the store's plus `outside_evaluations` that the caller made through
-  /// the kernel directly. ed_evaluations gains the same total when the
-  /// kernel is sampled (the closed form integrates nothing).
-  void ReportTo(ClusteringResult* result,
-                int64_t outside_evaluations = 0) const;
+  /// peak, pruned pairs, row hits and misses, and the pair evaluations.
+  /// ed_evaluations gains the same count when the kernel is sampled (the
+  /// closed form integrates nothing).
+  void ReportTo(ClusteringResult* result) const;
 
   /// Visitor for the strict upper-triangle tail of row i: the span covers
   /// entries (i, i+1..n-1), i.e. tail[t] = value(i, i + 1 + t).
@@ -180,7 +199,7 @@ class PairwiseStore {
   kernels::PairwiseKernel kernel_;
   PairwiseStoreOptions options_;
   std::size_t n_ = 0;
-  int64_t evaluations_ = 0;
+  std::atomic<int64_t> evaluations_{0};
   std::size_t table_bytes_peak_ = 0;
 
   // kDense state.

@@ -40,10 +40,10 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
   // merges — exactly the greedy UPGMA cut.
   //
   // Distance bookkeeping: base (singleton-singleton) ED^ values are read
-  // from the store's rows (resident, or computed and held by the chain
-  // below); only clusters that are merge products carry an
-  // explicit distance row, kept in the `merged` overlay and updated by the
-  // Lance-Williams recurrence exactly as the classic in-place table was.
+  // from the store's rows, held by the chain below; only clusters that are
+  // merge products carry an explicit distance row, kept in the `merged`
+  // overlay and updated by the Lance-Williams recurrence exactly as the
+  // classic in-place table was.
   // The value sequence is therefore bit-identical to the dense-table
   // algorithm on every backend, while table memory stays at one overlay row
   // per alive non-singleton cluster.
@@ -68,18 +68,20 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
   std::unordered_map<std::size_t, std::vector<double>> merged;
   std::vector<double*> mrow(n, nullptr);
 
-  // Base rows of the chain's singleton entries, held by the chain itself on
-  // the tiled backend (the dense backend reads resident rows in place).
-  // chain_rows[e] is chain[e]'s base row, or empty when chain[e] is a merge
-  // product or its row was dropped. A base row never changes (merges only
-  // retire indices), and the NN-chain revisits only its top entries: a
+  // Base rows of the chain's singleton entries, held by the chain itself.
+  // chain_rows[e] holds chain[e]'s base row, or nothing when chain[e] is a
+  // merge product or its row was dropped. A base row never changes (merges
+  // only retire indices), and the NN-chain revisits only its top entries: a
   // merge reads the top two rows, and the entry below them becomes the tip
   // and is re-scanned. At most `hold` rows are held, the deepest dropped
-  // first; a merge pops both entries with their rows, so a retired
-  // object's row is never kept.
-  const bool resident = store.backend() == PairwiseBackend::kDense;
+  // first; a merge pops both entries with their rows, so a retired object's
+  // row is never kept.
+  struct HeldRow {
+    std::span<const double> row;  // empty: nothing held
+    std::vector<double> scratch;  // backs `row` when the store computed it
+  };
   const std::size_t hold = store.options().tile_rows;
-  std::vector<std::vector<double>> chain_rows;
+  std::vector<HeldRow> chain_rows;
   chain_rows.reserve(n);
   std::size_t held = 0;
   std::size_t held_peak = 0;
@@ -92,34 +94,34 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
   };
   // Pops the top entry and frees its row.
   auto pop = [&]() {
-    if (!chain_rows.back().empty()) --held;
+    if (!chain_rows.back().row.empty()) --held;
     chain_rows.pop_back();
     chain.pop_back();
   };
   // The held row of singleton entry e, or nullptr (a reuse when held).
   auto held_row = [&](std::size_t e) -> const double* {
-    if (chain_rows[e].empty()) return nullptr;
+    if (chain_rows[e].row.empty()) return nullptr;
     ++row_reuses;
-    return chain_rows[e].data();
+    return chain_rows[e].row.data();
   };
-  // The distance row of entry e: its overlay row, its resident or held
-  // base row, or its base row computed into the stack. The scan for the
-  // deepest held row costs at most the chain's depth, below the n - 1
-  // evaluations of the row it makes room for.
+  // The distance row of entry e: its overlay row, its held base row, or its
+  // base row from the store. The scan for the deepest held row costs at
+  // most the chain's depth, below the n - 1 evaluations of the row it
+  // makes room for.
   auto chain_row = [&](std::size_t e) -> const double* {
     const std::size_t u = chain[e];
     if (mrow[u] != nullptr) return mrow[u];
-    if (resident) return store.ResidentRow(u).data();
     if (const double* row = held_row(e)) return row;
     if (held == hold) {
       std::size_t deepest = 0;
-      while (chain_rows[deepest].empty()) ++deepest;
-      std::vector<double>().swap(chain_rows[deepest]);
+      while (chain_rows[deepest].row.empty()) ++deepest;
+      chain_rows[deepest] = {};
       --held;
     }
-    store.GatherRow(u, &chain_rows[e]);
+    HeldRow& h = chain_rows[e];
+    h.row = store.Row(u, &h.scratch);
     held_peak = std::max(held_peak, ++held);
-    return chain_rows[e].data();
+    return h.row.data();
   };
 
   // Nearest alive neighbour of the chain's tip.
@@ -162,22 +164,19 @@ ClusteringResult Uahc::Cluster(const data::UncertainDataset& data, int k,
         const double sa = static_cast<double>(sizes[a]);
         const double sb = static_cast<double>(sizes[b]);
         // Both operand rows, read before a's overlay row is created. The
-        // tip's row was just scanned, so it is its overlay row or a
-        // resident or held base row. A singleton a's base row is computed
-        // into scratch when the chain dropped it: the stack may be full
-        // with the tip's row. Entries against a merged u are read from u's
+        // tip's row was just scanned, so it is its overlay row or a held
+        // base row. A singleton a's base row comes from the store, into
+        // scratch, when the chain dropped it: the stack may be full with
+        // the tip's row. Entries against a merged u are read from u's
         // overlay row below. A merged operand's overlay row is read in
         // place: entry u of mrow[a] is read before it is written, and
         // mrow[b] is never written.
         const bool a_was_merged = mrow[a] != nullptr;
         const bool b_was_merged = mrow[b] != nullptr;
         const double* rb = chain_row(top);
-        const double* ra = a_was_merged || resident ? chain_row(top - 1)
-                                                    : held_row(top - 1);
-        if (ra == nullptr) {
-          store.GatherRow(a, &row_a);
-          ra = row_a.data();
-        }
+        const double* ra =
+            a_was_merged ? chain_row(top - 1) : held_row(top - 1);
+        if (ra == nullptr) ra = store.Row(a, &row_a).data();
         if (!a_was_merged) {
           mrow[a] = merged.emplace(a, std::vector<double>(n, 0.0))
                         .first->second.data();

@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <limits>
+#include <numeric>
+#include <optional>
 
 #include "clustering/init.h"
 #include "clustering/pairwise_store.h"
@@ -47,118 +49,89 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   result.labels.assign(n, -1);
   std::vector<std::vector<std::size_t>> members(k);
   std::vector<std::size_t> best_medoid(k);
-  std::vector<const double*> med_rows(k);  // dense: row c = d(medoids[c], .)
   std::vector<double> cand_cost(n, 0.0);
-  // The member-block sweep only pays off when rows would otherwise be
-  // recomputed; on the dense backend the row sweep reads the resident table
-  // zero-copy, so the block gather would be pure copy overhead.
-  const bool dense = store.backend() == PairwiseBackend::kDense;
-  // Indexed assignment (recompute backends only — dense rows are free after
-  // Warm()): a per-iteration spatial index over the k medoid region boxes
-  // answers, per object, which medoids could be nearest. The true nearest
-  // medoid's ED^ is bracketed by its box min/max distance, so the candidate
-  // set (min distance within a slacked margin of the smallest max distance)
-  // always contains the argmin winner, and excluded medoids are provably
-  // strictly farther. The ascending-slot strict-< scan over candidates
-  // therefore picks the bit-identical label the k-row scan picks, without
-  // gathering k full medoid rows per iteration.
-  int64_t direct_evals = 0;
-
+  // Indexed assignment, when scoring a pair costs a kernel evaluation: a
+  // per-iteration spatial index over the k medoid region boxes answers, per
+  // object, which medoids could be nearest. The true nearest medoid's ED^ is
+  // bracketed by its box min/max distance, so the candidate set (min
+  // distance within a slacked margin of the smallest max distance) always
+  // contains the argmin winner, and excluded medoids are provably strictly
+  // farther. The ascending-slot strict-< scan over candidates therefore
+  // picks the bit-identical label the k-medoid scan picks. A materialized
+  // table scores all k medoids instead: its reads are cheaper than the index
+  // (measured on the perfbench pairwise file).
   for (result.iterations = 0; result.iterations < params_.max_iters;
        ++result.iterations) {
-    std::size_t changed = 0;
-    if (!dense) {
+    std::optional<SpatialIndex> midx;
+    if (!store.materialized()) {
       std::vector<uncertain::Box> mboxes;
       mboxes.reserve(medoids.size());
       for (const std::size_t m : medoids) {
         mboxes.push_back(data.object(m).region());
       }
-      const SpatialIndex midx(std::move(mboxes), SpatialIndexKind::kRTree);
-      struct AssignCounts {
-        std::size_t changed = 0;
-        int64_t evals = 0;
-        int64_t cands = 0;
-      };
-      const std::vector<AssignCounts> per_block =
-          engine::MapBlocks<AssignCounts>(
-              eng, n, [&](const engine::BlockedRange& r) {
-                AssignCounts ac;
+      midx.emplace(std::move(mboxes), SpatialIndexKind::kRTree);
+    }
+    // Assignment, a block of objects at a time: each medoid in slot order
+    // is scored, in one ScoreRow call along its row, against the block's
+    // objects that list it as a candidate (every object when unindexed).
+    // Each object keeps the first strictly smallest score, which is the
+    // ascending-slot strict-< scan over its candidates.
+    struct AssignCounts {
+      std::size_t changed = 0;
+      int64_t cands = 0;
+    };
+    const std::vector<AssignCounts> per_block =
+        engine::MapBlocks<AssignCounts>(
+            eng, n, [&](const engine::BlockedRange& r) {
+              AssignCounts ac;
+              const std::size_t len = r.end - r.begin;
+              std::vector<std::size_t> block(len);
+              std::iota(block.begin(), block.end(), r.begin);
+              std::vector<std::vector<std::size_t>> listing(midx ? k : 0);
+              if (midx) {
                 std::vector<std::size_t> cand;
-                for (std::size_t i = r.begin; i < r.end; ++i) {
-                  midx.NearestCandidates(data.object(i).region(), &cand);
-                  int best = 0;
-                  double best_d = std::numeric_limits<double>::infinity();
-                  const auto offer = [&](std::size_t slot, double d) {
-                    if (d < best_d) {
-                      best_d = d;
-                      best = static_cast<int>(slot);
-                    }
-                  };
-                  // Candidates are offered in slot order; the batch scores
-                  // them a stack chunk at a time.
-                  kernels::RowBatch batch(kernel, i, offer);
-                  for (const std::size_t slot : cand) {
-                    const std::size_t mid = medoids[slot];
-                    // The table diagonal is exactly 0 when an object is its
-                    // own medoid; scoring the pair (i, i) would return the
-                    // nonzero self ED^, so match the diagonal: offer 0 in
-                    // this slot's turn, after the queued ones.
-                    if (mid == i) {
-                      batch.Flush();
-                      offer(slot, 0.0);
-                      continue;
-                    }
-                    batch.Add(mid, slot);
-                    ++ac.evals;
-                  }
-                  batch.Flush();
+                for (const std::size_t i : block) {
+                  midx->NearestCandidates(data.object(i).region(), &cand);
+                  for (const std::size_t c : cand) listing[c].push_back(i);
                   ac.cands += static_cast<int64_t>(cand.size());
-                  if (best != result.labels[i]) {
-                    result.labels[i] = best;
-                    ++ac.changed;
+                }
+              }
+              std::vector<double> best_d(
+                  len, std::numeric_limits<double>::infinity());
+              std::vector<int> best(len, 0);
+              std::vector<double> scores;
+              for (int c = 0; c < k; ++c) {
+                const std::vector<std::size_t>& objects =
+                    midx ? listing[c] : block;
+                scores.resize(objects.size());
+                store.ScoreRow(medoids[c], objects, scores.data());
+                for (std::size_t q = 0; q < objects.size(); ++q) {
+                  const std::size_t t = objects[q] - r.begin;
+                  if (scores[q] < best_d[t]) {
+                    best_d[t] = scores[q];
+                    best[t] = c;
                   }
                 }
-                return ac;
-              });
-      int64_t iter_cands = 0;
-      for (const AssignCounts& ac : per_block) {
-        changed += ac.changed;
-        direct_evals += ac.evals;
-        iter_cands += ac.cands;
-      }
+              }
+              for (std::size_t t = 0; t < len; ++t) {
+                if (best[t] != result.labels[r.begin + t]) {
+                  result.labels[r.begin + t] = best[t];
+                  ++ac.changed;
+                }
+              }
+              return ac;
+            });
+    std::size_t changed = 0;
+    int64_t iter_cands = 0;
+    for (const AssignCounts& ac : per_block) {
+      changed += ac.changed;
+      iter_cands += ac.cands;
+    }
+    if (midx) {
       result.index_candidates += iter_cands;
       result.pairs_pruned_by_index +=
           static_cast<int64_t>(n) * k - iter_cands;
-      result.index_bound_tests += midx.bound_tests();
-    } else {
-      // Assignment to the nearest medoid: read the k medoid rows in place
-      // from the resident table, then sweep objects in parallel blocks (the
-      // change counter reduces over blocks in order).
-      for (int c = 0; c < k; ++c) {
-        med_rows[c] = store.ResidentRow(medoids[c]).data();
-      }
-      const std::vector<std::size_t> changed_per_block =
-          engine::MapBlocks<std::size_t>(
-              eng, n, [&](const engine::BlockedRange& r) {
-                std::size_t block_changed = 0;
-                for (std::size_t i = r.begin; i < r.end; ++i) {
-                  int best = 0;
-                  double best_d = std::numeric_limits<double>::infinity();
-                  for (int c = 0; c < k; ++c) {
-                    const double d = med_rows[c][i];
-                    if (d < best_d) {
-                      best_d = d;
-                      best = c;
-                    }
-                  }
-                  if (best != result.labels[i]) {
-                    result.labels[i] = best;
-                    ++block_changed;
-                  }
-                }
-                return block_changed;
-              });
-      for (std::size_t c : changed_per_block) changed += c;
+      result.index_bound_tests += midx->bound_tests();
     }
     for (auto& mlist : members) mlist.clear();
     for (std::size_t i = 0; i < n; ++i) {
@@ -168,37 +141,18 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
 
     // Update: each cluster's medoid minimizes the total ED^ to its members.
     // An object's candidate cost reads only its own cluster's member
-    // columns, so the sweep needs the per-cluster member x member blocks —
-    // never the full table.
-    if (dense) {
-      // Resident table: every row read in place, each object summed over
-      // its own cluster's member columns.
-      engine::ParallelFor(eng, n, [&](const engine::BlockedRange& r) {
-        for (std::size_t i = r.begin; i < r.end; ++i) {
-          const std::span<const double> row = store.ResidentRow(i);
-          double cost = 0.0;
-          for (std::size_t other : members[result.labels[i]]) {
-            cost += row[other];
-          }
-          cand_cost[i] = cost;
-        }
-      });
-    } else {
-      // Tiled backend: one member x member slab per cluster (evaluated
-      // symmetrically; budget-bounded stripes when the slab is too large to
-      // materialize), with row sums in the visitor. Summation order over a
-      // block row is ascending members — exactly the dense row sweep's order
-      // restricted to the member columns, so cand_cost is bit-identical.
-      for (int c = 0; c < k; ++c) {
-        const std::vector<std::size_t>& mem = members[c];
-        if (mem.empty()) continue;
-        store.VisitSymmetricBlock(
-            mem, [&](std::size_t a, std::span<const double> row) {
-              double cost = 0.0;
-              for (const double v : row) cost += v;
-              cand_cost[mem[a]] = cost;
-            });
-      }
+    // columns, so the sweep visits one member x member slab per cluster —
+    // never the full table — with row sums in the visitor, in ascending
+    // member order.
+    for (int c = 0; c < k; ++c) {
+      const std::vector<std::size_t>& mem = members[c];
+      if (mem.empty()) continue;
+      store.VisitSymmetricBlock(
+          mem, [&](std::size_t a, std::span<const double> row) {
+            double cost = 0.0;
+            for (const double v : row) cost += v;
+            cand_cost[mem[a]] = cost;
+          });
     }
     for (int c = 0; c < k; ++c) {
       best_medoid[c] = medoids[c];
@@ -227,47 +181,25 @@ ClusteringResult UkMedoids::Cluster(const data::UncertainDataset& data, int k,
   }
 
   // Objective: total ED^ between objects and their medoids, summed in
-  // ascending i. The dense table serves the k medoid rows in place; a
-  // recomputing backend scores each cluster's members against its medoid
-  // row instead of gathering k full rows. EvalRow computes the table's
-  // values, and a medoid's own term is exactly 0 like the table diagonal,
-  // so the bits agree.
-  if (dense) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t mid = medoids[result.labels[i]];
-      cand_cost[i] = store.ResidentRow(mid)[i];
-    }
-  } else {
-    const std::vector<int64_t> evals_per_cluster =
-        engine::MapBlocksBlocked<int64_t>(
-            eng, static_cast<std::size_t>(k), 1,
-            [&](const engine::BlockedRange& r) {
-              int64_t evals = 0;
-              for (std::size_t c = r.begin; c < r.end; ++c) {
-                const std::size_t mid = medoids[c];
-                kernels::RowBatch batch(
-                    kernel, mid,
-                    [&](std::size_t i, double d) { cand_cost[i] = d; });
-                for (const std::size_t i : members[c]) {
-                  if (i == mid) {
-                    cand_cost[i] = 0.0;
-                    continue;
-                  }
-                  batch.Add(i, i);
-                  ++evals;
-                }
-                batch.Flush();
-              }
-              return evals;
-            });
-    for (const int64_t e : evals_per_cluster) direct_evals += e;
-  }
+  // ascending i. Each cluster's members are scored against its medoid's
+  // row rather than gathering k full rows; a medoid's own term is the
+  // diagonal's 0.
+  engine::ParallelForBlocked(
+      eng, static_cast<std::size_t>(k), 1, [&](const engine::BlockedRange& r) {
+        std::vector<double> dist;
+        for (std::size_t c = r.begin; c < r.end; ++c) {
+          const std::vector<std::size_t>& mem = members[c];
+          dist.resize(mem.size());
+          store.ScoreRow(medoids[c], mem, dist.data());
+          for (std::size_t t = 0; t < mem.size(); ++t) {
+            cand_cost[mem[t]] = dist[t];
+          }
+        }
+      });
   result.objective = 0.0;
   for (std::size_t i = 0; i < n; ++i) result.objective += cand_cost[i];
   result.online_ms = online.ElapsedMs();
-  // Indexed assignment and the recomputed objective evaluate the kernel
-  // outside the store; fold those evaluations into the store's totals.
-  store.ReportTo(&result, direct_evals);
+  store.ReportTo(&result);
   result.clusters_found = CountClusters(result.labels);
   return result;
 }

@@ -7,14 +7,14 @@
 // Pairwise access goes through clustering::PairwiseStore. Under the default
 // unlimited memory budget the full ED table is precomputed in the offline
 // phase exactly as in the original (the paper excludes it from the timed
-// online phase), and the swap sweep reads each object's member columns
-// straight out of it. Under a finite EngineConfig::memory_budget_bytes the
-// store recomputes instead, and the sweeps read only what they need: the
-// assignment step asks a spatial index over the k medoid regions which
-// medoids could be nearest and evaluates only those pairs, and the swap
-// sweep computes per-cluster member x member slabs. Table memory stays
-// bounded at any n, and clusterings are bit-identical to the dense
-// backend's at any thread count; see docs/memory-backends.md.
+// online phase), and every phase reads it. Under a finite
+// EngineConfig::memory_budget_bytes the store recomputes instead, and the
+// same loops read only what they need: the assignment step asks a spatial
+// index over the k medoid regions which medoids could be nearest and
+// scores only those pairs, and the swap sweep computes per-cluster
+// member x member slabs. Table memory stays bounded at any n, and
+// clusterings are bit-identical to the dense backend's at any thread
+// count; see docs/memory-backends.md.
 #ifndef UCLUST_CLUSTERING_UKMEDOIDS_H_
 #define UCLUST_CLUSTERING_UKMEDOIDS_H_
 

@@ -151,27 +151,27 @@ class SampleView {
 };
 
 /// One thread's walk from a pinned object (the row) over many partner
-/// objects, as PairwiseKernel::EvalRow pairs them. The row is resolved once;
-/// partners go through a chunk-run cursor that reuses the chunk base
-/// pointer while consecutive partners share a chunk, so a chunked view pays
-/// one ChunkData call per chunk run instead of one per partner. Each time a
-/// partner run starts in another chunk, the row's chunk is looked up again
-/// (a window hit), so the row stays among the thread's most recent chunks
-/// and its pointer valid, however many chunks the partners cross; read row()
-/// after resolving the partners it is paired with. Spans obey the
-/// span-validity contract above: the row plus up to four partners resolved
-/// since stay valid together.
+/// objects, as PairwiseKernel::EvalRow pairs them. Partners go through a
+/// chunk-run cursor that reuses the chunk base pointer while consecutive
+/// partners share a chunk, so a chunked view pays one ChunkData call per
+/// chunk run instead of one per partner. On a chunked view the row is
+/// looked up with each partner run, never before the first: from the run's
+/// own base when the run lies in the row's chunk, else by one more lookup
+/// (a window hit). So the row stays among the thread's most recent chunks
+/// and its pointer valid, however many chunks the partners cross, and a
+/// walk whose partners all share the row's chunk makes one lookup. Read
+/// row() only after resolving the partners it is paired with. Spans obey
+/// the span-validity contract above: the row plus up to four partners
+/// resolved since stay valid together.
 class SampleView::RowCursor {
  public:
   RowCursor(const SampleView& view, std::size_t row)
-      : view_(view), row_index_(row), row_(view.ObjectSamples(row).data()) {
-    if (view.chunked()) {
-      chunk_ = row >> view.shift_;
-      base_ = row_ - (row & view.mask_) * view.row_size();
-    }
-  }
+      : view_(view),
+        row_index_(row),
+        row_(view.chunked() ? nullptr : view.flat_ + row * view.row_size()) {}
 
-  /// The row object's S * m realizations.
+  /// The row object's S * m realizations (after the first Partner call on
+  /// a chunked view).
   const double* row() const { return row_; }
 
   /// Partner object j's S * m realizations.
@@ -196,7 +196,8 @@ class SampleView::RowCursor {
   const SampleView& view_;
   std::size_t row_index_;
   const double* row_;
-  std::size_t chunk_ = 0;         // chunk of the current partner run
+  // Chunk of the current partner run; none before the first partner.
+  std::size_t chunk_ = static_cast<std::size_t>(-1);
   const double* base_ = nullptr;  // its base pointer
 };
 

@@ -23,6 +23,7 @@
 #include "data/uncertainty_model.h"
 #include "common/rng.h"
 #include "engine/engine.h"
+#include "engine/parallel_for.h"
 #include "io/sample_file.h"
 #include "uncertain/expected_distance.h"
 #include "uncertain/sample_store.h"
@@ -57,12 +58,18 @@ engine::Engine OneByteBudget() {
   return engine::Engine(config);
 }
 
-// The full n x n table as served by GatherRow over every row.
+// Row i of the store, copied out of the span Row returns.
+std::vector<double> RowCopy(PairwiseStore* store, std::size_t i) {
+  std::vector<double> scratch;
+  const std::span<const double> row = store->Row(i, &scratch);
+  return {row.begin(), row.end()};
+}
+
+// The full n x n table as served by Row over every row.
 std::vector<double> AllRows(PairwiseStore* store) {
   std::vector<double> table;
-  std::vector<double> row;
   for (std::size_t i = 0; i < store->size(); ++i) {
-    store->GatherRow(i, &row);
+    const std::vector<double> row = RowCopy(store, i);
     table.insert(table.end(), row.begin(), row.end());
   }
   return table;
@@ -122,11 +129,10 @@ TEST(PairwiseStore, BackendsServeBitIdenticalValues) {
     ASSERT_EQ(fly.options().tile_rows, 1u);
     // Row by row against the oracle on every store, and the whole table
     // from fresh recomputing stores against the dense one.
-    std::vector<double> d_row, t_row, f_row;
     for (std::size_t i = 0; i < n; ++i) {
-      dense.GatherRow(i, &d_row);
-      tiled.GatherRow(i, &t_row);
-      fly.GatherRow(i, &f_row);
+      const std::vector<double> d_row = RowCopy(&dense, i);
+      const std::vector<double> t_row = RowCopy(&tiled, i);
+      const std::vector<double> f_row = RowCopy(&fly, i);
       for (std::size_t j = 0; j < n; ++j) {
         const double want = i == j ? 0.0 : PairOracle(kernel, i, j);
         ASSERT_EQ(d_row[j], want) << i << "," << j;
@@ -168,8 +174,7 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
     const bool dense = store.backend() == PairwiseBackend::kDense;
     const int64_t nn = static_cast<int64_t>(n);
     const int64_t half = nn * (nn - 1) / 2;
-    std::vector<double> cold_row;
-    store.GatherRow(1, &cold_row);
+    const std::vector<double> cold_row = RowCopy(&store, 1);
     EXPECT_EQ(store.evaluations(), dense ? half : nn - 1) << name;
     int64_t before = store.evaluations();
     const std::vector<double> from_rows = AllRows(&store);
@@ -189,9 +194,8 @@ TEST(PairwiseStore, SweepsMatchRandomAccess) {
     }
     std::vector<std::size_t> some_rows = {0, n / 2, n - 1, 3};
     std::vector<double> gathered;
-    std::vector<double> row;
     for (const std::size_t i : some_rows) {
-      store.GatherRow(i, &row);
+      const std::vector<double> row = RowCopy(&store, i);
       gathered.insert(gathered.end(), row.begin(), row.end());
     }
     for (std::size_t i = 0; i < n; ++i) {
@@ -236,10 +240,146 @@ TEST(PairwiseStore, BudgetSelectsBackendAndBoundsPeak) {
                                              ds.objects()));
   ASSERT_EQ(store.options().tile_rows, tiled.tile_rows);
   std::vector<double> row;
-  for (std::size_t i = 0; i < n; i += 3) store.GatherRow(i, &row);
-  for (std::size_t i = 0; i < n; ++i) store.GatherRow(i, &row);
+  for (std::size_t i = 0; i < n; i += 3) store.Row(i, &row);
+  for (std::size_t i = 0; i < n; ++i) store.Row(i, &row);
   store.VisitUpperTriangle([](std::size_t, std::span<const double>) {});
   EXPECT_LE(store.table_bytes_peak(), 16 * row_bytes);
+}
+
+// ScoreRow, the store's one pair-scoring entry, gives Row's bits for any
+// column list: partners below and above the row, repeats, the row itself
+// (exactly 0, like the table diagonal), and the empty list. A tiled store
+// counts one evaluation per off-diagonal pair scored; a materialized table
+// counts none. The same holds when four threads score rows concurrently
+// through the shared counter.
+TEST(PairwiseStore, ScoreRowMatchesRowAndCountsEveryEvaluation) {
+  const auto ds = TestDataset(61, 3, 3, 37);
+  const std::size_t n = ds.size();
+  const uncertain::ResidentSampleStore samples(ds.objects(), 12, 0x5eed);
+  const kernels::PairwiseKernel kinds[] = {
+      kernels::PairwiseKernel::ClosedFormED2(ds.objects()),
+      kernels::PairwiseKernel::SampleED2(samples.view()),
+  };
+  common::Rng rng(0xBA7C);
+  std::vector<std::size_t> cols;  // 0..n-1 twice, shuffled: 2n columns
+  for (int rep = 0; rep < 2; ++rep) {
+    for (std::size_t j = 0; j < n; ++j) cols.push_back(j);
+  }
+  for (std::size_t t = cols.size() - 1; t > 0; --t) {
+    const std::size_t u = static_cast<std::size_t>(rng.Uniform(0.0, 1.0) *
+                                                   (t + 1)) % (t + 1);
+    std::swap(cols[t], cols[u]);
+  }
+  const std::vector<std::vector<std::size_t>> lists = {
+      cols, {n - 1, 0, 30, 30, 2}, {}};
+
+  // Dense (warmed); tiled with 7-row blocks (28 rows); tiled with one-row
+  // blocks (1 byte). Each at one thread and at four.
+  for (const std::size_t budget : {std::size_t{0}, 28 * n * sizeof(double),
+                                   std::size_t{1}}) {
+    for (const int threads : {1, 4}) {
+      engine::EngineConfig config;
+      config.num_threads = threads;
+      config.block_size = 4;
+      config.memory_budget_bytes = budget;
+      const engine::Engine eng(config);
+      for (const auto& kernel : kinds) {
+        PairwiseStore store(eng, kernel);
+        store.Warm();
+        const std::string where =
+            "budget=" + std::to_string(budget) +
+            " threads=" + std::to_string(threads) +
+            " kind=" + std::to_string(static_cast<int>(kernel.kind));
+        ASSERT_EQ(store.materialized(), budget == 0) << where;
+        const std::vector<double> table = AllRows(&store);
+        // Scores every row against `list`: (row, slot) -> value.
+        const auto score = [&](const std::vector<std::size_t>& list) {
+          std::vector<double> got(n * list.size(), -1.0);
+          engine::ParallelFor(eng, n, [&](const engine::BlockedRange& r) {
+            for (std::size_t i = r.begin; i < r.end; ++i) {
+              store.ScoreRow(i, list, got.data() + i * list.size());
+            }
+          });
+          return got;
+        };
+        for (const std::vector<std::size_t>& list : lists) {
+          const int64_t before = store.evaluations();
+          const std::vector<double> got = score(list);
+          int64_t off_diagonal = 0;
+          for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t t = 0; t < list.size(); ++t) {
+              const std::size_t j = list[t];
+              const double want = j == i ? 0.0 : table[i * n + j];
+              const double v = got[i * list.size() + t];
+              ASSERT_EQ(0, std::memcmp(&want, &v, sizeof(double)))
+                  << where << " i=" << i << " j=" << j;
+              off_diagonal += j != i;
+            }
+          }
+          EXPECT_EQ(store.evaluations() - before,
+                    budget == 0 ? 0 : off_diagonal)
+              << where;
+        }
+      }
+    }
+  }
+}
+
+// Counts the chunk lookups a chunked SampleView makes.
+class CountingChunkSource final : public uncertain::SampleChunkSource {
+ public:
+  CountingChunkSource(const double* data, std::size_t chunk_doubles)
+      : data_(data), chunk_doubles_(chunk_doubles) {}
+  const double* ChunkData(std::size_t chunk) const override {
+    ++lookups_;
+    return data_ + chunk * chunk_doubles_;
+  }
+  int64_t lookups() const { return lookups_; }
+
+ private:
+  const double* data_;
+  std::size_t chunk_doubles_;
+  mutable int64_t lookups_ = 0;
+};
+
+// EvalRow on a chunked view looks the row's chunk up with the partners, not
+// before them: one partner in another chunk costs two lookups (its chunk
+// and the row's), and partners all in the row's chunk cost one.
+TEST(PairwiseKernel, EvalRowLooksUpTheRowChunkWithItsPartners) {
+  const auto ds = TestDataset(16, 2, 2, 41);
+  const uncertain::ResidentSampleStore resident(ds.objects(), 4, 0x5eed);
+  const uncertain::SampleView flat = resident.view();
+  const std::size_t chunk_rows = 4;
+  const std::size_t row_doubles =
+      static_cast<std::size_t>(flat.samples_per_object()) * flat.dims();
+  const CountingChunkSource source(flat.ObjectSamples(0).data(),
+                                   chunk_rows * row_doubles);
+  const uncertain::SampleView chunked(flat.size(), flat.samples_per_object(),
+                                      flat.dims(), chunk_rows, &source);
+  const kernels::PairwiseKernel kernel =
+      kernels::PairwiseKernel::SampleED2(chunked);
+  const kernels::PairwiseKernel reference =
+      kernels::PairwiseKernel::SampleED2(flat);
+  const struct {
+    std::size_t row;
+    std::vector<std::size_t> cols;
+    int64_t lookups;
+  } cases[] = {
+      {1, {9}, 2},           // one partner in another chunk
+      {9, {1}, 2},           // the same pair from the other side
+      {5, {4, 6, 7}, 1},     // all partners in the row's chunk (tail)
+      {0, {1, 2, 3, 1}, 1},  // all in the row's chunk (one group)
+      {0, {4, 5, 6, 7}, 2},  // one run in another chunk
+  };
+  for (const auto& c : cases) {
+    std::vector<double> got(c.cols.size());
+    std::vector<double> want(c.cols.size());
+    const int64_t before = source.lookups();
+    kernel.EvalRow(c.row, c.cols.data(), c.cols.size(), got.data());
+    EXPECT_EQ(source.lookups() - before, c.lookups) << "row=" << c.row;
+    reference.EvalRow(c.row, c.cols.data(), c.cols.size(), want.data());
+    EXPECT_EQ(got, want) << "row=" << c.row;
+  }
 }
 
 // EvalRow matches the test-local pair oracle, bit for bit, for every kernel

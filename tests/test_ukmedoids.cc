@@ -160,6 +160,34 @@ TEST(UkMedoids, ObjectiveNeverIncreasesWithIterationCap) {
   EXPECT_GE(longest_run, 3);
 }
 
+// With the table materialized (budget 0), scoring a medoid costs a table
+// read, so the assignment scores all k medoids and asks no spatial index;
+// the only pair evaluations are the table's n(n-1)/2. A tiled run of the
+// same problem asks the index and reaches the same labels.
+TEST(UkMedoids, DenseTableScoresEveryMedoidWithoutTheIndex) {
+  const auto ds = PlantedDataset(150, 4, 29);
+  const int64_t n = static_cast<int64_t>(ds.size());
+  for (const bool closed_form : {true, false}) {
+    UkMedoids::Params p;
+    p.use_closed_form = closed_form;
+    const ClusteringResult dense = UkMedoids(p).Cluster(ds, 6, 31);
+    const std::string trace = "closed_form=" + std::to_string(closed_form);
+    ASSERT_EQ(dense.pairwise_backend, "dense") << trace;
+    EXPECT_EQ(dense.index_candidates, 0) << trace;
+    EXPECT_EQ(dense.index_bound_tests, 0) << trace;
+    EXPECT_EQ(dense.pair_evaluations, n * (n - 1) / 2) << trace;
+    EXPECT_EQ(dense.tile_warm_misses, 0) << trace;
+
+    engine::EngineConfig tiled;
+    tiled.memory_budget_bytes = 12 * ds.size() * sizeof(double);
+    UkMedoids algo(p);
+    algo.set_engine(engine::Engine(tiled));
+    const ClusteringResult r = algo.Cluster(ds, 6, 31);
+    EXPECT_GT(r.index_candidates, 0) << trace;
+    EXPECT_EQ(r.labels, dense.labels) << trace;
+  }
+}
+
 // On the tiled backend the objective scores each member against its
 // medoid's row instead of gathering k full medoid rows: the value keeps the
 // dense table's bits (EvalRow == Eval, a medoid's own term is 0 like the
