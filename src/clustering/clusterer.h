@@ -58,8 +58,8 @@ struct ClusteringResult {
   int64_t tile_warm_hits = 0;
   /// Rows the PairwiseStore had to compute.
   int64_t tile_warm_misses = 0;
-  /// Sweep pairs skipped by cheap spatial bounds instead of evaluated
-  /// (the pruned-sweep policy; see clustering::PairwiseBoundIndex).
+  /// Sweep pairs served as 0 because cheap spatial bounds ruled them out,
+  /// instead of evaluated (see clustering::PairwiseBoundIndex).
   int64_t pairs_pruned = 0;
   /// Closed-form object-to-center distance evaluations the centroid methods
   /// performed (the ||mu(o) - c||^2 computations of the UK-means assignment

@@ -10,22 +10,28 @@
 // follows pairs whose distance probability reaches the reachability
 // threshold.
 //
+// Automatic eps (Params::eps <= 0) is the median, over up to 256 probe
+// objects, of each probe's MinPts-th smallest closed-form expected
+// distance, ranked on packed moments as squared values with one sqrt.
+//
 // The pairwise sweep streams through clustering::PairwiseStore (bounded
-// scratch on every backend; the table is never retained). Pairs whose
-// domain regions are provably farther apart than eps — per
-// clustering::PairwiseBoundIndex — are skipped before any kernel
-// evaluation: their distance probability is exactly 0, so labels are
-// bit-identical to an unpruned sweep and only
-// ClusteringResult::pair_evaluations/pairs_pruned change. Which pairs the
-// bound is tested on is picked per run from the data: a selectivity probe
-// (ChooseSweep) sends a selective eps to the R-tree candidate sweep, which
-// tests only the range-query hits, and a broad one to the all-pairs sweep,
-// which tests every pair but builds no index. Both sweeps evaluate the same
-// pairs (see docs/spatial-index.md).
+// scratch on every backend; the table is never retained) and evaluates only
+// candidate pairs: the pairs whose domain regions may lie within eps, per
+// clustering::PairwiseBoundIndex. Every other pair's distance probability
+// is exactly 0, so labels are bit-identical to an unpruned sweep and only
+// ClusteringResult::pair_evaluations/pairs_pruned change. The candidates
+// come from one of two sweeps that keep the same pairs, picked per run from
+// the data: a selectivity probe (ChooseSweep) sends a selective eps to the
+// R-tree sweep, which tests only the range-query hits, and a broad one to
+// the all-pairs sweep, a flat branch-free bound pass over every pair that
+// builds no index (see docs/spatial-index.md). The nonzero probabilities
+// form a CSR adjacency whose rows list neighbours in ascending order; the
+// core test reads each row in place.
 #ifndef UCLUST_CLUSTERING_FDBSCAN_H_
 #define UCLUST_CLUSTERING_FDBSCAN_H_
 
 #include <optional>
+#include <span>
 
 #include "clustering/clusterer.h"
 
@@ -55,12 +61,13 @@ class Fdbscan final : public Clusterer {
   /// pairs_pruned agree; only the bound-test cost differs.
   enum class Sweep {
     kIndexed,   ///< R-tree range query per object over the region boxes.
-    kAllPairs,  ///< PairwiseBoundIndex::ProvablyBeyond on every pair.
+    kAllPairs,  ///< PairwiseBoundIndex::KeptAbove on every row.
   };
 
   /// ChooseSweep picks kIndexed when the probed fraction of pairs the bound
   /// keeps is below this: the index build and queries cost less than the
-  /// n*(n-1)/2 bound tests from about 3-10% kept down (docs/spatial-index.md).
+  /// n*(n-1)/2-pair bound pass from about 3-4% kept down
+  /// (docs/spatial-index.md).
   static constexpr double kIndexedMaxKeptFraction = 0.05;
 
   Fdbscan() = default;
@@ -83,7 +90,7 @@ class Fdbscan final : public Clusterer {
 
   /// Probability that at least `min_pts` of the independent events with
   /// probabilities `probs` occur (Poisson-binomial tail). Exposed for tests.
-  static double AtLeastProbability(const std::vector<double>& probs,
+  static double AtLeastProbability(std::span<const double> probs,
                                    int min_pts);
 
  private:

@@ -218,47 +218,6 @@ int64_t FillDenseTriangular(const engine::Engine& eng,
   return total;
 }
 
-int64_t FillUpperRowTilePruned(const engine::Engine& eng,
-                               const PairwiseKernel& kernel,
-                               std::size_t row_begin, std::size_t row_end,
-                               double* out, const PairSkipTest& skip,
-                               int64_t* pruned) {
-  const std::size_t n = kernel.size();
-  const std::size_t rows = row_end - row_begin;
-  struct Counts {
-    int64_t evals = 0;
-    int64_t pruned = 0;
-  };
-  const std::vector<Counts> per_block = engine::MapBlocksBlocked<Counts>(
-      eng, rows, TriangularRowBlock(eng, rows),
-      [&](const engine::BlockedRange& r) {
-        Counts c;
-        for (std::size_t t = r.begin; t < r.end; ++t) {
-          const std::size_t i = row_begin + t;
-          double* row = out + t * n;
-          RowBatch batch(kernel, i,
-                         [row](std::size_t j, double v) { row[j] = v; });
-          for (std::size_t j = i + 1; j < n; ++j) {
-            if (skip && skip(i, j)) {
-              row[j] = 0.0;
-              ++c.pruned;
-              continue;
-            }
-            batch.Add(j, j);
-            ++c.evals;
-          }
-          batch.Flush();
-        }
-        return c;
-      });
-  int64_t total = 0;
-  for (const Counts& c : per_block) {
-    total += c.evals;
-    *pruned += c.pruned;
-  }
-  return total;
-}
-
 int64_t FillUpperRowTileFromCandidates(const engine::Engine& eng,
                                        const PairwiseKernel& kernel,
                                        std::size_t row_begin,

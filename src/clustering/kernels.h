@@ -191,26 +191,6 @@ int64_t FillDenseTriangular(const engine::Engine& eng,
                             const PairwiseKernel& kernel,
                             std::vector<double>* dist);
 
-/// Cheap pure predicate over a pair (i, j): true means the pair's exact
-/// kernel value is provably 0 and the evaluation may be skipped. Must be
-/// safe to call concurrently.
-using PairSkipTest = std::function<bool(std::size_t, std::size_t)>;
-
-/// Fills the ragged upper-triangle rows [row_begin, row_end): entry (i, j)
-/// for j > i lands at out[(i - row_begin) * n + j]; entries j <= i are left
-/// untouched. Parallel over rows. Pairs for which a non-empty `skip` returns
-/// true are written as exactly 0.0 without a kernel evaluation (which is
-/// the value the kernel would have produced — the caller's contract); an
-/// empty `skip` evaluates every pair, so a full sweep costs n*(n-1)/2
-/// evaluations. Returns the evaluation count and adds the number of skipped
-/// pairs to *pruned. The skip decision is a pure function of the pair, so
-/// the filled tile is bit-identical for any thread count.
-int64_t FillUpperRowTilePruned(const engine::Engine& eng,
-                               const PairwiseKernel& kernel,
-                               std::size_t row_begin, std::size_t row_end,
-                               double* out, const PairSkipTest& skip,
-                               int64_t* pruned);
-
 /// Per-row candidate columns for a candidate-driven upper-triangle sweep:
 /// candidates(i) returns the ascending column indices j > i that may have a
 /// nonzero kernel value (e.g. spatial-index range-query hits). Must be pure
@@ -219,14 +199,15 @@ int64_t FillUpperRowTilePruned(const engine::Engine& eng,
 using CandidateColumns =
     std::function<std::span<const std::size_t>(std::size_t)>;
 
-/// FillUpperRowTilePruned driven by candidate sets instead of all-pairs
-/// predicate tests: row i's upper entries are zero-initialized, and exactly
-/// the columns in candidates(i) are evaluated. The caller's contract is
-/// that every non-candidate pair's exact kernel value is provably 0, so the
-/// filled tile is bit-identical to the predicate-driven sweep whenever the
-/// candidate set is a superset of the non-skipped pairs. Returns the
-/// evaluation count; non-candidates add to *pruned (preserving evals +
-/// pruned = pairs swept).
+/// Fills the ragged upper-triangle rows [row_begin, row_end) from candidate
+/// sets: entry (i, j) for j > i lands at out[(i - row_begin) * n + j],
+/// entries j <= i are left untouched. Row i's upper entries are
+/// zero-initialized, and exactly the columns in candidates(i) are evaluated,
+/// in ascending order. The caller's contract is that every non-candidate
+/// pair's exact kernel value is 0 (a bound proved it), so the filled tile is
+/// bit-identical to an all-pairs fill; all j > i as candidates is that fill.
+/// Parallel over rows. Returns the evaluation count; non-candidates add to
+/// *pruned (preserving evals + pruned = pairs swept).
 int64_t FillUpperRowTileFromCandidates(const engine::Engine& eng,
                                        const PairwiseKernel& kernel,
                                        std::size_t row_begin,

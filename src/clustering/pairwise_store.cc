@@ -1,6 +1,7 @@
 #include "clustering/pairwise_store.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace uclust::clustering {
 
@@ -188,12 +189,12 @@ void PairwiseStore::VisitSymmetricBlock(
   }
 }
 
-void PairwiseStore::VisitUpperTriangle(const UpperVisitor& fn,
-                                       const kernels::PairSkipTest& skip) {
-  // Each pair is evaluated, or skipped under the predicate, exactly once.
-  StreamUpperTriangle(fn, [&](std::size_t r0, std::size_t r1, double* out) {
-    return kernels::FillUpperRowTilePruned(eng_, kernel_, r0, r1, out, skip,
-                                           &pruned_pairs_);
+void PairwiseStore::VisitUpperTriangle(const UpperVisitor& fn) {
+  // Every column j > i is a candidate: each pair is evaluated exactly once.
+  std::vector<std::size_t> columns(n_);
+  std::iota(columns.begin(), columns.end(), std::size_t{0});
+  VisitUpperTriangleCandidates(fn, [&](std::size_t i) {
+    return std::span<const std::size_t>(columns).subspan(i + 1);
   });
 }
 

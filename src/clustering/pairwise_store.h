@@ -26,11 +26,13 @@
 //                   VisitSymmetricBlock serves the member x member slab of a
 //                   UK-medoids swap sweep, computed in one parallel kernel
 //                   pass on the tiled backend;
-//   pruned sweeps — VisitUpperTriangle accepts a cheap pair predicate that
-//                   skips pairs whose exact value is provably 0 (e.g. the
-//                   FDBSCAN distance probability of two objects whose
-//                   regions are farther apart than eps) before any kernel
-//                   evaluation.
+//   pruned sweeps — VisitUpperTriangleCandidates evaluates only each row's
+//                   candidate columns and serves the rest as 0: the caller
+//                   has proved those exact values 0 before any kernel
+//                   evaluation (FDBSCAN: the distance probability of two
+//                   objects whose regions are farther apart than eps; its
+//                   columns come from a flat bound pass or an R-tree
+//                   query); VisitUpperTriangle is the unpruned sweep.
 //
 // A row served whole from the dense table counts as a warm hit and a
 // computed one as a warm miss; ScoreRow scores part of a row and counts
@@ -147,7 +149,7 @@ class PairwiseStore {
   int64_t warm_hits() const { return warm_hits_; }
   /// Rows served whole that required kernel computation.
   int64_t warm_misses() const { return warm_misses_; }
-  /// Pairs skipped by the sweep predicate instead of evaluated.
+  /// Pairs a candidate sweep served as 0 instead of evaluating.
   int64_t pruned_pairs() const { return pruned_pairs_; }
 
   /// Hands the store's counters to `result`: the backend name, the table
@@ -160,26 +162,20 @@ class PairwiseStore {
   /// entries (i, i+1..n-1), i.e. tail[t] = value(i, i + 1 + t).
   using UpperVisitor =
       std::function<void(std::size_t, std::span<const double>)>;
-  /// Visits every upper-triangle row exactly once. Without `skip`, each pair
-  /// is evaluated once (n*(n-1)/2 evaluations on a cold store). With `skip`,
-  /// pairs for which the predicate returns true are served as exactly 0.0
-  /// with no kernel evaluation — the caller asserts that 0 is the pair's
-  /// exact value (see kernels::PairSkipTest) — and counted in
-  /// pruned_pairs(). Streams bounded scratch blocks on every backend —
-  /// nothing is retained — unless a dense table is already materialized, in
-  /// which case it is read back directly.
-  void VisitUpperTriangle(const UpperVisitor& fn,
-                          const kernels::PairSkipTest& skip = {});
+  /// Visits every upper-triangle row exactly once, each pair evaluated once
+  /// (n*(n-1)/2 evaluations on a cold store). Streams bounded scratch blocks
+  /// on every backend — nothing is retained — unless a dense table is
+  /// already materialized, in which case it is read back directly.
+  void VisitUpperTriangle(const UpperVisitor& fn);
 
-  /// VisitUpperTriangle driven by per-row candidate columns (spatial-index
-  /// range-query hits): exactly candidates(i) — ascending j > i — are
-  /// evaluated; the rest of each tail is served as exactly 0.0 and counted
-  /// in pruned_pairs(). The caller asserts that every non-candidate pair's
-  /// exact value is 0 (the index contract), so the visited tails are
-  /// bit-identical to VisitUpperTriangle(fn, skip) whenever candidates(i)
-  /// covers every pair `skip` would not have skipped. An
-  /// already-materialized dense table is read back directly (same as
-  /// VisitUpperTriangle — the values exist; no pruning counters move).
+  /// VisitUpperTriangle driven by per-row candidate columns (a bound pass's
+  /// kept columns, spatial-index range-query hits): exactly candidates(i) —
+  /// ascending j > i — are evaluated; the rest of each tail is served as
+  /// exactly 0.0 and counted in pruned_pairs(). The caller asserts that
+  /// every non-candidate pair's exact value is 0, so the visited tails are
+  /// bit-identical to VisitUpperTriangle(fn)'s. An already-materialized
+  /// dense table is read back directly (same as VisitUpperTriangle — the
+  /// values exist; no pruning counters move).
   void VisitUpperTriangleCandidates(
       const UpperVisitor& fn, const kernels::CandidateColumns& candidates);
 

@@ -1,6 +1,7 @@
 #include "clustering/pruning.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 namespace uclust::clustering {
@@ -56,54 +57,96 @@ void VoronoiFilter(const uncertain::Box& box,
 }
 
 PairwiseBoundIndex::PairwiseBoundIndex(
-    std::span<const uncertain::UncertainObject> objects)
-    : objects_(objects) {
-  if (objects_.empty()) return;
-  dims_ = objects_.front().dims();
-  centers_.resize(objects_.size() * dims_);
-  radii_.resize(objects_.size());
-  for (std::size_t i = 0; i < objects_.size(); ++i) {
-    const uncertain::Box& box = objects_[i].region();
+    std::span<const uncertain::UncertainObject> objects) {
+  const std::size_t n = objects.size();
+  if (n == 0) return;
+  dims_ = objects.front().dims();
+  lower_.resize(n * dims_);
+  upper_.resize(n * dims_);
+  centers_.resize(n * dims_);
+  radii_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const uncertain::Box& box = objects[i].region();
     double r2 = 0.0;
-    for (std::size_t j = 0; j < dims_; ++j) {
-      const double c = 0.5 * (box.lower()[j] + box.upper()[j]);
-      centers_[i * dims_ + j] = c;
-      const double half = box.upper()[j] - c;
+    for (std::size_t d = 0; d < dims_; ++d) {
+      lower_[i * dims_ + d] = box.lower()[d];
+      upper_[i * dims_ + d] = box.upper()[d];
+      const double c = 0.5 * (box.lower()[d] + box.upper()[d]);
+      centers_[i * dims_ + d] = c;
+      const double half = box.upper()[d] - c;
       r2 += half * half;
     }
     radii_[i] = std::sqrt(r2);
   }
 }
 
-double PairwiseBoundIndex::CenterSquaredDistance(std::size_t i,
-                                                 std::size_t j) const {
+double PairwiseBoundIndex::CenterSquaredDistance(const BoundRow& a,
+                                                 const BoundRow& b,
+                                                 std::size_t dims) {
   double center_d2 = 0.0;
-  for (std::size_t d = 0; d < dims_; ++d) {
-    const double diff = centers_[i * dims_ + d] - centers_[j * dims_ + d];
+  for (std::size_t d = 0; d < dims; ++d) {
+    const double diff = a.center[d] - b.center[d];
     center_d2 += diff * diff;
   }
   return center_d2;
 }
 
-double PairwiseBoundIndex::RadiusGap(std::size_t i, std::size_t j) const {
-  return std::sqrt(CenterSquaredDistance(i, j)) - radii_[i] - radii_[j];
+double PairwiseBoundIndex::BoxSquaredDistance(const BoundRow& a,
+                                              const BoundRow& b,
+                                              std::size_t dims) {
+  double acc = 0.0;
+  for (std::size_t d = 0; d < dims; ++d) {
+    // Per-dimension interval gap: at most one of the two differences is
+    // positive (the intervals are ordered), and both are <= 0 on overlap.
+    // (m + |m|) / 2 is exactly max(m, 0) for finite m, without the branch
+    // a compiler emits for the clamp.
+    const double below = a.lower[d] - b.upper[d];
+    const double above = b.lower[d] - a.upper[d];
+    const double m = std::max(below, above);
+    const double gap = 0.5 * (m + std::fabs(m));
+    acc += gap * gap;
+  }
+  return acc;
+}
+
+// A point-mass pair decides on the exact squared center distance; any other
+// pair is beyond when the center-distance-minus-radii bound or the exact
+// box-box separation clears the threshold. Every test is computed and the
+// results combined without branching on them, so the row pass never
+// mispredicts.
+inline bool PairwiseBoundIndex::Beyond(const BoundRow& a, const BoundRow& b,
+                                       std::size_t dims, double threshold) {
+  const double center_d2 = CenterSquaredDistance(a, b, dims);
+  const double gap = std::sqrt(center_d2) - a.radius - b.radius;
+  const bool point = (a.radius == 0.0) & (b.radius == 0.0);
+  const bool center = center_d2 > threshold;
+  const bool radius = (gap > 0.0) & (gap * gap > threshold);
+  const bool box = BoxSquaredDistance(a, b, dims) > threshold;
+  return point ? center : (radius | box);
+}
+
+PairwiseBoundIndex::BoundRow PairwiseBoundIndex::Row(std::size_t i) const {
+  return {lower_.data() + i * dims_, upper_.data() + i * dims_,
+          centers_.data() + i * dims_, radii_[i]};
 }
 
 double PairwiseBoundIndex::MinSquaredDistance(std::size_t i,
                                               std::size_t j) const {
-  if (radii_[i] == 0.0 && radii_[j] == 0.0) {
+  const BoundRow a = Row(i);
+  const BoundRow b = Row(j);
+  if (a.radius == 0.0 && b.radius == 0.0) {
     // Both regions are points (point-mass pdfs / zero-extent boxes): the
     // squared center distance is the exact pair distance. The generic path
     // would take sqrt(center_d2) and re-square it, which can exceed the
     // true value by ulps — not a valid lower bound.
-    return CenterSquaredDistance(i, j);
+    return CenterSquaredDistance(a, b, dims_);
   }
-  const double gap = RadiusGap(i, j);
+  const double gap =
+      std::sqrt(CenterSquaredDistance(a, b, dims_)) - a.radius - b.radius;
   const double radius_bound = gap > 0.0 ? gap * gap : 0.0;
   // The box-box separation dominates the radius bound (the circumball
   // contains the box), so it can only tighten it.
-  const double box_bound =
-      objects_[i].region().MinSquaredDistanceTo(objects_[j].region());
+  const double box_bound = BoxSquaredDistance(a, b, dims_);
   return box_bound > radius_bound ? box_bound : radius_bound;
 }
 
@@ -113,17 +156,21 @@ bool PairwiseBoundIndex::ProvablyBeyond(std::size_t i, std::size_t j,
   // rounding of the samplers' inverse CDFs, and computed sample distances
   // round too; requiring the bound to clear eps^2 by a margin far above
   // ulp-level noise keeps "provably" honest in floating point.
+  return Beyond(Row(i), Row(j), dims_, SlackedSquaredThreshold(eps * eps));
+}
+
+std::size_t PairwiseBoundIndex::KeptAbove(std::size_t i, double eps,
+                                          std::span<std::size_t> kept) const {
   const double threshold = SlackedSquaredThreshold(eps * eps);
-  if (radii_[i] == 0.0 && radii_[j] == 0.0) {
-    // Point-mass pair: decide on the exact squared center distance.
-    return CenterSquaredDistance(i, j) > threshold;
+  const std::size_t n = size();
+  assert(kept.size() >= n - i - 1);
+  const BoundRow a = Row(i);
+  std::size_t count = 0;
+  for (std::size_t j = i + 1; j < n; ++j) {
+    kept[count] = j;
+    count += !Beyond(a, Row(j), dims_, threshold);
   }
-  // Cheap-first: the center-distance-minus-radii test alone often decides;
-  // the exact box-box separation is consulted only when it does not.
-  const double gap = RadiusGap(i, j);
-  if (gap > 0.0 && gap * gap > threshold) return true;
-  return objects_[i].region().MinSquaredDistanceTo(objects_[j].region()) >
-         threshold;
+  return count;
 }
 
 }  // namespace uclust::clustering

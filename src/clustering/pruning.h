@@ -79,25 +79,24 @@ void VoronoiFilter(const uncertain::Box& box,
 
 /// Per-object spatial summaries for pair-level sweep pruning. Every pdf in
 /// the library has bounded support, so each object's realizations lie inside
-/// its domain region; the index precomputes each region's center and
-/// circumradius ("centroid distance minus spread radii") and keeps the boxes
-/// for the exact box-box separation test.
-///
-/// The referenced objects must outlive the index.
+/// its domain region; the index copies each region box into flat n x m
+/// `lower`/`upper` arrays for the exact box-box separation test and
+/// precomputes the box's center and circumradius ("centroid distance minus
+/// spread radii"). It keeps no reference to the objects.
 class PairwiseBoundIndex {
  public:
   explicit PairwiseBoundIndex(
       std::span<const uncertain::UncertainObject> objects);
 
-  std::size_t size() const { return objects_.size(); }
+  std::size_t size() const { return radii_.size(); }
 
   /// Lower bound on the squared distance between ANY realization pair of
-  /// objects i and j (0 when the regions overlap). Cheap-first: the
-  /// center-distance-minus-radii bound, tightened by the exact box-box
-  /// separation when the radius test alone cannot decide. When both regions
-  /// are degenerate (zero-extent boxes — point-mass pdfs), the bound is the
-  /// exact squared center distance: the sqrt/re-square round trip of the
-  /// radius bound is skipped, as it can overshoot the true value by ulps.
+  /// objects i and j (0 when the regions overlap): the larger of the
+  /// center-distance-minus-radii bound and the exact box-box separation.
+  /// When both regions are degenerate (zero-extent boxes — point-mass pdfs),
+  /// the bound is the exact squared center distance: the sqrt/re-square
+  /// round trip of the radius bound is skipped, as it can overshoot the true
+  /// value by ulps.
   double MinSquaredDistance(std::size_t i, std::size_t j) const;
 
   /// True when every realization pair of (i, j) is provably farther apart
@@ -107,15 +106,36 @@ class PairwiseBoundIndex {
   /// computed (rounded) sample distances.
   bool ProvablyBeyond(std::size_t i, std::size_t j, double eps) const;
 
- private:
-  /// Exact sum of squared center differences (no sqrt involved).
-  double CenterSquaredDistance(std::size_t i, std::size_t j) const;
-  /// Center distance minus both circumradii — the shared radius-bound core
-  /// of MinSquaredDistance and ProvablyBeyond (may be negative).
-  double RadiusGap(std::size_t i, std::size_t j) const;
+  /// The row pass of the all-pairs sweep: writes the ascending columns
+  /// j > i with !ProvablyBeyond(i, j, eps) — the same decision, computed
+  /// without branches — to the front of `kept`, which must hold at least
+  /// size() - i - 1 entries, and returns how many it wrote.
+  std::size_t KeptAbove(std::size_t i, double eps,
+                        std::span<std::size_t> kept) const;
 
-  std::span<const uncertain::UncertainObject> objects_;
+ private:
+  /// One object's row of the flat arrays.
+  struct BoundRow {
+    const double* lower;
+    const double* upper;
+    const double* center;
+    double radius;
+  };
+  BoundRow Row(std::size_t i) const;
+  /// Exact sum of squared center differences (no sqrt involved).
+  static double CenterSquaredDistance(const BoundRow& a, const BoundRow& b,
+                                      std::size_t dims);
+  /// Exact squared box-box separation: the bits of
+  /// uncertain::Box::MinSquaredDistanceTo.
+  static double BoxSquaredDistance(const BoundRow& a, const BoundRow& b,
+                                   std::size_t dims);
+  /// ProvablyBeyond against a precomputed SlackedSquaredThreshold(eps^2).
+  static bool Beyond(const BoundRow& a, const BoundRow& b, std::size_t dims,
+                     double threshold);
+
   std::size_t dims_ = 0;
+  std::vector<double> lower_;    // n x m region box lower corners
+  std::vector<double> upper_;    // n x m region box upper corners
   std::vector<double> centers_;  // n x m region centers
   std::vector<double> radii_;    // n region circumradii
 };

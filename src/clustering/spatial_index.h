@@ -1,8 +1,8 @@
 // Spatial index over uncertain-region boxes: candidate-SET pruning for the
 // pairwise sweeps.
 //
-// PairwiseBoundIndex (pruning.h) skips a pair only after testing its bound,
-// so a pruned FDBSCAN sweep still costs O(n^2) bound tests. The index here
+// PairwiseBoundIndex (pruning.h) drops a pair only after testing its bound,
+// so FDBSCAN's all-pairs bound pass still costs O(n^2) bound tests. The index here
 // answers the same question — "which objects' regions could possibly be
 // within eps of this one?" — as a range query over the per-object domain
 // boxes, touching O(log n + output) boxes instead of all n. It is a

@@ -1,13 +1,18 @@
 // Tests for the density-based baselines FDBSCAN and FOPTICS.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "clustering/fdbscan.h"
 #include "clustering/foptics.h"
 #include "data/benchmark_gen.h"
 #include "data/uncertainty_model.h"
+#include "engine/engine.h"
 #include "eval/external.h"
+#include "uncertain/expected_distance.h"
 
 namespace uclust::clustering {
 namespace {
@@ -56,8 +61,10 @@ TEST(FdbscanPoissonBinomial, MatchesBruteForceEnumeration) {
 TEST(FdbscanPoissonBinomial, EdgeCases) {
   EXPECT_DOUBLE_EQ(Fdbscan::AtLeastProbability({}, 0), 1.0);
   EXPECT_DOUBLE_EQ(Fdbscan::AtLeastProbability({}, 1), 0.0);
-  EXPECT_DOUBLE_EQ(Fdbscan::AtLeastProbability({1.0, 1.0}, 2), 1.0);
-  EXPECT_DOUBLE_EQ(Fdbscan::AtLeastProbability({0.0, 0.0}, 1), 0.0);
+  EXPECT_DOUBLE_EQ(
+      Fdbscan::AtLeastProbability(std::vector<double>{1.0, 1.0}, 2), 1.0);
+  EXPECT_DOUBLE_EQ(
+      Fdbscan::AtLeastProbability(std::vector<double>{0.0, 0.0}, 1), 0.0);
 }
 
 TEST(Fdbscan, RecoversWellSeparatedBlobs) {
@@ -121,6 +128,84 @@ TEST(Fdbscan, HighUncertaintyReducesCoreConfidence) {
   const ClusteringResult rc = Fdbscan(p).Cluster(crisp, 2, 10);
   const ClusteringResult rf = Fdbscan(p).Cluster(fuzzy, 2, 10);
   EXPECT_LE(rc.noise_objects, rf.noise_objects);
+}
+
+// The automatic eps spelled out the direct way: the same Rng(seed) probe
+// draw, the square root of every closed-form distance from a probe, the
+// rank-th smallest by nth_element, then the median over the probes.
+double OracleAutoEps(const data::UncertainDataset& data, int min_pts,
+                     uint64_t seed) {
+  const std::size_t n = data.size();
+  if (n < 2) return 0.0;
+  common::Rng rng(seed);
+  const std::vector<std::size_t> probes =
+      rng.SampleWithoutReplacement(n, std::min<std::size_t>(n, 256));
+  std::vector<double> kth;
+  for (const std::size_t i : probes) {
+    std::vector<double> dists;
+    for (std::size_t j = 0; j < n; ++j) {
+      if (j == i) continue;
+      dists.push_back(std::sqrt(uncertain::ExpectedSquaredDistance(
+          data.object(i), data.object(j))));
+    }
+    const std::size_t rank = std::min<std::size_t>(
+        std::max<std::size_t>(static_cast<std::size_t>(min_pts), 1),
+        dists.size());
+    std::nth_element(dists.begin(), dists.begin() + (rank - 1), dists.end());
+    kth.push_back(dists[rank - 1]);
+  }
+  std::nth_element(kth.begin(), kth.begin() + kth.size() / 2, kth.end());
+  return kth[kth.size() / 2];
+}
+
+// An automatic-eps run is the run at the oracle's eps: same labels, same
+// pairs evaluated and pruned, serially and with the probe blocks and bound
+// rows spread over 4 threads. Covers a probe subsample (n = 300 > 256
+// probes), two objects, the rank clamps (min_pts 0, min_pts >= n) and tied
+// ranks (every object duplicated).
+TEST(Fdbscan, AutoEpsMatchesDirectRankOracle) {
+  const auto ds300 = PlantedDataset(300, 3, 21);
+  const auto ds40 = PlantedDataset(40, 2, 23);
+  const auto ds2 = PlantedDataset(2, 1, 25);
+  std::vector<uncertain::UncertainObject> twice = ds40.objects();
+  twice.insert(twice.end(), ds40.objects().begin(), ds40.objects().end());
+  std::vector<int> twice_labels = ds40.labels();
+  twice_labels.insert(twice_labels.end(), ds40.labels().begin(),
+                      ds40.labels().end());
+  const data::UncertainDataset dup("duplicated", std::move(twice),
+                                   std::move(twice_labels), 2);
+  const struct {
+    const data::UncertainDataset* data;
+    int min_pts;
+    const char* what;
+  } cases[] = {{&ds300, 5, "n=300"},         {&ds2, 5, "n=2"},
+               {&ds40, 0, "min_pts=0"},      {&ds40, 40, "min_pts=n"},
+               {&ds40, 100, "min_pts>n"},    {&dup, 3, "duplicates"},
+               {&dup, 1, "duplicates rank 1"}};
+  for (const auto& c : cases) {
+    for (const uint64_t seed : {uint64_t{3}, uint64_t{11}}) {
+      Fdbscan::Params automatic;
+      automatic.min_pts = c.min_pts;
+      Fdbscan::Params fixed = automatic;
+      fixed.eps = OracleAutoEps(*c.data, c.min_pts, seed);
+      ASSERT_GT(fixed.eps, 0.0) << c.what;
+      const ClusteringResult b = Fdbscan(fixed).Cluster(*c.data, 2, seed);
+      for (const int threads : {1, 4}) {
+        engine::EngineConfig config;
+        config.num_threads = threads;
+        config.block_size = 16;
+        Fdbscan algo(automatic);
+        algo.set_engine(engine::Engine(config));
+        const ClusteringResult a = algo.Cluster(*c.data, 2, seed);
+        const std::string where = std::string(c.what) +
+                                  " seed=" + std::to_string(seed) +
+                                  " threads=" + std::to_string(threads);
+        EXPECT_EQ(a.labels, b.labels) << where;
+        EXPECT_EQ(a.pair_evaluations, b.pair_evaluations) << where;
+        EXPECT_EQ(a.pairs_pruned, b.pairs_pruned) << where;
+      }
+    }
+  }
 }
 
 TEST(FopticsExtract, ThresholdCutBasics) {

@@ -187,10 +187,25 @@ TEST(TilePolicies, UkMedoidsRecomputeBackendsMatchDense) {
   }
 }
 
-// Pruned sweep contract on a separable dataset, on every backend: the
-// PairwiseBoundIndex skip serves the same per-pair values as the unpruned
-// sweep, with strictly fewer kernel evaluations, and every pair accounted
-// as either evaluated or pruned.
+// The row pass keeps exactly the columns j > i that ProvablyBeyond does not
+// rule out, at every eps.
+void ExpectRowPassMatchesPairTest(const PairwiseBoundIndex& bounds,
+                                  double eps) {
+  for (std::size_t i = 0; i < bounds.size(); ++i) {
+    std::vector<std::size_t> want;
+    for (std::size_t j = i + 1; j < bounds.size(); ++j) {
+      if (!bounds.ProvablyBeyond(i, j, eps)) want.push_back(j);
+    }
+    std::vector<std::size_t> kept(bounds.size() - i - 1);
+    kept.resize(bounds.KeptAbove(i, eps, kept));
+    EXPECT_EQ(kept, want) << "i=" << i << " eps=" << eps;
+  }
+}
+
+// Candidate-driven sweep contract on a separable dataset, on every backend:
+// the bound pass's kept columns serve the same per-pair values as the
+// unpruned sweep, with strictly fewer kernel evaluations, and every pair
+// accounted as either evaluated or pruned.
 TEST(TilePolicies, BoundSkipServesIdenticalPairsWithFewerEvaluations) {
   const auto ds = TestDataset(150, 2, 3, 113, /*min_separation=*/0.45);
   const std::size_t n = ds.size();
@@ -200,16 +215,21 @@ TEST(TilePolicies, BoundSkipServesIdenticalPairsWithFewerEvaluations) {
   const kernels::PairwiseKernel kernel =
       kernels::PairwiseKernel::DistanceProbability(samples.view(), eps);
   const PairwiseBoundIndex bounds(ds.objects());
-  const auto sweep = [&](PairwiseStore* store, bool skip) {
+  std::vector<std::vector<std::size_t>> kept(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    kept[i].resize(n - i - 1);
+    kept[i].resize(bounds.KeptAbove(i, eps, kept[i]));
+  }
+  const auto sweep = [&](PairwiseStore* store, bool prune) {
     std::vector<double> upper(n * n, -1.0);
     const auto fn = [&](std::size_t i, std::span<const double> tail) {
       for (std::size_t t = 0; t < tail.size(); ++t) {
         upper[i * n + i + 1 + t] = tail[t];
       }
     };
-    if (skip) {
-      store->VisitUpperTriangle(fn, [&](std::size_t i, std::size_t j) {
-        return bounds.ProvablyBeyond(i, j, eps);
+    if (prune) {
+      store->VisitUpperTriangleCandidates(fn, [&](std::size_t i) {
+        return std::span<const std::size_t>(kept[i]);
       });
     } else {
       store->VisitUpperTriangle(fn);
@@ -272,6 +292,14 @@ TEST(TilePolicies, PairwiseBoundIndexExactOnZeroRadiusPairs) {
   // The coincident Dirac pair: exact zero, never provably beyond.
   EXPECT_EQ(bounds.MinSquaredDistance(0, 3), 0.0);
   EXPECT_FALSE(bounds.ProvablyBeyond(0, 3, 0.0));
+  // The row pass decides like the pair test, also at eps equal to an exact
+  // pair distance and just around it.
+  for (const double eps : {0.0, std::sqrt(bounds.MinSquaredDistance(0, 1)),
+                           std::sqrt(bounds.MinSquaredDistance(1, 2)) *
+                               0.999999,
+                           std::sqrt(bounds.MinSquaredDistance(1, 2)), 0.5}) {
+    ExpectRowPassMatchesPairTest(bounds, eps);
+  }
 }
 
 // A mixed pair (one degenerate box, one fat box) must stay a valid lower
@@ -293,6 +321,27 @@ TEST(TilePolicies, PairwiseBoundIndexMixedDegeneratePairs) {
   // Inside overlap there is nothing to prove.
   EXPECT_FALSE(bounds.ProvablyBeyond(0, 1, std::sqrt(exact) * 1.01));
   EXPECT_TRUE(bounds.ProvablyBeyond(0, 1, std::sqrt(exact) * 0.9));
+  for (const double eps : {std::sqrt(exact) * 0.9, std::sqrt(exact),
+                           std::sqrt(exact) * 1.01}) {
+    ExpectRowPassMatchesPairTest(bounds, eps);
+  }
+}
+
+// The row pass against the pair test on a fat-region dataset, at eps set to
+// the lower bound and the exact box separation of some of its pairs, where
+// the slacked threshold sits right at a computed bound.
+TEST(TilePolicies, BoundRowPassMatchesPairTest) {
+  const auto ds = TestDataset(60, 3, 3, 119);
+  const PairwiseBoundIndex bounds(ds.objects());
+  std::vector<double> eps_values = {0.0, 0.05, 0.2, 1.0, 10.0};
+  for (std::size_t i = 0; i < ds.size(); i += 7) {
+    const std::size_t j = (i * 13 + 5) % ds.size();
+    if (i == j) continue;
+    eps_values.push_back(std::sqrt(bounds.MinSquaredDistance(i, j)));
+    eps_values.push_back(std::sqrt(
+        ds.object(i).region().MinSquaredDistanceTo(ds.object(j).region())));
+  }
+  for (const double eps : eps_values) ExpectRowPassMatchesPairTest(bounds, eps);
 }
 
 // FDBSCAN's two eps-sweeps evaluate the same pairs: the R-tree candidates
@@ -354,6 +403,17 @@ TEST(TilePolicies, FdbscanForcedSweepsCounterIdentical) {
   EXPECT_GT(want.pairs_pruned, 0);
   EXPECT_GT(indexed_serial.pairs_pruned_by_index, 0);
   EXPECT_GT(indexed_serial.index_bound_tests, 0);
+
+  // With automatic eps the two sweeps agree as well.
+  fp.eps = 0.0;
+  const ClusteringResult auto_want = run(0, 1, Fdbscan::Sweep::kAllPairs);
+  for (int threads : {1, 8}) {
+    const ClusteringResult indexed =
+        run(10 * n * sizeof(double), threads, Fdbscan::Sweep::kIndexed);
+    EXPECT_EQ(indexed.labels, auto_want.labels) << threads;
+    EXPECT_EQ(indexed.pair_evaluations, auto_want.pair_evaluations) << threads;
+    EXPECT_EQ(indexed.pairs_pruned, auto_want.pairs_pruned) << threads;
+  }
 }
 
 // The selectivity probe sends a selective eps to the R-tree and a broad one
